@@ -43,7 +43,7 @@
 //! Usage: `cargo run --release -p koala-bench --bin bench_gemm [--quick]
 //! [--json <path>]`
 
-use koala_bench::json::JsonValue;
+use koala_json::JsonValue;
 use koala_linalg::gemm::{
     flop_counter, gemm, matmul_seed, real_mac_counter, reset_flop_counter, Op,
 };
@@ -313,8 +313,7 @@ fn main() {
         };
         for &threads in &thread_counts {
             // `set_threads` swaps the global executor pool at runtime, so a
-            // single process can sweep thread counts (the old RAYON env-var
-            // dance is gone along with the rayon shim on this path).
+            // single process can sweep thread counts.
             koala_exec::set_threads(threads);
             let (packed_s, cmacs, rmacs) = time_best(reps, || {
                 std::hint::black_box(gemm(case.opa, case.opb, &a, &b));

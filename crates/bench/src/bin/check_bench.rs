@@ -25,7 +25,7 @@
 //!
 //! Exit code 0 = no regression; 1 = regression or unusable inputs.
 
-use koala_bench::json::JsonValue;
+use koala_json::JsonValue;
 
 /// The JSON field holding the gated rate for each known series.
 fn rate_field(series: &str) -> Option<&'static str> {

@@ -6,8 +6,8 @@
 //! Systems"*, SC 2020) or records a kernel-level perf series; this library
 //! crate holds the small amount of shared plumbing ([`BenchArgs`] CLI
 //! parsing, [`Figure`]/[`Series`]/[`Point`] result containers, timing and
-//! slope-fitting helpers, the cost-model calibration loader
-//! ([`calibrated_cost_model`]), and the [`mod@json`] emitter).
+//! slope-fitting helpers, and the cost-model calibration loader
+//! ([`calibrated_cost_model`])).
 //!
 //! ## Binary targets and what each reproduces
 //!
@@ -37,17 +37,15 @@
 //! ## Why a hand-rolled JSON emitter?
 //!
 //! The build environment cannot fetch `serde`/`serde_json`. The shared
-//! `koala-json` crate (re-exported here as [`mod@json`]) provides a minimal
-//! value model with a stable pretty-printer and parser
-//! ([`json::JsonValue`]); its output shape matches the old serde output so
+//! `koala-json` crate provides a minimal value model with a stable
+//! pretty-printer and parser ([`koala_json::JsonValue`]); its output shape
+//! matches the old serde output so
 //! downstream tooling keeps parsing it, and `koala-cluster` reads the same
 //! dialect back when calibrating its cost model from `BENCH_gemm.json`.
 
 #![warn(missing_docs)]
 
 use std::time::Instant;
-
-pub mod json;
 
 /// Command-line options shared by all figure binaries.
 #[derive(Debug, Clone)]
@@ -161,7 +159,7 @@ impl Figure {
     /// Render the figure as pretty-printed JSON (same shape as the old
     /// serde output, kept stable for downstream tooling).
     pub fn to_json(&self) -> String {
-        use crate::json::JsonValue;
+        use koala_json::JsonValue;
         let series: Vec<JsonValue> = self
             .series
             .iter()

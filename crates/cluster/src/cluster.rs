@@ -22,7 +22,7 @@ use std::sync::MutexGuard;
 /// panicking thread was holding the mutex (the data is plain accounting, so
 /// the worst case after a poisoned write is a partially-updated tally — far
 /// better than cascading the panic through every later record call).
-fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 

@@ -71,12 +71,37 @@
 //! and the property tests assert against the recorded traffic, element for
 //! element.
 //!
-//! Every variant also appends one [`crate::RoundCost`] per round to
-//! [`crate::CommStats::rounds`], so
-//! [`crate::CostModel::modelled_time_overlap`] can price round `t+1`'s panel
-//! broadcasts hidden behind round `t`'s local GEMM.
+//! ## One round engine
+//!
+//! All three variants run the same task graph (`Summa::run`), parametrised
+//! only by which operand stays put. Per round it holds
+//!
+//! ```text
+//! comm(t)     ships the moving panel(s) — bill the broadcast, attach the
+//!             Huang–Abraham checksum, deliver to every verifier — through
+//!             one side-generic helper ("A-side along grid rows" and "B-side
+//!             along grid columns" are two calls of it); chained t -> t + 1,
+//! gemm(t, r)  one per participating rank: the only gemm_into /
+//!             gemm_into_real call site. Stationary-C accumulates into the
+//!             rank's own C block; stationary-A/B form a partial tile that
+//!             is checksum-delivered to the output panel's owner and added
+//!             into its block. Depends on comm(t) and on the previous writer
+//!             of its destination block,
+//! ```
+//!
+//! so the accumulation order of every output block is fixed by edges and the
+//! product is bit-identical at any thread count, while round `t + 1`'s
+//! broadcasts overlap round `t`'s local GEMMs on a multi-thread pool — for
+//! every variant, which is what
+//! [`crate::CostModel::modelled_time_overlap`] assumes when it prices the
+//! one [`crate::RoundCost`] each round appends to
+//! [`crate::CommStats::rounds`]. "Serial" is not a second code path: an
+//! armed [`crate::FaultPlan`], whose seeded decisions depend on global query
+//! order, runs the same graph on a one-thread pool, whose FIFO topological
+//! walk is deterministic — so the fault suites exercise the graph
+//! production runs, not a loop kept beside it.
 
-use crate::cluster::Cluster;
+use crate::cluster::{lock_ignore_poison, Cluster};
 use crate::fault::{corrupt_index, FaultEvent, FaultKind, FaultSite};
 use crate::grid::{refine, Dist1D, Panel, ProcGrid};
 use crate::stats::RoundCost;
@@ -84,8 +109,7 @@ use koala_error::{ErrorKind, KoalaError};
 use koala_exec::{TaskGraph, TaskId, TaskKind};
 use koala_linalg::gemm::{gemm_into, gemm_into_real, Op};
 use koala_linalg::{c64, eigh, matmul, matmul_adj_a, Matrix, C64};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Maximum retransmissions of one checksummed transfer before the fault is
 /// declared unrecoverable. Transient faults (the default
@@ -236,6 +260,435 @@ fn add_into(dst: &mut Matrix, row0: usize, col0: usize, src: &Matrix) {
             let d = data[idx];
             data[idx] = c64(d.re + v.re, d.im + v.im);
         }
+    }
+}
+
+/// The grid axis a panel shipment or a partial-result reduction travels
+/// along, named after the operand that uses it in the classic stationary-C
+/// dataflow. `A`: a group is one grid row and its `q` ranks, transfers carry
+/// a column checksum and are [`FaultSite::SummaPanelA`] sites. `B` is the
+/// mirror image: one grid column, `p` ranks, row checksum,
+/// [`FaultSite::SummaPanelB`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Side {
+    A,
+    B,
+}
+
+impl Side {
+    fn checksum(self) -> fn(&Matrix) -> Vec<C64> {
+        match self {
+            Side::A => column_checksum,
+            Side::B => row_checksum,
+        }
+    }
+
+    fn site(self, round: usize, rank: usize) -> FaultSite {
+        match self {
+            Side::A => FaultSite::SummaPanelA { round, rank },
+            Side::B => FaultSite::SummaPanelB { round, rank },
+        }
+    }
+
+    /// `(number of groups, ranks per group)` on `grid`.
+    fn extents(self, grid: ProcGrid) -> (usize, usize) {
+        match self {
+            Side::A => (grid.rows(), grid.cols()),
+            Side::B => (grid.cols(), grid.rows()),
+        }
+    }
+
+    /// Rank of the `member`-th rank of `group`.
+    fn rank(self, grid: ProcGrid, group: usize, member: usize) -> usize {
+        match self {
+            Side::A => grid.rank_of(group, member),
+            Side::B => grid.rank_of(member, group),
+        }
+    }
+}
+
+/// One moving panel as its group received it, plus the length of the checksum
+/// vector that rode along (a restarted rank re-fetches both).
+struct Shipped {
+    panel: Matrix,
+    sum_len: usize,
+}
+
+/// Where one rank's product of a round lands: block `dst` at offset
+/// `(row0, col0)`.
+#[derive(Clone, Copy)]
+struct Tile {
+    dst: usize,
+    row0: usize,
+    col0: usize,
+}
+
+/// One planned SUMMA product `C = opA(A) * opB(B)`: the output layout and the
+/// round list of the chosen [`SummaVariant`], read by both the closed-form
+/// traffic count and the round engine ([`Summa::run`]).
+struct Summa<'a> {
+    a: &'a DistMatrix,
+    b: &'a DistMatrix,
+    opa: Op,
+    opb: Op,
+    variant: SummaVariant,
+    out_rows: Dist1D,
+    out_cols: Dist1D,
+    /// One panel per round. Stationary-C: the depth panels (`a_*` locates
+    /// the panel in `A`, `b_*` in `B`). Stationary-A/B: panels of `C`'s
+    /// column/row dimension, with `a_*` locating the panel in the moving
+    /// operand and `b_*` in the output (the reduction destination).
+    panels: Vec<Panel>,
+    /// Stationary-A/B only: common refinement of the stationary operand's
+    /// depth layout (`a_owner`) and the moving operand's (`b_owner`) — the
+    /// pieces each shipped slice is assembled from.
+    pieces: Vec<Panel>,
+}
+
+impl<'a> Summa<'a> {
+    /// Lay out the product, or `None` when `variant` does not support the op
+    /// pair (stationary-A needs `opa = None`, stationary-B `opb = None`).
+    fn plan(
+        a: &'a DistMatrix,
+        opa: Op,
+        opb: Op,
+        b: &'a DistMatrix,
+        variant: SummaVariant,
+    ) -> Option<Self> {
+        let (p, q) = (a.grid.rows(), a.grid.cols());
+        let (m_out, _) = opa.effective_shape(a.shape());
+        let (_, n_out) = opb.effective_shape(b.shape());
+        // Layouts of the stored operands' effective outer and depth dims.
+        let (a_outer, a_depth) =
+            if opa == Op::None { (&a.rows, &a.cols) } else { (&a.cols, &a.rows) };
+        let (b_depth, b_outer) =
+            if opb == Op::None { (&b.rows, &b.cols) } else { (&b.cols, &b.rows) };
+        let out_rows = if opa == Op::None { a.rows.clone() } else { a.cols.like_parts(m_out, p) };
+        let out_cols = if opb == Op::None { b.cols.clone() } else { b.rows.like_parts(n_out, q) };
+        let (panels, pieces) = match variant {
+            SummaVariant::StationaryC => (refine(a_depth, b_depth), Vec::new()),
+            SummaVariant::StationaryA if opa == Op::None => {
+                (refine(b_outer, &out_cols), refine(a_depth, b_depth))
+            }
+            SummaVariant::StationaryB if opb == Op::None => {
+                (refine(a_outer, &out_rows), refine(b_depth, a_depth))
+            }
+            _ => return None,
+        };
+        Some(Summa { a, b, opa, opb, variant, out_rows, out_cols, panels, pieces })
+    }
+
+    /// The sides whose operand moves, and the side partial results are
+    /// reduced along (none when `C` is stationary).
+    fn dataflow(&self) -> (&'static [Side], Option<Side>) {
+        match self.variant {
+            SummaVariant::StationaryC => (&[Side::A, Side::B], None),
+            SummaVariant::StationaryA => (&[Side::B], Some(Side::A)),
+            SummaVariant::StationaryB => (&[Side::A], Some(Side::B)),
+        }
+    }
+
+    /// Bill one broadcast of `elems` elements to each of `receivers` ranks to
+    /// the cluster counters and to the round's overlap ledger.
+    fn bill(&self, cost: &mut RoundCost, elems: usize, receivers: usize) {
+        if receivers == 0 {
+            return; // a group of one broadcasts nothing
+        }
+        self.a.cluster.record_bcast(elems * receivers, receivers);
+        cost.comm_elems += (elems * receivers) as u64;
+        cost.messages += receivers as u64;
+    }
+
+    /// Ship round `t`'s panel of the `side` operand to group `g`: build the
+    /// raw (untransposed) panel, bill its broadcast, and run the checksummed
+    /// delivery to every rank that receives it. Three sourcings:
+    ///
+    /// * stationary-C, op `None` — the panel is resident on the owning rank
+    ///   of the group and is broadcast to the other members;
+    /// * stationary-C, transposed/adjoint op — the raw depth slice lives on
+    ///   the owning *group* and is assembled for every member of `g` (the
+    ///   alignment term: one extra copy unless `g` is the owner);
+    /// * stationary-A/B — the slice of the moving operand is aligned to the
+    ///   stationary operand's depth layout, piece by piece, each piece
+    ///   skipping the one copy that is already home.
+    fn ship(
+        &self,
+        side: Side,
+        t: usize,
+        panel: Panel,
+        g: usize,
+        cost: &mut RoundCost,
+    ) -> crate::Result<Shipped> {
+        let grid = self.a.grid;
+        let (x, op, owner, local, out_dist, depth) = match side {
+            Side::A => {
+                (self.a, self.opa, panel.a_owner, panel.a_local, &self.out_rows, &self.b.rows)
+            }
+            Side::B => {
+                (self.b, self.opb, panel.b_owner, panel.b_local, &self.out_cols, &self.a.cols)
+            }
+        };
+        let (_, members) = side.extents(grid);
+        // Whether the stored operand's depth dimension is its row dimension.
+        let depth_is_rows = (side == Side::A) != (op == Op::None);
+        type Sourced = (Matrix, usize, Option<usize>, fn(&Matrix) -> Vec<C64>);
+        let (data, receivers, skip, checksum_of): Sourced =
+            if self.variant != SummaVariant::StationaryC {
+                let mut receivers = 0;
+                for pc in self.pieces.iter().filter(|pc| pc.a_owner == g) {
+                    let home =
+                        if op == Op::None { g == panel.a_owner } else { pc.a_owner == pc.b_owner };
+                    let recv = members - usize::from(home);
+                    self.bill(cost, panel.len * pc.len, recv);
+                    receivers += recv;
+                }
+                let data = x.slice_for_part(!depth_is_rows, panel.start, panel.len, depth, g);
+                // One checksum element per index of the output panel.
+                let per_index = if depth_is_rows { column_checksum } else { row_checksum };
+                (data, receivers, None, per_index)
+            } else {
+                let (data, receivers, skip) = if op == Op::None {
+                    let block = &x.blocks[side.rank(grid, g, owner)];
+                    let data = if depth_is_rows {
+                        block.submatrix(local, 0, panel.len, block.ncols())
+                    } else {
+                        block.submatrix(0, local, block.nrows(), panel.len)
+                    };
+                    (data, members - 1, Some(owner))
+                } else {
+                    let data = x.slice_for_part(depth_is_rows, panel.start, panel.len, out_dist, g);
+                    (data, members - usize::from(g == owner), None)
+                };
+                self.bill(cost, data.nrows() * data.ncols(), receivers);
+                (data, receivers, skip, side.checksum())
+            };
+        let verifiers: Vec<usize> = (0..members)
+            .filter(|&j| receivers > 0 && Some(j) != skip)
+            .map(|j| side.rank(grid, g, j))
+            .collect();
+        let sum = checksum_of(&data);
+        self.a.cluster.record_checksum(sum.len() * verifiers.len());
+        for rank in verifiers {
+            deliver_checksummed(
+                &self.a.cluster,
+                &data,
+                &sum,
+                checksum_of,
+                side.site(t, rank),
+                true,
+            )
+            .map_err(|e| {
+                e.context(format!("matmul_dist: SUMMA round {t}, {side:?} panel to rank {rank}"))
+            })?;
+        }
+        Ok(Shipped { panel: data, sum_len: sum.len() })
+    }
+
+    /// Communication phase of round `t`: ship every moving operand's panel
+    /// to every group (`A`-side groups first, as the fault sequence is
+    /// defined by call order) and bill the reduction of the round's partial
+    /// results onto the output panel's owners. Returns the shipped panels
+    /// indexed `[side][group]`; a stationary side's list stays empty.
+    fn round_comm(
+        &self,
+        t: usize,
+        panel: Panel,
+        cost: &mut RoundCost,
+    ) -> crate::Result<[Vec<Shipped>; 2]> {
+        let grid = self.a.grid;
+        let (moving, reduce) = self.dataflow();
+        let mut shipped = [Vec::new(), Vec::new()];
+        for &side in moving {
+            for g in 0..side.extents(grid).0 {
+                shipped[side as usize].push(self.ship(side, t, panel, g, cost)?);
+            }
+        }
+        if let Some(side) = reduce {
+            let (groups, members) = side.extents(grid);
+            let owned = if side == Side::A { &self.out_rows } else { &self.out_cols };
+            for g in (0..groups).filter(|&g| owned.local_len(g) > 0) {
+                self.bill(cost, owned.local_len(g) * panel.len, members - 1);
+            }
+        }
+        Ok(shipped)
+    }
+
+    /// Where rank `rank`'s product of the round lands, or `None` when its
+    /// tile is empty and the rank sits the round out. Stationary-C ranks
+    /// accumulate into their own block; stationary-A/B ranks produce a tile
+    /// of the output panel's owner on their grid row/column.
+    fn tile(&self, panel: Panel, rank: usize) -> Option<Tile> {
+        let grid = self.a.grid;
+        let (r, c) = grid.coords_of(rank);
+        let (m_loc, n_loc) = (self.out_rows.local_len(r), self.out_cols.local_len(c));
+        match self.variant {
+            SummaVariant::StationaryC => {
+                (m_loc > 0 && n_loc > 0).then_some(Tile { dst: rank, row0: 0, col0: 0 })
+            }
+            SummaVariant::StationaryA => (m_loc > 0).then_some(Tile {
+                dst: grid.rank_of(r, panel.b_owner),
+                row0: 0,
+                col0: panel.b_local,
+            }),
+            SummaVariant::StationaryB => (n_loc > 0).then_some(Tile {
+                dst: grid.rank_of(panel.b_owner, c),
+                row0: panel.b_local,
+                col0: 0,
+            }),
+        }
+    }
+
+    /// One rank's local product for round `t` through the packed GEMM, with
+    /// the ops fused into the packing step: the shipped panel of each moving
+    /// side against the resident block of a stationary one. Stationary-C
+    /// accumulates straight into the rank's own block; the other variants
+    /// form a partial tile, deliver it (checksummed) to the owner when that
+    /// is another rank, and add it into the owner's block. Bills the rank's
+    /// MACs and any planned compute-fault refetch.
+    fn rank_update(
+        &self,
+        t: usize,
+        rank: usize,
+        tile: Tile,
+        shipped: &[Vec<Shipped>; 2],
+        cost: &Mutex<RoundCost>,
+        out: &mut Matrix,
+    ) -> crate::Result<()> {
+        let cluster = &self.a.cluster;
+        let (r, c) = self.a.grid.coords_of(rank);
+        let received = [shipped[Side::A as usize].get(r), shipped[Side::B as usize].get(c)];
+        let lhs = received[0].map_or(&self.a.blocks[rank], |s| &s.panel);
+        let rhs = received[1].map_or(&self.b.blocks[rank], |s| &s.panel);
+        // A planned rank failure strikes here: the restarted rank has lost
+        // the round's panels and re-fetches them (plus their checksum
+        // vectors) before redoing its product.
+        if cluster.fault_decision(FaultSite::SummaCompute { round: t, rank }, 0).is_some() {
+            let refetch: usize = received
+                .iter()
+                .flatten()
+                .map(|s| s.panel.nrows() * s.panel.ncols() + s.sum_len)
+                .sum();
+            cluster.record_retry(refetch);
+            koala_error::recovery::note_summa_round_retry();
+        }
+        let (m, k) = self.opa.effective_shape(lhs.shape());
+        let (_, n) = self.opb.effective_shape(rhs.shape());
+        let real = lhs.is_real() && rhs.is_real();
+        let macs = (m * n * k) as u64;
+        cluster.record_macs(rank, macs, real);
+        {
+            let mut cost = lock_ignore_poison(cost);
+            let per_rank = if real { &mut cost.rank_rmacs } else { &mut cost.rank_cmacs };
+            per_rank[rank] += macs;
+        }
+        let reduce = self.dataflow().1;
+        let mut partial = reduce.map(|_| Matrix::zeros(m, n));
+        let acc = partial.as_mut().unwrap_or(&mut *out).data_mut();
+        if real {
+            gemm_into_real(self.opa, self.opb, m, n, k, lhs.data(), rhs.data(), acc);
+        } else {
+            gemm_into(self.opa, self.opb, m, n, k, lhs.data(), rhs.data(), acc);
+        }
+        if let (Some(side), Some(partial)) = (reduce, partial) {
+            if rank != tile.dst {
+                let sum = side.checksum()(&partial);
+                cluster.record_checksum(sum.len());
+                let site = side.site(t, tile.dst);
+                deliver_checksummed(cluster, &partial, &sum, side.checksum(), site, true).map_err(
+                    |e| {
+                        e.context(format!(
+                            "matmul_dist: SUMMA round {t}, partial reduce to rank {}",
+                            tile.dst
+                        ))
+                    },
+                )?;
+            }
+            add_into(out, tile.row0, tile.col0, &partial);
+        }
+        Ok(())
+    }
+
+    /// The round engine: one task graph for every variant. Per round, one
+    /// [`TaskKind::Comm`] task ([`Summa::round_comm`]) chained `t -> t + 1`,
+    /// so every fault query of the communication phase runs in round order,
+    /// and one [`TaskKind::Gemm`] task per participating rank
+    /// ([`Summa::rank_update`]) depending on its round's comm task and on the
+    /// previous writer of its destination block. That chain fixes the
+    /// floating-point accumulation order of every output block, so the
+    /// result is bit-identical at any thread count; what a multi-thread pool
+    /// buys is round `t + 1`'s broadcasts running while round `t`'s local
+    /// GEMMs are still in flight — the overlap
+    /// [`crate::CostModel::modelled_time_overlap`] prices.
+    ///
+    /// Fault injection replays a seeded decision sequence that depends on
+    /// global query order, so an armed fault plan runs the same graph on a
+    /// one-thread pool, whose FIFO topological walk is deterministic (and,
+    /// for stationary-C, is exactly comm, then ranks in order, round by
+    /// round). Per-round costs are appended to the ledger in round order
+    /// afterwards either way.
+    fn run(&self) -> crate::Result<Vec<Matrix>> {
+        let grid = self.a.grid;
+        let cluster = &self.a.cluster;
+        let nranks = grid.nranks();
+        let out_blocks: Vec<Mutex<Matrix>> = (0..nranks)
+            .map(|rank| {
+                let (r, c) = grid.coords_of(rank);
+                Mutex::new(Matrix::zeros(self.out_rows.local_len(r), self.out_cols.local_len(c)))
+            })
+            .collect();
+        let costs: Vec<Mutex<RoundCost>> = (0..self.panels.len())
+            .map(|_| {
+                Mutex::new(RoundCost {
+                    rank_cmacs: vec![0; nranks],
+                    rank_rmacs: vec![0; nranks],
+                    ..Default::default()
+                })
+            })
+            .collect();
+        let shipped: Vec<OnceLock<[Vec<Shipped>; 2]>> =
+            (0..self.panels.len()).map(|_| OnceLock::new()).collect();
+
+        let mut graph = TaskGraph::new();
+        let mut prev_comm: Option<TaskId> = None;
+        let mut last_writer: Vec<Option<TaskId>> = vec![None; nranks];
+        for (t, panel) in self.panels.iter().copied().enumerate() {
+            let (cost, cell) = (&costs[t], &shipped[t]);
+            let comm = graph.add(TaskKind::Comm, prev_comm.as_slice(), move || {
+                let panels = self.round_comm(t, panel, &mut lock_ignore_poison(cost))?;
+                let _ = cell.set(panels);
+                Ok(())
+            });
+            prev_comm = Some(comm);
+            for rank in 0..nranks {
+                let Some(tile) = self.tile(panel, rank) else { continue };
+                let deps: Vec<TaskId> =
+                    [Some(comm), last_writer[tile.dst]].into_iter().flatten().collect();
+                let out = &out_blocks[tile.dst];
+                let id = graph.add(TaskKind::Gemm, &deps, move || {
+                    let shipped = cell.get().ok_or_else(|| {
+                        KoalaError::new(
+                            ErrorKind::InvalidArgument,
+                            format!("SUMMA round {t}: panels missing for compute task"),
+                        )
+                    })?;
+                    // Uncontended: writers of one block are chained.
+                    self.rank_update(t, rank, tile, shipped, cost, &mut lock_ignore_poison(out))
+                });
+                last_writer[tile.dst] = Some(id);
+            }
+        }
+        if cluster.faults_armed() {
+            graph.run_on(&koala_exec::Pool::new(1))?;
+        } else {
+            graph.run()?;
+        }
+        for cost in costs {
+            cluster.record_round(cost.into_inner().unwrap_or_else(PoisonError::into_inner));
+        }
+        Ok(out_blocks
+            .into_iter()
+            .map(|b| b.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .collect())
     }
 }
 
@@ -496,25 +949,7 @@ impl DistMatrix {
     /// communication counters (used internally after the communication has
     /// already been charged).
     pub(crate) fn gather_local(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.nrows(), self.ncols());
-        let all_real = self.is_real();
-        {
-            let n = self.ncols();
-            let data = out.data_mut();
-            for rs in &self.rows.segments() {
-                for cs in &self.cols.segments() {
-                    let block = &self.blocks[self.grid.rank_of(rs.owner, cs.owner)];
-                    for i in 0..rs.len {
-                        let src = &block.row(rs.local_start + i)[cs.local_start..][..cs.len];
-                        data[(rs.start + i) * n + cs.start..][..cs.len].copy_from_slice(src);
-                    }
-                }
-            }
-        }
-        if all_real {
-            out.assume_real();
-        }
-        out
+        self.submatrix_global(0, self.nrows(), 0, self.ncols())
     }
 
     /// Shape of the full matrix.
@@ -743,17 +1178,23 @@ impl DistMatrix {
         let (_, ka) = opa.effective_shape(self.shape());
         let (kb, _) = opb.effective_shape(other.shape());
         assert_eq!(ka, kb, "matmul_dist: inner dimension mismatch");
-        match variant {
-            SummaVariant::StationaryC => self.summa_stationary_c(opa, opb, other),
-            SummaVariant::StationaryA => {
-                assert_eq!(opa, Op::None, "matmul_dist: stationary-A requires op_a = None");
-                self.summa_stationary_a(opb, other)
-            }
-            SummaVariant::StationaryB => {
-                assert_eq!(opb, Op::None, "matmul_dist: stationary-B requires op_b = None");
-                self.summa_stationary_b(opa, other)
+        let Some(summa) = Summa::plan(self, opa, opb, other, variant) else {
+            panic!("matmul_dist: {variant:?} does not support ops ({opa:?}, {opb:?})");
+        };
+        let mut blocks = summa.run()?;
+        if self.is_real() && other.is_real() {
+            // The real kernel only ever wrote real parts into zeroed blocks.
+            for b in &mut blocks {
+                b.assume_real();
             }
         }
+        Ok(DistMatrix {
+            cluster: self.cluster.clone(),
+            grid: self.grid,
+            rows: summa.out_rows,
+            cols: summa.out_cols,
+            blocks,
+        })
     }
 
     /// Predicted fault-free payload traffic (in complex elements, i.e.
@@ -782,835 +1223,39 @@ impl DistMatrix {
         other: &DistMatrix,
         variant: SummaVariant,
     ) -> Option<u64> {
+        let summa = Summa::plan(self, opa, opb, other, variant)?;
         let (p, q) = (self.grid.rows(), self.grid.cols());
-        let (m_out, _) = opa.effective_shape(self.shape());
-        let (_, n_out) = opb.effective_shape(other.shape());
-        let mut total = 0u64;
-        match variant {
-            SummaVariant::StationaryC => {
-                let da = if opa == Op::None { &self.cols } else { &self.rows };
-                let db = if opb == Op::None { &other.rows } else { &other.cols };
-                let out_rows = if opa == Op::None {
-                    self.rows.clone()
-                } else {
-                    self.cols.like_parts(m_out, p)
-                };
-                let out_cols = if opb == Op::None {
-                    other.cols.clone()
-                } else {
-                    other.rows.like_parts(n_out, q)
-                };
-                for panel in refine(da, db) {
-                    for r in 0..p {
-                        let recv = if opa == Op::None || r == panel.a_owner { q - 1 } else { q };
-                        total += (panel.len * out_rows.local_len(r) * recv) as u64;
-                    }
-                    for c in 0..q {
-                        let recv = if opb == Op::None || c == panel.b_owner { p - 1 } else { p };
-                        total += (panel.len * out_cols.local_len(c) * recv) as u64;
-                    }
-                }
-            }
-            SummaVariant::StationaryA => {
-                if opa != Op::None {
-                    return None;
-                }
-                let n_dist_b = if opb == Op::None { &other.cols } else { &other.rows };
-                let out_cols = if opb == Op::None {
-                    other.cols.clone()
-                } else {
-                    other.rows.like_parts(n_out, q)
-                };
-                let depth_src = if opb == Op::None { &other.rows } else { &other.cols };
-                let pieces = refine(&self.cols, depth_src);
-                for panel in refine(n_dist_b, &out_cols) {
-                    for pc in &pieces {
-                        let home = if opb == Op::None {
-                            usize::from(pc.a_owner == panel.a_owner)
-                        } else {
-                            usize::from(pc.a_owner == pc.b_owner)
-                        };
-                        total += (panel.len * pc.len * (p - home)) as u64;
-                    }
-                    total += (self.nrows() * panel.len * (q - 1)) as u64;
-                }
-            }
-            SummaVariant::StationaryB => {
-                if opb != Op::None {
-                    return None;
-                }
-                let m_dist_a = if opa == Op::None { &self.rows } else { &self.cols };
-                let out_rows = if opa == Op::None {
-                    self.rows.clone()
-                } else {
-                    self.cols.like_parts(m_out, p)
-                };
-                let depth_src = if opa == Op::None { &self.cols } else { &self.rows };
-                let pieces = refine(&other.rows, depth_src);
-                for panel in refine(m_dist_a, &out_rows) {
-                    for pc in &pieces {
-                        let home = if opa == Op::None {
-                            usize::from(pc.a_owner == panel.a_owner)
-                        } else {
-                            usize::from(pc.a_owner == pc.b_owner)
-                        };
-                        total += (panel.len * pc.len * (q - home)) as u64;
-                    }
-                    total += (other.ncols() * panel.len * (p - 1)) as u64;
-                }
-            }
-        }
-        Some(total)
-    }
-
-    /// Stationary-C SUMMA over depth panels (the module-docs dataflow), with
-    /// op-dependent panel sourcing: a `None` operand broadcasts its resident
-    /// panel along its grid row/column exactly as before, while a transposed/
-    /// adjoint operand assembles the raw depth slice from the grid row (resp.
-    /// column) that owns it and ships it to every rank that needs it — the
-    /// alignment term of the traffic formulas. The op itself is fused into
-    /// the local packed GEMM, so the wire always carries stored data and the
-    /// Huang–Abraham checksums ride transposed panels exactly as plain ones.
-    fn summa_stationary_c(
-        &self,
-        opa: Op,
-        opb: Op,
-        other: &DistMatrix,
-    ) -> crate::Result<DistMatrix> {
-        let grid = self.grid;
-        let (p, q) = (grid.rows(), grid.cols());
-        let nranks = grid.nranks();
-        let (m_out, _) = opa.effective_shape(self.shape());
-        let (_, n_out) = opb.effective_shape(other.shape());
-        let da = if opa == Op::None { self.cols.clone() } else { self.rows.clone() };
-        let db = if opb == Op::None { other.rows.clone() } else { other.cols.clone() };
-        let out_rows =
-            if opa == Op::None { self.rows.clone() } else { self.cols.like_parts(m_out, p) };
-        let out_cols =
-            if opb == Op::None { other.cols.clone() } else { other.rows.like_parts(n_out, q) };
-        let panels = refine(&da, &db);
-        let all_real = self.is_real() && other.is_real();
-
-        let mut out_blocks: Vec<Matrix> = (0..nranks)
-            .map(|rank| {
-                let (r, c) = grid.coords_of(rank);
-                Matrix::zeros(out_rows.local_len(r), out_cols.local_len(c))
-            })
-            .collect();
-
-        // Fault injection replays a planned event sequence whose decisions
-        // depend on global call order, so an armed fault plan pins the serial
-        // schedule; otherwise a single-threaded pool makes the DAG pure
-        // overhead. Both schedules produce bit-identical blocks and the same
-        // `CommStats`: the round helpers below are shared verbatim, per-rank
-        // accumulation order is fixed by dependency edges, and per-round
-        // costs are pushed to the ledger in round order either way.
-        let pool = koala_exec::pool();
-        if pool.threads() == 1 || self.cluster.faults_armed() {
-            for (t, panel) in panels.iter().enumerate() {
-                let (a_panels, b_panels, comm_elems, messages) =
-                    self.summa_c_round_comm(opa, opb, other, t, *panel, &out_rows, &out_cols)?;
-                let mut round = RoundCost {
-                    comm_elems,
-                    messages,
-                    rank_cmacs: vec![0; nranks],
-                    rank_rmacs: vec![0; nranks],
-                };
+        // Stationary-A/B: the moving operand's op, the size of the groups its
+        // slices ship to, and the extent and group size of the reduction.
+        let reduction = match variant {
+            SummaVariant::StationaryC => None,
+            SummaVariant::StationaryA => Some((opb, p, self.nrows(), q)),
+            SummaVariant::StationaryB => Some((opa, q, other.ncols(), p)),
+        };
+        let mut total = 0;
+        for panel in &summa.panels {
+            let Some((op, ship_to, reduced, reduce_over)) = reduction else {
                 for r in 0..p {
-                    for c in 0..q {
-                        let rank = grid.rank_of(r, c);
-                        let (m_loc, n_loc) = out_blocks[rank].shape();
-                        if m_loc == 0 || n_loc == 0 {
-                            continue;
-                        }
-                        let (macs, real) = self.summa_c_rank_update(
-                            opa,
-                            opb,
-                            t,
-                            *panel,
-                            rank,
-                            &a_panels[r],
-                            &b_panels[c],
-                            &mut out_blocks[rank],
-                        );
-                        if real {
-                            round.rank_rmacs[rank] += macs;
-                        } else {
-                            round.rank_cmacs[rank] += macs;
-                        }
-                    }
-                }
-                self.cluster.record_round(round);
-            }
-        } else {
-            self.summa_c_rounds_dag(
-                &pool,
-                opa,
-                opb,
-                other,
-                &panels,
-                &out_rows,
-                &out_cols,
-                &mut out_blocks,
-            )?;
-        }
-        if all_real {
-            // The real kernel only ever wrote real parts into zeroed blocks.
-            for b in &mut out_blocks {
-                b.assume_real();
-            }
-        }
-        Ok(DistMatrix {
-            cluster: self.cluster.clone(),
-            grid,
-            rows: out_rows,
-            cols: out_cols,
-            blocks: out_blocks,
-        })
-    }
-
-    /// Communication phase of one stationary-C round: build the A panel for
-    /// each grid row and the B panel for each grid column (resident
-    /// broadcast when the op is `None`, assembled raw depth slice
-    /// otherwise), bill the broadcasts and Huang–Abraham checksums, and run
-    /// the checksummed deliveries. Returns the panels plus the round's
-    /// fault-free payload volume and message count for the
-    /// [`RoundCost`] ledger. Shared verbatim by the serial round loop and
-    /// the task-graph schedule so both bill the `CommStats` identically.
-    #[allow(clippy::too_many_arguments)]
-    fn summa_c_round_comm(
-        &self,
-        opa: Op,
-        opb: Op,
-        other: &DistMatrix,
-        t: usize,
-        panel: Panel,
-        out_rows: &Dist1D,
-        out_cols: &Dist1D,
-    ) -> crate::Result<(Vec<Matrix>, Vec<Matrix>, u64, u64)> {
-        let grid = self.grid;
-        let (p, q) = (grid.rows(), grid.cols());
-        let mut comm_elems = 0u64;
-        let mut messages = 0u64;
-        // 1. Panel of A for each grid row: resident (broadcast along the
-        //    row) when opa is None, else the raw depth slice assembled
-        //    from the owning grid row and shipped to the whole row.
-        let a_panels: Vec<Matrix> = (0..p)
-            .map(|r| {
-                if opa == Op::None {
-                    self.blocks[grid.rank_of(r, panel.a_owner)].submatrix(
-                        0,
-                        panel.a_local,
-                        self.rows.local_len(r),
-                        panel.len,
-                    )
-                } else {
-                    self.rows_slice_for_part(panel.start, panel.len, out_rows, r)
-                }
-            })
-            .collect();
-        for (r, ap) in a_panels.iter().enumerate() {
-            let (receivers, verifiers): (usize, Vec<usize>) = if opa == Op::None {
-                (
-                    q - 1,
-                    (0..q).filter(|&c| c != panel.a_owner).map(|c| grid.rank_of(r, c)).collect(),
-                )
-            } else {
-                let recv = if r == panel.a_owner { q - 1 } else { q };
-                let verif = if recv == 0 {
-                    Vec::new()
-                } else {
-                    (0..q).map(|c| grid.rank_of(r, c)).collect()
-                };
-                (recv, verif)
-            };
-            self.cluster.record_bcast(ap.nrows() * ap.ncols() * receivers, receivers);
-            if receivers > 0 {
-                comm_elems += (ap.nrows() * ap.ncols() * receivers) as u64;
-                messages += receivers as u64;
-            }
-            let sum = column_checksum(ap);
-            self.cluster.record_checksum(sum.len() * verifiers.len());
-            for rank in verifiers {
-                deliver_checksummed(
-                    &self.cluster,
-                    ap,
-                    &sum,
-                    column_checksum,
-                    FaultSite::SummaPanelA { round: t, rank },
-                    true,
-                )
-                .map_err(|e| {
-                    e.context(format!("matmul_dist: SUMMA round {t}, A panel to rank {rank}"))
-                })?;
-            }
-        }
-        // 2. Panel of B for each grid column — the mirror image.
-        let b_panels: Vec<Matrix> = (0..q)
-            .map(|c| {
-                if opb == Op::None {
-                    other.blocks[grid.rank_of(panel.b_owner, c)].submatrix(
-                        panel.b_local,
-                        0,
-                        panel.len,
-                        other.cols.local_len(c),
-                    )
-                } else {
-                    other.cols_slice_for_part(panel.start, panel.len, out_cols, c)
-                }
-            })
-            .collect();
-        for (c, bp) in b_panels.iter().enumerate() {
-            let (receivers, verifiers): (usize, Vec<usize>) = if opb == Op::None {
-                (
-                    p - 1,
-                    (0..p).filter(|&r| r != panel.b_owner).map(|r| grid.rank_of(r, c)).collect(),
-                )
-            } else {
-                let recv = if c == panel.b_owner { p - 1 } else { p };
-                let verif = if recv == 0 {
-                    Vec::new()
-                } else {
-                    (0..p).map(|r| grid.rank_of(r, c)).collect()
-                };
-                (recv, verif)
-            };
-            self.cluster.record_bcast(bp.nrows() * bp.ncols() * receivers, receivers);
-            if receivers > 0 {
-                comm_elems += (bp.nrows() * bp.ncols() * receivers) as u64;
-                messages += receivers as u64;
-            }
-            let sum = row_checksum(bp);
-            self.cluster.record_checksum(sum.len() * verifiers.len());
-            for rank in verifiers {
-                deliver_checksummed(
-                    &self.cluster,
-                    bp,
-                    &sum,
-                    row_checksum,
-                    FaultSite::SummaPanelB { round: t, rank },
-                    true,
-                )
-                .map_err(|e| {
-                    e.context(format!("matmul_dist: SUMMA round {t}, B panel to rank {rank}"))
-                })?;
-            }
-        }
-        Ok((a_panels, b_panels, comm_elems, messages))
-    }
-
-    /// One rank's local rank-`kb` update for one stationary-C round through
-    /// the packed GEMM, with the ops fused into the packing step. Bills the
-    /// rank's MACs (and any planned compute-fault refetch) to the cluster
-    /// and returns `(macs, real)` for the caller's [`RoundCost`]. Shared by
-    /// the serial loop and the task-graph schedule.
-    #[allow(clippy::too_many_arguments)]
-    fn summa_c_rank_update(
-        &self,
-        opa: Op,
-        opb: Op,
-        t: usize,
-        panel: Panel,
-        rank: usize,
-        ap: &Matrix,
-        bp: &Matrix,
-        out: &mut Matrix,
-    ) -> (u64, bool) {
-        let (m_loc, n_loc) = out.shape();
-        // A planned rank failure strikes here: the restarted rank has lost
-        // the round's panels and re-fetches both (plus their checksum
-        // vectors) before redoing its accumulation.
-        if self.cluster.fault_decision(FaultSite::SummaCompute { round: t, rank }, 0).is_some() {
-            let refetch =
-                ap.nrows() * ap.ncols() + bp.nrows() * bp.ncols() + ap.ncols() + bp.nrows();
-            self.cluster.record_retry(refetch);
-            koala_error::recovery::note_summa_round_retry();
-        }
-        let real = ap.is_real() && bp.is_real();
-        let macs = (m_loc * n_loc * panel.len) as u64;
-        self.cluster.record_macs(rank, macs, real);
-        if real {
-            gemm_into_real(opa, opb, m_loc, n_loc, panel.len, ap.data(), bp.data(), out.data_mut());
-        } else {
-            gemm_into(opa, opb, m_loc, n_loc, panel.len, ap.data(), bp.data(), out.data_mut());
-        }
-        (macs, real)
-    }
-
-    /// Overlapped stationary-C schedule on the task-graph executor: one
-    /// [`TaskKind::Comm`] task per round, chained `t -> t + 1` so every
-    /// `CommStats` billing call runs in the exact serial order, and one
-    /// [`TaskKind::Gemm`] task per `(round, rank)` depending on its round's
-    /// comm task and the same rank's previous update. The per-rank chain
-    /// fixes the depth-panel accumulation order, so output blocks are
-    /// bit-identical to the serial loop at any thread count; what the
-    /// executor buys is round `t + 1`'s panel broadcasts running while round
-    /// `t`'s local GEMMs are still in flight — the same overlap
-    /// [`crate::CostModel::modelled_time_overlap`] prices. Per-round costs
-    /// land in atomic slots and are appended to the ledger in round order
-    /// afterwards, so [`crate::CommStats::rounds`] is identical to a
-    /// serialized run's.
-    #[allow(clippy::too_many_arguments)]
-    fn summa_c_rounds_dag(
-        &self,
-        pool: &koala_exec::Pool,
-        opa: Op,
-        opb: Op,
-        other: &DistMatrix,
-        panels: &[Panel],
-        out_rows: &Dist1D,
-        out_cols: &Dist1D,
-        out_blocks: &mut [Matrix],
-    ) -> crate::Result<()> {
-        struct RoundSlot {
-            comm_elems: AtomicU64,
-            messages: AtomicU64,
-            cmacs: Vec<AtomicU64>,
-            rmacs: Vec<AtomicU64>,
-        }
-        // Raw base pointer to the per-rank output blocks. Each compute task
-        // dereferences only `base + rank`; tasks sharing a rank are chained
-        // by dependency edges and distinct ranks address distinct `Matrix`
-        // values, so every dereference is exclusive for its task's duration.
-        #[derive(Clone, Copy)]
-        struct BlockBase(*mut Matrix);
-        unsafe impl Send for BlockBase {}
-        unsafe impl Sync for BlockBase {}
-        impl BlockBase {
-            /// Pointer to rank `rank`'s block. Taking `self` by value makes
-            /// closures capture the `Send` wrapper, not the raw field.
-            fn rank_ptr(self, rank: usize) -> *mut Matrix {
-                // SAFETY: `rank < nranks` and the base points at a live
-                // `[Matrix; nranks]` slice for the whole graph run.
-                unsafe { self.0.add(rank) }
-            }
-        }
-
-        let grid = self.grid;
-        let (p, q) = (grid.rows(), grid.cols());
-        let nranks = grid.nranks();
-        let slots: Vec<RoundSlot> = (0..panels.len())
-            .map(|_| RoundSlot {
-                comm_elems: AtomicU64::new(0),
-                messages: AtomicU64::new(0),
-                cmacs: (0..nranks).map(|_| AtomicU64::new(0)).collect(),
-                rmacs: (0..nranks).map(|_| AtomicU64::new(0)).collect(),
-            })
-            .collect();
-        let panel_data: Vec<OnceLock<(Vec<Matrix>, Vec<Matrix>)>> =
-            (0..panels.len()).map(|_| OnceLock::new()).collect();
-        let base = BlockBase(out_blocks.as_mut_ptr());
-
-        let mut graph = TaskGraph::new();
-        let mut prev_comm: Option<TaskId> = None;
-        let mut prev_gemm: Vec<Option<TaskId>> = vec![None; nranks];
-        for (t, panel) in panels.iter().copied().enumerate() {
-            let slot = &slots[t];
-            let cell = &panel_data[t];
-            let comm_deps: Vec<TaskId> = prev_comm.into_iter().collect();
-            let comm_id = graph.add(TaskKind::Comm, &comm_deps, move || {
-                let (a_panels, b_panels, comm_elems, messages) =
-                    self.summa_c_round_comm(opa, opb, other, t, panel, out_rows, out_cols)?;
-                slot.comm_elems.store(comm_elems, Ordering::Relaxed);
-                slot.messages.store(messages, Ordering::Relaxed);
-                let _ = cell.set((a_panels, b_panels));
-                Ok(())
-            });
-            prev_comm = Some(comm_id);
-            for r in 0..p {
-                for c in 0..q {
-                    let rank = grid.rank_of(r, c);
-                    if out_rows.local_len(r) == 0 || out_cols.local_len(c) == 0 {
-                        continue;
-                    }
-                    let mut deps = vec![comm_id];
-                    if let Some(prev) = prev_gemm[rank] {
-                        deps.push(prev);
-                    }
-                    let id = graph.add(TaskKind::Gemm, &deps, move || {
-                        let (a_panels, b_panels) = cell.get().ok_or_else(|| {
-                            KoalaError::new(
-                                ErrorKind::InvalidArgument,
-                                format!("SUMMA round {t}: panels missing for compute task"),
-                            )
-                        })?;
-                        // SAFETY: see `BlockBase` — the per-rank dependency
-                        // chain makes this borrow exclusive.
-                        let out = unsafe { &mut *base.rank_ptr(rank) };
-                        let (macs, real) = self.summa_c_rank_update(
-                            opa,
-                            opb,
-                            t,
-                            panel,
-                            rank,
-                            &a_panels[r],
-                            &b_panels[c],
-                            out,
-                        );
-                        let ctr = if real { &slot.rmacs[rank] } else { &slot.cmacs[rank] };
-                        ctr.fetch_add(macs, Ordering::Relaxed);
-                        Ok(())
-                    });
-                    prev_gemm[rank] = Some(id);
-                }
-            }
-        }
-        graph.run_on(pool)?;
-        for slot in &slots {
-            self.cluster.record_round(RoundCost {
-                comm_elems: slot.comm_elems.load(Ordering::Relaxed),
-                messages: slot.messages.load(Ordering::Relaxed),
-                rank_cmacs: slot.cmacs.iter().map(|m| m.load(Ordering::Relaxed)).collect(),
-                rank_rmacs: slot.rmacs.iter().map(|m| m.load(Ordering::Relaxed)).collect(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Stationary-A SUMMA: `C = A * opB(B)` with `A` resident. Rounds
-    /// iterate over panels of `C`'s column dimension; each round ships the
-    /// matching raw slice of `B` to the grid columns (aligned to `A`'s depth
-    /// layout), runs a local partial GEMM against the whole resident `A`
-    /// block, and reduces the checksummed partial results onto the panel's
-    /// owning grid column.
-    fn summa_stationary_a(&self, opb: Op, other: &DistMatrix) -> crate::Result<DistMatrix> {
-        let grid = self.grid;
-        let (p, q) = (grid.rows(), grid.cols());
-        let nranks = grid.nranks();
-        let (_, n_out) = opb.effective_shape(other.shape());
-        let n_dist_b = if opb == Op::None { other.cols.clone() } else { other.rows.clone() };
-        let out_rows = self.rows.clone();
-        let out_cols =
-            if opb == Op::None { other.cols.clone() } else { other.rows.like_parts(n_out, q) };
-        let panels = refine(&n_dist_b, &out_cols);
-        let depth_src = if opb == Op::None { &other.rows } else { &other.cols };
-        let pieces = refine(&self.cols, depth_src);
-        let all_real = self.is_real() && other.is_real();
-        let mut out_blocks: Vec<Matrix> = (0..nranks)
-            .map(|rank| {
-                let (r, c) = grid.coords_of(rank);
-                Matrix::zeros(out_rows.local_len(r), out_cols.local_len(c))
-            })
-            .collect();
-
-        for (t, panel) in panels.iter().enumerate() {
-            let mut round = RoundCost {
-                rank_cmacs: vec![0; nranks],
-                rank_rmacs: vec![0; nranks],
-                ..Default::default()
-            };
-            let oc = panel.b_owner; // destination grid column of this panel
-                                    // 1. Raw B depth slice for each grid column, aligned to A's
-                                    //    column (depth) layout.
-            let bhats: Vec<Matrix> = (0..q)
-                .map(|c| {
-                    if opb == Op::None {
-                        other.cols_slice_for_part(panel.start, panel.len, &self.cols, c)
-                    } else {
-                        other.rows_slice_for_part(panel.start, panel.len, &self.cols, c)
-                    }
-                })
-                .collect();
-            for (c, bhat) in bhats.iter().enumerate() {
-                let mut wire = 0usize;
-                for pc in pieces.iter().filter(|pc| pc.a_owner == c) {
-                    let home = if opb == Op::None {
-                        usize::from(c == panel.a_owner)
-                    } else {
-                        usize::from(pc.a_owner == pc.b_owner)
-                    };
-                    let recv = p - home;
-                    self.cluster.record_bcast(panel.len * pc.len * recv, recv);
-                    if recv > 0 {
-                        wire += panel.len * pc.len * recv;
-                        round.messages += recv as u64;
-                    }
-                }
-                round.comm_elems += wire as u64;
-                let checksum_of: fn(&Matrix) -> Vec<C64> =
-                    if opb == Op::None { column_checksum } else { row_checksum };
-                let sum = checksum_of(bhat);
-                let verifiers: Vec<usize> = if wire > 0 {
-                    (0..p).map(|r| grid.rank_of(r, c)).collect()
-                } else {
-                    Vec::new()
-                };
-                self.cluster.record_checksum(sum.len() * verifiers.len());
-                for rank in verifiers {
-                    deliver_checksummed(
-                        &self.cluster,
-                        bhat,
-                        &sum,
-                        checksum_of,
-                        FaultSite::SummaPanelB { round: t, rank },
-                        true,
-                    )
-                    .map_err(|e| {
-                        e.context(format!(
-                            "matmul_dist: stationary-A round {t}, B slice to rank {rank}"
-                        ))
-                    })?;
-                }
-            }
-            // 2. Local partial GEMM against the resident A block, then a
-            //    checksummed reduction of the partials onto grid column `oc`.
-            for r in 0..p {
-                let m_loc = out_rows.local_len(r);
-                if m_loc > 0 {
-                    self.cluster.record_bcast(m_loc * panel.len * (q - 1), q - 1);
-                    if q > 1 {
-                        round.comm_elems += (m_loc * panel.len * (q - 1)) as u64;
-                        round.messages += (q - 1) as u64;
-                    }
-                }
-                if m_loc == 0 || panel.len == 0 {
-                    continue;
+                    let recv = if opa == Op::None || r == panel.a_owner { q - 1 } else { q };
+                    total += panel.len * summa.out_rows.local_len(r) * recv;
                 }
                 for c in 0..q {
-                    let rank = grid.rank_of(r, c);
-                    let a_loc = &self.blocks[rank];
-                    let k_loc = self.cols.local_len(c);
-                    let bhat = &bhats[c];
-                    let real = a_loc.is_real() && bhat.is_real();
-                    let macs = (m_loc * k_loc * panel.len) as u64;
-                    self.cluster.record_macs(rank, macs, real);
-                    if real {
-                        round.rank_rmacs[rank] += macs;
-                    } else {
-                        round.rank_cmacs[rank] += macs;
-                    }
-                    let mut partial = Matrix::zeros(m_loc, panel.len);
-                    if real {
-                        gemm_into_real(
-                            Op::None,
-                            opb,
-                            m_loc,
-                            panel.len,
-                            k_loc,
-                            a_loc.data(),
-                            bhat.data(),
-                            partial.data_mut(),
-                        );
-                        partial.assume_real();
-                    } else {
-                        gemm_into(
-                            Op::None,
-                            opb,
-                            m_loc,
-                            panel.len,
-                            k_loc,
-                            a_loc.data(),
-                            bhat.data(),
-                            partial.data_mut(),
-                        );
-                    }
-                    if c != oc {
-                        let sum = column_checksum(&partial);
-                        self.cluster.record_checksum(sum.len());
-                        let dst = grid.rank_of(r, oc);
-                        deliver_checksummed(
-                            &self.cluster,
-                            &partial,
-                            &sum,
-                            column_checksum,
-                            FaultSite::SummaPanelA { round: t, rank: dst },
-                            true,
-                        )
-                        .map_err(|e| {
-                            e.context(format!(
-                                "matmul_dist: stationary-A round {t}, partial reduce to rank {dst}"
-                            ))
-                        })?;
-                    }
-                    add_into(&mut out_blocks[grid.rank_of(r, oc)], 0, panel.b_local, &partial);
+                    let recv = if opb == Op::None || c == panel.b_owner { p - 1 } else { p };
+                    total += panel.len * summa.out_cols.local_len(c) * recv;
                 }
-            }
-            self.cluster.record_round(round);
-        }
-        if all_real {
-            for b in &mut out_blocks {
-                b.assume_real();
-            }
-        }
-        Ok(DistMatrix {
-            cluster: self.cluster.clone(),
-            grid,
-            rows: out_rows,
-            cols: out_cols,
-            blocks: out_blocks,
-        })
-    }
-
-    /// Stationary-B SUMMA: `C = opA(A) * B` with `B` resident — the
-    /// transpose-mirror of [`DistMatrix::summa_stationary_a`]: rounds iterate
-    /// over panels of `C`'s row dimension, raw `A` slices travel to the grid
-    /// rows, and partials reduce onto the panel's owning grid row.
-    fn summa_stationary_b(&self, opa: Op, other: &DistMatrix) -> crate::Result<DistMatrix> {
-        let grid = self.grid;
-        let (p, q) = (grid.rows(), grid.cols());
-        let nranks = grid.nranks();
-        let (m_out, _) = opa.effective_shape(self.shape());
-        let m_dist_a = if opa == Op::None { self.rows.clone() } else { self.cols.clone() };
-        let out_rows =
-            if opa == Op::None { self.rows.clone() } else { self.cols.like_parts(m_out, p) };
-        let out_cols = other.cols.clone();
-        let panels = refine(&m_dist_a, &out_rows);
-        let depth_src = if opa == Op::None { &self.cols } else { &self.rows };
-        let pieces = refine(&other.rows, depth_src);
-        let all_real = self.is_real() && other.is_real();
-        let mut out_blocks: Vec<Matrix> = (0..nranks)
-            .map(|rank| {
-                let (r, c) = grid.coords_of(rank);
-                Matrix::zeros(out_rows.local_len(r), out_cols.local_len(c))
-            })
-            .collect();
-
-        for (t, panel) in panels.iter().enumerate() {
-            let mut round = RoundCost {
-                rank_cmacs: vec![0; nranks],
-                rank_rmacs: vec![0; nranks],
-                ..Default::default()
+                continue;
             };
-            let or = panel.b_owner; // destination grid row of this panel
-                                    // 1. Raw A slice for each grid row, aligned to B's row (depth)
-                                    //    layout.
-            let ahats: Vec<Matrix> = (0..p)
-                .map(|r| {
-                    if opa == Op::None {
-                        self.rows_slice_for_part(panel.start, panel.len, &other.rows, r)
-                    } else {
-                        self.cols_slice_for_part(panel.start, panel.len, &other.rows, r)
-                    }
-                })
-                .collect();
-            for (r, ahat) in ahats.iter().enumerate() {
-                let mut wire = 0usize;
-                for pc in pieces.iter().filter(|pc| pc.a_owner == r) {
-                    let home = if opa == Op::None {
-                        usize::from(r == panel.a_owner)
-                    } else {
-                        usize::from(pc.a_owner == pc.b_owner)
-                    };
-                    let recv = q - home;
-                    self.cluster.record_bcast(panel.len * pc.len * recv, recv);
-                    if recv > 0 {
-                        wire += panel.len * pc.len * recv;
-                        round.messages += recv as u64;
-                    }
-                }
-                round.comm_elems += wire as u64;
-                let checksum_of: fn(&Matrix) -> Vec<C64> =
-                    if opa == Op::None { row_checksum } else { column_checksum };
-                let sum = checksum_of(ahat);
-                let verifiers: Vec<usize> = if wire > 0 {
-                    (0..q).map(|c| grid.rank_of(r, c)).collect()
+            for pc in &summa.pieces {
+                let home = if op == Op::None {
+                    pc.a_owner == panel.a_owner
                 } else {
-                    Vec::new()
+                    pc.a_owner == pc.b_owner
                 };
-                self.cluster.record_checksum(sum.len() * verifiers.len());
-                for rank in verifiers {
-                    deliver_checksummed(
-                        &self.cluster,
-                        ahat,
-                        &sum,
-                        checksum_of,
-                        FaultSite::SummaPanelA { round: t, rank },
-                        true,
-                    )
-                    .map_err(|e| {
-                        e.context(format!(
-                            "matmul_dist: stationary-B round {t}, A slice to rank {rank}"
-                        ))
-                    })?;
-                }
+                total += panel.len * pc.len * (ship_to - usize::from(home));
             }
-            // 2. Local partial GEMM against the resident B block, then a
-            //    checksummed reduction of the partials onto grid row `or`.
-            for c in 0..q {
-                let n_loc = out_cols.local_len(c);
-                if n_loc > 0 {
-                    self.cluster.record_bcast(n_loc * panel.len * (p - 1), p - 1);
-                    if p > 1 {
-                        round.comm_elems += (n_loc * panel.len * (p - 1)) as u64;
-                        round.messages += (p - 1) as u64;
-                    }
-                }
-                if n_loc == 0 || panel.len == 0 {
-                    continue;
-                }
-                for r in 0..p {
-                    let rank = grid.rank_of(r, c);
-                    let b_loc = &other.blocks[rank];
-                    let k_loc = other.rows.local_len(r);
-                    let ahat = &ahats[r];
-                    let real = ahat.is_real() && b_loc.is_real();
-                    let macs = (panel.len * k_loc * n_loc) as u64;
-                    self.cluster.record_macs(rank, macs, real);
-                    if real {
-                        round.rank_rmacs[rank] += macs;
-                    } else {
-                        round.rank_cmacs[rank] += macs;
-                    }
-                    let mut partial = Matrix::zeros(panel.len, n_loc);
-                    if real {
-                        gemm_into_real(
-                            opa,
-                            Op::None,
-                            panel.len,
-                            n_loc,
-                            k_loc,
-                            ahat.data(),
-                            b_loc.data(),
-                            partial.data_mut(),
-                        );
-                        partial.assume_real();
-                    } else {
-                        gemm_into(
-                            opa,
-                            Op::None,
-                            panel.len,
-                            n_loc,
-                            k_loc,
-                            ahat.data(),
-                            b_loc.data(),
-                            partial.data_mut(),
-                        );
-                    }
-                    if r != or {
-                        let sum = row_checksum(&partial);
-                        self.cluster.record_checksum(sum.len());
-                        let dst = grid.rank_of(or, c);
-                        deliver_checksummed(
-                            &self.cluster,
-                            &partial,
-                            &sum,
-                            row_checksum,
-                            FaultSite::SummaPanelB { round: t, rank: dst },
-                            true,
-                        )
-                        .map_err(|e| {
-                            e.context(format!(
-                                "matmul_dist: stationary-B round {t}, partial reduce to rank {dst}"
-                            ))
-                        })?;
-                    }
-                    add_into(&mut out_blocks[grid.rank_of(or, c)], panel.b_local, 0, &partial);
-                }
-            }
-            self.cluster.record_round(round);
+            total += reduced * panel.len * (reduce_over - 1);
         }
-        if all_real {
-            for b in &mut out_blocks {
-                b.assume_real();
-            }
-        }
-        Ok(DistMatrix {
-            cluster: self.cluster.clone(),
-            grid,
-            rows: out_rows,
-            cols: out_cols,
-            blocks: out_blocks,
-        })
+        Some(total as u64)
     }
 
     /// Assemble the global contiguous range `[row0, row0+nrows) x
@@ -1652,26 +1297,30 @@ impl DistMatrix {
         out
     }
 
-    /// Raw `depth x owned` slice for the transposed-operand SUMMA panels:
-    /// global rows `[d0, d0+kb)` of `self` at the columns `dist` assigns to
-    /// `part`, packed in `part`'s local order.
-    fn rows_slice_for_part(&self, d0: usize, kb: usize, dist: &Dist1D, part: usize) -> Matrix {
-        let mut out = Matrix::zeros(kb, dist.local_len(part));
+    /// Raw slice of `self` for the SUMMA panels that are assembled rather
+    /// than broadcast in place: the global range `[d0, d0 + kb)` of the rows
+    /// (`range_is_rows`, giving `kb x owned`) or of the columns (`owned x kb`)
+    /// at the columns (resp. rows) `dist` assigns to `part`, packed in
+    /// `part`'s local order.
+    fn slice_for_part(
+        &self,
+        range_is_rows: bool,
+        d0: usize,
+        kb: usize,
+        dist: &Dist1D,
+        part: usize,
+    ) -> Matrix {
+        let owned = dist.local_len(part);
+        let mut out =
+            if range_is_rows { Matrix::zeros(kb, owned) } else { Matrix::zeros(owned, kb) };
         for seg in dist.segments().iter().filter(|s| s.owner == part) {
-            let sub = self.submatrix_global(d0, kb, seg.start, seg.len);
-            out.set_submatrix(0, seg.local_start, &sub);
-        }
-        out
-    }
-
-    /// Raw `owned x depth` slice: global columns `[d0, d0+kb)` of `self` at
-    /// the rows `dist` assigns to `part` (the mirror of
-    /// [`DistMatrix::rows_slice_for_part`]).
-    fn cols_slice_for_part(&self, d0: usize, kb: usize, dist: &Dist1D, part: usize) -> Matrix {
-        let mut out = Matrix::zeros(dist.local_len(part), kb);
-        for seg in dist.segments().iter().filter(|s| s.owner == part) {
-            let sub = self.submatrix_global(seg.start, seg.len, d0, kb);
-            out.set_submatrix(seg.local_start, 0, &sub);
+            if range_is_rows {
+                let sub = self.submatrix_global(d0, kb, seg.start, seg.len);
+                out.set_submatrix(0, seg.local_start, &sub);
+            } else {
+                let sub = self.submatrix_global(seg.start, seg.len, d0, kb);
+                out.set_submatrix(seg.local_start, 0, &sub);
+            }
         }
         out
     }
@@ -1681,10 +1330,14 @@ impl DistMatrix {
     /// `p x 1`) layout this is a sum of local Gram matrices followed by an
     /// allreduce of the small `ncols x ncols` result; on a genuine 2-D
     /// layout it runs adjoint-operand SUMMA
-    /// ([`DistMatrix::matmul_dist_variant`] with `opA = Adjoint`) and
+    /// ([`DistMatrix::matmul_dist_op`] with `opA = Adjoint`) and
     /// allreduces the small distributed result — never a full-operand
     /// gather. Realness flows through either way: a real operand bills real
     /// MACs and yields a hint-carrying real Gram matrix.
+    ///
+    /// Only the 2-D path can fail, and only as its SUMMA can: under a
+    /// [`crate::FaultPlan::persistent`] fault plan that outlasts the retry
+    /// budget.
     ///
     /// ```
     /// use koala_cluster::{Cluster, DistMatrix};
@@ -1697,13 +1350,13 @@ impl DistMatrix {
     /// let mut rng = StdRng::seed_from_u64(7);
     /// let a = Matrix::random(12, 5, &mut rng);
     /// let d = DistMatrix::scatter_block_cyclic(&cluster, &a, cluster.grid(), 3, 2);
-    /// let g = d.gram();
+    /// let g = d.gram().unwrap();
     /// assert!(g.max_diff(&matmul_adj_a(&a, &a)) < 1e-12);
     /// assert_eq!(cluster.stats().full_gathers, 0); // no gather fallback
     /// ```
-    pub fn gram(&self) -> Matrix {
+    pub fn gram(&self) -> crate::Result<Matrix> {
         let n = self.ncols();
-        if self.grid.cols() == 1 {
+        let g = if self.grid.cols() == 1 {
             let mut g = Matrix::zeros(n, n);
             for (rank, block) in self.blocks.iter().enumerate() {
                 let macs = (block.nrows() * n * n) as u64;
@@ -1711,33 +1364,19 @@ impl DistMatrix {
                 let local = matmul_adj_a(block, block);
                 g += &local;
             }
-            // Allreduce of an ncols x ncols matrix (tree: log P rounds, but
-            // the flat volume model is what the paper's analysis uses).
-            self.cluster.record_collective(n * n * (self.cluster.nranks() - 1), 2);
-            return g;
-        }
-        // 2-D layout: adjoint-operand SUMMA keeps the O(n^2 / sqrt(P))
-        // traffic bound, then the small distributed result is allreduced into
-        // replication with the same bill as the 1-D path. A Gram product has
-        // a tiny output and a huge depth, so the reduction dataflow
-        // (stationary-B, which keeps `self` in place and allreduces the
-        // small result panels) usually beats stationary-C; pick whichever
-        // the closed-form traffic count says is cheaper, exactly like
-        // [`DistMatrix::matmul_dist_op`]. With no fault plan active the
-        // SUMMA cannot fail; under a persistent plan that exhausts the retry
-        // budget the Gram matrix is unrecoverable anyway.
-        let variant = [SummaVariant::StationaryC, SummaVariant::StationaryB]
-            .into_iter()
-            .min_by_key(|v| {
-                self.summa_traffic_elems(Op::Adjoint, Op::None, self, *v).unwrap_or(u64::MAX)
-            })
-            .unwrap_or(SummaVariant::StationaryC);
-        let g = match self.matmul_dist_variant(Op::Adjoint, Op::None, self, variant) {
-            Ok(g) => g.gather_local(),
-            Err(e) => panic!("gram: unrecoverable fault during adjoint SUMMA: {e}"),
+            g
+        } else {
+            // 2-D layout: adjoint-operand SUMMA keeps the O(n^2 / sqrt(P))
+            // traffic bound. A Gram product has a tiny output and a huge
+            // depth, so the dispatcher usually picks the reduction dataflow
+            // (stationary-B keeps `self` in place and reduces the small
+            // result panels) over stationary-C.
+            self.matmul_dist_op(Op::Adjoint, Op::None, self)?.gather_local()
         };
+        // Allreduce of an ncols x ncols matrix (tree: log P rounds, but the
+        // flat volume model is what the paper's analysis uses).
         self.cluster.record_collective(n * n * (self.cluster.nranks() - 1), 2);
-        g
+        Ok(g)
     }
 
     /// `y = self^H * x` with `x` replicated; the partial products are
@@ -1834,7 +1473,7 @@ const GRAM_PSD_FLOOR: f64 = 1e-10;
 /// rejected up front: no factorization can repair them.
 pub fn gram_qr_dist(a: &DistMatrix) -> crate::Result<DistQr> {
     let n = a.ncols();
-    let g = a.gram();
+    let g = a.gram()?;
     // Every rank performs the identical small eigendecomposition (replicated,
     // as in the paper where the Gram matrix is sent to local memory).
     let healthy = if g.validate_finite("distributed Gram matrix").is_err() {
@@ -1990,7 +1629,7 @@ mod tests {
     #[test]
     fn gram_matches_local_gram() {
         let (_c, a, d) = cluster_and_matrix(3, 20, 4, 4);
-        let g = d.gram();
+        let g = d.gram().unwrap();
         assert!(g.approx_eq(&matmul_adj_a(&a, &a), 1e-10));
     }
 
@@ -2117,6 +1756,12 @@ mod tests {
         cluster.disarm_faults();
         assert_eq!(err.kind(), koala_error::ErrorKind::Fault);
         assert!(err.to_string().contains("retries"), "diagnostic names the retry budget: {err}");
+        // The adjoint SUMMA behind a 2-D Gram matrix fails the same typed
+        // way, and `gram_qr_dist` hands the error to its caller.
+        cluster.arm_faults(FaultPlan::seeded(5).corrupt_prob(1.0).persistent());
+        let err = gram_qr_dist(&da).unwrap_err();
+        cluster.disarm_faults();
+        assert_eq!(err.kind(), koala_error::ErrorKind::Fault);
     }
 
     #[test]

@@ -56,7 +56,7 @@
 //! let cluster = Cluster::new(4);
 //! let a = Matrix::random_real(16, 3, &mut rng);
 //! let dist = DistMatrix::scatter(&cluster, &a);
-//! let g = dist.gram(); // per-rank local A_i^H A_i, then one allreduce
+//! let g = dist.gram().unwrap(); // per-rank local A_i^H A_i, then one allreduce
 //! assert!(g.approx_eq(&matmul_adj_a(&a, &a), 1e-10));
 //! let stats = cluster.stats();
 //! assert_eq!(stats.collectives, 1);

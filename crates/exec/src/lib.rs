@@ -39,14 +39,8 @@
 //!
 //! # Thread-count configuration
 //!
-//! The global pool is sized on first use by [`default_threads`], which reads
-//! (in precedence order):
-//!
-//! 1. `KOALA_EXEC_THREADS` — the executor's own knob; always wins,
-//! 2. `RAYON_NUM_THREADS` — honoured for continuity with the rayon shim the
-//!    executor replaced, so existing run scripts keep working,
-//! 3. the host's available parallelism.
-//!
+//! The global pool is sized on first use by [`default_threads`]:
+//! `KOALA_EXEC_THREADS` if set, else the host's available parallelism.
 //! The result is clamped to `1..=64`. [`set_threads`] overrides the
 //! environment at runtime and is safe to call from concurrent service
 //! startup paths: it is idempotent (a call that matches the current pool
@@ -635,14 +629,10 @@ pub fn threads() -> usize {
 }
 
 /// Thread count used for the global pool when nothing has called
-/// [`set_threads`]: `KOALA_EXEC_THREADS` if set, else `RAYON_NUM_THREADS`
-/// (continuity with the shim the executor replaces), else the host's
-/// available parallelism, clamped to `1..=64`.
+/// [`set_threads`]: `KOALA_EXEC_THREADS` if set, else the host's available
+/// parallelism, clamped to `1..=64`.
 pub fn default_threads() -> usize {
-    let env = std::env::var("KOALA_EXEC_THREADS")
-        .ok()
-        .or_else(|| std::env::var("RAYON_NUM_THREADS").ok())
-        .and_then(|v| v.parse::<usize>().ok());
+    let env = std::env::var("KOALA_EXEC_THREADS").ok().and_then(|v| v.parse::<usize>().ok());
     let n = env.unwrap_or_else(|| {
         std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
     });

@@ -1,6 +1,5 @@
 //! Pins the documented thread-count configuration contract:
-//! `KOALA_EXEC_THREADS` → `RAYON_NUM_THREADS` → host parallelism, clamped
-//! to `1..=64`, plus the race-safety of [`koala_exec::set_threads`]
+//! `KOALA_EXEC_THREADS` → host parallelism, clamped to `1..=64`, plus the race-safety of [`koala_exec::set_threads`]
 //! (an identical request keeps the existing pool).
 //!
 //! Everything lives in ONE `#[test]` function: environment variables are
@@ -37,36 +36,27 @@ impl Drop for RestoreVar {
 #[test]
 fn env_precedence_clamping_and_idempotent_set_threads() {
     let _koala = RestoreVar::capture("KOALA_EXEC_THREADS");
-    let _rayon = RestoreVar::capture("RAYON_NUM_THREADS");
     let host = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
         .clamp(1, 64);
 
-    // KOALA_EXEC_THREADS always wins over RAYON_NUM_THREADS.
+    // The executor's own knob sets the default pool size.
     env::set_var("KOALA_EXEC_THREADS", "3");
-    env::set_var("RAYON_NUM_THREADS", "5");
     assert_eq!(default_threads(), 3);
 
-    // Without the executor's own knob, the rayon-compat variable is honoured.
-    env::remove_var("KOALA_EXEC_THREADS");
-    assert_eq!(default_threads(), 5);
-
     // Values clamp into 1..=64 rather than erroring.
-    env::set_var("RAYON_NUM_THREADS", "200");
+    env::set_var("KOALA_EXEC_THREADS", "200");
     assert_eq!(default_threads(), 64);
     env::set_var("KOALA_EXEC_THREADS", "0");
     assert_eq!(default_threads(), 1);
 
-    // An unparsable value falls back to host parallelism (it does not fall
-    // through to the next variable — precedence is on presence, not parse).
+    // An unparsable value falls back to host parallelism.
     env::set_var("KOALA_EXEC_THREADS", "zebra");
-    env::set_var("RAYON_NUM_THREADS", "5");
     assert_eq!(default_threads(), host);
 
-    // Neither variable set: host parallelism, clamped.
+    // Unset: host parallelism, clamped.
     env::remove_var("KOALA_EXEC_THREADS");
-    env::remove_var("RAYON_NUM_THREADS");
     assert_eq!(default_threads(), host);
 
     // set_threads is idempotent: asking for the current size keeps the
