@@ -10,9 +10,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use koala_cluster::Cluster;
 use koala_linalg::gemm::{gemm, matmul, matmul_seed, Op};
 use koala_linalg::{c64, expm_hermitian, Matrix};
+use koala_mps::ZipUpMethod;
 use koala_peps::expectation::{expectation, ExpectationOptions};
 use koala_peps::operators::{kron, pauli_x, pauli_z, Observable};
-use koala_peps::two_layer::{norm_sqr_two_layer, TwoLayerOptions};
+use koala_peps::two_layer::norm_sqr_two_layer;
 use koala_peps::{
     apply_two_site, contract_no_phys, dist_two_site_update, ContractionMethod,
     DistEvolutionVariant, Peps, UpdateMethod,
@@ -118,7 +119,9 @@ fn bench_contraction(c: &mut Criterion) {
     });
     group.bench_function("two_layer_ibmps_norm_4x4_r2_m4", |b| {
         let mut rng = StdRng::seed_from_u64(22);
-        b.iter(|| norm_sqr_two_layer(&with_phys, TwoLayerOptions::with_bond(4), &mut rng).unwrap())
+        b.iter(|| {
+            norm_sqr_two_layer(&with_phys, 4, ZipUpMethod::implicit_default(), &mut rng).unwrap()
+        })
     });
     group.finish();
 }

@@ -34,19 +34,17 @@
 //!   this series (it is machine-topology-dependent), it is recorded for
 //!   the perf trajectory only.
 //!
-//! GFLOP/s are derived from the GEMM layer's own work counters
-//! ([`koala_linalg::gemm::flop_counter`] for complex MACs, 8 real flops each,
-//! and [`koala_linalg::gemm::real_mac_counter`] for real MACs, 2 real flops
-//! each), not from a formula duplicated here — so the numbers stay honest if
+//! GFLOP/s are derived from the GEMM layer's own work accounting (a scoped
+//! [`koala_exec::WorkMeter`]: complex MACs at 8 real flops each, real MACs
+//! at 2), not from a formula duplicated here — so the numbers stay honest if
 //! the kernel's dispatch or work accounting ever changes.
 //!
 //! Usage: `cargo run --release -p koala-bench --bin bench_gemm [--quick]
 //! [--json <path>]`
 
+use koala_exec::WorkMeter;
 use koala_json::JsonValue;
-use koala_linalg::gemm::{
-    flop_counter, gemm, matmul_seed, real_mac_counter, reset_flop_counter, Op,
-};
+use koala_linalg::gemm::{gemm, matmul_seed, Op};
 use koala_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -103,12 +101,12 @@ fn time_best(reps: usize, mut f: impl FnMut()) -> (f64, u64, u64) {
     let mut cmacs = 0;
     let mut rmacs = 0;
     for _ in 0..reps {
-        reset_flop_counter();
+        let meter = WorkMeter::new();
         let t = Instant::now();
-        f();
+        meter.scope(&mut f);
         let secs = t.elapsed().as_secs_f64();
-        cmacs = flop_counter();
-        rmacs = real_mac_counter();
+        cmacs = meter.complex_macs();
+        rmacs = meter.real_macs();
         if secs < best {
             best = secs;
         }

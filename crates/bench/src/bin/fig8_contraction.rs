@@ -10,7 +10,8 @@
 
 use koala_bench::{calibrated_cost_model, time_it, BenchArgs, Figure, Series};
 use koala_cluster::Cluster;
-use koala_peps::two_layer::{norm_sqr_two_layer, TwoLayerOptions};
+use koala_mps::ZipUpMethod;
+use koala_peps::two_layer::norm_sqr_two_layer;
 use koala_peps::{contract_no_phys, dist_contract_no_phys, norm_sqr, ContractionMethod, Peps};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -75,8 +76,9 @@ fn main() {
         let (_, secs) = time_it(|| norm_sqr(&peps, ContractionMethod::bmps(m), &mut rng).unwrap());
         s_merged.push(r as f64, secs);
         println!("merged-bmps    r={r:<3} (m={m}) wall={secs:.3}s");
-        let (_, secs) =
-            time_it(|| norm_sqr_two_layer(&peps, TwoLayerOptions::with_bond(m), &mut rng).unwrap());
+        let (_, secs) = time_it(|| {
+            norm_sqr_two_layer(&peps, m, ZipUpMethod::implicit_default(), &mut rng).unwrap()
+        });
         s_two_layer.push(r as f64, secs);
         println!("two-layer ibmps r={r:<3} (m={m}) wall={secs:.3}s");
     }

@@ -29,10 +29,9 @@
 //! * `--quick` (or `KOALA_QUICK=1`) runs a reduced sweep — CI uses this for
 //!   its smoke runs; `--full` forces the full sweep.
 //! * `--json <path>` additionally dumps the series as JSON.
-//! * Flop-derived numbers come from the GEMM layer's own work counters
-//!   ([`koala_linalg::gemm::flop_counter`], 8 real flops per complex MAC, and
-//!   [`koala_linalg::gemm::real_mac_counter`], 2 per real MAC) — never from a
-//!   formula duplicated in a binary.
+//! * Flop-derived numbers come from the GEMM layer's own work accounting
+//!   ([`koala_exec::WorkMeter`]: 8 real flops per complex MAC, 2 per real
+//!   MAC) — never from a formula duplicated in a binary.
 //!
 //! ## Why a hand-rolled JSON emitter?
 //!

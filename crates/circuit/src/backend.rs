@@ -24,7 +24,7 @@
 use koala_linalg::{matmul, Matrix, C64};
 use koala_mps::Mps;
 use koala_peps::{ContractionMethod, Peps, Site, UpdateMethod};
-use koala_tensor::{svd_split, tensordot, Tensor, TensorError, Truncation};
+use koala_tensor::{tensordot, EinsumSvd, Tensor, TensorError, Truncation};
 use rand::Rng;
 
 use crate::ir::{Circuit, Gate, Result};
@@ -265,15 +265,15 @@ fn swap_subsystems(g: &Matrix) -> Matrix {
     matmul(&matmul(&s, g), &s)
 }
 
+/// A two-qubit gate `[a', b', a, b]` on the chain pair `[l, a, x]`, `[x, b, r]`,
+/// split back into `[l, a', k]` and `[k, b', r]`.
+static GATE_ON_PAIR: EinsumSvd = EinsumSvd::new("lax,xbr,ABab->lAk,kBr");
+
 /// Apply a 4x4 gate to the adjacent chain pair `(q, q+1)` with site `q` as
-/// the most significant subsystem: contract the two sites into a theta
-/// tensor, hit it with the gate, and split back with a truncated SVD.
+/// the most significant subsystem, truncating the shared bond.
 fn apply_two_adjacent(mps: &mut Mps, q: usize, gate: &Matrix, trunc: Truncation) -> Result<()> {
-    let theta = tensordot(mps.tensor(q), mps.tensor(q + 1), &[2], &[0])?; // [l, pa, pb, r]
-    let g4 = Tensor::from_matrix_2d(gate).reshape(&[2, 2, 2, 2])?; // [a', b', a, b]
-    let new = tensordot(&g4, &theta, &[2, 3], &[1, 2])?; // [a', b', l, r]
-    let new = new.permute(&[2, 0, 1, 3])?; // [l, a', b', r]
-    let f = svd_split(&new, &[0, 1], trunc)?;
+    let g4 = Tensor::from_matrix_2d(gate).reshape(&[2, 2, 2, 2])?;
+    let f = GATE_ON_PAIR.exact(&[mps.tensor(q), mps.tensor(q + 1), &g4], trunc)?;
     let (left, right) = f.absorb_right();
     mps.set_tensor(q, left);
     mps.set_tensor(q + 1, right);

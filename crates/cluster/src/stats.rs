@@ -19,10 +19,9 @@
 //! * **Messages** use the flat model: one per point-to-point transfer, and
 //!   `receivers` per broadcast / `rounds * (P - 1)` per cluster-wide
 //!   collective. The cost model charges [`CostModel::latency`] per message.
-//! * **Work** is split by kernel, mirroring the GEMM layer's own counters
-//!   ([`koala_linalg::gemm::flop_counter`] /
-//!   [`koala_linalg::gemm::real_mac_counter`], themselves views of the
-//!   scoped [`koala_exec::meter::WorkMeter`]; payload traffic recorded by
+//! * **Work** is split by kernel, mirroring the GEMM layer's own complex /
+//!   real MAC counters on the scoped [`koala_exec::meter::WorkMeter`]
+//!   (payload traffic recorded by
 //!   [`Cluster::record_p2p`](crate::Cluster::record_p2p) and the collective
 //!   recorders also bills the scoped meter's byte counter, so per-job
 //!   receipts include wire volume): [`CommStats::rank_flops`]

@@ -11,7 +11,7 @@
 use crate::peps::{Peps, Result, AX_P, AX_U};
 use koala_linalg::C64;
 use koala_mps::{zip_up, Mpo, Mps, ZipUpMethod};
-use koala_tensor::TensorError;
+use koala_tensor::{Tensor, TensorError};
 use rand::Rng;
 
 /// Which contraction algorithm to use.
@@ -46,47 +46,74 @@ impl ContractionMethod {
     pub fn ibmps(max_bond: usize) -> Self {
         ContractionMethod::Ibmps { max_bond, n_iter: 2, oversample: 10 }
     }
+
+    /// Absorb one row MPO into the boundary MPS the way this method
+    /// prescribes — the single place a method becomes a `zip_up` call.
+    pub(crate) fn apply_row<R: Rng + ?Sized>(
+        self,
+        boundary: &Mps,
+        mpo: &Mpo,
+        rng: &mut R,
+    ) -> Result<Mps> {
+        match self {
+            ContractionMethod::Exact => mpo.apply_exact(boundary),
+            ContractionMethod::Bmps { max_bond } => {
+                zip_up(boundary, mpo, max_bond, ZipUpMethod::ExactSvd, rng)
+            }
+            ContractionMethod::Ibmps { max_bond, n_iter, oversample } => zip_up(
+                boundary,
+                mpo,
+                max_bond,
+                ZipUpMethod::ImplicitRandSvd { n_iter, oversample },
+                rng,
+            ),
+        }
+    }
+}
+
+/// Physical-index-free sites `[p=1, u=1, l, d, r]` as a boundary MPS (site
+/// layout `[l, d, r]`, the open "down" bond is the MPS physical index).
+pub(crate) fn sites_as_mps<'a>(sites: impl IntoIterator<Item = &'a Tensor>) -> Result<Mps> {
+    let site = |t: &Tensor| {
+        if t.dim(AX_P) != 1 || t.dim(AX_U) != 1 {
+            return Err(TensorError::ShapeMismatch {
+                context: format!(
+                    "boundary MPS site {:?} has a physical index or an upward bond",
+                    t.shape()
+                ),
+            });
+        }
+        // [p=1, u=1, l, d, r] -> [l, d, r]
+        t.select(AX_P, 0)?.select(0, 0)
+    };
+    Mps::new(sites.into_iter().map(site).collect::<Result<_>>()?)
+}
+
+/// Physical-index-free sites `[p=1, u, l, d, r]` as an MPO (site layout
+/// `[l, u, d, r]`).
+pub(crate) fn sites_as_mpo<'a>(sites: impl IntoIterator<Item = &'a Tensor>) -> Result<Mpo> {
+    let site = |t: &Tensor| {
+        if t.dim(AX_P) != 1 {
+            return Err(TensorError::ShapeMismatch {
+                context: format!("row MPO site {:?} still has a physical index", t.shape()),
+            });
+        }
+        // [p=1, u, l, d, r] -> [u, l, d, r] -> [l, u, d, r]
+        t.select(AX_P, 0)?.permute(&[1, 0, 2, 3])
+    };
+    Mpo::new(sites.into_iter().map(site).collect::<Result<_>>()?)
 }
 
 /// Convert row `row` of a PEPS without physical indices into a boundary MPS
 /// (site layout `[l, d, r]`, the open "down" bond is the MPS physical index).
 pub fn row_as_mps(peps: &Peps, row: usize) -> Result<Mps> {
-    let mut tensors = Vec::with_capacity(peps.ncols());
-    for c in 0..peps.ncols() {
-        let t = peps.tensor((row, c));
-        if t.dim(AX_P) != 1 {
-            return Err(TensorError::ShapeMismatch {
-                context: format!("row_as_mps: site ({row},{c}) still has a physical index"),
-            });
-        }
-        if t.dim(AX_U) != 1 {
-            return Err(TensorError::ShapeMismatch {
-                context: format!("row_as_mps: site ({row},{c}) has an upward bond"),
-            });
-        }
-        // [p=1, u=1, l, d, r] -> [l, d, r]
-        let site = t.select(AX_P, 0)?.select(0, 0)?;
-        tensors.push(site);
-    }
-    Mps::new(tensors)
+    sites_as_mps((0..peps.ncols()).map(|c| peps.tensor((row, c))))
 }
 
 /// Convert row `row` of a PEPS without physical indices into an MPO
 /// (site layout `[l, u, d, r]`).
 pub fn row_as_mpo(peps: &Peps, row: usize) -> Result<Mpo> {
-    let mut tensors = Vec::with_capacity(peps.ncols());
-    for c in 0..peps.ncols() {
-        let t = peps.tensor((row, c));
-        if t.dim(AX_P) != 1 {
-            return Err(TensorError::ShapeMismatch {
-                context: format!("row_as_mpo: site ({row},{c}) still has a physical index"),
-            });
-        }
-        // [p=1, u, l, d, r] -> [u, l, d, r] -> [l, u, d, r]
-        let site = t.select(AX_P, 0)?.permute(&[1, 0, 2, 3])?;
-        tensors.push(site);
-    }
-    Mpo::new(tensors)
+    sites_as_mpo((0..peps.ncols()).map(|c| peps.tensor((row, c))))
 }
 
 /// Contract a PEPS without physical indices to a scalar (Algorithm 2).
@@ -95,25 +122,9 @@ pub fn contract_no_phys<R: Rng + ?Sized>(
     method: ContractionMethod,
     rng: &mut R,
 ) -> Result<C64> {
-    if peps.nrows() == 1 {
-        return row_as_mps(peps, 0)?.contract_to_scalar();
-    }
     let mut boundary = row_as_mps(peps, 0)?;
     for row in 1..peps.nrows() {
-        let mpo = row_as_mpo(peps, row)?;
-        boundary = match method {
-            ContractionMethod::Exact => mpo.apply_exact(&boundary)?,
-            ContractionMethod::Bmps { max_bond } => {
-                zip_up(&boundary, &mpo, max_bond, ZipUpMethod::ExactSvd, rng)?
-            }
-            ContractionMethod::Ibmps { max_bond, n_iter, oversample } => zip_up(
-                &boundary,
-                &mpo,
-                max_bond,
-                ZipUpMethod::ImplicitRandSvd { n_iter, oversample },
-                rng,
-            )?,
-        };
+        boundary = method.apply_row(&boundary, &row_as_mpo(peps, row)?, rng)?;
     }
     boundary.contract_to_scalar()
 }

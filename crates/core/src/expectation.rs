@@ -9,12 +9,12 @@
 //! bottom) are computed once — two full contractions — and every term then
 //! only needs a small strip contraction spanning the rows it touches.
 
-use crate::contract::{row_as_mpo, row_as_mps, ContractionMethod};
+use crate::contract::{row_as_mpo, row_as_mps, sites_as_mpo, sites_as_mps, ContractionMethod};
 use crate::operators::{LocalTerm, Observable};
-use crate::peps::{Peps, Result, AX_P, AX_U};
+use crate::peps::{Peps, Result, AX_P};
 use crate::update::{apply_one_site, apply_two_site_any, UpdateMethod};
 use koala_linalg::C64;
-use koala_mps::{zip_up, Mpo, Mps, ZipUpMethod};
+use koala_mps::{Mpo, Mps};
 use koala_tensor::{Tensor, TensorError, Truncation};
 use rand::Rng;
 
@@ -36,31 +36,6 @@ impl ExpectationOptions {
     /// BMPS contraction with caching enabled.
     pub fn bmps_cached(max_bond: usize) -> Self {
         ExpectationOptions { method: ContractionMethod::bmps(max_bond), use_cache: true }
-    }
-}
-
-fn zip_method(method: ContractionMethod) -> (ZipUpMethod, usize, bool) {
-    match method {
-        ContractionMethod::Exact => (ZipUpMethod::ExactSvd, usize::MAX, true),
-        ContractionMethod::Bmps { max_bond } => (ZipUpMethod::ExactSvd, max_bond, false),
-        ContractionMethod::Ibmps { max_bond, n_iter, oversample } => {
-            (ZipUpMethod::ImplicitRandSvd { n_iter, oversample }, max_bond, false)
-        }
-    }
-}
-
-/// Apply one row MPO to a boundary MPS according to the contraction method.
-fn apply_row<R: Rng + ?Sized>(
-    boundary: &Mps,
-    mpo: &Mpo,
-    method: ContractionMethod,
-    rng: &mut R,
-) -> Result<Mps> {
-    let (zip, max_bond, exact) = zip_method(method);
-    if exact {
-        mpo.apply_exact(boundary)
-    } else {
-        zip_up(boundary, mpo, max_bond, zip, rng)
     }
 }
 
@@ -113,7 +88,7 @@ impl EnvCache {
         }
         for r in 1..nrows.saturating_sub(1) {
             let mpo = row_as_mpo(merged, r)?;
-            current = apply_row(&current, &mpo, method, rng)?;
+            current = method.apply_row(&current, &mpo, rng)?;
             top[r + 1] = Some(current.clone());
         }
 
@@ -124,7 +99,7 @@ impl EnvCache {
         }
         for r in (1..nrows.saturating_sub(1)).rev() {
             let mpo = flipped_row_as_mpo(merged, r)?;
-            current = apply_row(&current, &mpo, method, rng)?;
+            current = method.apply_row(&current, &mpo, rng)?;
             bottom[r - 1] = Some(current.clone());
         }
         Ok(EnvCache { top, bottom })
@@ -177,7 +152,9 @@ pub fn expectation<R: Rng + ?Sized>(
 ) -> Result<C64> {
     observable.validate(peps)?;
     if options.use_cache {
-        expectation_cached(peps, observable, options.method, rng)
+        let merged = peps.merge_with_bra(peps)?;
+        let cache = EnvCache::build(&merged, options.method, rng)?;
+        expectation_cached_with(peps, observable, options.method, &cache, rng)
     } else {
         expectation_uncached(peps, observable, options.method, rng)
     }
@@ -195,10 +172,8 @@ pub fn expectation_normalized<R: Rng + ?Sized>(
         true => {
             let merged = peps.merge_with_bra(peps)?;
             let cache = EnvCache::build(&merged, options.method, rng)?;
-            let value =
-                expectation_cached_with(peps, observable, options.method, &merged, &cache, rng)?;
-            let norm = norm_from_cache(&merged, &cache, options.method, rng)?;
-            (value, norm)
+            let value = expectation_cached_with(peps, observable, options.method, &cache, rng)?;
+            (value, norm_from_cache(&merged, &cache)?)
         }
         false => {
             let value = expectation_uncached(peps, observable, options.method, rng)?;
@@ -223,39 +198,22 @@ fn expectation_uncached<R: Rng + ?Sized>(
     Ok(total)
 }
 
-fn expectation_cached<R: Rng + ?Sized>(
-    peps: &Peps,
-    observable: &Observable,
-    method: ContractionMethod,
-    rng: &mut R,
-) -> Result<C64> {
-    let merged = peps.merge_with_bra(peps)?;
-    let cache = EnvCache::build(&merged, method, rng)?;
-    expectation_cached_with(peps, observable, method, &merged, &cache, rng)
-}
-
 fn expectation_cached_with<R: Rng + ?Sized>(
     peps: &Peps,
     observable: &Observable,
     method: ContractionMethod,
-    merged: &Peps,
     cache: &EnvCache,
     rng: &mut R,
 ) -> Result<C64> {
     let mut total = C64::ZERO;
     for term in observable.terms() {
-        total += term_value_cached(peps, term, method, merged, cache, rng)?;
+        total += term_value_cached(peps, term, method, cache, rng)?;
     }
     Ok(total)
 }
 
 /// `<psi|psi>` reusing the cached environments (a single strip contraction).
-fn norm_from_cache<R: Rng + ?Sized>(
-    merged: &Peps,
-    cache: &EnvCache,
-    _method: ContractionMethod,
-    _rng: &mut R,
-) -> Result<C64> {
+fn norm_from_cache(merged: &Peps, cache: &EnvCache) -> Result<C64> {
     let nrows = merged.nrows();
     let row = 0usize;
     let current = row_as_mps(merged, row)?;
@@ -294,7 +252,6 @@ fn term_value_cached<R: Rng + ?Sized>(
     peps: &Peps,
     term: &LocalTerm,
     method: ContractionMethod,
-    _merged: &Peps,
     cache: &EnvCache,
     rng: &mut R,
 ) -> Result<C64> {
@@ -317,7 +274,7 @@ fn term_value_cached<R: Rng + ?Sized>(
     let mut current: Mps;
     let mut start_row = r0;
     if r0 == 0 {
-        current = merged_row_to_mps(&modified_rows[0])?;
+        current = sites_as_mps(&modified_rows[0])?;
         start_row = 1;
     } else {
         current = cache
@@ -328,8 +285,8 @@ fn term_value_cached<R: Rng + ?Sized>(
             .clone();
     }
     for r in start_row..=r1 {
-        let mpo = merged_row_to_mpo(&modified_rows[r - r0])?;
-        current = apply_row(&current, &mpo, method, rng)?;
+        let mpo = sites_as_mpo(&modified_rows[r - r0])?;
+        current = method.apply_row(&current, &mpo, rng)?;
     }
     if r1 == nrows - 1 {
         current.contract_to_scalar()
@@ -339,38 +296,6 @@ fn term_value_cached<R: Rng + ?Sized>(
         })?;
         current.dot(bottom)
     }
-}
-
-/// Convert a row of merged rank-5 tensors `[1, u, l, d, r]` (with `u = 1`)
-/// into a boundary MPS.
-fn merged_row_to_mps(row: &[Tensor]) -> Result<Mps> {
-    let tensors = row
-        .iter()
-        .map(|t| {
-            if t.dim(AX_U) != 1 {
-                return Err(TensorError::ShapeMismatch {
-                    context: "merged_row_to_mps: row has upward bonds".into(),
-                });
-            }
-            // [1, 1, l, d, r] -> [l, d, r]
-            let site = t.select(AX_P, 0)?.select(0, 0)?;
-            Ok(site)
-        })
-        .collect::<Result<Vec<_>>>()?;
-    Mps::new(tensors)
-}
-
-/// Convert a row of merged rank-5 tensors into an MPO `[l, u, d, r]`.
-fn merged_row_to_mpo(row: &[Tensor]) -> Result<Mpo> {
-    let tensors = row
-        .iter()
-        .map(|t| {
-            // [1, u, l, d, r] -> [u, l, d, r] -> [l, u, d, r]
-            let site = t.select(AX_P, 0)?.permute(&[1, 0, 2, 3])?;
-            Ok(site)
-        })
-        .collect::<Result<Vec<_>>>()?;
-    Mpo::new(tensors)
 }
 
 #[cfg(test)]
@@ -507,7 +432,7 @@ mod tests {
         // the norm: top(1) . row1 . bottom(1).
         let top = cache.top(1).unwrap().clone();
         let mpo = row_as_mpo(&merged, 1).unwrap();
-        let mid = apply_row(&top, &mpo, ContractionMethod::bmps(16), &mut rng).unwrap();
+        let mid = ContractionMethod::bmps(16).apply_row(&top, &mpo, &mut rng).unwrap();
         let closed = mid.dot(cache.bottom(1).unwrap()).unwrap();
         let direct =
             crate::contract::norm_sqr(&peps, ContractionMethod::bmps(16), &mut rng).unwrap();

@@ -13,18 +13,23 @@
 //!   Gram-matrix variant (Algorithm 5),
 //! * [`contract`] — Exact, BMPS (Algorithm 2 + 3) and IBMPS (implicit
 //!   randomized SVD, Algorithm 4) contraction of one-layer networks,
-//! * [`two_layer`] — the two-layer IBMPS inner product (Table II),
+//! * [`two_layer`] — the two-layer inner product that keeps bra and ket
+//!   unmerged (two-layer IBMPS, Table II),
 //! * [`mod@expectation`] — expectation values with the row-environment caching
 //!   strategy of §IV-B,
 //! * [`dist`] — the same evolution/contraction kernels driven through the
 //!   simulated distributed-memory backend (`koala-cluster`), used by the
 //!   scaling and backend-comparison benchmarks (Figures 7, 8, 11, 12).
 //!
-//! The hot site-local contractions (gate application, the einsumsvd theta
-//! networks, bra–ket site merging) run through `koala_tensor::einsum`, whose
-//! contraction plans are memoised per `(spec, shapes)` key — an evolution or
-//! expectation sweep pays the planning cost once and replays the cached
-//! schedule for every site and step (see `koala_tensor::plan`).
+//! Every contract-and-refactorize step of these algorithms — the simple and
+//! QR-SVD updates, each zip-up step under BMPS/IBMPS, the two-layer step — is
+//! one `koala_tensor::EinsumSvd` call site: a network spec plus the explicit
+//! or implicit method. [`ContractionMethod`] is the user-facing bundle of a
+//! boundary bond and that method. The remaining site-local contractions
+//! (gate application, bra–ket site merging) run through
+//! `koala_tensor::einsum`; either way the contraction plans are memoised per
+//! `(spec, shapes)` key, so a sweep pays the planning cost once and replays
+//! the cached schedule for every site and step (see `koala_tensor::plan`).
 //!
 //! ## Quick example
 //!
@@ -68,7 +73,7 @@ pub use dist::{
 pub use expectation::{expectation, expectation_normalized, EnvCache, ExpectationOptions};
 pub use operators::{LocalTerm, Observable};
 pub use peps::{Direction, Peps, Site};
-pub use two_layer::{inner_two_layer, norm_sqr_two_layer, TwoLayerOptions};
+pub use two_layer::{inner_two_layer, norm_sqr_two_layer};
 pub use update::{
     apply_one_site, apply_two_site, apply_two_site_any, apply_two_site_everywhere, swap_gate,
     UpdateMethod,

@@ -6,41 +6,34 @@
 //! O(r_bra^4 r_ket^4) memory per site before the boundary contraction even
 //! starts. The two-layer approach keeps the layers separate: the boundary MPS
 //! still has merged (pair) bonds of dimension at most `m`, but the row that is
-//! currently being absorbed enters the einsumsvd only implicitly — the
-//! randomized-SVD sketch is contracted with the bra tensor and the ket tensor
-//! one after the other, never with their merged product. This is what gives
-//! the two-layer IBMPS column of Table II its lower time and space complexity.
+//! currently being absorbed enters the einsumsvd as two operands — with the
+//! implicit method the randomized-SVD sketch is contracted with the bra
+//! tensor and the ket tensor one after the other, never with their merged
+//! product. This is what gives the two-layer IBMPS column of Table II its
+//! lower time and space complexity.
 
-use crate::peps::{Peps, Result, AX_D, AX_L, AX_P, AX_R, AX_U};
-use koala_linalg::{rsvd, LinearOp, Matrix, RsvdOptions, C64};
-use koala_mps::Mps;
-use koala_tensor::{tensordot, Tensor, TensorError};
+use crate::peps::{Peps, Result, AX_L, AX_P, AX_U};
+use koala_linalg::C64;
+use koala_mps::{Mps, ZipUpMethod};
+use koala_tensor::{tensordot, EinsumSvd, Tensor, TensorError, Truncation};
 use rand::Rng;
 
-/// Parameters of the two-layer IBMPS contraction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TwoLayerOptions {
-    /// Truncation bond dimension `m` of the boundary MPS (in the *merged*
-    /// bra-ket bond space).
-    pub max_bond: usize,
-    /// Subspace iterations of the randomized SVD.
-    pub n_iter: usize,
-    /// Oversampling columns of the randomized SVD.
-    pub oversample: usize,
-}
+/// One two-layer zip-up step: boundary `[l, d_pair, r_s, rA, rB]` x boundary
+/// MPS site `[r_s, uA, uB, r_s']` x conj(bra) `[p, uA, lA, dA, rA']` x ket
+/// `[p, uB, lB, dB, rB']` -> finished site `[l, d_pair, k]` and the rest
+/// `[k, dA, dB, r_s', rA', rB']`. Listing bra and ket as separate operands is
+/// the whole algorithm: the implicit method absorbs the sketch into one, then
+/// the other, and their merged product never exists.
+static TWO_LAYER_STEP: EinsumSvd = EinsumSvd::new("ldxab,xuvt,puaeg,pvbfh->ldk,keftgh");
 
-impl TwoLayerOptions {
-    /// Default randomized-SVD parameters for a given boundary bond dimension.
-    pub fn with_bond(max_bond: usize) -> Self {
-        TwoLayerOptions { max_bond, n_iter: 2, oversample: 10 }
-    }
-}
-
-/// Inner product `<bra|ket>` using the two-layer IBMPS contraction.
+/// Inner product `<bra|ket>` using the two-layer contraction, truncating the
+/// boundary MPS to `max_bond` (in the *merged* bra-ket bond space) with the
+/// requested einsumsvd method.
 pub fn inner_two_layer<R: Rng + ?Sized>(
     bra: &Peps,
     ket: &Peps,
-    options: TwoLayerOptions,
+    max_bond: usize,
+    method: ZipUpMethod,
     rng: &mut R,
 ) -> Result<C64> {
     if bra.nrows() != ket.nrows() || bra.ncols() != ket.ncols() {
@@ -48,14 +41,11 @@ pub fn inner_two_layer<R: Rng + ?Sized>(
             context: "inner_two_layer: lattice shapes differ".into(),
         });
     }
-    let nrows = bra.nrows();
-
     // The first row is absorbed exactly (merged): its bonds are at most
     // r_bra * r_ket wide, the same as the boundary MPS would be anyway.
     let mut boundary = merged_row_mps(bra, ket, 0)?;
-
-    for row in 1..nrows {
-        boundary = apply_two_layer_row(&boundary, bra, ket, row, options, rng)?;
+    for row in 1..bra.nrows() {
+        boundary = apply_two_layer_row(&boundary, bra, ket, row, max_bond, method, rng)?;
     }
     boundary.contract_to_scalar()
 }
@@ -63,10 +53,11 @@ pub fn inner_two_layer<R: Rng + ?Sized>(
 /// Norm squared `<psi|psi>` via the two-layer contraction.
 pub fn norm_sqr_two_layer<R: Rng + ?Sized>(
     peps: &Peps,
-    options: TwoLayerOptions,
+    max_bond: usize,
+    method: ZipUpMethod,
     rng: &mut R,
 ) -> Result<f64> {
-    Ok(inner_two_layer(peps, peps, options, rng)?.re.max(0.0))
+    Ok(inner_two_layer(peps, peps, max_bond, method, rng)?.re.max(0.0))
 }
 
 /// Build the boundary MPS of row `row` with the bra and ket layers merged:
@@ -103,53 +94,40 @@ fn apply_two_layer_row<R: Rng + ?Sized>(
     bra: &Peps,
     ket: &Peps,
     row: usize,
-    options: TwoLayerOptions,
+    max_bond: usize,
+    method: ZipUpMethod,
     rng: &mut R,
 ) -> Result<Mps> {
     let ncols = bra.ncols();
-    // Bra/ket site tensors of this row, with the physical index kept.
-    let a_sites: Vec<&Tensor> = (0..ncols).map(|c| bra.tensor((row, c))).collect();
-    let b_sites: Vec<&Tensor> = (0..ncols).map(|c| ket.tensor((row, c))).collect();
+    let truncation = Truncation::rank_and_tol(max_bond, 1e-14);
 
     // Initial boundary tensor from column 0:
     // S(0) [1, u_pair, r_s] x conj(A_0)[p, uA, 1, dA, rA'] x B_0[p, uB, 1, dB, rB']
+    let (a0, b0) = (bra.tensor((row, 0)), ket.tensor((row, 0)));
     let s0 = boundary_mps.tensor(0);
-    let u_a = a_sites[0].dim(AX_U);
-    let u_b = b_sites[0].dim(AX_U);
-    let s0 = s0.reshape(&[u_a, u_b, s0.dim(2)])?; // [uA, uB, r_s]
-    let a0 = a_sites[0].conj().select(AX_L, 0)?; // [p, uA, dA, rA']
-    let b0 = b_sites[0].select(AX_L, 0)?; // [p, uB, dB, rB']
-                                          // contract over uA: [uB, r_s] x ... -> do it in two steps
+    let s0 = s0.reshape(&[a0.dim(AX_U), b0.dim(AX_U), s0.dim(2)])?; // [uA, uB, r_s]
+    let a0 = a0.conj().select(AX_L, 0)?; // [p, uA, dA, rA']
+    let b0 = b0.select(AX_L, 0)?; // [p, uB, dB, rB']
     let t = tensordot(&s0, &a0, &[0], &[1])?; // [uB, r_s, p, dA, rA']
     let t = tensordot(&t, &b0, &[0, 2], &[1, 0])?; // [r_s, dA, rA', dB, rB']
-                                                   // boundary layout: [l(=1), d_pair, r_s, rA, rB]
     let (rs, da, rap, db, rbp) = (t.dim(0), t.dim(1), t.dim(2), t.dim(3), t.dim(4));
     let t = t.permute(&[1, 3, 0, 2, 4])?; // [dA, dB, r_s, rA', rB']
-    let mut boundary = t.into_reshape(&[1, da * db, rs, rap, rbp])?;
+    let mut boundary = t.into_reshape(&[1, da * db, rs, rap, rbp])?; // [l=1, d_pair, r_s, rA, rB]
 
     let mut out_tensors: Vec<Tensor> = Vec::with_capacity(ncols);
 
     for c in 1..ncols {
-        let s = boundary_mps.tensor(c); // [r_s, u_pair, r_s']
-        let a = a_sites[c]; // [p, uA, lA, dA, rA']
-        let b = b_sites[c]; // [p, uB, lB, dB, rB']
-        let op = TwoLayerStepOp { boundary: &boundary, s, a_conj: a.conj(), b };
-        let rank = options.max_bond.min(op.nrows()).min(op.ncols()).max(1);
-        let f = rsvd(
-            &op,
-            RsvdOptions { rank, oversample: options.oversample, n_iter: options.n_iter },
-            rng,
-        )
-        .map_err(|e| TensorError::Linalg(e.to_string()))?;
-        let k = f.s.len();
-        let [l, dpair] = op.row_dims();
-        let [da, db, rsp, rap, rbp] = op.col_dims();
-        // Finished MPS site for column c-1.
-        out_tensors.push(Tensor::fold(&f.u, &[l, dpair], &[k])?);
-        // New boundary from s * Vh.
-        let sv = koala_linalg::scale_rows(&f.vh, &f.s);
-        let rest = Tensor::fold(&sv, &[k], &[da, db, rsp, rap, rbp])?;
-        boundary = rest.into_reshape(&[k, da * db, rsp, rap, rbp])?;
+        let (a, b) = (bra.tensor((row, c)), ket.tensor((row, c)));
+        // Boundary MPS site with its pair index split: [r_s, uA, uB, r_s'].
+        let s = boundary_mps.tensor(c);
+        let s = s.reshape(&[s.dim(0), a.dim(AX_U), b.dim(AX_U), s.dim(2)])?;
+        let network = [&boundary, &s, &a.conj(), b];
+        let (finished, rest) =
+            TWO_LAYER_STEP.split(&network, truncation, method, rng)?.absorb_right();
+        out_tensors.push(finished);
+        // rest [k, dA, dB, r_s', rA', rB'] -> boundary layout with d_pair merged.
+        let r = rest.shape().to_vec();
+        boundary = rest.into_reshape(&[r[0], r[1] * r[2], r[3], r[4], r[5]])?;
     }
 
     // Final boundary [l, d_pair, 1, 1, 1] becomes the last MPS site.
@@ -157,107 +135,6 @@ fn apply_two_layer_row<R: Rng + ?Sized>(
     debug_assert_eq!(boundary.dim(2) * boundary.dim(3) * boundary.dim(4), 1);
     out_tensors.push(boundary.into_reshape(&[l, dpair, 1])?);
     Mps::new(out_tensors)
-}
-
-/// Implicit operator of one two-layer zip-up step. Maps the column space
-/// `(dA, dB, r_s', rA', rB')` to the row space `(l, d_pair)` without ever
-/// forming the merged bra-ket MPO tensor.
-struct TwoLayerStepOp<'t> {
-    /// Boundary tensor `[l, d_pair, r_s, rA, rB]`.
-    boundary: &'t Tensor,
-    /// Boundary MPS site `[r_s, u_pair, r_s']`.
-    s: &'t Tensor,
-    /// Conjugated bra site `[p, uA, lA, dA, rA']`.
-    a_conj: Tensor,
-    /// Ket site `[p, uB, lB, dB, rB']`.
-    b: &'t Tensor,
-}
-
-impl TwoLayerStepOp<'_> {
-    fn row_dims(&self) -> [usize; 2] {
-        [self.boundary.dim(0), self.boundary.dim(1)]
-    }
-    fn col_dims(&self) -> [usize; 5] {
-        [
-            self.a_conj.dim(AX_D),
-            self.b.dim(AX_D),
-            self.s.dim(2),
-            self.a_conj.dim(AX_R),
-            self.b.dim(AX_R),
-        ]
-    }
-    /// The boundary MPS site with its pair index split: `[r_s, uA, uB, r_s']`.
-    fn s_split(&self) -> Tensor {
-        let ua = self.a_conj.dim(AX_U);
-        let ub = self.b.dim(AX_U);
-        self.s.reshape(&[self.s.dim(0), ua, ub, self.s.dim(2)]).unwrap_or_else(|e| {
-            unreachable!("TwoLayerStepOp: boundary MPS physical index is not the bra-ket pair: {e}")
-        })
-    }
-}
-
-impl LinearOp for TwoLayerStepOp<'_> {
-    fn nrows(&self) -> usize {
-        self.row_dims().iter().product()
-    }
-    fn ncols(&self) -> usize {
-        self.col_dims().iter().product()
-    }
-
-    fn apply(&self, x: &Matrix) -> Matrix {
-        let k = x.ncols();
-        let [da, db, rsp, rap, rbp] = self.col_dims();
-        let xt = Tensor::from_matrix_2d(x)
-            .into_reshape(&[da, db, rsp, rap, rbp, k])
-            .unwrap_or_else(|e| unreachable!("TwoLayerStepOp::apply reshape: {e}"));
-        // B [p, uB, lB, dB, rB'] x X [dA, dB, r_s', rA', rB', k] over (dB, rB')
-        //   -> [p, uB, lB, dA, r_s', rA', k]
-        let w1 = tensordot(self.b, &xt, &[AX_D, AX_R], &[1, 4])
-            .unwrap_or_else(|e| unreachable!("two-layer w1: {e}"));
-        // conj(A) [p, uA, lA, dA, rA'] x W1 over (p, dA, rA') -> [uA, lA, uB, lB, r_s', k]
-        let w2 = tensordot(&self.a_conj, &w1, &[AX_P, AX_D, AX_R], &[0, 3, 5])
-            .unwrap_or_else(|e| unreachable!("two-layer w2: {e}"));
-        // S [r_s, uA, uB, r_s'] x W2 over (uA, uB, r_s') -> [r_s, lA, lB, k]
-        let w3 = tensordot(&self.s_split(), &w2, &[1, 2, 3], &[0, 2, 4])
-            .unwrap_or_else(|e| unreachable!("two-layer w3: {e}"));
-        // V [l, d_pair, r_s, rA, rB] x W3 over (r_s, rA=lA, rB=lB) -> [l, d_pair, k]
-        let y = tensordot(self.boundary, &w3, &[2, 3, 4], &[0, 1, 2])
-            .unwrap_or_else(|e| unreachable!("two-layer y: {e}"));
-        y.unfold(2)
-    }
-
-    fn apply_adj(&self, y: &Matrix) -> Matrix {
-        let k = y.ncols();
-        let [l, dpair] = self.row_dims();
-        let yt = Tensor::from_matrix_2d(y)
-            .into_reshape(&[l, dpair, k])
-            .unwrap_or_else(|e| unreachable!("TwoLayerStepOp::apply_adj reshape: {e}"));
-        // conj(V) [l, d_pair, r_s, rA, rB] x Y [l, d_pair, k] -> [r_s, rA, rB, k]
-        let z1 = tensordot(&self.boundary.conj(), &yt, &[0, 1], &[0, 1])
-            .unwrap_or_else(|e| unreachable!("two-layer z1: {e}"));
-        // conj(S) [r_s, uA, uB, r_s'] x Z1 -> [uA, uB, r_s', rA, rB, k]
-        let z2 = tensordot(&self.s_split().conj(), &z1, &[0], &[0])
-            .unwrap_or_else(|e| unreachable!("two-layer z2: {e}"));
-        // A [p, uA, lA, dA, rA'] x Z2 over (uA, lA=rA) -> [p, dA, rA', uB, r_s', rB, k]
-        let a_plain = self.a_conj.conj();
-        let z3 = tensordot(&a_plain, &z2, &[AX_U, AX_L], &[0, 3])
-            .unwrap_or_else(|e| unreachable!("two-layer z3: {e}"));
-        // conj(B) [p, uB, lB, dB, rB'] x Z3 over (p, uB, lB=rB) -> [dB, rB', dA, rA', r_s', k]
-        let z4 = tensordot(&self.b.conj(), &z3, &[AX_P, AX_U, AX_L], &[0, 3, 5])
-            .unwrap_or_else(|e| unreachable!("two-layer z4: {e}"));
-        // -> [dA, dB, r_s', rA', rB', k]
-        let out = z4
-            .permute(&[2, 0, 4, 3, 1, 5])
-            .unwrap_or_else(|e| unreachable!("two-layer out permute: {e}"));
-        out.unfold(5)
-    }
-
-    fn is_real(&self) -> bool {
-        // Real bra/ket/boundary tensors make the whole two-layer step a real
-        // map (conjugation is a no-op on real data), so rsvd keeps its sketch
-        // — and therefore every contraction of this step — on the real kernel.
-        self.boundary.is_real() && self.s.is_real() && self.a_conj.is_real() && self.b.is_real()
-    }
 }
 
 #[cfg(test)]
@@ -273,7 +150,7 @@ mod tests {
         let a = Peps::random(2, 3, 2, 2, &mut rng);
         let b = Peps::random(2, 3, 2, 2, &mut rng);
         let dense = a.to_dense().unwrap().inner(&b.to_dense().unwrap()).unwrap();
-        let got = inner_two_layer(&a, &b, TwoLayerOptions::with_bond(64), &mut rng).unwrap();
+        let got = inner_two_layer(&a, &b, 64, ZipUpMethod::implicit_default(), &mut rng).unwrap();
         assert!(got.approx_eq(dense, 1e-6 * dense.abs().max(1.0)), "{got} vs {dense}");
     }
 
@@ -283,7 +160,8 @@ mod tests {
         let a = Peps::random(3, 3, 2, 2, &mut rng);
         let b = Peps::random(3, 3, 2, 2, &mut rng);
         let merged = inner_merged(&a, &b, ContractionMethod::bmps(32), &mut rng).unwrap();
-        let two_layer = inner_two_layer(&a, &b, TwoLayerOptions::with_bond(32), &mut rng).unwrap();
+        let two_layer =
+            inner_two_layer(&a, &b, 32, ZipUpMethod::implicit_default(), &mut rng).unwrap();
         let scale = merged.abs().max(1e-12);
         assert!((merged - two_layer).abs() / scale < 1e-4, "{merged} vs {two_layer}");
     }
@@ -292,7 +170,7 @@ mod tests {
     fn norm_is_real_and_positive() {
         let mut rng = StdRng::seed_from_u64(3);
         let p = Peps::random(2, 2, 2, 2, &mut rng);
-        let n = norm_sqr_two_layer(&p, TwoLayerOptions::with_bond(32), &mut rng).unwrap();
+        let n = norm_sqr_two_layer(&p, 32, ZipUpMethod::implicit_default(), &mut rng).unwrap();
         let dense = p.norm_sqr_dense().unwrap();
         assert!(n > 0.0);
         assert!((n - dense).abs() / dense < 1e-6);
@@ -303,7 +181,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let a = Peps::random(2, 2, 2, 2, &mut rng);
         let b = Peps::random(2, 3, 2, 2, &mut rng);
-        assert!(inner_two_layer(&a, &b, TwoLayerOptions::with_bond(8), &mut rng).is_err());
+        assert!(inner_two_layer(&a, &b, 8, ZipUpMethod::implicit_default(), &mut rng).is_err());
     }
 
     #[test]
@@ -312,7 +190,7 @@ mod tests {
         let a = Peps::random(3, 1, 2, 2, &mut rng);
         let b = Peps::random(3, 1, 2, 2, &mut rng);
         let dense = a.to_dense().unwrap().inner(&b.to_dense().unwrap()).unwrap();
-        let got = inner_two_layer(&a, &b, TwoLayerOptions::with_bond(16), &mut rng).unwrap();
+        let got = inner_two_layer(&a, &b, 16, ZipUpMethod::implicit_default(), &mut rng).unwrap();
         assert!(got.approx_eq(dense, 1e-6 * dense.abs().max(1.0)));
     }
 }

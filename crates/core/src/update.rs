@@ -18,8 +18,17 @@ use crate::peps::{
 };
 use koala_linalg::Matrix;
 use koala_tensor::{
-    einsum, gram_qr_split, qr_split, svd_split, tensordot, Tensor, TensorError, Truncation,
+    einsum, gram_qr_split, qr_split, tensordot, EinsumSvd, Tensor, TensorError, Truncation,
 };
+
+/// The simple update: sites a `[pa, o1, o2, o3, bond]`, b `[pb, bond, o1, o2,
+/// o3]` and gate `[pa', pb', pa, pb]` split into `[pa', ao1..3, k]` and
+/// `[k, pb', bo1..3]`.
+static DIRECT_UPDATE: EinsumSvd = EinsumSvd::new("abcdx,exfgh,ABae->Abcdk,kBfgh");
+
+/// Algorithm 1, step (2)->(4): R_a `[ka, pa, bond]`, R_b `[kb, pb, bond]` and
+/// gate `[pa', pb', pa, pb]` split into `[ka, pa', k]` and `[k, kb, pb']`.
+static GATE_ON_R_FACTORS: EinsumSvd = EinsumSvd::new("apx,bqx,PQpq->aPk,kbQ");
 
 /// Strategy for two-site operator application.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -196,20 +205,11 @@ fn direct_update(
     gate: &Tensor, // [pa', pb', pa, pb]
     truncation: Truncation,
 ) -> Result<(Tensor, Tensor, f64)> {
-    // theta [pa', pb', ao1..3, bo1..3]: the full {a, b, gate} network in one
-    // planned einsum — a: [pa=a, o=bcd, bond=x], b: [pb=e, bond=x, o=fgh],
-    // gate: [pa'=A, pb'=B, pa=a, pb=e]. The contraction order and
-    // matricization layouts come from the plan cache, so a TEBD sweep plans
-    // this network once per site-tensor shape.
-    let theta = einsum("abcdx,exfgh,ABae->ABbcdfgh", &[a, b, gate])?;
-    // rows: (pa', ao1..3)  cols: (pb', bo1..3)
-    let f = svd_split(&theta, &[0, 2, 3, 4], truncation)?;
-    let err = f.truncation_error;
-    let (u, v) = f.absorb_split();
+    let f = DIRECT_UPDATE.exact(&[a, b, gate], truncation)?;
     // u: [pa', ao1, ao2, ao3, k] already the canonical a-layout.
     // v: [k, pb', bo1, bo2, bo3] -> [pb', k, bo1, bo2, bo3]
-    let new_b = v.permute(&[1, 0, 2, 3, 4])?;
-    Ok((u, new_b, err))
+    let (u, v) = f.absorb_split();
+    Ok((u, v.permute(&[1, 0, 2, 3, 4])?, f.truncation_error))
 }
 
 /// QR-SVD update (Algorithm 1): QR both sites, apply the gate to the small
@@ -244,25 +244,16 @@ fn qr_svd_update(
 
 /// The einsumsvd of Algorithm 1, step (2)->(4): contract the small `R`
 /// factors with the gate and refactorize across the new bond.
-/// `r_a` has layout `[ka, pa, bond]`, `r_b` has layout `[kb, pb, bond]`, the
-/// gate is `[pa', pb', pa, pb]`. Returns `(rt_a [ka, pa', k], rt_b [k, kb, pb'], err)`.
+/// Returns `(rt_a [ka, pa', k], rt_b [k, kb, pb'], err)`.
 pub(crate) fn small_einsumsvd(
     gate: &Tensor,
     r_a: &Tensor,
     r_b: &Tensor,
     truncation: Truncation,
 ) -> Result<(Tensor, Tensor, f64)> {
-    // theta [ka, pa', kb, pb'] directly from {gate, R_a, R_b} as one planned
-    // einsum — r_a: [ka=a, pa=p, bond=x], r_b: [kb=b, pb=q, bond=x],
-    // gate: [pa'=P, pb'=Q, pa=p, pb=q]. The plan (including the final
-    // permutation into the SVD row/column layout) is cached per shape, which
-    // is what makes repeating this step thousands of times cheap.
-    let theta = einsum("apx,bqx,PQpq->aPbQ", &[r_a, r_b, gate])?;
-    // rows: (ka, pa'), cols: (kb, pb')
-    let f = svd_split(&theta, &[0, 1], truncation)?;
-    let err = f.truncation_error;
-    let (rt_a, rt_b) = f.absorb_split(); // [ka, pa', k], [k, kb, pb']
-    Ok((rt_a, rt_b, err))
+    let f = GATE_ON_R_FACTORS.exact(&[r_a, r_b, gate], truncation)?;
+    let (rt_a, rt_b) = f.absorb_split();
+    Ok((rt_a, rt_b, f.truncation_error))
 }
 
 /// The SWAP gate on two qubits of dimension `d` each.

@@ -7,9 +7,7 @@
 //! statics with a *stack of meters*:
 //!
 //! * The [`WorkMeter::global`] meter is the **default scope**: every unit of
-//!   work is always billed to it, so readers of the historical process-wide
-//!   counters (`koala_linalg::flop_counter`, `bench_gemm`, `check_bench`)
-//!   see exactly the numbers they always saw.
+//!   work is always billed to it, so it holds the process-wide totals.
 //! * [`WorkMeter::scope`] pushes a meter onto a thread-local stack for the
 //!   duration of a closure. Work billed inside the closure is added to that
 //!   meter *in addition to* the global one (and to any enclosing scopes), so
@@ -107,9 +105,7 @@ impl WorkMeter {
     }
 
     /// The process-global meter — the default scope that every unit of work
-    /// is billed to unconditionally. `koala_linalg::flop_counter()` and
-    /// friends read (and reset) this meter, so its numbers are exactly the
-    /// historical process-wide counters.
+    /// is billed to unconditionally, so it holds the process-wide totals.
     pub fn global() -> &'static WorkMeter {
         static GLOBAL: OnceLock<WorkMeter> = OnceLock::new();
         GLOBAL.get_or_init(WorkMeter::new)

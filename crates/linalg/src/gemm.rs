@@ -84,21 +84,21 @@
 //!
 //! # Flop accounting
 //!
-//! [`flop_counter`] counts **complex multiply-adds** (one `C += A * B`
-//! update of complex scalars, 8 real flops: 4 mul + 4 add) executed by the
-//! split-complex kernel; [`real_mac_counter`] counts **real multiply-adds**
-//! (2 real flops) executed by the real-only kernel. Total hardware flops are
-//! therefore `8 * flop_counter() + 2 * real_mac_counter()`, which is what
-//! `bench_gemm` uses as its GFLOP/s numerator — so the recorded numbers stay
-//! honest no matter which kernel dispatch picked. (The Figure 12
+//! Work is billed to [`koala_exec::meter::WorkMeter`] handles:
+//! `complex_macs` counts **complex multiply-adds** (one `C += A * B` update
+//! of complex scalars, 8 real flops: 4 mul + 4 add) executed by the
+//! split-complex kernel; `real_macs` counts **real multiply-adds** (2 real
+//! flops) executed by the real-only kernel. Total hardware flops are
+//! therefore `8 * complex_macs + 2 * real_macs`
+//! ([`WorkLedger::hw_flops`](koala_exec::meter::WorkLedger::hw_flops)), which
+//! is what `bench_gemm` uses as its GFLOP/s numerator — so the recorded
+//! numbers stay honest no matter which kernel dispatch picked. (The Figure 12
 //! weak-scaling binary derives its rates from the cluster *cost model*, not
 //! these runtime counters; only its 8-flops-per-complex-MAC convention is
 //! shared.)
 //!
-//! Since the scoped work-accounting redesign the counters live on
-//! [`koala_exec::meter::WorkMeter`] handles rather than private statics:
-//! every billing site adds to the process-global meter (which these
-//! functions read, so their numbers are unchanged) *and* to any
+//! Every billing site adds to the process-global meter
+//! ([`WorkMeter::global`](koala_exec::meter::WorkMeter::global)) *and* to any
 //! [`WorkMeter::scope`](koala_exec::meter::WorkMeter::scope) active on the
 //! billing thread — scopes travel with executor tasks, which is what makes
 //! per-tenant billing in `koala-serve` exact. The meter additionally tracks
@@ -141,30 +141,6 @@ const PAR_THRESHOLD: usize = 64 * 64 * 64;
 /// whose panels would exceed it fall back to private per-tile packing —
 /// still on the executor, just without cross-tile panel sharing.
 const PANEL_MEM_LIMIT: usize = 256 << 20;
-
-/// Reset the global work meter (complex MACs, real MACs, and bytes) and
-/// return the previous complex-MAC count.
-///
-/// Only the process-global default scope is reset; active
-/// [`WorkMeter`](koala_exec::meter::WorkMeter) scopes keep their subtotals.
-pub fn reset_flop_counter() -> u64 {
-    meter::WorkMeter::global().reset().complex_macs
-}
-
-/// Read the global GEMM flop counter (counted as complex multiply-adds, i.e.
-/// 8 real flops each). MACs executed by the real-only kernel are counted
-/// separately by [`real_mac_counter`]. This reads the process-global
-/// [`WorkMeter`](koala_exec::meter::WorkMeter) — the default scope every
-/// billing site always adds to.
-pub fn flop_counter() -> u64 {
-    meter::WorkMeter::global().complex_macs()
-}
-
-/// Read the global count of multiply-adds executed by the real-only kernel
-/// (2 real flops each).
-pub fn real_mac_counter() -> u64 {
-    meter::WorkMeter::global().real_macs()
-}
 
 /// How the left/right operand should be read by [`gemm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -840,8 +816,17 @@ pub fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
 mod tests {
     use super::*;
     use crate::scalar::c64;
+    use koala_exec::meter::WorkLedger;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Run `f` under a fresh meter scope; the ledger holds exactly its work
+    /// even while other tests multiply matrices concurrently.
+    fn metered<T>(f: impl FnOnce() -> T) -> (T, WorkLedger) {
+        let meter = meter::WorkMeter::new();
+        let out = meter.scope(f);
+        (out, meter.ledger())
+    }
 
     #[test]
     fn identity_is_neutral() {
@@ -935,25 +920,18 @@ mod tests {
     }
 
     #[test]
-    fn flop_counter_tracks_work() {
-        reset_flop_counter();
+    fn meter_tracks_work() {
         // Real operands (hinted): all work is credited to the real-MAC
         // counter, none to the complex one.
         let a = Matrix::full(8, 4, c64(1.0, 0.0));
         let b = Matrix::full(4, 6, c64(1.0, 0.0));
-        let _ = matmul(&a, &b);
-        assert_eq!(flop_counter(), 0);
-        assert_eq!(real_mac_counter(), (8 * 4 * 6) as u64);
-        reset_flop_counter();
+        let (_, work) = metered(|| matmul(&a, &b));
+        assert_eq!((work.complex_macs, work.real_macs), (0, 8 * 4 * 6));
         // Genuinely complex operands: all work is complex MACs.
         let a = Matrix::full(8, 4, c64(1.0, 0.5));
         let b = Matrix::full(4, 6, c64(1.0, -0.25));
-        let _ = matmul(&a, &b);
-        assert_eq!(flop_counter(), (8 * 4 * 6) as u64);
-        assert_eq!(real_mac_counter(), 0);
-        reset_flop_counter();
-        assert_eq!(flop_counter(), 0);
-        assert_eq!(real_mac_counter(), 0);
+        let (_, work) = metered(|| matmul(&a, &b));
+        assert_eq!((work.complex_macs, work.real_macs), (8 * 4 * 6, 0));
     }
 
     #[test]
@@ -983,16 +961,13 @@ mod tests {
         let unhinted_b = Matrix::random_real(30, 10, &mut rng);
         let unhinted_b = Matrix::from_vec(30, 10, unhinted_b.data().to_vec()).unwrap();
         assert!(!unhinted_a.is_real() && !unhinted_b.is_real());
-        reset_flop_counter();
-        let c = matmul(&unhinted_a, &unhinted_b);
+        let (c, work) = metered(|| matmul(&unhinted_a, &unhinted_b));
         // The packers detect the zero imaginary lanes and the whole product
         // runs on the real kernel, billed as real MACs.
-        assert_eq!(real_mac_counter(), (20 * 30 * 10) as u64);
-        assert_eq!(flop_counter(), 0);
+        assert_eq!((work.complex_macs, work.real_macs), (0, 20 * 30 * 10));
         // The output hint stays conservative (detection is per block, not a
         // structural guarantee about the operands).
         assert!(!c.is_real());
-        reset_flop_counter();
     }
 
     #[test]
@@ -1000,13 +975,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(23);
         let a = Matrix::random_real(12, 9, &mut rng);
         let b = Matrix::random(9, 7, &mut rng);
-        reset_flop_counter();
-        let fast = matmul(&a, &b);
-        assert_eq!(flop_counter(), (12 * 9 * 7) as u64);
-        assert_eq!(real_mac_counter(), 0);
+        let (fast, work) = metered(|| matmul(&a, &b));
+        assert_eq!((work.complex_macs, work.real_macs), (12 * 9 * 7, 0));
         assert!(!fast.is_real());
         assert!(fast.approx_eq(&matmul_naive(&a, &b), 1e-11));
-        reset_flop_counter();
     }
 
     #[test]

@@ -39,13 +39,13 @@
 //! microkernel that executes one quarter of the FMAs, and the split-complex
 //! packers detect all-real cache blocks so even unhinted real data drops to
 //! the cheap kernel per depth block. See [`mod@gemm`] for the dispatch rules
-//! and the flop-accounting convention ([`gemm::flop_counter`] /
-//! [`gemm::real_mac_counter`]). Work accounting is *scoped*: the counters
-//! are views of the process-global [`WorkMeter`], and callers that need
-//! per-workload attribution (e.g. per-tenant billing in `koala-serve`) wrap
-//! their work in [`WorkMeter::scope`] — the scope travels with executor
-//! tasks, so a workload's ledger is exact even when its GEMM tiles run on
-//! shared pool workers.
+//! and the flop-accounting convention. Work accounting is *scoped*: every
+//! product bills its complex and real multiply-adds to the process-global
+//! [`WorkMeter`], and callers that need per-workload attribution (e.g.
+//! per-tenant billing in `koala-serve`) wrap their work in
+//! [`WorkMeter::scope`] — the scope travels with executor tasks, so a
+//! workload's ledger is exact even when its GEMM tiles run on shared pool
+//! workers.
 //!
 //! # Example: fused adjoint GEMM with [`gemm::gemm_into`]
 //!
@@ -97,14 +97,11 @@ pub use scalar::{c64, C64};
 
 pub use eig::{eigh, eigvalsh, funm_hermitian, EigH};
 pub use expm::{expm, expm_hermitian};
-pub use gemm::{
-    flop_counter, gemm, gemm_into, gemm_into_real, matmul, matmul_adj_a, matmul_adj_b,
-    real_mac_counter, reset_flop_counter, Op,
-};
+pub use gemm::{gemm, gemm_into, gemm_into_real, matmul, matmul_adj_a, matmul_adj_b, Op};
 pub use gram::{gram_orthonormalize, gram_qr, gram_r_factors, GramQr};
 pub use lanczos::{lanczos_ground_state, DenseHermitianOp, HermitianOp, LanczosResult};
 pub use qr::{orthonormalize, qr, QrFactors};
-pub use rsvd::{rsvd, rsvd_matrix, ComposedOp, LinearOp, MatOp, RsvdOptions};
+pub use rsvd::{rsvd, LinearOp, MatOp, RsvdOptions};
 pub use solve::{inverse, lstsq, lu, solve, solve_upper_triangular, upper_triangular_inverse};
 pub use svd::{
     low_rank_factors, scale_cols, scale_rows, spectral_norm, svd, svd_gram, svd_truncated, Svd,

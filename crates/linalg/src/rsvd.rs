@@ -2,9 +2,10 @@
 //!
 //! The operator `A` does not need to exist as an explicit matrix — only its
 //! action `A * X` and `A^H * Y` on blocks of vectors is required. In the PEPS
-//! algorithms the operator is an uncontracted tensor sub-network, and applying
-//! it implicitly is what gives IBMPS / two-layer IBMPS their asymptotic
-//! advantage (Table II of the paper).
+//! algorithms the operator is an uncontracted tensor sub-network (the one
+//! network operator of `koala_tensor::einsumsvd`), and applying it implicitly
+//! is what gives IBMPS / two-layer IBMPS their asymptotic advantage (Table II
+//! of the paper).
 
 use crate::error::{LinalgError, Result};
 use crate::gemm::{matmul, matmul_adj_a};
@@ -62,38 +63,6 @@ impl LinearOp for MatOp<'_> {
     }
     fn is_real(&self) -> bool {
         self.matrix.is_real()
-    }
-}
-
-/// Composition `A * B` of two operators, applied implicitly.
-pub struct ComposedOp<L: LinearOp, R: LinearOp> {
-    left: L,
-    right: R,
-}
-
-impl<L: LinearOp, R: LinearOp> ComposedOp<L, R> {
-    /// Compose `left * right` (so `apply(x) = left.apply(right.apply(x))`).
-    pub fn new(left: L, right: R) -> Self {
-        assert_eq!(left.ncols(), right.nrows(), "ComposedOp: inner dimensions do not match");
-        ComposedOp { left, right }
-    }
-}
-
-impl<L: LinearOp, R: LinearOp> LinearOp for ComposedOp<L, R> {
-    fn nrows(&self) -> usize {
-        self.left.nrows()
-    }
-    fn ncols(&self) -> usize {
-        self.right.ncols()
-    }
-    fn apply(&self, x: &Matrix) -> Matrix {
-        self.left.apply(&self.right.apply(x))
-    }
-    fn apply_adj(&self, y: &Matrix) -> Matrix {
-        self.right.apply_adj(&self.left.apply_adj(y))
-    }
-    fn is_real(&self) -> bool {
-        self.left.is_real() && self.right.is_real()
     }
 }
 
@@ -216,11 +185,6 @@ fn rsvd_attempt<O: LinearOp, R: Rng + ?Sized>(
     Ok(Svd { u, s, vh })
 }
 
-/// Randomized truncated SVD of an explicit matrix (convenience wrapper).
-pub fn rsvd_matrix<R: Rng + ?Sized>(a: &Matrix, opts: RsvdOptions, rng: &mut R) -> Result<Svd> {
-    rsvd(&MatOp::new(a), opts, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,7 +205,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(70);
         let spectrum = [5.0, 3.0, 1.0];
         let a = matrix_with_spectrum(30, 20, &spectrum, &mut rng);
-        let f = rsvd_matrix(&a, RsvdOptions::with_rank(3), &mut rng).unwrap();
+        let f = rsvd(&MatOp::new(&a), RsvdOptions::with_rank(3), &mut rng).unwrap();
         assert!(f.reconstruct().approx_eq(&a, 1e-9));
         for (got, want) in f.s.iter().zip(spectrum.iter()) {
             assert!((got - want).abs() < 1e-9);
@@ -254,35 +218,18 @@ mod tests {
         let spectrum: Vec<f64> = (0..12).map(|i| (2.0f64).powi(-i)).collect();
         let a = matrix_with_spectrum(40, 25, &spectrum, &mut rng);
         let k = 5;
-        let f =
-            rsvd_matrix(&a, RsvdOptions { rank: k, oversample: 10, n_iter: 3 }, &mut rng).unwrap();
+        let f = rsvd(&MatOp::new(&a), RsvdOptions { rank: k, oversample: 10, n_iter: 3 }, &mut rng)
+            .unwrap();
         let err = (&a - &f.reconstruct()).norm_fro();
         let optimal: f64 = spectrum[k..].iter().map(|x| x * x).sum::<f64>().sqrt();
         assert!(err < 2.0 * optimal + 1e-12, "rsvd error {err} vs optimal {optimal}");
     }
 
     #[test]
-    fn implicit_composition_matches_explicit_product() {
-        let mut rng = StdRng::seed_from_u64(72);
-        let a = Matrix::random(18, 7, &mut rng);
-        let b = Matrix::random(7, 22, &mut rng);
-        let ab = matmul(&a, &b);
-        let op = ComposedOp::new(MatOp::new(&a), MatOp::new(&b));
-        assert_eq!(op.nrows(), 18);
-        assert_eq!(op.ncols(), 22);
-        let f1 = rsvd(&op, RsvdOptions::with_rank(7), &mut rng).unwrap();
-        let f2 = svd(&ab).unwrap().truncated(7);
-        for (x, y) in f1.s.iter().zip(f2.s.iter()) {
-            assert!((x - y).abs() < 1e-8 * f2.s[0].max(1.0));
-        }
-        assert!(f1.reconstruct().approx_eq(&ab, 1e-8));
-    }
-
-    #[test]
     fn rank_larger_than_dimensions_is_clamped() {
         let mut rng = StdRng::seed_from_u64(73);
         let a = Matrix::random(5, 4, &mut rng);
-        let f = rsvd_matrix(&a, RsvdOptions::with_rank(100), &mut rng).unwrap();
+        let f = rsvd(&MatOp::new(&a), RsvdOptions::with_rank(100), &mut rng).unwrap();
         assert!(f.rank() <= 4);
         assert!(f.reconstruct().approx_eq(&a, 1e-9));
     }
@@ -291,9 +238,8 @@ mod tests {
     fn zero_rank_rejected() {
         let mut rng = StdRng::seed_from_u64(74);
         let a = Matrix::random(3, 3, &mut rng);
-        assert!(
-            rsvd_matrix(&a, RsvdOptions { rank: 0, oversample: 0, n_iter: 0 }, &mut rng).is_err()
-        );
+        assert!(rsvd(&MatOp::new(&a), RsvdOptions { rank: 0, oversample: 0, n_iter: 0 }, &mut rng)
+            .is_err());
     }
 
     /// Operator that corrupts its adjoint applications for the first few
@@ -359,7 +305,7 @@ mod tests {
     fn factors_are_orthonormal() {
         let mut rng = StdRng::seed_from_u64(75);
         let a = Matrix::random(25, 16, &mut rng);
-        let f = rsvd_matrix(&a, RsvdOptions::with_rank(6), &mut rng).unwrap();
+        let f = rsvd(&MatOp::new(&a), RsvdOptions::with_rank(6), &mut rng).unwrap();
         assert!(f.u.has_orthonormal_cols(1e-9));
         assert!(f.vh.adjoint().has_orthonormal_cols(1e-9));
         for w in f.s.windows(2) {

@@ -14,7 +14,7 @@
 
 use koala_linalg::gemm::{gemm, matmul, Op};
 use koala_linalg::{
-    gram_qr, lstsq, reset_transpose_counter, rsvd_matrix, svd, svd_gram, transpose_counter, Matrix,
+    gram_qr, lstsq, reset_transpose_counter, rsvd, svd, svd_gram, transpose_counter, MatOp, Matrix,
     RsvdOptions,
 };
 use rand::rngs::StdRng;
@@ -115,7 +115,7 @@ fn linalg_kernels_do_not_materialize_adjoints() {
     assert!(g.reconstruct().approx_eq(&wide, 1e-8));
     let q = gram_qr(&tall).unwrap();
     assert!(matmul(&q.q, &q.r).approx_eq(&tall, 1e-8));
-    let r = rsvd_matrix(&tall, RsvdOptions::with_rank(5), &mut rng).unwrap();
+    let r = rsvd(&MatOp::new(&tall), RsvdOptions::with_rank(5), &mut rng).unwrap();
     assert_eq!(r.rank(), 5);
     let x = lstsq(&tall, &rhs).unwrap();
     assert_eq!(x.shape(), (7, 3));

@@ -6,13 +6,13 @@
 //! tile tasks *share* those panels through dependency edges instead of
 //! re-packing privately. This file pins that with the process-wide pack-call
 //! counters: the counts equal the block-grid formula and do not change with
-//! the thread count. It also pins that `flop_counter` /
-//! `real_mac_counter` bill exactly `m * n * k` per product under
+//! the thread count. It also pins that the global `WorkMeter` is billed
+//! exactly `m * n * k` complex or real MACs per product under
 //! concurrency, that outputs are bit-identical across 1/2/4/8 threads, and
 //! — with a counting global allocator — that adding threads does not balloon
 //! allocations (panels are shared, not duplicated per thread).
 
-use koala_linalg::gemm::{flop_counter, matmul, real_mac_counter};
+use koala_linalg::gemm::matmul;
 use koala_linalg::pack::{pack_counters, reset_pack_counters};
 use koala_linalg::{Matrix, WorkMeter};
 use rand::rngs::StdRng;
@@ -79,25 +79,25 @@ fn shared_panels_pack_once_per_block_at_any_thread_count() {
     for threads in [2usize, 4, 8] {
         koala_exec::set_threads(threads);
         reset_pack_counters();
-        let (f0, r0) = (flop_counter(), real_mac_counter());
+        let before = WorkMeter::global().ledger();
         let c = matmul(&a, &b);
+        let work = WorkMeter::global().ledger().minus(&before);
         assert_eq!(c.shape(), (m, n));
         let (pa, pb) = pack_counters();
         assert_eq!(pa, expect_a, "pack-A calls at {threads} threads");
         assert_eq!(pb, expect_b, "pack-B calls at {threads} threads");
         assert_eq!(
-            flop_counter() - f0,
+            work.complex_macs,
             (m * n * k) as u64,
             "complex MACs at {threads} threads must be exactly m*n*k"
         );
-        assert_eq!(real_mac_counter() - r0, 0, "complex product must not bill real MACs");
+        assert_eq!(work.real_macs, 0, "complex product must not bill real MACs");
     }
     koala_exec::set_threads(1);
 }
 
 /// The real-kernel variant of the same property: hinted-real operands take
-/// the real blocking, pack once per block, and bill `real_mac_counter`
-/// exactly.
+/// the real blocking, pack once per block, and bill real MACs exactly.
 #[test]
 fn shared_real_panels_pack_once_per_block() {
     let _guard = SERIAL.lock().unwrap();
@@ -111,14 +111,15 @@ fn shared_real_panels_pack_once_per_block() {
     for threads in [2usize, 4, 8] {
         koala_exec::set_threads(threads);
         reset_pack_counters();
-        let (f0, r0) = (flop_counter(), real_mac_counter());
+        let before = WorkMeter::global().ledger();
         let c = matmul(&a, &b);
+        let work = WorkMeter::global().ledger().minus(&before);
         assert!(c.is_real(), "real product must keep the realness hint");
         let (pa, pb) = pack_counters();
         assert_eq!(pa, expect_a, "pack-A calls at {threads} threads");
         assert_eq!(pb, expect_b, "pack-B calls at {threads} threads");
-        assert_eq!(real_mac_counter() - r0, (m * n * k) as u64);
-        assert_eq!(flop_counter() - f0, 0, "real product must not bill complex MACs");
+        assert_eq!(work.real_macs, (m * n * k) as u64);
+        assert_eq!(work.complex_macs, 0, "real product must not bill complex MACs");
     }
     koala_exec::set_threads(1);
 }

@@ -112,7 +112,7 @@ proptest! {
         let left = Matrix::random(m, r, &mut rng);
         let right = Matrix::random(r, n, &mut rng);
         let a = matmul(&left, &right);
-        let f = rsvd_matrix(&a, RsvdOptions::with_rank(r), &mut rng).unwrap();
+        let f = rsvd(&MatOp::new(&a), RsvdOptions::with_rank(r), &mut rng).unwrap();
         prop_assert!(f.reconstruct().approx_eq(&a, 1e-7 * a.norm_max().max(1.0)));
     }
 
@@ -213,14 +213,14 @@ fn real_dispatch_matches_complex_kernel_across_shapes_and_ops() {
                     _ => Matrix::random_real(n, k, &mut rng),
                 };
                 assert!(a.is_real() && b.is_real());
-                gemm::reset_flop_counter();
-                let fast = gemm(opa, opb, &a, &b);
+                let meter = WorkMeter::new();
+                let fast = meter.scope(|| gemm(opa, opb, &a, &b));
                 assert_eq!(
-                    gemm::real_mac_counter(),
+                    meter.real_macs(),
                     (m * n * k) as u64,
                     "gemm({opa:?}, {opb:?}) at {m}x{k}x{n} did not run on the real kernel"
                 );
-                assert_eq!(gemm::flop_counter(), 0);
+                assert_eq!(meter.complex_macs(), 0);
                 assert!(fast.is_real(), "real dispatch must mark its output real");
                 let slow = gemm::matmul_naive(&materialize(opa, &a), &materialize(opb, &b));
                 assert_eq!(fast.shape(), (m, n));
@@ -232,7 +232,6 @@ fn real_dispatch_matches_complex_kernel_across_shapes_and_ops() {
             }
         }
     }
-    gemm::reset_flop_counter();
 }
 
 // The realness hint is a *guarantee*, never a guess: whenever a matrix
@@ -404,7 +403,7 @@ fn real_path_factorizations_match_complex_path_across_shape_classes() {
         let c = Matrix::random_real(3, 14, &mut rng);
         matmul(&b, &c)
     };
-    let f = rsvd_matrix(&low_rank, RsvdOptions::with_rank(3), &mut rng).unwrap();
+    let f = rsvd(&MatOp::new(&low_rank), RsvdOptions::with_rank(3), &mut rng).unwrap();
     assert!(f.u.is_real() && f.vh.is_real(), "rsvd factors must carry the hint");
     assert!(f.reconstruct().approx_eq(&low_rank, 1e-9));
 }

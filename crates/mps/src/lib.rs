@@ -10,9 +10,10 @@
 //!
 //! * [`Mps`] / [`Mpo`] chain types with canonicalization and compression,
 //! * exact MPO application (bond dimensions multiply),
-//! * the zip-up approximate application of Algorithm 3, with the einsumsvd
-//!   step evaluated either by an explicit truncated SVD ([`ZipUpMethod::ExactSvd`],
-//!   the BMPS building block) or by the implicit randomized SVD of Algorithm 4
+//! * the zip-up approximate application of Algorithm 3: one
+//!   [`koala_tensor::EinsumSvd`] network per step, evaluated either by an
+//!   explicit truncated SVD ([`ZipUpMethod::ExactSvd`], the BMPS building
+//!   block) or by the implicit randomized SVD of Algorithm 4
 //!   ([`ZipUpMethod::ImplicitRandSvd`], the IBMPS building block).
 //!
 //! # Example: applying an MPO with the zip-up compression

@@ -1,51 +1,30 @@
 //! Approximate application of an MPO to an MPS by the zip-up algorithm
-//! (paper Algorithm 3), in both the explicit-SVD and implicit randomized-SVD
-//! (Algorithm 4) flavours.
+//! (paper Algorithm 3).
 //!
 //! The zip-up sweep walks the chain once from left to right. At every step the
 //! partially contracted boundary tensor `V(i-1)`, the next MPS site `S(i)`,
 //! and the next MPO site `O(i)` form a small tensor network that must be
 //! contracted and refactorized into the finished site `i-1` and the new
-//! boundary tensor — exactly an `einsumsvd`. The explicit variant forms the
-//! merged tensor and truncates its SVD; the implicit variant never forms it
-//! and instead applies the network to random sketch blocks, which is what
-//! turns BMPS into IBMPS in the PEPS contraction benchmarks (Figure 8).
+//! boundary tensor — one [`EinsumSvd`], evaluated by whichever
+//! [`ZipUpMethod`] the caller picks: the explicit SVD gives BMPS, the
+//! implicit randomized SVD (Algorithm 4) gives IBMPS in the PEPS contraction
+//! benchmarks (Figure 8).
 
 use crate::mpo::Mpo;
 use crate::mps::{Mps, Result};
-use koala_linalg::{rsvd, LinearOp, Matrix, RsvdOptions};
-use koala_tensor::{svd_split, tensordot, PlanCell, Tensor, TensorError, Truncation};
+use koala_tensor::{tensordot, EinsumSvd, Tensor, TensorError, Truncation};
 use rand::Rng;
 
-/// Merged-tensor einsum of the exact zip-up step, pinned per call site:
-/// boundary `[l, d, r_s, r_o]` x S `[r_s, p, r_s']` x O `[r_o, p, d', r_o']`
-/// -> `[l, d, r_s', d', r_o']`. The sweep executes this contraction once per
-/// site per zip-up, thousands of times with a handful of recurring shapes,
-/// so the `Arc<Plan>`s are held here and repeat steps skip even the global
-/// plan-cache lookup (pinned by `tests/zip_plan_pin.rs`).
-static ZIP_MERGE_PLAN: PlanCell = PlanCell::new("ldxy,xpt,ypqr->ldtqr");
+/// How the einsumsvd inside the zip-up sweep is evaluated: the method choice
+/// of [`EinsumSvd`] itself, under the name this crate's callers use.
+pub use koala_tensor::EinsumSvdMethod as ZipUpMethod;
 
-/// How the einsumsvd inside the zip-up sweep is evaluated.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ZipUpMethod {
-    /// Contract the three tensors and truncate an exact SVD (BMPS building block).
-    ExactSvd,
-    /// Randomized SVD with the operator applied implicitly (IBMPS building
-    /// block); `n_iter` subspace iterations, `oversample` extra sketch columns.
-    ImplicitRandSvd {
-        /// Number of subspace (power) iterations.
-        n_iter: usize,
-        /// Extra sketch columns beyond the target rank.
-        oversample: usize,
-    },
-}
-
-impl ZipUpMethod {
-    /// The implicit method with the defaults used throughout the benchmarks.
-    pub fn implicit_default() -> Self {
-        ZipUpMethod::ImplicitRandSvd { n_iter: 2, oversample: 10 }
-    }
-}
+/// One zip-up step: boundary `[l, d, r_s, r_o]` x S `[r_s, p, r_s']` x
+/// O `[r_o, p, d', r_o']` -> finished site `[l, d, k]` and the rest
+/// `[k, r_s', d', r_o']`. The sweep runs this once per site per zip-up,
+/// thousands of times over a handful of recurring shapes, all served from
+/// the plans this site holds (pinned by `tests/zip_plan_pin.rs`).
+static ZIP_STEP: EinsumSvd = EinsumSvd::new("ldxy,xpt,ypqr->ldk,ktqr");
 
 /// Apply `mpo` to `mps`, truncating every new bond to at most `max_bond`,
 /// using the requested einsumsvd method. Returns the compressed MPS.
@@ -77,16 +56,11 @@ pub fn zip_up<R: Rng + ?Sized>(
     let mut out_tensors: Vec<Tensor> = Vec::with_capacity(n);
 
     for i in 1..n {
-        let s = mps.tensor(i); // [r_s, p, r_s']
-        let o = mpo.tensor(i); // [r_o, p, d', r_o']
-        let (finished, new_boundary) = match method {
-            ZipUpMethod::ExactSvd => zip_step_exact(&boundary, s, o, truncation)?,
-            ZipUpMethod::ImplicitRandSvd { n_iter, oversample } => {
-                zip_step_implicit(&boundary, s, o, max_bond, n_iter, oversample, rng)?
-            }
-        };
+        let network = [&boundary, mps.tensor(i), mpo.tensor(i)];
+        let (finished, rest) = ZIP_STEP.split(&network, truncation, method, rng)?.absorb_right();
         out_tensors.push(finished);
-        boundary = new_boundary;
+        // rest [k, r_s', d', r_o'] -> boundary layout [k, d', r_s', r_o'].
+        boundary = rest.permute(&[0, 2, 1, 3])?;
     }
 
     // The final boundary tensor [l, d, 1, 1] becomes the last site [l, d, 1].
@@ -95,124 +69,6 @@ pub fn zip_up<R: Rng + ?Sized>(
     debug_assert_eq!(boundary.dim(3), 1);
     out_tensors.push(boundary.into_reshape(&[l, d, 1])?);
     Mps::new(out_tensors)
-}
-
-/// Exact einsumsvd step: contract {V, S, O} then truncate the SVD across the
-/// (finished site | rest) bipartition. The three-tensor contraction runs
-/// through the held [`ZIP_MERGE_PLAN`] — on repeat shapes the planned
-/// schedule (greedy order + per-step matricization layouts) replays with no
-/// cache traffic at all.
-fn zip_step_exact(
-    boundary: &Tensor, // [l, d, r_s, r_o]
-    s: &Tensor,        // [r_s, p, r_s']
-    o: &Tensor,        // [r_o, p, d', r_o']
-    truncation: Truncation,
-) -> Result<(Tensor, Tensor)> {
-    let merged = ZIP_MERGE_PLAN.execute(&[boundary, s, o])?; // [l, d, r_s', d', r_o']
-    let f = svd_split(&merged, &[0, 1], truncation)?;
-    let (u, rest) = f.absorb_right();
-    // u: [l, d, k] is the finished site; rest: [k, r_s', d', r_o'] must be
-    // rearranged to the boundary layout [k, d', r_s', r_o'].
-    let new_boundary = rest.permute(&[0, 2, 1, 3])?;
-    Ok((u, new_boundary))
-}
-
-/// Implicit operator for one zip-up step: maps the column space
-/// `(d', r_s', r_o')` to the row space `(l, d)` without forming the merged
-/// tensor.
-struct ZipStepOp<'a> {
-    boundary: &'a Tensor, // [l, d, r_s, r_o]
-    s: &'a Tensor,        // [r_s, p, r_s']
-    o: &'a Tensor,        // [r_o, p, d', r_o']
-}
-
-impl ZipStepOp<'_> {
-    fn row_dims(&self) -> [usize; 2] {
-        [self.boundary.dim(0), self.boundary.dim(1)]
-    }
-    fn col_dims(&self) -> [usize; 3] {
-        [self.o.dim(2), self.s.dim(2), self.o.dim(3)]
-    }
-}
-
-impl LinearOp for ZipStepOp<'_> {
-    fn nrows(&self) -> usize {
-        self.row_dims().iter().product()
-    }
-    fn ncols(&self) -> usize {
-        self.col_dims().iter().product()
-    }
-
-    fn apply(&self, x: &Matrix) -> Matrix {
-        let k = x.ncols();
-        let [dp, rsp, rop] = self.col_dims();
-        let xt = Tensor::from_matrix_2d(x)
-            .into_reshape(&[dp, rsp, rop, k])
-            .unwrap_or_else(|e| unreachable!("ZipStepOp::apply reshape: {e}"));
-        // O [r_o, p, d', r_o'] * X [d', r_s', r_o', k] over (d', r_o') -> [r_o, p, r_s', k]
-        let w1 = tensordot(self.o, &xt, &[2, 3], &[0, 2])
-            .unwrap_or_else(|e| unreachable!("ZipStepOp w1: {e}"));
-        // S [r_s, p, r_s'] * W1 [r_o, p, r_s', k] over (p, r_s') -> [r_s, r_o, k]
-        let w2 = tensordot(self.s, &w1, &[1, 2], &[1, 2])
-            .unwrap_or_else(|e| unreachable!("ZipStepOp w2: {e}"));
-        // boundary [l, d, r_s, r_o] * W2 [r_s, r_o, k] -> [l, d, k]
-        let y = tensordot(self.boundary, &w2, &[2, 3], &[0, 1])
-            .unwrap_or_else(|e| unreachable!("ZipStepOp y: {e}"));
-        y.unfold(2)
-    }
-
-    fn apply_adj(&self, y: &Matrix) -> Matrix {
-        let k = y.ncols();
-        let [l, d] = self.row_dims();
-        let yt = Tensor::from_matrix_2d(y)
-            .into_reshape(&[l, d, k])
-            .unwrap_or_else(|e| unreachable!("ZipStepOp::apply_adj reshape: {e}"));
-        // conj(boundary) [l, d, r_s, r_o] * Y [l, d, k] -> [r_s, r_o, k]
-        let z1 = tensordot(&self.boundary.conj(), &yt, &[0, 1], &[0, 1])
-            .unwrap_or_else(|e| unreachable!("ZipStepOp z1: {e}"));
-        // conj(S) [r_s, p, r_s'] * Z1 [r_s, r_o, k] -> [p, r_s', r_o, k]
-        let z2 = tensordot(&self.s.conj(), &z1, &[0], &[0])
-            .unwrap_or_else(|e| unreachable!("ZipStepOp z2: {e}"));
-        // conj(O) [r_o, p, d', r_o'] * Z2 [p, r_s', r_o, k] over (p, r_o) -> [d', r_o', r_s', k]
-        let z3 = tensordot(&self.o.conj(), &z2, &[1, 0], &[0, 2])
-            .unwrap_or_else(|e| unreachable!("ZipStepOp z3: {e}"));
-        // -> [d', r_s', r_o', k]
-        let out =
-            z3.permute(&[0, 2, 1, 3]).unwrap_or_else(|e| unreachable!("ZipStepOp permute: {e}"));
-        out.unfold(3)
-    }
-
-    fn is_real(&self) -> bool {
-        // Real boundary/MPS/MPO tensors map real sketch blocks to real blocks
-        // (conjugation is a no-op on real data), so the implicit randomized
-        // SVD draws a real sketch and the whole zip-up step stays on the real
-        // kernel.
-        self.boundary.is_real() && self.s.is_real() && self.o.is_real()
-    }
-}
-
-/// Implicit randomized einsumsvd step (Algorithm 4 applied to the zip-up).
-fn zip_step_implicit<R: Rng + ?Sized>(
-    boundary: &Tensor,
-    s: &Tensor,
-    o: &Tensor,
-    max_bond: usize,
-    n_iter: usize,
-    oversample: usize,
-    rng: &mut R,
-) -> Result<(Tensor, Tensor)> {
-    let op = ZipStepOp { boundary, s, o };
-    let rank = max_bond.min(op.nrows()).min(op.ncols()).max(1);
-    let f = rsvd(&op, RsvdOptions { rank, oversample, n_iter }, rng)
-        .map_err(|e| TensorError::Linalg(e.to_string()))?;
-    let k = f.s.len();
-    let [l, d] = op.row_dims();
-    let [dp, rsp, rop] = op.col_dims();
-    let u = Tensor::fold(&f.u, &[l, d], &[k])?;
-    let sv = koala_linalg::scale_rows(&f.vh, &f.s);
-    let rest = Tensor::fold(&sv, &[k], &[dp, rsp, rop])?;
-    // rest [k, d', r_s', r_o'] is already in boundary layout.
-    Ok((u, rest))
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Pins the held-`Arc<Plan>` behaviour of the zip-up inner loop: after a
 //! warm-up sweep, repeating the same zip-up must not touch the global plan
-//! cache at all — the call-site `PlanCell` serves every merge einsum from its
-//! held plans, skipping even the LRU lookup.
+//! cache at all — the zip step's `EinsumSvd` call site serves every theta
+//! einsum from its held plans, skipping even the LRU lookup.
 //!
 //! This lives in its own integration-test binary because the assertion reads
 //! the process-wide `plan_stats()` counters; unit tests of the mps crate run

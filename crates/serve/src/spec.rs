@@ -684,8 +684,15 @@ fn req_usize(v: &JsonValue, key: &str) -> Result<usize> {
         .get(key)
         .and_then(JsonValue::as_num)
         .ok_or_else(|| invalid(format!("missing numeric field '{key}'")))?;
+    usize_from_num(x, format_args!("field '{key}'"))
+}
+
+/// A wire number as a count or index: fractions, negatives, NaN and
+/// infinities are rejected rather than cast (`as usize` would map them all
+/// to some in-range value).
+fn usize_from_num(x: f64, what: impl std::fmt::Display) -> Result<usize> {
     if x < 0.0 || x.fract() != 0.0 {
-        return Err(invalid(format!("field '{key}' must be a non-negative integer, got {x}")));
+        return Err(invalid(format!("{what} must be a non-negative integer, got {x}")));
     }
     Ok(x as usize)
 }
@@ -768,7 +775,7 @@ fn bitstrings_from_json(v: &JsonValue) -> Result<Vec<Vec<usize>>> {
             let x = b
                 .as_num()
                 .ok_or_else(|| invalid(format!("bitstring {i} has a non-numeric bit")))?;
-            parsed.push(x as usize);
+            parsed.push(usize_from_num(x, format_args!("bitstring {i}: every bit"))?);
         }
         bitstrings.push(parsed);
     }
@@ -1081,6 +1088,27 @@ mod tests {
         let bad =
             JsonValue::object([("type", JsonValue::str("ite")), ("nrows", JsonValue::num(2.5))]);
         assert!(JobSpec::from_json(&bad).is_err());
+        // Bits that `as usize` would silently turn into a valid 0.
+        for bit in [0.5, -1.0, f64::NAN, f64::INFINITY] {
+            let job = |bit: f64| {
+                JsonValue::object([
+                    ("type", JsonValue::str("amplitudes")),
+                    ("nrows", JsonValue::num(1.0)),
+                    ("ncols", JsonValue::num(2.0)),
+                    ("method", JsonValue::object([("type", JsonValue::str("exact"))])),
+                    (
+                        "bitstrings",
+                        JsonValue::Array(vec![JsonValue::Array(vec![
+                            JsonValue::num(1.0),
+                            JsonValue::num(bit),
+                        ])]),
+                    ),
+                ])
+            };
+            assert!(JobSpec::from_json(&job(0.0)).is_ok(), "the well-formed twin must parse");
+            let err = JobSpec::from_json(&job(bit)).expect_err("bad bit must be rejected");
+            assert_eq!(err.kind(), ErrorKind::InvalidArgument, "bit {bit}: {err}");
+        }
     }
 
     /// A circuit exercising every wire case: named gates, rotations with

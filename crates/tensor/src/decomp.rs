@@ -1,10 +1,10 @@
-//! Tensor factorizations: QR / SVD / randomized SVD across a bipartition of
-//! the axes. These wrappers are the glue between the matrix factorizations in
-//! `koala-linalg` and the site tensors manipulated by the MPS/PEPS layers.
+//! Tensor factorizations: QR / Gram-QR / SVD across a bipartition of the
+//! axes. These wrappers are the glue between the matrix factorizations in
+//! `koala-linalg` and the site tensors manipulated by the MPS/PEPS layers;
+//! contract-then-factorize of a whole sub-network is [`crate::einsumsvd`].
 
 use crate::tensor::{Result, Tensor, TensorError};
-use koala_linalg::{gram_qr, qr, rsvd, svd, LinearOp, Matrix, RsvdOptions, Svd};
-use rand::Rng;
+use koala_linalg::{gram_qr, qr, svd, Svd};
 
 /// Truncation policy for factorizations that produce a new bond.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -183,55 +183,8 @@ pub fn svd_split(t: &Tensor, row_axes: &[usize], truncation: Truncation) -> Resu
     build_split_svd(f, &row_dims, &col_dims, truncation)
 }
 
-/// Randomized truncated SVD of the tensor across a bipartition (explicit
-/// matrix sketching; the fully implicit network variant lives in `koala-peps`).
-pub fn rsvd_split<R: Rng + ?Sized>(
-    t: &Tensor,
-    row_axes: &[usize],
-    truncation: Truncation,
-    n_iter: usize,
-    rng: &mut R,
-) -> Result<SplitSvd> {
-    let (perm, row_dims, col_dims) = split_permutation(t, row_axes)?;
-    let mat = t.permute(&perm)?.unfold(row_dims.len());
-    let rank = truncation
-        .max_rank
-        .unwrap_or_else(|| mat.nrows().min(mat.ncols()))
-        .min(mat.nrows().min(mat.ncols()))
-        .max(1);
-    let f = koala_linalg::rsvd_matrix(&mat, RsvdOptions { rank, oversample: 10, n_iter }, rng)?;
-    build_split_svd(f, &row_dims, &col_dims, truncation)
-}
-
-/// Truncated SVD of an implicitly applied operator, folded back into tensors
-/// whose row/column axis dimensions are given explicitly.
-pub fn rsvd_split_implicit<O: LinearOp, R: Rng + ?Sized>(
-    op: &O,
-    row_dims: &[usize],
-    col_dims: &[usize],
-    truncation: Truncation,
-    n_iter: usize,
-    rng: &mut R,
-) -> Result<SplitSvd> {
-    let rows: usize = row_dims.iter().product();
-    let cols: usize = col_dims.iter().product();
-    if op.nrows() != rows || op.ncols() != cols {
-        return Err(TensorError::ShapeMismatch {
-            context: format!(
-                "rsvd_split_implicit: operator is {}x{} but dims give {}x{}",
-                op.nrows(),
-                op.ncols(),
-                rows,
-                cols
-            ),
-        });
-    }
-    let rank = truncation.max_rank.unwrap_or_else(|| rows.min(cols)).min(rows.min(cols)).max(1);
-    let f = rsvd(op, RsvdOptions { rank, oversample: 10, n_iter }, rng)?;
-    build_split_svd(f, row_dims, col_dims, truncation)
-}
-
-fn build_split_svd(
+/// Truncate a matrix SVD and fold its factors back into tensors.
+pub(crate) fn build_split_svd(
     f: Svd,
     row_dims: &[usize],
     col_dims: &[usize],
@@ -246,26 +199,17 @@ fn build_split_svd(
     Ok(SplitSvd { u, s: t.s, vh, truncation_error: err })
 }
 
-/// Reassemble a tensor from split factors `(U, s, Vh)` produced by
-/// [`svd_split`]-style functions (used in tests).
-pub fn reassemble_split(split: &SplitSvd) -> Result<Tensor> {
-    let (l, r) = split.absorb_left();
-    let bond_axis_l = l.ndim() - 1;
-    crate::contract::tensordot(&l, &r, &[bond_axis_l], &[0])
-}
-
-/// Explicitly materialise a [`LinearOp`] as a matrix (testing utility).
-pub fn materialize_op<O: LinearOp>(op: &O) -> Matrix {
-    let eye = Matrix::identity(op.ncols());
-    op.apply(&eye)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::contract::tensordot;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn reassemble_split(split: &SplitSvd) -> Result<Tensor> {
+        let (l, r) = split.absorb_left();
+        tensordot(&l, &r, &[l.ndim() - 1], &[0])
+    }
 
     #[test]
     fn truncation_policy_keep_counts() {
@@ -333,33 +277,6 @@ mod tests {
         assert_eq!(f.vh.shape()[1..], [2, 5]);
         let rebuilt = reassemble_split(&f).unwrap();
         assert!(rebuilt.approx_eq(&t.permute(&[2, 0, 1]).unwrap(), 1e-10));
-    }
-
-    #[test]
-    fn rsvd_split_agrees_with_exact_svd_for_low_rank() {
-        let mut rng = StdRng::seed_from_u64(35);
-        // Construct a tensor whose unfolding has rank 3.
-        let left = Tensor::random(&[4, 2, 3], &mut rng);
-        let right = Tensor::random(&[3, 6], &mut rng);
-        let t = tensordot(&left, &right, &[2], &[0]).unwrap(); // 4 x 2 x 6
-        let exact = svd_split(&t, &[0, 1], Truncation::max_rank(3)).unwrap();
-        let approx = rsvd_split(&t, &[0, 1], Truncation::max_rank(3), 2, &mut rng).unwrap();
-        for (a, b) in exact.s.iter().zip(approx.s.iter()) {
-            assert!((a - b).abs() < 1e-8 * exact.s[0]);
-        }
-        let rebuilt = reassemble_split(&approx).unwrap();
-        assert!(rebuilt.approx_eq(&t, 1e-8));
-    }
-
-    #[test]
-    fn rsvd_split_implicit_checks_dimensions() {
-        let mut rng = StdRng::seed_from_u64(36);
-        let m = koala_linalg::Matrix::random(6, 4, &mut rng);
-        let op = koala_linalg::MatOp::new(&m);
-        assert!(
-            rsvd_split_implicit(&op, &[2, 3], &[4], Truncation::max_rank(2), 1, &mut rng).is_ok()
-        );
-        assert!(rsvd_split_implicit(&op, &[5], &[4], Truncation::max_rank(2), 1, &mut rng).is_err());
     }
 
     #[test]

@@ -10,9 +10,12 @@
 //! permutation / reshaping / matricization utilities, pairwise contraction
 //! ([`tensordot`]) lowered to the GEMM kernel of `koala-linalg`, a general
 //! [`einsum`](fn@einsum) for tensor-network contractions backed by a memoised
-//! contraction planner ([`plan`]), and tensor-level factorizations
-//! ([`qr_split`], [`svd_split`], [`rsvd_split`], [`gram_qr_split`]) used by
-//! the MPS and PEPS layers.
+//! contraction planner ([`plan`]), tensor-level factorizations
+//! ([`qr_split`], [`svd_split`], [`gram_qr_split`]), and the paper's
+//! contract-and-refactorize primitive [`EinsumSvd`] ([`mod@einsumsvd`]: one
+//! network spec, evaluated by an explicit truncated SVD or by the implicit
+//! randomized SVD of Alg. 4) that every MPS and PEPS algorithm above this
+//! crate is written against.
 //!
 //! # Example: contracting a small network with `einsum`
 //!
@@ -44,19 +47,20 @@
 pub mod contract;
 pub mod decomp;
 pub mod einsum;
+pub mod einsumsvd;
 pub mod plan;
 pub mod shape;
 pub mod tensor;
 
 pub use contract::{contract_all, sum_axis, tensordot, tensordot_naive};
 pub use decomp::{
-    gram_qr_split, materialize_op, qr_split, reassemble_split, rsvd_split, rsvd_split_implicit,
-    scale_first_axis, scale_last_axis, svd_split, SplitSvd, Truncation,
+    gram_qr_split, qr_split, scale_first_axis, scale_last_axis, svd_split, SplitSvd, Truncation,
 };
 pub use einsum::{einsum, einsum_spec, parse_spec, EinsumSpec};
+pub use einsumsvd::{EinsumSvd, EinsumSvdMethod};
 pub use plan::{
     clear_plan_cache, contraction_plan, plan_stats, reset_plan_stats, set_plan_cache_capacity,
-    Plan, PlanCell, PlanStats,
+    Plan, PlanStats,
 };
 pub use tensor::{Result, Tensor, TensorError};
 

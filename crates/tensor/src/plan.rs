@@ -632,7 +632,8 @@ pub struct PlanStats {
 ///
 /// This is the entry point behind [`crate::einsum::einsum_spec`]; it is public
 /// so callers with a long-lived hot loop can hold the `Arc<Plan>` directly and
-/// skip even the cache lookup.
+/// skip even the cache lookup, as [`crate::einsumsvd::EinsumSvd`] does per
+/// call site.
 pub fn contraction_plan(spec: &EinsumSpec, shapes: &[&[usize]]) -> Result<Arc<Plan>> {
     let hash = key_hash(spec, shapes);
     if let Some(plan) = cache_touch(hash, spec, shapes) {
@@ -646,77 +647,6 @@ pub fn contraction_plan(spec: &EinsumSpec, shapes: &[&[usize]]) -> Result<Arc<Pl
     let plan = Arc::new(Plan::build(spec, shapes)?);
     cache_insert(hash, Arc::clone(&plan));
     Ok(plan)
-}
-
-/// A call-site pinned plan holder: the "hold the `Arc<Plan>` directly" tier
-/// above the global LRU cache.
-///
-/// The global cache already reduces a hot einsum to one hash + mutex round
-/// trip per call; a `PlanCell` removes even that. Declare one `static` cell
-/// per call site with the site's (fixed) spec string; [`PlanCell::plan`]
-/// serves repeat shapes from a small per-site MRU list without touching the
-/// global cache or its [`plan_stats`] counters — which is also what lets a
-/// test *pin* the behaviour: a warmed loop over `PlanCell` call sites must
-/// leave `plan_stats()` unchanged.
-///
-/// On a shape miss the cell parses the spec and plans through
-/// [`contraction_plan`] (so the plan is still shared with any other caller
-/// of the same key), then memoises the `Arc` locally. The list holds
-/// [`PlanCell::CAPACITY`] plans — enough for the handful of shape variants a
-/// sweep step cycles through (e.g. boundary bonds growing along a zip-up).
-///
-/// ```
-/// use koala_tensor::{PlanCell, Tensor};
-///
-/// static SITE_PLAN: PlanCell = PlanCell::new("ij,jk->ik");
-///
-/// let a = Tensor::zeros(&[2, 3]);
-/// let b = Tensor::zeros(&[3, 4]);
-/// let first = SITE_PLAN.execute(&[&a, &b]).unwrap(); // plans once
-/// let again = SITE_PLAN.execute(&[&a, &b]).unwrap(); // held Arc, no lookup
-/// assert_eq!(first.shape(), again.shape());
-/// ```
-pub struct PlanCell {
-    spec: &'static str,
-    /// Most-recently-used first.
-    held: Mutex<Vec<Arc<Plan>>>,
-}
-
-impl PlanCell {
-    /// Maximum number of shape variants held per call site.
-    pub const CAPACITY: usize = 8;
-
-    /// A cell for one einsum call site with a fixed spec string.
-    pub const fn new(spec: &'static str) -> Self {
-        PlanCell { spec, held: Mutex::new(Vec::new()) }
-    }
-
-    /// The plan for `shapes`, from the cell when held (no global-cache
-    /// traffic), planning and memoising it otherwise.
-    pub fn plan(&self, shapes: &[&[usize]]) -> Result<Arc<Plan>> {
-        let mut held = crate::lock_ignore_poison(&self.held);
-        if let Some(pos) = held.iter().position(|plan| {
-            plan.shapes.len() == shapes.len()
-                && plan.shapes.iter().zip(shapes.iter()).all(|(a, b)| a.as_slice() == *b)
-        }) {
-            let plan = Arc::clone(&held[pos]);
-            if pos != 0 {
-                held[..=pos].rotate_right(1);
-            }
-            return Ok(plan);
-        }
-        let spec = crate::einsum::parse_spec(self.spec)?;
-        let plan = contraction_plan(&spec, shapes)?;
-        held.insert(0, Arc::clone(&plan));
-        held.truncate(Self::CAPACITY);
-        Ok(plan)
-    }
-
-    /// Plan (or recall) and execute in one call.
-    pub fn execute(&self, operands: &[&Tensor]) -> Result<Tensor> {
-        let shapes: Vec<&[usize]> = operands.iter().map(|t| t.shape()).collect();
-        self.plan(&shapes)?.execute(operands)
-    }
 }
 
 /// Read the plan-cache hit/miss/eviction counters.

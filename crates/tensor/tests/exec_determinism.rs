@@ -5,7 +5,7 @@
 //! * **bit-identical** output tensors (same bytes, not just approximately
 //!   equal — accumulation order is fixed by dependency edges, never by the
 //!   schedule),
-//! * identical `flop_counter` / `real_mac_counter` deltas (billing is exact
+//! * identical complex / real MAC ledgers on a scoped `WorkMeter` (billing is exact
 //!   under concurrency; atomic adds commute),
 //! * identical realness hints on the outputs (the real-path dispatch
 //!   decision depends on data, not on the schedule).
@@ -15,7 +15,7 @@
 //! chained depth-block accumulation — actually engages, and multi-step
 //! specs so `Plan`'s step-DAG path engages too.
 
-use koala_linalg::{flop_counter, real_mac_counter};
+use koala_exec::WorkMeter;
 use koala_tensor::{einsum, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -46,9 +46,9 @@ fn sweep(spec: &str, operands: &[Tensor]) {
     let mut reference: Option<(Tensor, u64, u64)> = None;
     for &threads in &THREAD_SWEEP {
         koala_exec::set_threads(threads);
-        let (f0, r0) = (flop_counter(), real_mac_counter());
-        let out = einsum(spec, &refs).unwrap();
-        let (df, dr) = (flop_counter() - f0, real_mac_counter() - r0);
+        let meter = WorkMeter::new();
+        let out = meter.scope(|| einsum(spec, &refs)).unwrap();
+        let (df, dr) = (meter.complex_macs(), meter.real_macs());
         match &reference {
             None => reference = Some((out, df, dr)),
             Some((expected, ef, er)) => {
@@ -77,8 +77,8 @@ fn large_matmul_is_bit_identical_across_threads() {
 }
 
 /// Same, on hinted-real operands: the real microkernel path must be just as
-/// deterministic and bill `real_mac_counter` identically at every thread
-/// count (and `flop_counter` identically, namely not at all).
+/// deterministic and bill real MACs identically at every thread count (and
+/// complex MACs identically, namely not at all).
 #[test]
 fn large_real_matmul_is_bit_identical_across_threads() {
     let _guard = SERIAL.lock().unwrap();

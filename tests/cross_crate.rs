@@ -3,8 +3,9 @@
 //! other, and the distributed kernels against the local reference.
 
 use koala::cluster::{Cluster, CostModel};
+use koala::mps::ZipUpMethod;
 use koala::peps::expectation::{expectation_normalized, ExpectationOptions};
-use koala::peps::two_layer::{norm_sqr_two_layer, TwoLayerOptions};
+use koala::peps::two_layer::norm_sqr_two_layer;
 use koala::peps::{
     amplitude, dist_tebd_layer, norm_sqr, ContractionMethod, DistEvolutionVariant, Peps,
     UpdateMethod,
@@ -52,7 +53,8 @@ fn circuit_peps_statevector_consistency() {
 
     // Norms agree (the circuit is unitary so both are 1).
     let n_merged = norm_sqr(&peps, ContractionMethod::ibmps(16), &mut rng).unwrap();
-    let n_two_layer = norm_sqr_two_layer(&peps, TwoLayerOptions::with_bond(16), &mut rng).unwrap();
+    let n_two_layer =
+        norm_sqr_two_layer(&peps, 16, ZipUpMethod::implicit_default(), &mut rng).unwrap();
     assert!((n_merged - 1.0).abs() < 1e-6);
     assert!((n_two_layer - 1.0).abs() < 1e-6);
 

@@ -6,7 +6,8 @@
 //! change *when* work runs, never what it computes or what it bills.
 
 use koala::cluster::{Cluster, DistMatrix, ProcGrid};
-use koala::linalg::{flop_counter, matmul, real_mac_counter, Matrix};
+use koala::exec::WorkMeter;
+use koala::linalg::{matmul, Matrix};
 use koala::peps::Peps;
 use koala::sim::{ite_peps, tfi_hamiltonian, IteOptions, TfiParams};
 use rand::rngs::StdRng;
@@ -39,9 +40,9 @@ fn warm_tfi_ite_sweep_is_bit_identical_across_threads() {
     for &threads in &THREAD_SWEEP {
         koala::exec::set_threads(threads);
         let mut rng = StdRng::seed_from_u64(321);
-        let (f0, r0) = (flop_counter(), real_mac_counter());
-        let result = ite_peps(&peps, &h, opts, &mut rng).unwrap();
-        let (df, dr) = (flop_counter() - f0, real_mac_counter() - r0);
+        let meter = WorkMeter::new();
+        let result = meter.scope(|| ite_peps(&peps, &h, opts, &mut rng)).unwrap();
+        let (df, dr) = (meter.complex_macs(), meter.real_macs());
         let bits = result.final_energy().to_bits();
         match reference {
             None => reference = Some((bits, df, dr)),

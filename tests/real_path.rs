@@ -6,11 +6,10 @@
 //! factorization in between (the point of the realness-preserving QR / SVD /
 //! eigh / rsvd paths in `koala-linalg`).
 //!
-//! The assertions read the global GEMM work counters, so everything
-//! counter-sensitive lives in ONE `#[test]` (tests within a binary run in
-//! parallel) and this file holds nothing else that multiplies matrices.
+//! The sweep runs under a scoped `WorkMeter`, so the ledger it asserts on
+//! holds exactly the sweep's own work.
 
-use koala::linalg::gemm::{flop_counter, real_mac_counter, reset_flop_counter};
+use koala::exec::WorkMeter;
 use koala::peps::Peps;
 use koala::sim::hamiltonian::{tfi_hamiltonian, TfiParams};
 use koala::sim::{ite_peps, IteOptions, UpdateKind};
@@ -26,10 +25,11 @@ fn tfi_ite_sweep_performs_zero_complex_macs() {
     for update in [UpdateKind::QrSvd, UpdateKind::Direct, UpdateKind::GramQrSvd] {
         let mut options = IteOptions::new(0.05, 4, 2, 4);
         options.update = update;
-        reset_flop_counter();
-        let result = ite_peps(&peps, &h, options, &mut rng).expect("ITE run failed");
-        let complex = flop_counter();
-        let real = real_mac_counter();
+        let meter = WorkMeter::new();
+        let result =
+            meter.scope(|| ite_peps(&peps, &h, options, &mut rng)).expect("ITE run failed");
+        let complex = meter.complex_macs();
+        let real = meter.real_macs();
         assert_eq!(
             complex, 0,
             "{update:?}: a full TFI ITE sweep executed {complex} complex MACs — \
@@ -44,5 +44,4 @@ fn tfi_ite_sweep_performs_zero_complex_macs() {
             result.final_energy()
         );
     }
-    reset_flop_counter();
 }
