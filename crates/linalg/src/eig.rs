@@ -1,4 +1,4 @@
-//! Hermitian eigendecomposition via the cyclic complex Jacobi method.
+//! Hermitian eigendecomposition via the cyclic Jacobi method.
 //!
 //! The Gram-matrix orthogonalization of the paper's Algorithm 5 and the
 //! exponentials of local Hamiltonian terms both reduce to Hermitian
@@ -7,7 +7,7 @@
 
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
-use crate::scalar::{c64, C64};
+use crate::scalar::{Scalar, C64};
 
 /// Eigendecomposition `A = V diag(lambda) V^H` of a Hermitian matrix, with
 /// real eigenvalues sorted in ascending order and orthonormal eigenvectors in
@@ -27,165 +27,80 @@ const MAX_SWEEPS: usize = 60;
 ///
 /// The matrix is symmetrised as `(A + A^H)/2` before iterating so that tiny
 /// non-Hermitian round-off coming from upstream contractions is tolerated; a
-/// grossly non-Hermitian input is rejected.
+/// grossly non-Hermitian input is rejected, and a non-finite one is reported
+/// as such ([`LinalgError::NonFinite`]) before the Hermitian test can
+/// misname it.
+///
+/// The iteration is one algorithm over the scalar type. Inputs carrying the
+/// structural [`Matrix::is_real`] hint (a real Hermitian matrix is
+/// symmetric) run it at `f64`: the rotation phase degenerates to the sign of
+/// the off-diagonal entry, every rotation is a plain real Givens rotation,
+/// and the eigenvectors come back exactly real with the hint set, which
+/// keeps downstream GEMMs (Gram-based QR/SVD, matrix functions of real
+/// operators) on the real kernel. All other inputs run it at [`C64`].
 pub fn eigh(a: &Matrix) -> Result<EigH> {
     let (m, n) = a.shape();
     if m != n {
         return Err(LinalgError::NotSquare { nrows: m, ncols: n });
     }
+    a.validate_finite("eigh input")?;
     let scale = a.norm_max().max(1.0);
     if !a.is_hermitian(1e-8 * scale) {
         return Err(LinalgError::InvalidArgument {
             context: "eigh: matrix is not Hermitian".to_string(),
         });
     }
-    if n == 0 {
-        return Ok(EigH { values: vec![], vectors: Matrix::zeros(0, 0) });
-    }
     if a.is_real() {
-        return eigh_real(a);
+        jacobi_eigh::<f64>(a)
+    } else {
+        jacobi_eigh::<C64>(a)
     }
-
-    // Work on the Hermitian average to kill round-off asymmetry.
-    let mut h = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..n {
-            h[(i, j)] = (a[(i, j)] + a[(j, i)].conj()).scale(0.5);
-        }
-    }
-    let mut v = Matrix::identity(n);
-
-    let off = |h: &Matrix| -> f64 {
-        let mut s = 0.0;
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    s += h[(i, j)].norm_sqr();
-                }
-            }
-        }
-        s.sqrt()
-    };
-
-    let tol = 1e-14 * h.norm_fro().max(1e-300);
-    let mut converged = false;
-    for _sweep in 0..MAX_SWEEPS {
-        if off(&h) <= tol {
-            converged = true;
-            break;
-        }
-        for p in 0..n {
-            for q in (p + 1)..n {
-                let apq = h[(p, q)];
-                if apq.abs() <= 1e-300 {
-                    continue;
-                }
-                let app = h[(p, p)].re;
-                let aqq = h[(q, q)].re;
-                // Phase that makes the off-diagonal entry real and positive.
-                let phi = apq.arg();
-                let g = apq.abs();
-                // Real Jacobi rotation for [[app, g], [g, aqq]].
-                let zeta = (aqq - app) / (2.0 * g);
-                let t = if zeta >= 0.0 {
-                    1.0 / (zeta + (1.0 + zeta * zeta).sqrt())
-                } else {
-                    -1.0 / (-zeta + (1.0 + zeta * zeta).sqrt())
-                };
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = c * t;
-                // Unitary 2x2: J = diag(1, e^{-i phi}) * [[c, s], [-s, c]]
-                // i.e. columns (p', q') = (c*e_p - s*e^{-i phi} e_q, s*e_p + c*e^{-i phi} e_q).
-                let e_m = C64::cis(-phi);
-                let jpp = c64(c, 0.0);
-                let jpq = c64(s, 0.0);
-                let jqp = -e_m.scale(s);
-                let jqq = e_m.scale(c);
-
-                // A <- J^H A J : update columns then rows.
-                for i in 0..n {
-                    let aip = h[(i, p)];
-                    let aiq = h[(i, q)];
-                    h[(i, p)] = aip * jpp + aiq * jqp;
-                    h[(i, q)] = aip * jpq + aiq * jqq;
-                }
-                for j in 0..n {
-                    let apj = h[(p, j)];
-                    let aqj = h[(q, j)];
-                    h[(p, j)] = jpp.conj() * apj + jqp.conj() * aqj;
-                    h[(q, j)] = jpq.conj() * apj + jqq.conj() * aqj;
-                }
-                // V <- V J
-                for i in 0..n {
-                    let vip = v[(i, p)];
-                    let viq = v[(i, q)];
-                    v[(i, p)] = vip * jpp + viq * jqp;
-                    v[(i, q)] = vip * jpq + viq * jqq;
-                }
-            }
-        }
-    }
-    if !converged && off(&h) > 1e-8 * h.norm_fro().max(1e-300) {
-        return Err(LinalgError::NoConvergence {
-            algorithm: "jacobi-eigh",
-            iterations: MAX_SWEEPS,
-        });
-    }
-
-    let mut order: Vec<usize> = (0..n).collect();
-    let values_raw: Vec<f64> = (0..n).map(|i| h[(i, i)].re).collect();
-    order.sort_by(|&i, &j| {
-        values_raw[i].partial_cmp(&values_raw[j]).unwrap_or(std::cmp::Ordering::Equal)
-    });
-
-    let values: Vec<f64> = order.iter().map(|&i| values_raw[i]).collect();
-    let mut vectors = Matrix::zeros(n, n);
-    for (newcol, &oldcol) in order.iter().enumerate() {
-        vectors.set_col(newcol, &v.col(oldcol));
-    }
-    Ok(EigH { values, vectors })
 }
 
-/// Real-only cyclic Jacobi for inputs carrying the structural realness hint
-/// (a real Hermitian matrix is symmetric). The rotation phase of the complex
-/// branch degenerates to the sign of the off-diagonal entry, so every
-/// rotation is a plain real Givens rotation; the eigenvectors come back
-/// exactly real with the hint set, which keeps downstream GEMMs (Gram-based
-/// QR/SVD, matrix functions of real operators) on the real kernel.
-/// The property test
-/// `real_path_factorizations_match_complex_path_across_shape_classes` pins
-/// the two branches' agreement at 1e-12 — any tolerance, pivoting, or
-/// convergence change here must land in the complex branch too (and vice
-/// versa).
-fn eigh_real(a: &Matrix) -> Result<EigH> {
+/// Cosine and sine of the real Jacobi rotation that diagonalises
+/// `[[app, g], [g, aqq]]` (`g > 0`), taking the smaller of the two angles.
+/// Shared with the one-sided Jacobi SVD, whose column pairs define the same
+/// 2x2 problem.
+pub(crate) fn jacobi_rotation(app: f64, aqq: f64, g: f64) -> (f64, f64) {
+    let zeta = (aqq - app) / (2.0 * g);
+    let t = if zeta >= 0.0 {
+        1.0 / (zeta + (1.0 + zeta * zeta).sqrt())
+    } else {
+        -1.0 / (-zeta + (1.0 + zeta * zeta).sqrt())
+    };
+    let c = 1.0 / (1.0 + t * t).sqrt();
+    (c, c * t)
+}
+
+/// Cyclic Jacobi on the Hermitian average of `A`, held row-major as `T`.
+fn jacobi_eigh<T: Scalar>(a: &Matrix) -> Result<EigH> {
     let n = a.nrows();
-    // Symmetric average of the real parts kills round-off asymmetry exactly
-    // as the complex branch does.
-    let mut h = vec![0.0f64; n * n];
+    // Work on the Hermitian average to kill round-off asymmetry.
+    let mut h = vec![T::ZERO; n * n];
     for i in 0..n {
         for j in 0..n {
-            h[i * n + j] = 0.5 * (a[(i, j)].re + a[(j, i)].re);
+            h[i * n + j] = (T::from_c64(a[(i, j)]) + T::from_c64(a[(j, i)]).conj()).scale(0.5);
         }
     }
-    let mut v = vec![0.0f64; n * n];
+    let mut v = vec![T::ZERO; n * n];
     for i in 0..n {
-        v[i * n + i] = 1.0;
+        v[i * n + i] = T::ONE;
     }
 
-    let off = |h: &[f64]| -> f64 {
+    let off = |h: &[T]| -> f64 {
         let mut s = 0.0;
         for i in 0..n {
             for j in 0..n {
                 if i != j {
-                    s += h[i * n + j] * h[i * n + j];
+                    s += h[i * n + j].norm_sqr();
                 }
             }
         }
         s.sqrt()
     };
-    let fro = h.iter().map(|x| x * x).sum::<f64>().sqrt();
+    let fro = h.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt().max(1e-300);
 
-    let tol = 1e-14 * fro.max(1e-300);
+    let tol = 1e-14 * fro;
     let mut converged = false;
     for _sweep in 0..MAX_SWEEPS {
         if off(&h) <= tol {
@@ -198,25 +113,20 @@ fn eigh_real(a: &Matrix) -> Result<EigH> {
                 if apq.abs() <= 1e-300 {
                     continue;
                 }
-                let app = h[p * n + p];
-                let aqq = h[q * n + q];
-                let sign = if apq >= 0.0 { 1.0 } else { -1.0 };
+                let app = h[p * n + p].re();
+                let aqq = h[q * n + q].re();
+                // Phase that makes the off-diagonal entry real and positive.
+                let e_m = apq.unit_phase_conj();
                 let g = apq.abs();
-                let zeta = (aqq - app) / (2.0 * g);
-                let t = if zeta >= 0.0 {
-                    1.0 / (zeta + (1.0 + zeta * zeta).sqrt())
-                } else {
-                    -1.0 / (-zeta + (1.0 + zeta * zeta).sqrt())
-                };
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = c * t;
-                // J = diag(1, sign) * [[c, s], [-s, c]] — real orthogonal.
-                let jpp = c;
-                let jpq = s;
-                let jqp = -sign * s;
-                let jqq = sign * c;
+                let (c, s) = jacobi_rotation(app, aqq, g);
+                // Unitary 2x2: J = diag(1, e^{-i phi}) * [[c, s], [-s, c]]
+                // i.e. columns (p', q') = (c*e_p - s*e^{-i phi} e_q, s*e_p + c*e^{-i phi} e_q).
+                let jpp = T::from_real(c);
+                let jpq = T::from_real(s);
+                let jqp = -e_m.scale(s);
+                let jqq = e_m.scale(c);
 
-                // A <- J^T A J : update columns then rows.
+                // A <- J^H A J : update columns then rows.
                 for i in 0..n {
                     let aip = h[i * n + p];
                     let aiq = h[i * n + q];
@@ -226,8 +136,8 @@ fn eigh_real(a: &Matrix) -> Result<EigH> {
                 for j in 0..n {
                     let apj = h[p * n + j];
                     let aqj = h[q * n + j];
-                    h[p * n + j] = jpp * apj + jqp * aqj;
-                    h[q * n + j] = jpq * apj + jqq * aqj;
+                    h[p * n + j] = jpp.conj() * apj + jqp.conj() * aqj;
+                    h[q * n + j] = jpq.conj() * apj + jqq.conj() * aqj;
                 }
                 // V <- V J
                 for i in 0..n {
@@ -239,7 +149,7 @@ fn eigh_real(a: &Matrix) -> Result<EigH> {
             }
         }
     }
-    if !converged && off(&h) > 1e-8 * fro.max(1e-300) {
+    if !converged && off(&h) > 1e-8 * fro {
         return Err(LinalgError::NoConvergence {
             algorithm: "jacobi-eigh",
             iterations: MAX_SWEEPS,
@@ -247,20 +157,19 @@ fn eigh_real(a: &Matrix) -> Result<EigH> {
     }
 
     let mut order: Vec<usize> = (0..n).collect();
-    let values_raw: Vec<f64> = (0..n).map(|i| h[i * n + i]).collect();
+    let values_raw: Vec<f64> = (0..n).map(|i| h[i * n + i].re()).collect();
     order.sort_by(|&i, &j| {
         values_raw[i].partial_cmp(&values_raw[j]).unwrap_or(std::cmp::Ordering::Equal)
     });
 
     let values: Vec<f64> = order.iter().map(|&i| values_raw[i]).collect();
-    let mut vectors = vec![0.0f64; n * n];
+    let mut vectors = vec![T::ZERO; n * n];
     for (newcol, &oldcol) in order.iter().enumerate() {
         for r in 0..n {
             vectors[r * n + newcol] = v[r * n + oldcol];
         }
     }
-    let vectors = Matrix::from_real(n, n, &vectors)?;
-    Ok(EigH { values, vectors })
+    Ok(EigH { values, vectors: Matrix::from_scalars(n, n, vectors) })
 }
 
 /// Eigenvalues only (ascending).
@@ -294,6 +203,7 @@ pub fn funm_hermitian(a: &Matrix, f: impl Fn(f64) -> C64) -> Result<Matrix> {
 mod tests {
     use super::*;
     use crate::gemm::{matmul, matmul_adj_b};
+    use crate::scalar::c64;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -354,6 +264,23 @@ mod tests {
         let mut a = Matrix::zeros(2, 2);
         a[(0, 1)] = c64(5.0, 0.0);
         assert!(eigh(&a).is_err());
+    }
+
+    #[test]
+    fn non_finite_input_is_rejected_up_front() {
+        // NaN on and off the diagonal and an infinity: each must be named as
+        // corruption, not as a non-Hermitian argument.
+        for (i, j, bad) in [(1, 1, f64::NAN), (0, 2, f64::NAN), (2, 0, f64::INFINITY)] {
+            let before = koala_error::recovery::snapshot();
+            let mut a = Matrix::identity(3);
+            a[(i, j)] = c64(bad, 0.0);
+            match eigh(&a) {
+                Err(LinalgError::NonFinite { context }) => assert!(context.contains("eigh input")),
+                other => panic!("expected NonFinite, got {other:?}"),
+            }
+            let after = koala_error::recovery::snapshot();
+            assert!(after.nonfinite_detections > before.nonfinite_detections);
+        }
     }
 
     #[test]

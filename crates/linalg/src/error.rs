@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Errors produced by factorizations and solvers.
+/// Errors produced by the factorizations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LinalgError {
     /// Operand dimensions are incompatible with the requested operation.
@@ -17,8 +17,6 @@ pub enum LinalgError {
         /// Observed number of columns.
         ncols: usize,
     },
-    /// A matrix is singular (or numerically singular) where invertibility is required.
-    Singular,
     /// An iterative method did not converge within its iteration budget.
     NoConvergence {
         /// Name of the algorithm.
@@ -47,7 +45,6 @@ impl fmt::Display for LinalgError {
             LinalgError::NotSquare { nrows, ncols } => {
                 write!(f, "matrix must be square, got {nrows}x{ncols}")
             }
-            LinalgError::Singular => write!(f, "matrix is singular"),
             LinalgError::NoConvergence { algorithm, iterations } => {
                 write!(f, "{algorithm} did not converge after {iterations} iterations")
             }
@@ -70,7 +67,6 @@ impl From<LinalgError> for koala_error::KoalaError {
             LinalgError::DimensionMismatch { .. } | LinalgError::NotSquare { .. } => {
                 ErrorKind::Shape
             }
-            LinalgError::Singular => ErrorKind::Numerical,
             LinalgError::NoConvergence { .. } => ErrorKind::NoConvergence,
             LinalgError::InvalidArgument { .. } => ErrorKind::InvalidArgument,
             LinalgError::NonFinite { .. } => ErrorKind::NonFinite,

@@ -14,7 +14,6 @@ use crate::eig::eigh;
 use crate::error::Result;
 use crate::gemm::{gemm, matmul, matmul_adj_a, Op};
 use crate::matrix::Matrix;
-use crate::scalar::c64;
 use crate::svd::{scale_cols, svd};
 
 /// Result of the Gram-based orthogonalization.
@@ -28,15 +27,8 @@ pub struct GramQr {
     pub r_inv: Matrix,
 }
 
-/// Factor `A = Q R` through the Gram matrix `G = A^H A` (Algorithm 5).
-///
-/// Directions of `G` whose eigenvalue is below `rel_tol^2 * lambda_max` are
-/// treated as numerically null: the corresponding rows of `R` are kept (so the
-/// reconstruction `Q R ≈ A` still holds to round-off) but their contribution
-/// to `R^{-1}` is zeroed, exactly like a pseudo-inverse.
-pub fn gram_qr(a: &Matrix) -> Result<GramQr> {
-    gram_qr_with_tol(a, 1e-12)
-}
+/// Relative rank tolerance of [`gram_qr`] and of its QR+SVD fallback.
+const GRAM_RANK_TOL: f64 = 1e-12;
 
 /// Relative eigenvalue floor below which the Gram matrix is considered to
 /// have lost positive semi-definiteness. Round-off on a legitimate
@@ -46,7 +38,12 @@ pub fn gram_qr(a: &Matrix) -> Result<GramQr> {
 /// instability the paper trades QR+SVD against Gram-based factorization for.
 const GRAM_PSD_FLOOR: f64 = 1e-10;
 
-/// [`gram_qr`] with an explicit relative rank tolerance.
+/// Factor `A = Q R` through the Gram matrix `G = A^H A` (Algorithm 5).
+///
+/// Directions of `G` whose eigenvalue is below `GRAM_RANK_TOL^2 * lambda_max`
+/// are treated as numerically null: the corresponding rows of `R` are kept
+/// (so the reconstruction `Q R ≈ A` still holds to round-off) but their
+/// contribution to `R^{-1}` is zeroed, exactly like a pseudo-inverse.
 ///
 /// Ill-conditioning is detected, not suffered: if the eigendecomposition of
 /// `G = A^H A` fails, produces non-finite values, or shows an eigenvalue
@@ -55,7 +52,7 @@ const GRAM_PSD_FLOOR: f64 = 1e-10;
 /// stable at roughly twice the big-operand cost — and records the degradation
 /// on the [`koala_error::recovery`] counters. Non-finite *inputs* are
 /// rejected up front instead of degraded: no factorization can repair them.
-pub fn gram_qr_with_tol(a: &Matrix, rel_tol: f64) -> Result<GramQr> {
+pub fn gram_qr(a: &Matrix) -> Result<GramQr> {
     a.validate_finite("gram_qr input")?;
     let g = matmul_adj_a(a, a);
     let healthy = if g.validate_finite("gram matrix").is_err() {
@@ -77,24 +74,26 @@ pub fn gram_qr_with_tol(a: &Matrix, rel_tol: f64) -> Result<GramQr> {
     };
     let Some((e, lam_max)) = healthy else {
         koala_error::recovery::note_qr_degradation();
-        return qr_svd_degrade(a, rel_tol);
+        return qr_svd_degrade(a);
     };
-    let (r, r_inv) = gram_r_factors(&e, lam_max * rel_tol * rel_tol);
+    let (r, r_inv) = gram_r_factors(&e, lam_max * GRAM_RANK_TOL * GRAM_RANK_TOL);
     let q = matmul(a, &r_inv);
     q.validate_finite("gram_qr Q factor")?;
     Ok(GramQr { q, r, r_inv })
 }
 
-/// Stable fallback for [`gram_qr_with_tol`]: conventional QR of the big
+/// Stable fallback for [`gram_qr`]: conventional QR of the big
 /// operand, with `R^{-1}` recovered as a pseudo-inverse through the SVD of
 /// the small square `R` (so rank-deficient directions are zeroed exactly
 /// like the Gram path would).
-fn qr_svd_degrade(a: &Matrix, rel_tol: f64) -> Result<GramQr> {
+fn qr_svd_degrade(a: &Matrix) -> Result<GramQr> {
     let f = crate::qr::qr(a);
     let sv = svd(&f.r)?;
     let smax = sv.s.first().copied().unwrap_or(0.0);
     let pinv_s: Vec<f64> =
-        sv.s.iter().map(|&x| if x > smax * rel_tol && x > 0.0 { 1.0 / x } else { 0.0 }).collect();
+        sv.s.iter()
+            .map(|&x| if x > smax * GRAM_RANK_TOL && x > 0.0 { 1.0 / x } else { 0.0 })
+            .collect();
     // pinv(R) = V S^+ U^H, assembled through the fused-adjoint GEMM as
     // (V^H)^H * (U S^+)^H — no factor adjoint is materialised.
     let us = scale_cols(&sv.u, &pinv_s);
@@ -111,7 +110,7 @@ fn qr_svd_degrade(a: &Matrix, rel_tol: f64) -> Result<GramQr> {
 /// `cutoff` (or non-positive) contribute zero columns to `R^{-1}`, exactly
 /// like a pseudo-inverse.
 ///
-/// Shared by [`gram_qr_with_tol`] and the distributed `gram_qr_dist` of
+/// Shared by [`gram_qr`] and the distributed `gram_qr_dist` of
 /// `koala-cluster`, which replicate the same small assembly on every rank.
 pub fn gram_r_factors(e: &crate::eig::EigH, cutoff: f64) -> (Matrix, Matrix) {
     let n = e.values.len();
@@ -136,19 +135,6 @@ pub fn gram_r_factors(e: &crate::eig::EigH, cutoff: f64) -> (Matrix, Matrix) {
         r_inv.assume_real();
     }
     (r, r_inv)
-}
-
-/// Orthogonalization through the Gram matrix, discarding `R` (used when only
-/// an orthonormal basis of the column space is needed, e.g. inside the
-/// randomized SVD when run on the distributed backend).
-pub fn gram_orthonormalize(a: &Matrix) -> Result<Matrix> {
-    Ok(gram_qr(a)?.q)
-}
-
-/// Symmetric (principal) square root of a Hermitian positive semi-definite
-/// matrix, used by tests and by the MPS canonicalization.
-pub fn sqrtm_psd(a: &Matrix) -> Result<Matrix> {
-    crate::eig::funm_hermitian(a, |lam| c64(lam.max(0.0).sqrt(), 0.0))
 }
 
 #[cfg(test)]
@@ -213,31 +199,22 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(85);
         // Full-rank tall input.
         let a = Matrix::random(25, 4, &mut rng);
-        let f = super::qr_svd_degrade(&a, 1e-12).unwrap();
+        let f = super::qr_svd_degrade(&a).unwrap();
         assert!(matmul(&f.q, &f.r).approx_eq(&a, 1e-9));
         assert!(f.q.has_orthonormal_cols(1e-8));
         assert!(matmul(&f.r, &f.r_inv).approx_eq(&Matrix::identity(4), 1e-8));
         // Rank-deficient input: R^{-1} acts as a pseudo-inverse, exactly like
         // the Gram path ([`rank_deficient_input_gets_pseudo_inverse`]).
         let b = matmul(&Matrix::random(20, 2, &mut rng), &Matrix::random(2, 5, &mut rng));
-        let f = super::qr_svd_degrade(&b, 1e-10).unwrap();
+        let f = super::qr_svd_degrade(&b).unwrap();
         assert!(matmul(&f.q, &f.r).approx_eq(&b, 1e-8));
         let pinv = matmul(&f.r_inv, &f.r);
         // R^{-1} R is a rank-2 projector in R's row space.
         assert!(matmul(&pinv, &pinv).approx_eq(&pinv, 1e-7));
         // Realness propagates through the degrade path.
         let c = Matrix::random_real(15, 3, &mut rng);
-        let f = super::qr_svd_degrade(&c, 1e-12).unwrap();
+        let f = super::qr_svd_degrade(&c).unwrap();
         assert!(f.q.is_real() && f.r_inv.is_real());
         assert!(matmul(&f.q, &f.r).approx_eq(&c, 1e-9));
-    }
-
-    #[test]
-    fn sqrtm_squares_back() {
-        let mut rng = StdRng::seed_from_u64(84);
-        let b = Matrix::random(6, 6, &mut rng);
-        let a = matmul_adj_a(&b, &b); // PSD
-        let s = sqrtm_psd(&a).unwrap();
-        assert!(matmul(&s, &s).approx_eq(&a, 1e-8));
     }
 }

@@ -13,20 +13,22 @@
 //!   (packed panels shared across macro-tiles on the `koala-exec`
 //!   executor),
 //! * [`mod@qr`] — thin QR (modified Gram-Schmidt with reorthogonalization),
-//! * [`mod@svd`] — one-sided Jacobi SVD, truncated SVD, Gram-based SVD,
-//! * [`mod@eig`] — Hermitian Jacobi eigendecomposition and matrix functions,
+//! * [`mod@svd`] — one-sided Jacobi SVD with a recovery ladder, Gram-based
+//!   SVD,
+//! * [`mod@eig`] — Hermitian Jacobi eigendecomposition and matrix functions
+//!   (each of these three is one algorithm, generic over the scalar and
+//!   instantiated at `f64` for hinted-real inputs and at `C64` otherwise),
 //! * [`mod@rsvd`] — randomized SVD with implicitly applied operators
 //!   (paper Algorithm 4),
 //! * [`mod@gram`] — reshape-avoiding Gram-matrix orthogonalization
 //!   (paper Algorithm 5, local math),
-//! * [`mod@solve`] — LU / triangular solvers, least squares, and inverses,
 //! * [`mod@expm`] — matrix exponentials for time evolution and gate synthesis,
 //! * [`mod@lanczos`] — ground states of large implicit Hermitian operators.
 //!
 //! A design rule runs through the whole crate: **transposition is never
 //! materialised on a multiply path.** The packed GEMM fuses
 //! [`Op::Adjoint`](gemm::Op) / [`Op::Transpose`](gemm::Op) into operand
-//! packing, and the SVD / Gram / randomized-SVD / solve kernels route their
+//! packing, and the SVD / Gram / randomized-SVD kernels route their
 //! products through those fused paths instead of calling
 //! [`Matrix::adjoint`]. The [`matrix::transpose_counter`] diagnostic lets
 //! tests pin that property down.
@@ -87,7 +89,6 @@ pub mod microkernel;
 pub mod pack;
 pub mod qr;
 pub mod rsvd;
-pub mod solve;
 pub mod svd;
 
 pub use error::{LinalgError, Result};
@@ -98,11 +99,8 @@ pub use scalar::{c64, C64};
 pub use eig::{eigh, eigvalsh, funm_hermitian, EigH};
 pub use expm::{expm, expm_hermitian};
 pub use gemm::{gemm, gemm_into, gemm_into_real, matmul, matmul_adj_a, matmul_adj_b, Op};
-pub use gram::{gram_orthonormalize, gram_qr, gram_r_factors, GramQr};
+pub use gram::{gram_qr, gram_r_factors, GramQr};
 pub use lanczos::{lanczos_ground_state, DenseHermitianOp, HermitianOp, LanczosResult};
 pub use qr::{orthonormalize, qr, QrFactors};
 pub use rsvd::{rsvd, LinearOp, MatOp, RsvdOptions};
-pub use solve::{inverse, lstsq, lu, solve, solve_upper_triangular, upper_triangular_inverse};
-pub use svd::{
-    low_rank_factors, scale_cols, scale_rows, spectral_norm, svd, svd_gram, svd_truncated, Svd,
-};
+pub use svd::{scale_cols, scale_rows, svd, svd_gram, Svd};

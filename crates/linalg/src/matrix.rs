@@ -1,7 +1,7 @@
 //! Dense row-major complex matrix.
 
 use crate::error::{LinalgError, Result};
-use crate::scalar::{c64, C64};
+use crate::scalar::{c64, Scalar, C64};
 use rand::Rng;
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
@@ -105,6 +105,30 @@ impl Matrix {
         let mut m = Matrix::from_vec(nrows, ncols, cdata)?;
         m.real = true;
         Ok(m)
+    }
+
+    /// Build from a row-major buffer of either factorization scalar. The
+    /// realness hint is set exactly when `T = f64`: real by construction,
+    /// never by a scan.
+    pub(crate) fn from_scalars<T: Scalar>(nrows: usize, ncols: usize, data: Vec<T>) -> Self {
+        assert_eq!(data.len(), nrows * ncols, "from_scalars: buffer is not nrows x ncols");
+        let data = data.into_iter().map(T::to_c64).collect();
+        Matrix { nrows, ncols, data, real: T::IS_REAL }
+    }
+
+    /// The columns of `self` — or, with `adjoint`, of `self^H`, read straight
+    /// off the conjugated rows so no adjoint is materialised — as owned
+    /// vectors of either factorization scalar.
+    pub(crate) fn gather_cols<T: Scalar>(&self, adjoint: bool) -> Vec<Vec<T>> {
+        if adjoint {
+            (0..self.nrows)
+                .map(|j| self.row(j).iter().map(|&z| T::from_c64(z).conj()).collect())
+                .collect()
+        } else {
+            (0..self.ncols)
+                .map(|j| (0..self.nrows).map(|i| T::from_c64(self[(i, j)])).collect())
+                .collect()
+        }
     }
 
     /// Build from nested rows (primarily for tests and gate definitions).
@@ -312,7 +336,7 @@ impl Matrix {
     ///
     /// Note the GEMM layer never calls this: [`crate::gemm::gemm`] fuses
     /// transposition into operand packing instead of materialising a copy.
-    /// The linalg kernels (`svd`, `gram`, `rsvd`, `solve`) likewise route
+    /// The linalg kernels (`svd`, `gram`, `rsvd`) likewise route
     /// their multiplications through [`crate::gemm::Op::Adjoint`] /
     /// [`crate::gemm::Op::Transpose`] — [`transpose_counter`] counts the
     /// materialisations that remain, so tests can pin that property down.

@@ -6,9 +6,8 @@
 //! the implementation simple and easy to distribute (the Gram-matrix variant
 //! in [`crate::gram`] / `koala-cluster` follows the paper's Algorithm 5).
 
-use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
-use crate::scalar::{c64, C64};
+use crate::scalar::{Scalar, C64};
 
 /// Result of a thin QR factorization `A = Q R` with `Q` of shape `(m, k)` and
 /// `R` upper triangular of shape `(k, n)`, where `k = min(m, n)`.
@@ -27,33 +26,40 @@ pub struct QrFactors {
 /// diagonal of `R` is set to zero, so `Q` always has exactly `min(m, n)`
 /// orthonormal columns and `A = Q R` still holds.
 ///
-/// Inputs carrying the structural [`Matrix::is_real`] hint run through a
-/// real-only inner loop (`f64` projections, no imaginary lane ever touched)
-/// and both factors come back carrying the hint, so downstream products stay
-/// on the real GEMM kernel.
+/// The iteration is one algorithm over the scalar type. Inputs carrying the
+/// structural [`Matrix::is_real`] hint run it at `f64` (no imaginary lane
+/// ever touched — roughly a quarter of the arithmetic and half the memory
+/// traffic) and both factors come back carrying the hint, so downstream
+/// products stay on the real GEMM kernel; all other inputs run it at
+/// [`C64`].
 pub fn qr(a: &Matrix) -> QrFactors {
     if a.is_real() {
-        return qr_real(a);
+        mgs::<f64>(a)
+    } else {
+        mgs::<C64>(a)
     }
+}
+
+/// Twice-applied modified Gram-Schmidt over the columns of `A` held as `T`.
+fn mgs<T: Scalar>(a: &Matrix) -> QrFactors {
     let (m, n) = a.shape();
     let k = m.min(n);
-    let mut q = Matrix::zeros(m, k);
-    let mut r = Matrix::zeros(k, n);
+    let mut q_cols: Vec<Vec<T>> = Vec::with_capacity(k);
+    let mut r = vec![T::ZERO; k * n];
 
     // Working copy of the columns we are orthogonalizing.
-    let mut cols: Vec<Vec<C64>> = (0..n).map(|j| a.col(j)).collect();
+    let mut cols: Vec<Vec<T>> = a.gather_cols(false);
     let scale = a.norm_max().max(1.0);
     let tol = scale * 1e-14;
 
     for j in 0..k {
         // Two passes of projection against the established basis.
         for _ in 0..2 {
-            for i in 0..j {
-                let qi = q.col(i);
-                let proj: C64 = qi.iter().zip(cols[j].iter()).map(|(qe, ce)| qe.conj() * *ce).sum();
+            for (i, qi) in q_cols.iter().enumerate() {
+                let proj: T = qi.iter().zip(cols[j].iter()).map(|(qe, ce)| qe.conj() * *ce).sum();
                 // Both passes accumulate into R; the second pass adds the
                 // small correction left over by the first.
-                r[(i, j)] += proj;
+                r[i * n + j] += proj;
                 for (ce, qe) in cols[j].iter_mut().zip(qi.iter()) {
                     *ce -= *qe * proj;
                 }
@@ -61,23 +67,20 @@ pub fn qr(a: &Matrix) -> QrFactors {
         }
         let norm = cols[j].iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
         if norm > tol {
-            r[(j, j)] = c64(norm, 0.0);
+            r[j * n + j] = T::from_real(norm);
             let inv = 1.0 / norm;
-            let unit: Vec<C64> = cols[j].iter().map(|&z| z * inv).collect();
-            q.set_col(j, &unit);
+            q_cols.push(cols[j].iter().map(|z| z.scale(inv)).collect());
         } else {
-            // Numerically zero column: extend the basis with a canonical
-            // vector orthogonalized against what we have so far.
-            r[(j, j)] = C64::ZERO;
-            let mut v = vec![C64::ZERO; m];
+            // Numerically zero column (its diagonal of R stays zero): extend
+            // the basis with a canonical vector orthogonalized against what
+            // we have so far.
+            let mut v = vec![T::ZERO; m];
             'seed: for seed in 0..m {
-                v.iter_mut().for_each(|z| *z = C64::ZERO);
-                v[seed] = C64::ONE;
+                v.iter_mut().for_each(|z| *z = T::ZERO);
+                v[seed] = T::ONE;
                 for _ in 0..2 {
-                    for i in 0..j {
-                        let qi = q.col(i);
-                        let proj: C64 =
-                            qi.iter().zip(v.iter()).map(|(qe, ce)| qe.conj() * *ce).sum();
+                    for qi in q_cols.iter() {
+                        let proj: T = qi.iter().zip(v.iter()).map(|(qe, ce)| qe.conj() * *ce).sum();
                         for (ce, qe) in v.iter_mut().zip(qi.iter()) {
                             *ce -= *qe * proj;
                         }
@@ -86,79 +89,7 @@ pub fn qr(a: &Matrix) -> QrFactors {
                 let nv = v.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
                 if nv > 0.5 {
                     let inv = 1.0 / nv;
-                    v.iter_mut().for_each(|z| *z = *z * inv);
-                    break 'seed;
-                }
-            }
-            q.set_col(j, &v);
-        }
-    }
-
-    // Remaining columns (n > m case): project onto the finished basis.
-    for j in k..n {
-        for i in 0..k {
-            let qi = q.col(i);
-            let proj: C64 = qi.iter().zip(cols[j].iter()).map(|(qe, ce)| qe.conj() * *ce).sum();
-            r[(i, j)] = proj;
-        }
-    }
-
-    QrFactors { q, r }
-}
-
-/// Real-only modified Gram-Schmidt: the same algorithm as the complex branch
-/// of [`qr`], executed on the real parts alone (the hint guarantees the
-/// imaginary parts are exactly zero). Roughly a quarter of the arithmetic and
-/// half the memory traffic of running the complex loop over real data; the
-/// outputs are exactly real by construction and carry the hint.
-///
-/// The property test `real_path_factorizations_match_complex_path_across_shape_classes` pins the two branches' agreement at 1e-12 — any tolerance, pivoting, or convergence change here must land in the complex branch too (and vice versa).
-fn qr_real(a: &Matrix) -> QrFactors {
-    let (m, n) = a.shape();
-    let k = m.min(n);
-    let mut q_cols: Vec<Vec<f64>> = Vec::with_capacity(k);
-    let mut r = vec![0.0f64; k * n];
-
-    let mut cols: Vec<Vec<f64>> = (0..n).map(|j| (0..m).map(|i| a[(i, j)].re).collect()).collect();
-    let scale = a.norm_max().max(1.0);
-    let tol = scale * 1e-14;
-
-    for j in 0..k {
-        // Two passes of projection against the established basis.
-        for _ in 0..2 {
-            for i in 0..j {
-                let qi = &q_cols[i];
-                let proj: f64 = qi.iter().zip(cols[j].iter()).map(|(qe, ce)| qe * ce).sum();
-                r[i * n + j] += proj;
-                for (ce, qe) in cols[j].iter_mut().zip(qi.iter()) {
-                    *ce -= *qe * proj;
-                }
-            }
-        }
-        let norm = cols[j].iter().map(|x| x * x).sum::<f64>().sqrt();
-        if norm > tol {
-            r[j * n + j] = norm;
-            let inv = 1.0 / norm;
-            q_cols.push(cols[j].iter().map(|&x| x * inv).collect());
-        } else {
-            // Numerically zero column: extend the basis with a canonical
-            // vector orthogonalized against what we have so far.
-            let mut v = vec![0.0f64; m];
-            'seed: for seed in 0..m {
-                v.iter_mut().for_each(|x| *x = 0.0);
-                v[seed] = 1.0;
-                for _ in 0..2 {
-                    for qi in q_cols.iter() {
-                        let proj: f64 = qi.iter().zip(v.iter()).map(|(qe, ce)| qe * ce).sum();
-                        for (ce, qe) in v.iter_mut().zip(qi.iter()) {
-                            *ce -= *qe * proj;
-                        }
-                    }
-                }
-                let nv = v.iter().map(|x| x * x).sum::<f64>().sqrt();
-                if nv > 0.5 {
-                    let inv = 1.0 / nv;
-                    v.iter_mut().for_each(|x| *x *= inv);
+                    v.iter_mut().for_each(|z| *z = z.scale(inv));
                     break 'seed;
                 }
             }
@@ -169,41 +100,22 @@ fn qr_real(a: &Matrix) -> QrFactors {
     // Remaining columns (n > m case): project onto the finished basis.
     for j in k..n {
         for (i, qi) in q_cols.iter().enumerate() {
-            r[i * n + j] = qi.iter().zip(cols[j].iter()).map(|(qe, ce)| qe * ce).sum();
+            r[i * n + j] = qi.iter().zip(cols[j].iter()).map(|(qe, ce)| qe.conj() * *ce).sum();
         }
     }
 
-    let mut q_data = vec![0.0f64; m * k];
+    let mut q = vec![T::ZERO; m * k];
     for (j, col) in q_cols.iter().enumerate() {
         for (i, &x) in col.iter().enumerate() {
-            q_data[i * k + j] = x;
+            q[i * k + j] = x;
         }
     }
-    let q = Matrix::from_real(m, k, &q_data)
-        .unwrap_or_else(|_| unreachable!("qr_real: Q buffer is sized m*k by construction"));
-    let r = Matrix::from_real(k, n, &r)
-        .unwrap_or_else(|_| unreachable!("qr_real: R buffer is sized k*n by construction"));
-    QrFactors { q, r }
+    QrFactors { q: Matrix::from_scalars(m, k, q), r: Matrix::from_scalars(k, n, r) }
 }
 
 /// Orthonormalize the columns of `a`, returning only the `Q` factor.
 pub fn orthonormalize(a: &Matrix) -> Matrix {
     qr(a).q
-}
-
-/// QR of a square matrix with an invertibility check on `R`.
-pub fn qr_square_invertible(a: &Matrix) -> Result<QrFactors> {
-    let (m, n) = a.shape();
-    if m != n {
-        return Err(LinalgError::NotSquare { nrows: m, ncols: n });
-    }
-    let f = qr(a);
-    for i in 0..n {
-        if f.r[(i, i)].abs() < 1e-13 * a.norm_max().max(1.0) {
-            return Err(LinalgError::Singular);
-        }
-    }
-    Ok(f)
 }
 
 #[cfg(test)]
@@ -272,18 +184,6 @@ mod tests {
         let QrFactors { q, r } = qr(&a);
         assert!(q.approx_eq(&Matrix::identity(4), 1e-14));
         assert!(r.approx_eq(&Matrix::identity(4), 1e-14));
-    }
-
-    #[test]
-    fn square_invertible_check() {
-        let mut rng = StdRng::seed_from_u64(24);
-        let a = Matrix::random(6, 6, &mut rng);
-        assert!(qr_square_invertible(&a).is_ok());
-        assert!(matches!(qr_square_invertible(&Matrix::zeros(3, 3)), Err(LinalgError::Singular)));
-        assert!(matches!(
-            qr_square_invertible(&Matrix::zeros(3, 4)),
-            Err(LinalgError::NotSquare { .. })
-        ));
     }
 
     #[test]

@@ -304,6 +304,135 @@ impl<'a> Sum<&'a C64> for C64 {
     }
 }
 
+/// The element type of one instantiation of the dense factorizations.
+///
+/// `svd`, `qr` and `eigh` are each written once over `T: Scalar` and
+/// instantiated twice: at `f64` for inputs carrying the structural realness
+/// hint (no imaginary lane is ever touched) and at [`C64`] for everything
+/// else. Every method is the operation the algorithms need in the one form
+/// both scalars share, so the only place the instantiations differ in kind
+/// is [`Scalar::unit_phase_conj`].
+pub(crate) trait Scalar:
+    Copy + Add<Output = Self> + Mul<Output = Self> + Neg<Output = Self> + AddAssign + SubAssign + Sum
+{
+    /// The additive identity.
+    const ZERO: Self;
+    /// The multiplicative identity.
+    const ONE: Self;
+    /// Whether a matrix of `Self` is real by construction, i.e. whether
+    /// factors assembled from it carry the realness hint.
+    const IS_REAL: bool;
+    /// Embed a real number.
+    fn from_real(x: f64) -> Self;
+    /// Read an entry of a [`Matrix`](crate::matrix::Matrix). At `f64` this
+    /// takes the real part, which loses nothing exactly when the matrix
+    /// carries the realness hint.
+    fn from_c64(z: C64) -> Self;
+    /// Write an entry of a [`Matrix`](crate::matrix::Matrix).
+    fn to_c64(self) -> C64;
+    /// Real part.
+    fn re(self) -> f64;
+    /// Complex conjugate (the identity at `f64`).
+    fn conj(self) -> Self;
+    /// Squared modulus.
+    fn norm_sqr(self) -> f64;
+    /// Modulus.
+    fn abs(self) -> f64;
+    /// Scale by a real factor.
+    fn scale(self, s: f64) -> Self;
+    /// The unit phase `e^{-i arg z}` that rotates `z` onto the non-negative
+    /// real axis: `cis(-arg z)` at `C64`, the sign of `z` at `f64`.
+    fn unit_phase_conj(self) -> Self;
+}
+
+impl Scalar for f64 {
+    const ZERO: Self = 0.0;
+    const ONE: Self = 1.0;
+    const IS_REAL: bool = true;
+    #[inline(always)]
+    fn from_real(x: f64) -> Self {
+        x
+    }
+    #[inline(always)]
+    fn from_c64(z: C64) -> Self {
+        z.re
+    }
+    #[inline(always)]
+    fn to_c64(self) -> C64 {
+        C64::from_real(self)
+    }
+    #[inline(always)]
+    fn re(self) -> f64 {
+        self
+    }
+    #[inline(always)]
+    fn conj(self) -> Self {
+        self
+    }
+    #[inline(always)]
+    fn norm_sqr(self) -> f64 {
+        self * self
+    }
+    #[inline(always)]
+    fn abs(self) -> f64 {
+        f64::abs(self)
+    }
+    #[inline(always)]
+    fn scale(self, s: f64) -> Self {
+        self * s
+    }
+    #[inline(always)]
+    fn unit_phase_conj(self) -> Self {
+        if self >= 0.0 {
+            1.0
+        } else {
+            -1.0
+        }
+    }
+}
+
+impl Scalar for C64 {
+    const ZERO: Self = C64::ZERO;
+    const ONE: Self = C64::ONE;
+    const IS_REAL: bool = false;
+    #[inline(always)]
+    fn from_real(x: f64) -> Self {
+        C64::from_real(x)
+    }
+    #[inline(always)]
+    fn from_c64(z: C64) -> Self {
+        z
+    }
+    #[inline(always)]
+    fn to_c64(self) -> C64 {
+        self
+    }
+    #[inline(always)]
+    fn re(self) -> f64 {
+        self.re
+    }
+    #[inline(always)]
+    fn conj(self) -> Self {
+        C64::conj(self)
+    }
+    #[inline(always)]
+    fn norm_sqr(self) -> f64 {
+        C64::norm_sqr(self)
+    }
+    #[inline(always)]
+    fn abs(self) -> f64 {
+        C64::abs(self)
+    }
+    #[inline(always)]
+    fn scale(self, s: f64) -> Self {
+        C64::scale(self, s)
+    }
+    #[inline(always)]
+    fn unit_phase_conj(self) -> Self {
+        C64::cis(-self.arg())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,14 +7,14 @@
 //! copy, the difference would show up as at least one full operand size.
 //!
 //! The same property is asserted for the higher-level kernels: the SVD wide
-//! fallbacks, Gram QR, randomized SVD, and the least-squares solver must not
-//! call `Matrix::adjoint` / `Matrix::transpose` at all (tracked by the
-//! transpose-materialisation counter), and the wide-input SVD must stay
-//! within the tall-input allocation footprint.
+//! fallbacks, Gram QR and randomized SVD must not call `Matrix::adjoint` /
+//! `Matrix::transpose` at all (tracked by the transpose-materialisation
+//! counter), and the wide-input SVD must stay within the tall-input
+//! allocation footprint.
 
 use koala_linalg::gemm::{gemm, matmul, Op};
 use koala_linalg::{
-    gram_qr, lstsq, reset_transpose_counter, rsvd, svd, svd_gram, transpose_counter, MatOp, Matrix,
+    gram_qr, reset_transpose_counter, rsvd, svd, svd_gram, transpose_counter, MatOp, Matrix,
     RsvdOptions,
 };
 use rand::rngs::StdRng;
@@ -94,7 +94,7 @@ fn transposed_gemm_does_not_materialize_operands() {
 }
 
 /// The multiply paths of `svd` (wide fallback), `svd_gram` (both
-/// orientations), `gram_qr`, `rsvd`, and `lstsq` must never materialise a
+/// orientations), `gram_qr` and `rsvd` must never materialise a
 /// transposed operand: every product routes the transposition through
 /// `Op::Adjoint` / `Op::Transpose` GEMM packing, and the factors are
 /// assembled element-wise in their destination layout.
@@ -104,7 +104,6 @@ fn linalg_kernels_do_not_materialize_adjoints() {
     let mut rng = StdRng::seed_from_u64(8);
     let tall = Matrix::random(40, 7, &mut rng);
     let wide = Matrix::random(7, 40, &mut rng);
-    let rhs = Matrix::random(40, 3, &mut rng);
 
     reset_transpose_counter();
     let f = svd(&wide).unwrap();
@@ -117,13 +116,7 @@ fn linalg_kernels_do_not_materialize_adjoints() {
     assert!(matmul(&q.q, &q.r).approx_eq(&tall, 1e-8));
     let r = rsvd(&MatOp::new(&tall), RsvdOptions::with_rank(5), &mut rng).unwrap();
     assert_eq!(r.rank(), 5);
-    let x = lstsq(&tall, &rhs).unwrap();
-    assert_eq!(x.shape(), (7, 3));
-    assert_eq!(
-        transpose_counter(),
-        0,
-        "svd/gram/rsvd/solve multiply paths materialised a transpose"
-    );
+    assert_eq!(transpose_counter(), 0, "svd/gram/rsvd multiply paths materialised a transpose");
 }
 
 /// Counting-allocator check on the SVD wide fallback: factorizing a wide

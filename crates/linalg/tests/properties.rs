@@ -92,20 +92,6 @@ proptest! {
     }
 
     #[test]
-    fn lu_solve_recovers_solution(n in 1usize..8, cols in 1usize..4, seed in 0u64..1000) {
-        let a = seeded_matrix(n, n, seed);
-        // Shift the diagonal so singularity is essentially impossible.
-        let mut a = a;
-        for i in 0..n {
-            a[(i, i)] += c64(3.0, 0.0);
-        }
-        let x = seeded_matrix(n, cols, seed.wrapping_add(13));
-        let b = matmul(&a, &x);
-        let solved = solve(&a, &b).unwrap();
-        prop_assert!(solved.approx_eq(&x, 1e-7));
-    }
-
-    #[test]
     fn rsvd_recovers_exact_low_rank(m in 4usize..20, n in 4usize..20, r in 1usize..4, seed in 0u64..1000) {
         let mut rng = StdRng::seed_from_u64(seed);
         let r = r.min(m).min(n);
@@ -376,25 +362,6 @@ fn real_path_factorizations_match_complex_path_across_shape_classes() {
         "gram_qr factors must carry the hint"
     );
     assert!(matmul(&g.q, &g.r).approx_eq(&t, 1e-9));
-
-    // LU solve: real elimination vs complex elimination on the same system.
-    let a = {
-        let mut a = Matrix::random_real(7, 7, &mut rng);
-        for i in 0..7 {
-            let d = a[(i, i)] + c64(7.0, 0.0);
-            a[(i, i)] = d; // diagonally dominant, well-conditioned
-        }
-        a.mark_real_if_exact();
-        a
-    };
-    let b = Matrix::random_real(7, 3, &mut rng);
-    let xr = solve(&a, &b).unwrap();
-    let xc = solve(&launder(&a), &launder(&b)).unwrap();
-    assert!(xr.is_real(), "real LU solution must carry the hint");
-    assert!(xr.max_diff(&xc) <= 1e-12, "LU solution mismatch");
-    let xl = lstsq(&Matrix::random_real(20, 4, &mut rng), &Matrix::random_real(20, 2, &mut rng))
-        .unwrap();
-    assert!(xl.is_real(), "lstsq solution must carry the hint");
 
     // rsvd: a structurally real operator draws a real sketch, so the whole
     // iteration stays real and the factors carry the hint.
