@@ -19,8 +19,9 @@
 //!   actually executed (2 per real MAC), which shows the real kernel trading
 //!   arithmetic for memory-boundedness.
 //! * `real_factorization` — the realness-preserving factorization paths
-//!   (QR / one-sided Jacobi SVD / eigh / Gram QR) on hint-carrying real
-//!   matrices against the complex paths on the *same* (hint-laundered) data.
+//!   (QR / QR-preconditioned Jacobi SVD / eigh / Gram QR) on hint-carrying
+//!   real matrices against the complex paths on the *same* (hint-laundered)
+//!   data.
 //!   `effective_gflops` credits each run the same nominal
 //!   `8 * m * n * min(m, n)` flops for solving the same problem, so the
 //!   ratio equals the wall-time speedup and the CI gate can compare runs.
@@ -44,7 +45,7 @@
 
 use koala_exec::WorkMeter;
 use koala_json::JsonValue;
-use koala_linalg::gemm::{gemm, matmul_seed, Op};
+use koala_linalg::gemm::{gemm, matmul, matmul_seed, Op};
 use koala_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -209,13 +210,22 @@ fn main() {
         ("qr_tall", 384, 96),
         ("svd_square", 96, 96),
         ("svd_wide", 64, 192),
+        // The zip-up theta of `contract_bmps` and the rank-8 theta of
+        // `rqc_amplitudes` (benchmark/): the shapes the QR-preconditioned
+        // Jacobi was measured on.
+        ("svd_wide_bmps", 49, 343),
+        ("svd_rankdef", 32, 512),
         ("eigh", 96, 96),
         ("gram_qr_tall", 512, 64),
     ];
     let fact_reps = 5;
     for &(label, m, n) in fact_grid {
         let mut rng = StdRng::seed_from_u64(case_seed("real_factorization", label, &[m, n]));
-        let real = Matrix::random_real(m, n, &mut rng);
+        let real = if label == "svd_rankdef" {
+            matmul(&Matrix::random_real(m, 8, &mut rng), &Matrix::random_real(8, n, &mut rng))
+        } else {
+            Matrix::random_real(m, n, &mut rng)
+        };
         // Identical numbers with the hint laundered away: the complex path
         // runs on the same matrix.
         let cplx = Matrix::from_vec(m, n, real.data().to_vec()).expect("launder");
@@ -242,7 +252,7 @@ fn main() {
                 let f = koala_linalg::qr(input);
                 std::hint::black_box((f.q.nrows(), f.r.ncols()));
             }
-            "svd_square" | "svd_wide" => {
+            "svd_square" | "svd_wide" | "svd_wide_bmps" | "svd_rankdef" => {
                 let f = koala_linalg::svd(input).expect("bench svd");
                 std::hint::black_box(f.s.len());
             }

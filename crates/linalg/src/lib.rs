@@ -13,8 +13,8 @@
 //!   (packed panels shared across macro-tiles on the `koala-exec`
 //!   executor),
 //! * [`mod@qr`] — thin QR (modified Gram-Schmidt with reorthogonalization),
-//! * [`mod@svd`] — one-sided Jacobi SVD with a recovery ladder, Gram-based
-//!   SVD,
+//! * [`mod@svd`] — QR-preconditioned one-sided Jacobi SVD with a recovery
+//!   ladder, Gram-based SVD,
 //! * [`mod@eig`] — Hermitian Jacobi eigendecomposition and matrix functions
 //!   (each of these three is one algorithm, generic over the scalar and
 //!   instantiated at `f64` for hinted-real inputs and at `C64` otherwise),

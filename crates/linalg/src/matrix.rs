@@ -131,6 +131,20 @@ impl Matrix {
         }
     }
 
+    /// The inverse of [`gather_cols`](Self::gather_cols): an `nrows`-row
+    /// matrix from its columns held as either factorization scalar, hinted
+    /// exactly when `T = f64`. An empty column stands for a zero column.
+    pub(crate) fn from_scalar_cols<T: Scalar>(nrows: usize, cols: &[Vec<T>]) -> Self {
+        let ncols = cols.len();
+        let mut data = vec![C64::ZERO; nrows * ncols];
+        for (j, col) in cols.iter().enumerate() {
+            for (i, &x) in col.iter().enumerate() {
+                data[i * ncols + j] = x.to_c64();
+            }
+        }
+        Matrix { nrows, ncols, data, real: T::IS_REAL }
+    }
+
     /// Build from nested rows (primarily for tests and gate definitions).
     /// Small-matrix constructor, so the realness hint is set by scanning.
     pub fn from_rows(rows: &[Vec<C64>]) -> Result<Self> {

@@ -34,66 +34,56 @@ pub struct QrFactors {
 /// [`C64`].
 pub fn qr(a: &Matrix) -> QrFactors {
     if a.is_real() {
-        mgs::<f64>(a)
+        qr_at::<f64>(a)
     } else {
-        mgs::<C64>(a)
+        qr_at::<C64>(a)
     }
 }
 
-/// Twice-applied modified Gram-Schmidt over the columns of `A` held as `T`.
-fn mgs<T: Scalar>(a: &Matrix) -> QrFactors {
-    let (m, n) = a.shape();
+/// Twice-applied modified Gram-Schmidt over `cols`, the `n` columns (each of
+/// length `m`) of a matrix held as `T`: the projection loop shared by [`qr`]
+/// and the preconditioner of [`svd`](crate::svd::svd).
+///
+/// Returns the `k = min(m, n)` basis columns and the row-major `k x n` factor
+/// `R`. A column whose residual norm is at most `tol` is numerically null:
+/// its diagonal of `R` stays zero and `on_null(basis so far)` supplies the
+/// basis column that takes its place. [`qr`] completes the basis there
+/// ([`complete_basis`]); the SVD passes an empty column, which later
+/// projections skip for free, whose row of `R` stays exactly zero and which
+/// `Matrix::from_scalar_cols` lays out as a zero column of `Q`.
+pub(crate) fn mgs<T: Scalar>(
+    mut cols: Vec<Vec<T>>,
+    m: usize,
+    tol: f64,
+    on_null: impl Fn(&[Vec<T>]) -> Vec<T>,
+) -> (Vec<Vec<T>>, Vec<T>) {
+    let n = cols.len();
     let k = m.min(n);
     let mut q_cols: Vec<Vec<T>> = Vec::with_capacity(k);
     let mut r = vec![T::ZERO; k * n];
 
-    // Working copy of the columns we are orthogonalizing.
-    let mut cols: Vec<Vec<T>> = a.gather_cols(false);
-    let scale = a.norm_max().max(1.0);
-    let tol = scale * 1e-14;
-
     for j in 0..k {
+        let mut col = std::mem::take(&mut cols[j]);
         // Two passes of projection against the established basis.
         for _ in 0..2 {
             for (i, qi) in q_cols.iter().enumerate() {
-                let proj: T = qi.iter().zip(cols[j].iter()).map(|(qe, ce)| qe.conj() * *ce).sum();
+                let proj: T = qi.iter().zip(col.iter()).map(|(qe, ce)| qe.conj() * *ce).sum();
                 // Both passes accumulate into R; the second pass adds the
                 // small correction left over by the first.
                 r[i * n + j] += proj;
-                for (ce, qe) in cols[j].iter_mut().zip(qi.iter()) {
+                for (ce, qe) in col.iter_mut().zip(qi.iter()) {
                     *ce -= *qe * proj;
                 }
             }
         }
-        let norm = cols[j].iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
+        let norm = col.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
         if norm > tol {
             r[j * n + j] = T::from_real(norm);
             let inv = 1.0 / norm;
-            q_cols.push(cols[j].iter().map(|z| z.scale(inv)).collect());
+            col.iter_mut().for_each(|z| *z = z.scale(inv));
+            q_cols.push(col);
         } else {
-            // Numerically zero column (its diagonal of R stays zero): extend
-            // the basis with a canonical vector orthogonalized against what
-            // we have so far.
-            let mut v = vec![T::ZERO; m];
-            'seed: for seed in 0..m {
-                v.iter_mut().for_each(|z| *z = T::ZERO);
-                v[seed] = T::ONE;
-                for _ in 0..2 {
-                    for qi in q_cols.iter() {
-                        let proj: T = qi.iter().zip(v.iter()).map(|(qe, ce)| qe.conj() * *ce).sum();
-                        for (ce, qe) in v.iter_mut().zip(qi.iter()) {
-                            *ce -= *qe * proj;
-                        }
-                    }
-                }
-                let nv = v.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
-                if nv > 0.5 {
-                    let inv = 1.0 / nv;
-                    v.iter_mut().for_each(|z| *z = z.scale(inv));
-                    break 'seed;
-                }
-            }
-            q_cols.push(v);
+            q_cols.push(on_null(&q_cols));
         }
     }
 
@@ -103,14 +93,41 @@ fn mgs<T: Scalar>(a: &Matrix) -> QrFactors {
             r[i * n + j] = qi.iter().zip(cols[j].iter()).map(|(qe, ce)| qe.conj() * *ce).sum();
         }
     }
+    (q_cols, r)
+}
 
-    let mut q = vec![T::ZERO; m * k];
-    for (j, col) in q_cols.iter().enumerate() {
-        for (i, &x) in col.iter().enumerate() {
-            q[i * k + j] = x;
+/// The completion step of [`qr`]: a canonical unit vector of length `m`,
+/// orthogonalized against `basis` and normalised, to stand in for a
+/// numerically null column.
+fn complete_basis<T: Scalar>(basis: &[Vec<T>], m: usize) -> Vec<T> {
+    let mut v = vec![T::ZERO; m];
+    for seed in 0..m {
+        v.iter_mut().for_each(|z| *z = T::ZERO);
+        v[seed] = T::ONE;
+        for _ in 0..2 {
+            for qi in basis.iter() {
+                let proj: T = qi.iter().zip(v.iter()).map(|(qe, ce)| qe.conj() * *ce).sum();
+                for (ce, qe) in v.iter_mut().zip(qi.iter()) {
+                    *ce -= *qe * proj;
+                }
+            }
+        }
+        let nv = v.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
+        if nv > 0.5 {
+            let inv = 1.0 / nv;
+            v.iter_mut().for_each(|z| *z = z.scale(inv));
+            break;
         }
     }
-    QrFactors { q: Matrix::from_scalars(m, k, q), r: Matrix::from_scalars(k, n, r) }
+    v
+}
+
+/// [`qr`] at one scalar type.
+fn qr_at<T: Scalar>(a: &Matrix) -> QrFactors {
+    let (m, n) = a.shape();
+    let tol = a.norm_max().max(1.0) * 1e-14;
+    let (q_cols, r) = mgs::<T>(a.gather_cols(false), m, tol, |basis| complete_basis(basis, m));
+    QrFactors { q: Matrix::from_scalar_cols(m, &q_cols), r: Matrix::from_scalars(m.min(n), n, r) }
 }
 
 /// Orthonormalize the columns of `a`, returning only the `Q` factor.

@@ -3,16 +3,24 @@
 //! `svd`, `qr` and `eigh` are each one generic algorithm instantiated at
 //! `f64` (inputs carrying the realness hint) and at `C64` (everything else).
 //! This test hashes every output bit of both instantiations over the shape
-//! classes `properties.rs` uses and compares against a table recorded at the
-//! last commit that still had the hand-written real/complex twins
-//! (`1d56763`), so the generic code is pinned to reproduce both twins
-//! exactly — and any later change to a tolerance, a rotation formula or a
-//! summation order shows up here as a changed digest, for review.
+//! classes `properties.rs` uses and compares against a recorded table, so
+//! any change to a tolerance, a rotation formula or a summation order shows
+//! up here as a changed digest, for review.
 //!
-//! The inputs are built with plain loops (no GEMM, whose FMA use follows the
-//! host CPU), so the `f64` rows depend only on IEEE `+ - * / sqrt`. The
-//! `C64` rows also go through libm's `hypot`/`atan2`/`sin`/`cos` (the
-//! rotation phase), so they are as portable as those four functions are.
+//! The `qr` and `eigh` rows were recorded at the last commit that still had
+//! the hand-written real/complex twins (`1d56763`): the generic code
+//! reproduces both twins exactly, and `qr` still does after its Gram-Schmidt
+//! loop was split so the SVD could share it. The `svd` rows were re-recorded
+//! deliberately when the Jacobi SVD became QR-preconditioned (a different
+//! algorithm: the sweeps run on the triangular factor); the table they
+//! replaced is the one at `7f0683a`.
+//!
+//! The inputs are built with plain loops (no GEMM), so the `f64` rows of
+//! `qr` and `eigh` depend only on IEEE `+ - * / sqrt`, and their `C64` rows
+//! also on libm's `hypot`/`atan2`/`sin`/`cos` (the rotation phase). The `svd`
+//! rows end in one GEMM (`Q J`), whose microkernel fuses multiply-adds
+//! exactly when the build's target has `fma` (`.cargo/config.toml` builds
+//! for the host CPU); they were recorded on a host that has it.
 //!
 //! Regenerating: a mismatch prints the full computed table in source form.
 
@@ -103,43 +111,44 @@ fn cases(hinted: bool) -> Vec<(&'static str, Matrix)> {
     ]
 }
 
-/// Digests recorded at `1d56763` (the parent of the generic rewrite) on
-/// x86-64 Linux/glibc, debug and release builds agreeing.
+/// Digests recorded on x86-64 Linux/glibc, debug and release builds
+/// agreeing: `qr`/`eigh` at `1d56763` (the parent of the generic rewrite),
+/// `svd` with the QR-preconditioned Jacobi.
 const RECORDED: &[(&str, u64)] = &[
-    ("svd/f64/tall", 0xdc0004a96690c54b),
+    ("svd/f64/tall", 0x54236f50df046e11),
     ("qr/f64/tall", 0x865154447457d9f1),
     ("eigh/f64/tall", 0x325b933ef309ce24),
-    ("svd/f64/wide", 0xced30ac9c9adb09a),
+    ("svd/f64/wide", 0xde4ee77c4145cf94),
     ("qr/f64/wide", 0xf76b08ce4c7c38e8),
     ("eigh/f64/wide", 0x2013d9b2ccac0fcf),
-    ("svd/f64/square", 0xa614470ff629499d),
+    ("svd/f64/square", 0x1e169819cc718bc7),
     ("qr/f64/square", 0xb4e62a625e569780),
     ("eigh/f64/square", 0x52f3d749ae5f9554),
-    ("svd/f64/rank_deficient", 0x3fef2f95646a11a8),
+    ("svd/f64/rank_deficient", 0x7171a43d04381813),
     ("qr/f64/rank_deficient", 0xfa16f6ab2bb4bd37),
     ("eigh/f64/rank_deficient", 0x2e435f85b49ee359),
     ("svd/f64/one_by_one", 0x785727ee980c9fed),
     ("qr/f64/one_by_one", 0xe0b41f308e3cc145),
     ("eigh/f64/one_by_one", 0xef19d90c164d42f0),
-    ("svd/f64/zero_column", 0xc205dc30e6f5b01a),
+    ("svd/f64/zero_column", 0xe4e8de31c5ca6b12),
     ("qr/f64/zero_column", 0x20d567464cb50f81),
     ("eigh/f64/zero_column", 0xf1c5287702fc5a6d),
-    ("svd/c64/tall", 0x0931247df234403e),
+    ("svd/c64/tall", 0xe3d750f9d392754b),
     ("qr/c64/tall", 0x32cb7b06d3533455),
     ("eigh/c64/tall", 0x352cb8fe287aab76),
-    ("svd/c64/wide", 0x84595d6916a10d97),
+    ("svd/c64/wide", 0x9b42f57163bf2efb),
     ("qr/c64/wide", 0x7f453b50bae4aa7c),
     ("eigh/c64/wide", 0x68a1af534da03865),
-    ("svd/c64/square", 0x9833156cd79814b5),
+    ("svd/c64/square", 0xfd435720731b63f6),
     ("qr/c64/square", 0x1d2e7eeac0d315b9),
     ("eigh/c64/square", 0x90cbe08f392c0149),
-    ("svd/c64/rank_deficient", 0xad702548d9252c2a),
+    ("svd/c64/rank_deficient", 0x7898cd8f915f2dca),
     ("qr/c64/rank_deficient", 0x3631f2c5cf2b2f45),
     ("eigh/c64/rank_deficient", 0xe7c9f88f0d1e9d91),
-    ("svd/c64/one_by_one", 0x5c5ca5ecb4171c74),
+    ("svd/c64/one_by_one", 0x5c5c25ecb41642f4),
     ("qr/c64/one_by_one", 0x552e35c8953736bc),
     ("eigh/c64/one_by_one", 0xeabe2281e43f9807),
-    ("svd/c64/zero_column", 0x0a53831f676432ee),
+    ("svd/c64/zero_column", 0xe65984e2dbced221),
     ("qr/c64/zero_column", 0x805c8df70ba368fc),
     ("eigh/c64/zero_column", 0xac47b6a0ef8d1953),
 ];

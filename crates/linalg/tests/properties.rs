@@ -281,6 +281,17 @@ fn launder(a: &Matrix) -> Matrix {
     l
 }
 
+/// The null-direction convention of `svd`: beyond the `live` leading
+/// directions, `s` is exactly zero and so are the column of `U` and the row
+/// of `V^H`.
+fn assert_null_directions_are_exact_zeros(f: &Svd, live: usize, label: &str) {
+    for j in live..f.s.len() {
+        assert_eq!(f.s[j], 0.0, "{label}: null singular value {j}");
+        assert!(f.u.col(j).iter().all(|z| z.abs() == 0.0), "{label}: null U column {j}");
+        assert!(f.vh.row(j).iter().all(|z| z.abs() == 0.0), "{label}: null V^H row {j}");
+    }
+}
+
 /// The real-only factorization paths must agree with the complex paths run on
 /// the same (laundered) data to 1e-12 across every shape class, and their
 /// outputs must carry the realness hint. The complex Jacobi paths leave
@@ -325,8 +336,14 @@ fn real_path_factorizations_match_complex_path_across_shape_classes() {
         }
         assert!(sr.reconstruct().approx_eq(a, 1e-11 * scale), "{label}: USV^H != A");
         if !a.is_empty() {
-            assert!(sr.u.has_orthonormal_cols(1e-11));
-            assert!(sr.vh.adjoint().has_orthonormal_cols(1e-11));
+            // Orthonormal over the live directions; a null direction is an
+            // exactly zero column of U and row of V^H (3 live of 8 for
+            // `rank_deficient`, all of them elsewhere).
+            let live = sr.s.iter().filter(|&&x| x > 1e-13 * sr.s[0]).count();
+            assert_eq!(live, if *label == "rank_deficient" { 3 } else { sr.s.len() }, "{label}");
+            assert!(sr.u.truncate_cols(live).has_orthonormal_cols(1e-11));
+            assert!(sr.vh.truncate_rows(live).adjoint().has_orthonormal_cols(1e-11));
+            assert_null_directions_are_exact_zeros(&sr, live, label);
         }
 
         // Gram-based SVD exercises the real eigh path underneath.
@@ -373,6 +390,67 @@ fn real_path_factorizations_match_complex_path_across_shape_classes() {
     let f = rsvd(&MatOp::new(&low_rank), RsvdOptions::with_rank(3), &mut rng).unwrap();
     assert!(f.u.is_real() && f.vh.is_real(), "rsvd factors must carry the hint");
     assert!(f.reconstruct().approx_eq(&low_rank, 1e-9));
+}
+
+/// The contract of `svd` on the benchmark's theta shapes, at both scalar
+/// types: the zip-up step of `contract_bmps` (49x343) and its adjoint, the
+/// rank-8 32x512 theta of `rqc_amplitudes`, a 24x24 of rank 18, and a graded
+/// spectrum of condition 1e12.
+#[test]
+fn svd_contract_holds_on_the_benchmark_shapes() {
+    let mut rng = StdRng::seed_from_u64(0x5D_2D);
+    for hinted in [false, true] {
+        let mut draw = |m: usize, n: usize| {
+            if hinted {
+                Matrix::random_real(m, n, &mut rng)
+            } else {
+                Matrix::random(m, n, &mut rng)
+            }
+        };
+        let graded = {
+            let (u, v) = (qr(&draw(40, 30)).q, qr(&draw(30, 30)).q);
+            let spectrum: Vec<f64> = (0..30).map(|i| 10f64.powf(-12.0 * i as f64 / 29.0)).collect();
+            matmul_adj_b(&scale_cols(&u, &spectrum), &v)
+        };
+        // (label, input, rank)
+        let cases = [
+            ("wide_bmps", draw(49, 343), 49),
+            ("tall_bmps", draw(343, 49), 49),
+            ("rank8_rqc", matmul(&draw(32, 8), &draw(8, 512)), 8),
+            ("rank18_square", matmul(&draw(24, 18), &draw(18, 24)), 18),
+            ("graded_1e12", graded, 30),
+        ];
+        for (label, a, rank) in &cases {
+            assert_eq!(a.is_real(), hinted, "{label}: wrong input hint");
+            let f = svd(a).unwrap();
+            let k = a.nrows().min(a.ncols());
+            assert_eq!((f.u.shape(), f.s.len(), f.vh.shape()), ((a.nrows(), k), k, (k, a.ncols())));
+            let err = (a - &f.reconstruct()).norm_fro();
+            assert!(err <= 1e-12 * a.norm_fro(), "{label}: |A - U S V^H| = {err:e}");
+            assert!(f.s.windows(2).all(|w| w[0] >= w[1]) && f.s[k - 1] >= 0.0, "{label}: order");
+
+            // Spectrum against the Gram matrix, to the sqrt(eps) the Gram
+            // route can deliver.
+            let gram = if a.nrows() < a.ncols() { matmul_adj_b(a, a) } else { matmul_adj_a(a, a) };
+            let lambda = eigvalsh(&gram).unwrap();
+            for (s, l) in f.s.iter().zip(lambda.iter().rev()) {
+                assert!((s - l.max(0.0).sqrt()).abs() <= 1.5e-8 * f.s[0], "{label}: spectrum");
+            }
+
+            // Realness follows the input, and is never claimed falsely.
+            assert_eq!((f.u.is_real(), f.vh.is_real()), (hinted, hinted), "{label}: output hint");
+            for factor in [&f.u, &f.vh] {
+                assert!(!factor.is_real() || factor.data().iter().all(|z| z.im == 0.0), "{label}");
+            }
+
+            // An isometry over the live directions, exact zeros over the
+            // null ones.
+            assert!(f.s[rank - 1] > 1e-13 * f.s[0], "{label}: live direction lost");
+            assert!(f.u.truncate_cols(*rank).has_orthonormal_cols(1e-12), "{label}: U");
+            assert!(f.vh.truncate_rows(*rank).adjoint().has_orthonormal_cols(1e-12), "{label}: V");
+            assert_null_directions_are_exact_zeros(&f, *rank, label);
+        }
+    }
 }
 
 // Factorization outputs must never *falsely* carry the realness hint: for

@@ -4,8 +4,9 @@
 //! in list order. That it contracts in the same sequence — same intermediate
 //! shapes, hence the same multiply-add totals — as the two hand-written
 //! operators it replaced (`ZipStepOp`, `TwoLayerStepOp`) is what keeps
-//! Table II's complexity, and it is pinned here: the constants below were
-//! recorded with those operators, on these shapes, before they were deleted.
+//! Table II's complexity, and it is pinned here: the operator totals below
+//! were recorded with those operators, on these shapes, before they were
+//! deleted; the inner dense SVDs add their one GEMM each, written as a sum.
 //! The all-real cases bill the same totals on the real kernel and not one
 //! complex MAC.
 
@@ -17,11 +18,30 @@ use koala::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// 6-site chain, MPS bond 4, MPO bond 3, zipped to bond 5.
-const ZIP_MACS: u64 = 50_660;
-/// 3x3 PEPS of bond 3, boundary bond 4 (truncating) and 81 (not).
-const TWO_LAYER_MACS_M4: u64 = 2_079_113;
-const TWO_LAYER_MACS_M81: u64 = 2_336_153;
+/// MACs of the one GEMM a dense `m x n` SVD performs: the QR-preconditioned
+/// Jacobi recovers its long factor as `Q J`, `max(m, n) x k` times `k x k`
+/// with `k = min(m, n)`. The bare numbers below are the operator totals
+/// recorded with the hand-written operators, when the SVD made no GEMM call.
+const fn svd_gemm(m: u64, n: u64) -> u64 {
+    let (k, long) = if m < n { (m, n) } else { (n, m) };
+    k * k * long
+}
+
+/// 6-site chain, MPS bond 4, MPO bond 3, zipped to bond 5: the operator
+/// total, plus the projected SVDs of the four implicit steps and the dense
+/// SVD of the last site.
+const ZIP_MACS: u64 = 50_660
+    + svd_gemm(24, 2)
+    + svd_gemm(24, 4)
+    + svd_gemm(24, 8)
+    + svd_gemm(24, 10)
+    + svd_gemm(2, 2);
+/// 3x3 PEPS of bond 3, boundary bond 4 (truncating) and 81 (not): the
+/// operator totals plus the inner SVDs of the two zip-up sweeps.
+const TWO_LAYER_MACS_M4: u64 =
+    2_079_113 + svd_gemm(729, 9) + svd_gemm(9, 9) + svd_gemm(36, 1) + svd_gemm(1, 1);
+const TWO_LAYER_MACS_M81: u64 =
+    2_336_153 + svd_gemm(729, 9) + svd_gemm(9, 9) + svd_gemm(81, 1) + svd_gemm(1, 1);
 
 /// `(complex, real)` MACs billed by `f`.
 fn macs<T>(f: impl FnOnce() -> T) -> (u64, u64) {
