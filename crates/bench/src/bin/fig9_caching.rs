@@ -48,6 +48,8 @@ fn main() {
     let mut cached = Series::new("IBMPS with cache");
     let mut uncached = Series::new("IBMPS without cache");
 
+    // Whether the cache won at the largest side measured (the CI smoke gate).
+    let mut caching_pays = false;
     for &n in &sides {
         let mut rng = StdRng::seed_from_u64(9_000 + n as u64);
         let peps = Peps::random(n, n, 2, bond, &mut rng);
@@ -79,6 +81,7 @@ fn main() {
         });
         cached.push(n as f64, secs_cached);
         uncached.push(n as f64, secs_uncached);
+        caching_pays = secs_cached < secs_uncached;
         println!(
             "n={n:<2} terms={:<4} cached={secs_cached:.3}s uncached={secs_uncached:.3}s speed-up={:.2}x",
             obs.len(),
@@ -138,4 +141,8 @@ fn main() {
 
     fig.print();
     fig.maybe_write_json(&args);
+    if !caching_pays {
+        eprintln!("fig9: the cached run at the largest side was not faster than the uncached one");
+        std::process::exit(1);
+    }
 }

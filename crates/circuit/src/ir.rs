@@ -217,21 +217,12 @@ impl PartialEq for Gate2 {
     }
 }
 
-/// Operator Schmidt rank of a 4x4 two-qubit gate: the matrix rank of the
-/// reshuffled matrix `R[(a',a),(b',b)] = G[(a'b'),(ab)]`, counting singular
-/// values above `1e-12` of the largest.
+/// Operator Schmidt rank of a 4x4 two-qubit gate: the number of products in
+/// its [`operator_schmidt`](koala_peps::operators::operator_schmidt)
+/// decomposition, counting singular values above `1e-12` of the largest. A
+/// matrix that cannot be decomposed gets the bound that always holds.
 fn operator_schmidt_rank(g: &Matrix) -> usize {
-    let t = koala_tensor::Tensor::from_matrix_2d(g);
-    let Ok(t) = t.reshape(&[2, 2, 2, 2]) else { return 4 };
-    let Ok(p) = t.permute(&[0, 2, 1, 3]) else { return 4 };
-    let r = p.unfold(2);
-    match koala_linalg::svd(&r) {
-        Ok(f) => {
-            let s0 = f.s.first().copied().unwrap_or(0.0);
-            f.s.iter().filter(|&&s| s > 1e-12 * s0).count().max(1)
-        }
-        Err(_) => 4,
-    }
+    koala_peps::operators::operator_schmidt(g, 2, 2, 1e-12).map_or(4, |(a, _)| a.dim(0))
 }
 
 /// One gate of a circuit, bound to its qubits.

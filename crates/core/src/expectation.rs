@@ -1,21 +1,34 @@
 //! Expectation values of local observables, with the intermediate caching
 //! strategy of paper §IV-B (Figure 6).
 //!
-//! `<psi|H|psi>` with `H = sum_i H_i` is evaluated term by term: `H_i|psi>` is
-//! formed by an exact local operator application and the overlap with `<psi|`
-//! is a two-layer contraction. Without caching every term pays for a full
-//! boundary contraction of the lattice. With caching, the row environments of
-//! the `<psi|psi>` network (partial contractions from the top and from the
-//! bottom) are computed once — two full contractions — and every term then
-//! only needs a small strip contraction spanning the rows it touches.
+//! `<psi|H|psi>` with `H = sum_i H_i` is evaluated on one merged `<psi|psi>`
+//! network, built once per measurement. A term **swaps in** only the one or
+//! two merged sites it touches and the strip of rows it spans is closed
+//! **exactly** between the environments on either side:
+//!
+//! * `H_i|psi>` is local and exact. A one-site operator acts on its site; a
+//!   two-site matrix is operator-Schmidt decomposed into `sum_k A_k (x) B_k`
+//!   ([`operator_schmidt`]). A neighbouring pair stacks the `chi` products on
+//!   its shared bond (`r -> r * chi`; `chi = 1` for `ZZ`, `XX`, `YY`), a
+//!   distant pair becomes `chi` product strips with two one-site-modified
+//!   sites each. No state tensor is ever factorized or truncated.
+//! * Every untouched site of a strip is borrowed from the merged network.
+//! * The last row of a strip is contracted as `<top| row MPO |bottom>`
+//!   ([`Mps::sandwich`]), so a one-row term makes no `zip_up` at all and a
+//!   term spanning `k` rows makes `k - 1` (`k - 2` from the first row).
+//!
+//! With caching, the row environments (partial contractions from the top and
+//! from the bottom) are computed once — two full contractions — and every term
+//! only contracts the rows it touches. Without it, every term's strip is the
+//! whole lattice. [`ContractionMethod`] therefore governs only the
+//! environments and the inner rows of multi-row strips.
 
 use crate::contract::{row_as_mpo, row_as_mps, sites_as_mpo, sites_as_mps, ContractionMethod};
-use crate::operators::{LocalTerm, Observable};
-use crate::peps::{Peps, Result, AX_P};
-use crate::update::{apply_one_site, apply_two_site_any, UpdateMethod};
+use crate::operators::{operator_schmidt, LocalTerm, Observable};
+use crate::peps::{merge_site_pair, Peps, Result, Site, AX_P, AX_R};
 use koala_linalg::C64;
 use koala_mps::{Mpo, Mps};
-use koala_tensor::{Tensor, TensorError, Truncation};
+use koala_tensor::{einsum, Tensor};
 use rand::Rng;
 
 /// Options controlling the expectation-value computation.
@@ -37,24 +50,6 @@ impl ExpectationOptions {
     pub fn bmps_cached(max_bond: usize) -> Self {
         ExpectationOptions { method: ContractionMethod::bmps(max_bond), use_cache: true }
     }
-}
-
-/// Merge a bra site (conjugated) with a ket site over the physical index,
-/// producing a rank-5 tensor `[1, u_pair, l_pair, d_pair, r_pair]`.
-///
-/// The contraction-and-interleave runs as one cached einsum plan: every term
-/// of an observable merges sites of the same handful of shapes, so the
-/// planning cost is paid once per shape for the whole expectation sweep.
-fn merge_site_pair(bra_site: &Tensor, ket_site: &Tensor) -> Result<Tensor> {
-    if bra_site.dim(AX_P) != ket_site.dim(AX_P) {
-        return Err(TensorError::ShapeMismatch {
-            context: "merge_site_pair: physical dimensions differ".into(),
-        });
-    }
-    // [p, ub, lb, db, rb] x [p, uk, lk, dk, rk] -> [ub, uk, lb, lk, db, dk, rb, rk]
-    let pair = koala_tensor::einsum("pabcd,pefgh->aebfcgdh", &[&bra_site.conj(), ket_site])?;
-    let s = pair.shape().to_vec();
-    pair.into_reshape(&[1, s[0] * s[1], s[2] * s[3], s[4] * s[5], s[6] * s[7]])
 }
 
 /// Cached row environments of the two-layer `<psi|psi>` network.
@@ -151,13 +146,7 @@ pub fn expectation<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<C64> {
     observable.validate(peps)?;
-    if options.use_cache {
-        let merged = peps.merge_with_bra(peps)?;
-        let cache = EnvCache::build(&merged, options.method, rng)?;
-        expectation_cached_with(peps, observable, options.method, &cache, rng)
-    } else {
-        expectation_uncached(peps, observable, options.method, rng)
-    }
+    Network::build(peps, options, rng)?.value(observable, rng)
 }
 
 /// `<psi|H|psi> / <psi|psi>`, the Rayleigh quotient used by ITE and VQE.
@@ -168,141 +157,137 @@ pub fn expectation_normalized<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<C64> {
     observable.validate(peps)?;
-    let (value, norm) = match options.use_cache {
-        true => {
-            let merged = peps.merge_with_bra(peps)?;
-            let cache = EnvCache::build(&merged, options.method, rng)?;
-            let value = expectation_cached_with(peps, observable, options.method, &cache, rng)?;
-            (value, norm_from_cache(&merged, &cache)?)
-        }
-        false => {
-            let value = expectation_uncached(peps, observable, options.method, rng)?;
-            let norm = crate::contract::norm_sqr(peps, options.method, rng)?;
-            (value, C64::from_real(norm))
-        }
-    };
-    Ok(value / norm)
+    let network = Network::build(peps, options, rng)?;
+    let value = network.value(observable, rng)?;
+    // `<psi|psi>` is the strip that swaps nothing.
+    Ok(value / network.strip(&[], (0, 0), rng)?)
 }
 
-fn expectation_uncached<R: Rng + ?Sized>(
-    peps: &Peps,
-    observable: &Observable,
+/// Operator Schmidt values at or below this fraction of the largest are
+/// dropped: the null directions of a product operator come back from the SVD
+/// as exact zeros, and keeping them would multiply the shared bond for nothing.
+const SCHMIDT_TOL: f64 = 1e-14;
+
+/// A merged site that replaces the one of `<psi|psi>` at the same position.
+type Swap = (Site, Tensor);
+
+/// The merged `<psi|psi>` network of one measurement, with its row
+/// environments when caching is on.
+struct Network<'a> {
+    peps: &'a Peps,
+    merged: Peps,
+    cache: Option<EnvCache>,
     method: ContractionMethod,
-    rng: &mut R,
-) -> Result<C64> {
-    let mut total = C64::ZERO;
-    for term in observable.terms() {
-        let phi = apply_term(peps, term)?;
-        total += crate::contract::inner_merged(peps, &phi, method, rng)?;
-    }
-    Ok(total)
 }
 
-fn expectation_cached_with<R: Rng + ?Sized>(
-    peps: &Peps,
-    observable: &Observable,
-    method: ContractionMethod,
-    cache: &EnvCache,
-    rng: &mut R,
-) -> Result<C64> {
-    let mut total = C64::ZERO;
-    for term in observable.terms() {
-        total += term_value_cached(peps, term, method, cache, rng)?;
+impl<'a> Network<'a> {
+    fn build<R: Rng + ?Sized>(
+        peps: &'a Peps,
+        options: ExpectationOptions,
+        rng: &mut R,
+    ) -> Result<Self> {
+        let merged = peps.merge_with_bra(peps)?;
+        let cache =
+            options.use_cache.then(|| EnvCache::build(&merged, options.method, rng)).transpose()?;
+        Ok(Network { peps, merged, cache, method: options.method })
     }
-    Ok(total)
-}
 
-/// `<psi|psi>` reusing the cached environments (a single strip contraction).
-fn norm_from_cache(merged: &Peps, cache: &EnvCache) -> Result<C64> {
-    let nrows = merged.nrows();
-    let row = 0usize;
-    let current = row_as_mps(merged, row)?;
-    if nrows == 1 {
-        return current.contract_to_scalar();
-    }
-    let bottom = cache.bottom(row).ok_or_else(|| TensorError::ShapeMismatch {
-        context: format!("norm_from_cache: missing bottom environment below row {row}"),
-    })?;
-    current.dot(bottom)
-}
-
-/// `H_i |psi>` by an exact local operator application.
-fn apply_term(peps: &Peps, term: &LocalTerm) -> Result<Peps> {
-    let mut phi = peps.clone();
-    match term {
-        LocalTerm::OneSite { site, matrix } => {
-            apply_one_site(&mut phi, matrix, *site)?;
+    /// `sum_i <psi|H_i|psi>`.
+    fn value<R: Rng + ?Sized>(&self, observable: &Observable, rng: &mut R) -> Result<C64> {
+        let mut total = C64::ZERO;
+        for term in observable.terms() {
+            for swaps in self.term_strips(term)? {
+                total += self.strip(&swaps, term.row_span(), rng)?;
+            }
         }
-        LocalTerm::TwoSite { site_a, site_b, matrix } => {
-            apply_two_site_any(
-                &mut phi,
-                matrix,
-                *site_a,
-                *site_b,
-                UpdateMethod::Direct { truncation: Truncation::none() },
-            )?;
+        Ok(total)
+    }
+
+    /// `H_i|psi>` as product strips: each entry lists the merged sites to swap
+    /// in, and the term's value is the sum over entries.
+    fn term_strips(&self, term: &LocalTerm) -> Result<Vec<Vec<Swap>>> {
+        let swap = |site: Site, ops: &Tensor, axis: usize| -> Result<Swap> {
+            let bra = self.peps.tensor(site);
+            Ok((site, merge_site_pair(bra, &apply_stacked(bra, ops, axis)?)?))
+        };
+        match term {
+            LocalTerm::OneSite { site, matrix } => {
+                // One operator "stacked" on any bond leaves the bond as it is.
+                let op = Tensor::from_matrix_2d(matrix).expand_dims(0);
+                Ok(vec![vec![swap(*site, &op, AX_R)?]])
+            }
+            LocalTerm::TwoSite { site_a, site_b, matrix } => {
+                let (d_a, d_b) = (self.peps.phys_dim(*site_a), self.peps.phys_dim(*site_b));
+                let (a, b) = operator_schmidt(matrix, d_a, d_b, SCHMIDT_TOL)?;
+                match self.peps.direction_between(*site_a, *site_b) {
+                    Some(dir) => Ok(vec![vec![
+                        swap(*site_a, &a, dir.axis())?,
+                        swap(*site_b, &b, dir.opposite().axis())?,
+                    ]]),
+                    None => (0..a.dim(0))
+                        .map(|k| {
+                            let (a_k, b_k) = (a.select(0, k)?, b.select(0, k)?);
+                            Ok(vec![
+                                swap(*site_a, &a_k.expand_dims(0), AX_R)?,
+                                swap(*site_b, &b_k.expand_dims(0), AX_R)?,
+                            ])
+                        })
+                        .collect(),
+                }
+            }
         }
     }
-    Ok(phi)
+
+    /// Contract the network with `swaps` (all inside rows `span`) in place of
+    /// the merged sites at their positions: the environment above the span,
+    /// its rows but the last absorbed from the top, then the exact closing.
+    /// Without environments the strip is the whole lattice.
+    fn strip<R: Rng + ?Sized>(
+        &self,
+        swaps: &[Swap],
+        span: (usize, usize),
+        rng: &mut R,
+    ) -> Result<C64> {
+        let (r0, r1, top, bottom) = match &self.cache {
+            Some(cache) => (span.0, span.1, cache.top(span.0), cache.bottom(span.1)),
+            None => (0, self.merged.nrows() - 1, None, None),
+        };
+        let row = |r: usize| {
+            (0..self.merged.ncols()).map(move |c| {
+                let swapped = swaps.iter().find(|(site, _)| *site == (r, c));
+                swapped.map_or_else(|| self.merged.tensor((r, c)), |(_, t)| t)
+            })
+        };
+        let mut boundary: Option<Mps> = None;
+        for r in r0..r1 {
+            boundary = Some(match boundary.as_ref().or(top) {
+                None => sites_as_mps(row(r))?,
+                Some(above) => self.method.apply_row(above, &sites_as_mpo(row(r))?, rng)?,
+            });
+        }
+        Mps::sandwich(boundary.as_ref().or(top), &sites_as_mpo(row(r1))?, bottom)
+    }
 }
 
-/// Evaluate one term using the cached environments: contract only the strip of
-/// rows the term touches.
-fn term_value_cached<R: Rng + ?Sized>(
-    peps: &Peps,
-    term: &LocalTerm,
-    method: ContractionMethod,
-    cache: &EnvCache,
-    rng: &mut R,
-) -> Result<C64> {
-    let nrows = peps.nrows();
-    let phi = apply_term(peps, term)?;
-    let (r0, r1) = term.row_span();
-
-    // Build the modified merged rows r0..=r1 from (conj(psi), phi).
-    let mut modified_rows: Vec<Vec<Tensor>> = Vec::with_capacity(r1 - r0 + 1);
-    for r in r0..=r1 {
-        let mut row = Vec::with_capacity(peps.ncols());
-        for c in 0..peps.ncols() {
-            row.push(merge_site_pair(peps.tensor((r, c)), phi.tensor((r, c)))?);
-        }
-        modified_rows.push(row);
-    }
-
-    // Strip contraction: top environment, then the modified rows, then close
-    // with the bottom environment.
-    let mut current: Mps;
-    let mut start_row = r0;
-    if r0 == 0 {
-        current = sites_as_mps(&modified_rows[0])?;
-        start_row = 1;
-    } else {
-        current = cache
-            .top(r0)
-            .ok_or_else(|| TensorError::ShapeMismatch {
-                context: format!("term_value_cached: missing top environment above row {r0}"),
-            })?
-            .clone();
-    }
-    for r in start_row..=r1 {
-        let mpo = sites_as_mpo(&modified_rows[r - r0])?;
-        current = method.apply_row(&current, &mpo, rng)?;
-    }
-    if r1 == nrows - 1 {
-        current.contract_to_scalar()
-    } else {
-        let bottom = cache.bottom(r1).ok_or_else(|| TensorError::ShapeMismatch {
-            context: format!("term_value_cached: missing bottom environment below row {r1}"),
-        })?;
-        current.dot(bottom)
-    }
+/// `site` with the `chi` one-site operators `ops[k]` applied to its physical
+/// index and stacked on bond `axis` (`r -> r * chi`, the operator index minor).
+fn apply_stacked(site: &Tensor, ops: &Tensor, axis: usize) -> Result<Tensor> {
+    // new[i, u, l, d, r, k] = sum_j ops[k, i, j] site[j, u, l, d, r], with `k`
+    // put right behind the stacked bond by the einsum itself.
+    const SPECS: [&str; 4] =
+        ["kij,juldr->iukldr", "kij,juldr->iulkdr", "kij,juldr->iuldkr", "kij,juldr->iuldrk"];
+    let stacked = einsum(SPECS[axis - 1], &[ops, site])?;
+    let mut shape = site.shape().to_vec();
+    shape[AX_P] = ops.dim(1);
+    shape[axis] *= ops.dim(0);
+    stacked.into_reshape(&shape)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::Observable;
-    use koala_linalg::c64;
+    use crate::operators::{kron, pauli_x, pauli_y, pauli_z, Observable};
+    use koala_linalg::{c64, Matrix};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -316,70 +301,94 @@ mod tests {
         vec.data().iter().zip(hv.iter()).map(|(a, b)| a.conj() * *b).sum()
     }
 
-    fn test_observable() -> Observable {
-        Observable::zz((0, 0), (0, 1))
-            + Observable::xx((0, 1), (1, 1))
-            + 0.7 * Observable::z((1, 0))
-            + 0.3 * Observable::x((0, 0))
-            + Observable::yy((0, 0), (1, 1)) // diagonal term exercises SWAP routing
+    /// A normalised random bond-2 PEPS.
+    fn random_state(nrows: usize, ncols: usize, rng: &mut StdRng) -> Peps {
+        let mut peps = Peps::random(nrows, ncols, 2, 2, rng);
+        let norm = peps.norm_sqr_dense().unwrap().sqrt();
+        peps.scale(c64(1.0 / norm, 0.0));
+        peps
+    }
+
+    /// With exact environments (`bmps(64)`, at most 3 rows of bond 2) nothing
+    /// on the measurement path truncates: cached and uncached values must
+    /// match the dense oracle to 1e-10.
+    fn assert_exact(peps: &Peps, obs: &Observable, rng: &mut StdRng) {
+        let want = dense_expectation(peps, obs);
+        for use_cache in [true, false] {
+            let opts = ExpectationOptions { method: ContractionMethod::bmps(64), use_cache };
+            let got = expectation(peps, obs, opts, rng).unwrap();
+            assert!(got.approx_eq(want, 1e-10), "cache={use_cache}: {got} vs {want}");
+        }
+    }
+
+    /// XX + YY + 0.5 ZZ: operator Schmidt rank 3.
+    fn xxz() -> Matrix {
+        let xy = &kron(&pauli_x(), &pauli_x()) + &kron(&pauli_y(), &pauli_y());
+        &xy + &kron(&pauli_z(), &pauli_z()).scale(c64(0.5, 0.0))
     }
 
     #[test]
-    fn uncached_expectation_matches_dense() {
+    fn mixed_observable_matches_dense() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut peps = Peps::random(2, 2, 2, 2, &mut rng);
-        let norm = peps.norm_sqr_dense().unwrap().sqrt();
-        peps.scale(c64(1.0 / norm, 0.0));
-        let obs = test_observable();
-        let opts = ExpectationOptions { method: ContractionMethod::bmps(64), use_cache: false };
-        let got = expectation(&peps, &obs, opts, &mut rng).unwrap();
-        let want = dense_expectation(&peps, &obs);
-        assert!(got.approx_eq(want, 1e-6), "{got} vs {want}");
-        assert!(got.im.abs() < 1e-6, "expectation of a Hermitian observable must be real");
-    }
-
-    #[test]
-    fn cached_expectation_matches_dense() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut peps = Peps::random(2, 3, 2, 2, &mut rng);
-        let norm = peps.norm_sqr_dense().unwrap().sqrt();
-        peps.scale(c64(1.0 / norm, 0.0));
-        let obs = Observable::zz((0, 0), (0, 1))
+        let peps = random_state(2, 3, &mut rng);
+        let mut obs = Observable::zz((0, 0), (0, 1))
             + Observable::zz((1, 1), (1, 2))
             + Observable::xx((0, 2), (1, 2))
-            + 0.5 * Observable::x((1, 0));
-        let opts = ExpectationOptions { method: ContractionMethod::bmps(64), use_cache: true };
+            + 0.7 * Observable::z((1, 0))
+            + 0.3 * Observable::x((0, 0));
+        // Rank-3 couplings stack three products on the shared bond, in either
+        // site order and direction.
+        obs.add_two_site((0, 1), (0, 0), xxz());
+        obs.add_two_site((1, 1), (0, 1), xxz());
+        assert_exact(&peps, &obs, &mut rng);
+        let opts = ExpectationOptions::bmps_cached(64);
         let got = expectation(&peps, &obs, opts, &mut rng).unwrap();
-        let want = dense_expectation(&peps, &obs);
-        assert!(got.approx_eq(want, 1e-6), "{got} vs {want}");
+        assert!(got.im.abs() < 1e-10, "expectation of a Hermitian observable must be real");
+    }
+
+    #[test]
+    fn non_adjacent_terms_match_dense() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let peps = random_state(3, 3, &mut rng);
+        // J1-J2 diagonal, and a pair two rows and one column apart.
+        assert_exact(&peps, &Observable::yy((0, 0), (1, 1)), &mut rng);
+        let mut far = Observable::zero();
+        far.add_two_site((0, 0), (2, 1), xxz());
+        far.add_two_site((2, 2), (0, 2), kron(&pauli_x(), &pauli_z()));
+        assert_exact(&peps, &far, &mut rng);
+    }
+
+    #[test]
+    fn every_closing_case_is_exact() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let peps = random_state(3, 2, &mut rng);
+        let first_row = Observable::z((0, 0)) + Observable::xx((0, 0), (0, 1));
+        let last_row = Observable::z((2, 1)) + Observable::zz((2, 0), (2, 1));
+        let last_two_rows = Observable::zz((1, 0), (2, 0)) + Observable::xx((2, 1), (1, 1));
+        let middle = Observable::x((1, 1)) + Observable::zz((0, 1), (1, 1));
+        for obs in [first_row, last_row, last_two_rows, middle] {
+            assert_exact(&peps, &obs, &mut rng);
+        }
+        // A one-row lattice has no environment on either side.
+        let chain = random_state(1, 4, &mut rng);
+        let obs =
+            Observable::zz((0, 1), (0, 2)) + Observable::x((0, 3)) + Observable::yy((0, 0), (0, 3));
+        assert_exact(&chain, &obs, &mut rng);
     }
 
     #[test]
     fn cached_and_uncached_agree_with_ibmps() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut peps = Peps::random(3, 3, 2, 2, &mut rng);
-        let norm = peps.norm_sqr_dense().unwrap().sqrt();
-        peps.scale(c64(1.0 / norm, 0.0));
+        let peps = random_state(3, 3, &mut rng);
         let obs = Observable::zz((1, 0), (1, 1))
             + Observable::zz((1, 1), (2, 1))
             + 0.4 * Observable::x((2, 2));
-        let cached = expectation(
-            &peps,
-            &obs,
-            ExpectationOptions { method: ContractionMethod::ibmps(32), use_cache: true },
-            &mut rng,
-        )
-        .unwrap();
-        let uncached = expectation(
-            &peps,
-            &obs,
-            ExpectationOptions { method: ContractionMethod::ibmps(32), use_cache: false },
-            &mut rng,
-        )
-        .unwrap();
-        assert!(cached.approx_eq(uncached, 1e-5), "{cached} vs {uncached}");
         let want = dense_expectation(&peps, &obs);
-        assert!(cached.approx_eq(want, 1e-5), "{cached} vs {want}");
+        for use_cache in [true, false] {
+            let opts = ExpectationOptions { method: ContractionMethod::ibmps(32), use_cache };
+            let got = expectation(&peps, &obs, opts, &mut rng).unwrap();
+            assert!(got.approx_eq(want, 1e-5), "cache={use_cache}: {got} vs {want}");
+        }
     }
 
     #[test]
@@ -391,21 +400,34 @@ mod tests {
             let opts = ExpectationOptions { method: ContractionMethod::bmps(64), use_cache };
             let got = expectation_normalized(&peps, &obs, opts, &mut rng).unwrap();
             let want = dense_expectation(&peps, &obs) / peps.norm_sqr_dense().unwrap();
-            assert!(got.approx_eq(want, 1e-6), "cache={use_cache}: {got} vs {want}");
+            assert!(got.approx_eq(want, 1e-10), "cache={use_cache}: {got} vs {want}");
         }
     }
 
     #[test]
-    fn terms_on_first_and_last_rows_are_handled() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut peps = Peps::random(3, 2, 2, 2, &mut rng);
-        let norm = peps.norm_sqr_dense().unwrap().sqrt();
-        peps.scale(c64(1.0 / norm, 0.0));
-        let obs = Observable::z((0, 0)) + Observable::z((2, 1)) + Observable::zz((2, 0), (2, 1));
-        let opts = ExpectationOptions { method: ContractionMethod::bmps(32), use_cache: true };
-        let got = expectation(&peps, &obs, opts, &mut rng).unwrap();
-        let want = dense_expectation(&peps, &obs);
-        assert!(got.approx_eq(want, 1e-6), "{got} vs {want}");
+    fn swapped_sites_never_exceed_the_schmidt_bond() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let r = 3;
+        let peps = Peps::random(4, 3, 2, r, &mut rng);
+        let options = ExpectationOptions { method: ContractionMethod::bmps(4), use_cache: false };
+        let network = Network::build(&peps, options, &mut rng).unwrap();
+        let mut product = Observable::x((1, 1)) + Observable::yy((0, 0), (3, 2));
+        for (a, b) in peps.horizontal_pairs().into_iter().chain(peps.vertical_pairs()) {
+            product = product + Observable::zz(a, b);
+        }
+        let mut rank3 = Observable::zero();
+        rank3.add_two_site((1, 0), (1, 1), xxz());
+        rank3.add_two_site((2, 1), (1, 1), xxz());
+        for (obs, chi) in [(product, 1), (rank3, 3)] {
+            for term in obs.terms() {
+                let strips = network.term_strips(term).unwrap();
+                assert_eq!(strips.len(), 1, "neighbours and product operators are one strip");
+                for (site, swapped) in strips.iter().flatten() {
+                    let bond = swapped.shape().iter().copied().max().unwrap();
+                    assert!(bond <= r * r * chi, "{site:?}: {:?}, chi = {chi}", swapped.shape());
+                }
+            }
+        }
     }
 
     #[test]

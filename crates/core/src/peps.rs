@@ -432,24 +432,30 @@ impl Peps {
                 context: "merge_with_bra: lattice shapes differ".into(),
             });
         }
-        let mut tensors = Vec::with_capacity(self.num_sites());
-        for (ket, bra_t) in self.tensors.iter().zip(bra.tensors.iter()) {
-            if ket.dim(AX_P) != bra_t.dim(AX_P) {
-                return Err(TensorError::ShapeMismatch {
-                    context: "merge_with_bra: physical dimensions differ".into(),
-                });
-            }
-            // conj(bra)[p, ub, lb, db, rb] x ket[p, uk, lk, dk, rk], with the
-            // bond-pair interleaving folded into the (cached) einsum plan:
-            // [ub, uk, lb, lk, db, dk, rb, rk].
-            let pair = koala_tensor::einsum("pabcd,pefgh->aebfcgdh", &[&bra_t.conj(), ket])?;
-            let s = pair.shape().to_vec();
-            let merged =
-                pair.into_reshape(&[1, s[0] * s[1], s[2] * s[3], s[4] * s[5], s[6] * s[7]])?;
-            tensors.push(merged);
-        }
+        let tensors = self
+            .tensors
+            .iter()
+            .zip(bra.tensors.iter())
+            .map(|(ket, bra_t)| merge_site_pair(bra_t, ket))
+            .collect::<Result<Vec<_>>>()?;
         Peps::new(self.nrows, self.ncols, tensors)
     }
+}
+
+/// Merge a bra site (conjugated) with a ket site over the physical index into
+/// one site `[1, u_pair, l_pair, d_pair, r_pair]` of the one-layer network.
+pub(crate) fn merge_site_pair(bra_site: &Tensor, ket_site: &Tensor) -> Result<Tensor> {
+    if bra_site.dim(AX_P) != ket_site.dim(AX_P) {
+        return Err(TensorError::ShapeMismatch {
+            context: "merge_site_pair: physical dimensions differ".into(),
+        });
+    }
+    // conj(bra)[p, ub, lb, db, rb] x ket[p, uk, lk, dk, rk], with the bond-pair
+    // interleaving folded into the (cached) einsum plan:
+    // [ub, uk, lb, lk, db, dk, rb, rk].
+    let pair = koala_tensor::einsum("pabcd,pefgh->aebfcgdh", &[&bra_site.conj(), ket_site])?;
+    let s = pair.shape().to_vec();
+    pair.into_reshape(&[1, s[0] * s[1], s[2] * s[3], s[4] * s[5], s[6] * s[7]])
 }
 
 /// Build a Matrix view of a one-site gate acting on physical dimension `d`

@@ -56,9 +56,10 @@ impl JsonValue {
     }
 
     /// Parse a JSON document. Covers the full value grammar the emitter
-    /// produces (and standard JSON escapes); numbers parse as `f64`.
+    /// produces (and standard JSON escapes); numbers parse as `f64`. Arrays
+    /// and objects may nest 64 deep.
     pub fn parse(text: &str) -> Result<JsonValue, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -174,7 +175,14 @@ impl JsonValue {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
+
+/// Deepest nesting [`JsonValue::parse`] accepts. The parser recurses once per
+/// open array or object, so the input must not get to choose the stack depth;
+/// nothing the workspace writes or serves nests beyond a handful of levels.
+const MAX_DEPTH: usize = 64;
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
@@ -212,8 +220,15 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<JsonValue, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+                }
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') if self.eat_literal("true") => Ok(JsonValue::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(JsonValue::Bool(false)),
@@ -422,5 +437,10 @@ mod tests {
         assert!(JsonValue::parse("{\"a\": }").is_err());
         assert!(JsonValue::parse("[1, 2").is_err());
         assert!(JsonValue::parse("123 45").is_err());
+        // Nesting is bounded, so a hostile line cannot overflow the stack.
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&nested(64)).is_ok());
+        assert!(JsonValue::parse(&nested(65)).is_err());
+        assert!(JsonValue::parse(&"{\"a\":".repeat(1_000_000)).is_err());
     }
 }

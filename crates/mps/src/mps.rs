@@ -5,6 +5,7 @@
 //! of a PEPS (paper Algorithm 2) the "physical" index is the open index that
 //! points at the next, not yet absorbed, row of the PEPS.
 
+use crate::mpo::Mpo;
 use koala_linalg::{c64, C64};
 use koala_tensor::{qr_split, svd_split, tensordot, Tensor, TensorError, Truncation};
 use rand::Rng;
@@ -160,6 +161,30 @@ impl Mps {
         for (a, b) in self.tensors.iter().zip(other.tensors.iter()) {
             let step = tensordot(&env, a, &[0], &[0])?; // [rb, p, ra']
             env = tensordot(&step, b, &[0, 1], &[0, 1])?; // [ra', rb']
+        }
+        Ok(env.item())
+    }
+
+    /// Exact closing `<top| mpo |bottom>` of a boundary sweep from above
+    /// against one from below through the row MPO between them (bilinear, as
+    /// [`Mps::dot`]). `None` is the lattice edge: the MPO's indices on that
+    /// side must all have dimension 1, so a single-row network passes both.
+    pub fn sandwich(top: Option<&Mps>, mpo: &Mpo, bottom: Option<&Mps>) -> Result<C64> {
+        let dims = |m: Option<&Mps>| m.map_or_else(|| vec![1; mpo.len()], Mps::phys_dims);
+        if dims(top) != mpo.up_dims() || dims(bottom) != mpo.down_dims() {
+            return Err(TensorError::ShapeMismatch {
+                context: "sandwich: environments and row MPO are incompatible".into(),
+            });
+        }
+        let edge = Tensor::ones(&[1, 1, 1]);
+        // Environment E[a, w, b] (top, MPO and bottom bonds) carried left to right.
+        let mut env = Tensor::ones(&[1, 1, 1]);
+        for (i, o) in mpo.tensors().iter().enumerate() {
+            let a = top.map_or(&edge, |m| m.tensor(i));
+            let b = bottom.map_or(&edge, |m| m.tensor(i));
+            let step = tensordot(&env, a, &[0], &[0])?; // [w, b, u, a']
+            let step = tensordot(&step, o, &[0, 2], &[0, 1])?; // [b, a', d, w']
+            env = tensordot(&step, b, &[0, 2], &[0, 1])?; // [a', w', b']
         }
         Ok(env.item())
     }
@@ -339,6 +364,43 @@ mod tests {
         let mps_inner = a.inner(&b).unwrap();
         let dense_inner = a.to_dense().unwrap().inner(&b.to_dense().unwrap()).unwrap();
         assert!(mps_inner.approx_eq(dense_inner, 1e-9));
+    }
+
+    #[test]
+    fn sandwich_matches_exact_application_at_every_edge() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let top = Mps::random(4, 3, 2, &mut rng);
+        let bottom = Mps::random(4, 2, 3, &mut rng);
+        let site = |i: usize, u: usize, d: usize, rng: &mut StdRng| {
+            let (l, r) = (if i == 0 { 1 } else { 3 }, if i == 3 { 1 } else { 3 });
+            Tensor::random(&[l, u, d, r], rng)
+        };
+        let mut mpo = |u, d| Mpo::new((0..4).map(|i| site(i, u, d, &mut rng)).collect()).unwrap();
+        // Interior row: both environments.
+        let inner = mpo(3, 2);
+        let want = inner.apply_exact(&top).unwrap().dot(&bottom).unwrap();
+        let got = Mps::sandwich(Some(&top), &inner, Some(&bottom)).unwrap();
+        assert!(got.approx_eq(want, 1e-10 * want.abs().max(1.0)), "{got} vs {want}");
+        // Last row, first row and a one-row lattice.
+        let last = mpo(3, 1);
+        let want = last.apply_exact(&top).unwrap().contract_to_scalar().unwrap();
+        let got = Mps::sandwich(Some(&top), &last, None).unwrap();
+        assert!(got.approx_eq(want, 1e-10 * want.abs().max(1.0)), "{got} vs {want}");
+        let first = mpo(1, 2);
+        let as_mps: Vec<Tensor> = first.tensors().iter().map(|t| t.select(1, 0).unwrap()).collect();
+        let want = Mps::new(as_mps).unwrap().dot(&bottom).unwrap();
+        let got = Mps::sandwich(None, &first, Some(&bottom)).unwrap();
+        assert!(got.approx_eq(want, 1e-10 * want.abs().max(1.0)), "{got} vs {want}");
+        let single = mpo(1, 1);
+        let as_mps: Vec<Tensor> =
+            single.tensors().iter().map(|t| t.select(1, 0).unwrap()).collect();
+        let want = Mps::new(as_mps).unwrap().contract_to_scalar().unwrap();
+        let got = Mps::sandwich(None, &single, None).unwrap();
+        assert!(got.approx_eq(want, 1e-10 * want.abs().max(1.0)), "{got} vs {want}");
+        // A missing environment where the MPO still has an open index is an error.
+        assert!(Mps::sandwich(None, &inner, Some(&bottom)).is_err());
+        assert!(Mps::sandwich(Some(&top), &inner, None).is_err());
+        assert!(Mps::sandwich(Some(&bottom), &inner, Some(&bottom)).is_err());
     }
 
     #[test]

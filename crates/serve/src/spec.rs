@@ -43,10 +43,9 @@ fn validate_lattice(nrows: usize, ncols: usize) -> Result<()> {
     if nrows == 0 || ncols == 0 {
         return Err(invalid(format!("lattice {nrows}x{ncols}: dimensions must be >= 1")));
     }
-    if nrows * ncols > MAX_SITES {
+    if nrows.checked_mul(ncols).is_none_or(|sites| sites > MAX_SITES) {
         return Err(invalid(format!(
-            "lattice {nrows}x{ncols}: {} sites exceeds the service cap of {MAX_SITES}",
-            nrows * ncols
+            "lattice {nrows}x{ncols} exceeds the service cap of {MAX_SITES} sites"
         )));
     }
     Ok(())
@@ -619,7 +618,7 @@ impl JobSpec {
                 };
                 let mut circuit = match lattice {
                     Some((r, c)) => {
-                        if r * c != num_qubits {
+                        if r.checked_mul(c) != Some(num_qubits) {
                             return Err(invalid(format!(
                                 "circuit: lattice {r}x{c} does not hold {num_qubits} qubits"
                             )));
@@ -687,11 +686,11 @@ fn req_usize(v: &JsonValue, key: &str) -> Result<usize> {
     usize_from_num(x, format_args!("field '{key}'"))
 }
 
-/// A wire number as a count or index: fractions, negatives, NaN and
-/// infinities are rejected rather than cast (`as usize` would map them all
-/// to some in-range value).
+/// A wire number as a count or index: fractions, negatives, NaN, infinities
+/// and anything past 2^53 (where `f64` stops being exact) are rejected rather
+/// than cast (`as usize` would map them all to some in-range value).
 fn usize_from_num(x: f64, what: impl std::fmt::Display) -> Result<usize> {
-    if x < 0.0 || x.fract() != 0.0 {
+    if !(0.0..=9_007_199_254_740_992.0).contains(&x) || x.fract() != 0.0 {
         return Err(invalid(format!("{what} must be a non-negative integer, got {x}")));
     }
     Ok(x as usize)
@@ -1088,6 +1087,18 @@ mod tests {
         let bad =
             JsonValue::object([("type", JsonValue::str("ite")), ("nrows", JsonValue::num(2.5))]);
         assert!(JobSpec::from_json(&bad).is_err());
+        // A site count that wraps `usize` must not slip under the cap, and a
+        // count past 2^53 is not an integer the wire can carry.
+        let ite = |nrows: &str| {
+            let line = format!(
+                r#"{{"type":"ite","nrows":{nrows},"ncols":4294967296,"steps":1,"evolution_bond":1,"contraction_bond":1}}"#
+            );
+            JobSpec::from_json(&JsonValue::parse(&line).expect("well-formed JSON"))
+        };
+        for nrows in ["4294967296", "1e19"] {
+            let err = ite(nrows).expect_err("oversized lattice must be rejected");
+            assert_eq!(err.kind(), ErrorKind::InvalidArgument, "nrows {nrows}: {err}");
+        }
         // Bits that `as usize` would silently turn into a valid 0.
         for bit in [0.5, -1.0, f64::NAN, f64::INFINITY] {
             let job = |bit: f64| {

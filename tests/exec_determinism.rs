@@ -22,40 +22,48 @@ const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// The ITE sweep drives einsum planning, the packed GEMM, QR/SVD truncation
 /// and expectation contraction — end to end, the final energy and the exact
-/// counter deltas must not depend on the thread count.
+/// counter deltas must not depend on the thread count. The 2x2 case is a long
+/// sweep at small bonds; the 4x3 case (r = 3, m = 6) reaches the shapes of
+/// the `ite_step` measurement: stacked swaps on interior sites, two-row
+/// strips behind a cached environment, closings at both lattice edges.
 #[test]
 fn warm_tfi_ite_sweep_is_bit_identical_across_threads() {
     let _guard = SERIAL.lock().unwrap();
-    let h = tfi_hamiltonian(2, 2, TfiParams { jz: -1.0, hx: -1.2 });
-    let peps = Peps::computational_zeros(2, 2);
-    let opts = IteOptions::new(0.05, 12, 2, 4);
+    let cases = [
+        (2, 2, TfiParams { jz: -1.0, hx: -1.2 }, IteOptions::new(0.05, 12, 2, 4)),
+        (4, 3, TfiParams { jz: -1.0, hx: -2.0 }, IteOptions::new(0.05, 3, 3, 6)),
+    ];
+    for (nrows, ncols, params, opts) in cases {
+        let h = tfi_hamiltonian(nrows, ncols, params);
+        let peps = Peps::computational_zeros(nrows, ncols);
 
-    // Warm the plan cache once so the sweep itself measures steady-state
-    // execution, not first-touch planning.
-    koala::exec::set_threads(1);
-    let mut warm_rng = StdRng::seed_from_u64(321);
-    ite_peps(&peps, &h, opts, &mut warm_rng).unwrap();
+        // Warm the plan cache once so the sweep itself measures steady-state
+        // execution, not first-touch planning.
+        koala::exec::set_threads(1);
+        let mut warm_rng = StdRng::seed_from_u64(321);
+        ite_peps(&peps, &h, opts, &mut warm_rng).unwrap();
 
-    let mut reference: Option<(u64, u64, u64)> = None;
-    for &threads in &THREAD_SWEEP {
-        koala::exec::set_threads(threads);
-        let mut rng = StdRng::seed_from_u64(321);
-        let meter = WorkMeter::new();
-        let result = meter.scope(|| ite_peps(&peps, &h, opts, &mut rng)).unwrap();
-        let (df, dr) = (meter.complex_macs(), meter.real_macs());
-        let bits = result.final_energy().to_bits();
-        match reference {
-            None => reference = Some((bits, df, dr)),
-            Some((ebits, ef, er)) => {
-                assert_eq!(
-                    bits,
-                    ebits,
-                    "ITE final energy differs at {threads} threads: {} vs {}",
-                    f64::from_bits(bits),
-                    f64::from_bits(ebits)
-                );
-                assert_eq!(df, ef, "complex-MAC billing differs at {threads} threads");
-                assert_eq!(dr, er, "real-MAC billing differs at {threads} threads");
+        let mut reference: Option<(u64, u64, u64)> = None;
+        for &threads in &THREAD_SWEEP {
+            koala::exec::set_threads(threads);
+            let mut rng = StdRng::seed_from_u64(321);
+            let meter = WorkMeter::new();
+            let result = meter.scope(|| ite_peps(&peps, &h, opts, &mut rng)).unwrap();
+            let (df, dr) = (meter.complex_macs(), meter.real_macs());
+            let bits = result.final_energy().to_bits();
+            match reference {
+                None => reference = Some((bits, df, dr)),
+                Some((ebits, ef, er)) => {
+                    assert_eq!(
+                        bits,
+                        ebits,
+                        "{nrows}x{ncols} ITE final energy differs at {threads} threads: {} vs {}",
+                        f64::from_bits(bits),
+                        f64::from_bits(ebits)
+                    );
+                    assert_eq!(df, ef, "complex-MAC billing differs at {threads} threads");
+                    assert_eq!(dr, er, "real-MAC billing differs at {threads} threads");
+                }
             }
         }
     }

@@ -10,7 +10,7 @@
 //! holds exactly the sweep's own work.
 
 use koala::exec::WorkMeter;
-use koala::peps::Peps;
+use koala::peps::{expectation_normalized, ExpectationOptions, Peps};
 use koala::sim::hamiltonian::{tfi_hamiltonian, TfiParams};
 use koala::sim::{ite_peps, IteOptions, UpdateKind};
 use rand::rngs::StdRng;
@@ -44,4 +44,38 @@ fn tfi_ite_sweep_performs_zero_complex_macs() {
             result.final_energy()
         );
     }
+}
+
+/// The measurement `ite_step` ends in — one `expectation_normalized` on the
+/// 4x3 TFI state at saturated bonds (r = 3) with `ibmps_cached(6)` — stays on
+/// the real kernel and does only the work the network asks for. At the parent
+/// commit (9fc9ca2) this scope billed 280_888_653 real MACs: every ZZ term
+/// kept all 54 singular directions of a rank-3 theta (merged bond 162, not
+/// 9), re-merged its whole strip and closed it with a truncating zip-up. With
+/// the touched sites swapped into the cached network and the strip closed
+/// exactly it bills 40_102_744. The pin is a third of the parent count, so it
+/// trips if any part of that work comes back (the bond bound itself is
+/// pinned by `swapped_sites_never_exceed_the_schmidt_bond` in koala-peps).
+#[test]
+fn cached_tfi_measurement_bills_a_third_of_the_inflated_strip_work() {
+    const PARENT_REAL_MACS: u64 = 280_888_653;
+    let h = tfi_hamiltonian(4, 3, TfiParams { jz: -1.0, hx: -2.0 });
+    let mut rng = StdRng::seed_from_u64(0x4B3);
+    let options = IteOptions::new(0.05, 4, 3, 6);
+    let peps = ite_peps(&Peps::computational_zeros(4, 3), &h, options, &mut rng)
+        .expect("ITE set-up failed")
+        .final_state;
+    assert_eq!(peps.max_bond(), 3);
+
+    let meter = WorkMeter::new();
+    let energy = meter
+        .scope(|| expectation_normalized(&peps, &h, ExpectationOptions::ibmps_cached(6), &mut rng))
+        .expect("measurement failed");
+    assert!(energy.re.is_finite() && energy.re < -12.0, "energy {energy}");
+    assert_eq!(meter.complex_macs(), 0, "the TFI measurement left the real kernel");
+    let real = meter.real_macs();
+    assert!(
+        real > 0 && real < PARENT_REAL_MACS / 3,
+        "measurement billed {real} real MACs, parent {PARENT_REAL_MACS}"
+    );
 }
