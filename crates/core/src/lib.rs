@@ -10,7 +10,8 @@
 //! * [`operators::Observable`] — sums of local terms (Hamiltonians, measurements),
 //! * [`update`] — one-site and two-site operator application: the simple
 //!   update, the QR-SVD update of Algorithm 1, and its reshape-avoiding
-//!   Gram-matrix variant (Algorithm 5),
+//!   Gram-matrix variant (Algorithm 5); gate lists run as a site-dependency
+//!   task graph ([`apply_gates`]), so independent bond updates use every core,
 //! * [`contract`] — Exact, BMPS (Algorithm 2 + 3) and IBMPS (implicit
 //!   randomized SVD, Algorithm 4) contraction of one-layer networks,
 //! * [`two_layer`] — the two-layer inner product that keeps bra and ket
@@ -75,6 +76,6 @@ pub use operators::{LocalTerm, Observable};
 pub use peps::{Direction, Peps, Site};
 pub use two_layer::{inner_two_layer, norm_sqr_two_layer};
 pub use update::{
-    apply_one_site, apply_two_site, apply_two_site_any, apply_two_site_everywhere, swap_gate,
-    UpdateMethod,
+    apply_gates, apply_one_site, apply_two_site, apply_two_site_any, apply_two_site_everywhere,
+    route_two_site, routed_error, swap_gate, GateOp, UpdateMethod,
 };

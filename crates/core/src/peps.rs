@@ -248,6 +248,12 @@ impl Peps {
         &self.tensors
     }
 
+    /// All site tensors, row-major, for the gate-list engine to update in
+    /// place (`update::apply_gates`).
+    pub(crate) fn tensors_mut(&mut self) -> &mut [Tensor] {
+        &mut self.tensors
+    }
+
     /// Physical dimension of a site.
     pub fn phys_dim(&self, site: Site) -> usize {
         self.tensor(site).dim(AX_P)

@@ -12,14 +12,27 @@
 //! * [`UpdateMethod::GramQrSvd`] — Algorithm 1 with the orthogonalization done
 //!   through a Gram matrix (the local math of Algorithm 5), the variant that
 //!   avoids matricizing the big site tensors on the distributed backend.
+//!
+//! Everything that applies gates goes through one gate-list engine,
+//! [`apply_gates`]: a list of one-site and neighbour-pair ops becomes a task
+//! graph whose edges chain the ops that share a site, so the bond updates of
+//! a TEBD layer that touch disjoint sites (the parallel axis of the paper's
+//! Figure 7) run concurrently while every site is still updated in list
+//! order — bit-identical to the sequential fold at any thread count.
+//! [`apply_two_site`], [`apply_two_site_any`] (through the SWAP lowering
+//! [`route_two_site`]) and [`apply_two_site_everywhere`] are list builders
+//! over it.
 
 use crate::peps::{
     check_one_site_gate, Direction, Peps, Result, Site, AX_D, AX_L, AX_P, AX_R, AX_U,
 };
+use koala_exec::{TaskGraph, TaskId, TaskKind};
 use koala_linalg::Matrix;
 use koala_tensor::{
     einsum, gram_qr_split, qr_split, tensordot, EinsumSvd, Tensor, TensorError, Truncation,
 };
+use std::borrow::Cow;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The simple update: sites a `[pa, o1, o2, o3, bond]`, b `[pb, bond, o1, o2,
 /// o3]` and gate `[pa', pb', pa, pb]` split into `[pa', ao1..3, k]` and
@@ -82,14 +95,16 @@ impl UpdateMethod {
 /// gate shape to every site, so the contraction is planned once per
 /// `(gate, site-tensor)` shape pair.
 pub fn apply_one_site(peps: &mut Peps, gate: &Matrix, site: Site) -> Result<()> {
-    let d = peps.phys_dim(site);
-    check_one_site_gate(gate, d)?;
-    let gate_t = Tensor::from_matrix_2d(gate);
-    let old = peps.tensor(site);
-    // new[i, u, l, d, r] = sum_j gate[i, j] old[j, u, l, d, r]
-    let new = einsum("ij,juldr->iuldr", &[&gate_t, old])?;
+    let new = update_site(peps.tensor(site), gate)?;
     peps.set_tensor(site, new);
     Ok(())
+}
+
+/// The arithmetic of a one-site update: `new[i, u, l, d, r] = sum_j gate[i, j]
+/// old[j, u, l, d, r]`.
+fn update_site(old: &Tensor, gate: &Matrix) -> Result<Tensor> {
+    check_one_site_gate(gate, old.dim(AX_P))?;
+    einsum("ij,juldr->iuldr", &[&Tensor::from_matrix_2d(gate), old])
 }
 
 /// Swap the two subsystems of a two-site gate: returns `G'` with
@@ -120,22 +135,8 @@ pub fn apply_two_site(
     site_b: Site,
     method: UpdateMethod,
 ) -> Result<f64> {
-    let dir = peps.direction_between(site_a, site_b).ok_or_else(|| TensorError::InvalidAxes {
-        context: format!("apply_two_site: sites {site_a:?} and {site_b:?} are not neighbours"),
-    })?;
-    // Normalise to the canonical orientations (Right / Down) so the index
-    // gymnastics below only has two cases.
-    match dir {
-        Direction::Right | Direction::Down => {
-            apply_two_site_canonical(peps, gate, site_a, site_b, dir, method)
-        }
-        Direction::Left | Direction::Up => {
-            let d_a = peps.phys_dim(site_a);
-            let d_b = peps.phys_dim(site_b);
-            let swapped = reorder_gate(gate, d_a, d_b)?;
-            apply_two_site_canonical(peps, &swapped, site_b, site_a, dir.opposite(), method)
-        }
-    }
+    let errs = apply_gates(peps, &[GateOp::two_site(gate, site_a, site_b)], method)?;
+    Ok(errs[0])
 }
 
 /// Permutations that bring the two site tensors into the canonical layouts
@@ -150,16 +151,20 @@ pub(crate) fn canonical_perms(dir: Direction) -> ([usize; 5], [usize; 5]) {
     }
 }
 
-fn apply_two_site_canonical(
-    peps: &mut Peps,
+/// The arithmetic of a two-site update on a canonically oriented pair
+/// (`dir` is `Right` or `Down`, from `site_a` to `site_b`): the new site
+/// tensors in PEPS layout and the truncation error of their shared bond. A
+/// pure function of its arguments, so a gate list may run it for disjoint
+/// pairs on any thread.
+fn update_pair(
+    site_a: &Tensor,
+    site_b: &Tensor,
     gate: &Matrix,
-    site_a: Site,
-    site_b: Site,
     dir: Direction,
     method: UpdateMethod,
-) -> Result<f64> {
-    let d_a = peps.phys_dim(site_a);
-    let d_b = peps.phys_dim(site_b);
+) -> Result<(Tensor, Tensor, f64)> {
+    let d_a = site_a.dim(AX_P);
+    let d_b = site_b.dim(AX_P);
     if gate.shape() != (d_a * d_b, d_a * d_b) {
         return Err(TensorError::ShapeMismatch {
             context: format!(
@@ -171,8 +176,8 @@ fn apply_two_site_canonical(
         });
     }
     let (perm_a, perm_b) = canonical_perms(dir);
-    let a = peps.tensor(site_a).permute(&perm_a)?; // [p, o1, o2, o3, bond]
-    let b = peps.tensor(site_b).permute(&perm_b)?; // [p, bond, o1, o2, o3]
+    let a = site_a.permute(&perm_a)?; // [p, o1, o2, o3, bond]
+    let b = site_b.permute(&perm_b)?; // [p, bond, o1, o2, o3]
     let gate_t = Tensor::from_matrix_2d(gate).into_reshape(&[d_a, d_b, d_a, d_b])?;
 
     let truncation = method.truncation();
@@ -183,11 +188,7 @@ fn apply_two_site_canonical(
     };
 
     // Undo the canonical permutations.
-    let inv_a = invert5(perm_a);
-    let inv_b = invert5(perm_b);
-    peps.set_tensor(site_a, new_a.permute(&inv_a)?);
-    peps.set_tensor(site_b, new_b.permute(&inv_b)?);
-    Ok(err)
+    Ok((new_a.permute(&invert5(perm_a))?, new_b.permute(&invert5(perm_b))?, err))
 }
 
 pub(crate) fn invert5(perm: [usize; 5]) -> [usize; 5] {
@@ -267,10 +268,91 @@ pub fn swap_gate(d: usize) -> Matrix {
     m
 }
 
+/// One entry of a gate list for [`apply_gates`]: a one-site gate, or a
+/// two-site gate on nearest neighbours.
+#[derive(Debug, Clone)]
+pub struct GateOp<'a> {
+    gate: Cow<'a, Matrix>,
+    site: Site,
+    partner: Option<Site>,
+}
+
+impl<'a> GateOp<'a> {
+    /// A `d x d` gate on one site (Equation 3).
+    pub fn one_site(gate: &'a Matrix, site: Site) -> Self {
+        GateOp { gate: Cow::Borrowed(gate), site, partner: None }
+    }
+
+    /// A `(d_a d_b) x (d_a d_b)` gate on two *neighbouring* sites, `site_a`
+    /// the most significant subsystem.
+    pub fn two_site(gate: &'a Matrix, site_a: Site, site_b: Site) -> Self {
+        GateOp { gate: Cow::Borrowed(gate), site: site_a, partner: Some(site_b) }
+    }
+}
+
+/// Lower a two-site gate on an arbitrary (not necessarily adjacent) pair of
+/// sites into neighbour ops appended to `ops`: SWAP gates along a Manhattan
+/// path (first along the column, then along the row) bring the state of
+/// `site_b` next to `site_a`, the gate is applied, and the SWAPs are undone
+/// in reverse — the strategy described at the end of paper §II-C1. A
+/// neighbouring pair lowers to the gate alone. Fold the errors
+/// [`apply_gates`] returns for the appended ops with [`routed_error`].
+pub fn route_two_site<'a>(
+    peps: &Peps,
+    gate: &'a Matrix,
+    site_a: Site,
+    site_b: Site,
+    ops: &mut Vec<GateOp<'a>>,
+) -> Result<()> {
+    if site_a == site_b {
+        return Err(TensorError::InvalidAxes {
+            context: "apply_two_site_any: the two sites must differ".into(),
+        });
+    }
+    site_slot(peps, site_b)?;
+    let d = peps.phys_dim(site_b);
+    // The path that moves the state of `site_b` to a neighbour of `site_a`:
+    // walk rows first, then columns. Its last entry is `site_a` itself.
+    let mut hops = vec![site_b];
+    let (ar, ac) = site_a;
+    let (mut br, mut bc) = site_b;
+    while br != ar {
+        br = if br > ar { br - 1 } else { br + 1 };
+        hops.push((br, bc));
+    }
+    while bc != ac {
+        bc = if bc > ac { bc - 1 } else { bc + 1 };
+        hops.push((br, bc));
+    }
+    hops.pop();
+
+    let swap_op =
+        |w: &[Site]| GateOp { gate: Cow::Owned(swap_gate(d)), site: w[0], partner: Some(w[1]) };
+    ops.extend(hops.windows(2).map(swap_op));
+    let partner = *hops
+        .last()
+        .unwrap_or_else(|| unreachable!("distinct sites leave at least one hop on the path"));
+    ops.push(GateOp::two_site(gate, site_a, partner));
+    ops.extend(hops.windows(2).rev().map(swap_op));
+    Ok(())
+}
+
+/// The truncation error of one routed gate from the per-op errors of its
+/// lowering: the error itself for a neighbouring pair, the root sum square
+/// over the SWAPs and the gate otherwise.
+pub fn routed_error(errs: &[f64]) -> f64 {
+    match errs {
+        [e] => *e,
+        _ => root_sum_square(errs),
+    }
+}
+
+fn root_sum_square(errs: &[f64]) -> f64 {
+    errs.iter().fold(0.0, |sum, e| sum + e * e).sqrt()
+}
+
 /// Apply a two-site gate to an arbitrary (not necessarily adjacent) pair of
-/// sites by routing with SWAP gates along a Manhattan path (first along the
-/// column, then along the row), applying the gate, and swapping back — the
-/// strategy described at the end of paper §II-C1. Returns the accumulated
+/// sites by SWAP routing (see [`route_two_site`]). Returns the accumulated
 /// truncation error.
 pub fn apply_two_site_any(
     peps: &mut Peps,
@@ -279,54 +361,9 @@ pub fn apply_two_site_any(
     site_b: Site,
     method: UpdateMethod,
 ) -> Result<f64> {
-    if site_a == site_b {
-        return Err(TensorError::InvalidAxes {
-            context: "apply_two_site_any: the two sites must differ".into(),
-        });
-    }
-    if peps.direction_between(site_a, site_b).is_some() {
-        return apply_two_site(peps, gate, site_a, site_b, method);
-    }
-    let d = peps.phys_dim(site_b);
-    let swap = swap_gate(d);
-
-    // Build the path that moves the state of `site_b` to a neighbour of
-    // `site_a`: walk rows first, then columns.
-    let mut path = vec![site_b];
-    let (ar, ac) = site_a;
-    let (mut br, mut bc) = site_b;
-    while br != ar {
-        br = if br > ar { br - 1 } else { br + 1 };
-        path.push((br, bc));
-    }
-    while bc != ac {
-        bc = if bc > ac { bc - 1 } else { bc + 1 };
-        path.push((br, bc));
-    }
-    // The last entry is site_a itself; the gate partner is the one before it.
-    debug_assert_eq!(
-        path.last().copied().unwrap_or_else(|| unreachable!("path starts at site_b")),
-        site_a
-    );
-    let hops = &path[..path.len() - 1];
-
-    let mut err_sq = 0.0;
-    // Swap forward: move |site_b> along the path up to the neighbour of site_a.
-    for w in hops.windows(2) {
-        let e = apply_two_site(peps, &swap, w[0], w[1], method)?;
-        err_sq += e * e;
-    }
-    let partner = *hops
-        .last()
-        .unwrap_or_else(|| unreachable!("distinct sites leave at least one hop on the path"));
-    let e = apply_two_site(peps, gate, site_a, partner, method)?;
-    err_sq += e * e;
-    // Swap back in reverse order.
-    for w in hops.windows(2).rev() {
-        let e = apply_two_site(peps, &swap, w[0], w[1], method)?;
-        err_sq += e * e;
-    }
-    Ok(err_sq.sqrt())
+    let mut ops = Vec::new();
+    route_two_site(peps, gate, site_a, site_b, &mut ops)?;
+    Ok(routed_error(&apply_gates(peps, &ops, method)?))
 }
 
 /// Apply a layer of the same two-site gate to every nearest-neighbour pair
@@ -337,16 +374,176 @@ pub fn apply_two_site_everywhere(
     gate: &Matrix,
     method: UpdateMethod,
 ) -> Result<f64> {
-    let mut err_sq = 0.0;
-    for (a, b) in peps.horizontal_pairs() {
-        let e = apply_two_site(peps, gate, a, b, method)?;
-        err_sq += e * e;
+    let ops: Vec<GateOp<'_>> = peps
+        .horizontal_pairs()
+        .into_iter()
+        .chain(peps.vertical_pairs())
+        .map(|(a, b)| GateOp::two_site(gate, a, b))
+        .collect();
+    Ok(root_sum_square(&apply_gates(peps, &ops, method)?))
+}
+
+/// Row-major slot of a site, rejecting sites outside the lattice.
+fn site_slot(peps: &Peps, site: Site) -> Result<usize> {
+    if site.0 >= peps.nrows() || site.1 >= peps.ncols() {
+        return Err(TensorError::InvalidAxes {
+            context: format!(
+                "site {site:?} is outside the {}x{} lattice",
+                peps.nrows(),
+                peps.ncols()
+            ),
+        });
     }
-    for (a, b) in peps.vertical_pairs() {
-        let e = apply_two_site(peps, gate, a, b, method)?;
-        err_sq += e * e;
+    Ok(peps.site_index(site))
+}
+
+/// Where an op acts: the slot of its (first) site and, for a pair, the slot
+/// of the partner with the direction from the first site to it.
+type Target = (usize, Option<(usize, Direction)>);
+
+fn target(peps: &Peps, op: &GateOp<'_>) -> Result<Target> {
+    let slot = site_slot(peps, op.site)?;
+    let Some(partner) = op.partner else { return Ok((slot, None)) };
+    let partner_slot = site_slot(peps, partner)?;
+    let dir = peps.direction_between(op.site, partner).ok_or_else(|| TensorError::InvalidAxes {
+        context: format!("apply_two_site: sites {:?} and {partner:?} are not neighbours", op.site),
+    })?;
+    Ok((slot, Some((partner_slot, dir))))
+}
+
+/// The dependency rule of a gate list: each op waits for the previous op in
+/// list order that touches either of its sites, so every site sees its
+/// updates in exactly the list order while ops on disjoint sites are free to
+/// run concurrently.
+fn dependencies(num_sites: usize, targets: &[Target]) -> Vec<Vec<usize>> {
+    let mut last_on_site: Vec<Option<usize>> = vec![None; num_sites];
+    targets
+        .iter()
+        .enumerate()
+        .map(|(i, &(slot, partner))| {
+            let mut deps = Vec::with_capacity(2);
+            for s in std::iter::once(slot).chain(partner.map(|(s, _)| s)) {
+                if let Some(j) = last_on_site[s].replace(i) {
+                    if !deps.contains(&j) {
+                        deps.push(j);
+                    }
+                }
+            }
+            deps
+        })
+        .collect()
+}
+
+/// How many ops of a list can be in flight together: the largest number of
+/// ops that share a depth (longest dependency path below them). Width 1
+/// means the list is one chain.
+fn width(deps: &[Vec<usize>]) -> usize {
+    let mut depth = vec![0usize; deps.len()];
+    let mut per_depth: Vec<usize> = Vec::new();
+    for (i, d) in deps.iter().enumerate() {
+        depth[i] = d.iter().map(|&j| depth[j] + 1).max().unwrap_or(0);
+        if depth[i] == per_depth.len() {
+            per_depth.push(0);
+        }
+        per_depth[depth[i]] += 1;
     }
-    Ok(err_sq.sqrt())
+    per_depth.into_iter().max().unwrap_or(0)
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Apply a list of one-site and neighbour-pair gates, in list order as far
+/// as any site can tell. Returns one truncation error per op (0 for a
+/// one-site op).
+///
+/// The list becomes a `koala_exec::TaskGraph` with one task per op and the
+/// edges of the site-dependency rule (each op waits for the previous op in
+/// list order that touches either of its sites), so the updates of a TEBD
+/// layer that act on disjoint sites run on every core. Because the edges —
+/// not the schedule — fix the order in which each site is updated, the
+/// resulting tensors, the per-op errors and the `WorkMeter` billing are
+/// bit-identical to applying the ops one after another, at any thread count.
+/// A list that is one chain, or a one-thread pool, runs the same ops inline
+/// on the caller.
+///
+/// # Errors
+///
+/// An op outside the lattice or on a non-neighbouring pair is rejected
+/// before anything is applied. An op that fails while running (a gate of
+/// the wrong shape, a factorization that meets non-finite data) cancels the
+/// run and its `TensorError` is returned (the earliest in list order if
+/// several ops failed). The PEPS is then structurally valid — every op is
+/// applied whole or not at all, and bonds only change in pairs — but *which*
+/// of the ops that do not depend on the failed one were applied is
+/// unspecified: discard the state or restore it from a checkpoint.
+pub fn apply_gates(peps: &mut Peps, ops: &[GateOp<'_>], method: UpdateMethod) -> Result<Vec<f64>> {
+    let targets = ops.iter().map(|op| target(peps, op)).collect::<Result<Vec<Target>>>()?;
+    let deps = dependencies(peps.num_sites(), &targets);
+    // One lock per site over the tensors where they live: nothing is cloned
+    // or moved, and a failed run leaves every site holding a whole tensor.
+    // The dependency edges give each running op exclusive use of its sites;
+    // the locks are how safe code says so, and are never contended.
+    let cells: Vec<Mutex<&mut Tensor>> = peps.tensors_mut().iter_mut().map(Mutex::new).collect();
+    let errs = Mutex::new(vec![0.0; ops.len()]);
+
+    let run_op = |i: usize| -> Result<()> {
+        let gate: &Matrix = &ops[i].gate;
+        let (slot, partner) = targets[i];
+        let mut site = lock(&cells[slot]);
+        let Some((partner_slot, dir)) = partner else {
+            **site = update_site(&site, gate)?;
+            return Ok(());
+        };
+        let mut partner = lock(&cells[partner_slot]);
+        // Normalise to the canonical orientations (Right / Down) so the
+        // index gymnastics of `update_pair` only has two cases.
+        let (new_site, new_partner, err) = match dir {
+            Direction::Right | Direction::Down => update_pair(&site, &partner, gate, dir, method)?,
+            Direction::Left | Direction::Up => {
+                let swapped = reorder_gate(gate, site.dim(AX_P), partner.dim(AX_P))?;
+                let (p, s, err) = update_pair(&partner, &site, &swapped, dir.opposite(), method)?;
+                (s, p, err)
+            }
+        };
+        **site = new_site;
+        **partner = new_partner;
+        lock(&errs)[i] = err;
+        Ok(())
+    };
+
+    if width(&deps) <= 1 || koala_exec::threads() == 1 {
+        (0..ops.len()).try_for_each(run_op)?;
+    } else {
+        // The TensorError of the earliest failed op, carried across the
+        // KoalaError boundary of the executor (which only cancels the run).
+        let failure: Mutex<Option<(usize, TensorError)>> = Mutex::new(None);
+        let mut graph = TaskGraph::new();
+        let mut ids: Vec<TaskId> = Vec::with_capacity(ops.len());
+        for (i, op_deps) in deps.iter().enumerate() {
+            let (run_op, failure) = (&run_op, &failure);
+            let op_deps: Vec<TaskId> = op_deps.iter().map(|&j| ids[j]).collect();
+            ids.push(graph.add(TaskKind::Update, &op_deps, move || {
+                run_op(i).map_err(|e| {
+                    let mut first = lock(failure);
+                    if first.as_ref().is_none_or(|(j, _)| i < *j) {
+                        *first = Some((i, e.clone()));
+                    }
+                    e.into()
+                })
+            }));
+        }
+        if let Err(exec_err) = graph.run() {
+            // No op recorded a TensorError: a task panicked (a bug the
+            // inline walk would also have panicked on).
+            return Err(lock(&failure).take().map_or_else(
+                || TensorError::Linalg(format!("gate-list task graph failed: {exec_err}")),
+                |(_, e)| e,
+            ));
+        }
+    }
+    Ok(errs.into_inner().unwrap_or_else(PoisonError::into_inner))
 }
 
 #[cfg(test)]
@@ -574,5 +771,129 @@ mod tests {
         assert!(
             apply_two_site_any(&mut peps, &gate, (0, 0), (0, 0), UpdateMethod::direct(8)).is_err()
         );
+    }
+
+    fn list_width(peps: &Peps, ops: &[GateOp<'_>]) -> usize {
+        let targets: Vec<Target> = ops.iter().map(|op| target(peps, op).unwrap()).collect();
+        width(&dependencies(peps.num_sites(), &targets))
+    }
+
+    #[test]
+    fn chain_has_width_one_and_row_pairs_have_one_op_per_row() {
+        let gate = Matrix::identity(4);
+        let ops = |pairs: Vec<(Site, Site)>| -> Vec<GateOp<'_>> {
+            pairs.into_iter().map(|(a, b)| GateOp::two_site(&gate, a, b)).collect()
+        };
+        let row = Peps::computational_zeros(1, 6);
+        assert_eq!(list_width(&row, &ops(row.horizontal_pairs())), 1);
+        for n in [2, 3, 5] {
+            let peps = Peps::computational_zeros(n, 4);
+            assert_eq!(list_width(&peps, &ops(peps.horizontal_pairs())), n);
+        }
+        // One-site ops on distinct sites are all independent; a second op on
+        // a site waits for the first.
+        let peps = Peps::computational_zeros(2, 2);
+        let x = pauli_x();
+        let sites = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 0)];
+        let one_site: Vec<GateOp<'_>> = sites.iter().map(|&s| GateOp::one_site(&x, s)).collect();
+        assert_eq!(list_width(&peps, &one_site), 4);
+        assert_eq!(list_width(&peps, &[]), 0);
+    }
+
+    #[test]
+    fn overlapping_bonds_are_updated_in_list_order() {
+        koala_exec::set_threads(4);
+        let mut rng = StdRng::seed_from_u64(60);
+        let mut base = Peps::random(2, 3, 2, 2, &mut rng);
+        let norm = base.norm_sqr_dense().unwrap().sqrt();
+        base.scale(c64(1.0 / norm, 0.0));
+        let dense_before = base.to_dense().unwrap();
+        // XX on sites (1, 2) and ZZ on sites (2, 3) of a row do not commute.
+        let g_xx = expm_hermitian(&kron(&pauli_x(), &pauli_x()), c64(0.0, -0.3)).unwrap();
+        let g_zz = expm_hermitian(&kron(&pauli_z(), &pauli_z()), c64(0.0, -0.4)).unwrap();
+        let method = UpdateMethod::qr_svd(16);
+        // Two rows make the list two chains wide, so it runs as a task graph.
+        let in_order = [
+            GateOp::two_site(&g_xx, (0, 0), (0, 1)),
+            GateOp::two_site(&g_zz, (0, 1), (0, 2)),
+            GateOp::two_site(&g_xx, (1, 0), (1, 1)),
+            GateOp::two_site(&g_zz, (1, 1), (1, 2)),
+        ];
+        assert_eq!(list_width(&base, &in_order), 2);
+        let mut graph_run = base.clone();
+        let errs = apply_gates(&mut graph_run, &in_order, method).unwrap();
+
+        let mut folded = base.clone();
+        let mut expected = dense_before.clone();
+        for (i, (gate, a, b)) in
+            [(&g_xx, 0, 1), (&g_zz, 1, 2), (&g_xx, 3, 4), (&g_zz, 4, 5)].into_iter().enumerate()
+        {
+            let e = apply_two_site(&mut folded, gate, (a / 3, a % 3), (b / 3, b % 3), method);
+            assert_eq!(e.unwrap().to_bits(), errs[i].to_bits());
+            expected = dense_two_site(&expected, gate, a, b, 2);
+        }
+        assert_eq!(
+            graph_run.tensors(),
+            folded.tensors(),
+            "graph run must equal the fold bit for bit"
+        );
+        assert!(graph_run.to_dense().unwrap().approx_eq(&expected, 1e-8));
+
+        let swapped =
+            [in_order[1].clone(), in_order[0].clone(), in_order[3].clone(), in_order[2].clone()];
+        let mut other = base.clone();
+        apply_gates(&mut other, &swapped, method).unwrap();
+        assert!(other.to_dense().unwrap().max_diff(&expected) > 1e-3);
+    }
+
+    #[test]
+    fn failing_op_returns_its_typed_error_and_a_valid_peps() {
+        let mut rng = StdRng::seed_from_u64(61);
+        let base = Peps::random(3, 3, 2, 2, &mut rng);
+        let gate = expm_hermitian(&kron(&pauli_z(), &pauli_z()), c64(0.0, -0.2)).unwrap();
+        let wrong = Matrix::identity(9);
+        let method = UpdateMethod::qr_svd(2);
+        let pairs: Vec<(Site, Site)> =
+            base.horizontal_pairs().into_iter().chain(base.vertical_pairs()).collect();
+        for threads in [1, 4] {
+            koala_exec::set_threads(threads);
+
+            // A wrong-shaped gate in the middle of the layer.
+            let ops: Vec<GateOp<'_>> = pairs
+                .iter()
+                .enumerate()
+                .map(|(i, &(a, b))| GateOp::two_site(if i == 6 { &wrong } else { &gate }, a, b))
+                .collect();
+            let mut peps = base.clone();
+            let err = apply_gates(&mut peps, &ops, method).unwrap_err();
+            assert!(matches!(err, TensorError::ShapeMismatch { .. }), "{threads} threads: {err:?}");
+            Peps::new(3, 3, peps.tensors().to_vec()).unwrap();
+
+            // A NaN-poisoned site: the first factorization that meets it fails.
+            let mut poisoned = base.clone();
+            let mut t = poisoned.tensor((1, 1)).clone();
+            t.data_mut().iter_mut().for_each(|z| *z = c64(f64::NAN, 0.0));
+            poisoned.set_tensor((1, 1), t);
+            let ops: Vec<GateOp<'_>> =
+                pairs.iter().map(|&(a, b)| GateOp::two_site(&gate, a, b)).collect();
+            let err = apply_gates(&mut poisoned, &ops, method).unwrap_err();
+            assert!(matches!(err, TensorError::Linalg(_)), "{threads} threads: {err:?}");
+            Peps::new(3, 3, poisoned.tensors().to_vec()).unwrap();
+        }
+
+        // Structural errors are rejected before anything is applied.
+        let mut peps = base.clone();
+        let ops =
+            [GateOp::two_site(&gate, (0, 0), (0, 1)), GateOp::two_site(&gate, (0, 0), (1, 1))];
+        assert!(matches!(
+            apply_gates(&mut peps, &ops, method),
+            Err(TensorError::InvalidAxes { .. })
+        ));
+        let outside = [GateOp::one_site(&gate, (3, 0))];
+        assert!(matches!(
+            apply_gates(&mut peps, &outside, method),
+            Err(TensorError::InvalidAxes { .. })
+        ));
+        assert_eq!(peps.tensors(), base.tensors());
     }
 }

@@ -1,8 +1,9 @@
 //! Work-stealing task-graph executor for the koala-rs hot paths.
 //!
 //! The shared-memory layer expresses its parallel work — packing panels,
-//! GEMM macro-tiles, einsum plan steps, SUMMA rounds — as DAGs of typed
-//! tasks with declared dependencies, and this crate runs them:
+//! GEMM macro-tiles, einsum plan steps, SUMMA rounds, the bond updates of a
+//! PEPS gate list — as DAGs of typed tasks with declared dependencies, and
+//! this crate runs them:
 //!
 //! - A [`Pool`] of persistent workers with per-worker deques and a shared
 //!   injector queue. A pool of `n` threads spawns `n - 1` workers; the
@@ -85,14 +86,13 @@ pub enum TaskKind {
     Pack,
     /// One GEMM macro-tile (a fixed-order slice of an accumulation chain).
     Gemm,
-    /// A reduction step (deterministic order comes from dependency edges).
-    Reduce,
-    /// An axis permutation / layout move.
-    Permute,
     /// Communication (panel broadcast, checksum, delivery) in the cluster.
     Comm,
     /// One einsum plan step (a pairwise contraction).
     Step,
+    /// One site or bond update of a PEPS gate list (a whole contract-and-
+    /// refactorize; its inner GEMM and plan graphs nest inside it).
+    Update,
     /// Anything else.
     Other,
 }
@@ -102,10 +102,9 @@ impl TaskKind {
         match self {
             TaskKind::Pack => "pack",
             TaskKind::Gemm => "gemm",
-            TaskKind::Reduce => "reduce",
-            TaskKind::Permute => "permute",
             TaskKind::Comm => "comm",
             TaskKind::Step => "step",
+            TaskKind::Update => "update",
             TaskKind::Other => "task",
         }
     }
@@ -660,7 +659,7 @@ mod tests {
             for i in 0..32usize {
                 let deps: Vec<TaskId> = prev.into_iter().collect();
                 let log = &log;
-                prev = Some(g.add(TaskKind::Reduce, &deps, move || {
+                prev = Some(g.add(TaskKind::Other, &deps, move || {
                     log.lock().unwrap().push(i);
                     Ok(())
                 }));

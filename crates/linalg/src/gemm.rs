@@ -294,9 +294,13 @@ fn gemm_into_dispatch(
         .flat_map(|ic| (0..n).step_by(nc_blk).map(move |jc| (ic, jc)))
         .collect();
 
-    let work = m * n * k;
-    let pool = koala_exec::pool();
-    if work < PAR_THRESHOLD || tiles.len() == 1 || pool.threads() == 1 {
+    // The pool handle costs a global mutex and an `Arc` clone, so it is taken
+    // only by products big enough to want it: concurrent bond updates push
+    // every small GEMM of their QR/SVD chains through this line.
+    let pool = (m * n * k >= PAR_THRESHOLD && tiles.len() > 1)
+        .then(koala_exec::pool)
+        .filter(|pool| pool.threads() > 1);
+    let Some(pool) = pool else {
         for &(ic, jc) in &tiles {
             // Safety: exclusive access through the &mut borrow; serial loop.
             unsafe {
@@ -308,7 +312,7 @@ fn gemm_into_dispatch(
             };
         }
         return;
-    }
+    };
     exec_gemm(&pool, opa, opb, m, n, k, a, b, lda, ldb, c, assume_real);
 }
 

@@ -24,7 +24,7 @@ use koala_error::recovery;
 use koala_linalg::c64;
 use koala_peps::expectation::{expectation_normalized, ExpectationOptions};
 use koala_peps::operators::Observable;
-use koala_peps::{apply_one_site, apply_two_site_any, Peps, UpdateMethod};
+use koala_peps::{apply_gates, route_two_site, routed_error, GateOp, Peps, UpdateMethod};
 use koala_tensor::TensorError;
 use rand::Rng;
 
@@ -299,23 +299,32 @@ fn corrupt_peps(peps: &mut Peps, seed: u64) {
     peps.set_tensor((r, c), t);
 }
 
-/// Apply one full Trotter layer (every local term once) to the PEPS.
+/// Apply one full Trotter layer (every local term once) to the PEPS: the
+/// terms become one gate list (non-neighbouring pairs lowered to SWAP
+/// routes), which `apply_gates` runs with the terms on disjoint sites in
+/// parallel and every site updated in term order.
 pub fn apply_trotter_layer(
     peps: &mut Peps,
     gates: &[TrotterGate],
     method: UpdateMethod,
 ) -> Result<f64> {
-    let mut err_sq = 0.0;
+    let mut ops = Vec::with_capacity(gates.len());
+    // The ops each two-site term was lowered to.
+    let mut terms = Vec::new();
     for gate in gates {
         match gate.sites.as_slice() {
-            [site] => apply_one_site(peps, &gate.matrix, *site)?,
+            [site] => ops.push(GateOp::one_site(&gate.matrix, *site)),
             [a, b] => {
-                let e = apply_two_site_any(peps, &gate.matrix, *a, *b, method)?;
-                err_sq += e * e;
+                let start = ops.len();
+                route_two_site(peps, &gate.matrix, *a, *b, &mut ops)?;
+                terms.push(start..ops.len());
             }
             _ => unreachable!("trotter gates act on one or two sites"),
         }
     }
+    let errs = apply_gates(peps, &ops, method)?;
+    let err_sq =
+        terms.into_iter().map(|term| routed_error(&errs[term])).fold(0.0, |s, e| s + e * e);
     Ok(err_sq.sqrt())
 }
 

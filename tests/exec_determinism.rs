@@ -1,15 +1,21 @@
 //! Workspace acceptance test for the task-graph execution runtime: the full
 //! physics stack must be schedule-independent. A warm TFI imaginary-time-
-//! evolution sweep and a distributed SUMMA product are run at 1/2/4/8
-//! executor threads; energies and gathered matrices must be bit-identical
-//! and the MAC/communication billing exactly equal — the executor may only
-//! change *when* work runs, never what it computes or what it bills.
+//! evolution sweep, two gate-list layers on a 6x6 PEPS and a distributed
+//! SUMMA product are run at 1/2/4/8 executor threads; energies, site tensors
+//! and gathered matrices must be bit-identical and the MAC/communication
+//! billing exactly equal — the executor may only change *when* work runs,
+//! never what it computes or what it bills.
 
 use koala::cluster::{Cluster, DistMatrix, ProcGrid};
 use koala::exec::WorkMeter;
-use koala::linalg::{matmul, Matrix};
-use koala::peps::Peps;
-use koala::sim::{ite_peps, tfi_hamiltonian, IteOptions, TfiParams};
+use koala::linalg::{c64, expm_hermitian, matmul, Matrix};
+use koala::peps::operators::{kron, pauli_x, pauli_z, Observable};
+use koala::peps::{
+    apply_one_site, apply_two_site, apply_two_site_any, apply_two_site_everywhere, Peps,
+    UpdateMethod,
+};
+use koala::sim::ite::apply_trotter_layer;
+use koala::sim::{ite_peps, tfi_hamiltonian, trotter_gates, IteOptions, TfiParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Mutex;
@@ -66,6 +72,109 @@ fn warm_tfi_ite_sweep_is_bit_identical_across_threads() {
                 }
             }
         }
+    }
+    koala::exec::set_threads(1);
+}
+
+/// What a gate-list run leaves behind: an FNV-1a hash of every site tensor's
+/// `to_bits`, the returned error's bits, and the scoped complex/real MACs.
+type LayerRecord = (Vec<u64>, u64, u64, u64);
+
+fn layer_record(run: impl FnOnce(&mut Peps) -> f64, start: &Peps) -> LayerRecord {
+    let mut peps = start.clone();
+    let meter = WorkMeter::new();
+    let err = meter.scope(|| run(&mut peps));
+    let hashes = peps
+        .tensors()
+        .iter()
+        .map(|t| {
+            t.data()
+                .iter()
+                .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, bits| {
+                    (h ^ bits).wrapping_mul(0x0000_0100_0000_01b3)
+                })
+        })
+        .collect();
+    (hashes, err.to_bits(), meter.complex_macs(), meter.real_macs())
+}
+
+/// A gate list is run as a site-dependency task graph; what it computes and
+/// bills must be what folding the pairwise entry points over the list at one
+/// thread computes and bills. Two lists on a 6x6 complex PEPS at r = 4: the
+/// TEBD layer of `apply_two_site_everywhere`, and a Trotter layer whose
+/// one-site field terms sit between the couplings and which has one
+/// SWAP-routed non-neighbour coupling.
+#[test]
+fn gate_list_layers_match_the_pairwise_fold_at_any_thread_count() {
+    let _guard = SERIAL.lock().unwrap();
+    let mut rng = StdRng::seed_from_u64(987);
+    let start = Peps::random(6, 6, 2, 4, &mut rng);
+    let method = UpdateMethod::qr_svd(4);
+
+    let xx_zz = &kron(&pauli_x(), &pauli_x()) + &kron(&pauli_z(), &pauli_z());
+    let tebd_gate = expm_hermitian(&xx_zz, c64(-0.05, 0.0)).unwrap();
+
+    let mut h = Observable::zero();
+    let zz = kron(&pauli_z(), &pauli_z()).scale(c64(-1.0, 0.0));
+    for r in 0..6 {
+        for c in 0..6 {
+            if c + 1 < 6 {
+                h.add_two_site((r, c), (r, c + 1), zz.clone());
+            }
+            h.add_one_site((r, c), pauli_x().scale(c64(-2.0, 0.0)));
+            if r + 1 < 6 {
+                h.add_two_site((r + 1, c), (r, c), zz.clone());
+            }
+            if (r, c) == (2, 3) {
+                h.add_two_site((4, 1), (2, 3), zz.clone());
+            }
+        }
+    }
+    let trotter = trotter_gates(&h, c64(0.0, -0.05)).unwrap();
+
+    koala::exec::set_threads(1);
+    let tebd_fold = layer_record(
+        |peps| {
+            let pairs = peps.horizontal_pairs().into_iter().chain(peps.vertical_pairs());
+            pairs
+                .fold(0.0, |err_sq, (a, b)| {
+                    let e = apply_two_site(peps, &tebd_gate, a, b, method).unwrap();
+                    err_sq + e * e
+                })
+                .sqrt()
+        },
+        &start,
+    );
+    let trotter_fold = layer_record(
+        |peps| {
+            let mut err_sq = 0.0;
+            for gate in &trotter {
+                match gate.sites.as_slice() {
+                    [site] => apply_one_site(peps, &gate.matrix, *site).unwrap(),
+                    [a, b] => {
+                        let e = apply_two_site_any(peps, &gate.matrix, *a, *b, method).unwrap();
+                        err_sq += e * e;
+                    }
+                    _ => unreachable!(),
+                }
+            }
+            err_sq.sqrt()
+        },
+        &start,
+    );
+    assert_ne!(tebd_fold.0, trotter_fold.0);
+
+    for &threads in &THREAD_SWEEP {
+        koala::exec::set_threads(threads);
+        let tebd = layer_record(
+            |peps| apply_two_site_everywhere(peps, &tebd_gate, method).unwrap(),
+            &start,
+        );
+        assert_eq!(tebd, tebd_fold, "TEBD layer differs from the fold at {threads} threads");
+        let layer =
+            layer_record(|peps| apply_trotter_layer(peps, &trotter, method).unwrap(), &start);
+        assert_eq!(layer, trotter_fold, "Trotter layer differs from the fold at {threads} threads");
     }
     koala::exec::set_threads(1);
 }
