@@ -2,11 +2,12 @@
 //! real-valued fast path vs the split-complex kernel.
 //!
 //! Writes `BENCH_gemm.json` (override with `--json <path>`) with GFLOP/s for
-//! a fixed shape grid, single- and multi-threaded, so the repository records
-//! a machine-readable perf trajectory from PR 1 onward. Every case seeds its
+//! a fixed shape grid, so the repository records a machine-readable perf
+//! trajectory from PR 1 onward (the kernel is serial: one row per shape,
+//! `threads: 1`, the key `check_bench` matches on). Every case seeds its
 //! own RNG from a hash of `(series, label, shape)`, so the `--quick` CI run
 //! and the committed full run factorize/multiply bit-identical matrices —
-//! `check_bench` compares like for like. Four series are emitted:
+//! `check_bench` compares like for like. Three series are emitted:
 //!
 //! * `packed_vs_seed` — the packed split-complex kernel against the seed
 //!   repository's blocked kernel on complex random data (the PR 1 speedup).
@@ -25,15 +26,6 @@
 //!   `effective_gflops` credits each run the same nominal
 //!   `8 * m * n * min(m, n)` flops for solving the same problem, so the
 //!   ratio equals the wall-time speedup and the CI gate can compare runs.
-//! * `threads_scaling` — the packed kernel on the same shape at executor
-//!   thread counts 1/2/4 (`koala_exec::set_threads`), with the wall-time
-//!   speedup over the 1-thread row. The results are honest for the machine
-//!   that ran them: `host_cpus` records how many hardware threads existed,
-//!   and on a 1-CPU container the speedup is expected to sit near 1.0 —
-//!   the series then documents that the task graph adds no overhead, while
-//!   a multi-core host shows the actual scaling. `check_bench` ignores
-//!   this series (it is machine-topology-dependent), it is recorded for
-//!   the perf trajectory only.
 //!
 //! GFLOP/s are derived from the GEMM layer's own work accounting (a scoped
 //! [`koala_exec::WorkMeter`]: complex MACs at 8 real flops each, real MACs
@@ -186,8 +178,7 @@ fn main() {
         if quick { (&quick_grid, &real_quick_grid) } else { (&full_grid, &real_full_grid) };
     let reps = if quick { 3 } else { 7 };
 
-    let all_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let thread_counts: Vec<usize> = if all_threads > 1 { vec![1, all_threads] } else { vec![1] };
+    let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
     let mut results: Vec<JsonValue> = Vec::new();
     // Realness-preserving factorization paths vs the complex paths on the
@@ -203,8 +194,8 @@ fn main() {
     // baseline.
     println!();
     println!(
-        "{:<18} {:>3} {:>14} {:>9} {:>9} {:>9} {:>8}",
-        "factorization", "thr", "shape", "real_s", "eff_GF/s", "cplx_s", "speedup"
+        "{:<18} {:>14} {:>9} {:>9} {:>9} {:>8}",
+        "factorization", "shape", "real_s", "eff_GF/s", "cplx_s", "speedup"
     );
     let fact_grid: &[(&str, usize, usize)] = &[
         ("qr_tall", 384, 96),
@@ -266,43 +257,35 @@ fn main() {
             }
             _ => unreachable!("unknown factorization case"),
         };
-        // The factorization inner loops are serial (only their small internal
-        // GEMMs can parallelize), so one thread count suffices — extra rows
-        // would re-measure the same computation and double the CI gate's
-        // exposure to timing noise on sub-millisecond cases.
-        for &threads in &thread_counts[..1] {
-            koala_exec::set_threads(threads);
-            let (real_s, _, _) = time_best(fact_reps, || run(&real_in));
-            let (cplx_s, _, _) = time_best(fact_reps, || run(&cplx_in));
-            let nominal = 8.0 * (m * n * m.min(n)) as f64;
-            let eff_gf = nominal / real_s / 1e9;
-            let speedup = cplx_s / real_s;
-            println!(
-                "{:<18} {:>3} {:>14} {:>9.4} {:>9.2} {:>9.4} {:>7.2}x",
-                label,
-                threads,
-                format!("{m}x{n}"),
-                real_s,
-                eff_gf,
-                cplx_s,
-                speedup
-            );
-            results.push(JsonValue::object([
-                ("series", JsonValue::str("real_factorization")),
-                ("label", JsonValue::str(label)),
-                ("m", JsonValue::num(m as f64)),
-                ("n", JsonValue::num(n as f64)),
-                ("threads", JsonValue::num(threads as f64)),
-                ("real_seconds", JsonValue::num(real_s)),
-                ("complex_seconds", JsonValue::num(cplx_s)),
-                ("effective_gflops", JsonValue::num(eff_gf)),
-                ("speedup_real_vs_complex", JsonValue::num(speedup)),
-            ]));
-        }
+        let (real_s, _, _) = time_best(fact_reps, || run(&real_in));
+        let (cplx_s, _, _) = time_best(fact_reps, || run(&cplx_in));
+        let nominal = 8.0 * (m * n * m.min(n)) as f64;
+        let eff_gf = nominal / real_s / 1e9;
+        let speedup = cplx_s / real_s;
+        println!(
+            "{:<18} {:>14} {:>9.4} {:>9.2} {:>9.4} {:>7.2}x",
+            label,
+            format!("{m}x{n}"),
+            real_s,
+            eff_gf,
+            cplx_s,
+            speedup
+        );
+        results.push(JsonValue::object([
+            ("series", JsonValue::str("real_factorization")),
+            ("label", JsonValue::str(label)),
+            ("m", JsonValue::num(m as f64)),
+            ("n", JsonValue::num(n as f64)),
+            ("threads", JsonValue::num(1.0)),
+            ("real_seconds", JsonValue::num(real_s)),
+            ("complex_seconds", JsonValue::num(cplx_s)),
+            ("effective_gflops", JsonValue::num(eff_gf)),
+            ("speedup_real_vs_complex", JsonValue::num(speedup)),
+        ]));
     }
     println!(
-        "{:<18} {:>3} {:>14} {:>9} {:>9} {:>9} {:>9} {:>8}",
-        "case", "thr", "shape", "packed_s", "GF/s", "seed_s", "seed_GF", "speedup"
+        "{:<18} {:>14} {:>9} {:>9} {:>9} {:>9} {:>8}",
+        "case", "shape", "packed_s", "GF/s", "seed_s", "seed_GF", "speedup"
     );
     for case in grid {
         let mut rng = StdRng::seed_from_u64(case_seed(
@@ -319,55 +302,49 @@ fn main() {
             Op::None => Matrix::random(case.k, case.n, &mut rng),
             _ => Matrix::random(case.n, case.k, &mut rng),
         };
-        for &threads in &thread_counts {
-            // `set_threads` swaps the global executor pool at runtime, so a
-            // single process can sweep thread counts.
-            koala_exec::set_threads(threads);
-            let (packed_s, cmacs, rmacs) = time_best(reps, || {
-                std::hint::black_box(gemm(case.opa, case.opb, &a, &b));
-            });
-            let (seed_s, _, _) = time_best(reps, || {
-                std::hint::black_box(run_seed(case, &a, &b));
-            });
-            let hw_flops = 8.0 * cmacs as f64 + 2.0 * rmacs as f64;
-            let gf = hw_flops / packed_s / 1e9;
-            let seed_gf = hw_flops / seed_s / 1e9;
-            let speedup = seed_s / packed_s;
-            println!(
-                "{:<18} {:>3} {:>14} {:>9.4} {:>9.2} {:>9.4} {:>9.2} {:>7.2}x",
-                case.label,
-                threads,
-                format!("{}x{}x{}", case.m, case.k, case.n),
-                packed_s,
-                gf,
-                seed_s,
-                seed_gf,
-                speedup
-            );
-            results.push(JsonValue::object([
-                ("series", JsonValue::str("packed_vs_seed")),
-                ("label", JsonValue::str(case.label)),
-                ("m", JsonValue::num(case.m as f64)),
-                ("k", JsonValue::num(case.k as f64)),
-                ("n", JsonValue::num(case.n as f64)),
-                ("opa", JsonValue::str(op_name(case.opa))),
-                ("opb", JsonValue::str(op_name(case.opb))),
-                ("threads", JsonValue::num(threads as f64)),
-                ("complex_macs", JsonValue::num(cmacs as f64)),
-                ("real_macs", JsonValue::num(rmacs as f64)),
-                ("packed_seconds", JsonValue::num(packed_s)),
-                ("packed_gflops", JsonValue::num(gf)),
-                ("seed_seconds", JsonValue::num(seed_s)),
-                ("seed_gflops", JsonValue::num(seed_gf)),
-                ("speedup_vs_seed", JsonValue::num(speedup)),
-            ]));
-        }
+        let (packed_s, cmacs, rmacs) = time_best(reps, || {
+            std::hint::black_box(gemm(case.opa, case.opb, &a, &b));
+        });
+        let (seed_s, _, _) = time_best(reps, || {
+            std::hint::black_box(run_seed(case, &a, &b));
+        });
+        let hw_flops = 8.0 * cmacs as f64 + 2.0 * rmacs as f64;
+        let gf = hw_flops / packed_s / 1e9;
+        let seed_gf = hw_flops / seed_s / 1e9;
+        let speedup = seed_s / packed_s;
+        println!(
+            "{:<18} {:>14} {:>9.4} {:>9.2} {:>9.4} {:>9.2} {:>7.2}x",
+            case.label,
+            format!("{}x{}x{}", case.m, case.k, case.n),
+            packed_s,
+            gf,
+            seed_s,
+            seed_gf,
+            speedup
+        );
+        results.push(JsonValue::object([
+            ("series", JsonValue::str("packed_vs_seed")),
+            ("label", JsonValue::str(case.label)),
+            ("m", JsonValue::num(case.m as f64)),
+            ("k", JsonValue::num(case.k as f64)),
+            ("n", JsonValue::num(case.n as f64)),
+            ("opa", JsonValue::str(op_name(case.opa))),
+            ("opb", JsonValue::str(op_name(case.opb))),
+            ("threads", JsonValue::num(1.0)),
+            ("complex_macs", JsonValue::num(cmacs as f64)),
+            ("real_macs", JsonValue::num(rmacs as f64)),
+            ("packed_seconds", JsonValue::num(packed_s)),
+            ("packed_gflops", JsonValue::num(gf)),
+            ("seed_seconds", JsonValue::num(seed_s)),
+            ("seed_gflops", JsonValue::num(seed_gf)),
+            ("speedup_vs_seed", JsonValue::num(speedup)),
+        ]));
     }
 
     println!();
     println!(
-        "{:<18} {:>3} {:>14} {:>9} {:>9} {:>9} {:>9} {:>8}",
-        "real case", "thr", "shape", "real_s", "eff_GF/s", "cplx_s", "cplx_GF", "speedup"
+        "{:<18} {:>14} {:>9} {:>9} {:>9} {:>9} {:>8}",
+        "real case", "shape", "real_s", "eff_GF/s", "cplx_s", "cplx_GF", "speedup"
     );
     for case in real_grid {
         let mut rng = StdRng::seed_from_u64(case_seed(
@@ -386,122 +363,59 @@ fn main() {
         let a_cplx = Matrix::random(a_rows, a_cols, &mut rng);
         let b_cplx = Matrix::random(b_rows, b_cols, &mut rng);
         assert!(a_real.is_real() && b_real.is_real());
-        for &threads in &thread_counts {
-            koala_exec::set_threads(threads);
-            let (real_s, real_cm, real_rm) = time_best(reps, || {
-                std::hint::black_box(gemm(case.opa, case.opb, &a_real, &b_real));
-            });
-            let (cplx_s, cplx_cm, cplx_rm) = time_best(reps, || {
-                std::hint::black_box(gemm(case.opa, case.opb, &a_cplx, &b_cplx));
-            });
-            assert_eq!(real_cm, 0, "real series must run entirely on the real kernel");
-            assert_eq!(cplx_rm, 0, "complex series must run entirely on the complex kernel");
-            let macs = (case.m * case.k * case.n) as f64;
-            debug_assert_eq!(real_rm as f64, macs);
-            // Effective rate: both runs solve the same m x n x k problem, so
-            // both are credited its 8 * m * n * k complex-equivalent flops —
-            // the ratio equals the wall-time speedup.
-            let real_eff_gf = 8.0 * macs / real_s / 1e9;
-            let cplx_gf = 8.0 * cplx_cm as f64 / cplx_s / 1e9;
-            // Hardware rate: flops the real kernel actually executed.
-            let real_hw_gf = 2.0 * real_rm as f64 / real_s / 1e9;
-            let speedup = cplx_s / real_s;
-            println!(
-                "{:<18} {:>3} {:>14} {:>9.4} {:>9.2} {:>9.4} {:>9.2} {:>7.2}x",
-                case.label,
-                threads,
-                format!("{}x{}x{}", case.m, case.k, case.n),
-                real_s,
-                real_eff_gf,
-                cplx_s,
-                cplx_gf,
-                speedup
-            );
-            results.push(JsonValue::object([
-                ("series", JsonValue::str("real_vs_complex")),
-                ("label", JsonValue::str(case.label)),
-                ("m", JsonValue::num(case.m as f64)),
-                ("k", JsonValue::num(case.k as f64)),
-                ("n", JsonValue::num(case.n as f64)),
-                ("opa", JsonValue::str(op_name(case.opa))),
-                ("opb", JsonValue::str(op_name(case.opb))),
-                ("threads", JsonValue::num(threads as f64)),
-                ("real_macs", JsonValue::num(real_rm as f64)),
-                ("complex_macs", JsonValue::num(cplx_cm as f64)),
-                ("real_seconds", JsonValue::num(real_s)),
-                ("real_effective_gflops", JsonValue::num(real_eff_gf)),
-                ("real_hw_gflops", JsonValue::num(real_hw_gf)),
-                ("complex_seconds", JsonValue::num(cplx_s)),
-                ("complex_gflops", JsonValue::num(cplx_gf)),
-                ("speedup_real_vs_complex", JsonValue::num(speedup)),
-            ]));
-        }
+        let (real_s, real_cm, real_rm) = time_best(reps, || {
+            std::hint::black_box(gemm(case.opa, case.opb, &a_real, &b_real));
+        });
+        let (cplx_s, cplx_cm, cplx_rm) = time_best(reps, || {
+            std::hint::black_box(gemm(case.opa, case.opb, &a_cplx, &b_cplx));
+        });
+        assert_eq!(real_cm, 0, "real series must run entirely on the real kernel");
+        assert_eq!(cplx_rm, 0, "complex series must run entirely on the complex kernel");
+        let macs = (case.m * case.k * case.n) as f64;
+        debug_assert_eq!(real_rm as f64, macs);
+        // Effective rate: both runs solve the same m x n x k problem, so
+        // both are credited its 8 * m * n * k complex-equivalent flops —
+        // the ratio equals the wall-time speedup.
+        let real_eff_gf = 8.0 * macs / real_s / 1e9;
+        let cplx_gf = 8.0 * cplx_cm as f64 / cplx_s / 1e9;
+        // Hardware rate: flops the real kernel actually executed.
+        let real_hw_gf = 2.0 * real_rm as f64 / real_s / 1e9;
+        let speedup = cplx_s / real_s;
+        println!(
+            "{:<18} {:>14} {:>9.4} {:>9.2} {:>9.4} {:>9.2} {:>7.2}x",
+            case.label,
+            format!("{}x{}x{}", case.m, case.k, case.n),
+            real_s,
+            real_eff_gf,
+            cplx_s,
+            cplx_gf,
+            speedup
+        );
+        results.push(JsonValue::object([
+            ("series", JsonValue::str("real_vs_complex")),
+            ("label", JsonValue::str(case.label)),
+            ("m", JsonValue::num(case.m as f64)),
+            ("k", JsonValue::num(case.k as f64)),
+            ("n", JsonValue::num(case.n as f64)),
+            ("opa", JsonValue::str(op_name(case.opa))),
+            ("opb", JsonValue::str(op_name(case.opb))),
+            ("threads", JsonValue::num(1.0)),
+            ("real_macs", JsonValue::num(real_rm as f64)),
+            ("complex_macs", JsonValue::num(cplx_cm as f64)),
+            ("real_seconds", JsonValue::num(real_s)),
+            ("real_effective_gflops", JsonValue::num(real_eff_gf)),
+            ("real_hw_gflops", JsonValue::num(real_hw_gf)),
+            ("complex_seconds", JsonValue::num(cplx_s)),
+            ("complex_gflops", JsonValue::num(cplx_gf)),
+            ("speedup_real_vs_complex", JsonValue::num(speedup)),
+        ]));
     }
-    // Executor thread-scaling sweep on one representative shape. The sweep
-    // always includes 1/2/4 so the recorded trajectory is comparable across
-    // hosts; `host_cpus` in the document header says how many of those
-    // threads had their own core (on the 1-CPU CI container all rows time
-    // the same serial hardware and the honest speedup is ~1.0).
-    println!();
-    println!(
-        "{:<18} {:>3} {:>14} {:>9} {:>9} {:>8}",
-        "threads_scaling", "thr", "shape", "packed_s", "GF/s", "vs_1thr"
-    );
-    {
-        let label = "square_512";
-        let (m, k, n) = (512usize, 512, 512);
-        let mut rng = StdRng::seed_from_u64(case_seed("threads_scaling", label, &[m, k, n]));
-        let a = Matrix::random(m, k, &mut rng);
-        let b = Matrix::random(k, n, &mut rng);
-        let mut serial_s = f64::NAN;
-        let mut sweep: Vec<usize> = vec![1, 2, 4];
-        if all_threads > 4 && !sweep.contains(&all_threads) {
-            sweep.push(all_threads);
-        }
-        for &threads in &sweep {
-            koala_exec::set_threads(threads);
-            let (secs, cmacs, rmacs) = time_best(reps, || {
-                std::hint::black_box(gemm(Op::None, Op::None, &a, &b));
-            });
-            if threads == 1 {
-                serial_s = secs;
-            }
-            let hw_flops = 8.0 * cmacs as f64 + 2.0 * rmacs as f64;
-            let gf = hw_flops / secs / 1e9;
-            let speedup = serial_s / secs;
-            println!(
-                "{:<18} {:>3} {:>14} {:>9.4} {:>9.2} {:>7.2}x",
-                label,
-                threads,
-                format!("{m}x{k}x{n}"),
-                secs,
-                gf,
-                speedup
-            );
-            results.push(JsonValue::object([
-                ("series", JsonValue::str("threads_scaling")),
-                ("label", JsonValue::str(label)),
-                ("m", JsonValue::num(m as f64)),
-                ("k", JsonValue::num(k as f64)),
-                ("n", JsonValue::num(n as f64)),
-                ("opa", JsonValue::str("N")),
-                ("opb", JsonValue::str("N")),
-                ("threads", JsonValue::num(threads as f64)),
-                ("complex_macs", JsonValue::num(cmacs as f64)),
-                ("packed_seconds", JsonValue::num(secs)),
-                ("packed_gflops", JsonValue::num(gf)),
-                ("speedup_vs_1_thread", JsonValue::num(speedup)),
-            ]));
-        }
-    }
-    koala_exec::set_threads(1);
 
     let doc = JsonValue::object([
         ("bench", JsonValue::str("gemm")),
         ("schema_version", JsonValue::num(4.0)),
         ("flop_convention", JsonValue::str("complex MAC = 8 real flops; real MAC = 2 real flops")),
-        ("threads_available", JsonValue::num(all_threads as f64)),
-        ("host_cpus", JsonValue::num(all_threads as f64)),
+        ("host_cpus", JsonValue::num(host_cpus as f64)),
         ("results", JsonValue::Array(results)),
     ]);
     match std::fs::write(&json_path, doc.pretty()) {

@@ -881,6 +881,20 @@ mod tests {
             Peps::new(3, 3, poisoned.tensors().to_vec()).unwrap();
         }
 
+        // One poisoned element is enough, wherever it sits in the
+        // matricized site: it must not be mistaken for a null column.
+        for index in [0, 13, 31] {
+            let mut poisoned = base.clone();
+            let mut t = poisoned.tensor((1, 1)).clone();
+            t.data_mut()[index].re = f64::NAN;
+            poisoned.set_tensor((1, 1), t);
+            let before = koala_error::recovery::snapshot().nonfinite_detections;
+            let err = apply_two_site(&mut poisoned, &gate, (1, 1), (1, 2), method).unwrap_err();
+            let kind = koala_error::KoalaError::from(err).kind();
+            assert_eq!(kind, koala_error::ErrorKind::NonFinite, "element {index}");
+            assert!(koala_error::recovery::snapshot().nonfinite_detections > before);
+        }
+
         // Structural errors are rejected before anything is applied.
         let mut peps = base.clone();
         let ops =

@@ -1,9 +1,8 @@
 //! Work-stealing task-graph executor for the koala-rs hot paths.
 //!
-//! The shared-memory layer expresses its parallel work — packing panels,
-//! GEMM macro-tiles, einsum plan steps, SUMMA rounds, the bond updates of a
-//! PEPS gate list — as DAGs of typed tasks with declared dependencies, and
-//! this crate runs them:
+//! The shared-memory layer expresses its parallel work — SUMMA rounds, the
+//! bond updates of a PEPS gate list, served jobs — as DAGs of typed tasks
+//! with declared dependencies, and this crate runs them:
 //!
 //! - A [`Pool`] of persistent workers with per-worker deques and a shared
 //!   injector queue. A pool of `n` threads spawns `n - 1` workers; the
@@ -78,20 +77,17 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// What a task *is*, for diagnostics and error context. The executor does
-/// not dispatch on this — it exists so a failed run can say "GEMM tile task
-/// 17 panicked" instead of "task 17 panicked".
+/// not dispatch on this — it exists so a failed run can say "gemm task 17
+/// panicked" instead of "task 17 panicked".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskKind {
-    /// Pack an operand panel into the kernel's blocked layout.
-    Pack,
-    /// One GEMM macro-tile (a fixed-order slice of an accumulation chain).
+    /// One rank's local product of a SUMMA round (a fixed-order slice of an
+    /// accumulation chain).
     Gemm,
     /// Communication (panel broadcast, checksum, delivery) in the cluster.
     Comm,
-    /// One einsum plan step (a pairwise contraction).
-    Step,
     /// One site or bond update of a PEPS gate list (a whole contract-and-
-    /// refactorize; its inner GEMM and plan graphs nest inside it).
+    /// refactorize, run serially inside the task).
     Update,
     /// Anything else.
     Other,
@@ -100,10 +96,8 @@ pub enum TaskKind {
 impl TaskKind {
     fn name(self) -> &'static str {
         match self {
-            TaskKind::Pack => "pack",
             TaskKind::Gemm => "gemm",
             TaskKind::Comm => "comm",
-            TaskKind::Step => "step",
             TaskKind::Update => "update",
             TaskKind::Other => "task",
         }
@@ -621,8 +615,8 @@ pub fn set_threads(n: usize) {
     *g = Some(Arc::new(Pool::new(n)));
 }
 
-/// Compute-thread count of the global pool (hot-path dispatch reads this
-/// to decide serial vs task-graph execution).
+/// Compute-thread count of the global pool. A gate list reads it to walk
+/// its ops inline when there is one thread; nothing below a gate list does.
 pub fn threads() -> usize {
     pool().threads()
 }

@@ -17,8 +17,8 @@
 //!   captures the submitting thread's stack and installs it around the
 //!   closure on whichever worker executes it. Work a scope *causes* is billed
 //!   to it no matter which thread runs it — this is what makes per-tenant
-//!   job billing in `koala-serve` exact even though the jobs' GEMM tiles
-//!   execute on shared pool workers.
+//!   job billing in `koala-serve` exact even though the jobs' bond updates
+//!   and SUMMA rounds execute on shared pool workers.
 //!
 //! Three counters are carried per meter, mirroring the conventions of the
 //! GEMM layer and the cluster's `CommStats`:

@@ -1,4 +1,4 @@
-//! Packed, blocked, multi-threaded complex matrix multiplication.
+//! Packed, blocked complex matrix multiplication.
 //!
 //! This is the hot kernel of the whole stack: every tensor contraction in
 //! `koala-tensor` maps to a single GEMM after index permutation, and the
@@ -10,9 +10,9 @@
 //! The implementation follows the BLIS decomposition:
 //!
 //! ```text
-//! for jc in 0..n step NC            # C column blocks        (parallel)
-//!   for ic in 0..m step MC          # C row blocks           (parallel)
-//!     for pc in 0..k step KC        # depth blocks           (sequential)
+//! for ic in 0..m step MC            # C row blocks
+//!   for jc in 0..n step NC          # C column blocks
+//!     for pc in 0..k step KC        # depth blocks
 //!       pack B[pc..pc+KC, jc..jc+NC] into NR-column strips   (pack.rs)
 //!       pack A[ic..ic+MC, pc..pc+KC] into MR-row strips      (pack.rs)
 //!       for jr, ir over the strips:
@@ -28,19 +28,10 @@
 //!   [`Op::Transpose`] only change the gather stride (and conjugation sign)
 //!   used while packing; no transposed copy of an operand is ever
 //!   materialised.
-//! * **Parallelism is a task graph.** Above `PAR_THRESHOLD` (64³ MACs) the
-//!   product
-//!   is lowered onto the `koala-exec` work-stealing executor: one `Pack`
-//!   task per `(row-block, depth-block)` A panel and per `(column-block,
-//!   depth-block)` B panel, and one `Gemm` task per `(MC, NC, KC)`
-//!   macro-tile step depending on its two pack tasks and its own previous
-//!   depth step. Packed panels are therefore **shared** across every tile
-//!   in their row/column (packed exactly once per block, not once per
-//!   tile), and the depth-dependency chain fixes each C element's
-//!   accumulation order to the serial order — results are bit-identical
-//!   across thread counts by construction. Tall-skinny and short-wide
-//!   shapes still expose parallelism along whichever output dimension is
-//!   large, because tasks tile C in 2-D.
+//! * **One product is one serial call.** The tile walk runs on the calling
+//!   thread, as a BLAS call does in the paper's stack; the parallel levels
+//!   sit above it (the bond updates of a gate list, SUMMA's per-rank
+//!   products, served jobs), so concurrent callers never share a product.
 //!
 //! # Blocking parameters
 //!
@@ -103,8 +94,7 @@
 //! billing thread — scopes travel with executor tasks, which is what makes
 //! per-tenant billing in `koala-serve` exact. The meter additionally tracks
 //! **bytes** of GEMM interface traffic (operand reads + output writes, 16
-//! bytes per complex element, billed once per product and therefore
-//! identical at every thread count).
+//! bytes per complex element, billed once per product).
 
 use crate::matrix::Matrix;
 use crate::microkernel::{
@@ -113,9 +103,7 @@ use crate::microkernel::{
 };
 use crate::pack::{pack_a, pack_a_real, pack_b, pack_b_real};
 use crate::scalar::C64;
-use koala_exec::{meter, TaskGraph, TaskId, TaskKind};
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, Ordering};
+use koala_exec::meter;
 
 /// Cache-blocking tile along the shared (k) dimension.
 const KC: usize = 256;
@@ -133,15 +121,6 @@ const KC_REAL: usize = 256;
 const NC_REAL: usize = 512;
 /// Real-path tile along output rows (multiple of `MR_REAL`).
 const MC_REAL: usize = 256;
-/// Below this many complex multiply-adds the parallel path is not worth it.
-const PAR_THRESHOLD: usize = 64 * 64 * 64;
-/// Combined packed-panel budget (bytes) for the shared-panel task-graph
-/// schedule, which keeps *every* packed A and B panel resident at once
-/// (roughly `16 * (m*k + k*n)` bytes complex, half that real). Products
-/// whose panels would exceed it fall back to private per-tile packing —
-/// still on the executor, just without cross-tile panel sharing.
-const PANEL_MEM_LIMIT: usize = 256 << 20;
-
 /// How the left/right operand should be read by [`gemm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
@@ -280,7 +259,7 @@ fn gemm_into_dispatch(
     }
     // Interface traffic of this product — operand reads plus output writes,
     // 16 bytes per complex element. Billed once per product (not per packed
-    // panel), so the byte ledger is identical at every thread count.
+    // panel).
     meter::add_bytes(((m * k + k * n + m * n) as u64) * 16);
     // Row stride of the *stored* operand.
     let lda = if opa == Op::None { k } else { m };
@@ -289,20 +268,10 @@ fn gemm_into_dispatch(
     // 2-D macro-tile decomposition of C (the real path has its own blocking;
     // see the constants above).
     let (mc_blk, nc_blk) = if assume_real { (MC_REAL, NC_REAL) } else { (MC, NC) };
-    let tiles: Vec<(usize, usize)> = (0..m)
-        .step_by(mc_blk)
-        .flat_map(|ic| (0..n).step_by(nc_blk).map(move |jc| (ic, jc)))
-        .collect();
-
-    // The pool handle costs a global mutex and an `Arc` clone, so it is taken
-    // only by products big enough to want it: concurrent bond updates push
-    // every small GEMM of their QR/SVD chains through this line.
-    let pool = (m * n * k >= PAR_THRESHOLD && tiles.len() > 1)
-        .then(koala_exec::pool)
-        .filter(|pool| pool.threads() > 1);
-    let Some(pool) = pool else {
-        for &(ic, jc) in &tiles {
-            // Safety: exclusive access through the &mut borrow; serial loop.
+    for ic in (0..m).step_by(mc_blk) {
+        for jc in (0..n).step_by(nc_blk) {
+            // SAFETY: `c` is an exclusively borrowed `m * n` buffer (length
+            // asserted above) and `(ic, jc)` is a tile origin inside it.
             unsafe {
                 if assume_real {
                     compute_tile_real(opa, opb, m, n, k, a, b, lda, ldb, c.as_mut_ptr(), ic, jc)
@@ -311,222 +280,7 @@ fn gemm_into_dispatch(
                 }
             };
         }
-        return;
-    };
-    exec_gemm(&pool, opa, opb, m, n, k, a, b, lda, ldb, c, assume_real);
-}
-
-/// A `*mut C64` that task closures may capture. Safety rests on the graph
-/// structure: every GEMM task writes a disjoint `(ic, jc)` macro-tile of C,
-/// and the depth chain serialises the tasks that share a tile.
-struct SendPtr(*mut C64);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
-/// One shared packed panel: written by exactly one pack task, read only by
-/// GEMM tasks that declare that pack task as a dependency (the executor's
-/// dependency edge provides the happens-before ordering).
-struct PanelSlot {
-    buf: UnsafeCell<Vec<f64>>,
-    real: AtomicBool,
-}
-// Safety: see the field docs — the task graph gives each slot one writer,
-// ordered before all of its readers.
-unsafe impl Sync for PanelSlot {}
-
-impl PanelSlot {
-    fn new() -> Self {
-        PanelSlot { buf: UnsafeCell::new(Vec::new()), real: AtomicBool::new(false) }
     }
-}
-
-fn run_graph(graph: TaskGraph<'_>, pool: &koala_exec::Pool) {
-    if let Err(e) = graph.run_on(pool) {
-        // GEMM tasks are infallible: the only way to get here is a panic
-        // inside a task (an index/shape bug), which the executor caught and
-        // typed. Re-raise it — the serial path would have panicked too.
-        panic!("gemm task graph failed: {e}");
-    }
-}
-
-/// The parallel schedule: a task graph with **shared packed panels**.
-///
-/// Per `(row-block, depth-block)` one `PackA` task and per `(column-block,
-/// depth-block)` one `PackB` task write preallocated panel slots; the GEMM
-/// macro-tile task `(ic, jc, pc)` depends on its two pack tasks *and on
-/// `(ic, jc, pc-1)`* — the depth chain that fixes the accumulation order of
-/// every C element to exactly the serial loop's order, which is what makes
-/// results bit-identical across thread counts. Sharing means each B panel
-/// is packed once per `(depth, column)` block instead of once per tile (the
-/// old `threads > 1` waste), at the cost of keeping all panels resident —
-/// bounded by [`PANEL_MEM_LIMIT`], beyond which tiles pack privately.
-#[allow(clippy::too_many_arguments)]
-fn exec_gemm(
-    pool: &koala_exec::Pool,
-    opa: Op,
-    opb: Op,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[C64],
-    b: &[C64],
-    lda: usize,
-    ldb: usize,
-    c: &mut [C64],
-    assume_real: bool,
-) {
-    let (mc_blk, nc_blk, kc_blk) =
-        if assume_real { (MC_REAL, NC_REAL, KC_REAL) } else { (MC, NC, KC) };
-    let (mr, nr) = if assume_real { (MR_REAL, NR_REAL) } else { (MR, NR) };
-    let kbs: Vec<(usize, usize)> =
-        (0..k).step_by(kc_blk).map(|pc| (pc, kc_blk.min(k - pc))).collect();
-    let ibs: Vec<(usize, usize)> =
-        (0..m).step_by(mc_blk).map(|ic| (ic, mc_blk.min(m - ic))).collect();
-    let jbs: Vec<(usize, usize)> =
-        (0..n).step_by(nc_blk).map(|jc| (jc, nc_blk.min(n - jc))).collect();
-
-    // Panels are padded to full register strips; split-complex panels hold
-    // two f64 lanes per element, real panels one.
-    let lanes = if assume_real { 1 } else { 2 };
-    let round_up = |x: usize, u: usize| x.div_ceil(u) * u;
-    let a_elems = ibs.iter().map(|&(_, mc)| round_up(mc, mr)).sum::<usize>() * k * lanes;
-    let b_elems = jbs.iter().map(|&(_, nc)| round_up(nc, nr)).sum::<usize>() * k * lanes;
-    if (a_elems + b_elems).saturating_mul(8) > PANEL_MEM_LIMIT {
-        exec_gemm_private_tiles(
-            pool,
-            opa,
-            opb,
-            m,
-            n,
-            k,
-            a,
-            b,
-            lda,
-            ldb,
-            c,
-            assume_real,
-            &ibs,
-            &jbs,
-        );
-        return;
-    }
-
-    let nk = kbs.len();
-    let a_slots: Vec<PanelSlot> = (0..ibs.len() * nk).map(|_| PanelSlot::new()).collect();
-    let b_slots: Vec<PanelSlot> = (0..jbs.len() * nk).map(|_| PanelSlot::new()).collect();
-    let c_ptr = SendPtr(c.as_mut_ptr());
-    let c_ptr = &c_ptr;
-
-    let mut graph = TaskGraph::new();
-    let mut a_tasks: Vec<TaskId> = Vec::with_capacity(a_slots.len());
-    for (ibi, &(ic, mc)) in ibs.iter().enumerate() {
-        for (kbi, &(pc, kc)) in kbs.iter().enumerate() {
-            let slot = &a_slots[ibi * nk + kbi];
-            a_tasks.push(graph.add(TaskKind::Pack, &[], move || {
-                // Safety: sole writer of this slot (see PanelSlot).
-                let buf = unsafe { &mut *slot.buf.get() };
-                let all_real = if assume_real {
-                    pack_a_real(opa, a, lda, ic, mc, pc, kc, buf);
-                    true
-                } else {
-                    pack_a(opa, a, lda, ic, mc, pc, kc, buf)
-                };
-                slot.real.store(all_real, Ordering::Relaxed);
-                Ok(())
-            }));
-        }
-    }
-    let mut b_tasks: Vec<TaskId> = Vec::with_capacity(b_slots.len());
-    for (jbi, &(jc, nc)) in jbs.iter().enumerate() {
-        for (kbi, &(pc, kc)) in kbs.iter().enumerate() {
-            let slot = &b_slots[jbi * nk + kbi];
-            b_tasks.push(graph.add(TaskKind::Pack, &[], move || {
-                // Safety: sole writer of this slot (see PanelSlot).
-                let buf = unsafe { &mut *slot.buf.get() };
-                let all_real = if assume_real {
-                    pack_b_real(opb, b, ldb, pc, kc, jc, nc, buf);
-                    true
-                } else {
-                    pack_b(opb, b, ldb, pc, kc, jc, nc, buf)
-                };
-                slot.real.store(all_real, Ordering::Relaxed);
-                Ok(())
-            }));
-        }
-    }
-    for (ibi, &(ic, mc)) in ibs.iter().enumerate() {
-        for (jbi, &(jc, nc)) in jbs.iter().enumerate() {
-            let mut prev: Option<TaskId> = None;
-            for (kbi, &(_pc, kc)) in kbs.iter().enumerate() {
-                let mut deps = vec![a_tasks[ibi * nk + kbi], b_tasks[jbi * nk + kbi]];
-                if let Some(p) = prev {
-                    deps.push(p);
-                }
-                let a_slot = &a_slots[ibi * nk + kbi];
-                let b_slot = &b_slots[jbi * nk + kbi];
-                prev = Some(graph.add(TaskKind::Gemm, &deps, move || {
-                    // Safety: panels were written by this task's pack
-                    // dependencies; the C macro-tile is owned by this
-                    // (ic, jc) chain, serialised by the depth edge.
-                    unsafe {
-                        let ap = &*a_slot.buf.get();
-                        let bp = &*b_slot.buf.get();
-                        if assume_real {
-                            tile_depth_block_real(ap, bp, c_ptr.0, n, ic, jc, mc, nc, kc);
-                        } else {
-                            let block_real = a_slot.real.load(Ordering::Relaxed)
-                                && b_slot.real.load(Ordering::Relaxed);
-                            tile_depth_block(ap, bp, block_real, c_ptr.0, n, ic, jc, mc, nc, kc);
-                        }
-                    }
-                    Ok(())
-                }));
-            }
-        }
-    }
-    run_graph(graph, pool);
-}
-
-/// Fallback parallel schedule for products whose resident panels would
-/// exceed [`PANEL_MEM_LIMIT`]: one independent task per `(ic, jc)`
-/// macro-tile, each packing its own panels (the pre-executor behaviour).
-/// Accumulation order per C element is still the serial depth order.
-#[allow(clippy::too_many_arguments)]
-fn exec_gemm_private_tiles(
-    pool: &koala_exec::Pool,
-    opa: Op,
-    opb: Op,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[C64],
-    b: &[C64],
-    lda: usize,
-    ldb: usize,
-    c: &mut [C64],
-    assume_real: bool,
-    ibs: &[(usize, usize)],
-    jbs: &[(usize, usize)],
-) {
-    let c_ptr = SendPtr(c.as_mut_ptr());
-    let c_ptr = &c_ptr;
-    let mut graph = TaskGraph::new();
-    for &(ic, _mc) in ibs {
-        for &(jc, _nc) in jbs {
-            graph.add(TaskKind::Gemm, &[], move || {
-                // Safety: tiles are disjoint in C; operands are only read.
-                unsafe {
-                    if assume_real {
-                        compute_tile_real(opa, opb, m, n, k, a, b, lda, ldb, c_ptr.0, ic, jc);
-                    } else {
-                        compute_tile(opa, opb, m, n, k, a, b, lda, ldb, c_ptr.0, ic, jc);
-                    }
-                }
-                Ok(())
-            });
-        }
-    }
-    run_graph(graph, pool);
 }
 
 /// Compute one `(MC, NC)` macro-tile of C at `(ic, jc)`.
@@ -538,9 +292,10 @@ fn exec_gemm_private_tiles(
 ///
 /// # Safety
 ///
-/// `c` must point to an `m * n` buffer, and no other thread may concurrently
-/// access the elements `c[i * n + j]` for `i` in `ic..ic+MC`, `j` in
-/// `jc..jc+NC`.
+/// `c` must be valid for reads and writes of `m * n` elements and be the
+/// only live access to them for the duration of the call (the one caller
+/// derives it from its `&mut [C64]` and walks the tiles one at a time);
+/// `ic < m` and `jc < n`.
 #[allow(clippy::too_many_arguments)]
 unsafe fn compute_tile(
     opa: Op,
@@ -572,14 +327,12 @@ unsafe fn compute_tile(
 
 /// Run the strip loops of one `(macro-tile, depth-block)` pair over already
 /// packed split-complex panels, and credit its `mc * nc * kc` MACs to the
-/// matching counter. Shared verbatim by the serial loop ([`compute_tile`])
-/// and the task-graph schedule ([`exec_gemm`]) so both execute the exact
-/// same arithmetic in the exact same order.
+/// matching counter.
 ///
 /// # Safety
 ///
-/// Same aliasing contract as [`compute_tile`]: no other thread may touch
-/// the `(ic..ic+mc, jc..jc+nc)` elements of `c` concurrently.
+/// Same contract as [`compute_tile`] with `ldc` the row length of `c`:
+/// the `(ic..ic+mc, jc..jc+nc)` block must lie inside the buffer.
 #[allow(clippy::too_many_arguments)]
 unsafe fn tile_depth_block(
     ap: &[f64],
@@ -623,7 +376,7 @@ unsafe fn tile_depth_block(
 ///
 /// # Safety
 ///
-/// Same aliasing contract as [`compute_tile`] with the real-path tile sizes.
+/// Same contract as [`compute_tile`].
 #[allow(clippy::too_many_arguments)]
 unsafe fn compute_tile_real(
     opa: Op,
@@ -657,7 +410,7 @@ unsafe fn compute_tile_real(
 ///
 /// # Safety
 ///
-/// Same aliasing contract as [`compute_tile`] with the real tile sizes.
+/// Same contract as [`tile_depth_block`].
 #[allow(clippy::too_many_arguments)]
 unsafe fn tile_depth_block_real(
     ap: &[f64],
@@ -689,7 +442,8 @@ unsafe fn tile_depth_block_real(
 ///
 /// # Safety
 ///
-/// Same aliasing contract as [`compute_tile`].
+/// Same contract as [`compute_tile`] with `ldc` the row length of `c`:
+/// the `(i0..i0+mr, j0..j0+nr)` block must lie inside the buffer.
 #[inline(always)]
 unsafe fn write_tile(
     acc: &AccTile,
@@ -715,7 +469,7 @@ unsafe fn write_tile(
 ///
 /// # Safety
 ///
-/// Same aliasing contract as [`compute_tile`].
+/// Same contract as [`write_tile`].
 #[inline(always)]
 unsafe fn write_tile_real(
     acc: &RealAccTile,
@@ -738,7 +492,7 @@ unsafe fn write_tile_real(
 ///
 /// # Safety
 ///
-/// Same aliasing contract as [`compute_tile`].
+/// Same contract as [`write_tile`].
 #[inline(always)]
 unsafe fn write_tile_real_wide(
     acc: &RealAccTileWide,
@@ -868,7 +622,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_naive_large_parallel_path() {
+    fn matches_naive_beyond_one_register_strip() {
         let mut rng = StdRng::seed_from_u64(12);
         let a = Matrix::random(70, 90, &mut rng);
         let b = Matrix::random(90, 65, &mut rng);

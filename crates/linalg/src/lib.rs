@@ -9,9 +9,8 @@
 //!
 //! * [`scalar::C64`] — complex double-precision scalar,
 //! * [`matrix::Matrix`] — dense row-major complex matrix,
-//! * [`mod@gemm`] — blocked, task-graph-parallel matrix multiplication
-//!   (packed panels shared across macro-tiles on the `koala-exec`
-//!   executor),
+//! * [`mod@gemm`] — packed, blocked matrix multiplication (one serial call
+//!   per product, transposition fused into packing),
 //! * [`mod@qr`] — thin QR (modified Gram-Schmidt with reorthogonalization),
 //! * [`mod@svd`] — QR-preconditioned one-sided Jacobi SVD with a recovery
 //!   ladder, Gram-based SVD,
@@ -46,8 +45,8 @@
 //! [`WorkMeter`], and callers that need per-workload attribution (e.g.
 //! per-tenant billing in `koala-serve`) wrap their work in
 //! [`WorkMeter::scope`] — the scope travels with executor tasks, so a
-//! workload's ledger is exact even when its GEMM tiles run on shared pool
-//! workers.
+//! workload's ledger is exact even when its bond updates or SUMMA rounds
+//! run on shared pool workers.
 //!
 //! # Example: fused adjoint GEMM with [`gemm::gemm_into`]
 //!

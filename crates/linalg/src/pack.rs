@@ -31,29 +31,6 @@
 use crate::gemm::Op;
 use crate::microkernel::{MR, MR_REAL, NR, NR_REAL};
 use crate::scalar::C64;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Global count of A-panel pack calls (split-complex and real combined).
-static PACK_A_CALLS: AtomicU64 = AtomicU64::new(0);
-/// Global count of B-panel pack calls (split-complex and real combined).
-static PACK_B_CALLS: AtomicU64 = AtomicU64::new(0);
-
-/// Read the `(A, B)` pack-call counters.
-///
-/// These exist to pin the executor's panel-sharing contract: in the shared
-/// schedule a B panel is packed exactly once per `(depth-block,
-/// column-block)` pair no matter how many row tiles consume it or how many
-/// threads run — `linalg/tests/exec_billing.rs` asserts the counts are
-/// invariant across thread counts.
-pub fn pack_counters() -> (u64, u64) {
-    (PACK_A_CALLS.load(Ordering::Relaxed), PACK_B_CALLS.load(Ordering::Relaxed))
-}
-
-/// Reset both pack-call counters.
-pub fn reset_pack_counters() {
-    PACK_A_CALLS.store(0, Ordering::Relaxed);
-    PACK_B_CALLS.store(0, Ordering::Relaxed);
-}
 
 /// Read element `(i, p)` of the effective left operand.
 ///
@@ -102,7 +79,6 @@ pub fn pack_a(
     kc: usize,
     out: &mut Vec<f64>,
 ) -> bool {
-    PACK_A_CALLS.fetch_add(1, Ordering::Relaxed);
     let n_strips = strips(mc, MR);
     out.clear();
     out.resize(n_strips * kc * 2 * MR, 0.0);
@@ -138,7 +114,6 @@ pub fn pack_b(
     nc: usize,
     out: &mut Vec<f64>,
 ) -> bool {
-    PACK_B_CALLS.fetch_add(1, Ordering::Relaxed);
     let n_strips = strips(nc, NR);
     out.clear();
     out.resize(n_strips * kc * 2 * NR, 0.0);
@@ -176,7 +151,6 @@ pub fn pack_a_real(
     kc: usize,
     out: &mut Vec<f64>,
 ) {
-    PACK_A_CALLS.fetch_add(1, Ordering::Relaxed);
     let n_strips = strips(mc, MR_REAL);
     out.clear();
     out.resize(n_strips * kc * MR_REAL, 0.0);
@@ -205,7 +179,6 @@ pub fn pack_b_real(
     nc: usize,
     out: &mut Vec<f64>,
 ) {
-    PACK_B_CALLS.fetch_add(1, Ordering::Relaxed);
     let n_strips = strips(nc, NR_REAL);
     out.clear();
     out.resize(n_strips * kc * NR_REAL, 0.0);

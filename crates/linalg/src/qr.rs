@@ -26,6 +26,14 @@ pub struct QrFactors {
 /// diagonal of `R` is set to zero, so `Q` always has exactly `min(m, n)`
 /// orthonormal columns and `A = Q R` still holds.
 ///
+/// This function cannot fail, so non-finite input is reported through the
+/// factors: a column whose residual norm is NaN or infinite is never taken
+/// for a null one — it counts as a non-finite detection
+/// ([`koala_error::recovery::note_nonfinite_detection`]) and leaves a
+/// non-finite entry in its column of `R` (a poisoned column past `min(m, n)`
+/// does so through its projections). Fallible callers check `R`;
+/// `koala_tensor::qr_split` turns it into a typed error.
+///
 /// The iteration is one algorithm over the scalar type. Inputs carrying the
 /// structural [`Matrix::is_real`] hint run it at `f64` (no imaginary lane
 /// ever touched — roughly a quarter of the arithmetic and half the memory
@@ -45,9 +53,10 @@ pub fn qr(a: &Matrix) -> QrFactors {
 /// and the preconditioner of [`svd`](crate::svd::svd).
 ///
 /// Returns the `k = min(m, n)` basis columns and the row-major `k x n` factor
-/// `R`. A column whose residual norm is at most `tol` is numerically null:
-/// its diagonal of `R` stays zero and `on_null(basis so far)` supplies the
-/// basis column that takes its place. [`qr`] completes the basis there
+/// `R`. A column whose residual norm is at most `tol` (a NaN norm is not) is
+/// numerically null: its diagonal of `R` stays zero and `on_null(basis so
+/// far)` supplies the basis column that takes its place. [`qr`] completes
+/// the basis there
 /// ([`complete_basis`]); the SVD passes an empty column, which later
 /// projections skip for free, whose row of `R` stays exactly zero and which
 /// `Matrix::from_scalar_cols` lays out as a zero column of `Q`.
@@ -77,13 +86,20 @@ pub(crate) fn mgs<T: Scalar>(
             }
         }
         let norm = col.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
-        if norm > tol {
+        if norm.is_finite() && norm <= tol {
+            q_cols.push(on_null(&q_cols));
+        } else {
+            // A NaN or infinite norm lands here whatever `tol` is (an
+            // infinite entry makes `tol` infinite too): a poisoned column is
+            // not null. It stays in the basis, so its diagonal of `R` is
+            // non-finite and fallible callers can reject the factors.
+            if !norm.is_finite() {
+                koala_error::recovery::note_nonfinite_detection();
+            }
             r[j * n + j] = T::from_real(norm);
             let inv = 1.0 / norm;
             col.iter_mut().for_each(|z| *z = z.scale(inv));
             q_cols.push(col);
-        } else {
-            q_cols.push(on_null(&q_cols));
         }
     }
 

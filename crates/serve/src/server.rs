@@ -172,7 +172,7 @@ struct QueuedJob {
 ///    warm stripes.
 /// 3. Each job executes inside its own [`WorkMeter`] scope, so its
 ///    [`JobReceipt`] bills exactly the multiply-adds and bytes it caused —
-///    on whatever pool workers its tiles ran — and sibling receipts sum
+///    on whatever pool workers its tasks ran — and sibling receipts sum
 ///    exactly to the global meter delta.
 ///
 /// Results are bit-identical to running the job alone: job seeds fix every

@@ -150,10 +150,15 @@ fn split_permutation(
 ///
 /// Returns `(Q, R)` where `Q` has shape `[row_dims..., k]` and `R` has shape
 /// `[k, col_dims...]`, with `k = min(prod(row_dims), prod(col_dims))`.
+///
+/// A NaN or infinity anywhere in `t` is an error of kind `NonFinite`:
+/// [`qr()`] leaves such poison in `R`, which is checked here (`R` is the
+/// small factor of a tall split, so the input itself is never scanned).
 pub fn qr_split(t: &Tensor, row_axes: &[usize]) -> Result<(Tensor, Tensor)> {
     let (perm, row_dims, col_dims) = split_permutation(t, row_axes)?;
     let mat = t.permute(&perm)?.unfold(row_dims.len());
     let f = qr(&mat);
+    f.r.validate_finite("qr_split R factor")?;
     let k = f.q.ncols();
     let q = Tensor::fold(&f.q, &row_dims, &[k])?;
     let r = Tensor::fold(&f.r, &[k], &col_dims)?;
@@ -236,6 +241,47 @@ mod tests {
         // Q isometric over its row axes.
         let qmat = q.unfold(2);
         assert!(qmat.has_orthonormal_cols(1e-10));
+    }
+
+    #[test]
+    fn qr_split_rejects_a_single_non_finite_entry() {
+        let mut rng = StdRng::seed_from_u64(32);
+        // Tall (12 x 4), square (6 x 6) and wide (3 x 8, where columns 3..8
+        // only ever meet the projection loop) matricizations; real and
+        // complex instantiations.
+        for (shape, rows) in [(&[4, 3, 4][..], 2), (&[6, 6][..], 1), (&[3, 2, 4][..], 1)] {
+            for real in [false, true] {
+                let clean = if real {
+                    Tensor::random_real(shape, &mut rng)
+                } else {
+                    Tensor::random(shape, &mut rng)
+                };
+                let row_axes: Vec<usize> = (0..rows).collect();
+                assert!(qr_split(&clean, &row_axes).is_ok());
+                let ncols: usize = shape[rows..].iter().product();
+                // First column, a middle column, the last column.
+                for col in [0, ncols / 2, ncols - 1] {
+                    for bad in [f64::NAN, f64::INFINITY] {
+                        let mut t = clean.clone();
+                        t.data_mut()[ncols + col].re = bad;
+                        if real {
+                            t.assume_real();
+                        }
+                        let before = koala_error::recovery::snapshot().nonfinite_detections;
+                        let Err(err) = qr_split(&t, &row_axes) else {
+                            panic!("{shape:?} real={real} column {col} value {bad}: not rejected");
+                        };
+                        let kind = koala_error::KoalaError::from(err).kind();
+                        assert_eq!(
+                            kind,
+                            koala_error::ErrorKind::NonFinite,
+                            "{shape:?} real={real} column {col} value {bad}"
+                        );
+                        assert!(koala_error::recovery::snapshot().nonfinite_detections > before);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

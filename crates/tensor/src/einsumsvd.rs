@@ -371,7 +371,7 @@ impl EinsumSvd {
 mod tests {
     use super::*;
     use crate::einsum::einsum;
-    use koala_exec::WorkMeter;
+    use koala_linalg::WorkMeter;
     use koala_linalg::{matmul, matmul_adj_a, C64};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -23,33 +23,17 @@ use crate::contract::PairPlan;
 use crate::einsum::EinsumSpec;
 use crate::shape::is_identity_perm;
 use crate::tensor::{Result, Tensor, TensorError};
-use koala_exec::{TaskGraph, TaskId, TaskKind};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, LazyLock, Mutex};
 
-/// Provenance of one step operand: a caller input or an earlier step's
-/// output. Recorded at build time so execution can run the steps as a task
-/// graph (dependencies = the `Step(_)` sources) instead of replaying the
-/// working-list simulation serially.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Src {
-    /// The `i`-th caller-provided operand.
-    Input(usize),
-    /// The output of step `j`.
-    Step(usize),
-}
-
 /// One pairwise contraction of the schedule: contract working-list slots
 /// `lhs` and `rhs` (with `lhs < rhs`) using the pre-analysed `pair` lowering
-/// and push the result at the back of the working list. `lhs_src` / `rhs_src`
-/// name the same two operands by provenance rather than by list position.
+/// and push the result at the back of the working list.
 #[derive(Debug, Clone)]
 struct Step {
     lhs: usize,
     rhs: usize,
-    lhs_src: Src,
-    rhs_src: Src,
     pair: PairPlan,
 }
 
@@ -121,9 +105,6 @@ impl Plan {
             .zip(shapes.iter())
             .map(|(labels, shape)| (labels.clone(), shape.to_vec()))
             .collect();
-        // Provenance of each working-list slot, kept in lockstep with
-        // `items` so every step records *which* values it consumes.
-        let mut srcs: Vec<Src> = (0..items.len()).map(Src::Input).collect();
         let mut steps: Vec<Step> = Vec::new();
 
         // Greedy pairwise ordering: always contract the pair of tensors that
@@ -168,10 +149,7 @@ impl Plan {
                 left_l.iter().filter(|c| !shared.contains(c)).copied().collect();
             labels.extend(right_l.iter().filter(|c| !shared.contains(c)).copied());
             let out_shape = pair.out_shape().to_vec();
-            let rhs_src = srcs.remove(j);
-            let lhs_src = srcs.remove(i);
-            srcs.push(Src::Step(steps.len()));
-            steps.push(Step { lhs: i, rhs: j, lhs_src, rhs_src, pair });
+            steps.push(Step { lhs: i, rhs: j, pair });
             items.push((labels, out_shape));
         }
 
@@ -237,6 +215,9 @@ impl Plan {
     /// execution time and dispatches to the real-only GEMM when both sides
     /// carry them, so one cached plan serves real and complex operand sets
     /// alike (and an all-real einsum yields a hint-carrying real result).
+    ///
+    /// The steps run on the calling thread in schedule order; callers that
+    /// want concurrency run whole contractions side by side.
     pub fn execute(&self, operands: &[&Tensor]) -> Result<Tensor> {
         if operands.len() != self.shapes.len() {
             return Err(TensorError::InvalidAxes {
@@ -259,18 +240,16 @@ impl Plan {
             }
         }
 
-        // Multi-step schedules on a multi-threaded executor run as a task
-        // graph so independent steps contract concurrently; otherwise (or
-        // for single-step plans, where there is nothing to overlap) replay
-        // the working list serially. Both paths run the same `PairPlan`
-        // lowerings on the same values, so results, realness hints, and MAC
-        // billing are identical.
-        let operand = if self.steps.len() >= 2 && koala_exec::threads() > 1 {
-            self.execute_steps_dag(operands)?
-        } else {
-            self.execute_steps_serial(operands)?
-        };
-        let mut operand = operand;
+        // Working list of tensors: caller-borrowed inputs, owned intermediates.
+        let mut items: Vec<Operand<'_>> = operands.iter().map(|t| Operand::Borrowed(t)).collect();
+        for step in &self.steps {
+            let right = items.remove(step.rhs);
+            let left = items.remove(step.lhs);
+            items.push(Operand::Owned(step.pair.execute(left.as_tensor(), right.as_tensor())?));
+        }
+        let mut operand = items.pop().ok_or_else(|| TensorError::InvalidAxes {
+            context: "einsum plan: empty operand list".into(),
+        })?;
 
         for &axis in &self.sum_axes {
             operand = Operand::Owned(crate::contract::sum_axis(operand.as_tensor(), axis)?);
@@ -282,97 +261,6 @@ impl Plan {
             (None, Operand::Borrowed(t)) => Ok(t.clone()),
             (Some(perm), operand) => operand.as_tensor().permute(perm),
         }
-    }
-
-    /// Replay the pairwise steps on the calling thread, in schedule order.
-    fn execute_steps_serial<'a>(&self, operands: &[&'a Tensor]) -> Result<Operand<'a>> {
-        // Working list of tensors: caller-borrowed inputs, owned intermediates.
-        let mut items: Vec<Operand<'_>> = operands.iter().map(|t| Operand::Borrowed(t)).collect();
-        for step in &self.steps {
-            let right = items.remove(step.rhs);
-            let left = items.remove(step.lhs);
-            items.push(Operand::Owned(step.pair.execute(left.as_tensor(), right.as_tensor())?));
-        }
-        items.pop().ok_or_else(|| TensorError::InvalidAxes {
-            context: "einsum plan: empty operand list".into(),
-        })
-    }
-
-    /// Lower the pairwise steps onto the `koala-exec` task graph: one `Step`
-    /// task per contraction, depending on the earlier steps whose outputs it
-    /// consumes. Independent branches of the contraction tree run
-    /// concurrently; each value is produced by one task and consumed by at
-    /// most one other, so slots hand tensors over without cloning.
-    fn execute_steps_dag<'a>(&self, operands: &[&'a Tensor]) -> Result<Operand<'a>> {
-        let n_steps = self.steps.len();
-        let results: Vec<Mutex<Option<Tensor>>> = (0..n_steps).map(|_| Mutex::new(None)).collect();
-        // The first TensorError a step hits, carried across the KoalaError
-        // boundary of the executor (which only cancels the run).
-        let failure: Mutex<Option<TensorError>> = Mutex::new(None);
-
-        let mut graph = TaskGraph::new();
-        let mut tids: Vec<TaskId> = Vec::with_capacity(n_steps);
-        for (si, step) in self.steps.iter().enumerate() {
-            let mut deps = Vec::new();
-            for src in [step.lhs_src, step.rhs_src] {
-                if let Src::Step(j) = src {
-                    deps.push(tids[j]);
-                }
-            }
-            let results = &results;
-            let failure = &failure;
-            tids.push(graph.add(TaskKind::Step, &deps, move || {
-                let fetch =
-                    |src: Src| -> std::result::Result<Operand<'a>, koala_error::KoalaError> {
-                        match src {
-                            Src::Input(i) => Ok(Operand::Borrowed(operands[i])),
-                            // The dependency edge ordered the producer before
-                            // us, and each step output has exactly one
-                            // consumer, so the take() always yields the value.
-                            Src::Step(j) => crate::lock_ignore_poison(&results[j])
-                                .take()
-                                .map(Operand::Owned)
-                                .ok_or_else(|| {
-                                    koala_error::KoalaError::new(
-                                        koala_error::ErrorKind::InvalidArgument,
-                                        format!("einsum step {si}: missing output of step {j}"),
-                                    )
-                                }),
-                        }
-                    };
-                let left = fetch(step.lhs_src)?;
-                let right = fetch(step.rhs_src)?;
-                match step.pair.execute(left.as_tensor(), right.as_tensor()) {
-                    Ok(t) => {
-                        *crate::lock_ignore_poison(&results[si]) = Some(t);
-                        Ok(())
-                    }
-                    Err(e) => {
-                        let mut slot = crate::lock_ignore_poison(failure);
-                        let koala: koala_error::KoalaError = e.clone().into();
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                        Err(koala)
-                    }
-                }
-            }));
-        }
-        match graph.run() {
-            Ok(()) => {}
-            Err(exec_err) => {
-                if let Some(e) = crate::lock_ignore_poison(&failure).take() {
-                    return Err(e);
-                }
-                // No step recorded a TensorError: a task panicked (a bug the
-                // serial path would also have panicked on).
-                return Err(TensorError::Linalg(format!("einsum task graph failed: {exec_err}")));
-            }
-        }
-        let last = crate::lock_ignore_poison(&results[n_steps - 1]).take().ok_or_else(|| {
-            TensorError::InvalidAxes { context: "einsum plan: final step produced no value".into() }
-        })?;
-        Ok(Operand::Owned(last))
     }
 }
 
@@ -471,8 +359,8 @@ fn key_hash(spec: &EinsumSpec, shapes: &[&[usize]]) -> u64 {
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 512;
 
 /// Number of lock stripes the cache is sharded over. Concurrent lookups of
-/// *different* keys proceed on different mutexes (the single global mutex
-/// was flagged under contention once einsum execution went multi-threaded);
+/// *different* keys proceed on different mutexes (concurrent bond updates
+/// and served jobs all plan through this cache);
 /// 16 stripes give a 16x expected contention reduction at negligible memory
 /// cost.
 const PLAN_CACHE_STRIPES: usize = 16;
