@@ -21,10 +21,11 @@
 //! cached einsum plans, and all work lands on the ambient
 //! [`koala_exec::WorkMeter`] scope.
 
+use koala_error::KoalaError;
 use koala_linalg::{matmul, Matrix, C64};
 use koala_mps::Mps;
 use koala_peps::{ContractionMethod, Peps, Site, UpdateMethod};
-use koala_tensor::{tensordot, EinsumSvd, Tensor, TensorError, Truncation};
+use koala_tensor::{tensordot, EinsumSvd, Tensor, Truncation};
 use rand::Rng;
 
 use crate::ir::{Circuit, Gate, Result};
@@ -42,10 +43,6 @@ const STATEVECTOR_HARD_MAX: usize = 26;
 
 /// Relative SVD truncation floor for MPS/PEPS gate applications.
 const EVOLUTION_TOL: f64 = 1e-14;
-
-fn invalid(context: impl Into<String>) -> TensorError {
-    TensorError::InvalidAxes { context: context.into() }
-}
 
 /// A concrete simulation backend.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -177,11 +174,13 @@ pub fn amplitudes<R: Rng + ?Sized>(
 ) -> Result<AmplitudeBatch> {
     let n = circuit.num_qubits();
     if bitstrings.is_empty() {
-        return Err(invalid("circuit: empty bitstring batch"));
+        return Err(KoalaError::invalid("circuit: empty bitstring batch"));
     }
     for bits in bitstrings {
         if bits.len() != n || bits.iter().any(|&b| b > 1) {
-            return Err(invalid(format!("circuit: bitstring {bits:?} is not {n} bits of 0/1")));
+            return Err(KoalaError::invalid(format!(
+                "circuit: bitstring {bits:?} is not {n} bits of 0/1"
+            )));
         }
     }
 
@@ -232,7 +231,7 @@ pub fn amplitudes<R: Rng + ?Sized>(
 fn run_statevector(circuit: &Circuit, queries: &[Vec<usize>]) -> Result<(Vec<C64>, usize)> {
     let n = circuit.num_qubits();
     if n > STATEVECTOR_HARD_MAX {
-        return Err(invalid(format!(
+        return Err(KoalaError::invalid(format!(
             "circuit: {n} qubits exceed the {STATEVECTOR_HARD_MAX}-qubit statevector limit"
         )));
     }

@@ -12,18 +12,13 @@
 //! reason about gate classes without string matching, and the serving layer
 //! can put a compact tag — not sixteen floats — on the wire.
 
+use koala_error::KoalaError;
 use koala_linalg::{c64, Matrix, C64};
-use koala_tensor::TensorError;
 
-/// Result alias for the circuit layer (shared with the tensor engine).
-pub type Result<T> = std::result::Result<T, TensorError>;
+pub use koala_error::Result;
 
 /// Tolerance for the unitarity check on user-supplied gate matrices.
 pub const UNITARY_TOL: f64 = 1e-10;
-
-fn invalid(context: impl Into<String>) -> TensorError {
-    TensorError::InvalidAxes { context: context.into() }
-}
 
 /// A one-qubit gate.
 #[derive(Debug, Clone)]
@@ -316,7 +311,7 @@ impl Circuit {
 
     fn check_qubit(&self, q: usize) -> Result<()> {
         if q >= self.num_qubits {
-            return Err(invalid(format!(
+            return Err(KoalaError::invalid(format!(
                 "circuit: qubit {q} out of range for {} qubits",
                 self.num_qubits
             )));
@@ -328,7 +323,9 @@ impl Circuit {
         self.check_qubit(a)?;
         self.check_qubit(b)?;
         if a == b {
-            return Err(invalid(format!("circuit: two-qubit gate on identical qubit {a}")));
+            return Err(KoalaError::invalid(format!(
+                "circuit: two-qubit gate on identical qubit {a}"
+            )));
         }
         Ok(())
     }
@@ -338,7 +335,7 @@ impl Circuit {
         self.check_qubit(qubit)?;
         if let Gate1::Rx(t) | Gate1::Ry(t) | Gate1::Rz(t) = gate {
             if !t.is_finite() {
-                return Err(invalid("circuit: rotation angle must be finite"));
+                return Err(KoalaError::invalid("circuit: rotation angle must be finite"));
             }
         }
         if let Gate1::Unitary(m) = &gate {
@@ -380,7 +377,7 @@ impl Circuit {
         }
         if let Some((r, c)) = self.lattice {
             if r * c != self.num_qubits {
-                return Err(invalid(format!(
+                return Err(KoalaError::invalid(format!(
                     "circuit: lattice {r}x{c} does not hold {} qubits",
                     self.num_qubits
                 )));
@@ -479,14 +476,16 @@ fn zero_pattern16(m: &Matrix) -> u16 {
 
 fn check_unitary(m: &Matrix, dim: usize) -> Result<()> {
     if m.shape() != (dim, dim) {
-        return Err(invalid(format!(
+        return Err(KoalaError::invalid(format!(
             "circuit: gate matrix is {:?}, expected {dim}x{dim}",
             m.shape()
         )));
     }
-    m.validate_finite("circuit gate").map_err(|e| invalid(e.to_string()))?;
+    m.validate_finite("circuit gate")?;
     if !koala_linalg::matmul_adj_a(m, m).approx_eq(&Matrix::identity(dim), UNITARY_TOL) {
-        return Err(invalid(format!("circuit: {dim}x{dim} gate matrix is not unitary")));
+        return Err(KoalaError::invalid(format!(
+            "circuit: {dim}x{dim} gate matrix is not unitary"
+        )));
     }
     Ok(())
 }

@@ -21,6 +21,7 @@
 //! Zero-entry tests are exact, so float-noise rows of fused unitaries are
 //! conservatively kept — pruning never *approximates*.
 
+use koala_error::KoalaError;
 use koala_linalg::{Matrix, C64};
 
 use crate::ir::{Circuit, Gate};
@@ -68,9 +69,9 @@ fn monomial_column(m: &Matrix, row: usize) -> Option<(usize, C64)> {
 pub fn prune_for_bits(circuit: &Circuit, bits: &[usize]) -> crate::ir::Result<PrunedQuery> {
     let n = circuit.num_qubits();
     if bits.len() != n || bits.iter().any(|&b| b > 1) {
-        return Err(koala_tensor::TensorError::InvalidAxes {
-            context: format!("light-cone: expected {n} bits of 0/1, got {bits:?}"),
-        });
+        return Err(KoalaError::invalid(format!(
+            "light-cone: expected {n} bits of 0/1, got {bits:?}"
+        )));
     }
     let mut bits = bits.to_vec();
     let mut phase = C64::ONE;

@@ -1497,7 +1497,7 @@ pub fn gram_qr_dist(a: &DistMatrix) -> crate::Result<DistQr> {
         for rank in 0..a.cluster().nranks() {
             a.block(rank)
                 .validate_finite("gram_qr_dist input block")
-                .map_err(|err| KoalaError::from(err).context(format!("rank {rank}")))?;
+                .map_err(|err| err.context(format!("rank {rank}")))?;
         }
         koala_error::recovery::note_qr_degradation();
         return Ok(qr_gather_dist(a));

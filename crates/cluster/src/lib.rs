@@ -11,8 +11,8 @@
 //! work is tallied in [`CommStats`]. A [`CostModel`] — calibrated from the
 //! committed `BENCH_gemm.json` via [`CostModel::from_bench`] — converts the
 //! counters into modelled parallel execution times, which is how the scaling
-//! figures of the paper are reproduced on a single machine (see DESIGN.md §1
-//! for the substitution rationale).
+//! figures of the paper are reproduced on a single machine (see
+//! ARCHITECTURE.md, "Distributed layer").
 //!
 //! Provided building blocks:
 //! * [`Cluster`] — the virtual machine and its statistics,
@@ -126,6 +126,4 @@ pub use stats::{
     CommStats, CostModel, RoundCost, ELEM_BYTES, FLOPS_PER_COMPLEX_MAC, FLOPS_PER_REAL_MAC,
 };
 
-/// Result alias for fallible cluster operations (ABFT-verified transfers can
-/// exhaust their retry budget under a persistent fault plan).
-pub type Result<T> = std::result::Result<T, koala_error::KoalaError>;
+pub use koala_error::Result;

@@ -1,11 +1,12 @@
 //! Communication and computation accounting for the virtual cluster.
 //!
 //! The paper evaluates its distributed algorithms on a real supercomputer; in
-//! this reproduction the cluster is simulated (see DESIGN.md §1), so scaling
-//! behaviour is reported through a cost model fed by these counters. Every
-//! byte that crosses a (virtual) rank boundary and every local floating-point
-//! operation is tallied, which is enough to reproduce the *shape* of the
-//! strong/weak scaling and algorithm-comparison figures.
+//! this reproduction the cluster is simulated (see ARCHITECTURE.md,
+//! "Distributed layer"), so scaling behaviour is reported through a cost
+//! model fed by these counters. Every byte that crosses a (virtual) rank
+//! boundary and every local floating-point operation is tallied, which is
+//! enough to reproduce the *shape* of the strong/weak scaling and
+//! algorithm-comparison figures.
 //!
 //! ## Accounting semantics
 //!

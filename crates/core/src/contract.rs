@@ -9,9 +9,10 @@
 //! exact algorithm applies every row without truncation and is exponential.
 
 use crate::peps::{Peps, Result, AX_P, AX_U};
+use koala_error::KoalaError;
 use koala_linalg::C64;
 use koala_mps::{zip_up, Mpo, Mps, ZipUpMethod};
-use koala_tensor::{Tensor, TensorError};
+use koala_tensor::Tensor;
 use rand::Rng;
 
 /// Which contraction algorithm to use.
@@ -76,12 +77,10 @@ impl ContractionMethod {
 pub(crate) fn sites_as_mps<'a>(sites: impl IntoIterator<Item = &'a Tensor>) -> Result<Mps> {
     let site = |t: &Tensor| {
         if t.dim(AX_P) != 1 || t.dim(AX_U) != 1 {
-            return Err(TensorError::ShapeMismatch {
-                context: format!(
-                    "boundary MPS site {:?} has a physical index or an upward bond",
-                    t.shape()
-                ),
-            });
+            return Err(KoalaError::shape(format!(
+                "boundary MPS site {:?} has a physical index or an upward bond",
+                t.shape()
+            )));
         }
         // [p=1, u=1, l, d, r] -> [l, d, r]
         t.select(AX_P, 0)?.select(0, 0)
@@ -94,9 +93,10 @@ pub(crate) fn sites_as_mps<'a>(sites: impl IntoIterator<Item = &'a Tensor>) -> R
 pub(crate) fn sites_as_mpo<'a>(sites: impl IntoIterator<Item = &'a Tensor>) -> Result<Mpo> {
     let site = |t: &Tensor| {
         if t.dim(AX_P) != 1 {
-            return Err(TensorError::ShapeMismatch {
-                context: format!("row MPO site {:?} still has a physical index", t.shape()),
-            });
+            return Err(KoalaError::shape(format!(
+                "row MPO site {:?} still has a physical index",
+                t.shape()
+            )));
         }
         // [p=1, u, l, d, r] -> [u, l, d, r] -> [l, u, d, r]
         t.select(AX_P, 0)?.permute(&[1, 0, 2, 3])

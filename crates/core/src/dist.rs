@@ -20,13 +20,13 @@
 //! The distributed contraction wrapper charges the cluster with the per-step
 //! cost profile of BMPS vs IBMPS (merged-tensor redistribution + gathered SVD
 //! vs Gram-orthogonalized implicit sketching) while computing the numerical
-//! result with the verified local algorithms; see DESIGN.md §1 and §7 for the
-//! fidelity discussion.
+//! result with the verified local algorithms.
 
 use crate::contract::{contract_no_phys, ContractionMethod};
 use crate::peps::{Direction, Peps, Result, Site};
 use crate::update::{canonical_perms, invert5, reorder_gate, small_einsumsvd};
 use koala_cluster::{gram_qr_dist, qr_gather_dist, Cluster, DistMatrix, DistTensor};
+use koala_error::{KoalaError, ResultExt};
 use koala_linalg::C64;
 use koala_tensor::{Tensor, Truncation};
 use rand::Rng;
@@ -66,9 +66,9 @@ pub fn dist_two_site_update(
     variant: DistEvolutionVariant,
 ) -> Result<f64> {
     let dir = peps.direction_between(site_a, site_b).ok_or_else(|| {
-        koala_tensor::TensorError::InvalidAxes {
-            context: format!("dist_two_site_update: {site_a:?} and {site_b:?} are not neighbours"),
-        }
+        KoalaError::invalid(format!(
+            "dist_two_site_update: {site_a:?} and {site_b:?} are not neighbours"
+        ))
     })?;
     // Normalise reversed pairs (Left/Up) to the canonical orientations,
     // exactly like the local implementation does.
@@ -106,15 +106,12 @@ pub fn dist_two_site_update(
     let b_dist = scatter_site(cluster, &b_mat_t);
 
     // The Gram path can degrade (ill-conditioned spectrum) or reject
-    // non-finite inputs; surface either through the tensor error channel.
-    let dist_qr_err = |e: koala_error::KoalaError| {
-        koala_tensor::TensorError::Linalg(e.context("dist_two_site_update").to_string())
-    };
+    // non-finite inputs.
     let (qa, qb) = match variant {
         DistEvolutionVariant::CtfQrSvd => (qr_gather_dist(&a_dist), qr_gather_dist(&b_dist)),
         _ => (
-            gram_qr_dist(&a_dist).map_err(dist_qr_err)?,
-            gram_qr_dist(&b_dist).map_err(dist_qr_err)?,
+            gram_qr_dist(&a_dist).context("dist_two_site_update")?,
+            gram_qr_dist(&b_dist).context("dist_two_site_update")?,
         ),
     };
     let ka = qa.r.nrows();
@@ -246,7 +243,6 @@ pub fn dist_contract_no_phys<R: Rng + ?Sized>(
 /// contraction. The cost formulas follow Table II of the paper with the
 /// lattice dimensions of `peps`.
 fn charge_contraction_costs(cluster: &Cluster, peps: &Peps, method: ContractionMethod) {
-    let n = peps.nrows().max(peps.ncols());
     let r: usize = peps.max_bond();
     let nranks = cluster.nranks() as u64;
     // A PEPS whose site tensors all carry the realness hint contracts on the
@@ -281,7 +277,6 @@ fn charge_contraction_costs(cluster: &Cluster, peps: &Peps, method: ContractionM
             }
         }
     }
-    let _ = n;
 }
 
 #[cfg(test)]

@@ -3,8 +3,9 @@
 //! (Hamiltonians for ITE/VQE, measurement operators for expectation values).
 
 use crate::peps::{Peps, Result, Site};
+use koala_error::KoalaError;
 use koala_linalg::{c64, Matrix, C64};
-use koala_tensor::{svd_split, Tensor, TensorError, Truncation};
+use koala_tensor::{svd_split, Tensor, Truncation};
 use std::ops::{Add, Mul};
 
 /// Pauli X matrix.
@@ -225,40 +226,34 @@ impl Observable {
         for term in &self.terms {
             for (r, c) in term.sites() {
                 if r >= peps.nrows() || c >= peps.ncols() {
-                    return Err(TensorError::InvalidAxes {
-                        context: format!("observable site ({r},{c}) outside the lattice"),
-                    });
+                    return Err(KoalaError::invalid(format!(
+                        "observable site ({r},{c}) outside the lattice"
+                    )));
                 }
             }
             match term {
                 LocalTerm::OneSite { site, matrix } => {
                     let d = peps.phys_dim(*site);
                     if matrix.shape() != (d, d) {
-                        return Err(TensorError::ShapeMismatch {
-                            context: format!(
-                                "one-site term at {:?} has matrix {:?}, expected {d}x{d}",
-                                site,
-                                matrix.shape()
-                            ),
-                        });
+                        return Err(KoalaError::shape(format!(
+                            "one-site term at {:?} has matrix {:?}, expected {d}x{d}",
+                            site,
+                            matrix.shape()
+                        )));
                     }
                 }
                 LocalTerm::TwoSite { site_a, site_b, matrix } => {
                     let d = peps.phys_dim(*site_a) * peps.phys_dim(*site_b);
                     if matrix.shape() != (d, d) {
-                        return Err(TensorError::ShapeMismatch {
-                            context: format!(
-                                "two-site term at {:?}-{:?} has matrix {:?}, expected {d}x{d}",
-                                site_a,
-                                site_b,
-                                matrix.shape()
-                            ),
-                        });
+                        return Err(KoalaError::shape(format!(
+                            "two-site term at {:?}-{:?} has matrix {:?}, expected {d}x{d}",
+                            site_a,
+                            site_b,
+                            matrix.shape()
+                        )));
                     }
                     if site_a == site_b {
-                        return Err(TensorError::InvalidAxes {
-                            context: "two-site term with identical sites".into(),
-                        });
+                        return Err(KoalaError::invalid("two-site term with identical sites"));
                     }
                 }
             }

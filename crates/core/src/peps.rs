@@ -6,8 +6,9 @@
 //! lattice have dimension 1. This matches the layout used by the original
 //! Koala library (a dictionary of site tensors keyed by grid position).
 
+use koala_error::KoalaError;
 use koala_linalg::{Matrix, C64};
-use koala_tensor::{tensordot, Tensor, TensorError};
+use koala_tensor::{tensordot, Tensor};
 use rand::Rng;
 
 /// Axis index of the physical leg.
@@ -21,8 +22,7 @@ pub const AX_D: usize = 3;
 /// Axis index of the bond to the site on the right.
 pub const AX_R: usize = 4;
 
-/// Result alias for the PEPS layer.
-pub type Result<T> = std::result::Result<T, TensorError>;
+pub use koala_error::Result;
 
 /// A grid position `(row, col)`.
 pub type Site = (usize, usize);
@@ -75,17 +75,15 @@ impl Peps {
     /// Build from a row-major vector of site tensors, validating shapes.
     pub fn new(nrows: usize, ncols: usize, tensors: Vec<Tensor>) -> Result<Self> {
         if nrows == 0 || ncols == 0 {
-            return Err(TensorError::ShapeMismatch { context: "Peps::new: empty lattice".into() });
+            return Err(KoalaError::shape("Peps::new: empty lattice"));
         }
         if tensors.len() != nrows * ncols {
-            return Err(TensorError::ShapeMismatch {
-                context: format!(
-                    "Peps::new: {} tensors for a {}x{} lattice",
-                    tensors.len(),
-                    nrows,
-                    ncols
-                ),
-            });
+            return Err(KoalaError::shape(format!(
+                "Peps::new: {} tensors for a {}x{} lattice",
+                tensors.len(),
+                nrows,
+                ncols
+            )));
         }
         let peps = Peps { nrows, ncols, tensors };
         peps.validate()?;
@@ -97,39 +95,42 @@ impl Peps {
             for c in 0..self.ncols {
                 let t = self.tensor((r, c));
                 if t.ndim() != 5 {
-                    return Err(TensorError::ShapeMismatch {
-                        context: format!("site ({r},{c}) has rank {} (expected 5)", t.ndim()),
-                    });
+                    return Err(KoalaError::shape(format!(
+                        "site ({r},{c}) has rank {} (expected 5)",
+                        t.ndim()
+                    )));
                 }
                 if r == 0 && t.dim(AX_U) != 1 {
-                    return Err(TensorError::ShapeMismatch {
-                        context: format!("site ({r},{c}): top boundary bond must be 1"),
-                    });
+                    return Err(KoalaError::shape(format!(
+                        "site ({r},{c}): top boundary bond must be 1"
+                    )));
                 }
                 if r == self.nrows - 1 && t.dim(AX_D) != 1 {
-                    return Err(TensorError::ShapeMismatch {
-                        context: format!("site ({r},{c}): bottom boundary bond must be 1"),
-                    });
+                    return Err(KoalaError::shape(format!(
+                        "site ({r},{c}): bottom boundary bond must be 1"
+                    )));
                 }
                 if c == 0 && t.dim(AX_L) != 1 {
-                    return Err(TensorError::ShapeMismatch {
-                        context: format!("site ({r},{c}): left boundary bond must be 1"),
-                    });
+                    return Err(KoalaError::shape(format!(
+                        "site ({r},{c}): left boundary bond must be 1"
+                    )));
                 }
                 if c == self.ncols - 1 && t.dim(AX_R) != 1 {
-                    return Err(TensorError::ShapeMismatch {
-                        context: format!("site ({r},{c}): right boundary bond must be 1"),
-                    });
+                    return Err(KoalaError::shape(format!(
+                        "site ({r},{c}): right boundary bond must be 1"
+                    )));
                 }
                 if c + 1 < self.ncols && t.dim(AX_R) != self.tensor((r, c + 1)).dim(AX_L) {
-                    return Err(TensorError::ShapeMismatch {
-                        context: format!("horizontal bond mismatch at ({r},{c})-({r},{})", c + 1),
-                    });
+                    return Err(KoalaError::shape(format!(
+                        "horizontal bond mismatch at ({r},{c})-({r},{})",
+                        c + 1
+                    )));
                 }
                 if r + 1 < self.nrows && t.dim(AX_D) != self.tensor((r + 1, c)).dim(AX_U) {
-                    return Err(TensorError::ShapeMismatch {
-                        context: format!("vertical bond mismatch at ({r},{c})-({},{c})", r + 1),
-                    });
+                    return Err(KoalaError::shape(format!(
+                        "vertical bond mismatch at ({r},{c})-({},{c})",
+                        r + 1
+                    )));
                 }
             }
         }
@@ -156,9 +157,7 @@ impl Peps {
     /// A computational basis state given by one bit per site (row-major).
     pub fn computational_basis(nrows: usize, ncols: usize, bits: &[usize]) -> Result<Self> {
         if bits.len() != nrows * ncols {
-            return Err(TensorError::ShapeMismatch {
-                context: "computational_basis: wrong number of bits".into(),
-            });
+            return Err(KoalaError::shape("computational_basis: wrong number of bits"));
         }
         let tensors = bits
             .iter()
@@ -408,16 +407,14 @@ impl Peps {
     /// amplitude `<i|psi>` becomes a one-layer contraction.
     pub fn project_onto_basis(&self, bits: &[usize]) -> Result<Peps> {
         if bits.len() != self.num_sites() {
-            return Err(TensorError::ShapeMismatch {
-                context: "project_onto_basis: wrong number of bits".into(),
-            });
+            return Err(KoalaError::shape("project_onto_basis: wrong number of bits"));
         }
         let mut tensors = Vec::with_capacity(self.num_sites());
         for (t, &b) in self.tensors.iter().zip(bits.iter()) {
             if b >= t.dim(AX_P) {
-                return Err(TensorError::InvalidAxes {
-                    context: format!("project_onto_basis: bit value {b} exceeds physical dim"),
-                });
+                return Err(KoalaError::invalid(format!(
+                    "project_onto_basis: bit value {b} exceeds physical dim"
+                )));
             }
             let projected = t.select(AX_P, b)?; // [u, l, d, r]
             let shape = projected.shape().to_vec();
@@ -434,9 +431,7 @@ impl Peps {
     /// handling the paper describes in §III-B2.
     pub fn merge_with_bra(&self, bra: &Peps) -> Result<Peps> {
         if self.nrows != bra.nrows || self.ncols != bra.ncols {
-            return Err(TensorError::ShapeMismatch {
-                context: "merge_with_bra: lattice shapes differ".into(),
-            });
+            return Err(KoalaError::shape("merge_with_bra: lattice shapes differ"));
         }
         let tensors = self
             .tensors
@@ -452,9 +447,7 @@ impl Peps {
 /// one site `[1, u_pair, l_pair, d_pair, r_pair]` of the one-layer network.
 pub(crate) fn merge_site_pair(bra_site: &Tensor, ket_site: &Tensor) -> Result<Tensor> {
     if bra_site.dim(AX_P) != ket_site.dim(AX_P) {
-        return Err(TensorError::ShapeMismatch {
-            context: "merge_site_pair: physical dimensions differ".into(),
-        });
+        return Err(KoalaError::shape("merge_site_pair: physical dimensions differ"));
     }
     // conj(bra)[p, ub, lb, db, rb] x ket[p, uk, lk, dk, rk], with the bond-pair
     // interleaving folded into the (cached) einsum plan:
@@ -468,9 +461,10 @@ pub(crate) fn merge_site_pair(bra_site: &Tensor, ket_site: &Tensor) -> Result<Te
 /// (helper shared by update and expectation code).
 pub fn check_one_site_gate(gate: &Matrix, d: usize) -> Result<()> {
     if gate.shape() != (d, d) {
-        return Err(TensorError::ShapeMismatch {
-            context: format!("one-site gate must be {d}x{d}, got {:?}", gate.shape()),
-        });
+        return Err(KoalaError::shape(format!(
+            "one-site gate must be {d}x{d}, got {:?}",
+            gate.shape()
+        )));
     }
     Ok(())
 }

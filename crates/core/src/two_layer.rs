@@ -13,9 +13,10 @@
 //! lower time and space complexity.
 
 use crate::peps::{Peps, Result, AX_L, AX_P, AX_U};
+use koala_error::KoalaError;
 use koala_linalg::C64;
 use koala_mps::{Mps, ZipUpMethod};
-use koala_tensor::{tensordot, EinsumSvd, Tensor, TensorError, Truncation};
+use koala_tensor::{tensordot, EinsumSvd, Tensor, Truncation};
 use rand::Rng;
 
 /// One two-layer zip-up step: boundary `[l, d_pair, r_s, rA, rB]` x boundary
@@ -37,9 +38,7 @@ pub fn inner_two_layer<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<C64> {
     if bra.nrows() != ket.nrows() || bra.ncols() != ket.ncols() {
-        return Err(TensorError::ShapeMismatch {
-            context: "inner_two_layer: lattice shapes differ".into(),
-        });
+        return Err(KoalaError::shape("inner_two_layer: lattice shapes differ"));
     }
     // The first row is absorbed exactly (merged): its bonds are at most
     // r_bra * r_ket wide, the same as the boundary MPS would be anyway.
@@ -68,14 +67,14 @@ fn merged_row_mps(bra: &Peps, ket: &Peps, row: usize) -> Result<Mps> {
         let a = bra.tensor((row, c));
         let b = ket.tensor((row, c));
         if a.dim(AX_P) != b.dim(AX_P) {
-            return Err(TensorError::ShapeMismatch {
-                context: format!("inner_two_layer: physical dims differ at ({row},{c})"),
-            });
+            return Err(KoalaError::shape(format!(
+                "inner_two_layer: physical dims differ at ({row},{c})"
+            )));
         }
         if a.dim(AX_U) != 1 || b.dim(AX_U) != 1 {
-            return Err(TensorError::ShapeMismatch {
-                context: "merged_row_mps: expected the top row (no upward bonds)".into(),
-            });
+            return Err(KoalaError::shape(
+                "merged_row_mps: expected the top row (no upward bonds)",
+            ));
         }
         // conj(a)[p, 1, la, da, ra] x b[p, 1, lb, db, rb] -> [la, da, ra, lb, db, rb]
         let pair = tensordot(&a.conj().select(AX_U, 0)?, &b.select(AX_U, 0)?, &[0], &[0])?;

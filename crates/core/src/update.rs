@@ -26,11 +26,10 @@
 use crate::peps::{
     check_one_site_gate, Direction, Peps, Result, Site, AX_D, AX_L, AX_P, AX_R, AX_U,
 };
+use koala_error::{KoalaError, ResultExt};
 use koala_exec::{TaskGraph, TaskId, TaskKind};
 use koala_linalg::Matrix;
-use koala_tensor::{
-    einsum, gram_qr_split, qr_split, tensordot, EinsumSvd, Tensor, TensorError, Truncation,
-};
+use koala_tensor::{einsum, gram_qr_split, qr_split, tensordot, EinsumSvd, Tensor, Truncation};
 use std::borrow::Cow;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -111,14 +110,12 @@ fn update_site(old: &Tensor, gate: &Matrix) -> Result<Tensor> {
 /// `G'[(b',a'),(b,a)] = G[(a',b'),(a,b)]`.
 pub fn reorder_gate(gate: &Matrix, d_a: usize, d_b: usize) -> Result<Matrix> {
     if gate.shape() != (d_a * d_b, d_a * d_b) {
-        return Err(TensorError::ShapeMismatch {
-            context: format!(
-                "reorder_gate: gate is {:?}, expected {}x{}",
-                gate.shape(),
-                d_a * d_b,
-                d_a * d_b
-            ),
-        });
+        return Err(KoalaError::shape(format!(
+            "reorder_gate: gate is {:?}, expected {}x{}",
+            gate.shape(),
+            d_a * d_b,
+            d_a * d_b
+        )));
     }
     let t = Tensor::from_matrix_2d(gate).into_reshape(&[d_a, d_b, d_a, d_b])?;
     let swapped = t.permute(&[1, 0, 3, 2])?;
@@ -166,14 +163,12 @@ fn update_pair(
     let d_a = site_a.dim(AX_P);
     let d_b = site_b.dim(AX_P);
     if gate.shape() != (d_a * d_b, d_a * d_b) {
-        return Err(TensorError::ShapeMismatch {
-            context: format!(
-                "apply_two_site: gate is {:?}, expected {}x{}",
-                gate.shape(),
-                d_a * d_b,
-                d_a * d_b
-            ),
-        });
+        return Err(KoalaError::shape(format!(
+            "apply_two_site: gate is {:?}, expected {}x{}",
+            gate.shape(),
+            d_a * d_b,
+            d_a * d_b
+        )));
     }
     let (perm_a, perm_b) = canonical_perms(dir);
     let a = site_a.permute(&perm_a)?; // [p, o1, o2, o3, bond]
@@ -305,9 +300,7 @@ pub fn route_two_site<'a>(
     ops: &mut Vec<GateOp<'a>>,
 ) -> Result<()> {
     if site_a == site_b {
-        return Err(TensorError::InvalidAxes {
-            context: "apply_two_site_any: the two sites must differ".into(),
-        });
+        return Err(KoalaError::invalid("apply_two_site_any: the two sites must differ"));
     }
     site_slot(peps, site_b)?;
     let d = peps.phys_dim(site_b);
@@ -386,13 +379,11 @@ pub fn apply_two_site_everywhere(
 /// Row-major slot of a site, rejecting sites outside the lattice.
 fn site_slot(peps: &Peps, site: Site) -> Result<usize> {
     if site.0 >= peps.nrows() || site.1 >= peps.ncols() {
-        return Err(TensorError::InvalidAxes {
-            context: format!(
-                "site {site:?} is outside the {}x{} lattice",
-                peps.nrows(),
-                peps.ncols()
-            ),
-        });
+        return Err(KoalaError::invalid(format!(
+            "site {site:?} is outside the {}x{} lattice",
+            peps.nrows(),
+            peps.ncols()
+        )));
     }
     Ok(peps.site_index(site))
 }
@@ -405,8 +396,11 @@ fn target(peps: &Peps, op: &GateOp<'_>) -> Result<Target> {
     let slot = site_slot(peps, op.site)?;
     let Some(partner) = op.partner else { return Ok((slot, None)) };
     let partner_slot = site_slot(peps, partner)?;
-    let dir = peps.direction_between(op.site, partner).ok_or_else(|| TensorError::InvalidAxes {
-        context: format!("apply_two_site: sites {:?} and {partner:?} are not neighbours", op.site),
+    let dir = peps.direction_between(op.site, partner).ok_or_else(|| {
+        KoalaError::invalid(format!(
+            "apply_two_site: sites {:?} and {partner:?} are not neighbours",
+            op.site
+        ))
     })?;
     Ok((slot, Some((partner_slot, dir))))
 }
@@ -473,7 +467,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// An op outside the lattice or on a non-neighbouring pair is rejected
 /// before anything is applied. An op that fails while running (a gate of
 /// the wrong shape, a factorization that meets non-finite data) cancels the
-/// run and its `TensorError` is returned (the earliest in list order if
+/// run and its error is returned (the earliest in list order if
 /// several ops failed). The PEPS is then structurally valid — every op is
 /// applied whole or not at all, and bonds only change in pairs — but *which*
 /// of the ops that do not depend on the failed one were applied is
@@ -512,35 +506,37 @@ pub fn apply_gates(peps: &mut Peps, ops: &[GateOp<'_>], method: UpdateMethod) ->
         lock(&errs)[i] = err;
         Ok(())
     };
+    let run_op = |i: usize| {
+        run_op(i).with_context(|| match ops[i].partner {
+            Some(partner) => format!("apply_gates: op {i} on {:?}-{partner:?}", ops[i].site),
+            None => format!("apply_gates: op {i} on {:?}", ops[i].site),
+        })
+    };
 
     if width(&deps) <= 1 || koala_exec::threads() == 1 {
         (0..ops.len()).try_for_each(run_op)?;
     } else {
-        // The TensorError of the earliest failed op, carried across the
-        // KoalaError boundary of the executor (which only cancels the run).
-        let failure: Mutex<Option<(usize, TensorError)>> = Mutex::new(None);
+        // The error of the earliest failed op in list order; the executor
+        // reports whichever task failed first in time.
+        let failure: Mutex<Option<(usize, KoalaError)>> = Mutex::new(None);
         let mut graph = TaskGraph::new();
         let mut ids: Vec<TaskId> = Vec::with_capacity(ops.len());
         for (i, op_deps) in deps.iter().enumerate() {
             let (run_op, failure) = (&run_op, &failure);
             let op_deps: Vec<TaskId> = op_deps.iter().map(|&j| ids[j]).collect();
             ids.push(graph.add(TaskKind::Update, &op_deps, move || {
-                run_op(i).map_err(|e| {
+                run_op(i).inspect_err(|e| {
                     let mut first = lock(failure);
                     if first.as_ref().is_none_or(|(j, _)| i < *j) {
                         *first = Some((i, e.clone()));
                     }
-                    e.into()
                 })
             }));
         }
         if let Err(exec_err) = graph.run() {
-            // No op recorded a TensorError: a task panicked (a bug the
-            // inline walk would also have panicked on).
-            return Err(lock(&failure).take().map_or_else(
-                || TensorError::Linalg(format!("gate-list task graph failed: {exec_err}")),
-                |(_, e)| e,
-            ));
+            // No op recorded an error: a task panicked (a bug the inline
+            // walk would also have panicked on).
+            return Err(lock(&failure).take().map_or(exec_err, |(_, e)| e));
         }
     }
     Ok(errs.into_inner().unwrap_or_else(PoisonError::into_inner))
@@ -550,6 +546,7 @@ pub fn apply_gates(peps: &mut Peps, ops: &[GateOp<'_>], method: UpdateMethod) ->
 mod tests {
     use super::*;
     use crate::operators::{kron, pauli_x, pauli_z};
+    use koala_error::ErrorKind;
     use koala_linalg::{c64, expm_hermitian, C64};
     use koala_tensor::Tensor as T;
     use rand::rngs::StdRng;
@@ -866,7 +863,7 @@ mod tests {
                 .collect();
             let mut peps = base.clone();
             let err = apply_gates(&mut peps, &ops, method).unwrap_err();
-            assert!(matches!(err, TensorError::ShapeMismatch { .. }), "{threads} threads: {err:?}");
+            assert_eq!(err.kind(), ErrorKind::Shape, "{threads} threads: {err}");
             Peps::new(3, 3, peps.tensors().to_vec()).unwrap();
 
             // A NaN-poisoned site: the first factorization that meets it fails.
@@ -877,7 +874,7 @@ mod tests {
             let ops: Vec<GateOp<'_>> =
                 pairs.iter().map(|&(a, b)| GateOp::two_site(&gate, a, b)).collect();
             let err = apply_gates(&mut poisoned, &ops, method).unwrap_err();
-            assert!(matches!(err, TensorError::Linalg(_)), "{threads} threads: {err:?}");
+            assert_eq!(err.kind(), ErrorKind::NonFinite, "{threads} threads: {err}");
             Peps::new(3, 3, poisoned.tensors().to_vec()).unwrap();
         }
 
@@ -890,8 +887,7 @@ mod tests {
             poisoned.set_tensor((1, 1), t);
             let before = koala_error::recovery::snapshot().nonfinite_detections;
             let err = apply_two_site(&mut poisoned, &gate, (1, 1), (1, 2), method).unwrap_err();
-            let kind = koala_error::KoalaError::from(err).kind();
-            assert_eq!(kind, koala_error::ErrorKind::NonFinite, "element {index}");
+            assert_eq!(err.kind(), ErrorKind::NonFinite, "element {index}");
             assert!(koala_error::recovery::snapshot().nonfinite_detections > before);
         }
 
@@ -899,15 +895,11 @@ mod tests {
         let mut peps = base.clone();
         let ops =
             [GateOp::two_site(&gate, (0, 0), (0, 1)), GateOp::two_site(&gate, (0, 0), (1, 1))];
-        assert!(matches!(
-            apply_gates(&mut peps, &ops, method),
-            Err(TensorError::InvalidAxes { .. })
-        ));
+        let err = apply_gates(&mut peps, &ops, method).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidArgument);
         let outside = [GateOp::one_site(&gate, (3, 0))];
-        assert!(matches!(
-            apply_gates(&mut peps, &outside, method),
-            Err(TensorError::InvalidAxes { .. })
-        ));
+        let err = apply_gates(&mut peps, &outside, method).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidArgument);
         assert_eq!(peps.tensors(), base.tensors());
     }
 }

@@ -1,9 +1,11 @@
 //! Workspace-level error type and recovery-statistics counters.
 //!
-//! Every crate in the stack reports failures through [`KoalaError`]: a kind,
-//! a message, and a chain of context frames pushed as the error propagates
-//! upward (innermost first). Library code never panics on a fallible path —
-//! it returns one of these, and the caller either recovers (the
+//! [`KoalaError`] is the only error type of the workspace: a kind, a message,
+//! and a chain of context frames (innermost first). The [`ErrorKind`] is set
+//! once, by the code that detects the failure; every layer above only pushes
+//! a `.context(..)` frame, so the kind a kernel raised is the kind the
+//! service reports. Library code never panics on a fallible path — it
+//! returns one of these, and the caller either recovers (the
 //! numerical-recovery ladder, an ABFT round retry, a checkpoint restore) or
 //! surfaces the full chain to the user.
 //!
@@ -28,7 +30,7 @@ pub enum ErrorKind {
     NonFinite,
     /// An injected or detected fault in the (simulated) cluster.
     Fault,
-    /// A retry/recovery budget was exhausted without success.
+    /// A bounded resource has no room left (a full job queue).
     Exhausted,
     /// The caller supplied an invalid parameter.
     InvalidArgument,
@@ -79,6 +81,29 @@ impl KoalaError {
         KoalaError { kind, message: message.into(), context: Vec::new() }
     }
 
+    /// Incompatible operand shapes or dimensions ([`ErrorKind::Shape`]).
+    pub fn shape(message: impl Into<String>) -> Self {
+        Self::new(ErrorKind::Shape, message)
+    }
+
+    /// A parameter the caller got wrong ([`ErrorKind::InvalidArgument`]).
+    pub fn invalid(message: impl Into<String>) -> Self {
+        Self::new(ErrorKind::InvalidArgument, message)
+    }
+
+    /// A NaN or infinity found in `what` ([`ErrorKind::NonFinite`]).
+    pub fn non_finite(what: impl Into<String>) -> Self {
+        Self::new(ErrorKind::NonFinite, what)
+    }
+
+    /// `algorithm` spent its budget of `iterations` ([`ErrorKind::NoConvergence`]).
+    pub fn no_convergence(algorithm: &str, iterations: usize) -> Self {
+        Self::new(
+            ErrorKind::NoConvergence,
+            format!("{algorithm} did not converge after {iterations} iterations"),
+        )
+    }
+
     /// The broad classification of this error.
     pub fn kind(&self) -> ErrorKind {
         self.kind
@@ -124,8 +149,8 @@ impl std::error::Error for KoalaError {}
 /// Convenience alias for results carrying a [`KoalaError`].
 pub type Result<T> = std::result::Result<T, KoalaError>;
 
-/// Extension trait adding `.context(...)` to any result convertible into
-/// a [`Result`].
+/// Extension trait adding `.context(...)` to a [`Result`]: how a layer names
+/// what it was doing without touching the kind set below it.
 pub trait ResultExt<T> {
     /// Wrap the error (if any) with a context frame.
     fn context(self, frame: impl Into<String>) -> Result<T>;
@@ -133,13 +158,13 @@ pub trait ResultExt<T> {
     fn with_context<F: FnOnce() -> String>(self, frame: F) -> Result<T>;
 }
 
-impl<T, E: Into<KoalaError>> ResultExt<T> for std::result::Result<T, E> {
+impl<T> ResultExt<T> for Result<T> {
     fn context(self, frame: impl Into<String>) -> Result<T> {
-        self.map_err(|e| e.into().context(frame))
+        self.map_err(|e| e.context(frame))
     }
 
     fn with_context<F: FnOnce() -> String>(self, frame: F) -> Result<T> {
-        self.map_err(|e| e.into().context(frame()))
+        self.map_err(|e| e.context(frame()))
     }
 }
 

@@ -5,9 +5,9 @@
 //! eigendecompositions of small matrices, for which Jacobi iteration is
 //! simple, accurate, and fast enough.
 
-use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
 use crate::scalar::{Scalar, C64};
+use koala_error::{KoalaError, Result};
 
 /// Eigendecomposition `A = V diag(lambda) V^H` of a Hermitian matrix, with
 /// real eigenvalues sorted in ascending order and orthonormal eigenvectors in
@@ -28,8 +28,7 @@ const MAX_SWEEPS: usize = 60;
 /// The matrix is symmetrised as `(A + A^H)/2` before iterating so that tiny
 /// non-Hermitian round-off coming from upstream contractions is tolerated; a
 /// grossly non-Hermitian input is rejected, and a non-finite one is reported
-/// as such ([`LinalgError::NonFinite`]) before the Hermitian test can
-/// misname it.
+/// as such (kind `NonFinite`) before the Hermitian test can misname it.
 ///
 /// The iteration is one algorithm over the scalar type. Inputs carrying the
 /// structural [`Matrix::is_real`] hint (a real Hermitian matrix is
@@ -41,14 +40,12 @@ const MAX_SWEEPS: usize = 60;
 pub fn eigh(a: &Matrix) -> Result<EigH> {
     let (m, n) = a.shape();
     if m != n {
-        return Err(LinalgError::NotSquare { nrows: m, ncols: n });
+        return Err(KoalaError::shape(format!("eigh: matrix must be square, got {m}x{n}")));
     }
     a.validate_finite("eigh input")?;
     let scale = a.norm_max().max(1.0);
     if !a.is_hermitian(1e-8 * scale) {
-        return Err(LinalgError::InvalidArgument {
-            context: "eigh: matrix is not Hermitian".to_string(),
-        });
+        return Err(KoalaError::invalid("eigh: matrix is not Hermitian"));
     }
     if a.is_real() {
         jacobi_eigh::<f64>(a)
@@ -150,10 +147,7 @@ fn jacobi_eigh<T: Scalar>(a: &Matrix) -> Result<EigH> {
         }
     }
     if !converged && off(&h) > 1e-8 * fro {
-        return Err(LinalgError::NoConvergence {
-            algorithm: "jacobi-eigh",
-            iterations: MAX_SWEEPS,
-        });
+        return Err(KoalaError::no_convergence("jacobi-eigh", MAX_SWEEPS));
     }
 
     let mut order: Vec<usize> = (0..n).collect();
@@ -204,6 +198,7 @@ mod tests {
     use super::*;
     use crate::gemm::{matmul, matmul_adj_b};
     use crate::scalar::c64;
+    use koala_error::ErrorKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -260,7 +255,7 @@ mod tests {
 
     #[test]
     fn rejects_non_square_and_non_hermitian() {
-        assert!(matches!(eigh(&Matrix::zeros(2, 3)), Err(LinalgError::NotSquare { .. })));
+        assert_eq!(eigh(&Matrix::zeros(2, 3)).unwrap_err().kind(), ErrorKind::Shape);
         let mut a = Matrix::zeros(2, 2);
         a[(0, 1)] = c64(5.0, 0.0);
         assert!(eigh(&a).is_err());
@@ -274,10 +269,9 @@ mod tests {
             let before = koala_error::recovery::snapshot();
             let mut a = Matrix::identity(3);
             a[(i, j)] = c64(bad, 0.0);
-            match eigh(&a) {
-                Err(LinalgError::NonFinite { context }) => assert!(context.contains("eigh input")),
-                other => panic!("expected NonFinite, got {other:?}"),
-            }
+            let e = eigh(&a).unwrap_err();
+            assert_eq!(e.kind(), ErrorKind::NonFinite);
+            assert!(e.message().contains("eigh input"), "{e}");
             let after = koala_error::recovery::snapshot();
             assert!(after.nonfinite_detections > before.nonfinite_detections);
         }

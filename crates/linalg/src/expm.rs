@@ -8,10 +8,10 @@
 //!   series, used as an independent cross-check in tests.
 
 use crate::eig::funm_hermitian;
-use crate::error::Result;
 use crate::gemm::matmul;
 use crate::matrix::Matrix;
 use crate::scalar::C64;
+use koala_error::Result;
 
 /// `exp(factor * H)` for Hermitian `H`.
 ///

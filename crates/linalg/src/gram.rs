@@ -11,10 +11,10 @@
 //! evolution variants benchmarked in Figure 7.
 
 use crate::eig::eigh;
-use crate::error::Result;
 use crate::gemm::{gemm, matmul, matmul_adj_a, Op};
 use crate::matrix::Matrix;
 use crate::svd::{scale_cols, svd};
+use koala_error::Result;
 
 /// Result of the Gram-based orthogonalization.
 #[derive(Debug, Clone)]
@@ -191,7 +191,7 @@ mod tests {
     fn non_finite_input_is_rejected() {
         let mut a = Matrix::zeros(4, 2);
         a[(3, 1)] = crate::scalar::c64(f64::INFINITY, 0.0);
-        assert!(matches!(gram_qr(&a), Err(crate::error::LinalgError::NonFinite { .. })));
+        assert_eq!(gram_qr(&a).unwrap_err().kind(), koala_error::ErrorKind::NonFinite);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! of Figures 13 and 14) without ever forming the Hamiltonian matrix.
 
 use crate::eig::eigh;
-use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
 use crate::scalar::{c64, C64};
+use koala_error::{KoalaError, Result};
 use rand::Rng;
 
 /// A Hermitian operator acting on vectors of a fixed dimension.
@@ -78,7 +78,7 @@ pub fn lanczos_ground_state<O: HermitianOp, R: Rng + ?Sized>(
 ) -> Result<LanczosResult> {
     let n = op.dim();
     if n == 0 {
-        return Err(LinalgError::InvalidArgument { context: "lanczos: empty operator".into() });
+        return Err(KoalaError::invalid("lanczos: empty operator"));
     }
     let m = max_krylov.min(n).max(1);
 
@@ -160,7 +160,7 @@ pub fn lanczos_ground_state<O: HermitianOp, R: Rng + ?Sized>(
         basis.push(w);
     }
 
-    best.ok_or(LinalgError::NoConvergence { algorithm: "lanczos", iterations: m })
+    best.ok_or_else(|| KoalaError::no_convergence("lanczos", m))
 }
 
 #[cfg(test)]

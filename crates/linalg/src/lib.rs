@@ -71,11 +71,10 @@
 
 #![warn(missing_docs)]
 // Library code must not panic on fallible paths: every failure is a
-// `LinalgError` (bridged to the workspace `KoalaError`), so the recovery
+// `KoalaError` whose kind is set here, where it is detected, so the recovery
 // ladder above can catch and degrade instead of aborting a long job.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod error;
 pub mod scalar;
 
 pub mod eig;
@@ -90,7 +89,7 @@ pub mod qr;
 pub mod rsvd;
 pub mod svd;
 
-pub use error::{LinalgError, Result};
+pub use koala_error::Result;
 pub use koala_exec::meter::{WorkLedger, WorkMeter};
 pub use matrix::{reset_transpose_counter, transpose_counter, Matrix};
 pub use scalar::{c64, C64};

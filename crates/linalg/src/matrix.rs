@@ -1,7 +1,7 @@
 //! Dense row-major complex matrix.
 
-use crate::error::{LinalgError, Result};
 use crate::scalar::{c64, Scalar, C64};
+use koala_error::{KoalaError, Result};
 use rand::Rng;
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
@@ -84,14 +84,10 @@ impl Matrix {
     /// Returns an error if `data.len() != nrows * ncols`.
     pub fn from_vec(nrows: usize, ncols: usize, data: Vec<C64>) -> Result<Self> {
         if data.len() != nrows * ncols {
-            return Err(LinalgError::DimensionMismatch {
-                context: format!(
-                    "from_vec: data length {} does not match {}x{}",
-                    data.len(),
-                    nrows,
-                    ncols
-                ),
-            });
+            return Err(KoalaError::shape(format!(
+                "from_vec: data length {} does not match {nrows}x{ncols}",
+                data.len()
+            )));
         }
         // No realness scan here: from_vec sits on hot paths (GEMM outputs,
         // matricizations). Callers that know the data is real follow up with
@@ -151,9 +147,7 @@ impl Matrix {
         let nrows = rows.len();
         let ncols = rows.first().map_or(0, |r| r.len());
         if rows.iter().any(|r| r.len() != ncols) {
-            return Err(LinalgError::DimensionMismatch {
-                context: "from_rows: ragged rows".to_string(),
-            });
+            return Err(KoalaError::shape("from_rows: ragged rows"));
         }
         let data: Vec<C64> = rows.iter().flat_map(|r| r.iter().copied()).collect();
         let real = data.iter().all(|z| z.im == 0.0);
@@ -427,14 +421,12 @@ impl Matrix {
     /// The fault-tolerance layer calls this on factorization outputs so
     /// corruption is caught where it enters, not three calls later. On
     /// failure, `context` names the operation for the error chain.
-    pub fn validate_finite(&self, context: &str) -> crate::error::Result<()> {
+    pub fn validate_finite(&self, context: &str) -> Result<()> {
         if self.data.iter().all(|z| z.re.is_finite() && z.im.is_finite()) {
             Ok(())
         } else {
             koala_error::recovery::note_nonfinite_detection();
-            Err(crate::error::LinalgError::NonFinite {
-                context: format!("{context} ({}x{} matrix)", self.nrows, self.ncols),
-            })
+            Err(KoalaError::non_finite(format!("{context} ({}x{} matrix)", self.nrows, self.ncols)))
         }
     }
 
@@ -491,9 +483,10 @@ impl Matrix {
     /// Horizontal concatenation `[self | other]`.
     pub fn hstack(&self, other: &Matrix) -> Result<Matrix> {
         if self.nrows != other.nrows {
-            return Err(LinalgError::DimensionMismatch {
-                context: format!("hstack: {} rows vs {} rows", self.nrows, other.nrows),
-            });
+            return Err(KoalaError::shape(format!(
+                "hstack: {} rows vs {} rows",
+                self.nrows, other.nrows
+            )));
         }
         let mut out = Matrix::zeros(self.nrows, self.ncols + other.ncols);
         out.set_submatrix(0, 0, self);
@@ -504,9 +497,10 @@ impl Matrix {
     /// Vertical concatenation.
     pub fn vstack(&self, other: &Matrix) -> Result<Matrix> {
         if self.ncols != other.ncols {
-            return Err(LinalgError::DimensionMismatch {
-                context: format!("vstack: {} cols vs {} cols", self.ncols, other.ncols),
-            });
+            return Err(KoalaError::shape(format!(
+                "vstack: {} cols vs {} cols",
+                self.ncols, other.ncols
+            )));
         }
         let mut out = Matrix::zeros(self.nrows + other.nrows, self.ncols);
         out.set_submatrix(0, 0, self);

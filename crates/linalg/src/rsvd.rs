@@ -7,11 +7,11 @@
 //! is what gives IBMPS / two-layer IBMPS their asymptotic advantage (Table II
 //! of the paper).
 
-use crate::error::{LinalgError, Result};
 use crate::gemm::{matmul, matmul_adj_a};
 use crate::matrix::Matrix;
 use crate::qr::orthonormalize;
 use crate::svd::{svd, Svd};
+use koala_error::{KoalaError, Result};
 use rand::Rng;
 
 /// A linear operator `C^{ncols} -> C^{nrows}` that can be applied to blocks of
@@ -97,26 +97,23 @@ pub const MAX_SKETCH_RETRIES: usize = 2;
 /// a genuinely corrupted operator is not and the last error propagates.
 pub fn rsvd<O: LinearOp, R: Rng + ?Sized>(op: &O, opts: RsvdOptions, rng: &mut R) -> Result<Svd> {
     if opts.rank == 0 {
-        return Err(LinalgError::InvalidArgument {
-            context: "rsvd: rank must be positive".to_string(),
-        });
+        return Err(KoalaError::invalid("rsvd: rank must be positive"));
     }
     let n = op.ncols();
     let m = op.nrows();
     if n == 0 || m == 0 {
         return Ok(Svd { u: Matrix::zeros(m, 0), s: vec![], vh: Matrix::zeros(0, n) });
     }
-    let mut last_err = LinalgError::NoConvergence { algorithm: "rsvd", iterations: 0 };
-    for attempt in 0..=MAX_SKETCH_RETRIES {
-        if attempt > 0 {
-            koala_error::recovery::note_rsvd_resketch();
-        }
+    let mut retries = 0;
+    loop {
         match rsvd_attempt(op, opts, rng) {
-            Ok(f) => return Ok(f),
-            Err(e) => last_err = e,
+            Err(_) if retries < MAX_SKETCH_RETRIES => {
+                retries += 1;
+                koala_error::recovery::note_rsvd_resketch();
+            }
+            done => return done,
         }
     }
-    Err(last_err)
 }
 
 /// One randomized-SVD attempt with a freshly drawn sketch.
@@ -178,7 +175,7 @@ fn rsvd_attempt<O: LinearOp, R: Rng + ?Sized>(
     let s = t.s[..k].to_vec();
     if !s.iter().all(|x| x.is_finite()) {
         koala_error::recovery::note_nonfinite_detection();
-        return Err(LinalgError::NonFinite { context: "rsvd: singular values".to_string() });
+        return Err(KoalaError::non_finite("rsvd: singular values"));
     }
     u.validate_finite("rsvd U factor")?;
     vh.validate_finite("rsvd Vh factor")?;

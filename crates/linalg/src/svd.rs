@@ -13,11 +13,11 @@
 //! setting.
 
 use crate::eig::{eigh, jacobi_rotation};
-use crate::error::{LinalgError, Result};
 use crate::gemm::{gemm, matmul, matmul_adj_a, matmul_adj_b, Op};
 use crate::matrix::Matrix;
 use crate::qr::mgs;
 use crate::scalar::{Scalar, C64};
+use koala_error::{KoalaError, Result};
 
 /// Result of an SVD `A = U diag(s) V^H` with singular values in descending
 /// order.
@@ -115,7 +115,7 @@ pub fn scale_rows(m: &Matrix, s: &[f64]) -> Matrix {
 /// Maximum number of one-sided Jacobi sweeps on the first attempt.
 pub const MAX_SWEEPS: usize = 60;
 
-/// Sweep budget after a [`LinalgError::NoConvergence`] escalation.
+/// Sweep budget after a `NoConvergence` escalation.
 pub const ESCALATED_SWEEPS: usize = 240;
 
 /// Full (thin) SVD via QR-preconditioned one-sided Jacobi iteration, hardened
@@ -176,8 +176,8 @@ pub const ESCALATED_SWEEPS: usize = 240;
 ///
 /// # Recovery ladder
 ///
-/// Non-finite inputs are rejected up front ([`LinalgError::NonFinite`]) so
-/// corruption is caught where it enters. If the Jacobi iteration fails to
+/// Non-finite inputs are rejected up front (kind `NonFinite`) so corruption
+/// is caught where it enters. If the Jacobi iteration fails to
 /// converge in [`MAX_SWEEPS`] sweeps, the sweep budget is escalated to
 /// [`ESCALATED_SWEEPS`], restarting from the `Q R` already in hand; if that
 /// still fails, the ladder falls back to the Gram-matrix SVD ([`svd_gram`]),
@@ -222,7 +222,7 @@ fn svd_ladder<T: Scalar>(a: &Matrix, first_sweeps: usize, escalated_sweeps: usiz
 fn validate_svd_finite(f: &Svd, context: &str) -> Result<()> {
     if !f.s.iter().all(|s| s.is_finite()) {
         koala_error::recovery::note_nonfinite_detection();
-        return Err(LinalgError::NonFinite { context: format!("{context}: singular values") });
+        return Err(KoalaError::non_finite(format!("{context}: singular values")));
     }
     f.u.validate_finite(context)?;
     f.vh.validate_finite(context)
@@ -322,10 +322,7 @@ impl<T: Scalar> Preconditioned<T> {
                 }
             }
             if worst > 1e-9 * self.fro * self.fro {
-                return Err(LinalgError::NoConvergence {
-                    algorithm: "jacobi-svd",
-                    iterations: max_sweeps,
-                });
+                return Err(KoalaError::no_convergence("jacobi-svd", max_sweeps));
             }
         }
 
@@ -457,6 +454,7 @@ pub fn svd_gram(a: &Matrix) -> Result<Svd> {
 mod tests {
     use super::*;
     use crate::scalar::c64;
+    use koala_error::ErrorKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -562,10 +560,9 @@ mod tests {
         let before = koala_error::recovery::snapshot();
         let mut a = Matrix::zeros(3, 3);
         a[(1, 2)] = c64(f64::NAN, 0.0);
-        match svd(&a) {
-            Err(LinalgError::NonFinite { context }) => assert!(context.contains("svd input")),
-            other => panic!("expected NonFinite, got {other:?}"),
-        }
+        let e = svd(&a).unwrap_err();
+        assert_eq!(e.kind(), ErrorKind::NonFinite);
+        assert!(e.message().contains("svd input"), "{e}");
         let after = koala_error::recovery::snapshot();
         assert!(after.nonfinite_detections > before.nonfinite_detections);
     }
@@ -580,13 +577,9 @@ mod tests {
             Preconditioned::<f64>::new(&Matrix::random_real(6, 4, &mut rng)).jacobi(0),
         ];
         for attempt in attempts {
-            match attempt {
-                Err(LinalgError::NoConvergence { algorithm, iterations }) => {
-                    assert_eq!(algorithm, "jacobi-svd");
-                    assert_eq!(iterations, 0);
-                }
-                other => panic!("expected NoConvergence, got {other:?}"),
-            }
+            let e = attempt.unwrap_err();
+            assert_eq!(e.kind(), ErrorKind::NoConvergence);
+            assert_eq!(e.message(), "jacobi-svd did not converge after 0 iterations");
         }
     }
 

@@ -6,7 +6,8 @@
 //! a boundary MPS (Algorithm 2) is exactly an MPO in this convention.
 
 use crate::mps::{Mps, Result};
-use koala_tensor::{tensordot, Tensor, TensorError};
+use koala_error::KoalaError;
+use koala_tensor::{tensordot, Tensor};
 use rand::Rng;
 
 /// A matrix product operator: a chain of rank-4 tensors `[l, u, d, r]`.
@@ -19,25 +20,25 @@ impl Mpo {
     /// Build from site tensors, validating ranks and bond matching.
     pub fn new(tensors: Vec<Tensor>) -> Result<Self> {
         if tensors.is_empty() {
-            return Err(TensorError::ShapeMismatch { context: "Mpo::new: empty chain".into() });
+            return Err(KoalaError::shape("Mpo::new: empty chain"));
         }
         for (i, t) in tensors.iter().enumerate() {
             if t.ndim() != 4 {
-                return Err(TensorError::ShapeMismatch {
-                    context: format!("Mpo::new: site {i} has rank {} (expected 4)", t.ndim()),
-                });
+                return Err(KoalaError::shape(format!(
+                    "Mpo::new: site {i} has rank {} (expected 4)",
+                    t.ndim()
+                )));
             }
         }
         if tensors[0].dim(0) != 1 || tensors[tensors.len() - 1].dim(3) != 1 {
-            return Err(TensorError::ShapeMismatch {
-                context: "Mpo::new: boundary bonds must have dimension 1".into(),
-            });
+            return Err(KoalaError::shape("Mpo::new: boundary bonds must have dimension 1"));
         }
         for i in 0..tensors.len() - 1 {
             if tensors[i].dim(3) != tensors[i + 1].dim(0) {
-                return Err(TensorError::ShapeMismatch {
-                    context: format!("Mpo::new: bond mismatch between sites {i} and {}", i + 1),
-                });
+                return Err(KoalaError::shape(format!(
+                    "Mpo::new: bond mismatch between sites {i} and {}",
+                    i + 1
+                )));
             }
         }
         Ok(Mpo { tensors })
@@ -110,9 +111,7 @@ impl Mpo {
     /// Apply the operator to an MPS exactly: bond dimensions multiply.
     pub fn apply_exact(&self, mps: &Mps) -> Result<Mps> {
         if self.len() != mps.len() || self.up_dims() != mps.phys_dims() {
-            return Err(TensorError::ShapeMismatch {
-                context: "apply_exact: MPO and MPS are incompatible".into(),
-            });
+            return Err(KoalaError::shape("apply_exact: MPO and MPS are incompatible"));
         }
         let mut out = Vec::with_capacity(self.len());
         for (o, s) in self.tensors.iter().zip(mps.tensors().iter()) {

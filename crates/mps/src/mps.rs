@@ -6,12 +6,12 @@
 //! points at the next, not yet absorbed, row of the PEPS.
 
 use crate::mpo::Mpo;
+use koala_error::KoalaError;
 use koala_linalg::{c64, C64};
-use koala_tensor::{qr_split, svd_split, tensordot, Tensor, TensorError, Truncation};
+use koala_tensor::{qr_split, svd_split, tensordot, Tensor, Truncation};
 use rand::Rng;
 
-/// Result alias shared by the MPS layer.
-pub type Result<T> = std::result::Result<T, TensorError>;
+pub use koala_error::Result;
 
 /// A matrix product state: a chain of rank-3 tensors `[l, p, r]`.
 #[derive(Debug, Clone)]
@@ -23,30 +23,27 @@ impl Mps {
     /// Build from site tensors, validating ranks and bond matching.
     pub fn new(tensors: Vec<Tensor>) -> Result<Self> {
         if tensors.is_empty() {
-            return Err(TensorError::ShapeMismatch { context: "Mps::new: empty chain".into() });
+            return Err(KoalaError::shape("Mps::new: empty chain"));
         }
         for (i, t) in tensors.iter().enumerate() {
             if t.ndim() != 3 {
-                return Err(TensorError::ShapeMismatch {
-                    context: format!("Mps::new: site {i} has rank {} (expected 3)", t.ndim()),
-                });
+                return Err(KoalaError::shape(format!(
+                    "Mps::new: site {i} has rank {} (expected 3)",
+                    t.ndim()
+                )));
             }
         }
         if tensors[0].dim(0) != 1 || tensors[tensors.len() - 1].dim(2) != 1 {
-            return Err(TensorError::ShapeMismatch {
-                context: "Mps::new: boundary bonds must have dimension 1".into(),
-            });
+            return Err(KoalaError::shape("Mps::new: boundary bonds must have dimension 1"));
         }
         for i in 0..tensors.len() - 1 {
             if tensors[i].dim(2) != tensors[i + 1].dim(0) {
-                return Err(TensorError::ShapeMismatch {
-                    context: format!(
-                        "Mps::new: bond between sites {i} and {} does not match ({} vs {})",
-                        i + 1,
-                        tensors[i].dim(2),
-                        tensors[i + 1].dim(0)
-                    ),
-                });
+                return Err(KoalaError::shape(format!(
+                    "Mps::new: bond between sites {i} and {} does not match ({} vs {})",
+                    i + 1,
+                    tensors[i].dim(2),
+                    tensors[i + 1].dim(0)
+                )));
             }
         }
         Ok(Mps { tensors })
@@ -133,9 +130,7 @@ impl Mps {
     /// `<self|other>` (conjugating `self`).
     pub fn inner(&self, other: &Mps) -> Result<C64> {
         if self.len() != other.len() || self.phys_dims() != other.phys_dims() {
-            return Err(TensorError::ShapeMismatch {
-                context: "inner: incompatible MPS chains".into(),
-            });
+            return Err(KoalaError::shape("inner: incompatible MPS chains"));
         }
         // Environment E[ra, rb] carried left to right.
         let mut env = Tensor::ones(&[1, 1]);
@@ -153,9 +148,7 @@ impl Mps {
     /// where all conjugations have already been baked into the tensors.
     pub fn dot(&self, other: &Mps) -> Result<C64> {
         if self.len() != other.len() || self.phys_dims() != other.phys_dims() {
-            return Err(TensorError::ShapeMismatch {
-                context: "dot: incompatible MPS chains".into(),
-            });
+            return Err(KoalaError::shape("dot: incompatible MPS chains"));
         }
         let mut env = Tensor::ones(&[1, 1]);
         for (a, b) in self.tensors.iter().zip(other.tensors.iter()) {
@@ -172,9 +165,7 @@ impl Mps {
     pub fn sandwich(top: Option<&Mps>, mpo: &Mpo, bottom: Option<&Mps>) -> Result<C64> {
         let dims = |m: Option<&Mps>| m.map_or_else(|| vec![1; mpo.len()], Mps::phys_dims);
         if dims(top) != mpo.up_dims() || dims(bottom) != mpo.down_dims() {
-            return Err(TensorError::ShapeMismatch {
-                context: "sandwich: environments and row MPO are incompatible".into(),
-            });
+            return Err(KoalaError::shape("sandwich: environments and row MPO are incompatible"));
         }
         let edge = Tensor::ones(&[1, 1, 1]);
         // Environment E[a, w, b] (top, MPO and bottom bonds) carried left to right.
@@ -204,12 +195,10 @@ impl Mps {
     pub fn contract_to_scalar(&self) -> Result<C64> {
         for (i, t) in self.tensors.iter().enumerate() {
             if t.dim(1) != 1 {
-                return Err(TensorError::ShapeMismatch {
-                    context: format!(
-                        "contract_to_scalar: site {i} has physical dimension {} (expected 1)",
-                        t.dim(1)
-                    ),
-                });
+                return Err(KoalaError::shape(format!(
+                    "contract_to_scalar: site {i} has physical dimension {} (expected 1)",
+                    t.dim(1)
+                )));
             }
         }
         let mut env = Tensor::ones(&[1]);
@@ -281,9 +270,7 @@ impl Mps {
     /// must cover the provided index). Testing / amplitude utility.
     pub fn amplitude(&self, bits: &[usize]) -> Result<C64> {
         if bits.len() != self.len() {
-            return Err(TensorError::ShapeMismatch {
-                context: "amplitude: wrong number of sites".into(),
-            });
+            return Err(KoalaError::shape("amplitude: wrong number of sites"));
         }
         let mut env = Tensor::ones(&[1]);
         for (t, &b) in self.tensors.iter().zip(bits.iter()) {

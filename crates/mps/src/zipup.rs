@@ -12,7 +12,8 @@
 
 use crate::mpo::Mpo;
 use crate::mps::{Mps, Result};
-use koala_tensor::{tensordot, EinsumSvd, Tensor, TensorError, Truncation};
+use koala_error::KoalaError;
+use koala_tensor::{tensordot, EinsumSvd, Tensor, Truncation};
 use rand::Rng;
 
 /// How the einsumsvd inside the zip-up sweep is evaluated: the method choice
@@ -36,9 +37,7 @@ pub fn zip_up<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<Mps> {
     if mps.len() != mpo.len() || mpo.up_dims() != mps.phys_dims() {
-        return Err(TensorError::ShapeMismatch {
-            context: "zip_up: MPO and MPS are incompatible".into(),
-        });
+        return Err(KoalaError::shape("zip_up: MPO and MPS are incompatible"));
     }
     let n = mps.len();
     let truncation = Truncation::rank_and_tol(max_bond, 1e-14);

@@ -12,7 +12,6 @@ use koala_sim::{
     ite_checkpoint, ite_peps_from, random_circuit, run_vqe_cancellable, tfi_hamiltonian,
     IteOptions, TfiParams, VqeOptions,
 };
-use koala_tensor::TensorError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -59,7 +58,7 @@ pub struct JobReceipt {
     pub tenant: String,
     /// Server-assigned job id (unique per [`Server`]).
     pub job_id: u64,
-    /// Job kind tag (`"ite"` / `"vqe"` / `"amplitudes"`).
+    /// Job kind tag (`"ite"` / `"vqe"` / `"amplitudes"` / `"circuit"`).
     pub kind: &'static str,
     /// Workload signature the scheduler batched the job under.
     pub signature: String,
@@ -413,15 +412,6 @@ fn execute_job(job: &QueuedJob) -> JobOutcome {
     }
 }
 
-fn engine_err(e: TensorError) -> KoalaError {
-    let kind = match &e {
-        TensorError::ShapeMismatch { .. } => ErrorKind::Shape,
-        TensorError::InvalidAxes { .. } => ErrorKind::InvalidArgument,
-        TensorError::Linalg(_) => ErrorKind::Numerical,
-    };
-    KoalaError::new(kind, e.to_string())
-}
-
 fn cancelled() -> KoalaError {
     KoalaError::new(ErrorKind::Cancelled, "job cancelled")
 }
@@ -462,14 +452,14 @@ fn run_ite(job: &IteJob, cancel: &CancelToken) -> Result<JobResult> {
         let boundary = (state.step() / job.measure_every + 1) * job.measure_every;
         let mut chunk = options;
         chunk.steps = boundary.min(job.steps);
-        let (result, end) = ite_peps_from(state, &h, chunk).map_err(engine_err)?;
+        let (result, end) = ite_peps_from(state, &h, chunk)?;
         last = Some(result);
         state = end;
     }
     let result = match last {
         Some(r) => r,
         // steps >= 1 is validated, so the loop ran at least once.
-        None => return Err(KoalaError::new(ErrorKind::InvalidArgument, "ite: zero steps")),
+        None => return Err(KoalaError::invalid("ite: zero steps")),
     };
     Ok(JobResult::Ite(IteOutput {
         final_energy: result.final_energy(),
@@ -489,8 +479,7 @@ fn run_vqe_job(job: &VqeJob, cancel: &CancelToken) -> Result<JobResult> {
     let options = VqeOptions { layers: job.layers, backend: job.backend, optimizer: job.optimizer };
     let mut rng = StdRng::seed_from_u64(job.seed);
     let result =
-        run_vqe_cancellable(job.nrows, job.ncols, &h, options, None, &mut rng, Some(cancel))
-            .map_err(engine_err)?;
+        run_vqe_cancellable(job.nrows, job.ncols, &h, options, None, &mut rng, Some(cancel))?;
     if cancel.is_cancelled() {
         return Err(cancelled());
     }
@@ -513,9 +502,7 @@ fn run_amplitudes(job: &AmplitudeJob, cancel: &CancelToken) -> Result<JobResult>
     let circuit =
         random_circuit(job.nrows, job.ncols, job.layers, job.entangle_every, &mut circuit_rng);
     let mut peps = Peps::computational_zeros(job.nrows, job.ncols);
-    circuit
-        .apply_to_peps(&mut peps, UpdateMethod::qr_svd(job.evolution_bond))
-        .map_err(engine_err)?;
+    circuit.apply_to_peps(&mut peps, UpdateMethod::qr_svd(job.evolution_bond))?;
 
     let mut rng = StdRng::seed_from_u64(job.seed);
     let mut amplitudes = Vec::with_capacity(job.bitstrings.len());
@@ -523,7 +510,7 @@ fn run_amplitudes(job: &AmplitudeJob, cancel: &CancelToken) -> Result<JobResult>
         if cancel.is_cancelled() {
             return Err(cancelled());
         }
-        amplitudes.push(amplitude(&peps, bits, job.method, &mut rng).map_err(engine_err)?);
+        amplitudes.push(amplitude(&peps, bits, job.method, &mut rng)?);
     }
     Ok(JobResult::Amplitudes(AmplitudeOutput { amplitudes, max_bond: peps.max_bond() }))
 }
@@ -537,8 +524,7 @@ fn run_circuit(job: &CircuitJob, cancel: &CancelToken) -> Result<JobResult> {
         return Err(cancelled());
     }
     let mut rng = StdRng::seed_from_u64(job.seed);
-    let batch = koala_circuit::amplitudes(&job.circuit, &job.bitstrings, job.backend, &mut rng)
-        .map_err(engine_err)?;
+    let batch = koala_circuit::amplitudes(&job.circuit, &job.bitstrings, job.backend, &mut rng)?;
     Ok(JobResult::Circuit(CircuitOutput {
         amplitudes: batch.amplitudes,
         backend: batch.backend.tag().to_string(),

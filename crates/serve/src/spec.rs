@@ -22,17 +22,27 @@
 //! determines the evolved bond dimensions and hence the contraction shapes.
 
 use koala_circuit::{Backend, BackendChoice, Circuit, Gate, Gate1, Gate2};
-use koala_error::{ErrorKind, KoalaError};
+use koala_error::{ErrorKind, KoalaError, ResultExt};
 use koala_json::JsonValue;
 use koala_linalg::{c64, Matrix, C64};
 use koala_peps::ContractionMethod;
 use koala_sim::{Optimizer, VqeBackend};
 
-/// Result type used by the serve layer.
-pub type Result<T> = std::result::Result<T, KoalaError>;
+pub use koala_error::Result;
 
 fn invalid(msg: impl Into<String>) -> KoalaError {
-    KoalaError::new(ErrorKind::InvalidArgument, msg)
+    KoalaError::invalid(msg)
+}
+
+/// The wire boundary: whatever a client sent wrong is `InvalidArgument`,
+/// including what a lower layer rejected with another kind (kept in the
+/// message).
+fn rejected(e: KoalaError) -> KoalaError {
+    if e.kind() == ErrorKind::InvalidArgument {
+        e
+    } else {
+        invalid(e.to_string())
+    }
 }
 
 /// Largest lattice (in sites) a job may request; keeps a single mis-typed
@@ -332,7 +342,7 @@ impl CircuitJob {
                 self.circuit.len()
             )));
         }
-        self.circuit.validate().map_err(|e| invalid(e.to_string()))?;
+        self.circuit.validate().map_err(rejected)?;
         if self.bitstrings.is_empty() {
             return Err(invalid("circuit: at least one bitstring is required"));
         }
@@ -633,7 +643,7 @@ impl JobSpec {
                     .ok_or_else(|| invalid("circuit: missing array field 'gates'"))?;
                 for (i, g) in gates_v.iter().enumerate() {
                     gate_from_json(&mut circuit, g)
-                        .map_err(|e| invalid(format!("circuit: gate {i}: {e}")))?;
+                        .with_context(|| format!("circuit: gate {i}"))?;
                 }
                 let backend = match v.get("backend") {
                     None => BackendChoice::Auto,
@@ -808,7 +818,7 @@ fn matrix_from_json(v: &JsonValue, dim: usize) -> Result<Matrix> {
         let im = pair[1].as_num().ok_or_else(|| invalid("unitary gate: non-numeric entry"))?;
         data.push(c64(re, im));
     }
-    let mut m = Matrix::from_vec(dim, dim, data).map_err(|e| invalid(e.to_string()))?;
+    let mut m = Matrix::from_vec(dim, dim, data).map_err(rejected)?;
     // Re-derive the structural realness hint lost on the wire, so real
     // unitaries keep the real-kernel fast path after a JSON roundtrip.
     m.mark_real_if_exact();
@@ -861,7 +871,7 @@ fn gate_from_json(circuit: &mut Circuit, v: &JsonValue) -> Result<()> {
                 "rz" => Gate1::Rz(req_f64(v, "theta")?),
                 _ => Gate1::Unitary(matrix_from_json(v, 2)?),
             };
-            circuit.push_one(req_usize(v, "q")?, gate).map_err(|e| invalid(e.to_string()))?;
+            circuit.push_one(req_usize(v, "q")?, gate).map_err(rejected)?;
         }
         "cnot" | "cz" | "swap" | "u2" => {
             let gate = match tag {
@@ -870,9 +880,7 @@ fn gate_from_json(circuit: &mut Circuit, v: &JsonValue) -> Result<()> {
                 "swap" => Gate2::Swap,
                 _ => Gate2::Unitary(matrix_from_json(v, 4)?),
             };
-            circuit
-                .push_two(req_usize(v, "a")?, req_usize(v, "b")?, gate)
-                .map_err(|e| invalid(e.to_string()))?;
+            circuit.push_two(req_usize(v, "a")?, req_usize(v, "b")?, gate).map_err(rejected)?;
         }
         other => return Err(invalid(format!("unknown gate tag '{other}'"))),
     }

@@ -202,3 +202,25 @@ fn receipts_carry_tenant_kind_and_ids_in_submission_order() {
     assert_eq!(outcomes[1].receipt.tenant, "bob");
     assert_eq!(outcomes[1].receipt.kind, "amplitudes");
 }
+
+#[test]
+fn a_failed_job_reports_the_kind_set_where_the_failure_was_detected() {
+    // A valid spec whose coupling overflows the Trotter gates: the SVD's
+    // finite guard rejects them, every replay fails the same way.
+    let job = IteJob {
+        jz: -1e200,
+        tau: 1.0,
+        steps: 2,
+        contraction_bond: 4,
+        measure_every: 1,
+        ..IteJob::new(2, 2, 2)
+    };
+    let mut server = Server::new(ServerConfig::default());
+    server.submit("tenant", JobSpec::Ite(job)).unwrap();
+    let outcome = server.drain().pop().unwrap();
+    assert_eq!(outcome.receipt.status, JobStatus::Failed);
+    let error = outcome.error.unwrap();
+    assert!(error.starts_with("non-finite:"), "{error}");
+    assert!(error.contains("restore attempts"), "{error}");
+    assert!(!error.contains("linear algebra error"), "{error}");
+}

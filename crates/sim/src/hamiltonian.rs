@@ -3,6 +3,7 @@
 //! Ising model (Equation 8), together with their Trotterised imaginary- or
 //! real-time evolution gates.
 
+use koala_error::ResultExt;
 use koala_linalg::{c64, expm_hermitian, Matrix, C64};
 use koala_peps::operators::{kron, pauli_x, pauli_y, pauli_z, Observable};
 use koala_peps::Site;
@@ -167,18 +168,13 @@ pub fn trotter_gates(
             Ok(match term {
                 koala_peps::LocalTerm::OneSite { site, matrix } => TrotterGate {
                     sites: vec![*site],
-                    matrix: expm_hermitian(matrix, factor).map_err(|e| {
-                        koala_tensor::TensorError::Linalg(format!(
-                            "trotter_gates: one-site term at {site:?}: {e}"
-                        ))
-                    })?,
+                    matrix: expm_hermitian(matrix, factor)
+                        .with_context(|| format!("trotter_gates: one-site term at {site:?}"))?,
                 },
                 koala_peps::LocalTerm::TwoSite { site_a, site_b, matrix } => TrotterGate {
                     sites: vec![*site_a, *site_b],
-                    matrix: expm_hermitian(matrix, factor).map_err(|e| {
-                        koala_tensor::TensorError::Linalg(format!(
-                            "trotter_gates: two-site term at {site_a:?}-{site_b:?}: {e}"
-                        ))
+                    matrix: expm_hermitian(matrix, factor).with_context(|| {
+                        format!("trotter_gates: two-site term at {site_a:?}-{site_b:?}")
                     })?,
                 },
             })

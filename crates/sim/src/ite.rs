@@ -20,12 +20,11 @@
 
 use crate::hamiltonian::{trotter_gates, TrotterGate};
 use crate::statevector::{Result, StateVector};
-use koala_error::recovery;
+use koala_error::{recovery, ErrorKind, KoalaError};
 use koala_linalg::c64;
 use koala_peps::expectation::{expectation_normalized, ExpectationOptions};
 use koala_peps::operators::Observable;
 use koala_peps::{apply_gates, route_two_site, routed_error, GateOp, Peps, UpdateMethod};
-use koala_tensor::TensorError;
 use rand::Rng;
 
 /// Configuration of a PEPS imaginary-time-evolution run.
@@ -157,8 +156,10 @@ pub fn ite_checkpoint<R: Rng + Clone>(initial: &Peps, rng: &R) -> IteCheckpoint<
 ///
 /// The run is fault tolerant: with `options.checkpoint_every > 0` the driver
 /// snapshots (PEPS, RNG, history) periodically, guards every step with a
-/// finiteness check, and on failure rolls back to the last checkpoint and
-/// replays — up to `options.max_restarts` times — before reporting the error.
+/// finiteness check, and on a failure a replay can cure (`NonFinite`,
+/// `Numerical`, `NoConvergence`) rolls back to the last checkpoint and
+/// replays — up to `options.max_restarts` times — before returning the last
+/// step's error. Any other kind (a caller mistake) is returned at once.
 /// Recovery actions are counted in [`koala_error::recovery`].
 pub fn ite_peps<R: Rng + Clone>(
     initial: &Peps,
@@ -214,10 +215,19 @@ pub fn ite_peps_from<R: Rng + Clone>(
                 step += 1;
             }
             Err(e) => {
+                // A caller mistake fails the same way on every replay: only
+                // what a clean replay can cure is worth a restore.
+                let curable = matches!(
+                    e.kind(),
+                    ErrorKind::NonFinite | ErrorKind::Numerical | ErrorKind::NoConvergence
+                );
+                if !curable {
+                    return Err(e.context(format!("ite_peps: step {step}")));
+                }
                 restarts += 1;
                 if restarts > options.max_restarts {
-                    return Err(TensorError::Linalg(format!(
-                        "ite_peps: step {step} still failing after {} restore attempts: {e}",
+                    return Err(e.context(format!(
+                        "ite_peps: step {step} still failing after {} restore attempts",
                         options.max_restarts
                     )));
                 }
@@ -258,7 +268,7 @@ fn ite_step<R: Rng + Clone>(
         let e = expectation_normalized(&state.peps, hamiltonian, expect_opts, &mut state.rng)?;
         if !e.re.is_finite() {
             recovery::note_nonfinite_detection();
-            return Err(TensorError::Linalg(format!("ite step {step}: non-finite energy {e}")));
+            return Err(KoalaError::non_finite(format!("ite step {step}: energy {e}")));
         }
         state.energies.push((step, e.re / n_sites));
     }
@@ -273,8 +283,8 @@ fn validate_peps_finite(peps: &Peps, step: usize) -> Result<()> {
                 peps.tensor((r, c)).data().iter().any(|z| !z.re.is_finite() || !z.im.is_finite());
             if bad {
                 recovery::note_nonfinite_detection();
-                return Err(TensorError::Linalg(format!(
-                    "ite step {step}: non-finite PEPS tensor at site ({r},{c})"
+                return Err(KoalaError::non_finite(format!(
+                    "ite step {step}: PEPS tensor at site ({r},{c})"
                 )));
             }
         }
@@ -503,6 +513,21 @@ mod tests {
         let err = ite_peps(&bad, &h, opts, &mut rng).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("restore attempts"), "unexpected error: {msg}");
+        assert_eq!(err.kind(), ErrorKind::NonFinite);
+    }
+
+    #[test]
+    fn a_caller_mistake_is_returned_at_once_not_replayed() {
+        // A 3x3 Hamiltonian has terms outside a 2x2 lattice: no replay can
+        // cure that, so no checkpoint is restored.
+        let h = tfi_hamiltonian(3, 3, TfiParams::paper_figure14());
+        let peps = Peps::computational_zeros(2, 2);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut opts = IteOptions::new(0.05, 4, 2, 4);
+        opts.checkpoint_every = 1;
+        let err = ite_peps(&peps, &h, opts, &mut rng).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidArgument, "{err}");
+        assert!(!err.to_string().contains("restore attempts"), "{err}");
     }
 
     #[test]

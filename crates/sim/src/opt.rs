@@ -1,9 +1,9 @@
 //! Derivative-free optimizers for the VQE driver.
 //!
-//! The paper uses SciPy's SLSQP; per the substitution table in DESIGN.md the
-//! optimizer is treated as a black box, and this module provides two
-//! self-contained derivative-free methods: Nelder–Mead simplex (the default)
-//! and SPSA (useful when objective evaluations are noisy).
+//! The paper uses SciPy's SLSQP; the optimizer is treated as a black box,
+//! and this module provides two self-contained derivative-free methods:
+//! Nelder–Mead simplex (the default) and SPSA (useful when objective
+//! evaluations are noisy).
 
 use rand::Rng;
 

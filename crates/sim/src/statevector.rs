@@ -5,14 +5,13 @@
 //! `Peps::to_dense`). Used as the "state vector" reference of Figures 13 and
 //! 14 and to validate the PEPS algorithms on small lattices.
 
+use koala_error::{KoalaError, ResultExt};
 use koala_linalg::{lanczos_ground_state, HermitianOp, Matrix, C64};
 use koala_peps::operators::{LocalTerm, Observable};
 use koala_peps::Site;
-use koala_tensor::TensorError;
 use rand::Rng;
 
-/// Result alias for the simulation layer.
-pub type Result<T> = std::result::Result<T, TensorError>;
+pub use koala_error::Result;
 
 /// Full state-vector representation of a lattice of qubits.
 #[derive(Debug, Clone)]
@@ -35,13 +34,11 @@ impl StateVector {
     /// Build from raw amplitudes (length must be `2^(nrows*ncols)`).
     pub fn from_amplitudes(nrows: usize, ncols: usize, amps: Vec<C64>) -> Result<Self> {
         if amps.len() != 1 << (nrows * ncols) {
-            return Err(TensorError::ShapeMismatch {
-                context: format!(
-                    "from_amplitudes: got {} amplitudes for {} qubits",
-                    amps.len(),
-                    nrows * ncols
-                ),
-            });
+            return Err(KoalaError::shape(format!(
+                "from_amplitudes: got {} amplitudes for {} qubits",
+                amps.len(),
+                nrows * ncols
+            )));
         }
         Ok(StateVector { nrows, ncols, amps })
     }
@@ -199,9 +196,8 @@ impl StateVector {
     ) -> Result<f64> {
         let op = ObservableOp { nrows, ncols, obs };
         let max_krylov = 200.min(1 << (nrows * ncols));
-        let gs = lanczos_ground_state(&op, max_krylov, 1e-10, rng).map_err(|e| {
-            TensorError::Linalg(format!("ground_state_energy: Lanczos failed: {e}"))
-        })?;
+        let gs = lanczos_ground_state(&op, max_krylov, 1e-10, rng)
+            .context("ground_state_energy: Lanczos")?;
         Ok(gs.value)
     }
 }

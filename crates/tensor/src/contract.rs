@@ -22,7 +22,8 @@
 //! network) stays on the cheap kernel end to end without a single data scan.
 
 use crate::shape::num_elements;
-use crate::tensor::{Result, Tensor, TensorError};
+use crate::tensor::Tensor;
+use koala_error::{KoalaError, Result};
 use koala_linalg::gemm::{gemm_into, gemm_into_real, Op};
 use koala_linalg::C64;
 
@@ -78,46 +79,36 @@ impl PairPlan {
     ) -> Result<PairPlan> {
         let (nda, ndb) = (shape_a.len(), shape_b.len());
         if axes_a.len() != axes_b.len() {
-            return Err(TensorError::InvalidAxes {
-                context: format!(
-                    "tensordot: {} axes for left operand but {} for right",
-                    axes_a.len(),
-                    axes_b.len()
-                ),
-            });
+            return Err(KoalaError::invalid(format!(
+                "tensordot: {} axes for left operand but {} for right",
+                axes_a.len(),
+                axes_b.len()
+            )));
         }
         for (&ia, &ib) in axes_a.iter().zip(axes_b.iter()) {
             if ia >= nda || ib >= ndb {
-                return Err(TensorError::InvalidAxes {
-                    context: format!(
-                        "tensordot: axis pair ({ia},{ib}) out of range for ranks {nda} and {ndb}"
-                    ),
-                });
+                return Err(KoalaError::invalid(format!(
+                    "tensordot: axis pair ({ia},{ib}) out of range for ranks {nda} and {ndb}"
+                )));
             }
             if shape_a[ia] != shape_b[ib] {
-                return Err(TensorError::ShapeMismatch {
-                    context: format!(
-                        "tensordot: axis {ia} of left (dim {}) vs axis {ib} of right (dim {})",
-                        shape_a[ia], shape_b[ib]
-                    ),
-                });
+                return Err(KoalaError::shape(format!(
+                    "tensordot: axis {ia} of left (dim {}) vs axis {ib} of right (dim {})",
+                    shape_a[ia], shape_b[ib]
+                )));
             }
         }
         let mut seen_a = vec![false; nda];
         for &ia in axes_a {
             if seen_a[ia] {
-                return Err(TensorError::InvalidAxes {
-                    context: format!("tensordot: duplicate left axis {ia}"),
-                });
+                return Err(KoalaError::invalid(format!("tensordot: duplicate left axis {ia}")));
             }
             seen_a[ia] = true;
         }
         let mut seen_b = vec![false; ndb];
         for &ib in axes_b {
             if seen_b[ib] {
-                return Err(TensorError::InvalidAxes {
-                    context: format!("tensordot: duplicate right axis {ib}"),
-                });
+                return Err(KoalaError::invalid(format!("tensordot: duplicate right axis {ib}")));
             }
             seen_b[ib] = true;
         }
@@ -156,15 +147,13 @@ impl PairPlan {
     /// Run the planned contraction on concrete operands.
     pub(crate) fn execute(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
         if a.shape() != self.shape_a || b.shape() != self.shape_b {
-            return Err(TensorError::ShapeMismatch {
-                context: format!(
-                    "contraction plan built for shapes {:?} x {:?} applied to {:?} x {:?}",
-                    self.shape_a,
-                    self.shape_b,
-                    a.shape(),
-                    b.shape()
-                ),
-            });
+            return Err(KoalaError::shape(format!(
+                "contraction plan built for shapes {:?} x {:?} applied to {:?} x {:?}",
+                self.shape_a,
+                self.shape_b,
+                a.shape(),
+                b.shape()
+            )));
         }
         // Realness dispatch: permuted copies inherit their source's hint
         // (permute preserves realness), so checking the operands is enough.
@@ -253,9 +242,10 @@ pub fn contract_all(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// tensor, which would allocate the ones vector and dispatch a full GEMM.
 pub fn sum_axis(t: &Tensor, axis: usize) -> Result<Tensor> {
     if axis >= t.ndim() {
-        return Err(TensorError::InvalidAxes {
-            context: format!("sum_axis: axis {axis} out of range for rank {}", t.ndim()),
-        });
+        return Err(KoalaError::invalid(format!(
+            "sum_axis: axis {axis} out of range for rank {}",
+            t.ndim()
+        )));
     }
     let shape = t.shape();
     let outer: usize = shape[..axis].iter().product();

@@ -3,7 +3,8 @@
 //! `koala-linalg` and the site tensors manipulated by the MPS/PEPS layers;
 //! contract-then-factorize of a whole sub-network is [`crate::einsumsvd`].
 
-use crate::tensor::{Result, Tensor, TensorError};
+use crate::tensor::Tensor;
+use koala_error::{KoalaError, Result};
 use koala_linalg::{gram_qr, qr, svd, Svd};
 
 /// Truncation policy for factorizations that produce a new bond.
@@ -126,15 +127,15 @@ fn split_permutation(
     let ndim = t.ndim();
     for &a in row_axes {
         if a >= ndim {
-            return Err(TensorError::InvalidAxes {
-                context: format!("split: axis {a} out of range for rank {ndim}"),
-            });
+            return Err(KoalaError::invalid(format!(
+                "split: axis {a} out of range for rank {ndim}"
+            )));
         }
     }
     let mut seen = vec![false; ndim];
     for &a in row_axes {
         if seen[a] {
-            return Err(TensorError::InvalidAxes { context: format!("split: duplicate axis {a}") });
+            return Err(KoalaError::invalid(format!("split: duplicate axis {a}")));
         }
         seen[a] = true;
     }
@@ -271,9 +272,8 @@ mod tests {
                         let Err(err) = qr_split(&t, &row_axes) else {
                             panic!("{shape:?} real={real} column {col} value {bad}: not rejected");
                         };
-                        let kind = koala_error::KoalaError::from(err).kind();
                         assert_eq!(
-                            kind,
+                            err.kind(),
                             koala_error::ErrorKind::NonFinite,
                             "{shape:?} real={real} column {col} value {bad}"
                         );

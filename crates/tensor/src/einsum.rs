@@ -54,7 +54,8 @@
 //! planner overhead (the `fig9_caching` binary).
 
 use crate::plan::contraction_plan;
-use crate::tensor::{Result, Tensor, TensorError};
+use crate::tensor::Tensor;
+use koala_error::{KoalaError, Result};
 use std::collections::HashMap;
 use std::sync::{Arc, LazyLock, Mutex};
 
@@ -73,18 +74,16 @@ pub struct EinsumSpec {
 /// of silent bugs in tensor-network code, so we do not support it).
 pub fn parse_spec(spec: &str) -> Result<EinsumSpec> {
     let spec: String = spec.chars().filter(|c| !c.is_whitespace()).collect();
-    let (lhs, rhs) = spec.split_once("->").ok_or_else(|| TensorError::InvalidAxes {
-        context: format!("einsum: spec '{spec}' is missing '->'"),
-    })?;
+    let (lhs, rhs) = spec
+        .split_once("->")
+        .ok_or_else(|| KoalaError::invalid(format!("einsum: spec '{spec}' is missing '->'")))?;
     let inputs: Vec<Vec<char>> = lhs.split(',').map(|part| part.chars().collect()).collect();
     let output: Vec<char> = rhs.chars().collect();
 
     for part in inputs.iter().chain(std::iter::once(&output)) {
         for &c in part {
             if !c.is_ascii_alphabetic() {
-                return Err(TensorError::InvalidAxes {
-                    context: format!("einsum: invalid index label '{c}'"),
-                });
+                return Err(KoalaError::invalid(format!("einsum: invalid index label '{c}'")));
             }
         }
     }
@@ -94,9 +93,9 @@ pub fn parse_spec(spec: &str) -> Result<EinsumSpec> {
         sorted.sort_unstable();
         sorted.dedup();
         if sorted.len() != part.len() {
-            return Err(TensorError::InvalidAxes {
-                context: format!("einsum: repeated label within operand {i} is not supported"),
-            });
+            return Err(KoalaError::invalid(format!(
+                "einsum: repeated label within operand {i} is not supported"
+            )));
         }
     }
     // Output labels must be distinct and appear in the inputs.
@@ -104,9 +103,7 @@ pub fn parse_spec(spec: &str) -> Result<EinsumSpec> {
     out_sorted.sort_unstable();
     out_sorted.dedup();
     if out_sorted.len() != output.len() {
-        return Err(TensorError::InvalidAxes {
-            context: "einsum: repeated label in output".to_string(),
-        });
+        return Err(KoalaError::invalid("einsum: repeated label in output"));
     }
     let mut counts: HashMap<char, usize> = HashMap::new();
     for part in &inputs {
@@ -116,22 +113,20 @@ pub fn parse_spec(spec: &str) -> Result<EinsumSpec> {
     }
     for &c in &output {
         if !counts.contains_key(&c) {
-            return Err(TensorError::InvalidAxes {
-                context: format!("einsum: output label '{c}' does not appear in any input"),
-            });
+            return Err(KoalaError::invalid(format!(
+                "einsum: output label '{c}' does not appear in any input"
+            )));
         }
     }
     for (&c, &count) in &counts {
         let in_output = output.contains(&c);
         let valid = (count == 1) || (count == 2 && !in_output);
         if !valid {
-            return Err(TensorError::InvalidAxes {
-                context: format!(
+            return Err(KoalaError::invalid(format!(
                     "einsum: label '{c}' appears {count} time(s) in inputs and {} output — only \
                      tensor-network contractions (each label free once or contracted twice) are supported",
                     if in_output { "once in" } else { "not in" }
-                ),
-            });
+                )));
         }
     }
     Ok(EinsumSpec { inputs, output })

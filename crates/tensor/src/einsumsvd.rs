@@ -35,7 +35,8 @@ use crate::decomp::{build_split_svd, svd_split, SplitSvd, Truncation};
 use crate::einsum::{parse_spec, EinsumSpec};
 use crate::plan::{contraction_plan, Plan};
 use crate::shape::is_identity_perm;
-use crate::tensor::{Result, Tensor, TensorError};
+use crate::tensor::Tensor;
+use koala_error::{KoalaError, Result};
 use koala_linalg::{rsvd, LinearOp, Matrix, RsvdOptions};
 use rand::Rng;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -111,8 +112,10 @@ impl Sweep {
             .iter()
             .chain([&SKETCH])
             .map(|c| {
-                block.iter().position(|b| b == c).ok_or_else(|| TensorError::InvalidAxes {
-                    context: format!("einsumsvd: label '{c}' lost while planning the operator"),
+                block.iter().position(|b| b == c).ok_or_else(|| {
+                    KoalaError::invalid(format!(
+                        "einsumsvd: label '{c}' lost while planning the operator"
+                    ))
                 })
             })
             .collect::<Result<Vec<_>>>()?;
@@ -138,9 +141,7 @@ struct Network {
 
 impl Network {
     fn parse(spec: &str) -> Result<Network> {
-        let bad = |why: &str| TensorError::InvalidAxes {
-            context: format!("einsumsvd: spec '{spec}' {why}"),
-        };
+        let bad = |why: &str| KoalaError::invalid(format!("einsumsvd: spec '{spec}' {why}"));
         let compact: String = spec.chars().filter(|c| !c.is_whitespace()).collect();
         let (inputs, factors) = compact.split_once("->").ok_or_else(|| bad("is missing '->'"))?;
         let (left, right) = factors.split_once(',').ok_or_else(|| bad("needs two factors"))?;
@@ -199,24 +200,20 @@ impl<'a> NetworkOp<'a> {
         if operands.len() != inputs.len()
             || operands.iter().zip(inputs).any(|(t, labels)| t.ndim() != labels.len())
         {
-            return Err(TensorError::ShapeMismatch {
-                context: format!(
-                    "einsumsvd: operand ranks {:?} do not match the spec's {:?}",
-                    operands.iter().map(|t| t.ndim()).collect::<Vec<_>>(),
-                    inputs.iter().map(Vec::len).collect::<Vec<_>>()
-                ),
-            });
+            return Err(KoalaError::shape(format!(
+                "einsumsvd: operand ranks {:?} do not match the spec's {:?}",
+                operands.iter().map(|t| t.ndim()).collect::<Vec<_>>(),
+                inputs.iter().map(Vec::len).collect::<Vec<_>>()
+            )));
         }
         let dim = |(operand, axis): (usize, usize)| operands[operand].dim(axis);
         if let Some(&[a, b]) = network.bonds.iter().find(|&&[a, b]| dim(a) != dim(b)) {
-            return Err(TensorError::ShapeMismatch {
-                context: format!(
-                    "einsumsvd: contracted label '{}' has dimensions {} and {}",
-                    inputs[a.0][a.1],
-                    dim(a),
-                    dim(b)
-                ),
-            });
+            return Err(KoalaError::shape(format!(
+                "einsumsvd: contracted label '{}' has dimensions {} and {}",
+                inputs[a.0][a.1],
+                dim(a),
+                dim(b)
+            )));
         }
         let (rows, cols) = network.open.split_at(network.n_rows);
         Ok(NetworkOp {

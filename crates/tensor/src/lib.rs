@@ -39,9 +39,8 @@
 //! ```
 
 #![warn(missing_docs)]
-// Library code must not panic on fallible paths: failures become
-// `TensorError` (bridged to the workspace `KoalaError`) so long-running
-// drivers can recover instead of aborting.
+// Library code must not panic on fallible paths: failures become a
+// `KoalaError` so long-running drivers can recover instead of aborting.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod contract;
@@ -58,11 +57,12 @@ pub use decomp::{
 };
 pub use einsum::{einsum, einsum_spec, parse_spec, EinsumSpec};
 pub use einsumsvd::{EinsumSvd, EinsumSvdMethod};
+pub use koala_error::Result;
 pub use plan::{
     clear_plan_cache, contraction_plan, plan_stats, reset_plan_stats, set_plan_cache_capacity,
     Plan, PlanStats,
 };
-pub use tensor::{Result, Tensor, TensorError};
+pub use tensor::Tensor;
 
 /// Poison-tolerant mutex lock for the process-wide caches: a panicked holder
 /// cannot leave a cache permanently unusable (the data is a memo, so the

@@ -22,7 +22,8 @@
 use crate::contract::PairPlan;
 use crate::einsum::EinsumSpec;
 use crate::shape::is_identity_perm;
-use crate::tensor::{Result, Tensor, TensorError};
+use crate::tensor::Tensor;
+use koala_error::{KoalaError, Result};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, LazyLock, Mutex};
@@ -62,34 +63,28 @@ impl Plan {
     /// analysis. This is the uncached path — [`contraction_plan`] memoises it.
     pub fn build(spec: &EinsumSpec, shapes: &[&[usize]]) -> Result<Plan> {
         if spec.inputs.len() != shapes.len() {
-            return Err(TensorError::InvalidAxes {
-                context: format!(
-                    "einsum: spec has {} operands but {} tensors were provided",
-                    spec.inputs.len(),
-                    shapes.len()
-                ),
-            });
+            return Err(KoalaError::invalid(format!(
+                "einsum: spec has {} operands but {} tensors were provided",
+                spec.inputs.len(),
+                shapes.len()
+            )));
         }
         // Check label/dimension consistency.
         let mut label_dims: HashMap<char, usize> = HashMap::new();
         for (labels, shape) in spec.inputs.iter().zip(shapes.iter()) {
             if labels.len() != shape.len() {
-                return Err(TensorError::ShapeMismatch {
-                    context: format!(
-                        "einsum: operand with labels {:?} has rank {}",
-                        labels,
-                        shape.len()
-                    ),
-                });
+                return Err(KoalaError::shape(format!(
+                    "einsum: operand with labels {:?} has rank {}",
+                    labels,
+                    shape.len()
+                )));
             }
             for (&label, &dim) in labels.iter().zip(shape.iter()) {
                 if let Some(&prev) = label_dims.get(&label) {
                     if prev != dim {
-                        return Err(TensorError::ShapeMismatch {
-                            context: format!(
-                                "einsum: label '{label}' has inconsistent dimensions {prev} and {dim}"
-                            ),
-                        });
+                        return Err(KoalaError::shape(format!(
+                            "einsum: label '{label}' has inconsistent dimensions {prev} and {dim}"
+                        )));
                     }
                 } else {
                     label_dims.insert(label, dim);
@@ -154,7 +149,7 @@ impl Plan {
         }
 
         let Some((mut labels, _shape)) = items.pop() else {
-            return Err(TensorError::InvalidAxes { context: "einsum: empty operand list".into() });
+            return Err(KoalaError::invalid("einsum: empty operand list"));
         };
 
         // Sum out any label that does not appear in the output (a label that
@@ -175,8 +170,10 @@ impl Plan {
             .output
             .iter()
             .map(|c| {
-                labels.iter().position(|l| l == c).ok_or_else(|| TensorError::InvalidAxes {
-                    context: format!("einsum: output label '{c}' lost during contraction"),
+                labels.iter().position(|l| l == c).ok_or_else(|| {
+                    KoalaError::invalid(format!(
+                        "einsum: output label '{c}' lost during contraction"
+                    ))
                 })
             })
             .collect::<Result<Vec<_>>>()?;
@@ -220,23 +217,19 @@ impl Plan {
     /// want concurrency run whole contractions side by side.
     pub fn execute(&self, operands: &[&Tensor]) -> Result<Tensor> {
         if operands.len() != self.shapes.len() {
-            return Err(TensorError::InvalidAxes {
-                context: format!(
-                    "einsum plan: built for {} operands but {} were provided",
-                    self.shapes.len(),
-                    operands.len()
-                ),
-            });
+            return Err(KoalaError::invalid(format!(
+                "einsum plan: built for {} operands but {} were provided",
+                self.shapes.len(),
+                operands.len()
+            )));
         }
         for (tensor, shape) in operands.iter().zip(self.shapes.iter()) {
             if tensor.shape() != shape.as_slice() {
-                return Err(TensorError::ShapeMismatch {
-                    context: format!(
-                        "einsum plan: built for operand shape {:?}, got {:?}",
-                        shape,
-                        tensor.shape()
-                    ),
-                });
+                return Err(KoalaError::shape(format!(
+                    "einsum plan: built for operand shape {:?}, got {:?}",
+                    shape,
+                    tensor.shape()
+                )));
             }
         }
 
@@ -247,9 +240,8 @@ impl Plan {
             let left = items.remove(step.lhs);
             items.push(Operand::Owned(step.pair.execute(left.as_tensor(), right.as_tensor())?));
         }
-        let mut operand = items.pop().ok_or_else(|| TensorError::InvalidAxes {
-            context: "einsum plan: empty operand list".into(),
-        })?;
+        let mut operand =
+            items.pop().ok_or_else(|| KoalaError::invalid("einsum plan: empty operand list"))?;
 
         for &axis in &self.sum_axes {
             operand = Operand::Owned(crate::contract::sum_axis(operand.as_tensor(), axis)?);

@@ -4,69 +4,10 @@ use crate::shape::{
     increment_index, invert_permutation, is_identity_perm, is_permutation, num_elements,
     permute_shape, ravel, strides_for, unravel,
 };
+use koala_error::{KoalaError, Result};
 use koala_linalg::{c64, Matrix, C64};
 use rand::Rng;
 use std::fmt;
-
-/// Errors produced by tensor operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TensorError {
-    /// Shape / size disagreement.
-    ShapeMismatch {
-        /// Description of the failed operation.
-        context: String,
-    },
-    /// Invalid axis or permutation argument.
-    InvalidAxes {
-        /// Description of the failed operation.
-        context: String,
-    },
-    /// Error bubbled up from the linear-algebra layer.
-    Linalg(String),
-}
-
-impl fmt::Display for TensorError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TensorError::ShapeMismatch { context } => write!(f, "shape mismatch: {context}"),
-            TensorError::InvalidAxes { context } => write!(f, "invalid axes: {context}"),
-            TensorError::Linalg(msg) => write!(f, "linear algebra error: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for TensorError {}
-
-impl From<TensorError> for koala_error::KoalaError {
-    fn from(e: TensorError) -> Self {
-        use koala_error::ErrorKind;
-        let kind = match &e {
-            TensorError::ShapeMismatch { .. } => ErrorKind::Shape,
-            TensorError::InvalidAxes { .. } => ErrorKind::InvalidArgument,
-            // The linalg layer stringifies before it reaches us; recover the
-            // classification that matters for recovery policy from the text.
-            TensorError::Linalg(msg) => {
-                if msg.contains("non-finite") {
-                    ErrorKind::NonFinite
-                } else if msg.contains("did not converge") {
-                    ErrorKind::NoConvergence
-                } else {
-                    ErrorKind::Numerical
-                }
-            }
-        };
-        koala_error::KoalaError::new(kind, e.to_string())
-    }
-}
-
-impl From<koala_linalg::LinalgError> for TensorError {
-    fn from(e: koala_linalg::LinalgError) -> Self {
-        TensorError::Linalg(e.to_string())
-    }
-}
-
-/// Convenience result alias.
-pub type Result<T> = std::result::Result<T, TensorError>;
 
 /// Dense tensor of [`C64`] stored contiguously in row-major order.
 ///
@@ -116,14 +57,12 @@ impl Tensor {
     /// Build from shape and row-major data.
     pub fn from_vec(shape: &[usize], data: Vec<C64>) -> Result<Self> {
         if data.len() != num_elements(shape) {
-            return Err(TensorError::ShapeMismatch {
-                context: format!(
-                    "from_vec: {} elements provided for shape {:?} ({} expected)",
-                    data.len(),
-                    shape,
-                    num_elements(shape)
-                ),
-            });
+            return Err(KoalaError::shape(format!(
+                "from_vec: {} elements provided for shape {:?} ({} expected)",
+                data.len(),
+                shape,
+                num_elements(shape)
+            )));
         }
         // No realness scan: from_vec sits on hot paths (contraction outputs).
         // Callers that know better follow up with `assume_real`.
@@ -261,15 +200,13 @@ impl Tensor {
     /// Change the shape without moving data (sizes must match).
     pub fn reshape(&self, new_shape: &[usize]) -> Result<Tensor> {
         if num_elements(new_shape) != self.data.len() {
-            return Err(TensorError::ShapeMismatch {
-                context: format!(
-                    "reshape: cannot view {:?} ({} elems) as {:?} ({} elems)",
-                    self.shape,
-                    self.data.len(),
-                    new_shape,
-                    num_elements(new_shape)
-                ),
-            });
+            return Err(KoalaError::shape(format!(
+                "reshape: cannot view {:?} ({} elems) as {:?} ({} elems)",
+                self.shape,
+                self.data.len(),
+                new_shape,
+                num_elements(new_shape)
+            )));
         }
         Ok(Tensor { shape: new_shape.to_vec(), data: self.data.clone(), real: self.real })
     }
@@ -277,9 +214,10 @@ impl Tensor {
     /// Reshape consuming `self` (no data copy).
     pub fn into_reshape(self, new_shape: &[usize]) -> Result<Tensor> {
         if num_elements(new_shape) != self.data.len() {
-            return Err(TensorError::ShapeMismatch {
-                context: format!("into_reshape: cannot view {:?} as {:?}", self.shape, new_shape),
-            });
+            return Err(KoalaError::shape(format!(
+                "into_reshape: cannot view {:?} as {:?}",
+                self.shape, new_shape
+            )));
         }
         Ok(Tensor { shape: new_shape.to_vec(), data: self.data, real: self.real })
     }
@@ -292,9 +230,11 @@ impl Tensor {
     /// kernel (see `permute_gather` in this module's source).
     pub fn permute(&self, perm: &[usize]) -> Result<Tensor> {
         if perm.len() != self.ndim() || !is_permutation(perm) {
-            return Err(TensorError::InvalidAxes {
-                context: format!("permute: {:?} is not a permutation of 0..{}", perm, self.ndim()),
-            });
+            return Err(KoalaError::invalid(format!(
+                "permute: {:?} is not a permutation of 0..{}",
+                perm,
+                self.ndim()
+            )));
         }
         let new_shape = permute_shape(&self.shape, perm);
         if self.ndim() <= 1 || is_identity_perm(perm) {
@@ -342,9 +282,7 @@ impl Tensor {
     /// Element-wise sum (shapes must match).
     pub fn add(&self, other: &Tensor) -> Result<Tensor> {
         if self.shape != other.shape {
-            return Err(TensorError::ShapeMismatch {
-                context: format!("add: {:?} vs {:?}", self.shape, other.shape),
-            });
+            return Err(KoalaError::shape(format!("add: {:?} vs {:?}", self.shape, other.shape)));
         }
         let data = self.data.iter().zip(other.data.iter()).map(|(a, b)| *a + *b).collect();
         Ok(Tensor { shape: self.shape.clone(), data, real: self.real && other.real })
@@ -353,9 +291,7 @@ impl Tensor {
     /// Element-wise difference.
     pub fn sub(&self, other: &Tensor) -> Result<Tensor> {
         if self.shape != other.shape {
-            return Err(TensorError::ShapeMismatch {
-                context: format!("sub: {:?} vs {:?}", self.shape, other.shape),
-            });
+            return Err(KoalaError::shape(format!("sub: {:?} vs {:?}", self.shape, other.shape)));
         }
         let data = self.data.iter().zip(other.data.iter()).map(|(a, b)| *a - *b).collect();
         Ok(Tensor { shape: self.shape.clone(), data, real: self.real && other.real })
@@ -385,9 +321,7 @@ impl Tensor {
     /// Inner product `<self, other> = sum conj(self) * other`.
     pub fn inner(&self, other: &Tensor) -> Result<C64> {
         if self.shape != other.shape {
-            return Err(TensorError::ShapeMismatch {
-                context: format!("inner: {:?} vs {:?}", self.shape, other.shape),
-            });
+            return Err(KoalaError::shape(format!("inner: {:?} vs {:?}", self.shape, other.shape)));
         }
         Ok(self.data.iter().zip(other.data.iter()).map(|(a, b)| a.conj() * *b).sum())
     }
@@ -413,15 +347,13 @@ impl Tensor {
         let rows: usize = row_dims.iter().product();
         let cols: usize = col_dims.iter().product();
         if m.nrows() != rows || m.ncols() != cols {
-            return Err(TensorError::ShapeMismatch {
-                context: format!(
-                    "fold: matrix {}x{} does not match row dims {:?} / col dims {:?}",
-                    m.nrows(),
-                    m.ncols(),
-                    row_dims,
-                    col_dims
-                ),
-            });
+            return Err(KoalaError::shape(format!(
+                "fold: matrix {}x{} does not match row dims {:?} / col dims {:?}",
+                m.nrows(),
+                m.ncols(),
+                row_dims,
+                col_dims
+            )));
         }
         let mut shape = row_dims.to_vec();
         shape.extend_from_slice(col_dims);
@@ -462,12 +394,10 @@ impl Tensor {
     /// Slice the tensor by fixing `axis` to `index`, dropping that axis.
     pub fn select(&self, axis: usize, index: usize) -> Result<Tensor> {
         if axis >= self.ndim() || index >= self.shape[axis] {
-            return Err(TensorError::InvalidAxes {
-                context: format!(
-                    "select: axis {axis} index {index} out of range for shape {:?}",
-                    self.shape
-                ),
-            });
+            return Err(KoalaError::invalid(format!(
+                "select: axis {axis} index {index} out of range for shape {:?}",
+                self.shape
+            )));
         }
         let mut new_shape = self.shape.clone();
         new_shape.remove(axis);

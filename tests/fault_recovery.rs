@@ -2,13 +2,18 @@
 //! model"): a seeded rank failure mid-SUMMA and a seeded corruption mid-ITE
 //! must both recover, the recovered answers must match the fault-free runs to
 //! 1e-10, and the process-wide [`koala::error::recovery`] counters must
-//! record the recovery path taken.
+//! record the recovery path taken. A failure that is *not* recovered must
+//! reach the caller with the `ErrorKind` set where it was detected.
 
 use koala::cluster::{Cluster, DistMatrix, FaultKind, FaultPlan};
-use koala::error::recovery;
-use koala::linalg::Matrix;
-use koala::peps::Peps;
-use koala::sim::{ite_peps, tfi_hamiltonian, IteFault, IteOptions, TfiParams};
+use koala::error::{recovery, ErrorKind};
+use koala::linalg::{c64, expm_hermitian, Matrix};
+use koala::peps::operators::{kron, pauli_z};
+use koala::peps::{
+    apply_gates, contract_no_phys, expectation_normalized, ContractionMethod, ExpectationOptions,
+    GateOp, Observable, Peps, UpdateMethod,
+};
+use koala::sim::{ite_peps, tfi_hamiltonian, IteFault, IteOptions, StateVector, TfiParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -84,4 +89,52 @@ fn corruption_mid_ite_recovers_and_matches_the_fault_free_trajectory() {
         "recovery must restore from a checkpoint"
     );
     assert!(after.checkpoints_saved > before.checkpoints_saved);
+}
+
+/// Replace one element of the site tensor at `(1, 1)` by NaN.
+fn poison(peps: &Peps) -> Peps {
+    let mut poisoned = peps.clone();
+    let mut t = poisoned.tensor((1, 1)).clone();
+    t.data_mut()[0] = c64(f64::NAN, 0.0);
+    poisoned.set_tensor((1, 1), t);
+    poisoned
+}
+
+#[test]
+fn the_kind_raised_at_the_bottom_is_the_kind_seen_at_the_top() {
+    let mut rng = StdRng::seed_from_u64(17);
+    let poisoned = poison(&Peps::random(3, 3, 2, 2, &mut rng));
+
+    // linalg's finite guards -> tensor -> core::update, inline and on the pool.
+    let gate = expm_hermitian(&kron(&pauli_z(), &pauli_z()), c64(-0.1, 0.0)).unwrap();
+    let ops: Vec<GateOp<'_>> = poisoned
+        .horizontal_pairs()
+        .into_iter()
+        .chain(poisoned.vertical_pairs())
+        .map(|(a, b)| GateOp::two_site(&gate, a, b))
+        .collect();
+    for threads in [1, 4] {
+        koala::exec::set_threads(threads);
+        let err = apply_gates(&mut poisoned.clone(), &ops, UpdateMethod::qr_svd(2)).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::NonFinite, "{threads} threads: {err}");
+    }
+
+    // ... -> mps::zip_up -> core::contract.
+    let no_phys = poison(&Peps::random_no_phys(3, 3, 2, &mut rng));
+    let err = contract_no_phys(&no_phys, ContractionMethod::bmps(4), &mut rng).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::NonFinite, "{err}");
+
+    // ... -> core::expectation.
+    let h = tfi_hamiltonian(3, 3, TfiParams::paper_figure14());
+    let err = expectation_normalized(&poisoned, &h, ExpectationOptions::bmps_cached(4), &mut rng)
+        .unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::NonFinite, "{err}");
+
+    // linalg::eigh inside Lanczos -> sim::StateVector, with the frame the
+    // layer above pushed. (Lanczos itself never reports `NoConvergence`: a
+    // spent Krylov budget returns the best Ritz pair as an upper bound.)
+    let nan_field = f64::NAN * Observable::x((0, 0));
+    let err = StateVector::ground_state_energy(1, 2, &nan_field, &mut rng).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::NonFinite, "{err}");
+    assert_eq!(err.contexts(), ["ground_state_energy: Lanczos"]);
 }
