@@ -22,14 +22,32 @@
 //! only contracts the rows it touches. Without it, every term's strip is the
 //! whole lattice. [`ContractionMethod`] therefore governs only the
 //! environments and the inner rows of multi-row strips.
+//!
+//! # Independent contractions and their randomness
+//!
+//! The two environment sweeps, and after them the terms, are independent
+//! contractions (paper Fig. 6): each runs as one task on the `koala_exec`
+//! pool, inline in order on a one-thread pool or when there is only one (the
+//! [`apply_gates`](crate::apply_gates) rule). The caller's random stream
+//! yields **one `u64` per independent contraction** — top sweep, bottom
+//! sweep, then every term in term order (and, without environments, the norm
+//! of [`expectation_and_norm`]) — all drawn serially before anything runs,
+//! and each seeds the private [`StdRng`] of its contraction. Every task
+//! writes its own slot and the term values are summed in term order, so the
+//! result is bit-identical at every thread count, and what a call takes from
+//! the caller's stream depends only on `use_cache` and the number of terms.
 
 use crate::contract::{row_as_mpo, row_as_mps, sites_as_mpo, sites_as_mps, ContractionMethod};
 use crate::operators::{operator_schmidt, LocalTerm, Observable};
 use crate::peps::{merge_site_pair, Peps, Result, Site, AX_P, AX_R};
+use crate::update::lock;
+use koala_exec::{TaskGraph, TaskKind};
 use koala_linalg::C64;
 use koala_mps::{Mpo, Mps};
 use koala_tensor::{einsum, Tensor};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::sync::{Mutex, PoisonError};
 
 /// Options controlling the expectation-value computation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,37 +84,44 @@ pub struct EnvCache {
 
 impl EnvCache {
     /// Build the cache: one top-down and one bottom-up sweep over the merged
-    /// network — the "two full two-layer PEPS contractions" of §IV-B.
+    /// network — the "two full two-layer PEPS contractions" of §IV-B, run as
+    /// two tasks. Takes two `u64`s from `rng`, one seed per sweep (module
+    /// docs, "Independent contractions and their randomness").
     pub fn build<R: Rng + ?Sized>(
         merged: &Peps,
         method: ContractionMethod,
         rng: &mut R,
     ) -> Result<Self> {
         let nrows = merged.nrows();
-        let mut top: Vec<Option<Mps>> = vec![None; nrows];
-        let mut bottom: Vec<Option<Mps>> = vec![None; nrows];
-
-        // Top-down sweep.
-        let mut current = row_as_mps(merged, 0)?;
-        if nrows > 1 {
-            top[1] = Some(current.clone());
-        }
-        for r in 1..nrows.saturating_sub(1) {
-            let mpo = row_as_mpo(merged, r)?;
-            current = method.apply_row(&current, &mpo, rng)?;
-            top[r + 1] = Some(current.clone());
-        }
-
-        // Bottom-up sweep: flip the rows upside down (swap up/down axes).
-        let mut current = flipped_row_as_mps(merged, nrows - 1)?;
-        if nrows > 1 {
-            bottom[nrows - 2] = Some(current.clone());
-        }
-        for r in (1..nrows.saturating_sub(1)).rev() {
-            let mpo = flipped_row_as_mpo(merged, r)?;
-            current = method.apply_row(&current, &mpo, rng)?;
-            bottom[r - 1] = Some(current.clone());
-        }
+        let seeds = [rng.next_u64(), rng.next_u64()];
+        // `envs[k]`: the boundary after absorbing the first `k` rows met from
+        // this side. Seen from below a row is flipped upside down (up and
+        // down axes swapped).
+        let sweep = |from_below: bool| -> Result<Vec<Option<Mps>>> {
+            let mut rng = StdRng::seed_from_u64(seeds[usize::from(from_below)]);
+            let (as_mps, as_mpo): (
+                fn(&Peps, usize) -> Result<Mps>,
+                fn(&Peps, usize) -> Result<Mpo>,
+            ) = if from_below {
+                (flipped_row_as_mps, flipped_row_as_mpo)
+            } else {
+                (row_as_mps, row_as_mpo)
+            };
+            let mut envs: Vec<Option<Mps>> = vec![None];
+            for k in 0..nrows - 1 {
+                let r = if from_below { nrows - 1 - k } else { k };
+                let next = match &envs[k] {
+                    None => as_mps(merged, r)?,
+                    Some(env) => method.apply_row(env, &as_mpo(merged, r)?, &mut rng)?,
+                };
+                envs.push(Some(next));
+            }
+            Ok(envs)
+        };
+        let mut sweeps = contract_each(2, |i| sweep(i == 1))?;
+        let (mut bottom, top) =
+            (sweeps.pop().unwrap_or_default(), sweeps.pop().unwrap_or_default());
+        bottom.reverse();
         Ok(EnvCache { top, bottom })
     }
 
@@ -149,6 +174,20 @@ pub fn expectation<R: Rng + ?Sized>(
     Network::build(peps, options, rng)?.value(observable, rng)
 }
 
+/// `(<psi|H|psi>, <psi|psi>)` from one merged network: the norm is the strip
+/// that swaps nothing, closed between the same environments as the terms.
+pub fn expectation_and_norm<R: Rng + ?Sized>(
+    peps: &Peps,
+    observable: &Observable,
+    options: ExpectationOptions,
+    rng: &mut R,
+) -> Result<(C64, C64)> {
+    observable.validate(peps)?;
+    let network = Network::build(peps, options, rng)?;
+    let value = network.value(observable, rng)?;
+    Ok((value, network.norm(rng)?))
+}
+
 /// `<psi|H|psi> / <psi|psi>`, the Rayleigh quotient used by ITE and VQE.
 pub fn expectation_normalized<R: Rng + ?Sized>(
     peps: &Peps,
@@ -156,11 +195,34 @@ pub fn expectation_normalized<R: Rng + ?Sized>(
     options: ExpectationOptions,
     rng: &mut R,
 ) -> Result<C64> {
-    observable.validate(peps)?;
-    let network = Network::build(peps, options, rng)?;
-    let value = network.value(observable, rng)?;
-    // `<psi|psi>` is the strip that swaps nothing.
-    Ok(value / network.strip(&[], (0, 0), rng)?)
+    let (value, norm) = expectation_and_norm(peps, observable, options, rng)?;
+    Ok(value / norm)
+}
+
+/// Run `n` independent contractions, `job(i)` filling slot `i`: one task each
+/// on the `koala_exec` pool, or inline in index order when the pool has one
+/// thread or there is one job. The jobs share read-only borrows and bring
+/// their own random streams, so no slot depends on the schedule. A failed job
+/// cancels the run and its error is returned.
+fn contract_each<T: Send>(n: usize, job: impl Fn(usize) -> Result<T> + Sync) -> Result<Vec<T>> {
+    if n <= 1 || koala_exec::threads() == 1 {
+        return (0..n).map(job).collect();
+    }
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let mut graph = TaskGraph::new();
+    for (i, slot) in slots.iter().enumerate() {
+        let job = &job;
+        graph.add(TaskKind::Contract, &[], move || {
+            *lock(slot) = Some(job(i)?);
+            Ok(())
+        });
+    }
+    graph.run()?;
+    // Every task of a run that returned `Ok` has filled its slot.
+    Ok(slots
+        .into_iter()
+        .filter_map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
+        .collect())
 }
 
 /// Operator Schmidt values at or below this fraction of the largest are
@@ -192,15 +254,27 @@ impl<'a> Network<'a> {
         Ok(Network { peps, merged, cache, method: options.method })
     }
 
-    /// `sum_i <psi|H_i|psi>`.
+    /// `sum_i <psi|H_i|psi>`, one independent contraction per term.
     fn value<R: Rng + ?Sized>(&self, observable: &Observable, rng: &mut R) -> Result<C64> {
-        let mut total = C64::ZERO;
-        for term in observable.terms() {
-            for swaps in self.term_strips(term)? {
-                total += self.strip(&swaps, term.row_span(), rng)?;
+        let terms = observable.terms();
+        let seeds: Vec<u64> = terms.iter().map(|_| rng.next_u64()).collect();
+        let values = contract_each(terms.len(), |i| {
+            let mut rng = StdRng::seed_from_u64(seeds[i]);
+            let mut value = C64::ZERO;
+            for swaps in self.term_strips(&terms[i])? {
+                value += self.strip(&swaps, terms[i].row_span(), &mut rng)?;
             }
-        }
-        Ok(total)
+            Ok(value)
+        })?;
+        Ok(values.into_iter().fold(C64::ZERO, |total, value| total + value))
+    }
+
+    /// `<psi|psi>`: the strip that swaps nothing. Between cached environments
+    /// it is one exact closing and draws nothing; without them it is one more
+    /// contraction of the whole lattice, with its own seed.
+    fn norm<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<C64> {
+        let seed = if self.cache.is_some() { 0 } else { rng.next_u64() };
+        self.strip(&[], (0, 0), &mut StdRng::seed_from_u64(seed))
     }
 
     /// `H_i|psi>` as product strips: each entry lists the merged sites to swap
@@ -402,6 +476,50 @@ mod tests {
             let want = dense_expectation(&peps, &obs) / peps.norm_sqr_dense().unwrap();
             assert!(got.approx_eq(want, 1e-10), "cache={use_cache}: {got} vs {want}");
         }
+    }
+
+    /// Counts what a call takes from the caller's stream.
+    struct Counting {
+        inner: StdRng,
+        draws: usize,
+    }
+
+    impl Rng for Counting {
+        fn next_u64(&mut self) -> u64 {
+            self.draws += 1;
+            self.inner.next_u64()
+        }
+    }
+
+    #[test]
+    fn value_and_norm_match_dense_and_draw_one_seed_per_contraction() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let peps = Peps::random(3, 2, 2, 2, &mut rng); // not normalised on purpose
+        let mut obs = Observable::zz((0, 0), (1, 0)) + 0.2 * Observable::x((2, 1));
+        obs.add_two_site((0, 1), (2, 0), xxz()); // three strips, one term
+        let (want, want_norm) = (dense_expectation(&peps, &obs), peps.norm_sqr_dense().unwrap());
+        let terms = obs.len();
+        let mut bits = Vec::new();
+        for threads in [1, 4] {
+            koala_exec::set_threads(threads);
+            for (use_cache, draws) in [(true, 2 + terms), (false, terms + 1)] {
+                for method in [ContractionMethod::bmps(64), ContractionMethod::ibmps(64)] {
+                    let mut counting = Counting { inner: StdRng::seed_from_u64(3), draws: 0 };
+                    let options = ExpectationOptions { method, use_cache };
+                    let (value, norm) =
+                        expectation_and_norm(&peps, &obs, options, &mut counting).unwrap();
+                    assert_eq!(counting.draws, draws, "cache={use_cache} {method:?} x{threads}");
+                    if matches!(method, ContractionMethod::Bmps { .. }) {
+                        let tol = 1e-10 * want_norm.max(1.0);
+                        assert!(value.approx_eq(want, tol), "{value} vs {want}");
+                        assert!(norm.approx_eq(c64(want_norm, 0.0), tol), "{norm} vs {want_norm}");
+                    }
+                    bits.push((value.re.to_bits(), value.im.to_bits(), norm.re.to_bits()));
+                }
+            }
+        }
+        let (one_thread, four_threads) = bits.split_at(bits.len() / 2);
+        assert_eq!(one_thread, four_threads);
     }
 
     #[test]

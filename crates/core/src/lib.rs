@@ -71,7 +71,9 @@ pub use contract::{amplitude, contract_no_phys, inner_merged, norm_sqr, Contract
 pub use dist::{
     dist_contract_no_phys, dist_tebd_layer, dist_two_site_update, DistEvolutionVariant,
 };
-pub use expectation::{expectation, expectation_normalized, EnvCache, ExpectationOptions};
+pub use expectation::{
+    expectation, expectation_and_norm, expectation_normalized, EnvCache, ExpectationOptions,
+};
 pub use operators::{LocalTerm, Observable};
 pub use peps::{Direction, Peps, Site};
 pub use two_layer::{inner_two_layer, norm_sqr_two_layer};

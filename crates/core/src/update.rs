@@ -444,7 +444,7 @@ fn width(deps: &[Vec<usize>]) -> usize {
     per_depth.into_iter().max().unwrap_or(0)
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 

@@ -1,7 +1,8 @@
 //! Work-stealing task-graph executor for the koala-rs hot paths.
 //!
 //! The shared-memory layer expresses its parallel work — SUMMA rounds, the
-//! bond updates of a PEPS gate list, served jobs — as DAGs of typed tasks
+//! bond updates of a PEPS gate list, the environment sweeps and term strips
+//! of a PEPS measurement, served jobs — as DAGs of typed tasks
 //! with declared dependencies, and this crate runs them:
 //!
 //! - A [`Pool`] of persistent workers with per-worker deques and a shared
@@ -89,6 +90,10 @@ pub enum TaskKind {
     /// One site or bond update of a PEPS gate list (a whole contract-and-
     /// refactorize, run serially inside the task).
     Update,
+    /// One independent boundary contraction of a PEPS measurement (an
+    /// environment sweep or the strips of one term, run serially inside the
+    /// task).
+    Contract,
     /// Anything else.
     Other,
 }
@@ -99,6 +104,7 @@ impl TaskKind {
             TaskKind::Gemm => "gemm",
             TaskKind::Comm => "comm",
             TaskKind::Update => "update",
+            TaskKind::Contract => "contract",
             TaskKind::Other => "task",
         }
     }

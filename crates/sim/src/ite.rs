@@ -22,7 +22,7 @@ use crate::hamiltonian::{trotter_gates, TrotterGate};
 use crate::statevector::{Result, StateVector};
 use koala_error::{recovery, ErrorKind, KoalaError};
 use koala_linalg::c64;
-use koala_peps::expectation::{expectation_normalized, ExpectationOptions};
+use koala_peps::expectation::{expectation_and_norm, ExpectationOptions};
 use koala_peps::operators::Observable;
 use koala_peps::{apply_gates, route_two_site, routed_error, GateOp, Peps, UpdateMethod};
 use rand::Rng;
@@ -242,7 +242,10 @@ pub fn ite_peps_from<R: Rng + Clone>(
 }
 
 /// One guarded ITE step: Trotter layer, (optional) fault injection, finite
-/// guard, renormalization, and the scheduled energy measurement.
+/// guard, the scheduled energy measurement, and renormalization. A measured
+/// step reads `<psi|psi>` off the network it measures on (the Rayleigh
+/// quotient does not care about the scale, so it is taken first); only a step
+/// that does not measure contracts the norm on its own.
 #[allow(clippy::too_many_arguments)]
 fn ite_step<R: Rng + Clone>(
     state: &mut IteCheckpoint<R>,
@@ -263,15 +266,20 @@ fn ite_step<R: Rng + Clone>(
         }
     }
     validate_peps_finite(&state.peps, step)?;
-    renormalize(&mut state.peps, options.contraction_bond, &mut state.rng)?;
-    if step.is_multiple_of(options.measure_every) || step == options.steps {
-        let e = expectation_normalized(&state.peps, hamiltonian, expect_opts, &mut state.rng)?;
+    let norm_sqr = if step.is_multiple_of(options.measure_every) || step == options.steps {
+        let (value, norm) =
+            expectation_and_norm(&state.peps, hamiltonian, expect_opts, &mut state.rng)?;
+        let e = value / norm;
         if !e.re.is_finite() {
             recovery::note_nonfinite_detection();
             return Err(KoalaError::non_finite(format!("ite step {step}: energy {e}")));
         }
         state.energies.push((step, e.re / n_sites));
-    }
+        norm.re
+    } else {
+        koala_peps::norm_sqr(&state.peps, expect_opts.method, &mut state.rng)?
+    };
+    renormalize(&mut state.peps, norm_sqr);
     Ok(())
 }
 
@@ -338,17 +346,12 @@ pub fn apply_trotter_layer(
     Ok(err_sq.sqrt())
 }
 
-/// Rescale the PEPS so its (approximate) norm stays O(1); imaginary-time
-/// gates are not unitary and would otherwise shrink or blow up the tensors.
-fn renormalize<R: Rng + ?Sized>(
-    peps: &mut Peps,
-    contraction_bond: usize,
-    rng: &mut R,
-) -> Result<()> {
-    let n =
-        koala_peps::norm_sqr(peps, koala_peps::ContractionMethod::ibmps(contraction_bond), rng)?;
-    if n > 0.0 && n.is_finite() {
-        let scale = n.powf(-0.25); // spread the rescaling gently over steps
+/// Rescale the PEPS of (approximate) norm squared `norm_sqr` so its norm
+/// stays O(1); imaginary-time gates are not unitary and would otherwise
+/// shrink or blow up the tensors.
+fn renormalize(peps: &mut Peps, norm_sqr: f64) {
+    if norm_sqr > 0.0 && norm_sqr.is_finite() {
+        let scale = norm_sqr.powf(-0.25); // spread the rescaling gently over steps
         let per_site = scale.powf(1.0 / peps.num_sites() as f64);
         for r in 0..peps.nrows() {
             for c in 0..peps.ncols() {
@@ -357,7 +360,6 @@ fn renormalize<R: Rng + ?Sized>(
             }
         }
     }
-    Ok(())
 }
 
 /// Exact imaginary time evolution on the full state vector (the reference
@@ -390,6 +392,7 @@ pub fn ite_statevector(
 mod tests {
     use super::*;
     use crate::hamiltonian::{tfi_hamiltonian, TfiParams};
+    use koala_exec::WorkMeter;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -466,6 +469,48 @@ mod tests {
             assert_eq!(sa, sb);
             assert!((ea - eb).abs() < 1e-10, "step {sa}: {ea} vs {eb}");
         }
+    }
+
+    /// `measure_every = 3` over 12 steps: steps 3, 6, 9 and 12 read
+    /// `<psi|psi>` off the network they measure on, the others contract it on
+    /// their own, and the state stays O(1) either way. A measured step bills
+    /// exactly its Trotter layer and its measurement: the norm contraction
+    /// that used to precede the measurement is gone.
+    #[test]
+    fn measured_steps_rescale_from_the_measured_network() {
+        let h = tfi_hamiltonian(3, 2, TfiParams::paper_figure14());
+        let mut options = IteOptions::new(0.05, 12, 2, 4);
+        options.measure_every = 3;
+        let gates = trotter_gates(&h, c64(-options.tau, 0.0)).unwrap();
+        let expect_opts = ExpectationOptions::ibmps_cached(options.contraction_bond);
+        let mut state =
+            ite_checkpoint(&Peps::computational_zeros(3, 2), &StdRng::seed_from_u64(11));
+        for step in 1..=options.steps {
+            let mut evolved = state.peps.clone();
+            let whole = WorkMeter::new();
+            whole
+                .scope(|| {
+                    ite_step(&mut state, step, &gates, &h, expect_opts, 6.0, &options, &mut false)
+                })
+                .unwrap();
+            let n = state.peps.norm_sqr_dense().unwrap();
+            assert!((1e-2..=1e2).contains(&n), "step {step}: <psi|psi> = {n}");
+            if step % 3 == 0 {
+                let mut rng = StdRng::seed_from_u64(0);
+                let (parts, norm) = (WorkMeter::new(), WorkMeter::new());
+                parts.scope(|| {
+                    apply_trotter_layer(&mut evolved, &gates, options.update_method()).unwrap();
+                    expectation_and_norm(&evolved, &h, expect_opts, &mut rng).unwrap();
+                });
+                norm.scope(|| koala_peps::norm_sqr(&evolved, expect_opts.method, &mut rng))
+                    .unwrap();
+                assert_eq!(whole.real_macs(), parts.real_macs(), "step {step}");
+                assert!(norm.real_macs() > 0);
+                assert_eq!(whole.complex_macs(), 0);
+            }
+        }
+        let measured: Vec<usize> = state.energies.iter().map(|&(step, _)| step).collect();
+        assert_eq!(measured, [3, 6, 9, 12]);
     }
 
     #[test]

@@ -186,8 +186,9 @@ impl Network {
 struct NetworkOp<'a> {
     network: &'a Network,
     operands: &'a [&'a Tensor],
-    /// Conjugated operands for the adjoint sweep, made once per operator.
-    conjugated: Vec<Tensor>,
+    /// Conjugated copies for the adjoint sweep, made once per operator; a
+    /// real operand is its own conjugate and is borrowed instead.
+    conjugated: Vec<Option<Tensor>>,
     row_dims: Vec<usize>,
     col_dims: Vec<usize>,
 }
@@ -219,7 +220,7 @@ impl<'a> NetworkOp<'a> {
         Ok(NetworkOp {
             network,
             operands,
-            conjugated: operands.iter().map(|t| t.conj()).collect(),
+            conjugated: operands.iter().map(|t| (!t.is_real()).then(|| t.conj())).collect(),
             row_dims: rows.iter().map(|&o| dim(o)).collect(),
             col_dims: cols.iter().map(|&o| dim(o)).collect(),
         })
@@ -262,7 +263,8 @@ impl LinearOp for NetworkOp<'_> {
     }
     fn apply_adj(&self, y: &Matrix) -> Matrix {
         let sweep = &self.network.adjoint;
-        run_sweep(sweep, |i| &self.conjugated[i], y, &self.row_dims, self.col_dims.len())
+        let conjugated = |i: usize| self.conjugated[i].as_ref().unwrap_or(self.operands[i]);
+        run_sweep(sweep, conjugated, y, &self.row_dims, self.col_dims.len())
     }
     fn is_real(&self) -> bool {
         // All-real operands map real sketch blocks to real blocks, so `rsvd`
@@ -400,11 +402,18 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for (spec, shapes) in networks() {
             let network = Network::parse(spec).unwrap();
-            for real in [false, true] {
-                let tensors = operands(&shapes, real, &mut rng);
+            // All complex, all real, and a real boundary under complex sites
+            // (the adjoint sweep borrows exactly the real operands).
+            for (real, first_real) in [(false, false), (true, true), (false, true)] {
+                let mut tensors = operands(&shapes, real, &mut rng);
+                if first_real {
+                    tensors[0] = Tensor::random_real(shapes[0], &mut rng);
+                }
                 let refs: Vec<&Tensor> = tensors.iter().collect();
                 let op = NetworkOp::new(&network, &refs).unwrap();
                 assert_eq!(op.is_real(), real);
+                let borrowed: Vec<bool> = op.conjugated.iter().map(Option::is_none).collect();
+                assert_eq!(borrowed, refs.iter().map(|t| t.is_real()).collect::<Vec<_>>());
 
                 let theta = crate::einsum::einsum_spec(&network.theta, &refs).unwrap();
                 let theta = theta.unfold(network.n_rows);

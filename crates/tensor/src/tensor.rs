@@ -1,8 +1,8 @@
 //! Dense row-major complex tensor.
 
 use crate::shape::{
-    increment_index, invert_permutation, is_identity_perm, is_permutation, num_elements,
-    permute_shape, ravel, strides_for, unravel,
+    invert_permutation, is_identity_perm, is_permutation, num_elements, permute_shape, ravel,
+    strides_for, unravel,
 };
 use koala_error::{KoalaError, Result};
 use koala_linalg::{c64, Matrix, C64};
@@ -400,22 +400,17 @@ impl Tensor {
             )));
         }
         let mut new_shape = self.shape.clone();
-        new_shape.remove(axis);
-        let mut out = Tensor::zeros(&new_shape);
-        let in_strides = strides_for(&self.shape);
-        let mut idx = vec![0usize; new_shape.len()];
-        let n = out.data.len();
-        for flat in 0..n {
-            // Build the full input index by inserting `index` at `axis`.
-            let mut full = Vec::with_capacity(self.ndim());
-            full.extend_from_slice(&idx[..axis]);
-            full.push(index);
-            full.extend_from_slice(&idx[axis..]);
-            out.data[flat] = self.data[ravel(&full, &in_strides)];
-            increment_index(&mut idx, &new_shape);
+        let dim = new_shape.remove(axis);
+        // Row-major: the result is `outer` runs of `inner` contiguous
+        // elements, one run out of every `dim` of them.
+        let inner: usize = new_shape[axis..].iter().product();
+        let outer: usize = new_shape[..axis].iter().product();
+        let mut data = Vec::with_capacity(outer * inner);
+        for block in 0..outer {
+            let start = (block * dim + index) * inner;
+            data.extend_from_slice(&self.data[start..start + inner]);
         }
-        out.real = self.real;
-        Ok(out)
+        Ok(Tensor { shape: new_shape, data, real: self.real })
     }
 
     /// Insert a new axis of size 1 at `axis`.
@@ -665,6 +660,39 @@ mod tests {
         assert_eq!(s.get(&[1, 1]), c64(7.0, 0.0));
         assert!(t.select(3, 0).is_err());
         assert!(t.select(1, 2).is_err());
+    }
+
+    #[test]
+    fn select_is_plain_index_arithmetic_on_every_axis() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for case in 0..60 {
+            let rank = 1 + case % 6;
+            // Dimension-1 axes (leading and trailing ones included) turn up
+            // in a third of the draws.
+            let shape: Vec<usize> = (0..rank).map(|_| rng.gen_range(1..4usize)).collect();
+            let t = if case % 2 == 0 {
+                Tensor::random(&shape, &mut rng)
+            } else {
+                Tensor::random_real(&shape, &mut rng)
+            };
+            for axis in 0..rank {
+                for index in 0..shape[axis] {
+                    let s = t.select(axis, index).unwrap();
+                    let mut want_shape = shape.clone();
+                    want_shape.remove(axis);
+                    assert_eq!(s.shape(), &want_shape[..]);
+                    assert_eq!(s.is_real(), t.is_real());
+                    for (mut at, value) in s.indexed_iter() {
+                        at.insert(axis, index);
+                        assert_eq!(value, t.get(&at), "{shape:?} axis {axis} index {index}");
+                    }
+                }
+                let err = t.select(axis, shape[axis]).unwrap_err();
+                assert_eq!(err.kind(), koala_error::ErrorKind::InvalidArgument);
+            }
+            let err = t.select(rank, 0).unwrap_err();
+            assert_eq!(err.kind(), koala_error::ErrorKind::InvalidArgument);
+        }
     }
 
     #[test]

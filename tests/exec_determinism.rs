@@ -1,6 +1,7 @@
 //! Workspace acceptance test for the task-graph execution runtime: the full
 //! physics stack must be schedule-independent. A warm TFI imaginary-time-
-//! evolution sweep, two gate-list layers on a 6x6 PEPS and a distributed
+//! evolution sweep, a measurement whose environment sweeps and terms are
+//! independent tasks, two gate-list layers on a 6x6 PEPS and a distributed
 //! SUMMA product are run at 1/2/4/8 executor threads; energies, site tensors
 //! and gathered matrices must be bit-identical and the MAC/communication
 //! billing exactly equal — the executor may only change *when* work runs,
@@ -11,8 +12,8 @@ use koala::exec::WorkMeter;
 use koala::linalg::{c64, expm_hermitian, matmul, Matrix};
 use koala::peps::operators::{kron, pauli_x, pauli_z, Observable};
 use koala::peps::{
-    apply_one_site, apply_two_site, apply_two_site_any, apply_two_site_everywhere, Peps,
-    UpdateMethod,
+    apply_one_site, apply_two_site, apply_two_site_any, apply_two_site_everywhere, expectation,
+    expectation_normalized, ContractionMethod, ExpectationOptions, Peps, UpdateMethod,
 };
 use koala::sim::ite::apply_trotter_layer;
 use koala::sim::{ite_peps, tfi_hamiltonian, trotter_gates, IteOptions, TfiParams};
@@ -71,6 +72,41 @@ fn warm_tfi_ite_sweep_is_bit_identical_across_threads() {
                     assert_eq!(dr, er, "real-MAC billing differs at {threads} threads");
                 }
             }
+        }
+    }
+    koala::exec::set_threads(1);
+}
+
+/// The environment sweeps and the terms of a measurement run as independent
+/// tasks, each on a private stream seeded from the caller's before anything
+/// runs: the value must not depend on the thread count, and two calls fed
+/// clones of one rng must agree. A 4x3, r = 3 state under IBMPS at m = 6,
+/// where every zip-up truncates and draws sketches.
+#[test]
+fn measurement_is_bit_identical_across_threads_and_rng_clones() {
+    let _guard = SERIAL.lock().unwrap();
+    let mut rng = StdRng::seed_from_u64(555);
+    let peps = Peps::random(4, 3, 2, 3, &mut rng);
+    let mut obs = 0.7 * Observable::x((2, 1))
+        + Observable::zz((1, 0), (1, 1))
+        + Observable::zz((2, 2), (3, 2));
+    // A distant pair of operator Schmidt rank 2: two strips in one task.
+    let xx_zz = &kron(&pauli_x(), &pauli_x()) + &kron(&pauli_z(), &pauli_z());
+    obs.add_two_site((0, 2), (2, 0), xx_zz);
+
+    for use_cache in [true, false] {
+        let options = ExpectationOptions { method: ContractionMethod::ibmps(6), use_cache };
+        let measure = || {
+            let (mut a, mut b) = (rng.clone(), rng.clone());
+            let value = expectation(&peps, &obs, options, &mut a).unwrap();
+            let quotient = expectation_normalized(&peps, &obs, options, &mut b).unwrap();
+            [value.re, value.im, quotient.re, quotient.im].map(f64::to_bits)
+        };
+        koala::exec::set_threads(1);
+        let reference = measure();
+        for threads in [2, 4] {
+            koala::exec::set_threads(threads);
+            assert_eq!(measure(), reference, "cache={use_cache}: differs at {threads} threads");
         }
     }
     koala::exec::set_threads(1);
