@@ -79,11 +79,6 @@ impl Cluster {
         lock_ignore_poison(&self.faults).take().map(FaultState::into_log).unwrap_or_default()
     }
 
-    /// Snapshot of the armed plan's fault log (empty when no plan is armed).
-    pub fn fault_log(&self) -> FaultLog {
-        lock_ignore_poison(&self.faults).as_ref().map(|s| s.log().clone()).unwrap_or_default()
-    }
-
     /// Whether a fault plan is currently armed.
     pub fn faults_armed(&self) -> bool {
         lock_ignore_poison(&self.faults).is_some()
@@ -241,14 +236,6 @@ impl Cluster {
         }
     }
 
-    /// Record identical `flops` on every rank (replicated computation).
-    pub fn record_flops_all(&self, flops: u64) {
-        let mut s = lock_ignore_poison(&self.stats);
-        for f in &mut s.rank_flops {
-            *f += flops;
-        }
-    }
-
     /// Record identical `macs` on every rank, billed real or complex
     /// according to `real` (replicated computation).
     pub fn record_macs_all(&self, macs: u64, real: bool) {
@@ -258,25 +245,11 @@ impl Cluster {
             *f += macs;
         }
     }
-
-    /// Split a length `n` into `nranks` nearly equal contiguous blocks;
-    /// returns the (start, len) of each rank's block. Matches the block
-    /// distribution Cyclops uses for the slowest-varying index.
-    pub fn block_ranges(&self, n: usize) -> Vec<(usize, usize)> {
-        block_ranges(n, self.nranks)
-    }
-
-    /// Rank that owns global index `i` of a length-`n` block distribution.
-    pub fn owner_of(&self, n: usize, i: usize) -> usize {
-        let ranges = self.block_ranges(n);
-        ranges
-            .iter()
-            .position(|&(start, len)| i >= start && i < start + len)
-            .unwrap_or(self.nranks - 1)
-    }
 }
 
-/// Split `n` items into `parts` nearly equal contiguous blocks.
+/// Split `n` items into `parts` nearly equal contiguous blocks; returns the
+/// (start, len) of each block. Matches the block distribution Cyclops uses
+/// for the slowest-varying index.
 pub fn block_ranges(n: usize, parts: usize) -> Vec<(usize, usize)> {
     let base = n / parts;
     let extra = n % parts;
@@ -318,24 +291,13 @@ mod tests {
     }
 
     #[test]
-    fn owner_lookup_matches_ranges() {
-        let c = Cluster::new(3);
-        let ranges = c.block_ranges(10);
-        for i in 0..10 {
-            let owner = c.owner_of(10, i);
-            let (start, len) = ranges[owner];
-            assert!(i >= start && i < start + len);
-        }
-    }
-
-    #[test]
     fn stats_accumulate_and_reset() {
         let c = Cluster::new(4);
         c.record_p2p(10);
         c.record_collective(100, 1);
         c.record_redistribution(50);
         c.record_flops(2, 1000);
-        c.record_flops_all(10);
+        c.record_macs_all(10, false);
         let s = c.stats();
         assert_eq!(s.bytes_communicated, (10 + 100 + 50) as u64 * ELEM_BYTES);
         assert_eq!(s.collectives, 2);

@@ -6,14 +6,20 @@
 //! its grid column's global columns as one dense local [`Matrix`]. Two
 //! layouts are in use:
 //!
-//! * **block-row** (`grid = P x 1`, contiguous row blocks, columns
-//!   replicated) — the layout [`DistMatrix::scatter`] produces, the layout
-//!   `DistTensor` slabs matricize into for free, and the layout the Gram
-//!   helpers ([`DistMatrix::gram`], [`gram_qr_dist`]) require,
+//! * **`P x 1`** (columns whole on every rank) — contiguous row blocks from
+//!   [`DistMatrix::scatter`], or cyclic row blocks from
+//!   [`DistMatrix::scatter_block_cyclic`] on [`ProcGrid::column`], which is
+//!   how a distributed bond update scatters a site matricization; the layout
+//!   under which [`DistMatrix::gram`] and [`gram_qr_dist`] need only one
+//!   small allreduce,
 //! * **2-D block-cyclic** ([`DistMatrix::scatter_block_cyclic`] /
 //!   [`DistMatrix::scatter_summa`]) — the ScaLAPACK-style layout under which
 //!   [`DistMatrix::matmul_dist`] runs SUMMA with `O(n^2 / sqrt(P))` words of
 //!   traffic per rank instead of the gather-everything `O(n^2)`.
+//!
+//! Every scatter is billed and checksummed the same way: each block sent to
+//! ranks `1..P` is one point-to-point message carrying its column checksum,
+//! verified on arrival ([`crate::FaultSite::ScatterBlock`]).
 //!
 //! All dense work happens on the per-rank blocks through the same packed
 //! GEMM (`koala_linalg::gemm_into` / `gemm_into_real`) the shared-memory
@@ -708,13 +714,7 @@ pub struct DistMatrix {
 
 /// Extract rank `(r, c)`'s local block of a replicated matrix (realness hint
 /// preserved).
-pub(crate) fn local_block(
-    matrix: &Matrix,
-    rows: &Dist1D,
-    r: usize,
-    cols: &Dist1D,
-    c: usize,
-) -> Matrix {
+fn local_block(matrix: &Matrix, rows: &Dist1D, r: usize, cols: &Dist1D, c: usize) -> Matrix {
     let mut out = Matrix::zeros(rows.local_len(r), cols.local_len(c));
     {
         let dst_cols = out.ncols();
@@ -919,30 +919,6 @@ impl DistMatrix {
     /// the real kernel after leaving the cluster.
     pub fn gather_unaccounted(&self) -> Matrix {
         self.gather_local()
-    }
-
-    /// Assemble a distributed matrix from already-resident per-rank blocks
-    /// without touching the communication counters — the caller accounts for
-    /// whatever movement produced the blocks (the `DistTensor` layer uses
-    /// this for zero-copy matricizations and pre-billed redistributions).
-    pub(crate) fn from_parts(
-        cluster: &Cluster,
-        grid: ProcGrid,
-        rows: Dist1D,
-        cols: Dist1D,
-        blocks: Vec<Matrix>,
-    ) -> Self {
-        assert_eq!(grid.nranks(), cluster.nranks(), "from_parts: grid does not cover the cluster");
-        assert_eq!(blocks.len(), cluster.nranks(), "from_parts: one block per rank required");
-        for (rank, b) in blocks.iter().enumerate() {
-            let (r, c) = grid.coords_of(rank);
-            assert_eq!(
-                b.shape(),
-                (rows.local_len(r), cols.local_len(c)),
-                "from_parts: rank {rank} block shape does not match its layout"
-            );
-        }
-        DistMatrix { cluster: cluster.clone(), grid, rows, cols, blocks }
     }
 
     /// Reassemble the full matrix from the local blocks without touching the

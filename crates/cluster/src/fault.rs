@@ -250,10 +250,6 @@ impl FaultState {
         &self.plan
     }
 
-    pub(crate) fn log(&self) -> &FaultLog {
-        &self.log
-    }
-
     pub(crate) fn into_log(self) -> FaultLog {
         self.log
     }
@@ -350,8 +346,8 @@ mod tests {
         let plan = FaultPlan::seeded(9).slow_rank(3, 2.5);
         assert_eq!(plan.slow_factor(3), 2.5);
         assert_eq!(plan.slow_factor(0), 1.0);
-        let s = FaultState::new(plan);
-        assert_eq!(s.log().len(), 1);
-        assert_eq!(s.log()[0].kind, FaultKind::Slow);
+        let log = FaultState::new(plan).into_log();
+        assert_eq!(log.len(), 1);
+        assert_eq!(log[0].kind, FaultKind::Slow);
     }
 }

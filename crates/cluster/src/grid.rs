@@ -10,8 +10,9 @@
 //!   `rank <-> (grid row, grid col)` numbering,
 //! * [`Dist1D`] — how one global index range is split across the parts of a
 //!   grid dimension, either as contiguous [`Layout1D::Blocks`] (the classic
-//!   block-row split, and the layout `DistTensor` slabs arrive in) or as
-//!   ScaLAPACK-style [`Layout1D::Cyclic`] block-cyclic rounds.
+//!   block-row split) or as ScaLAPACK-style [`Layout1D::Cyclic`]
+//!   block-cyclic rounds (SUMMA operands, and the rows of the site
+//!   matricizations a distributed bond update scatters on a `P x 1` grid).
 //!
 //! ## Layout rules
 //!
@@ -105,7 +106,7 @@ pub enum Layout1D {
     /// Contiguous blocks: part `i` owns the `i`-th range; the vector holds
     /// the per-part lengths (which must sum to the global extent). This is
     /// the layout of [`crate::DistMatrix::scatter`] /
-    /// [`crate::DistMatrix::from_blocks`] and of `DistTensor` slabs.
+    /// [`crate::DistMatrix::from_blocks`].
     Blocks(Vec<usize>),
     /// ScaLAPACK block-cyclic rounds of the given block size: global block
     /// `t` (indices `t*block .. (t+1)*block`) belongs to part `t % parts`.
@@ -250,23 +251,6 @@ impl Dist1D {
         match &self.layout {
             Layout1D::Cyclic { block } => Dist1D::cyclic(n, parts, *block),
             Layout1D::Blocks(_) => Dist1D::balanced(n, parts),
-        }
-    }
-
-    /// The same partition with every index expanded into `factor` consecutive
-    /// indices (`n * factor` total, same owners, same relative order). This is
-    /// the row layout of a matricization that moves `factor` trailing column
-    /// indices into the rows — each owned index becomes `factor` owned rows,
-    /// and the owner's local data stays byte-identical, which is what makes
-    /// `DistTensor::unfold_as_dist_matrix` zero-copy across splits. `factor`
-    /// must be nonzero.
-    pub fn scale(&self, factor: usize) -> Dist1D {
-        assert!(factor > 0, "Dist1D: scale factor must be nonzero");
-        match &self.layout {
-            Layout1D::Cyclic { block } => {
-                Dist1D::cyclic(self.n * factor, self.parts, block * factor)
-            }
-            Layout1D::Blocks(lens) => Dist1D::blocks(lens.iter().map(|l| l * factor).collect()),
         }
     }
 
@@ -436,25 +420,6 @@ mod tests {
         assert_eq!(blk.local_len(0), 4);
         assert_eq!(blk.local_len(1), 3);
         assert_eq!(blk.local_len(2), 3);
-    }
-
-    #[test]
-    fn scale_expands_every_index_in_place() {
-        for d in [Dist1D::cyclic(7, 3, 2), Dist1D::blocks(vec![4, 0, 3])] {
-            let s = d.scale(5);
-            assert_eq!(s.n(), 35);
-            assert_eq!(s.parts(), d.parts());
-            for i in 0..d.n() {
-                for j in 0..5 {
-                    assert_eq!(s.owner(5 * i + j), d.owner(i), "owners expand blockwise");
-                    assert_eq!(
-                        s.local_of(5 * i + j),
-                        5 * d.local_of(i) + j,
-                        "local data order kept"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -27,10 +27,12 @@
 //!   [`SummaVariant`] stationary dataflows), Gram matrices on any grid
 //!   shape, and the two distributed QR paths compared in Figure 7
 //!   ([`gram_qr_dist`] = paper Algorithm 5 vs [`qr_gather_dist`] = the
-//!   reshape/gather baseline),
-//! * [`DistTensor`] — tensors distributed by matricized mode groups over the
-//!   grid, with free-mode contractions, explicit redistributions, and
-//!   zero-copy matricization.
+//!   reshape/gather baseline).
+//!
+//! Tensors reach the cluster as matrices: a caller matricizes a site tensor
+//! locally and scatters the matrix (`koala_peps::dist` does this for every
+//! bond update), so every scatter is the one checksummed
+//! [`DistMatrix`] scatter.
 //!
 //! Realness is first-class end to end: scatter, SUMMA, Gram, gather, and
 //! every mutator propagate the structural [`koala_linalg::Matrix::is_real`]
@@ -112,14 +114,12 @@
 
 pub mod cluster;
 pub mod dist_matrix;
-pub mod dist_tensor;
 pub mod fault;
 pub mod grid;
 pub mod stats;
 
 pub use cluster::{block_ranges, Cluster, RankBuffer};
 pub use dist_matrix::{gram_qr_dist, qr_gather_dist, DistMatrix, DistQr, SummaVariant};
-pub use dist_tensor::DistTensor;
 pub use fault::{FaultEvent, FaultKind, FaultLog, FaultPlan, FaultSite};
 pub use grid::{refine, Dist1D, Layout1D, Panel, ProcGrid, Seg};
 pub use stats::{

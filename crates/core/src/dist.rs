@@ -17,6 +17,11 @@
 //! * [`DistEvolutionVariant::LocalGramQrSvd`] — both the orthogonalization and
 //!   the einsumsvd are done in local (replicated) memory.
 //!
+//! Every variant puts the two site matricizations on the cluster with the
+//! one checksummed [`DistMatrix::scatter_block_cyclic`], so site transfers
+//! carry the same ABFT column checksums — and are covered by the same
+//! [`koala_cluster::FaultPlan`]s — as every other scatter.
+//!
 //! The distributed contraction wrapper charges the cluster with the per-step
 //! cost profile of BMPS vs IBMPS (merged-tensor redistribution + gathered SVD
 //! vs Gram-orthogonalized implicit sketching) while computing the numerical
@@ -25,7 +30,7 @@
 use crate::contract::{contract_no_phys, ContractionMethod};
 use crate::peps::{Direction, Peps, Result, Site};
 use crate::update::{canonical_perms, invert5, reorder_gate, small_einsumsvd};
-use koala_cluster::{gram_qr_dist, qr_gather_dist, Cluster, DistMatrix, DistTensor};
+use koala_cluster::{gram_qr_dist, qr_gather_dist, Cluster, DistMatrix, ProcGrid};
 use koala_error::{KoalaError, ResultExt};
 use koala_linalg::C64;
 use koala_tensor::{Tensor, Truncation};
@@ -91,10 +96,9 @@ pub fn dist_two_site_update(
     let gate_t = Tensor::from_matrix_2d(gate).into_reshape(&[d_a, d_b, d_a, d_b])?;
 
     // ---- Step 1: QR of both site tensors on the cluster. ----
-    // Each permuted site tensor is placed as a block-cyclic distributed
-    // tensor with the outer bonds (o1,o2,o3) grouped as matricization rows.
-    // The factorization input is a zero-copy view of that layout, so the
-    // whole update — Gram allreduce, recombination GEMMs — runs without any
+    // Each permuted site tensor is scattered as its matricization with the
+    // outer bonds (o1,o2,o3) as rows, block-cyclic over a P x 1 grid, so the
+    // Gram path — Gram allreduce, recombination GEMMs — runs without any
     // full-tensor gather or redistribution round-trip.
     // a: rows = outer bonds (o1,o2,o3), cols = (pa, bond)
     let a_mat_t = a.permute(&[1, 2, 3, 0, 4])?; // [o1,o2,o3, pa, bond]
@@ -168,32 +172,27 @@ pub fn dist_two_site_update(
     Ok(err)
 }
 
-/// Place a permuted site tensor `[o1, o2, o3, phys, bond]` as a block-cyclic
-/// distributed tensor with the outer bonds grouped as matricization rows, and
-/// hand back the zero-copy matricization the distributed factorizations
-/// consume.
+/// Scatter the matricization of a permuted site tensor
+/// `[o1, o2, o3, phys, bond]` — outer bonds as rows, `phys * bond` as
+/// columns — from rank 0, block-cyclic over a `P x 1` grid. This is the
+/// checksummed [`DistMatrix::scatter_block_cyclic`]: every block sent to
+/// ranks `1..P` is billed as one point-to-point message and carries its
+/// column checksum (`phys * bond` elements on
+/// [`koala_cluster::CommStats::checksum_bytes`]), and an armed
+/// [`koala_cluster::FaultPlan`] strikes it at
+/// [`koala_cluster::FaultSite::ScatterBlock`].
 ///
-/// The matricization is tall and skinny (outer bonds x phys*bond), so the
-/// rows go cyclically over all `P` ranks on a `P x 1` grid — the TSQR-style
-/// layout under which Algorithm 5's Gram product needs only an
-/// `ncols x ncols` allreduce. Spreading the skinny column dimension over a
-/// second grid factor would reintroduce `O(m n)` column reductions and lose
-/// the algorithm's asymptotic advantage; genuinely 2-D layouts are for the
-/// square SUMMA products at the `koala_cluster` layer.
+/// The matricization is tall and skinny, so the rows go cyclically over all
+/// `P` ranks — the TSQR-style layout under which Algorithm 5's Gram product
+/// needs only an `ncols x ncols` allreduce. Spreading the skinny column
+/// dimension over a second grid factor would reintroduce `O(m n)` column
+/// reductions and lose the algorithm's asymptotic advantage; genuinely 2-D
+/// layouts are for the square SUMMA products at the `koala_cluster` layer.
 fn scatter_site(cluster: &Cluster, t: &Tensor) -> DistMatrix {
-    let grid = koala_cluster::ProcGrid::column(cluster.nranks());
-    let m: usize = t.shape()[..3].iter().product();
-    let n: usize = t.shape()[3..].iter().product();
-    let dt = DistTensor::scatter_grouped(
-        cluster,
-        t,
-        &[0, 1, 2, 3, 4],
-        3,
-        grid,
-        cyclic_block(m, grid.rows()),
-        cyclic_block(n, grid.cols()),
-    );
-    dt.unfold_as_dist_matrix(3)
+    let p = cluster.nranks();
+    let m = t.unfold(3);
+    let (row_block, col_block) = (cyclic_block(m.nrows(), p), cyclic_block(m.ncols(), 1));
+    DistMatrix::scatter_block_cyclic(cluster, &m, ProcGrid::column(p), row_block, col_block)
 }
 
 /// Block size giving roughly two cyclic blocks per grid slot, so small site
@@ -381,19 +380,23 @@ mod tests {
     }
 
     #[test]
-    fn gram_gate_update_is_gather_free_on_a_2d_grid() {
-        // On a cluster with a genuinely 2-D default grid the Gram-path gate
-        // update must stay distributed end to end: site tensors scatter
-        // block-cyclically, their matricization is a zero-copy view, the Gram
-        // matrix needs one small allreduce, and the recombination GEMMs keep
-        // Q in place — no full-tensor gather, no redistribution. The
-        // gather-QR baseline, by contrast, bills its gathers.
+    fn gram_gate_update_is_gather_free_on_a_column_grid() {
+        // The Gram-path gate update must stay distributed end to end: site
+        // matricizations scatter block-cyclically over a `P x 1` grid (not
+        // the cluster's default 2-D grid), the Gram matrix needs one small
+        // allreduce, and the recombination GEMMs keep Q in place — no
+        // full-tensor gather, no redistribution. The gather-QR baseline, by
+        // contrast, bills its gathers.
         let mut rng = StdRng::seed_from_u64(9);
         let base = Peps::random(2, 2, 2, 3, &mut rng);
         let gate = entangling_gate();
 
         let cluster = Cluster::new(4);
-        assert_eq!((cluster.grid().rows(), cluster.grid().cols()), (2, 2));
+        let site = base.tensor((0, 0)).permute(&[1, 2, 3, 0, 4]).unwrap();
+        let d = scatter_site(&cluster, &site);
+        assert_eq!(d.grid(), ProcGrid::column(4));
+        assert_eq!(d.shape(), site.unfold(3).shape());
+        cluster.reset_stats();
         let mut p = base.clone();
         dist_two_site_update(
             &cluster,
@@ -407,7 +410,7 @@ mod tests {
         .unwrap();
         let stats = cluster.stats();
         assert_eq!(stats.full_gathers, 0, "Gram path must never gather a full tensor");
-        assert_eq!(stats.redistributions, 0, "matricization is a zero-copy view");
+        assert_eq!(stats.redistributions, 0, "sites scatter straight into the QR layout");
 
         let cluster2 = Cluster::new(4);
         let mut p = base.clone();
@@ -448,6 +451,74 @@ mod tests {
             "gram path ({bytes_gram} B) should beat gather path ({bytes_gather} B)"
         );
         assert!(redist_gram < redist_gather);
+    }
+
+    /// `CommStats` of one `dist_tebd_layer` on the seeded case of
+    /// `site_scatters_add_only_their_column_checksums`, as billed while site
+    /// tensors were still scattered without checksums: `(bytes, messages,
+    /// collectives, redistributions, full_gathers, checksum_bytes,
+    /// rank_flops)`.
+    type Pinned = (u64, u64, u64, u64, u64, u64, [u64; 4]);
+    const UNCHECKED_SITE_SCATTERS: [(DistEvolutionVariant, Pinned); 3] = [
+        (
+            DistEvolutionVariant::CtfQrSvd,
+            (181_440, 468, 96, 36, 24, 12_864, [32_324, 6_860, 6_428, 5_996]),
+        ),
+        (
+            DistEvolutionVariant::LocalGramQr,
+            (121_056, 324, 48, 12, 0, 0, [20_412, 19_932, 18_852, 17_532]),
+        ),
+        (
+            DistEvolutionVariant::LocalGramQrSvd,
+            (65_760, 216, 24, 0, 0, 0, [30_768, 30_288, 29_208, 27_888]),
+        ),
+    ];
+
+    #[test]
+    fn site_scatters_add_only_their_column_checksums() {
+        // Scattering the site matricizations through the checksummed
+        // `DistMatrix` scatter changes one counter: every block sent to
+        // ranks 1..P carries one checksum element per local column, i.e.
+        // `phys * bond` elements per rank and site, two sites per update.
+        use crate::peps::{AX_D, AX_R};
+        use koala_cluster::ELEM_BYTES;
+        let gate = entangling_gate();
+        let nranks = 4;
+        for (variant, pinned) in UNCHECKED_SITE_SCATTERS {
+            let mut rng = StdRng::seed_from_u64(11);
+            let base = Peps::random(3, 3, 2, 3, &mut rng);
+
+            let cluster = Cluster::new(nranks);
+            let mut peps = base.clone();
+            dist_tebd_layer(&cluster, &mut peps, &gate, 4, variant).unwrap();
+            let s = cluster.stats();
+
+            // Replay the layer pair by pair to read each update's bond.
+            let (replay, mut replayed) = (Cluster::new(nranks), base.clone());
+            let mut site_sums = 0;
+            let horizontal = base.horizontal_pairs().into_iter().map(|p| (p, AX_R));
+            let vertical = base.vertical_pairs().into_iter().map(|p| (p, AX_D));
+            for ((a, b), axis) in horizontal.chain(vertical) {
+                let bond = replayed.tensor(a).dim(axis);
+                let cols = (replayed.phys_dim(a) + replayed.phys_dim(b)) * bond;
+                site_sums += ((nranks - 1) * cols) as u64 * ELEM_BYTES;
+                dist_two_site_update(&replay, &mut replayed, &gate, a, b, 4, variant).unwrap();
+            }
+
+            let (bytes, messages, collectives, redistributions, full_gathers, checksum, flops) =
+                pinned;
+            let label = variant.label();
+            assert_eq!(s.bytes_communicated, bytes, "{label}");
+            assert_eq!(s.messages, messages, "{label}");
+            assert_eq!(s.collectives, collectives, "{label}");
+            assert_eq!(s.redistributions, redistributions, "{label}");
+            assert_eq!(s.full_gathers, full_gathers, "{label}");
+            assert_eq!(s.rank_flops, flops, "{label}");
+            assert_eq!(s.rank_real_macs, [0; 4], "{label}");
+            assert_eq!((s.retries, s.retry_bytes), (0, 0), "{label}");
+            assert!(s.rounds.is_empty(), "{label}: no SUMMA on the P x 1 path");
+            assert_eq!(s.checksum_bytes, checksum + site_sums, "{label}");
+        }
     }
 
     #[test]
