@@ -19,7 +19,12 @@
 //! Every backend evolves the state **once** per batch and then answers each
 //! bitstring with a value-independent contraction, so warm batches replay
 //! cached einsum plans, and all work lands on the ambient
-//! [`koala_exec::WorkMeter`] scope.
+//! [`koala_exec::WorkMeter`] scope. On the PEPS backend the bitstrings are
+//! independent boundary-MPS contractions and run as one task each
+//! ([`koala_peps::amplitude_batch`]): the caller's stream yields one seed per
+//! bitstring, so the amplitudes are bit-identical at every thread count, and
+//! each in-flight bitstring holds one projected row and one zip-up beyond
+//! its boundary MPS.
 
 use koala_error::KoalaError;
 use koala_linalg::{matmul, Matrix, C64};
@@ -351,10 +356,7 @@ fn run_peps<R: Rng + ?Sized>(
         }
     }
     let evolved_bond = peps.max_bond();
-    let amps = queries
-        .iter()
-        .map(|bits| koala_peps::amplitude(&peps, bits, method, rng))
-        .collect::<Result<Vec<_>>>()?;
+    let amps = koala_peps::amplitude_batch(&peps, queries, method, rng)?;
     Ok((amps, evolved_bond))
 }
 

@@ -9,11 +9,15 @@
 //! exact algorithm applies every row without truncation and is exponential.
 
 use crate::peps::{Peps, Result, AX_P, AX_U};
+use crate::update::lock;
 use koala_error::KoalaError;
+use koala_exec::{TaskGraph, TaskKind};
 use koala_linalg::C64;
 use koala_mps::{zip_up, Mpo, Mps, ZipUpMethod};
 use koala_tensor::Tensor;
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::sync::{Mutex, PoisonError};
 
 /// Which contraction algorithm to use.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -122,23 +126,110 @@ pub fn contract_no_phys<R: Rng + ?Sized>(
     method: ContractionMethod,
     rng: &mut R,
 ) -> Result<C64> {
-    let mut boundary = row_as_mps(peps, 0)?;
-    for row in 1..peps.nrows() {
-        boundary = method.apply_row(&boundary, &row_as_mpo(peps, row)?, rng)?;
+    contract_rows(peps.nrows(), row_as_mps(peps, 0)?, |row| row_as_mpo(peps, row), method, rng)
+}
+
+/// The boundary-MPS row loop of Algorithm 2: starting from `top` (row 0 as
+/// an MPS), absorb the MPO `row_mpo(r)` of every later row top-down, each
+/// built just before its zip-up and dropped right after it.
+fn contract_rows<R: Rng + ?Sized>(
+    nrows: usize,
+    top: Mps,
+    mut row_mpo: impl FnMut(usize) -> Result<Mpo>,
+    method: ContractionMethod,
+    rng: &mut R,
+) -> Result<C64> {
+    let mut boundary = top;
+    for row in 1..nrows {
+        boundary = method.apply_row(&boundary, &row_mpo(row)?, rng)?;
     }
     boundary.contract_to_scalar()
 }
 
 /// Amplitude `<bits|psi>`: project the physical indices onto a basis state and
 /// contract the resulting one-layer network.
+///
+/// The projection is lazy, one row at a time: row 0 is projected straight
+/// into boundary-MPS layout `[l, d, r]` and every later row into MPO layout
+/// `[l, u, d, r]` just before its zip-up (one `select` and one `permute` per
+/// site), so a contraction holds one projected row and one zip-up beyond the
+/// boundary MPS. The result is bit-identical to
+/// `contract_no_phys(&peps.project_onto_basis(bits)?, method, rng)`, and
+/// `bits` is checked the same way.
 pub fn amplitude<R: Rng + ?Sized>(
     peps: &Peps,
     bits: &[usize],
     method: ContractionMethod,
     rng: &mut R,
 ) -> Result<C64> {
-    let projected = peps.project_onto_basis(bits)?;
-    contract_no_phys(&projected, method, rng)
+    peps.check_basis_state(bits)?;
+    let ncols = peps.ncols();
+    // [p, u, l, d, r] -> [u, l, d, r]
+    let project = |row: usize, c: usize| peps.tensor((row, c)).select(AX_P, bits[row * ncols + c]);
+    let top = (0..ncols)
+        .map(|c| {
+            // [u=1, l, d, r] -> [l, d, r]
+            let site = project(0, c)?;
+            let shape = site.shape()[1..].to_vec();
+            site.into_reshape(&shape)
+        })
+        .collect::<Result<_>>()?;
+    let row_mpo = |row: usize| {
+        // [u, l, d, r] -> [l, u, d, r]
+        Mpo::new(
+            (0..ncols).map(|c| project(row, c)?.permute(&[1, 0, 2, 3])).collect::<Result<_>>()?,
+        )
+    };
+    contract_rows(peps.nrows(), Mps::new(top)?, row_mpo, method, rng)
+}
+
+/// One [`amplitude`] per bitstring of `bitstrings`, in order, each contracted
+/// as an independent task on the `koala_exec` pool (inline in order on a
+/// one-thread pool or for a single bitstring).
+///
+/// The caller's stream yields one `u64` per bitstring, all drawn before
+/// anything runs, and each seeds the private [`StdRng`] of its contraction:
+/// the amplitudes are bit-identical at every thread count, and what the call
+/// takes from `rng` depends only on the batch size.
+pub fn amplitude_batch<R: Rng + ?Sized>(
+    peps: &Peps,
+    bitstrings: &[Vec<usize>],
+    method: ContractionMethod,
+    rng: &mut R,
+) -> Result<Vec<C64>> {
+    let seeds: Vec<u64> = bitstrings.iter().map(|_| rng.next_u64()).collect();
+    contract_each(bitstrings.len(), |i| {
+        amplitude(peps, &bitstrings[i], method, &mut StdRng::seed_from_u64(seeds[i]))
+    })
+}
+
+/// Run `n` independent contractions, `job(i)` filling slot `i`: one task each
+/// on the `koala_exec` pool, or inline in index order when the pool has one
+/// thread or there is one job. The jobs share read-only borrows and bring
+/// their own random streams, so no slot depends on the schedule. A failed job
+/// cancels the run and its error is returned.
+pub(crate) fn contract_each<T: Send>(
+    n: usize,
+    job: impl Fn(usize) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    if n <= 1 || koala_exec::threads() == 1 {
+        return (0..n).map(job).collect();
+    }
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let mut graph = TaskGraph::new();
+    for (i, slot) in slots.iter().enumerate() {
+        let job = &job;
+        graph.add(TaskKind::Contract, &[], move || {
+            *lock(slot) = Some(job(i)?);
+            Ok(())
+        });
+    }
+    graph.run()?;
+    // Every task of a run that returned `Ok` has filled its slot.
+    Ok(slots
+        .into_iter()
+        .filter_map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
+        .collect())
 }
 
 /// Inner product `<bra|ket>` through the merged (single-layer) network: bond
@@ -166,10 +257,8 @@ pub fn norm_sqr<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::peps::Peps;
+    use koala_error::ErrorKind;
     use koala_linalg::c64;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn scaled_random_no_phys(n: usize, bond: usize, seed: u64) -> Peps {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -262,6 +351,88 @@ mod tests {
         assert!(amp.approx_eq(dense.get(&bits), 1e-9));
         let amp_bmps = amplitude(&p, &bits, ContractionMethod::bmps(16), &mut rng).unwrap();
         assert!(amp_bmps.approx_eq(dense.get(&bits), 1e-8));
+    }
+
+    /// The row-wise projection changes nothing but when the projected sites
+    /// are built: it must reproduce the projected network's contraction bit
+    /// for bit, with the same seed, under every method and on both the
+    /// complex and the real kernels.
+    #[test]
+    fn row_wise_amplitude_is_the_projected_network_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let complex = Peps::random(3, 3, 2, 2, &mut rng);
+        let real = Peps::product_state(3, 3, &[c64(0.6, 0.0), c64(0.8, 0.0)]).unwrap();
+        assert!(real.tensor((1, 1)).is_real());
+        let bits = [1usize, 0, 1, 1, 0, 0, 1, 0, 1];
+        let methods =
+            [ContractionMethod::Exact, ContractionMethod::bmps(3), ContractionMethod::ibmps(3)];
+        for peps in [&complex, &real] {
+            let projected = peps.project_onto_basis(&bits).unwrap();
+            for method in methods {
+                let want =
+                    contract_no_phys(&projected, method, &mut StdRng::seed_from_u64(4)).unwrap();
+                let got = amplitude(peps, &bits, method, &mut StdRng::seed_from_u64(4)).unwrap();
+                assert_eq!(
+                    (got.re.to_bits(), got.im.to_bits()),
+                    (want.re.to_bits(), want.im.to_bits()),
+                    "{method:?}: {got} vs {want}"
+                );
+            }
+        }
+        let too_large = [5, 0, 0, 0, 0, 0, 0, 0, 0];
+        for (bad, want) in
+            [(&bits[..4], ErrorKind::Shape), (&too_large, ErrorKind::InvalidArgument)]
+        {
+            let got = amplitude(&complex, bad, ContractionMethod::Exact, &mut rng).unwrap_err();
+            assert_eq!(got.kind(), want, "{bad:?}");
+            assert_eq!(complex.project_onto_basis(bad).unwrap_err().kind(), want, "{bad:?}");
+        }
+    }
+
+    /// Counts what a call takes from the caller's stream.
+    struct Counting {
+        inner: StdRng,
+        draws: usize,
+    }
+
+    impl Rng for Counting {
+        fn next_u64(&mut self) -> u64 {
+            self.draws += 1;
+            self.inner.next_u64()
+        }
+    }
+
+    /// A batch draws one seed per bitstring and contracts each bitstring on
+    /// its own stream: what [`amplitude`] returns on that stream, at any
+    /// thread count.
+    #[test]
+    fn amplitude_batch_is_one_seeded_amplitude_per_bitstring() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let peps = Peps::random(3, 3, 2, 2, &mut rng);
+        let batch: Vec<Vec<usize>> =
+            (0..5usize).map(|k| (0..9).map(|q| (k * 7 + q * 3) % 5 % 2).collect()).collect();
+        let method = ContractionMethod::ibmps(3);
+        let mut seeds = StdRng::seed_from_u64(11);
+        let want: Vec<C64> = batch
+            .iter()
+            .map(|bits| {
+                let mut own = StdRng::seed_from_u64(seeds.next_u64());
+                amplitude(&peps, bits, method, &mut own).unwrap()
+            })
+            .collect();
+        for threads in [1, 2, 4] {
+            koala_exec::set_threads(threads);
+            let mut counting = Counting { inner: StdRng::seed_from_u64(11), draws: 0 };
+            let got = amplitude_batch(&peps, &batch, method, &mut counting).unwrap();
+            assert_eq!(counting.draws, batch.len());
+            let bits =
+                |v: &[C64]| v.iter().map(|a| (a.re.to_bits(), a.im.to_bits())).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{threads} threads");
+        }
+        koala_exec::set_threads(1);
+        let mut bad = batch.clone();
+        bad[3][2] = 2;
+        assert!(amplitude_batch(&peps, &bad, method, &mut rng).is_err());
     }
 
     #[test]

@@ -37,17 +37,16 @@
 //! result is bit-identical at every thread count, and what a call takes from
 //! the caller's stream depends only on `use_cache` and the number of terms.
 
-use crate::contract::{row_as_mpo, row_as_mps, sites_as_mpo, sites_as_mps, ContractionMethod};
+use crate::contract::{
+    contract_each, row_as_mpo, row_as_mps, sites_as_mpo, sites_as_mps, ContractionMethod,
+};
 use crate::operators::{operator_schmidt, LocalTerm, Observable};
 use crate::peps::{merge_site_pair, Peps, Result, Site, AX_P, AX_R};
-use crate::update::lock;
-use koala_exec::{TaskGraph, TaskKind};
 use koala_linalg::C64;
 use koala_mps::{Mpo, Mps};
 use koala_tensor::{einsum, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::{Mutex, PoisonError};
 
 /// Options controlling the expectation-value computation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -197,32 +196,6 @@ pub fn expectation_normalized<R: Rng + ?Sized>(
 ) -> Result<C64> {
     let (value, norm) = expectation_and_norm(peps, observable, options, rng)?;
     Ok(value / norm)
-}
-
-/// Run `n` independent contractions, `job(i)` filling slot `i`: one task each
-/// on the `koala_exec` pool, or inline in index order when the pool has one
-/// thread or there is one job. The jobs share read-only borrows and bring
-/// their own random streams, so no slot depends on the schedule. A failed job
-/// cancels the run and its error is returned.
-fn contract_each<T: Send>(n: usize, job: impl Fn(usize) -> Result<T> + Sync) -> Result<Vec<T>> {
-    if n <= 1 || koala_exec::threads() == 1 {
-        return (0..n).map(job).collect();
-    }
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let mut graph = TaskGraph::new();
-    for (i, slot) in slots.iter().enumerate() {
-        let job = &job;
-        graph.add(TaskKind::Contract, &[], move || {
-            *lock(slot) = Some(job(i)?);
-            Ok(())
-        });
-    }
-    graph.run()?;
-    // Every task of a run that returned `Ok` has filled its slot.
-    Ok(slots
-        .into_iter()
-        .filter_map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
-        .collect())
 }
 
 /// Operator Schmidt values at or below this fraction of the largest are

@@ -13,7 +13,9 @@
 //!   Gram-matrix variant (Algorithm 5); gate lists run as a site-dependency
 //!   task graph ([`apply_gates`]), so independent bond updates use every core,
 //! * [`contract`] — Exact, BMPS (Algorithm 2 + 3) and IBMPS (implicit
-//!   randomized SVD, Algorithm 4) contraction of one-layer networks,
+//!   randomized SVD, Algorithm 4) contraction of one-layer networks; the
+//!   bitstrings of an amplitude batch run as independent tasks
+//!   ([`amplitude_batch`]),
 //! * [`two_layer`] — the two-layer inner product that keeps bra and ket
 //!   unmerged (two-layer IBMPS, Table II),
 //! * [`mod@expectation`] — expectation values with the row-environment caching
@@ -67,7 +69,9 @@ pub mod peps;
 pub mod two_layer;
 pub mod update;
 
-pub use contract::{amplitude, contract_no_phys, inner_merged, norm_sqr, ContractionMethod};
+pub use contract::{
+    amplitude, amplitude_batch, contract_no_phys, inner_merged, norm_sqr, ContractionMethod,
+};
 pub use dist::{
     dist_contract_no_phys, dist_tebd_layer, dist_two_site_update, DistEvolutionVariant,
 };

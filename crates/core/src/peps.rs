@@ -406,16 +406,9 @@ impl Peps {
     /// a PEPS without physical indices (physical dimension 1). This is how an
     /// amplitude `<i|psi>` becomes a one-layer contraction.
     pub fn project_onto_basis(&self, bits: &[usize]) -> Result<Peps> {
-        if bits.len() != self.num_sites() {
-            return Err(KoalaError::shape("project_onto_basis: wrong number of bits"));
-        }
+        self.check_basis_state(bits)?;
         let mut tensors = Vec::with_capacity(self.num_sites());
         for (t, &b) in self.tensors.iter().zip(bits.iter()) {
-            if b >= t.dim(AX_P) {
-                return Err(KoalaError::invalid(format!(
-                    "project_onto_basis: bit value {b} exceeds physical dim"
-                )));
-            }
             let projected = t.select(AX_P, b)?; // [u, l, d, r]
             let shape = projected.shape().to_vec();
             let mut new_shape = vec![1];
@@ -423,6 +416,20 @@ impl Peps {
             tensors.push(projected.reshape(&new_shape)?);
         }
         Peps::new(self.nrows, self.ncols, tensors)
+    }
+
+    /// `bits` names a basis state of this PEPS: one value per site, in
+    /// row-major order, each below the site's physical dimension.
+    pub(crate) fn check_basis_state(&self, bits: &[usize]) -> Result<()> {
+        if bits.len() != self.num_sites() {
+            return Err(KoalaError::shape("project_onto_basis: wrong number of bits"));
+        }
+        match self.tensors.iter().zip(bits).find(|(t, &b)| b >= t.dim(AX_P)) {
+            Some((_, b)) => Err(KoalaError::invalid(format!(
+                "project_onto_basis: bit value {b} exceeds physical dim"
+            ))),
+            None => Ok(()),
+        }
     }
 
     /// Merge this PEPS (as the ket) with the conjugate of `bra` into a

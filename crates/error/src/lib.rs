@@ -22,8 +22,6 @@ use std::fmt;
 pub enum ErrorKind {
     /// Operand shapes or dimensions are incompatible.
     Shape,
-    /// A numerical method failed (singularity, loss of positive-definiteness, ...).
-    Numerical,
     /// An iterative method exhausted its budget without converging.
     NoConvergence,
     /// A NaN or infinity was detected where finite data is required.
@@ -46,7 +44,6 @@ impl fmt::Display for ErrorKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
             ErrorKind::Shape => "shape",
-            ErrorKind::Numerical => "numerical",
             ErrorKind::NoConvergence => "no-convergence",
             ErrorKind::NonFinite => "non-finite",
             ErrorKind::Fault => "fault",
@@ -264,7 +261,7 @@ mod tests {
     fn result_ext_adds_context_only_on_err() {
         fn fallible(fail: bool) -> Result<u32> {
             if fail {
-                Err(KoalaError::new(ErrorKind::Numerical, "boom"))
+                Err(KoalaError::new(ErrorKind::NoConvergence, "boom"))
             } else {
                 Ok(7)
             }
@@ -272,7 +269,7 @@ mod tests {
         assert_eq!(fallible(false).context("outer").unwrap(), 7);
         let e = fallible(true).context("outer").unwrap_err();
         assert_eq!(e.contexts(), ["outer".to_string()]);
-        assert_eq!(e.kind(), ErrorKind::Numerical);
+        assert_eq!(e.kind(), ErrorKind::NoConvergence);
     }
 
     #[test]

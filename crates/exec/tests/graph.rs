@@ -118,7 +118,7 @@ fn task_error_propagates() {
     let pool = Pool::new(2);
     let mut graph = TaskGraph::new();
     let bad = graph.add(TaskKind::Other, &[], || {
-        Err(koala_error::KoalaError::new(ErrorKind::Numerical, "did not converge"))
+        Err(koala_error::KoalaError::new(ErrorKind::NoConvergence, "did not converge"))
     });
     let ran = AtomicUsize::new(0);
     let ran_ref = &ran;
@@ -127,7 +127,7 @@ fn task_error_propagates() {
         Ok(())
     });
     let err = graph.run_on(&pool).unwrap_err();
-    assert_eq!(err.kind(), ErrorKind::Numerical);
+    assert_eq!(err.kind(), ErrorKind::NoConvergence);
     assert_eq!(ran.load(Ordering::Relaxed), 0);
 }
 

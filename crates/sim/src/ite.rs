@@ -157,7 +157,7 @@ pub fn ite_checkpoint<R: Rng + Clone>(initial: &Peps, rng: &R) -> IteCheckpoint<
 /// The run is fault tolerant: with `options.checkpoint_every > 0` the driver
 /// snapshots (PEPS, RNG, history) periodically, guards every step with a
 /// finiteness check, and on a failure a replay can cure (`NonFinite`,
-/// `Numerical`, `NoConvergence`) rolls back to the last checkpoint and
+/// `NoConvergence`) rolls back to the last checkpoint and
 /// replays — up to `options.max_restarts` times — before returning the last
 /// step's error. Any other kind (a caller mistake) is returned at once.
 /// Recovery actions are counted in [`koala_error::recovery`].
@@ -217,10 +217,7 @@ pub fn ite_peps_from<R: Rng + Clone>(
             Err(e) => {
                 // A caller mistake fails the same way on every replay: only
                 // what a clean replay can cure is worth a restore.
-                let curable = matches!(
-                    e.kind(),
-                    ErrorKind::NonFinite | ErrorKind::Numerical | ErrorKind::NoConvergence
-                );
+                let curable = matches!(e.kind(), ErrorKind::NonFinite | ErrorKind::NoConvergence);
                 if !curable {
                     return Err(e.context(format!("ite_peps: step {step}")));
                 }

@@ -258,3 +258,51 @@ fn summa_matmul_is_bit_identical_across_threads() {
     }
     koala::exec::set_threads(1);
 }
+
+/// `(re, im)` bits of the `bmps(16)` amplitudes of [`rqc_batch`], as the
+/// serial per-bitstring loop computed them before the batch ran as tasks.
+const RQC_BMPS_BITS: [(u64, u64); 4] = [
+    (4559406258035377750, 4562686172623720460),
+    (13777060212463881787, 4554734268465651982),
+    (13799169485181275990, 13799209127732629534),
+    (4562562635111070510, 4556833907258581909),
+];
+
+/// A frozen 4x4 random circuit (8 layers, iSWAP every 4) and 4 bitstrings.
+fn rqc_batch() -> (koala::circuit::Circuit, Vec<Vec<usize>>) {
+    let mut generator = StdRng::seed_from_u64(3);
+    let lattice = koala::sim::random_circuit(4, 4, 8, 4, &mut generator);
+    let circuit = koala::circuit::Circuit::from_lattice_circuit(&lattice, 4, 4).unwrap();
+    let words = [0x1234u64, 0xbeef, 0x0f0f, 0x8001];
+    let bits = words.iter().map(|w| (0..16).map(|q| ((w >> q) & 1) as usize).collect()).collect();
+    (circuit, bits)
+}
+
+/// The bitstrings of an amplitude batch are contracted as independent tasks,
+/// each on a private stream seeded from the caller's before anything runs:
+/// the amplitudes must not depend on the thread count, and the `bmps` ones
+/// (which draw no randomness) must equal the serial loop's bit for bit.
+#[test]
+fn rqc_amplitude_batch_is_bit_identical_across_threads() {
+    use koala::circuit::{amplitudes, Backend, BackendChoice};
+    let _guard = SERIAL.lock().unwrap();
+    let (circuit, queries) = rqc_batch();
+    for method in [ContractionMethod::bmps(16), ContractionMethod::ibmps(16)] {
+        let choice = BackendChoice::Fixed(Backend::Peps { evolution_bond: 1 << 16, method });
+        let run = || {
+            let mut rng = StdRng::seed_from_u64(77);
+            let batch = amplitudes(&circuit, &queries, choice, &mut rng).unwrap();
+            batch.amplitudes.iter().map(|a| (a.re.to_bits(), a.im.to_bits())).collect::<Vec<_>>()
+        };
+        koala::exec::set_threads(1);
+        let reference = run();
+        if matches!(method, ContractionMethod::Bmps { .. }) {
+            assert_eq!(reference, RQC_BMPS_BITS, "bmps amplitudes differ from the serial loop");
+        }
+        for threads in [2, 4] {
+            koala::exec::set_threads(threads);
+            assert_eq!(run(), reference, "{method:?}: amplitudes differ at {threads} threads");
+        }
+    }
+    koala::exec::set_threads(1);
+}
