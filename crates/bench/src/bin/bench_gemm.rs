@@ -27,6 +27,11 @@
 //!   `8 * m * n * min(m, n)` flops for solving the same problem, so the
 //!   ratio equals the wall-time speedup and the CI gate can compare runs.
 //!
+//! The document also says where it was recorded: `host_cpus`, `host_cpu`
+//! (the `/proc/cpuinfo` model name, else `"unknown"`) and `microkernel`
+//! (`"avx512f"` or `"portable"`: which register kernels the build compiled,
+//! [`koala_linalg::microkernel::IMPLEMENTATION`]).
+//!
 //! GFLOP/s are derived from the GEMM layer's own work accounting (a scoped
 //! [`koala_exec::WorkMeter`]: complex MACs at 8 real flops each, real MACs
 //! at 2), not from a formula duplicated here — so the numbers stay honest if
@@ -38,7 +43,7 @@
 use koala_exec::WorkMeter;
 use koala_json::JsonValue;
 use koala_linalg::gemm::{gemm, matmul, matmul_seed, Op};
-use koala_linalg::Matrix;
+use koala_linalg::{microkernel, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -105,6 +110,19 @@ fn time_best(reps: usize, mut f: impl FnMut()) -> (f64, u64, u64) {
         }
     }
     (best, cmacs, rmacs)
+}
+
+/// The CPU model name from `/proc/cpuinfo`, or `"unknown"` where there is
+/// none to read.
+fn host_cpu() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|line| line.strip_prefix("model name")?.split_once(':'))
+                .map(|(_, name)| name.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// The seed repository's GEMM path for this case: materialise transposed
@@ -413,9 +431,11 @@ fn main() {
 
     let doc = JsonValue::object([
         ("bench", JsonValue::str("gemm")),
-        ("schema_version", JsonValue::num(4.0)),
+        ("schema_version", JsonValue::num(5.0)),
         ("flop_convention", JsonValue::str("complex MAC = 8 real flops; real MAC = 2 real flops")),
         ("host_cpus", JsonValue::num(host_cpus as f64)),
+        ("host_cpu", JsonValue::str(host_cpu())),
+        ("microkernel", JsonValue::str(microkernel::IMPLEMENTATION)),
         ("results", JsonValue::Array(results)),
     ]);
     match std::fs::write(&json_path, doc.pretty()) {

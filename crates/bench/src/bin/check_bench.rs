@@ -14,6 +14,19 @@
 //! hash of its identity, so a drop is a kernel/dispatch regression (or host
 //! noise — the threshold leaves 25% headroom for that), never a data change.
 //!
+//! A second check needs no baseline: every `packed_vs_seed` entry of the
+//! *current* run must have `speedup_vs_seed >= 1.0`. It compares the packed
+//! kernel with the unpacked seed loop in the same run on the same host, so it
+//! catches a microkernel that compiled to scalar code even when the baseline
+//! came from a different machine (an AVX-512 build once ran at 0.15x).
+//! Both documents' `host_cpu` and `microkernel` fields are printed first.
+//!
+//! When both documents record `microkernel` and the values differ (an
+//! `avx512f` baseline, a runner that compiled the `portable` kernels), the
+//! absolute rates measure different code and a several-fold gap between
+//! them is expected, so the baseline comparison is skipped with a note and
+//! only the same-run seed check gates.
+//!
 //! The compared rate is the per-series effective GFLOP/s — the
 //! counter-derived rate for the GEMM series and the nominal-flops rate for
 //! the factorization series — so the gate covers the packed kernel, the real
@@ -41,9 +54,20 @@ fn rate_field(series: &str) -> Option<&'static str> {
 struct Entry {
     key: String,
     rate: f64,
+    /// `speedup_vs_seed` of a `packed_vs_seed` entry.
+    seed_speedup: Option<f64>,
 }
 
-fn load_entries(path: &str) -> Result<Vec<Entry>, String> {
+/// One `BENCH_gemm.json` document: where it was recorded and its entries.
+/// `host_cpu` and `microkernel` are schema 5 fields; older baselines did not
+/// record them.
+struct Bench {
+    host_cpu: Option<String>,
+    microkernel: Option<String>,
+    entries: Vec<Entry>,
+}
+
+fn load(path: &str) -> Result<Bench, String> {
     let text = std::fs::read_to_string(path).map_err(|e| {
         format!(
             "cannot read {path}: {e}\n  (regenerate it with `cargo run --release -p koala-bench \
@@ -56,6 +80,7 @@ fn load_entries(path: &str) -> Result<Vec<Entry>, String> {
     let results = doc.get("results").and_then(|r| r.as_array()).ok_or_else(|| {
         format!("{path}: missing 'results' array (truncated or schema-drifted file)")
     })?;
+    let recorded = |field: &str| doc.get(field).and_then(|v| v.as_str()).map(str::to_string);
     let mut entries = Vec::new();
     for item in results {
         let series = item.get("series").and_then(|v| v.as_str()).unwrap_or("");
@@ -73,9 +98,18 @@ fn load_entries(path: &str) -> Result<Vec<Entry>, String> {
             // key-intersection logic in main().
             return Err(format!("{path}: entry {series}/{label} lacks numeric '{field}'"));
         };
-        entries.push(Entry { key: format!("{series}/{label}/{opa}{opb}/t{threads}"), rate });
+        let seed_speedup = if series == "packed_vs_seed" {
+            let speedup = item.get("speedup_vs_seed").and_then(|v| v.as_num());
+            Some(speedup.ok_or_else(|| {
+                format!("{path}: entry {series}/{label} lacks numeric 'speedup_vs_seed'")
+            })?)
+        } else {
+            None
+        };
+        let key = format!("{series}/{label}/{opa}{opb}/t{threads}");
+        entries.push(Entry { key, rate, seed_speedup });
     }
-    Ok(entries)
+    Ok(Bench { host_cpu: recorded("host_cpu"), microkernel: recorded("microkernel"), entries })
 }
 
 fn main() {
@@ -94,35 +128,72 @@ fn main() {
         }
     };
 
-    let baseline = match load_entries(&baseline_path) {
-        Ok(e) => e,
-        Err(e) => {
+    let (baseline_doc, current_doc) = match (load(&baseline_path), load(&current_path)) {
+        (Ok(b), Ok(c)) => (b, c),
+        (Err(e), _) | (_, Err(e)) => {
             eprintln!("check_bench: {e}");
             std::process::exit(1);
         }
     };
-    let current = match load_entries(&current_path) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("check_bench: {e}");
-            std::process::exit(1);
-        }
-    };
-
-    if baseline.is_empty() {
-        // A parsable baseline with no gated series is not a regression — there
-        // is simply nothing to compare yet (e.g. a freshly bootstrapped repo).
+    for (side, doc) in [("baseline", &baseline_doc), ("current", &current_doc)] {
+        let shown = |field: &Option<String>| field.clone().unwrap_or("(not recorded)".into());
         println!(
-            "check_bench: WARNING — {baseline_path} contains no entries of any gated series; \
-             nothing to compare, passing vacuously"
+            "check_bench: {side:<8} host_cpu = {}, microkernel = {}",
+            shown(&doc.host_cpu),
+            shown(&doc.microkernel)
         );
-        return;
+    }
+    let (baseline, current) = (&baseline_doc.entries, &current_doc.entries);
+
+    // Same run, same host: a packed kernel slower than the unpacked seed loop
+    // is a kernel that lost its vectorization, wherever the baseline was
+    // recorded.
+    let slower_than_seed: Vec<(&str, f64)> = current
+        .iter()
+        .filter_map(|c| c.seed_speedup.filter(|&s| s < 1.0).map(|s| (c.key.as_str(), s)))
+        .collect();
+    for (key, speedup) in &slower_than_seed {
+        eprintln!(
+            "check_bench: {key}: packed kernel at {speedup:.2}x the seed loop in {current_path} \
+             (< 1.0x: is the microkernel vectorized on this build?)"
+        );
+    }
+
+    // Nothing comparable in the baseline: an empty one (e.g. a freshly
+    // bootstrapped repo) or one built with the other register kernels. That
+    // is not a regression; the same-run seed check above still applies.
+    let incomparable = match (&baseline_doc.microkernel, &current_doc.microkernel) {
+        _ if baseline.is_empty() => Some("it contains no entries of any gated series".to_string()),
+        (Some(base), Some(cur)) if base != cur => Some(format!(
+            "it was built with the {base} microkernels and this run with the {cur} ones, \
+             so absolute GFLOP/s measure different code"
+        )),
+        _ => None,
+    };
+    if let Some(why) = incomparable {
+        println!("check_bench: NOTE — not comparing against {baseline_path}: {why}");
+        let packed = current.iter().filter(|c| c.seed_speedup.is_some()).count();
+        if packed == 0 {
+            eprintln!(
+                "check_bench: FAIL — {current_path} has no packed_vs_seed case either; the \
+                 gate compared nothing"
+            );
+        } else if slower_than_seed.is_empty() {
+            println!("check_bench: OK — all {packed} packed case(s) at least as fast as the seed");
+            std::process::exit(0);
+        } else {
+            eprintln!(
+                "check_bench: FAIL — {} of {packed} packed case(s) slower than the seed loop",
+                slower_than_seed.len()
+            );
+        }
+        std::process::exit(1);
     }
 
     let mut matched = 0usize;
     let mut regressions = Vec::new();
     println!("{:<48} {:>10} {:>10} {:>8}  verdict", "case", "base GF/s", "now GF/s", "ratio");
-    for base in &baseline {
+    for base in baseline {
         let Some(cur) = current.iter().find(|c| c.key == base.key) else {
             continue; // not run in this configuration (e.g. thread count)
         };
@@ -167,16 +238,18 @@ fn main() {
         );
         std::process::exit(1);
     }
-    if regressions.is_empty() {
+    if regressions.is_empty() && slower_than_seed.is_empty() {
         println!(
             "check_bench: OK — {matched} case(s) within {:.0}% of the committed baseline",
             max_drop * 100.0
         );
     } else {
         eprintln!(
-            "check_bench: FAIL — {} of {matched} case(s) dropped more than {:.0}%:",
+            "check_bench: FAIL — {} of {matched} case(s) dropped more than {:.0}%, {} packed \
+             case(s) slower than the seed loop:",
             regressions.len(),
-            max_drop * 100.0
+            max_drop * 100.0,
+            slower_than_seed.len()
         );
         for (key, ratio) in &regressions {
             eprintln!("  {key}: {:.1}% of baseline", ratio * 100.0);

@@ -157,7 +157,7 @@ pub fn dist_two_site_update(
     // no communication: Q keeps its row distribution, R~ is replicated). ----
     let rt_a_mat = rt_a.unfold(1); // [ka, pa*k]
     let new_a_dist = qa.q.matmul_replicated(&rt_a_mat);
-    let rt_b_mat = rt_b.permute(&[1, 2, 0])?.unfold(1); // [kb, pb*k]
+    let rt_b_mat = rt_b.permute(&[1, 2, 0])?.into_unfold(1); // [kb, pb*k]
     let new_b_dist = qb.q.matmul_replicated(&rt_b_mat);
 
     // Bring the results back to the host PEPS (unaccounted: a real run keeps

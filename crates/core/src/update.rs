@@ -119,7 +119,7 @@ pub fn reorder_gate(gate: &Matrix, d_a: usize, d_b: usize) -> Result<Matrix> {
     }
     let t = Tensor::from_matrix_2d(gate).into_reshape(&[d_a, d_b, d_a, d_b])?;
     let swapped = t.permute(&[1, 0, 3, 2])?;
-    Ok(swapped.unfold(2))
+    Ok(swapped.into_unfold(2))
 }
 
 /// Apply a two-site gate to a pair of *neighbouring* sites. The gate is a

@@ -22,8 +22,11 @@
 //! * **Packing** ([`crate::pack`]) rearranges each cache block into
 //!   *split-complex* panels — per depth index, `MR`/`NR` real parts followed
 //!   by the imaginary parts — so the microkernel's inner loops are pure
-//!   `f64` lane arithmetic that auto-vectorizes to `f64x4`/`f64x8` FMA
-//!   sequences ([`crate::microkernel`]).
+//!   `f64` lane arithmetic ([`crate::microkernel`]): AVX-512F intrinsics
+//!   (one `zmm` per 8-lane row) on targets with `avx512f`, portable loops
+//!   that auto-vectorize to AVX2 FMA sequences elsewhere, bit-identical to
+//!   each other. The intrinsics are explicit because LLVM left the portable
+//!   loops scalar under `znver4`/`znver5` tuning.
 //! * **Transposition is fused into packing.** [`Op::Adjoint`] and
 //!   [`Op::Transpose`] only change the gather stride (and conjugation sign)
 //!   used while packing; no transposed copy of an operand is ever
@@ -40,8 +43,11 @@
 //! packed A strip at 24 KiB and one packed B strip at 32 KiB (L1/L2
 //! resident); `MC = 192` sizes the packed A block at 768 KiB for L2;
 //! `NC = 512` sizes the packed B block at 2 MiB for L3. Parameters were
-//! tuned empirically on an AVX-512 Xeon with `bench_gemm` (the sweep is
-//! cheap to re-run if the deployment target changes).
+//! tuned empirically with `bench_gemm` on an AVX-512 Xeon, where the
+//! portable kernels auto-vectorized; they were kept unchanged when the
+//! AVX-512 kernels became explicit intrinsics (`BENCH_gemm.json` records the
+//! host and kernel of each baseline; the sweep is cheap to re-run if the
+//! deployment target changes).
 //!
 //! # Real-valued fast path
 //!

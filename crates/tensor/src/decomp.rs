@@ -5,7 +5,7 @@
 
 use crate::tensor::Tensor;
 use koala_error::{KoalaError, Result};
-use koala_linalg::{gram_qr, qr, svd, Svd};
+use koala_linalg::{gram_qr, qr, svd, Matrix, Svd};
 
 /// Truncation policy for factorizations that produce a new bond.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,12 +118,11 @@ pub fn scale_first_axis(t: &Tensor, s: &[f64]) -> Tensor {
     out
 }
 
-/// Permute `row_axes` to the front of the tensor and return the permutation
-/// together with the resulting row/column dimension lists.
-fn split_permutation(
-    t: &Tensor,
-    row_axes: &[usize],
-) -> Result<(Vec<usize>, Vec<usize>, Vec<usize>)> {
+/// Matricize `t` with `row_axes` (in that order) as rows and the remaining
+/// axes as columns, returning the matrix with the row/column dimension
+/// lists. The matrix is the one buffer the permutation writes (an identity
+/// permutation copies once); the realness hint carries over.
+fn matricize(t: &Tensor, row_axes: &[usize]) -> Result<(Matrix, Vec<usize>, Vec<usize>)> {
     let ndim = t.ndim();
     for &a in row_axes {
         if a >= ndim {
@@ -144,7 +143,8 @@ fn split_permutation(
     perm.extend_from_slice(&col_axes);
     let row_dims: Vec<usize> = row_axes.iter().map(|&a| t.dim(a)).collect();
     let col_dims: Vec<usize> = col_axes.iter().map(|&a| t.dim(a)).collect();
-    Ok((perm, row_dims, col_dims))
+    let mat = t.permute(&perm)?.into_unfold(row_dims.len());
+    Ok((mat, row_dims, col_dims))
 }
 
 /// Thin QR of the tensor viewed as a matrix with `row_axes` as rows.
@@ -156,8 +156,7 @@ fn split_permutation(
 /// [`qr()`] leaves such poison in `R`, which is checked here (`R` is the
 /// small factor of a tall split, so the input itself is never scanned).
 pub fn qr_split(t: &Tensor, row_axes: &[usize]) -> Result<(Tensor, Tensor)> {
-    let (perm, row_dims, col_dims) = split_permutation(t, row_axes)?;
-    let mat = t.permute(&perm)?.unfold(row_dims.len());
+    let (mat, row_dims, col_dims) = matricize(t, row_axes)?;
     let f = qr(&mat);
     f.r.validate_finite("qr_split R factor")?;
     let k = f.q.ncols();
@@ -172,8 +171,7 @@ pub fn qr_split(t: &Tensor, row_axes: &[usize]) -> Result<(Tensor, Tensor)> {
 /// evolution algorithm where the small Gram matrix is formed over the bond
 /// being updated.
 pub fn gram_qr_split(t: &Tensor, row_axes: &[usize]) -> Result<(Tensor, Tensor)> {
-    let (perm, row_dims, col_dims) = split_permutation(t, row_axes)?;
-    let mat = t.permute(&perm)?.unfold(row_dims.len());
+    let (mat, row_dims, col_dims) = matricize(t, row_axes)?;
     let f = gram_qr(&mat)?;
     let k = f.r.nrows();
     let q = Tensor::fold(&f.q, &row_dims, &[k])?;
@@ -183,8 +181,7 @@ pub fn gram_qr_split(t: &Tensor, row_axes: &[usize]) -> Result<(Tensor, Tensor)>
 
 /// Truncated SVD of the tensor viewed as a matrix with `row_axes` as rows.
 pub fn svd_split(t: &Tensor, row_axes: &[usize], truncation: Truncation) -> Result<SplitSvd> {
-    let (perm, row_dims, col_dims) = split_permutation(t, row_axes)?;
-    let mat = t.permute(&perm)?.unfold(row_dims.len());
+    let (mat, row_dims, col_dims) = matricize(t, row_axes)?;
     let f = svd(&mat)?;
     build_split_svd(f, &row_dims, &col_dims, truncation)
 }
@@ -344,6 +341,21 @@ mod tests {
         let z = Tensor::random(&[3, 4, 2], &mut rng);
         let fz = svd_split(&z, &[0], Truncation::none()).unwrap();
         assert!(!fz.u.is_real() || fz.u.to_matrix_2d().data().iter().all(|v| v.im == 0.0));
+    }
+
+    #[test]
+    fn matricize_is_the_permuted_unfolding() {
+        let mut rng = StdRng::seed_from_u64(39);
+        for t in [Tensor::random(&[3, 4, 2], &mut rng), Tensor::random_real(&[3, 4, 2], &mut rng)] {
+            // Identity and non-identity permutations.
+            for (rows, perm) in [(&[0, 1][..], [0, 1, 2]), (&[2, 0][..], [2, 0, 1])] {
+                let (m, row_dims, col_dims) = matricize(&t, rows).unwrap();
+                let want = t.permute(&perm).unwrap().unfold(rows.len());
+                assert_eq!(m.data(), want.data());
+                assert_eq!(m.is_real(), t.is_real());
+                assert_eq!((row_dims.iter().product(), col_dims.iter().product()), m.shape());
+            }
+        }
     }
 
     #[test]

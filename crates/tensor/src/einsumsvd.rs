@@ -245,7 +245,7 @@ fn run_sweep<'t>(
         if let Some(perm) = &sweep.perm {
             block = block.permute(perm)?;
         }
-        Ok(block.unfold(n_out))
+        Ok(block.into_unfold(n_out))
     };
     run().unwrap_or_else(|e| unreachable!("einsumsvd operator was validated on construction: {e}"))
 }

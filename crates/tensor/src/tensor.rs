@@ -330,10 +330,16 @@ impl Tensor {
     /// first `split` axes and whose columns are indexed by the rest. The
     /// realness hint carries over.
     pub fn unfold(&self, split: usize) -> Matrix {
+        self.clone().into_unfold(split)
+    }
+
+    /// [`Tensor::unfold`] consuming `self`: the matrix takes over the
+    /// tensor's buffer (no data copy).
+    pub fn into_unfold(self, split: usize) -> Matrix {
         assert!(split <= self.ndim(), "unfold: split {} exceeds rank {}", split, self.ndim());
         let rows: usize = self.shape[..split].iter().product();
         let cols: usize = self.shape[split..].iter().product();
-        let mut m = Matrix::from_vec(rows, cols, self.data.clone())
+        let mut m = Matrix::from_vec(rows, cols, self.data)
             .unwrap_or_else(|_| unreachable!("unfold: rows*cols == len by construction"));
         if self.real {
             m.assume_real();
@@ -613,6 +619,13 @@ mod tests {
         let m2 = t.unfold(2);
         assert_eq!(m2.shape(), (6, 4));
         assert!(Tensor::fold(&m2, &[5], &[4]).is_err());
+        // The consuming form hands its buffer over, with the same bits and hint.
+        let r = Tensor::random_real(&[2, 3, 4], &mut rng);
+        let (want, buffer) = (r.unfold(2), r.data().as_ptr());
+        let got = r.into_unfold(2);
+        assert_eq!(got.data().as_ptr(), buffer);
+        assert!(got.is_real() && want.is_real());
+        assert!(got.approx_eq(&want, 0.0));
     }
 
     #[test]
