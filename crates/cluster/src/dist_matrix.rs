@@ -11,11 +11,11 @@
 //!   [`DistMatrix::scatter_block_cyclic`] on [`ProcGrid::column`], which is
 //!   how a distributed bond update scatters a site matricization; the layout
 //!   under which [`DistMatrix::gram`] and [`gram_qr_dist`] need only one
-//!   small allreduce,
-//! * **2-D block-cyclic** ([`DistMatrix::scatter_block_cyclic`] /
-//!   [`DistMatrix::scatter_summa`]) — the ScaLAPACK-style layout under which
-//!   [`DistMatrix::matmul_dist`] runs SUMMA with `O(n^2 / sqrt(P))` words of
-//!   traffic per rank instead of the gather-everything `O(n^2)`.
+//!   small allreduce (and the only one they accept),
+//! * **2-D block-cyclic** ([`DistMatrix::scatter_block_cyclic`]) — the
+//!   ScaLAPACK-style layout under which [`DistMatrix::matmul_dist`] runs
+//!   SUMMA with `O(n^2 / sqrt(P))` words of traffic per rank instead of the
+//!   gather-everything `O(n^2)`.
 //!
 //! Every scatter is billed and checksummed the same way: each block sent to
 //! ranks `1..P` is one point-to-point message carrying its column checksum,
@@ -51,56 +51,26 @@
 //! blocks, so a real workload runs the real microkernel on every rank and
 //! bills [`crate::CommStats::rank_real_macs`] instead of complex flops.
 //!
-//! ## Transposed operands and stationary variants
+//! ## The round engine
 //!
-//! [`DistMatrix::matmul_dist_op`] computes `C = opA(A) * opB(B)` for any
-//! [`Op`] pair, ScaLAPACK-`pdgemm` style, by dispatching between three
-//! stationary dataflows ([`SummaVariant`]):
-//!
-//! | variant      | never moves | rounds iterate | valid for        |
-//! |--------------|-------------|----------------|------------------|
-//! | stationary-C | `C`         | depth panels   | every op pair    |
-//! | stationary-A | `A`         | `C`-col panels | `opA = None`     |
-//! | stationary-B | `B`         | `C`-row panels | `opB = None`     |
-//!
-//! In every variant the *raw, untransposed* slices of the stored operand
-//! travel over the wire and the op is fused into the local packed GEMM's
-//! packing step ([`gemm_into`]'s own transposition support) — so ABFT
-//! checksums ride transposed panels exactly as they ride plain ones, and the
-//! realness hints of the stored blocks propagate into the shipped slices.
-//! When an op turns an operand's grid-column dimension into an output
-//! dimension that must live on the grid rows (or vice versa), the round
-//! additionally pays an *alignment* term: the panel piece that is not already
-//! resident on its target grid row/column moves once more. The exact per-
-//! round payload of each variant is available from
-//! [`DistMatrix::summa_traffic_elems`], which the auto-dispatcher minimises
-//! and the property tests assert against the recorded traffic, element for
-//! element.
-//!
-//! ## One round engine
-//!
-//! All three variants run the same task graph (`Summa::run`), parametrised
-//! only by which operand stays put. Per round it holds
+//! `C` never moves (the stationary-C dataflow): every product runs one task
+//! graph (`Summa::run`) holding, per round,
 //!
 //! ```text
-//! comm(t)     ships the moving panel(s) — bill the broadcast, attach the
+//! comm(t)     ships both panels — bill the broadcast, attach the
 //!             Huang–Abraham checksum, deliver to every verifier — through
 //!             one side-generic helper ("A-side along grid rows" and "B-side
 //!             along grid columns" are two calls of it); chained t -> t + 1,
-//! gemm(t, r)  one per participating rank: the only gemm_into /
-//!             gemm_into_real call site. Stationary-C accumulates into the
-//!             rank's own C block; stationary-A/B form a partial tile that
-//!             is checksum-delivered to the output panel's owner and added
-//!             into its block. Depends on comm(t) and on the previous writer
-//!             of its destination block,
+//! gemm(t, r)  one per rank with a nonempty C block: the only gemm_into /
+//!             gemm_into_real call site, accumulating into the rank's own
+//!             block. Depends on comm(t) and on gemm(t - 1, r),
 //! ```
 //!
 //! so the accumulation order of every output block is fixed by edges and the
 //! product is bit-identical at any thread count, while round `t + 1`'s
-//! broadcasts overlap round `t`'s local GEMMs on a multi-thread pool — for
-//! every variant, which is what
-//! [`crate::CostModel::modelled_time_overlap`] assumes when it prices the
-//! one [`crate::RoundCost`] each round appends to
+//! broadcasts overlap round `t`'s local GEMMs on a multi-thread pool — which
+//! is what [`crate::CostModel::modelled_time_overlap`] assumes when it prices
+//! the one [`crate::RoundCost`] each round appends to
 //! [`crate::CommStats::rounds`]. "Serial" is not a second code path: an
 //! armed [`crate::FaultPlan`], whose seeded decisions depend on global query
 //! order, runs the same graph on a one-thread pool, whose FIFO topological
@@ -236,46 +206,12 @@ fn deliver_checksummed(
     }
 }
 
-/// Which operand of `C = opA(A) * opB(B)` a SUMMA dataflow keeps stationary
-/// (see the module docs for the dispatch table and traffic formulas).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SummaVariant {
-    /// `A` never moves: panels of `opB(B)` are broadcast along grid columns
-    /// and partial results are reduced onto the output's column owners.
-    /// Wins when `A` dominates the traffic (`N` small relative to `K`).
-    /// Requires `opA = `[`Op::None`].
-    StationaryA,
-    /// `B` never moves: panels of `opA(A)` are broadcast along grid rows and
-    /// partial results are reduced onto the output's row owners. Wins when
-    /// `B` dominates (`M` small relative to `K`). Requires
-    /// `opB = `[`Op::None`].
-    StationaryB,
-    /// `C` never moves: depth panels of both operands are broadcast (the
-    /// classic SUMMA dataflow of the module docs). Valid for every op pair.
-    StationaryC,
-}
-
-/// Accumulate `src` into `dst` at offset `(row0, col0)` (the local reduction
-/// step of the stationary-A/B variants). Realness is handled by the caller.
-fn add_into(dst: &mut Matrix, row0: usize, col0: usize, src: &Matrix) {
-    let width = dst.ncols();
-    let data = dst.data_mut();
-    for i in 0..src.nrows() {
-        for (j, v) in src.row(i).iter().enumerate() {
-            let idx = (row0 + i) * width + col0 + j;
-            let d = data[idx];
-            data[idx] = c64(d.re + v.re, d.im + v.im);
-        }
-    }
-}
-
-/// The grid axis a panel shipment or a partial-result reduction travels
-/// along, named after the operand that uses it in the classic stationary-C
-/// dataflow. `A`: a group is one grid row and its `q` ranks, transfers carry
-/// a column checksum and are [`FaultSite::SummaPanelA`] sites. `B` is the
+/// The grid axis a panel shipment travels along, named after the operand it
+/// carries. `A`: a group is one grid row and its `q` ranks, transfers carry a
+/// column checksum and are [`FaultSite::SummaPanelA`] sites. `B` is the
 /// mirror image: one grid column, `p` ranks, row checksum,
 /// [`FaultSite::SummaPanelB`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 enum Side {
     A,
     B,
@@ -313,87 +249,31 @@ impl Side {
     }
 }
 
-/// One moving panel as its group received it, plus the length of the checksum
+/// One panel as its group received it, plus the length of the checksum
 /// vector that rode along (a restarted rank re-fetches both).
 struct Shipped {
     panel: Matrix,
     sum_len: usize,
 }
 
-/// Where one rank's product of a round lands: block `dst` at offset
-/// `(row0, col0)`.
-#[derive(Clone, Copy)]
-struct Tile {
-    dst: usize,
-    row0: usize,
-    col0: usize,
+/// Both operands' panels of one round, indexed by group: `a[r]` is grid row
+/// `r`'s `A` panel, `b[c]` grid column `c`'s `B` panel.
+struct RoundPanels {
+    a: Vec<Shipped>,
+    b: Vec<Shipped>,
 }
 
-/// One planned SUMMA product `C = opA(A) * opB(B)`: the output layout and the
-/// round list of the chosen [`SummaVariant`], read by both the closed-form
-/// traffic count and the round engine ([`Summa::run`]).
+/// One planned SUMMA product `C = A * B`: the operands and the depth panels
+/// (the common refinement of `A`'s column and `B`'s row layouts) that the
+/// round engine ([`Summa::run`]) iterates over. `C` takes `A`'s row and
+/// `B`'s column layout.
 struct Summa<'a> {
     a: &'a DistMatrix,
     b: &'a DistMatrix,
-    opa: Op,
-    opb: Op,
-    variant: SummaVariant,
-    out_rows: Dist1D,
-    out_cols: Dist1D,
-    /// One panel per round. Stationary-C: the depth panels (`a_*` locates
-    /// the panel in `A`, `b_*` in `B`). Stationary-A/B: panels of `C`'s
-    /// column/row dimension, with `a_*` locating the panel in the moving
-    /// operand and `b_*` in the output (the reduction destination).
     panels: Vec<Panel>,
-    /// Stationary-A/B only: common refinement of the stationary operand's
-    /// depth layout (`a_owner`) and the moving operand's (`b_owner`) — the
-    /// pieces each shipped slice is assembled from.
-    pieces: Vec<Panel>,
 }
 
-impl<'a> Summa<'a> {
-    /// Lay out the product, or `None` when `variant` does not support the op
-    /// pair (stationary-A needs `opa = None`, stationary-B `opb = None`).
-    fn plan(
-        a: &'a DistMatrix,
-        opa: Op,
-        opb: Op,
-        b: &'a DistMatrix,
-        variant: SummaVariant,
-    ) -> Option<Self> {
-        let (p, q) = (a.grid.rows(), a.grid.cols());
-        let (m_out, _) = opa.effective_shape(a.shape());
-        let (_, n_out) = opb.effective_shape(b.shape());
-        // Layouts of the stored operands' effective outer and depth dims.
-        let (a_outer, a_depth) =
-            if opa == Op::None { (&a.rows, &a.cols) } else { (&a.cols, &a.rows) };
-        let (b_depth, b_outer) =
-            if opb == Op::None { (&b.rows, &b.cols) } else { (&b.cols, &b.rows) };
-        let out_rows = if opa == Op::None { a.rows.clone() } else { a.cols.like_parts(m_out, p) };
-        let out_cols = if opb == Op::None { b.cols.clone() } else { b.rows.like_parts(n_out, q) };
-        let (panels, pieces) = match variant {
-            SummaVariant::StationaryC => (refine(a_depth, b_depth), Vec::new()),
-            SummaVariant::StationaryA if opa == Op::None => {
-                (refine(b_outer, &out_cols), refine(a_depth, b_depth))
-            }
-            SummaVariant::StationaryB if opb == Op::None => {
-                (refine(a_outer, &out_rows), refine(b_depth, a_depth))
-            }
-            _ => return None,
-        };
-        Some(Summa { a, b, opa, opb, variant, out_rows, out_cols, panels, pieces })
-    }
-
-    /// The sides whose operand moves, and the side partial results are
-    /// reduced along (none when `C` is stationary).
-    fn dataflow(&self) -> (&'static [Side], Option<Side>) {
-        match self.variant {
-            SummaVariant::StationaryC => (&[Side::A, Side::B], None),
-            SummaVariant::StationaryA => (&[Side::B], Some(Side::A)),
-            SummaVariant::StationaryB => (&[Side::A], Some(Side::B)),
-        }
-    }
-
+impl Summa<'_> {
     /// Bill one broadcast of `elems` elements to each of `receivers` ranks to
     /// the cluster counters and to the round's overlap ledger.
     fn bill(&self, cost: &mut RoundCost, elems: usize, receivers: usize) {
@@ -405,18 +285,10 @@ impl<'a> Summa<'a> {
         cost.messages += receivers as u64;
     }
 
-    /// Ship round `t`'s panel of the `side` operand to group `g`: build the
-    /// raw (untransposed) panel, bill its broadcast, and run the checksummed
-    /// delivery to every rank that receives it. Three sourcings:
-    ///
-    /// * stationary-C, op `None` — the panel is resident on the owning rank
-    ///   of the group and is broadcast to the other members;
-    /// * stationary-C, transposed/adjoint op — the raw depth slice lives on
-    ///   the owning *group* and is assembled for every member of `g` (the
-    ///   alignment term: one extra copy unless `g` is the owner);
-    /// * stationary-A/B — the slice of the moving operand is aligned to the
-    ///   stationary operand's depth layout, piece by piece, each piece
-    ///   skipping the one copy that is already home.
+    /// Ship round `t`'s panel of the `side` operand within group `g`: the
+    /// owning member slices it out of its resident block and broadcasts it to
+    /// the other members, each of which verifies the checksum that rode
+    /// along.
     fn ship(
         &self,
         side: Side,
@@ -426,52 +298,21 @@ impl<'a> Summa<'a> {
         cost: &mut RoundCost,
     ) -> crate::Result<Shipped> {
         let grid = self.a.grid;
-        let (x, op, owner, local, out_dist, depth) = match side {
+        let (_, members) = side.extents(grid);
+        let (owner, data) = match side {
             Side::A => {
-                (self.a, self.opa, panel.a_owner, panel.a_local, &self.out_rows, &self.b.rows)
+                let block = &self.a.blocks[grid.rank_of(g, panel.a_owner)];
+                (panel.a_owner, block.submatrix(0, panel.a_local, block.nrows(), panel.len))
             }
             Side::B => {
-                (self.b, self.opb, panel.b_owner, panel.b_local, &self.out_cols, &self.a.cols)
+                let block = &self.b.blocks[grid.rank_of(panel.b_owner, g)];
+                (panel.b_owner, block.submatrix(panel.b_local, 0, panel.len, block.ncols()))
             }
         };
-        let (_, members) = side.extents(grid);
-        // Whether the stored operand's depth dimension is its row dimension.
-        let depth_is_rows = (side == Side::A) != (op == Op::None);
-        type Sourced = (Matrix, usize, Option<usize>, fn(&Matrix) -> Vec<C64>);
-        let (data, receivers, skip, checksum_of): Sourced =
-            if self.variant != SummaVariant::StationaryC {
-                let mut receivers = 0;
-                for pc in self.pieces.iter().filter(|pc| pc.a_owner == g) {
-                    let home =
-                        if op == Op::None { g == panel.a_owner } else { pc.a_owner == pc.b_owner };
-                    let recv = members - usize::from(home);
-                    self.bill(cost, panel.len * pc.len, recv);
-                    receivers += recv;
-                }
-                let data = x.slice_for_part(!depth_is_rows, panel.start, panel.len, depth, g);
-                // One checksum element per index of the output panel.
-                let per_index = if depth_is_rows { column_checksum } else { row_checksum };
-                (data, receivers, None, per_index)
-            } else {
-                let (data, receivers, skip) = if op == Op::None {
-                    let block = &x.blocks[side.rank(grid, g, owner)];
-                    let data = if depth_is_rows {
-                        block.submatrix(local, 0, panel.len, block.ncols())
-                    } else {
-                        block.submatrix(0, local, block.nrows(), panel.len)
-                    };
-                    (data, members - 1, Some(owner))
-                } else {
-                    let data = x.slice_for_part(depth_is_rows, panel.start, panel.len, out_dist, g);
-                    (data, members - usize::from(g == owner), None)
-                };
-                self.bill(cost, data.nrows() * data.ncols(), receivers);
-                (data, receivers, skip, side.checksum())
-            };
-        let verifiers: Vec<usize> = (0..members)
-            .filter(|&j| receivers > 0 && Some(j) != skip)
-            .map(|j| side.rank(grid, g, j))
-            .collect();
+        self.bill(cost, data.nrows() * data.ncols(), members - 1);
+        let verifiers: Vec<usize> =
+            (0..members).filter(|&j| j != owner).map(|j| side.rank(grid, g, j)).collect();
+        let checksum_of = side.checksum();
         let sum = checksum_of(&data);
         self.a.cluster.record_checksum(sum.len() * verifiers.len());
         for rank in verifiers {
@@ -490,95 +331,51 @@ impl<'a> Summa<'a> {
         Ok(Shipped { panel: data, sum_len: sum.len() })
     }
 
-    /// Communication phase of round `t`: ship every moving operand's panel
-    /// to every group (`A`-side groups first, as the fault sequence is
-    /// defined by call order) and bill the reduction of the round's partial
-    /// results onto the output panel's owners. Returns the shipped panels
-    /// indexed `[side][group]`; a stationary side's list stays empty.
+    /// Communication phase of round `t`: ship the `A` panel to every grid
+    /// row, then the `B` panel to every grid column (the fault sequence is
+    /// defined by call order).
     fn round_comm(
         &self,
         t: usize,
         panel: Panel,
         cost: &mut RoundCost,
-    ) -> crate::Result<[Vec<Shipped>; 2]> {
+    ) -> crate::Result<RoundPanels> {
         let grid = self.a.grid;
-        let (moving, reduce) = self.dataflow();
-        let mut shipped = [Vec::new(), Vec::new()];
-        for &side in moving {
-            for g in 0..side.extents(grid).0 {
-                shipped[side as usize].push(self.ship(side, t, panel, g, cost)?);
-            }
-        }
-        if let Some(side) = reduce {
-            let (groups, members) = side.extents(grid);
-            let owned = if side == Side::A { &self.out_rows } else { &self.out_cols };
-            for g in (0..groups).filter(|&g| owned.local_len(g) > 0) {
-                self.bill(cost, owned.local_len(g) * panel.len, members - 1);
-            }
-        }
-        Ok(shipped)
+        let ship_all = |side: Side, cost: &mut RoundCost| {
+            (0..side.extents(grid).0)
+                .map(|g| self.ship(side, t, panel, g, cost))
+                .collect::<crate::Result<Vec<_>>>()
+        };
+        let a = ship_all(Side::A, cost)?;
+        let b = ship_all(Side::B, cost)?;
+        Ok(RoundPanels { a, b })
     }
 
-    /// Where rank `rank`'s product of the round lands, or `None` when its
-    /// tile is empty and the rank sits the round out. Stationary-C ranks
-    /// accumulate into their own block; stationary-A/B ranks produce a tile
-    /// of the output panel's owner on their grid row/column.
-    fn tile(&self, panel: Panel, rank: usize) -> Option<Tile> {
-        let grid = self.a.grid;
-        let (r, c) = grid.coords_of(rank);
-        let (m_loc, n_loc) = (self.out_rows.local_len(r), self.out_cols.local_len(c));
-        match self.variant {
-            SummaVariant::StationaryC => {
-                (m_loc > 0 && n_loc > 0).then_some(Tile { dst: rank, row0: 0, col0: 0 })
-            }
-            SummaVariant::StationaryA => (m_loc > 0).then_some(Tile {
-                dst: grid.rank_of(r, panel.b_owner),
-                row0: 0,
-                col0: panel.b_local,
-            }),
-            SummaVariant::StationaryB => (n_loc > 0).then_some(Tile {
-                dst: grid.rank_of(panel.b_owner, c),
-                row0: panel.b_local,
-                col0: 0,
-            }),
-        }
-    }
-
-    /// One rank's local product for round `t` through the packed GEMM, with
-    /// the ops fused into the packing step: the shipped panel of each moving
-    /// side against the resident block of a stationary one. Stationary-C
-    /// accumulates straight into the rank's own block; the other variants
-    /// form a partial tile, deliver it (checksummed) to the owner when that
-    /// is another rank, and add it into the owner's block. Bills the rank's
-    /// MACs and any planned compute-fault refetch.
+    /// Rank `rank`'s local product for round `t` through the packed GEMM,
+    /// accumulated straight into its own block. Bills the rank's MACs and any
+    /// planned compute-fault refetch.
     fn rank_update(
         &self,
         t: usize,
         rank: usize,
-        tile: Tile,
-        shipped: &[Vec<Shipped>; 2],
+        panels: &RoundPanels,
         cost: &Mutex<RoundCost>,
         out: &mut Matrix,
     ) -> crate::Result<()> {
         let cluster = &self.a.cluster;
         let (r, c) = self.a.grid.coords_of(rank);
-        let received = [shipped[Side::A as usize].get(r), shipped[Side::B as usize].get(c)];
-        let lhs = received[0].map_or(&self.a.blocks[rank], |s| &s.panel);
-        let rhs = received[1].map_or(&self.b.blocks[rank], |s| &s.panel);
+        let (lhs, rhs) = (&panels.a[r], &panels.b[c]);
         // A planned rank failure strikes here: the restarted rank has lost
         // the round's panels and re-fetches them (plus their checksum
         // vectors) before redoing its product.
         if cluster.fault_decision(FaultSite::SummaCompute { round: t, rank }, 0).is_some() {
-            let refetch: usize = received
-                .iter()
-                .flatten()
-                .map(|s| s.panel.nrows() * s.panel.ncols() + s.sum_len)
-                .sum();
+            let refetch: usize =
+                [lhs, rhs].iter().map(|s| s.panel.nrows() * s.panel.ncols() + s.sum_len).sum();
             cluster.record_retry(refetch);
             koala_error::recovery::note_summa_round_retry();
         }
-        let (m, k) = self.opa.effective_shape(lhs.shape());
-        let (_, n) = self.opb.effective_shape(rhs.shape());
+        let (lhs, rhs) = (&lhs.panel, &rhs.panel);
+        let (m, k, n) = (lhs.nrows(), lhs.ncols(), rhs.ncols());
         let real = lhs.is_real() && rhs.is_real();
         let macs = (m * n * k) as u64;
         cluster.record_macs(rank, macs, real);
@@ -587,51 +384,32 @@ impl<'a> Summa<'a> {
             let per_rank = if real { &mut cost.rank_rmacs } else { &mut cost.rank_cmacs };
             per_rank[rank] += macs;
         }
-        let reduce = self.dataflow().1;
-        let mut partial = reduce.map(|_| Matrix::zeros(m, n));
-        let acc = partial.as_mut().unwrap_or(&mut *out).data_mut();
+        let acc = out.data_mut();
         if real {
-            gemm_into_real(self.opa, self.opb, m, n, k, lhs.data(), rhs.data(), acc);
+            gemm_into_real(Op::None, Op::None, m, n, k, lhs.data(), rhs.data(), acc);
         } else {
-            gemm_into(self.opa, self.opb, m, n, k, lhs.data(), rhs.data(), acc);
-        }
-        if let (Some(side), Some(partial)) = (reduce, partial) {
-            if rank != tile.dst {
-                let sum = side.checksum()(&partial);
-                cluster.record_checksum(sum.len());
-                let site = side.site(t, tile.dst);
-                deliver_checksummed(cluster, &partial, &sum, side.checksum(), site, true).map_err(
-                    |e| {
-                        e.context(format!(
-                            "matmul_dist: SUMMA round {t}, partial reduce to rank {}",
-                            tile.dst
-                        ))
-                    },
-                )?;
-            }
-            add_into(out, tile.row0, tile.col0, &partial);
+            gemm_into(Op::None, Op::None, m, n, k, lhs.data(), rhs.data(), acc);
         }
         Ok(())
     }
 
-    /// The round engine: one task graph for every variant. Per round, one
-    /// [`TaskKind::Comm`] task ([`Summa::round_comm`]) chained `t -> t + 1`,
-    /// so every fault query of the communication phase runs in round order,
-    /// and one [`TaskKind::Gemm`] task per participating rank
-    /// ([`Summa::rank_update`]) depending on its round's comm task and on the
-    /// previous writer of its destination block. That chain fixes the
-    /// floating-point accumulation order of every output block, so the
-    /// result is bit-identical at any thread count; what a multi-thread pool
-    /// buys is round `t + 1`'s broadcasts running while round `t`'s local
-    /// GEMMs are still in flight — the overlap
+    /// The round engine. Per round, one [`TaskKind::Comm`] task
+    /// ([`Summa::round_comm`]) chained `t -> t + 1`, so every fault query of
+    /// the communication phase runs in round order, and one
+    /// [`TaskKind::Gemm`] task per rank with a nonempty output block
+    /// ([`Summa::rank_update`]) depending on its round's comm task and on
+    /// the rank's previous Gemm task. That chain fixes the floating-point
+    /// accumulation order of every output block, so the result is
+    /// bit-identical at any thread count; what a multi-thread pool buys is
+    /// round `t + 1`'s broadcasts running while round `t`'s local GEMMs are
+    /// still in flight — the overlap
     /// [`crate::CostModel::modelled_time_overlap`] prices.
     ///
     /// Fault injection replays a seeded decision sequence that depends on
     /// global query order, so an armed fault plan runs the same graph on a
-    /// one-thread pool, whose FIFO topological walk is deterministic (and,
-    /// for stationary-C, is exactly comm, then ranks in order, round by
-    /// round). Per-round costs are appended to the ledger in round order
-    /// afterwards either way.
+    /// one-thread pool, whose FIFO topological walk is deterministic:
+    /// comm, then ranks in order, round by round. Per-round costs are
+    /// appended to the ledger in round order afterwards either way.
     fn run(&self) -> crate::Result<Vec<Matrix>> {
         let grid = self.a.grid;
         let cluster = &self.a.cluster;
@@ -639,7 +417,7 @@ impl<'a> Summa<'a> {
         let out_blocks: Vec<Mutex<Matrix>> = (0..nranks)
             .map(|rank| {
                 let (r, c) = grid.coords_of(rank);
-                Mutex::new(Matrix::zeros(self.out_rows.local_len(r), self.out_cols.local_len(c)))
+                Mutex::new(Matrix::zeros(self.a.rows.local_len(r), self.b.cols.local_len(c)))
             })
             .collect();
         let costs: Vec<Mutex<RoundCost>> = (0..self.panels.len())
@@ -651,12 +429,12 @@ impl<'a> Summa<'a> {
                 })
             })
             .collect();
-        let shipped: Vec<OnceLock<[Vec<Shipped>; 2]>> =
+        let shipped: Vec<OnceLock<RoundPanels>> =
             (0..self.panels.len()).map(|_| OnceLock::new()).collect();
 
         let mut graph = TaskGraph::new();
         let mut prev_comm: Option<TaskId> = None;
-        let mut last_writer: Vec<Option<TaskId>> = vec![None; nranks];
+        let mut prev_gemm: Vec<Option<TaskId>> = vec![None; nranks];
         for (t, panel) in self.panels.iter().copied().enumerate() {
             let (cost, cell) = (&costs[t], &shipped[t]);
             let comm = graph.add(TaskKind::Comm, prev_comm.as_slice(), move || {
@@ -665,22 +443,24 @@ impl<'a> Summa<'a> {
                 Ok(())
             });
             prev_comm = Some(comm);
-            for rank in 0..nranks {
-                let Some(tile) = self.tile(panel, rank) else { continue };
+            for (rank, out) in out_blocks.iter().enumerate() {
+                let (r, c) = grid.coords_of(rank);
+                if self.a.rows.local_len(r) == 0 || self.b.cols.local_len(c) == 0 {
+                    continue; // an empty block sits every round out
+                }
                 let deps: Vec<TaskId> =
-                    [Some(comm), last_writer[tile.dst]].into_iter().flatten().collect();
-                let out = &out_blocks[tile.dst];
+                    [Some(comm), prev_gemm[rank]].into_iter().flatten().collect();
                 let id = graph.add(TaskKind::Gemm, &deps, move || {
-                    let shipped = cell.get().ok_or_else(|| {
+                    let panels = cell.get().ok_or_else(|| {
                         KoalaError::new(
                             ErrorKind::InvalidArgument,
                             format!("SUMMA round {t}: panels missing for compute task"),
                         )
                     })?;
-                    // Uncontended: writers of one block are chained.
-                    self.rank_update(t, rank, tile, shipped, cost, &mut lock_ignore_poison(out))
+                    // Uncontended: a rank's Gemm tasks are chained.
+                    self.rank_update(t, rank, panels, cost, &mut lock_ignore_poison(out))
                 });
-                last_writer[tile.dst] = Some(id);
+                prev_gemm[rank] = Some(id);
             }
         }
         if cluster.faults_armed() {
@@ -761,24 +541,6 @@ impl DistMatrix {
         Self::scatter_with(cluster, matrix, grid, rows, cols)
     }
 
-    /// [`DistMatrix::scatter_block_cyclic`] on the cluster's default
-    /// near-square grid ([`Cluster::grid`]) with the default SUMMA panel
-    /// width ([`DistMatrix::DEFAULT_BLOCK`]) in both dimensions.
-    pub fn scatter_summa(cluster: &Cluster, matrix: &Matrix) -> Self {
-        Self::scatter_block_cyclic(
-            cluster,
-            matrix,
-            cluster.grid(),
-            Self::DEFAULT_BLOCK,
-            Self::DEFAULT_BLOCK,
-        )
-    }
-
-    /// Default block-cyclic block size (and therefore SUMMA panel width).
-    /// Small enough to balance ragged edges, large enough that per-panel
-    /// local GEMMs stay inside the packed kernel's depth blocking.
-    pub const DEFAULT_BLOCK: usize = 64;
-
     fn scatter_with(
         cluster: &Cluster,
         matrix: &Matrix,
@@ -813,37 +575,6 @@ impl DistMatrix {
             blocks.push(block);
         }
         DistMatrix { cluster: cluster.clone(), grid, rows, cols, blocks }
-    }
-
-    /// Create a block-row distributed zero matrix.
-    pub fn zeros(cluster: &Cluster, nrows: usize, ncols: usize) -> Self {
-        let grid = ProcGrid::column(cluster.nranks());
-        let rows = Dist1D::balanced(nrows, cluster.nranks());
-        let cols = Dist1D::whole(ncols);
-        let blocks =
-            (0..cluster.nranks()).map(|r| Matrix::zeros(rows.local_len(r), ncols)).collect();
-        DistMatrix { cluster: cluster.clone(), grid, rows, cols, blocks }
-    }
-
-    /// Build a block-row distributed matrix directly from per-rank row blocks
-    /// without any communication (the blocks are taken to already live on
-    /// their ranks). Row counts may follow any contiguous partition of
-    /// `nrows`.
-    pub fn from_blocks(cluster: &Cluster, nrows: usize, ncols: usize, blocks: Vec<Matrix>) -> Self {
-        assert_eq!(blocks.len(), cluster.nranks(), "from_blocks: one block per rank required");
-        let total: usize = blocks.iter().map(|b| b.nrows()).sum();
-        assert_eq!(total, nrows, "from_blocks: block rows do not sum to nrows");
-        for b in &blocks {
-            assert_eq!(b.ncols(), ncols, "from_blocks: block column count mismatch");
-        }
-        let rows = Dist1D::blocks(blocks.iter().map(|b| b.nrows()).collect());
-        DistMatrix {
-            cluster: cluster.clone(),
-            grid: ProcGrid::column(cluster.nranks()),
-            rows,
-            cols: Dist1D::whole(ncols),
-            blocks,
-        }
     }
 
     /// Verify the checksummed transfer of every block that crosses a wire in
@@ -977,82 +708,29 @@ impl DistMatrix {
         &self.blocks[rank]
     }
 
-    /// `C = self * B` where `B` is replicated on every rank. On the
-    /// column-replicated (grid `p x 1`) layout the result keeps the row
-    /// distribution of `self` and no communication is required. On a 2-D
-    /// layout each rank multiplies its local block against the matching
-    /// replicated rows of `B` and the partial products are reduce-scattered
-    /// along each grid row into a column distribution shaped like `self`'s
-    /// (`m_loc * ncols(B) * (q - 1)` words per grid row) — still no gather
-    /// of the big operand.
+    /// `C = self * B` where `B` is replicated on every rank. Requires the
+    /// column-replicated (grid `p x 1`) layout: each rank multiplies its row
+    /// block by `B`, so the result keeps the row distribution of `self` and
+    /// no communication is required.
     pub fn matmul_replicated(&self, b: &Matrix) -> DistMatrix {
         assert_eq!(self.ncols(), b.nrows(), "matmul_replicated: inner dimension mismatch");
-        let (p, q) = (self.grid.rows(), self.grid.cols());
-        if q == 1 {
-            let mut blocks = Vec::with_capacity(self.blocks.len());
-            for (rank, block) in self.blocks.iter().enumerate() {
-                let macs = (block.nrows() * block.ncols() * b.ncols()) as u64;
-                self.cluster.record_macs(rank, macs, block.is_real() && b.is_real());
-                blocks.push(matmul(block, b));
-            }
-            return DistMatrix {
-                cluster: self.cluster.clone(),
-                grid: self.grid,
-                rows: self.rows.clone(),
-                cols: Dist1D::whole(b.ncols()),
-                blocks,
-            };
-        }
-        let n_out = b.ncols();
-        let out_cols = self.cols.like_parts(n_out, q);
-        let all_real = self.is_real() && b.is_real();
-        let mut out_blocks: Vec<Matrix> = (0..self.grid.nranks())
-            .map(|rank| {
-                let (r, c) = self.grid.coords_of(rank);
-                Matrix::zeros(self.rows.local_len(r), out_cols.local_len(c))
-            })
-            .collect();
-        for r in 0..p {
-            let m_loc = self.rows.local_len(r);
-            // Reduce-scatter of the grid row's partial products.
-            self.cluster.record_bcast(m_loc * n_out * (q - 1), q - 1);
-            if m_loc == 0 {
-                continue;
-            }
-            for c in 0..q {
-                let rank = self.grid.rank_of(r, c);
-                let a_loc = &self.blocks[rank];
-                let k_loc = self.cols.local_len(c);
-                // The rows of B that line up with this rank's local columns.
-                let mut b_sel = Matrix::zeros(k_loc, n_out);
-                for seg in self.cols.segments().iter().filter(|s| s.owner == c) {
-                    b_sel.set_submatrix(
-                        seg.local_start,
-                        0,
-                        &b.submatrix(seg.start, 0, seg.len, n_out),
-                    );
-                }
-                let macs = (m_loc * k_loc * n_out) as u64;
-                self.cluster.record_macs(rank, macs, a_loc.is_real() && b.is_real());
-                let partial = matmul(a_loc, &b_sel);
-                for seg in out_cols.segments().iter().filter(|s| s.len > 0) {
-                    let dst = self.grid.rank_of(r, seg.owner);
-                    let piece = partial.submatrix(0, seg.start, m_loc, seg.len);
-                    add_into(&mut out_blocks[dst], 0, seg.local_start, &piece);
-                }
-            }
-        }
-        if all_real {
-            for blk in &mut out_blocks {
-                blk.assume_real();
-            }
+        assert_eq!(
+            self.grid.cols(),
+            1,
+            "matmul_replicated: requires a column-replicated (p x 1) layout"
+        );
+        let mut blocks = Vec::with_capacity(self.blocks.len());
+        for (rank, block) in self.blocks.iter().enumerate() {
+            let macs = (block.nrows() * block.ncols() * b.ncols()) as u64;
+            self.cluster.record_macs(rank, macs, block.is_real() && b.is_real());
+            blocks.push(matmul(block, b));
         }
         DistMatrix {
             cluster: self.cluster.clone(),
             grid: self.grid,
             rows: self.rows.clone(),
-            cols: out_cols,
-            blocks: out_blocks,
+            cols: Dist1D::whole(b.ncols()),
+            blocks,
         }
     }
 
@@ -1085,78 +763,14 @@ impl DistMatrix {
     /// outlasts the retry budget; the recovered result is bit-identical to
     /// the fault-free run because detection precedes accumulation.
     pub fn matmul_dist(&self, other: &DistMatrix) -> crate::Result<DistMatrix> {
-        self.matmul_dist_variant(Op::None, Op::None, other, SummaVariant::StationaryC)
-    }
-
-    /// `C = opA(self) * opB(other)`, ScaLAPACK-`pdgemm` style: SUMMA with
-    /// per-operand [`Op`]s, auto-dispatched to the [`SummaVariant`] with the
-    /// least predicted payload traffic ([`DistMatrix::summa_traffic_elems`];
-    /// ties go to stationary-C). See the module docs for the dataflows.
-    ///
-    /// ```
-    /// use koala_cluster::{Cluster, DistMatrix};
-    /// use koala_linalg::gemm::{gemm, Op};
-    /// use koala_linalg::Matrix;
-    /// use rand::rngs::StdRng;
-    /// use rand::SeedableRng;
-    ///
-    /// let cluster = Cluster::new(4); // 2 x 2 grid
-    /// let mut rng = StdRng::seed_from_u64(1);
-    /// let a = Matrix::random(7, 9, &mut rng);
-    /// let b = Matrix::random(7, 5, &mut rng);
-    /// let da = DistMatrix::scatter_block_cyclic(&cluster, &a, cluster.grid(), 2, 2);
-    /// let db = DistMatrix::scatter_block_cyclic(&cluster, &b, cluster.grid(), 2, 2);
-    /// // C = A^T B without ever materialising A^T:
-    /// let c = da.matmul_dist_op(Op::Transpose, Op::None, &db).unwrap();
-    /// assert!(c.max_diff_replicated(&gemm(Op::Transpose, Op::None, &a, &b)) < 1e-12);
-    /// assert_eq!(cluster.stats().full_gathers, 0); // no gather fallback
-    /// ```
-    pub fn matmul_dist_op(
-        &self,
-        opa: Op,
-        opb: Op,
-        other: &DistMatrix,
-    ) -> crate::Result<DistMatrix> {
-        let mut variant = SummaVariant::StationaryC;
-        let mut best = self
-            .summa_traffic_elems(opa, opb, other, SummaVariant::StationaryC)
-            .unwrap_or(u64::MAX);
-        for v in [SummaVariant::StationaryA, SummaVariant::StationaryB] {
-            if let Some(t) = self.summa_traffic_elems(opa, opb, other, v) {
-                if t < best {
-                    best = t;
-                    variant = v;
-                }
-            }
-        }
-        self.matmul_dist_variant(opa, opb, other, variant)
-    }
-
-    /// [`DistMatrix::matmul_dist_op`] with an explicitly chosen
-    /// [`SummaVariant`] (stationary-A requires `opa == Op::None`,
-    /// stationary-B requires `opb == Op::None`; stationary-C accepts every
-    /// op pair). Fault tolerance, MAC billing, realness propagation, and
-    /// per-round [`crate::RoundCost`] recording are identical across the
-    /// variants; only the dataflow (and hence the traffic formula) differs.
-    pub fn matmul_dist_variant(
-        &self,
-        opa: Op,
-        opb: Op,
-        other: &DistMatrix,
-        variant: SummaVariant,
-    ) -> crate::Result<DistMatrix> {
         assert_eq!(
             self.cluster.nranks(),
             other.cluster.nranks(),
             "matmul_dist: operands live on different clusters"
         );
         assert_eq!(self.grid, other.grid, "matmul_dist: operands must share the processor grid");
-        let (_, ka) = opa.effective_shape(self.shape());
-        let (kb, _) = opb.effective_shape(other.shape());
-        assert_eq!(ka, kb, "matmul_dist: inner dimension mismatch");
-        let Some(summa) = Summa::plan(self, opa, opb, other, variant) else {
-            panic!("matmul_dist: {variant:?} does not support ops ({opa:?}, {opb:?})");
-        };
+        assert_eq!(self.ncols(), other.nrows(), "matmul_dist: inner dimension mismatch");
+        let summa = Summa { a: self, b: other, panels: refine(&self.cols, &other.rows) };
         let mut blocks = summa.run()?;
         if self.is_real() && other.is_real() {
             // The real kernel only ever wrote real parts into zeroed blocks.
@@ -1167,71 +781,10 @@ impl DistMatrix {
         Ok(DistMatrix {
             cluster: self.cluster.clone(),
             grid: self.grid,
-            rows: summa.out_rows,
-            cols: summa.out_cols,
+            rows: self.rows.clone(),
+            cols: other.cols.clone(),
             blocks,
         })
-    }
-
-    /// Predicted fault-free payload traffic (in complex elements, i.e.
-    /// [`crate::ELEM_BYTES`]-byte words) of `opA(self) * opB(other)` under
-    /// `variant`, or `None` when the variant does not support the op pair.
-    ///
-    /// This is the closed form of exactly what the implementation bills to
-    /// [`crate::CommStats::bytes_communicated`] — the property tests assert
-    /// equality element-for-element — and what
-    /// [`DistMatrix::matmul_dist_op`] minimises. Per round of width `kb`:
-    ///
-    /// * **stationary-C**, `A` side: `sum_r kb * m_loc(r) * (q - 1)` when
-    ///   `opa` is `None` (the resident grid-row broadcast); with a
-    ///   transposed/adjoint `A` the panel is assembled from the owning grid
-    ///   row, so row `r` pays `kb * m_loc(r) * q` unless it *is* the owner
-    ///   (then `q - 1`) — the alignment term. The `B` side is the mirror
-    ///   image with `p` and `q` swapped.
-    /// * **stationary-A**: ships the raw `B` depth slice to each grid column
-    ///   (`p` copies per element, minus the one already home) and reduces
-    ///   partial results along grid rows (`m_loc(r) * kb * (q - 1)`).
-    /// * **stationary-B**: the transpose-mirror of stationary-A.
-    pub fn summa_traffic_elems(
-        &self,
-        opa: Op,
-        opb: Op,
-        other: &DistMatrix,
-        variant: SummaVariant,
-    ) -> Option<u64> {
-        let summa = Summa::plan(self, opa, opb, other, variant)?;
-        let (p, q) = (self.grid.rows(), self.grid.cols());
-        // Stationary-A/B: the moving operand's op, the size of the groups its
-        // slices ship to, and the extent and group size of the reduction.
-        let reduction = match variant {
-            SummaVariant::StationaryC => None,
-            SummaVariant::StationaryA => Some((opb, p, self.nrows(), q)),
-            SummaVariant::StationaryB => Some((opa, q, other.ncols(), p)),
-        };
-        let mut total = 0;
-        for panel in &summa.panels {
-            let Some((op, ship_to, reduced, reduce_over)) = reduction else {
-                for r in 0..p {
-                    let recv = if opa == Op::None || r == panel.a_owner { q - 1 } else { q };
-                    total += panel.len * summa.out_rows.local_len(r) * recv;
-                }
-                for c in 0..q {
-                    let recv = if opb == Op::None || c == panel.b_owner { p - 1 } else { p };
-                    total += panel.len * summa.out_cols.local_len(c) * recv;
-                }
-                continue;
-            };
-            for pc in &summa.pieces {
-                let home = if op == Op::None {
-                    pc.a_owner == panel.a_owner
-                } else {
-                    pc.a_owner == pc.b_owner
-                };
-                total += panel.len * pc.len * (ship_to - usize::from(home));
-            }
-            total += reduced * panel.len * (reduce_over - 1);
-        }
-        Some(total as u64)
     }
 
     /// Assemble the global contiguous range `[row0, row0+nrows) x
@@ -1273,124 +826,59 @@ impl DistMatrix {
         out
     }
 
-    /// Raw slice of `self` for the SUMMA panels that are assembled rather
-    /// than broadcast in place: the global range `[d0, d0 + kb)` of the rows
-    /// (`range_is_rows`, giving `kb x owned`) or of the columns (`owned x kb`)
-    /// at the columns (resp. rows) `dist` assigns to `part`, packed in
-    /// `part`'s local order.
-    fn slice_for_part(
-        &self,
-        range_is_rows: bool,
-        d0: usize,
-        kb: usize,
-        dist: &Dist1D,
-        part: usize,
-    ) -> Matrix {
-        let owned = dist.local_len(part);
-        let mut out =
-            if range_is_rows { Matrix::zeros(kb, owned) } else { Matrix::zeros(owned, kb) };
-        for seg in dist.segments().iter().filter(|s| s.owner == part) {
-            if range_is_rows {
-                let sub = self.submatrix_global(d0, kb, seg.start, seg.len);
-                out.set_submatrix(0, seg.local_start, &sub);
-            } else {
-                let sub = self.submatrix_global(seg.start, seg.len, d0, kb);
-                out.set_submatrix(seg.local_start, 0, &sub);
-            }
-        }
-        out
-    }
-
     /// Replicated Gram matrix `G = self^H * self` — the communication
-    /// pattern of the paper's Algorithm 5. On the column-replicated (grid
-    /// `p x 1`) layout this is a sum of local Gram matrices followed by an
-    /// allreduce of the small `ncols x ncols` result; on a genuine 2-D
-    /// layout it runs adjoint-operand SUMMA
-    /// ([`DistMatrix::matmul_dist_op`] with `opA = Adjoint`) and
-    /// allreduces the small distributed result — never a full-operand
-    /// gather. Realness flows through either way: a real operand bills real
-    /// MACs and yields a hint-carrying real Gram matrix.
+    /// pattern of the paper's Algorithm 5: a sum of per-rank local Gram
+    /// matrices followed by an allreduce of the small `ncols x ncols`
+    /// result, so the tall operand never moves. Realness flows through: a
+    /// real operand bills real MACs and yields a hint-carrying real Gram
+    /// matrix.
     ///
-    /// Only the 2-D path can fail, and only as its SUMMA can: under a
-    /// [`crate::FaultPlan::persistent`] fault plan that outlasts the retry
-    /// budget.
+    /// Requires the column-replicated (grid `p x 1`) layout, where every
+    /// rank holds whole rows; a 2-D grid is an
+    /// [`ErrorKind::InvalidArgument`] error.
     ///
     /// ```
     /// use koala_cluster::{Cluster, DistMatrix};
+    /// use koala_error::ErrorKind;
     /// use koala_linalg::matmul_adj_a;
     /// use koala_linalg::Matrix;
     /// use rand::rngs::StdRng;
     /// use rand::SeedableRng;
     ///
-    /// let cluster = Cluster::new(4); // 2 x 2 grid
+    /// let cluster = Cluster::new(4);
     /// let mut rng = StdRng::seed_from_u64(7);
     /// let a = Matrix::random(12, 5, &mut rng);
-    /// let d = DistMatrix::scatter_block_cyclic(&cluster, &a, cluster.grid(), 3, 2);
+    /// let d = DistMatrix::scatter(&cluster, &a); // 4 x 1 grid
     /// let g = d.gram().unwrap();
     /// assert!(g.max_diff(&matmul_adj_a(&a, &a)) < 1e-12);
     /// assert_eq!(cluster.stats().full_gathers, 0); // no gather fallback
+    ///
+    /// let d2 = DistMatrix::scatter_block_cyclic(&cluster, &a, cluster.grid(), 3, 2); // 2 x 2
+    /// assert_eq!(d2.gram().unwrap_err().kind(), ErrorKind::InvalidArgument);
     /// ```
     pub fn gram(&self) -> crate::Result<Matrix> {
+        if self.grid.cols() != 1 {
+            return Err(KoalaError::new(
+                ErrorKind::InvalidArgument,
+                format!(
+                    "gram: requires a column-replicated (p x 1) layout, got a {} x {} grid",
+                    self.grid.rows(),
+                    self.grid.cols()
+                ),
+            ));
+        }
         let n = self.ncols();
-        let g = if self.grid.cols() == 1 {
-            let mut g = Matrix::zeros(n, n);
-            for (rank, block) in self.blocks.iter().enumerate() {
-                let macs = (block.nrows() * n * n) as u64;
-                self.cluster.record_macs(rank, macs, block.is_real());
-                let local = matmul_adj_a(block, block);
-                g += &local;
-            }
-            g
-        } else {
-            // 2-D layout: adjoint-operand SUMMA keeps the O(n^2 / sqrt(P))
-            // traffic bound. A Gram product has a tiny output and a huge
-            // depth, so the dispatcher usually picks the reduction dataflow
-            // (stationary-B keeps `self` in place and reduces the small
-            // result panels) over stationary-C.
-            self.matmul_dist_op(Op::Adjoint, Op::None, self)?.gather_local()
-        };
+        let mut g = Matrix::zeros(n, n);
+        for (rank, block) in self.blocks.iter().enumerate() {
+            let macs = (block.nrows() * n * n) as u64;
+            self.cluster.record_macs(rank, macs, block.is_real());
+            let local = matmul_adj_a(block, block);
+            g += &local;
+        }
         // Allreduce of an ncols x ncols matrix (tree: log P rounds, but the
         // flat volume model is what the paper's analysis uses).
         self.cluster.record_collective(n * n * (self.cluster.nranks() - 1), 2);
         Ok(g)
-    }
-
-    /// `y = self^H * x` with `x` replicated; the partial products are
-    /// allreduced into a replicated result. Requires the column-replicated
-    /// (grid `p x 1`) layout.
-    pub fn matmul_adj_replicated(&self, x: &Matrix) -> Matrix {
-        assert_eq!(self.nrows(), x.nrows(), "matmul_adj_replicated: row mismatch");
-        assert_eq!(
-            self.grid.cols(),
-            1,
-            "matmul_adj_replicated: requires a column-replicated (p x 1) layout"
-        );
-        let mut acc = Matrix::zeros(self.ncols(), x.ncols());
-        for rs in &self.rows.segments() {
-            let rank = self.grid.rank_of(rs.owner, 0);
-            let block = &self.blocks[rank];
-            let block_rows = block.submatrix(rs.local_start, 0, rs.len, self.ncols());
-            let x_block = x.submatrix(rs.start, 0, rs.len, x.ncols());
-            let macs = (self.ncols() * rs.len * x.ncols()) as u64;
-            self.cluster.record_macs(rank, macs, block.is_real() && x.is_real());
-            acc += &matmul_adj_a(&block_rows, &x_block);
-        }
-        self.cluster.record_collective(self.ncols() * x.ncols() * (self.cluster.nranks() - 1), 2);
-        acc
-    }
-
-    /// Frobenius norm (local partial norms + allreduce of a scalar).
-    pub fn norm_fro(&self) -> f64 {
-        let sum: f64 = self
-            .blocks
-            .iter()
-            .map(|b| {
-                let n = b.norm_fro();
-                n * n
-            })
-            .sum();
-        self.cluster.record_collective(self.cluster.nranks() - 1, 2);
-        sum.sqrt()
     }
 
     /// Scale every element in place. The realness hint follows the local
@@ -1429,12 +917,12 @@ pub struct DistQr {
 /// rationale as the shared-memory `koala_linalg::gram` ladder.
 const GRAM_PSD_FLOOR: f64 = 1e-10;
 
-/// Distributed QR through the Gram matrix (paper Algorithm 5): the only
-/// collective on the `p x 1` layout is the allreduce of the tiny
-/// `ncols x ncols` Gram matrix, and on a 2-D layout the Gram matrix comes
-/// from adjoint-operand SUMMA ([`DistMatrix::gram`]) at the
-/// `O(n^2 / sqrt(P))` traffic bound; the big operand is never gathered or
-/// redistributed on either layout. A realness-hinted operand keeps the
+/// Distributed QR through the Gram matrix (paper Algorithm 5) on the
+/// column-replicated (grid `p x 1`) layout: the only collective is the
+/// allreduce of the tiny `ncols x ncols` Gram matrix ([`DistMatrix::gram`],
+/// whose [`ErrorKind::InvalidArgument`] rejection of a 2-D grid this
+/// returns), and the big operand is never gathered or redistributed. A
+/// realness-hinted operand keeps the
 /// whole factorization on the real path — the Gram matrix, the replicated
 /// eigendecomposition, the `R` factors, and the distributed `Q` all carry the
 /// hint, and every rank bills real MACs only.
@@ -1610,21 +1098,6 @@ mod tests {
     }
 
     #[test]
-    fn adjoint_apply_matches_local() {
-        let (_c, a, d) = cluster_and_matrix(3, 15, 4, 5);
-        let mut rng = StdRng::seed_from_u64(50);
-        let x = Matrix::random(15, 2, &mut rng);
-        let y = d.matmul_adj_replicated(&x);
-        assert!(y.approx_eq(&matmul_adj_a(&a, &x), 1e-10));
-    }
-
-    #[test]
-    fn norm_matches_local() {
-        let (_c, a, d) = cluster_and_matrix(5, 17, 3, 6);
-        assert!((d.norm_fro() - a.norm_fro()).abs() < 1e-10);
-    }
-
-    #[test]
     fn gram_qr_dist_factorizes() {
         let (_c, a, d) = cluster_and_matrix(4, 30, 5, 7);
         let f = gram_qr_dist(&d).unwrap();
@@ -1732,12 +1205,15 @@ mod tests {
         cluster.disarm_faults();
         assert_eq!(err.kind(), koala_error::ErrorKind::Fault);
         assert!(err.to_string().contains("retries"), "diagnostic names the retry budget: {err}");
-        // The adjoint SUMMA behind a 2-D Gram matrix fails the same typed
-        // way, and `gram_qr_dist` hands the error to its caller.
-        cluster.arm_faults(FaultPlan::seeded(5).corrupt_prob(1.0).persistent());
+        // The Gram path runs on the `p x 1` layout only: a 2-D operand is a
+        // typed rejection (which `gram_qr_dist` hands to its caller) before
+        // anything is billed, and `matmul_replicated` refuses it outright.
+        cluster.reset_stats();
         let err = gram_qr_dist(&da).unwrap_err();
-        cluster.disarm_faults();
-        assert_eq!(err.kind(), koala_error::ErrorKind::Fault);
+        assert_eq!(err.kind(), koala_error::ErrorKind::InvalidArgument);
+        assert_eq!(cluster.stats(), crate::CommStats::new(4));
+        let r = std::panic::catch_unwind(|| da.matmul_replicated(&Matrix::identity(16)));
+        assert!(r.is_err(), "a 2-D operand must be rejected");
     }
 
     #[test]

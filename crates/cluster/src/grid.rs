@@ -105,8 +105,7 @@ impl ProcGrid {
 pub enum Layout1D {
     /// Contiguous blocks: part `i` owns the `i`-th range; the vector holds
     /// the per-part lengths (which must sum to the global extent). This is
-    /// the layout of [`crate::DistMatrix::scatter`] /
-    /// [`crate::DistMatrix::from_blocks`].
+    /// the layout of [`crate::DistMatrix::scatter`].
     Blocks(Vec<usize>),
     /// ScaLAPACK block-cyclic rounds of the given block size: global block
     /// `t` (indices `t*block .. (t+1)*block`) belongs to part `t % parts`.
@@ -178,11 +177,6 @@ impl Dist1D {
         self.parts
     }
 
-    /// The layout rule.
-    pub fn layout(&self) -> &Layout1D {
-        &self.layout
-    }
-
     /// Number of global indices owned by `part`.
     pub fn local_len(&self, part: usize) -> usize {
         assert!(part < self.parts, "Dist1D: part out of range");
@@ -242,11 +236,9 @@ impl Dist1D {
 
     /// A distribution of `n` indices over `parts` slots in the same layout
     /// *family* as `self`: cyclic layouts keep their block size, contiguous
-    /// layouts become the balanced split. This is how the transposed-operand
-    /// SUMMA variants derive the output distribution when an `Op` turns an
-    /// operand's grid-column dimension into a result dimension that must live
-    /// on the grid rows (or vice versa): the extent and the part count both
-    /// change, but the layout family of the source operand is preserved.
+    /// layouts become the balanced split. This is how
+    /// [`crate::qr_gather_dist`] lays out the columns of the `Q` it scatters
+    /// back, whose extent is `min(m, n)` rather than the operand's `n`.
     pub fn like_parts(&self, n: usize, parts: usize) -> Dist1D {
         match &self.layout {
             Layout1D::Cyclic { block } => Dist1D::cyclic(n, parts, *block),

@@ -20,14 +20,12 @@
 //!   block-cyclic index layouts mapped onto them ([`crate::grid`] documents
 //!   the layout rules),
 //! * [`DistMatrix`] — grid-distributed matrices with a SUMMA
-//!   [`DistMatrix::matmul_dist`] whose per-rank products run the same packed
-//!   `gemm_into` macro-tiles (and real-only fast path) as the shared-memory
-//!   kernel, `pdgemm`-style transposed-operand products
-//!   ([`DistMatrix::matmul_dist_op`], auto-dispatched over the
-//!   [`SummaVariant`] stationary dataflows), Gram matrices on any grid
-//!   shape, and the two distributed QR paths compared in Figure 7
-//!   ([`gram_qr_dist`] = paper Algorithm 5 vs [`qr_gather_dist`] = the
-//!   reshape/gather baseline).
+//!   [`DistMatrix::matmul_dist`] (`C = A * B`, `C` stationary) whose
+//!   per-rank products run the same packed `gemm_into` macro-tiles (and
+//!   real-only fast path) as the shared-memory kernel, Gram matrices of
+//!   tall-skinny `P x 1` operands, and the two distributed QR paths compared
+//!   in Figure 7 ([`gram_qr_dist`] = paper Algorithm 5 vs [`qr_gather_dist`]
+//!   = the reshape/gather baseline).
 //!
 //! Tensors reach the cluster as matrices: a caller matricizes a site tensor
 //! locally and scatters the matrix (`koala_peps::dist` does this for every
@@ -119,7 +117,7 @@ pub mod grid;
 pub mod stats;
 
 pub use cluster::{block_ranges, Cluster, RankBuffer};
-pub use dist_matrix::{gram_qr_dist, qr_gather_dist, DistMatrix, DistQr, SummaVariant};
+pub use dist_matrix::{gram_qr_dist, qr_gather_dist, DistMatrix, DistQr};
 pub use fault::{FaultEvent, FaultKind, FaultLog, FaultPlan, FaultSite};
 pub use grid::{refine, Dist1D, Layout1D, Panel, ProcGrid, Seg};
 pub use stats::{

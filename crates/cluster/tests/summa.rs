@@ -11,7 +11,8 @@ use rand::SeedableRng;
 
 /// Distribute `a` and `b` block-cyclically on `grid` (with deliberately
 /// different depth block sizes to exercise the panel refinement) and check
-/// the SUMMA product against the local kernel.
+/// the SUMMA product against the local kernel, its payload against the
+/// closed-form volume and every rank's MACs against its local share.
 fn check_case(
     grid: ProcGrid,
     m: usize,
@@ -29,17 +30,33 @@ fn check_case(
     // B uses kb + 1 for its row blocks: the depth panels of the SUMMA loop
     // are the common refinement of the two layouts.
     let db = DistMatrix::scatter_block_cyclic(&cluster, &b, grid, kb + 1, nb);
+    cluster.reset_stats(); // the scatter is setup, not the product
     let c = da.matmul_dist(&db).expect("fault-free SUMMA cannot fail");
     let reference = matmul(&a, &b);
     let diff = c.max_diff_replicated(&reference);
-    assert!(
-        diff < 1e-12 * (k.max(1) as f64),
-        "SUMMA mismatch on {}x{} grid, {m}x{k}x{n} (blocks {mb}/{kb}/{nb}): {diff:e}",
-        grid.rows(),
-        grid.cols(),
-    );
+    let (p, q) = (grid.rows(), grid.cols());
+    let what = format!("{p}x{q} grid, {m}x{k}x{n} (blocks {mb}/{kb}/{nb})");
+    assert!(diff < 1e-12 * (k.max(1) as f64), "SUMMA mismatch on {what}: {diff:e}");
     assert_eq!(c.shape(), (m, n));
     let stats = cluster.stats();
+    assert_eq!(stats.full_gathers, 0, "{what}: no gather fallback");
+    // Every A panel reaches the q - 1 other ranks of its grid row, every B
+    // panel the p - 1 other ranks of its grid column, whatever the layouts.
+    assert_eq!(
+        stats.bytes_communicated,
+        (m * k * (q - 1) + k * n * (p - 1)) as u64 * ELEM_BYTES,
+        "{what}: payload must equal the SUMMA volume"
+    );
+    // C never moves: rank (r, c) does all k depth steps of its own block.
+    for rank in 0..grid.nranks() {
+        let (r, gc) = grid.coords_of(rank);
+        let local = c.row_dist().local_len(r) * c.col_dist().local_len(gc) * k;
+        assert_eq!(
+            stats.rank_flops[rank] + stats.rank_real_macs[rank],
+            local as u64,
+            "{what}: rank {rank} must bill m_loc * n_loc * k MACs"
+        );
+    }
     assert_eq!(
         stats.total_flops() + stats.total_real_macs(),
         (m * n * k) as u64,
