@@ -7,13 +7,34 @@
 //! approximate application is evaluated either with an explicit truncated SVD
 //! (BMPS) or with the implicit randomized SVD of Algorithm 4 (IBMPS). The
 //! exact algorithm applies every row without truncation and is exponential.
+//!
+//! # The zip-up wavefront
+//!
+//! One BMPS/IBMPS contraction ([`contract_no_phys`], [`amplitude`],
+//! [`inner_merged`]/[`norm_sqr`]) runs as one `koala_exec` task graph of
+//! zip-up steps rather than row after row. Step `i` of row `r` (the
+//! [`koala_mps::zip_step`] that finishes site `i-1` of the new boundary)
+//! needs two things: row `r`'s step `i-1`, and site `i` of row `r-1`'s
+//! output, which row `r-1` finishes at its step `i+1` (its last step, for
+//! the last site). Those are the graph's two edges per step, so row `r` runs
+//! two steps behind row `r-1` and steps of several rows overlap. Per row
+//! there is also a start task that builds the row's MPO and contracts its
+//! first site, after row `r-1` has finished its site 0.
+//!
+//! Dependency edges fix every step's inputs, and every step of an implicit
+//! zip-up brings its own seed, drawn before the run row by row exactly as
+//! `nrows - 1` serial [`zip_up`] calls would draw them
+//! ([`koala_mps::zip_seeds`]). So the value is bit-identical at every
+//! thread count and to the serial row-by-row sequence. A one-thread pool
+//! runs the same graph as its FIFO walk. `Exact` has no zip-up steps and
+//! applies its rows one after another.
 
 use crate::peps::{Peps, Result, AX_P, AX_U};
 use crate::update::lock;
 use koala_error::KoalaError;
-use koala_exec::{TaskGraph, TaskKind};
+use koala_exec::{TaskGraph, TaskId, TaskKind};
 use koala_linalg::C64;
-use koala_mps::{zip_up, Mpo, Mps, ZipUpMethod};
+use koala_mps::{zip_finish, zip_seeds, zip_start, zip_step, zip_up, Mpo, Mps, ZipUpMethod};
 use koala_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -52,26 +73,30 @@ impl ContractionMethod {
         ContractionMethod::Ibmps { max_bond, n_iter: 2, oversample: 10 }
     }
 
+    /// The zip-up this method runs per row, `(max_bond, method)` — the
+    /// single place a method becomes zip-up parameters. `None` for `Exact`,
+    /// which applies rows without truncation.
+    fn zip(self) -> Option<(usize, ZipUpMethod)> {
+        match self {
+            ContractionMethod::Exact => None,
+            ContractionMethod::Bmps { max_bond } => Some((max_bond, ZipUpMethod::ExactSvd)),
+            ContractionMethod::Ibmps { max_bond, n_iter, oversample } => {
+                Some((max_bond, ZipUpMethod::ImplicitRandSvd { n_iter, oversample }))
+            }
+        }
+    }
+
     /// Absorb one row MPO into the boundary MPS the way this method
-    /// prescribes — the single place a method becomes a `zip_up` call.
+    /// prescribes.
     pub(crate) fn apply_row<R: Rng + ?Sized>(
         self,
         boundary: &Mps,
         mpo: &Mpo,
         rng: &mut R,
     ) -> Result<Mps> {
-        match self {
-            ContractionMethod::Exact => mpo.apply_exact(boundary),
-            ContractionMethod::Bmps { max_bond } => {
-                zip_up(boundary, mpo, max_bond, ZipUpMethod::ExactSvd, rng)
-            }
-            ContractionMethod::Ibmps { max_bond, n_iter, oversample } => zip_up(
-                boundary,
-                mpo,
-                max_bond,
-                ZipUpMethod::ImplicitRandSvd { n_iter, oversample },
-                rng,
-            ),
+        match self.zip() {
+            None => mpo.apply_exact(boundary),
+            Some((max_bond, zip)) => zip_up(boundary, mpo, max_bond, zip, rng),
         }
     }
 }
@@ -129,21 +154,104 @@ pub fn contract_no_phys<R: Rng + ?Sized>(
     contract_rows(peps.nrows(), row_as_mps(peps, 0)?, |row| row_as_mpo(peps, row), method, rng)
 }
 
+/// One tensor handed from the task that produces it to the task that
+/// consumes it.
+type Slot = Mutex<Option<Tensor>>;
+
+fn put(slot: &Slot, t: Tensor) {
+    *lock(slot) = Some(t);
+}
+
+/// Move a tensor out of its slot. The graph's edges guarantee it was
+/// produced; an empty slot is a broken edge, reported rather than panicked.
+fn take(slot: &Slot) -> Result<Tensor> {
+    lock(slot)
+        .take()
+        .ok_or_else(|| KoalaError::invalid("boundary contraction: a zip-up input was not produced"))
+}
+
 /// The boundary-MPS row loop of Algorithm 2: starting from `top` (row 0 as
-/// an MPS), absorb the MPO `row_mpo(r)` of every later row top-down, each
-/// built just before its zip-up and dropped right after it.
+/// an MPS), absorb the MPO `row_mpo(r)` of every later row top-down.
+///
+/// The zip-up methods run it as the wavefront of the [module docs](self):
+/// sites live in per-(row, column) slots and move from step to step, and
+/// row `r`'s MPO is built by its start task, once row `r-1` is under way.
 fn contract_rows<R: Rng + ?Sized>(
     nrows: usize,
     top: Mps,
-    mut row_mpo: impl FnMut(usize) -> Result<Mpo>,
+    row_mpo: impl Fn(usize) -> Result<Mpo> + Sync,
     method: ContractionMethod,
     rng: &mut R,
 ) -> Result<C64> {
-    let mut boundary = top;
+    let Some((max_bond, zip)) = method.zip() else {
+        let mut boundary = top;
+        for row in 1..nrows {
+            boundary = row_mpo(row)?.apply_exact(&boundary)?;
+        }
+        return boundary.contract_to_scalar();
+    };
+    let ncols = top.len();
+    let seeds: Vec<Vec<u64>> = (1..nrows).map(|_| zip_seeds(ncols, zip, rng)).collect();
+    let slots = || -> Vec<Slot> { (0..ncols).map(|_| Mutex::new(None)).collect() };
+    // sites[r][c]: site c of the boundary MPS after row r (row 0 is `top`);
+    // mpos[r][c]: site c of row r's MPO; running[r]: row r's zip-up boundary.
+    let mut sites: Vec<Vec<Slot>> =
+        vec![top.into_tensors().into_iter().map(|t| Mutex::new(Some(t))).collect()];
+    sites.extend((1..nrows).map(|_| slots()));
+    let mpos: Vec<Vec<Slot>> = (0..nrows).map(|_| slots()).collect();
+    let running: Vec<Slot> = (0..nrows).map(|_| Mutex::new(None)).collect();
+
+    let mut graph = TaskGraph::new();
+    // producer[c]: the task that finishes site c of the row above (none for
+    // `top`, whose sites are all there from the start).
+    let mut producer: Vec<Option<TaskId>> = vec![None; ncols];
     for row in 1..nrows {
-        boundary = method.apply_row(&boundary, &row_mpo(row)?, rng)?;
+        let (above, here, mpo, boundary) =
+            (&sites[row - 1], &sites[row], &mpos[row], &running[row]);
+        let (row_mpo, seeds) = (&row_mpo, &seeds[row - 1]);
+        let deps: Vec<TaskId> = producer[0].into_iter().collect();
+        let start = graph.add(TaskKind::Contract, &deps, move || {
+            let mut o = row_mpo(row)?.into_tensors();
+            if o.len() != ncols {
+                return Err(KoalaError::shape(format!(
+                    "boundary contraction: row {row} has {} sites, the boundary {ncols}",
+                    o.len()
+                )));
+            }
+            let first = zip_start(&take(&above[0])?, &o[0])?;
+            if ncols == 1 {
+                put(&here[0], zip_finish(first)?);
+            } else {
+                put(boundary, first);
+                o.drain(1..).zip(&mpo[1..]).for_each(|(t, slot)| put(slot, t));
+            }
+            Ok(())
+        });
+        let mut finished_by = vec![start; ncols];
+        let mut prev = start;
+        for i in 1..ncols {
+            let deps: Vec<TaskId> = [Some(prev), producer[i]].into_iter().flatten().collect();
+            let seed = seeds[i - 1];
+            prev = graph.add(TaskKind::Contract, &deps, move || {
+                let (v, s, o) = (take(boundary)?, take(&above[i])?, take(&mpo[i])?);
+                let (site, next) = zip_step(&v, &s, &o, max_bond, zip, seed)?;
+                put(&here[i - 1], site);
+                if i + 1 == ncols {
+                    put(&here[i], zip_finish(next)?);
+                } else {
+                    put(boundary, next);
+                }
+                Ok(())
+            });
+            // Step i finishes site i-1, and the last step the last site too.
+            finished_by[i - 1] = prev;
+            finished_by[i] = prev;
+        }
+        producer = finished_by.into_iter().map(Some).collect();
     }
-    boundary.contract_to_scalar()
+    graph.run()?;
+    let bottom = sites.pop().unwrap_or_default();
+    Mps::new(bottom.iter().map(take).collect::<Result<_>>()?)?.contract_to_scalar()
 }
 
 /// Amplitude `<bits|psi>`: project the physical indices onto a basis state and
@@ -433,6 +541,38 @@ mod tests {
         let mut bad = batch.clone();
         bad[3][2] = 2;
         assert!(amplitude_batch(&peps, &bad, method, &mut rng).is_err());
+    }
+
+    /// A zip-up takes one draw per step when implicit and none when
+    /// explicit, so a contraction takes `(nrows-1)(ncols-1)` under IBMPS
+    /// and none under BMPS or `Exact`, at any thread count.
+    #[test]
+    fn draws_are_one_per_implicit_zip_up_step() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let mps = Mps::random(5, 2, 3, &mut rng);
+        let mpo = Mpo::random(5, 2, 2, &mut rng);
+        for (zip, want) in [(ZipUpMethod::implicit_default(), 4), (ZipUpMethod::ExactSvd, 0)] {
+            let mut counting = Counting { inner: StdRng::seed_from_u64(13), draws: 0 };
+            zip_up(&mps, &mpo, 4, zip, &mut counting).unwrap();
+            assert_eq!(counting.draws, want, "{zip:?}");
+        }
+        let peps = scaled_random_no_phys(4, 2, 14);
+        let wide = Peps::random_no_phys(3, 5, 2, &mut rng);
+        for threads in [1, 2] {
+            koala_exec::set_threads(threads);
+            for (p, ibmps_draws) in [(&peps, 3 * 3), (&wide, 2 * 4)] {
+                for (method, want) in [
+                    (ContractionMethod::ibmps(3), ibmps_draws),
+                    (ContractionMethod::bmps(3), 0),
+                    (ContractionMethod::Exact, 0),
+                ] {
+                    let mut counting = Counting { inner: StdRng::seed_from_u64(15), draws: 0 };
+                    contract_no_phys(p, method, &mut counting).unwrap();
+                    assert_eq!(counting.draws, want, "{method:?} at {threads} threads");
+                }
+            }
+        }
+        koala_exec::set_threads(1);
     }
 
     #[test]

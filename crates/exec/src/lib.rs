@@ -2,7 +2,8 @@
 //!
 //! The shared-memory layer expresses its parallel work — SUMMA rounds, the
 //! bond updates of a PEPS gate list, the environment sweeps and term strips
-//! of a PEPS measurement, served jobs — as DAGs of typed tasks
+//! of a PEPS measurement, the bitstrings of an amplitude batch, the zip-up
+//! steps of one boundary contraction, served jobs — as DAGs of typed tasks
 //! with declared dependencies, and this crate runs them:
 //!
 //! - A [`Pool`] of persistent workers with per-worker deques and a shared
@@ -90,9 +91,11 @@ pub enum TaskKind {
     /// One site or bond update of a PEPS gate list (a whole contract-and-
     /// refactorize, run serially inside the task).
     Update,
-    /// One independent boundary contraction of a PEPS measurement (an
-    /// environment sweep or the strips of one term, run serially inside the
-    /// task).
+    /// Boundary-contraction work: one independent contraction of a PEPS
+    /// measurement or an amplitude batch (an environment sweep, the strips
+    /// of one term, one bitstring), or one zip-up step — or the start of a
+    /// row — inside a single contraction's wavefront, which such a task may
+    /// run as a nested graph.
     Contract,
     /// Anything else.
     Other,

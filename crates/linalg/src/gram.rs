@@ -88,7 +88,7 @@ pub fn gram_qr(a: &Matrix) -> Result<GramQr> {
 /// like the Gram path would).
 fn qr_svd_degrade(a: &Matrix) -> Result<GramQr> {
     let f = crate::qr::qr(a);
-    let sv = svd(&f.r)?;
+    let sv = svd(f.r.clone())?;
     let smax = sv.s.first().copied().unwrap_or(0.0);
     let pinv_s: Vec<f64> =
         sv.s.iter()

@@ -129,11 +129,12 @@ impl Matrix {
 
     /// The inverse of [`gather_cols`](Self::gather_cols): an `nrows`-row
     /// matrix from its columns held as either factorization scalar, hinted
-    /// exactly when `T = f64`. An empty column stands for a zero column.
-    pub(crate) fn from_scalar_cols<T: Scalar>(nrows: usize, cols: &[Vec<T>]) -> Self {
+    /// exactly when `T = f64`. An empty column stands for a zero column. Each
+    /// column is freed as soon as it is laid out.
+    pub(crate) fn from_scalar_cols<T: Scalar>(nrows: usize, cols: Vec<Vec<T>>) -> Self {
         let ncols = cols.len();
         let mut data = vec![C64::ZERO; nrows * ncols];
-        for (j, col) in cols.iter().enumerate() {
+        for (j, col) in cols.into_iter().enumerate() {
             for (i, &x) in col.iter().enumerate() {
                 data[i * ncols + j] = x.to_c64();
             }
@@ -586,6 +587,14 @@ impl IndexMut<(usize, usize)> for Matrix {
         // The caller may write any complex value through the reference.
         self.real = false;
         &mut self.data[i * self.ncols + j]
+    }
+}
+
+/// A borrowed matrix converts by cloning, so functions that consume their
+/// matrix ([`svd`](crate::svd::svd)) also accept one the caller keeps.
+impl From<&Matrix> for Matrix {
+    fn from(m: &Matrix) -> Matrix {
+        m.clone()
     }
 }
 

@@ -143,7 +143,7 @@ fn qr_at<T: Scalar>(a: &Matrix) -> QrFactors {
     let (m, n) = a.shape();
     let tol = a.norm_max().max(1.0) * 1e-14;
     let (q_cols, r) = mgs::<T>(a.gather_cols(false), m, tol, |basis| complete_basis(basis, m));
-    QrFactors { q: Matrix::from_scalar_cols(m, &q_cols), r: Matrix::from_scalars(m.min(n), n, r) }
+    QrFactors { q: Matrix::from_scalar_cols(m, q_cols), r: Matrix::from_scalars(m.min(n), n, r) }
 }
 
 /// Orthonormalize the columns of `a`, returning only the `Q` factor.

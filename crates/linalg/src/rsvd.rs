@@ -158,7 +158,7 @@ fn rsvd_attempt<O: LinearOp, R: Rng + ?Sized>(
     // the adjoint of Z^H fused into the GEMM) and V^H = W^H (assembled
     // element-wise at the truncated size).
     let ahp = op.apply_adj(&p); // n x l
-    let t = svd(&ahp)?;
+    let t = svd(ahp)?;
     let k = opts.rank.min(t.s.len());
     let zh_k = t.vh.truncate_rows(k); // Z^H, leading k rows
     let u = crate::gemm::gemm(crate::gemm::Op::None, crate::gemm::Op::Adjoint, &p, &zh_k);

@@ -180,18 +180,26 @@ pub const ESCALATED_SWEEPS: usize = 240;
 /// is caught where it enters. If the Jacobi iteration fails to
 /// converge in [`MAX_SWEEPS`] sweeps, the sweep budget is escalated to
 /// [`ESCALATED_SWEEPS`], restarting from the `Q R` already in hand; if that
-/// still fails, the ladder falls back to the Gram-matrix SVD ([`svd_gram`]),
-/// trading ~sqrt(eps) accuracy on the smallest singular values for a
-/// guaranteed factorization. Every rung is recorded on the
-/// [`koala_error::recovery`] counters and the final factors pass a NaN/Inf
-/// guard before they are returned.
-pub fn svd(a: &Matrix) -> Result<Svd> {
-    svd_with_budgets(a, MAX_SWEEPS, ESCALATED_SWEEPS)
+/// still fails, the ladder falls back to the Gram-matrix SVD ([`svd_gram`])
+/// of the input rebuilt from that `Q R`, trading ~sqrt(eps) accuracy on the
+/// smallest singular values for a guaranteed factorization. Every rung is
+/// recorded on the [`koala_error::recovery`] counters and the final factors
+/// pass a NaN/Inf guard before they are returned.
+///
+/// # Memory
+///
+/// The matrix is taken by value and dropped as soon as the preconditioner
+/// has gathered its columns, so a caller that hands over a temporary (the
+/// `theta` of an einsumsvd) never holds it alongside `Q`. A borrowed
+/// `&Matrix` is accepted too and converts by cloning, for callers that keep
+/// their matrix.
+pub fn svd(a: impl Into<Matrix>) -> Result<Svd> {
+    svd_with_budgets(a.into(), MAX_SWEEPS, ESCALATED_SWEEPS)
 }
 
 /// The recovery ladder of [`svd`] with explicit sweep budgets (separated out
 /// so tests can force the escalation and fallback rungs).
-fn svd_with_budgets(a: &Matrix, first_sweeps: usize, escalated_sweeps: usize) -> Result<Svd> {
+fn svd_with_budgets(a: Matrix, first_sweeps: usize, escalated_sweeps: usize) -> Result<Svd> {
     let (m, n) = a.shape();
     if m == 0 || n == 0 {
         return Ok(Svd { u: Matrix::zeros(m, 0), s: vec![], vh: Matrix::zeros(0, n) });
@@ -204,8 +212,8 @@ fn svd_with_budgets(a: &Matrix, first_sweeps: usize, escalated_sweeps: usize) ->
 }
 
 /// The rungs of the ladder at one scalar type. Both Jacobi rungs start from
-/// the same `Q R`, factorized once.
-fn svd_ladder<T: Scalar>(a: &Matrix, first_sweeps: usize, escalated_sweeps: usize) -> Result<Svd> {
+/// the same `Q R`, factorized once; the last rung rebuilds the input from it.
+fn svd_ladder<T: Scalar>(a: Matrix, first_sweeps: usize, escalated_sweeps: usize) -> Result<Svd> {
     let pre = Preconditioned::<T>::new(a);
     if let Ok((f, _)) = pre.jacobi(first_sweeps) {
         return Ok(f);
@@ -215,7 +223,7 @@ fn svd_ladder<T: Scalar>(a: &Matrix, first_sweeps: usize, escalated_sweeps: usiz
         return Ok(f);
     }
     koala_error::recovery::note_gram_svd_fallback();
-    svd_gram(a)
+    svd_gram(&pre.input())
 }
 
 /// NaN/Inf guard over all three factors of an SVD.
@@ -241,13 +249,28 @@ struct Preconditioned<T> {
 }
 
 impl<T: Scalar> Preconditioned<T> {
-    fn new(a: &Matrix) -> Self {
+    /// Factorize `B`, dropping `a` once its columns are gathered.
+    fn new(a: Matrix) -> Self {
         let (m, n) = a.shape();
         let wide = m < n;
         let fro = a.norm_fro();
         let long = m.max(n);
-        let (q_cols, r) = mgs::<T>(a.gather_cols(wide), long, 1e-14 * fro, |_| Vec::new());
-        Preconditioned { wide, fro, q: Matrix::from_scalar_cols(long, &q_cols), r }
+        let cols = a.gather_cols(wide);
+        drop(a);
+        let (q_cols, r) = mgs::<T>(cols, long, 1e-14 * fro, |_| Vec::new());
+        Preconditioned { wide, fro, q: Matrix::from_scalar_cols(long, q_cols), r }
+    }
+
+    /// The input `A` rebuilt from the factors: `Q R` for a tall input,
+    /// `R^H Q^H` for a wide one (exact up to round-off).
+    fn input(&self) -> Matrix {
+        let k = self.q.ncols();
+        let r = Matrix::from_scalars(k, k, self.r.clone());
+        if self.wide {
+            gemm(Op::Adjoint, Op::Adjoint, &r, &self.q)
+        } else {
+            gemm(Op::None, Op::None, &self.q, &r)
+        }
     }
 
     /// One Jacobi attempt with an explicit sweep budget on the columns of
@@ -573,8 +596,8 @@ mod tests {
         // Zero sweeps cannot decorrelate random columns, in either
         // instantiation.
         let attempts = [
-            Preconditioned::<C64>::new(&Matrix::random(6, 4, &mut rng)).jacobi(0),
-            Preconditioned::<f64>::new(&Matrix::random_real(6, 4, &mut rng)).jacobi(0),
+            Preconditioned::<C64>::new(Matrix::random(6, 4, &mut rng)).jacobi(0),
+            Preconditioned::<f64>::new(Matrix::random_real(6, 4, &mut rng)).jacobi(0),
         ];
         for attempt in attempts {
             let e = attempt.unwrap_err();
@@ -601,7 +624,7 @@ mod tests {
             (rank8, 6, 8),
         ];
         for (a, recorded, bound) in cases {
-            let (f, sweeps) = Preconditioned::<C64>::new(&a).jacobi(MAX_SWEEPS).unwrap();
+            let (f, sweeps) = Preconditioned::<C64>::new(a.clone()).jacobi(MAX_SWEEPS).unwrap();
             assert!(f.reconstruct().approx_eq(&a, 1e-12 * a.norm_fro()));
             assert!(
                 sweeps <= bound,
@@ -623,7 +646,7 @@ mod tests {
             let before = koala_error::recovery::snapshot();
             // Zero-sweep budgets force both Jacobi rungs to fail, so the
             // ladder must land on the Gram-SVD fallback and still factorize.
-            let f = super::svd_with_budgets(&a, 0, 0).expect("gram fallback should succeed");
+            let f = super::svd_with_budgets(a.clone(), 0, 0).expect("gram fallback should succeed");
             assert!(f.reconstruct().approx_eq(&a, 1e-8), "fallback factors must reconstruct");
             let after = koala_error::recovery::snapshot();
             assert!(after.svd_sweep_escalations > before.svd_sweep_escalations);
@@ -633,7 +656,7 @@ mod tests {
 
     #[test]
     fn empty_and_single_entry() {
-        let f = svd(&Matrix::zeros(0, 3)).unwrap();
+        let f = svd(Matrix::zeros(0, 3)).unwrap();
         assert_eq!(f.s.len(), 0);
         let a = Matrix::from_vec(1, 1, vec![c64(0.0, -2.0)]).unwrap();
         let f = check_svd(&a, 1e-14);

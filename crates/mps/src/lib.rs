@@ -14,7 +14,10 @@
 //!   [`koala_tensor::EinsumSvd`] network per step, evaluated either by an
 //!   explicit truncated SVD ([`ZipUpMethod::ExactSvd`], the BMPS building
 //!   block) or by the implicit randomized SVD of Algorithm 4
-//!   ([`ZipUpMethod::ImplicitRandSvd`], the IBMPS building block).
+//!   ([`ZipUpMethod::ImplicitRandSvd`], the IBMPS building block). Its
+//!   steps are public ([`zip_start`], [`zip_step`], [`zip_finish`], seeded
+//!   by [`zip_seeds`]) so a caller can run the steps of several rows as a
+//!   wavefront; [`zip_up`] is the loop over them.
 //!
 //! # Example: applying an MPO with the zip-up compression
 //!
@@ -49,4 +52,4 @@ pub mod zipup;
 
 pub use mpo::Mpo;
 pub use mps::{ghz_state, Mps};
-pub use zipup::{zip_up, ZipUpMethod};
+pub use zipup::{zip_finish, zip_seeds, zip_start, zip_step, zip_up, ZipUpMethod};

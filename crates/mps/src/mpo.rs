@@ -93,6 +93,11 @@ impl Mpo {
         &self.tensors[i]
     }
 
+    /// Consume the chain, returning its site tensors.
+    pub fn into_tensors(self) -> Vec<Tensor> {
+        self.tensors
+    }
+
     /// Input (up) physical dimensions.
     pub fn up_dims(&self) -> Vec<usize> {
         self.tensors.iter().map(|t| t.dim(1)).collect()

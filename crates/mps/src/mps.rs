@@ -102,6 +102,11 @@ impl Mps {
         &self.tensors[i]
     }
 
+    /// Consume the chain, returning its site tensors.
+    pub fn into_tensors(self) -> Vec<Tensor> {
+        self.tensors
+    }
+
     /// Replace one site tensor (bond consistency is the caller's concern).
     pub fn set_tensor(&mut self, i: usize, t: Tensor) {
         self.tensors[i] = t;

@@ -9,12 +9,37 @@
 //! [`ZipUpMethod`] the caller picks: the explicit SVD gives BMPS, the
 //! implicit randomized SVD (Algorithm 4) gives IBMPS in the PEPS contraction
 //! benchmarks (Figure 8).
+//!
+//! # Steps
+//!
+//! A zip-up over `n` sites is three public step functions, and [`zip_up`]
+//! is nothing but the loop over them:
+//!
+//! * [`zip_start`]: `S(0)·O(0)` -> the first boundary;
+//! * [`zip_step`] `i` (`1 <= i < n`): boundary `i-1`, `S(i)` and `O(i)` ->
+//!   finished site `i-1` and boundary `i`;
+//! * [`zip_finish`]: the last boundary -> the last site.
+//!
+//! No canonicalization sweep runs, so step `i` reads exactly the previous
+//! step's boundary and site `i` of the MPS. A caller applying several rows
+//! in a chain (the boundary contraction of `koala-peps`) can therefore start
+//! row `r`'s step `i` as soon as row `r-1` has finished its site `i` — at
+//! its step `i+1` — and run the steps as a wavefront.
+//!
+//! # Randomness
+//!
+//! The implicit method draws one `u64` per step from the caller's stream,
+//! all [`zip_seeds`] before the first step: `n - 1` draws per zip-up. Step
+//! `i` seeds its own `StdRng` from draw `i-1`, so a step's result depends
+//! only on its inputs and its seed, never on which steps ran before it on
+//! the same thread. The explicit method draws nothing.
 
 use crate::mpo::Mpo;
 use crate::mps::{Mps, Result};
 use koala_error::KoalaError;
 use koala_tensor::{tensordot, EinsumSvd, Tensor, Truncation};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// How the einsumsvd inside the zip-up sweep is evaluated: the method choice
 /// of [`EinsumSvd`] itself, under the name this crate's callers use.
@@ -29,6 +54,10 @@ static ZIP_STEP: EinsumSvd = EinsumSvd::new("ldxy,xpt,ypqr->ldk,ktqr");
 
 /// Apply `mpo` to `mps`, truncating every new bond to at most `max_bond`,
 /// using the requested einsumsvd method. Returns the compressed MPS.
+///
+/// Takes [`zip_seeds`] from `rng` (`n - 1` draws when implicit, none when
+/// explicit), then runs [`zip_start`], every [`zip_step`] and
+/// [`zip_finish`] in order.
 pub fn zip_up<R: Rng + ?Sized>(
     mps: &Mps,
     mpo: &Mpo,
@@ -40,34 +69,68 @@ pub fn zip_up<R: Rng + ?Sized>(
         return Err(KoalaError::shape("zip_up: MPO and MPS are incompatible"));
     }
     let n = mps.len();
-    let truncation = Truncation::rank_and_tol(max_bond, 1e-14);
+    let seeds = zip_seeds(n, method, rng);
+    let mut boundary = zip_start(mps.tensor(0), mpo.tensor(0))?;
+    let mut out_tensors: Vec<Tensor> = Vec::with_capacity(n);
+    for i in 1..n {
+        let (finished, next) =
+            zip_step(&boundary, mps.tensor(i), mpo.tensor(i), max_bond, method, seeds[i - 1])?;
+        out_tensors.push(finished);
+        boundary = next;
+    }
+    out_tensors.push(zip_finish(boundary)?);
+    Mps::new(out_tensors)
+}
 
-    // V(1): contract S(1) and O(1) over the physical index.
-    // S(1) [1, p, r_s], O(1) [1, p, d, r_o]  ->  [1, d, r_s, r_o]
-    let s0 = mps.tensor(0);
-    let o0 = mpo.tensor(0);
+/// The seeds of one zip-up over `n` sites, one per [`zip_step`]: `n - 1`
+/// draws from `rng` for the implicit method; zeros, and no draw, for the
+/// explicit one, which uses no randomness.
+pub fn zip_seeds<R: Rng + ?Sized>(n: usize, method: ZipUpMethod, rng: &mut R) -> Vec<u64> {
+    let steps = n.saturating_sub(1);
+    match method {
+        ZipUpMethod::ExactSvd => vec![0; steps],
+        ZipUpMethod::ImplicitRandSvd { .. } => (0..steps).map(|_| rng.next_u64()).collect(),
+    }
+}
+
+/// First step of a zip-up: contract `S(0) [1, p, r_s]` and
+/// `O(0) [1, p, d, r_o]` over the physical index into the first boundary
+/// `[1, d, r_s, r_o]`.
+pub fn zip_start(s0: &Tensor, o0: &Tensor) -> Result<Tensor> {
     let v0 = tensordot(s0, o0, &[1], &[1])?; // [1, r_s, 1, d, r_o]
-    let mut boundary = v0.permute(&[0, 2, 3, 1, 4])?; // [1, 1, d, r_s, r_o]
+    let boundary = v0.permute(&[0, 2, 3, 1, 4])?; // [1, 1, d, r_s, r_o]
     let (b0, b1, d, rs, ro) =
         (boundary.dim(0), boundary.dim(1), boundary.dim(2), boundary.dim(3), boundary.dim(4));
-    boundary = boundary.into_reshape(&[b0 * b1, d, rs, ro])?; // [l=1, d, r_s, r_o]
+    boundary.into_reshape(&[b0 * b1, d, rs, ro]) // [l=1, d, r_s, r_o]
+}
 
-    let mut out_tensors: Vec<Tensor> = Vec::with_capacity(n);
+/// Step `i` of a zip-up: refactorize boundary `i-1` `[l, d, r_s, r_o]`,
+/// `S(i)` and `O(i)` into the finished site `i-1` `[l, d, k]` and boundary
+/// `i` `[k, d', r_s', r_o']`, with `k <= max_bond`. `seed` seeds the
+/// implicit method's sketches (see [`zip_seeds`]).
+pub fn zip_step(
+    boundary: &Tensor,
+    s: &Tensor,
+    o: &Tensor,
+    max_bond: usize,
+    method: ZipUpMethod,
+    seed: u64,
+) -> Result<(Tensor, Tensor)> {
+    let truncation = Truncation::rank_and_tol(max_bond, 1e-14);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (finished, rest) =
+        ZIP_STEP.split(&[boundary, s, o], truncation, method, &mut rng)?.absorb_right();
+    // rest [k, r_s', d', r_o'] -> boundary layout [k, d', r_s', r_o'].
+    Ok((finished, rest.permute(&[0, 2, 1, 3])?))
+}
 
-    for i in 1..n {
-        let network = [&boundary, mps.tensor(i), mpo.tensor(i)];
-        let (finished, rest) = ZIP_STEP.split(&network, truncation, method, rng)?.absorb_right();
-        out_tensors.push(finished);
-        // rest [k, r_s', d', r_o'] -> boundary layout [k, d', r_s', r_o'].
-        boundary = rest.permute(&[0, 2, 1, 3])?;
-    }
-
-    // The final boundary tensor [l, d, 1, 1] becomes the last site [l, d, 1].
+/// Last step of a zip-up: the final boundary `[l, d, 1, 1]` becomes the last
+/// site `[l, d, 1]`.
+pub fn zip_finish(boundary: Tensor) -> Result<Tensor> {
     let (l, d) = (boundary.dim(0), boundary.dim(1));
     debug_assert_eq!(boundary.dim(2), 1);
     debug_assert_eq!(boundary.dim(3), 1);
-    out_tensors.push(boundary.into_reshape(&[l, d, 1])?);
-    Mps::new(out_tensors)
+    boundary.into_reshape(&[l, d, 1])
 }
 
 #[cfg(test)]

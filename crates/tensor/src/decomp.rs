@@ -182,8 +182,7 @@ pub fn gram_qr_split(t: &Tensor, row_axes: &[usize]) -> Result<(Tensor, Tensor)>
 /// Truncated SVD of the tensor viewed as a matrix with `row_axes` as rows.
 pub fn svd_split(t: &Tensor, row_axes: &[usize], truncation: Truncation) -> Result<SplitSvd> {
     let (mat, row_dims, col_dims) = matricize(t, row_axes)?;
-    let f = svd(&mat)?;
-    build_split_svd(f, &row_dims, &col_dims, truncation)
+    build_split_svd(svd(mat)?, &row_dims, &col_dims, truncation)
 }
 
 /// Truncate a matrix SVD and fold its factors back into tensors.

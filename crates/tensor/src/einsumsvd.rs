@@ -14,8 +14,8 @@
 //! # The two methods
 //!
 //! * [`EinsumSvdMethod::ExactSvd`] — contract the network to `theta` through
-//!   a planned [`einsum`](fn@crate::einsum), then [`svd_split`] it. The plan
-//!   is held per call site (see [`EinsumSvd`]).
+//!   a planned [`einsum`](fn@crate::einsum), unfold it in place and truncate
+//!   its [`svd()`]. The plan is held per call site (see [`EinsumSvd`]).
 //! * [`EinsumSvdMethod::ImplicitRandSvd`] — the randomized SVD of paper
 //!   Alg. 4 over an operator that never forms `theta`: each application
 //!   absorbs the sketch block into the operands **one at a time, in list
@@ -31,13 +31,13 @@
 //!   resolves no trailing spectrum for `rel_tol` to cut.
 
 use crate::contract::tensordot;
-use crate::decomp::{build_split_svd, svd_split, SplitSvd, Truncation};
+use crate::decomp::{build_split_svd, SplitSvd, Truncation};
 use crate::einsum::{parse_spec, EinsumSpec};
 use crate::plan::{contraction_plan, Plan};
 use crate::shape::is_identity_perm;
 use crate::tensor::Tensor;
 use koala_error::{KoalaError, Result};
-use koala_linalg::{rsvd, LinearOp, Matrix, RsvdOptions};
+use koala_linalg::{rsvd, svd, LinearOp, Matrix, RsvdOptions};
 use rand::Rng;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -339,11 +339,19 @@ impl EinsumSvd {
 
     /// The [`EinsumSvdMethod::ExactSvd`] evaluation, callable without a
     /// random source: contract to `theta`, truncate its SVD.
+    ///
+    /// `theta`'s axes are already rows then columns, so it is unfolded in
+    /// place and handed to [`svd()`], which drops it once its columns are
+    /// gathered: the SVD holds one copy of theta's entries where a
+    /// [`svd_split`](crate::svd_split) of it would hold three (theta, its
+    /// matricized copy, the gathered columns). `tests/alloc.rs` pins the
+    /// peak.
     pub fn exact(&self, operands: &[&Tensor], truncation: Truncation) -> Result<SplitSvd> {
         let network = self.network()?;
         let theta = self.theta_plan(network, operands)?.execute(operands)?;
-        let row_axes: Vec<usize> = (0..network.n_rows).collect();
-        svd_split(&theta, &row_axes, truncation)
+        let (row_dims, col_dims) = theta.shape().split_at(network.n_rows);
+        let (row_dims, col_dims) = (row_dims.to_vec(), col_dims.to_vec());
+        build_split_svd(svd(theta.into_unfold(network.n_rows))?, &row_dims, &col_dims, truncation)
     }
 
     /// Contract the network over `operands` and refactorize it with `method`.
@@ -369,6 +377,7 @@ impl EinsumSvd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decomp::svd_split;
     use crate::einsum::einsum;
     use koala_linalg::WorkMeter;
     use koala_linalg::{matmul, matmul_adj_a, C64};

@@ -1,24 +1,30 @@
 //! Workspace acceptance test for the task-graph execution runtime: the full
 //! physics stack must be schedule-independent. A warm TFI imaginary-time-
 //! evolution sweep, a measurement whose environment sweeps and terms are
-//! independent tasks, two gate-list layers on a 6x6 PEPS and a distributed
-//! SUMMA product are run at 1/2/4/8 executor threads; energies, site tensors
-//! and gathered matrices must be bit-identical and the MAC/communication
-//! billing exactly equal — the executor may only change *when* work runs,
-//! never what it computes or what it bills.
+//! independent tasks, two gate-list layers on a 6x6 PEPS, a distributed
+//! SUMMA product and boundary contractions whose zip-up steps run as a
+//! wavefront are run at 1/2/4/8 executor threads; energies, site tensors,
+//! contraction values and gathered matrices must be bit-identical and the
+//! MAC/communication billing exactly equal — the executor may only change
+//! *when* work runs, never what it computes or what it bills.
 
 use koala::cluster::{Cluster, DistMatrix, ProcGrid};
+use koala::error::ErrorKind;
 use koala::exec::WorkMeter;
 use koala::linalg::{c64, expm_hermitian, matmul, Matrix};
+use koala::mps::{zip_up, ZipUpMethod};
+use koala::peps::contract::{row_as_mpo, row_as_mps};
 use koala::peps::operators::{kron, pauli_x, pauli_z, Observable};
 use koala::peps::{
-    apply_one_site, apply_two_site, apply_two_site_any, apply_two_site_everywhere, expectation,
-    expectation_normalized, ContractionMethod, ExpectationOptions, Peps, UpdateMethod,
+    amplitude, amplitude_batch, apply_one_site, apply_two_site, apply_two_site_any,
+    apply_two_site_everywhere, contract_no_phys, expectation, expectation_normalized,
+    ContractionMethod, ExpectationOptions, Peps, UpdateMethod,
 };
 use koala::sim::ite::apply_trotter_layer;
 use koala::sim::{ite_peps, tfi_hamiltonian, trotter_gates, IteOptions, TfiParams};
+use koala::tensor::Tensor;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
 
 /// The executor pool and billing counters are process-wide; serialize the
@@ -303,6 +309,136 @@ fn rqc_amplitude_batch_is_bit_identical_across_threads() {
             koala::exec::set_threads(threads);
             assert_eq!(run(), reference, "{method:?}: amplitudes differ at {threads} threads");
         }
+    }
+    koala::exec::set_threads(1);
+}
+
+fn value_bits(z: koala::linalg::C64) -> (u64, u64) {
+    (z.re.to_bits(), z.im.to_bits())
+}
+
+/// The serial reference of one boundary contraction: `row_as_mps`, one
+/// `zip_up` per row on the caller's stream, `contract_to_scalar`.
+fn row_by_row(peps: &Peps, method: ContractionMethod, seed: u64) -> (u64, u64) {
+    let (max_bond, zip) = match method {
+        ContractionMethod::Bmps { max_bond } => (max_bond, ZipUpMethod::ExactSvd),
+        ContractionMethod::Ibmps { max_bond, n_iter, oversample } => {
+            (max_bond, ZipUpMethod::ImplicitRandSvd { n_iter, oversample })
+        }
+        ContractionMethod::Exact => unreachable!("no zip-up steps"),
+    };
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut boundary = row_as_mps(peps, 0).unwrap();
+    for row in 1..peps.nrows() {
+        let mpo = row_as_mpo(peps, row).unwrap();
+        boundary = zip_up(&boundary, &mpo, max_bond, zip, &mut rng).unwrap();
+    }
+    value_bits(boundary.contract_to_scalar().unwrap())
+}
+
+/// `peps` with every site replaced by a random tensor of the same shape
+/// carrying the realness hint.
+fn real_hinted(peps: &Peps, rng: &mut StdRng) -> Peps {
+    let sites = peps.tensors().iter().map(|t| Tensor::random_real(t.shape(), rng)).collect();
+    Peps::new(peps.nrows(), peps.ncols(), sites).unwrap()
+}
+
+/// One boundary contraction runs its zip-up steps as a task graph (the
+/// wavefront of `koala_peps::contract`). At 1, 2 and 4 threads,
+/// `contract_no_phys`, `amplitude` and `amplitude_batch` (whose per-
+/// bitstring tasks nest the graph) must equal the serial row-by-row
+/// sequence bit for bit: BMPS and IBMPS, complex and real-hinted networks,
+/// on the lattice edges 1xn, nx1 and 2x2 and on truncating 4x4 and 3x5
+/// lattices.
+#[test]
+fn boundary_wavefront_is_the_row_by_row_sequence_at_any_thread_count() {
+    let _guard = SERIAL.lock().unwrap();
+    let mut rng = StdRng::seed_from_u64(4242);
+    let methods = [ContractionMethod::bmps(4), ContractionMethod::ibmps(4)];
+    let mut networks = Vec::new();
+    for (nrows, ncols) in [(1, 4), (4, 1), (2, 2), (4, 4), (3, 5)] {
+        let no_phys = Peps::random_no_phys(nrows, ncols, 3, &mut rng);
+        let real = real_hinted(&no_phys, &mut rng);
+        let phys = Peps::random(nrows, ncols, 2, 3, &mut rng);
+        let real_phys = real_hinted(&phys, &mut rng);
+        networks.push((no_phys, phys));
+        networks.push((real, real_phys));
+    }
+    for (no_phys, phys) in &networks {
+        let n = phys.num_sites();
+        let batch: Vec<Vec<usize>> =
+            (0..3usize).map(|k| (0..n).map(|q| (k * 5 + q * 3) % 7 % 2).collect()).collect();
+        for method in methods {
+            let want = row_by_row(no_phys, method, 11);
+            let want_amp = row_by_row(&phys.project_onto_basis(&batch[0]).unwrap(), method, 12);
+            let mut seeds = StdRng::seed_from_u64(13);
+            let want_batch: Vec<(u64, u64)> = batch
+                .iter()
+                .map(|bits| {
+                    let projected = phys.project_onto_basis(bits).unwrap();
+                    row_by_row(&projected, method, seeds.next_u64())
+                })
+                .collect();
+            for threads in [1, 2, 4] {
+                koala::exec::set_threads(threads);
+                let shape = (no_phys.nrows(), no_phys.ncols(), no_phys.tensor((0, 0)).is_real());
+                let at = format!("{shape:?} {method:?} at {threads} threads");
+                let got = contract_no_phys(no_phys, method, &mut StdRng::seed_from_u64(11));
+                assert_eq!(value_bits(got.unwrap()), want, "contract_no_phys {at}");
+                let got = amplitude(phys, &batch[0], method, &mut StdRng::seed_from_u64(12));
+                assert_eq!(value_bits(got.unwrap()), want_amp, "amplitude {at}");
+                let got = amplitude_batch(phys, &batch, method, &mut StdRng::seed_from_u64(13));
+                let got: Vec<(u64, u64)> = got.unwrap().into_iter().map(value_bits).collect();
+                assert_eq!(got, want_batch, "amplitude_batch {at}");
+            }
+        }
+    }
+    koala::exec::set_threads(1);
+}
+
+/// A contraction that fails inside its graph, on a NaN site in a middle
+/// row, reports the same error kind at one and two threads. Afterwards the
+/// global pool runs a fresh graph to completion, and no thread is left
+/// billing the failed run's meter: its scope did not leak.
+#[test]
+fn a_failed_boundary_contraction_leaves_the_pool_and_meters_clean() {
+    use koala::exec::{meter, TaskGraph, TaskKind};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let _guard = SERIAL.lock().unwrap();
+    let mut rng = StdRng::seed_from_u64(909);
+    let mut peps = Peps::random_no_phys(5, 4, 3, &mut rng);
+    let mut poisoned = peps.tensor((2, 1)).clone();
+    poisoned.data_mut()[0] = c64(f64::NAN, 0.0);
+    peps.set_tensor((2, 1), poisoned);
+    let a = Matrix::random(32, 32, &mut rng);
+
+    for method in [ContractionMethod::bmps(4), ContractionMethod::ibmps(4)] {
+        let mut kinds = Vec::new();
+        for threads in [1, 2] {
+            koala::exec::set_threads(threads);
+            let failed = WorkMeter::new();
+            let err = failed
+                .scope(|| contract_no_phys(&peps, method, &mut StdRng::seed_from_u64(1)))
+                .unwrap_err();
+            kinds.push(err.kind());
+            let billed = failed.ledger();
+            assert!(billed.complex_macs > 0, "the failed run did work before failing");
+
+            let ran = AtomicUsize::new(0);
+            let mut graph = TaskGraph::new();
+            for _ in 0..8 {
+                graph.add(TaskKind::Contract, &[], || {
+                    assert_eq!(matmul(&a, &a).nrows(), 32);
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    Ok(())
+                });
+            }
+            graph.run().unwrap();
+            meter::add_complex_macs(1);
+            assert_eq!(ran.load(Ordering::Relaxed), 8, "{method:?} at {threads} threads");
+            assert_eq!(failed.ledger(), billed, "{method:?}: a scope leaked at {threads} threads");
+        }
+        assert_eq!(kinds, [ErrorKind::NonFinite; 2], "{method:?}");
     }
     koala::exec::set_threads(1);
 }
