@@ -5,6 +5,8 @@
 //! `JsonValue::parse` + `JobSpec::from_json` exactly as `serve_stdio` feeds
 //! them. Every line must come back `Ok` or as an error value — never a
 //! panic, a stack overflow or an attempt to size something from the input.
+//! Which lines are accepted, and what each accepted line means, is pinned
+//! by a digest over the outcomes.
 
 use koala_json::JsonValue;
 use koala_serve::JobSpec;
@@ -99,6 +101,23 @@ fn mutate(rng: &mut StdRng) -> String {
     String::from_utf8(line).expect("mutations keep the line ASCII")
 }
 
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// One line per message, as `serve_stdio` writes them.
+fn compact(v: &JsonValue) -> String {
+    v.pretty().lines().map(str::trim_start).collect::<Vec<_>>().join("")
+}
+
+/// What one line did: bad JSON, a rejected spec (with its error kind), or
+/// an accepted spec (with its re-emitted wire form and its signature).
+enum Outcome {
+    BadJson,
+    Rejected(String),
+    Accepted(String),
+}
+
 #[test]
 fn ten_thousand_mutated_job_lines_parse_or_fail_cleanly() {
     for seed in SEEDS {
@@ -108,19 +127,31 @@ fn ten_thousand_mutated_job_lines_parse_or_fail_cleanly() {
     let mut rng = StdRng::seed_from_u64(0xF022);
     let started = Instant::now();
     let (mut accepted, mut bad_json, mut bad_spec) = (0, 0, 0);
+    let mut digest = 0xcbf2_9ce4_8422_2325;
     for case in 0..10_000 {
         let line = mutate(&mut rng);
         let outcome = std::panic::catch_unwind(|| match JsonValue::parse(&line) {
-            Err(_) => 1,
+            Err(_) => Outcome::BadJson,
             Ok(job) => match JobSpec::from_json(&job) {
-                Ok(_) => 0,
-                Err(_) => 2,
+                Ok(spec) => {
+                    Outcome::Accepted(format!("{}{}", compact(&spec.to_json()), spec.signature()))
+                }
+                Err(e) => Outcome::Rejected(format!("{:?}", e.kind())),
             },
         });
         match outcome {
-            Ok(0) => accepted += 1,
-            Ok(1) => bad_json += 1,
-            Ok(_) => bad_spec += 1,
+            Ok(Outcome::Accepted(wire)) => {
+                accepted += 1;
+                digest = fnv1a(digest, wire.as_bytes());
+            }
+            Ok(Outcome::BadJson) => {
+                bad_json += 1;
+                digest = fnv1a(digest, b"json");
+            }
+            Ok(Outcome::Rejected(kind)) => {
+                bad_spec += 1;
+                digest = fnv1a(digest, kind.as_bytes());
+            }
             Err(_) => {
                 let shown: String = line.chars().take(400).collect();
                 panic!("case {case} panicked on a {}-byte line: {shown}", line.len());
@@ -134,4 +165,8 @@ fn ten_thousand_mutated_job_lines_parse_or_fail_cleanly() {
         "{accepted}/{bad_json}/{bad_spec}"
     );
     assert!(started.elapsed().as_secs() < 60, "the parser hung: {:?}", started.elapsed());
+    assert_eq!(
+        digest, 16_716_845_739_663_081_638,
+        "the accepted set or an accepted line's meaning changed"
+    );
 }
