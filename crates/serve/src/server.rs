@@ -1,13 +1,17 @@
 //! The in-process job server: bounded queue, signature batching, per-job
 //! cancellation/timeout, and exact per-tenant work receipts.
+//!
+//! Circuits have one lowering: an [`AmplitudeJob`] runs as the
+//! [`CircuitJob`] it denotes, through `koala_circuit::amplitudes`.
 
 use crate::spec::{
     AmplitudeJob, AmplitudeOutput, CircuitJob, CircuitOutput, IteJob, IteOutput, JobResult,
     JobSpec, Result, VqeJob, VqeOutput,
 };
+use koala_circuit::{AmplitudeBatch, Backend, BackendChoice, Circuit};
 use koala_error::{ErrorKind, KoalaError};
 use koala_exec::{CancelToken, TaskGraph, TaskKind, WorkLedger, WorkMeter};
-use koala_peps::{amplitude, Peps, UpdateMethod};
+use koala_peps::Peps;
 use koala_sim::{
     ite_checkpoint, ite_peps_from, random_circuit, run_vqe_cancellable, tfi_hamiltonian,
     IteOptions, TfiParams, VqeOptions,
@@ -422,8 +426,21 @@ fn run_spec(spec: &JobSpec, cancel: &CancelToken) -> Result<JobResult> {
     match spec {
         JobSpec::Ite(job) => run_ite(job, cancel),
         JobSpec::Vqe(job) => run_vqe_job(job, cancel),
-        JobSpec::Amplitudes(job) => run_amplitudes(job, cancel),
-        JobSpec::Circuit(job) => run_circuit(job, cancel),
+        JobSpec::Amplitudes(job) => {
+            let AmplitudeBatch { amplitudes, max_bond, .. } =
+                run_circuit(&circuit_job(job)?, cancel)?;
+            Ok(JobResult::Amplitudes(AmplitudeOutput { amplitudes, max_bond }))
+        }
+        JobSpec::Circuit(job) => {
+            let batch = run_circuit(job, cancel)?;
+            Ok(JobResult::Circuit(CircuitOutput {
+                amplitudes: batch.amplitudes,
+                backend: batch.backend.tag().to_string(),
+                max_bond: batch.max_bond,
+                gates_submitted: batch.gates_submitted,
+                gates_executed: batch.gates_executed,
+            }))
+        }
     }
 }
 
@@ -491,45 +508,26 @@ fn run_vqe_job(job: &VqeJob, cancel: &CancelToken) -> Result<JobResult> {
     }))
 }
 
-/// Batched amplitudes: one circuit evolution, then one contraction per
-/// bitstring; the token is checked before the evolution and between
-/// contractions.
-fn run_amplitudes(job: &AmplitudeJob, cancel: &CancelToken) -> Result<JobResult> {
-    if cancel.is_cancelled() {
-        return Err(cancelled());
-    }
-    let mut circuit_rng = StdRng::seed_from_u64(job.circuit_seed);
-    let circuit =
-        random_circuit(job.nrows, job.ncols, job.layers, job.entangle_every, &mut circuit_rng);
-    let mut peps = Peps::computational_zeros(job.nrows, job.ncols);
-    circuit.apply_to_peps(&mut peps, UpdateMethod::qr_svd(job.evolution_bond))?;
-
-    let mut rng = StdRng::seed_from_u64(job.seed);
-    let mut amplitudes = Vec::with_capacity(job.bitstrings.len());
-    for bits in &job.bitstrings {
-        if cancel.is_cancelled() {
-            return Err(cancelled());
-        }
-        amplitudes.push(amplitude(&peps, bits, job.method, &mut rng)?);
-    }
-    Ok(JobResult::Amplitudes(AmplitudeOutput { amplitudes, max_bond: peps.max_bond() }))
+/// The circuit job an amplitude job denotes: its seeded random circuit,
+/// imported onto the job's lattice, on the PEPS backend at the job's
+/// evolution bond and contraction method.
+fn circuit_job(job: &AmplitudeJob) -> Result<CircuitJob> {
+    let mut rng = StdRng::seed_from_u64(job.circuit_seed);
+    let rqc = random_circuit(job.nrows, job.ncols, job.layers, job.entangle_every, &mut rng);
+    let circuit = Circuit::from_lattice_circuit(&rqc, job.nrows, job.ncols)?;
+    let peps = Backend::Peps { evolution_bond: job.evolution_bond, method: job.method };
+    let (bitstrings, backend) = (job.bitstrings.clone(), BackendChoice::Fixed(peps));
+    Ok(CircuitJob { circuit, bitstrings, backend, seed: job.seed })
 }
 
-/// A gate-list circuit through the front-end dispatcher. The heavy lifting
-/// (simplify -> light-cone prune -> backend evolution) is one engine call,
-/// so the token is checked at entry and the job runs to completion once
-/// started — front-end circuits are bounded by `MAX_CIRCUIT_GATES`.
-fn run_circuit(job: &CircuitJob, cancel: &CancelToken) -> Result<JobResult> {
+/// A circuit through the front-end dispatcher. The heavy lifting
+/// (simplify -> light-cone prune -> evolution -> one task per bitstring)
+/// is one engine call, so the token is checked at entry only: circuits are
+/// bounded by `MAX_CIRCUIT_GATES`, amplitude jobs by the lattice cap.
+fn run_circuit(job: &CircuitJob, cancel: &CancelToken) -> Result<AmplitudeBatch> {
     if cancel.is_cancelled() {
         return Err(cancelled());
     }
     let mut rng = StdRng::seed_from_u64(job.seed);
-    let batch = koala_circuit::amplitudes(&job.circuit, &job.bitstrings, job.backend, &mut rng)?;
-    Ok(JobResult::Circuit(CircuitOutput {
-        amplitudes: batch.amplitudes,
-        backend: batch.backend.tag().to_string(),
-        max_bond: batch.max_bond,
-        gates_submitted: batch.gates_submitted,
-        gates_executed: batch.gates_executed,
-    }))
+    koala_circuit::amplitudes(&job.circuit, &job.bitstrings, job.backend, &mut rng)
 }

@@ -8,6 +8,7 @@
 //! * [`IteJob`] — imaginary-time-evolution ground-state search (Figure 13),
 //! * [`VqeJob`] — variational ground-state energy (Figure 14),
 //! * [`AmplitudeJob`] — batched random-circuit output amplitudes (Figure 10),
+//!   served as the [`CircuitJob`] it denotes,
 //! * [`CircuitJob`] — an arbitrary gate-list circuit through the
 //!   `koala-circuit` front end (simplify, light-cone, backend dispatch),
 //!   answering a batch of bitstring amplitude queries.
@@ -20,6 +21,15 @@
 //! stripes (see [`crate::Server::drain`]). The amplitude signature *does*
 //! include the circuit seed, because the random circuit's gate placement
 //! determines the evolved bond dimensions and hence the contraction shapes.
+//!
+//! # Wire format
+//!
+//! Each job, and each tagged value inside one, has one field list: a line
+//! per key, saying whether it is required, the default an absent key takes
+//! and the value type, whose `Wire` impl decides the JSON shape and the
+//! range rule. Emitting, parsing and validation all walk that list;
+//! cross-field checks are code after it. The wire defaults are not the
+//! `new()` defaults (an `ite` line without `seed` gets 0, `IteJob::new` gives 7).
 
 use koala_circuit::{Backend, BackendChoice, Circuit, Gate, Gate1, Gate2};
 use koala_error::{ErrorKind, KoalaError, ResultExt};
@@ -49,10 +59,8 @@ fn rejected(e: KoalaError) -> KoalaError {
 /// spec from pinning the whole service.
 pub const MAX_SITES: usize = 64;
 
-fn validate_lattice(nrows: usize, ncols: usize) -> Result<()> {
-    if nrows == 0 || ncols == 0 {
-        return Err(invalid(format!("lattice {nrows}x{ncols}: dimensions must be >= 1")));
-    }
+/// The lattice cap; each dimension is a [`Count`] in its field list.
+fn check_lattice(nrows: usize, ncols: usize) -> Result<()> {
     if nrows.checked_mul(ncols).is_none_or(|sites| sites > MAX_SITES) {
         return Err(invalid(format!(
             "lattice {nrows}x{ncols} exceeds the service cap of {MAX_SITES} sites"
@@ -61,8 +69,23 @@ fn validate_lattice(nrows: usize, ncols: usize) -> Result<()> {
     Ok(())
 }
 
+/// The one bitstring check of amplitude and circuit jobs: a non-empty batch
+/// of `n`-bit strings of 0/1.
+fn check_bitstrings(bitstrings: &[Vec<usize>], n: usize) -> Result<()> {
+    if bitstrings.is_empty() {
+        return Err(invalid("at least one bitstring is required"));
+    }
+    match bitstrings.iter().position(|bits| bits.len() != n || bits.iter().any(|&b| b > 1)) {
+        Some(i) => Err(invalid(format!("bitstring {i} is not {n} bits of 0/1"))),
+        None => Ok(()),
+    }
+}
+
 /// Imaginary-time-evolution ground-state job on the transverse-field Ising
 /// model: evolve `|0...0>` with PEPS-TEBD and report the measured energies.
+///
+/// [`IteJob::new`] has its own defaults; an absent wire key takes the field
+/// list's (`jz` -1, `hx` -2, `tau` 0.05, `measure_every` 1, `seed` 0).
 #[derive(Debug, Clone, PartialEq)]
 pub struct IteJob {
     /// Lattice rows.
@@ -89,7 +112,7 @@ pub struct IteJob {
 
 impl IteJob {
     /// A laptop-friendly default mirroring the `ite_ground_state` example:
-    /// `Jz = -1, hx = -2`, `tau = 0.05`, 40 steps measured every 5.
+    /// `Jz = -1, hx = -2`, `tau = 0.05`, 40 steps measured every 5, seed 7.
     pub fn new(nrows: usize, ncols: usize, evolution_bond: usize) -> IteJob {
         IteJob {
             nrows,
@@ -105,40 +128,31 @@ impl IteJob {
         }
     }
 
-    fn validate(&self) -> Result<()> {
-        validate_lattice(self.nrows, self.ncols)?;
-        if !(self.tau.is_finite() && self.tau > 0.0) {
-            return Err(invalid(format!("ite: tau must be finite and positive, got {}", self.tau)));
-        }
-        if !(self.jz.is_finite() && self.hx.is_finite()) {
-            return Err(invalid("ite: couplings jz/hx must be finite"));
-        }
-        if self.steps == 0 {
-            return Err(invalid("ite: steps must be >= 1"));
-        }
-        if self.evolution_bond == 0 || self.contraction_bond == 0 {
-            return Err(invalid("ite: bond dimensions must be >= 1"));
-        }
-        if self.measure_every == 0 {
-            return Err(invalid("ite: measure_every must be >= 1"));
-        }
-        Ok(())
+    fn fields(&mut self, w: &mut Walk) -> Result<()> {
+        w.req("nrows", Count, &mut self.nrows)?;
+        w.req("ncols", Count, &mut self.ncols)?;
+        w.opt("jz", Real::Finite, &mut self.jz, -1.0)?;
+        w.opt("hx", Real::Finite, &mut self.hx, -2.0)?;
+        w.opt("tau", Real::Positive, &mut self.tau, 0.05)?;
+        w.req("steps", Count, &mut self.steps)?;
+        w.req("evolution_bond", Count, &mut self.evolution_bond)?;
+        w.req("contraction_bond", Count, &mut self.contraction_bond)?;
+        w.opt("measure_every", Count, &mut self.measure_every, 1)?;
+        w.opt("seed", Seed, &mut self.seed, 0)?;
+        w.cross(|| check_lattice(self.nrows, self.ncols))
     }
 
     fn signature(&self) -> String {
-        format!(
-            "ite/{}x{}/r{}/m{}/steps{}/every{}",
-            self.nrows,
-            self.ncols,
-            self.evolution_bond,
-            self.contraction_bond,
-            self.steps,
-            self.measure_every
-        )
+        let IteJob { nrows, ncols, evolution_bond: r, contraction_bond: m, steps, .. } = self;
+        format!("ite/{nrows}x{ncols}/r{r}/m{m}/steps{steps}/every{}", self.measure_every)
     }
 }
 
 /// Variational-quantum-eigensolver job on the transverse-field Ising model.
+///
+/// [`VqeJob::new`] has its own defaults; an absent wire key takes the field
+/// list's (`jz` -1, `hx` -3.5, `layers` 1, `seed` 0, Nelder–Mead `scale`
+/// 0.4, SPSA `a0`/`c0` 0.3/0.2).
 #[derive(Debug, Clone, PartialEq)]
 pub struct VqeJob {
     /// Lattice rows.
@@ -161,7 +175,8 @@ pub struct VqeJob {
 
 impl VqeJob {
     /// A laptop-friendly default mirroring the `vqe_tfi` example: the paper's
-    /// Figure 14 couplings, one ansatz layer, Nelder–Mead with 60 iterations.
+    /// Figure 14 couplings, one ansatz layer, Nelder–Mead with 60 iterations,
+    /// seed 11.
     pub fn new(nrows: usize, ncols: usize, backend: VqeBackend) -> VqeJob {
         VqeJob {
             nrows,
@@ -175,27 +190,16 @@ impl VqeJob {
         }
     }
 
-    fn validate(&self) -> Result<()> {
-        validate_lattice(self.nrows, self.ncols)?;
-        if !(self.jz.is_finite() && self.hx.is_finite()) {
-            return Err(invalid("vqe: couplings jz/hx must be finite"));
-        }
-        if self.layers == 0 {
-            return Err(invalid("vqe: layers must be >= 1"));
-        }
-        if let VqeBackend::Peps { bond, contraction_bond } = self.backend {
-            if bond == 0 || contraction_bond == 0 {
-                return Err(invalid("vqe: PEPS backend bond dimensions must be >= 1"));
-            }
-        }
-        let budget = match self.optimizer {
-            Optimizer::NelderMead { max_iterations, .. } => max_iterations,
-            Optimizer::Spsa { iterations, .. } => iterations,
-        };
-        if budget == 0 {
-            return Err(invalid("vqe: optimizer iteration budget must be >= 1"));
-        }
-        Ok(())
+    fn fields(&mut self, w: &mut Walk) -> Result<()> {
+        w.req("nrows", Count, &mut self.nrows)?;
+        w.req("ncols", Count, &mut self.ncols)?;
+        w.opt("jz", Real::Finite, &mut self.jz, -1.0)?;
+        w.opt("hx", Real::Finite, &mut self.hx, -3.5)?;
+        w.opt("layers", Count, &mut self.layers, 1)?;
+        w.req("backend", Tagged, &mut self.backend)?;
+        w.req("optimizer", Tagged, &mut self.optimizer)?;
+        w.opt("seed", Seed, &mut self.seed, 0)?;
+        w.cross(|| check_lattice(self.nrows, self.ncols))
     }
 
     fn signature(&self) -> String {
@@ -206,9 +210,15 @@ impl VqeJob {
     }
 }
 
-/// Batched random-quantum-circuit amplitude job: evolve `|0...0>` under a
-/// seeded random circuit, then contract one amplitude per requested
-/// bitstring.
+/// Batched random-quantum-circuit amplitude job: the seeded random circuit
+/// of `koala_sim::random_circuit`, served as the [`CircuitJob`] it denotes
+/// on the PEPS backend (`evolution_bond`, `method`). A single-bitstring job
+/// is light-cone pruned like any circuit job, so its reported `max_bond` is
+/// the pruned evolution's.
+///
+/// [`AmplitudeJob::new`] has its own defaults; an absent wire key takes the
+/// field list's (`layers` 8, `entangle_every` 4, `circuit_seed` 0,
+/// `evolution_bond` 2^16, `seed` 0, IBMPS `n_iter` 2, `oversample` 10).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AmplitudeJob {
     /// Lattice rows.
@@ -235,7 +245,7 @@ pub struct AmplitudeJob {
 impl AmplitudeJob {
     /// A laptop-friendly default mirroring the `rqc_amplitude` example: a
     /// 3x3-suitable 8-layer circuit with an entangling layer every 4,
-    /// evolved exactly, asking for the all-zeros amplitude.
+    /// evolved exactly, asking for the all-zeros amplitude; both seeds 21.
     pub fn new(nrows: usize, ncols: usize, method: ContractionMethod) -> AmplitudeJob {
         AmplitudeJob {
             nrows,
@@ -250,52 +260,31 @@ impl AmplitudeJob {
         }
     }
 
-    fn validate(&self) -> Result<()> {
-        validate_lattice(self.nrows, self.ncols)?;
-        if self.layers == 0 || self.entangle_every == 0 {
-            return Err(invalid("amplitudes: layers and entangle_every must be >= 1"));
-        }
-        if self.evolution_bond == 0 {
-            return Err(invalid("amplitudes: evolution_bond must be >= 1"));
-        }
-        match self.method {
-            ContractionMethod::Exact => {}
-            ContractionMethod::Bmps { max_bond } | ContractionMethod::Ibmps { max_bond, .. } => {
-                if max_bond == 0 {
-                    return Err(invalid("amplitudes: contraction max_bond must be >= 1"));
-                }
+    fn fields(&mut self, w: &mut Walk) -> Result<()> {
+        w.req("nrows", Count, &mut self.nrows)?;
+        w.req("ncols", Count, &mut self.ncols)?;
+        w.opt("layers", Count, &mut self.layers, 8)?;
+        w.opt("entangle_every", Count, &mut self.entangle_every, 4)?;
+        w.opt("circuit_seed", Seed, &mut self.circuit_seed, 0)?;
+        w.opt("evolution_bond", Count, &mut self.evolution_bond, 1 << 16)?;
+        w.req("method", Tagged, &mut self.method)?;
+        w.req("bitstrings", List(List(Unsigned)), &mut self.bitstrings)?;
+        w.opt("seed", Seed, &mut self.seed, 0)?;
+        w.cross(|| {
+            check_lattice(self.nrows, self.ncols)?;
+            if let ContractionMethod::Bmps { max_bond: 0 }
+            | ContractionMethod::Ibmps { max_bond: 0, .. } = self.method
+            {
+                return Err(invalid("amplitudes: contraction max_bond must be >= 1"));
             }
-        }
-        if self.bitstrings.is_empty() {
-            return Err(invalid("amplitudes: at least one bitstring is required"));
-        }
-        let n = self.nrows * self.ncols;
-        for (i, bits) in self.bitstrings.iter().enumerate() {
-            if bits.len() != n {
-                return Err(invalid(format!(
-                    "amplitudes: bitstring {i} has {} bits, lattice has {n} sites",
-                    bits.len()
-                )));
-            }
-            if bits.iter().any(|&b| b > 1) {
-                return Err(invalid(format!("amplitudes: bitstring {i} has a bit outside 0/1")));
-            }
-        }
-        Ok(())
+            check_bitstrings(&self.bitstrings, self.nrows * self.ncols)
+        })
     }
 
     fn signature(&self) -> String {
-        format!(
-            "amp/{}x{}/l{}/e{}/cs{}/r{}/{:?}/n{}",
-            self.nrows,
-            self.ncols,
-            self.layers,
-            self.entangle_every,
-            self.circuit_seed,
-            self.evolution_bond,
-            self.method,
-            self.bitstrings.len()
-        )
+        let AmplitudeJob { nrows, ncols, layers, entangle_every: e, circuit_seed: cs, .. } = self;
+        let (r, method, n) = (self.evolution_bond, self.method, self.bitstrings.len());
+        format!("amp/{nrows}x{ncols}/l{layers}/e{e}/cs{cs}/r{r}/{method:?}/n{n}")
     }
 }
 
@@ -307,6 +296,11 @@ pub const MAX_CIRCUIT_GATES: usize = 4096;
 /// for single queries, backend dispatch) and answer a batch of bitstring
 /// amplitude queries. The whole batch shares one state evolution, so warm
 /// re-submissions of the same circuit replay cached contraction plans.
+///
+/// The wire flattens the circuit into `num_qubits`, optional `nrows`/`ncols`
+/// and `gates`. [`CircuitJob::new`] has its own defaults; an absent wire key
+/// takes the field list's (`backend` auto, PEPS `method` `bmps(64)`, `seed`
+/// 17).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CircuitJob {
     /// The circuit (qubit count and optional lattice live inside).
@@ -321,54 +315,26 @@ pub struct CircuitJob {
 }
 
 impl CircuitJob {
-    /// A job querying `bitstrings` on `circuit` under auto dispatch.
+    /// A job querying `bitstrings` on `circuit` under auto dispatch, seed 17.
     pub fn new(circuit: Circuit, bitstrings: Vec<Vec<usize>>) -> CircuitJob {
         CircuitJob { circuit, bitstrings, backend: BackendChoice::Auto, seed: 17 }
     }
 
-    fn validate(&self) -> Result<()> {
-        let n = self.circuit.num_qubits();
-        if n == 0 {
-            return Err(invalid("circuit: at least one qubit is required"));
-        }
-        if n > MAX_SITES {
-            return Err(invalid(format!(
-                "circuit: {n} qubits exceeds the service cap of {MAX_SITES}"
-            )));
-        }
-        if self.circuit.len() > MAX_CIRCUIT_GATES {
-            return Err(invalid(format!(
-                "circuit: {} gates exceeds the service cap of {MAX_CIRCUIT_GATES}",
-                self.circuit.len()
-            )));
-        }
-        self.circuit.validate().map_err(rejected)?;
-        if self.bitstrings.is_empty() {
-            return Err(invalid("circuit: at least one bitstring is required"));
-        }
-        for (i, bits) in self.bitstrings.iter().enumerate() {
-            if bits.len() != n {
+    fn fields(&mut self, w: &mut Walk) -> Result<()> {
+        w.circuit(&mut self.circuit)?;
+        w.req("bitstrings", List(List(Unsigned)), &mut self.bitstrings)?;
+        w.opt("backend", Tagged, &mut self.backend, BackendChoice::Auto)?;
+        w.opt("seed", Seed, &mut self.seed, 17)?;
+        w.cross(|| {
+            let n = self.circuit.num_qubits();
+            check_bitstrings(&self.bitstrings, n)?;
+            if self.backend == BackendChoice::Fixed(Backend::Statevector) && n > 26 {
                 return Err(invalid(format!(
-                    "circuit: bitstring {i} has {} bits, circuit has {n} qubits",
-                    bits.len()
+                    "circuit: {n} qubits exceed the 26-qubit statevector limit"
                 )));
             }
-            if bits.iter().any(|&b| b > 1) {
-                return Err(invalid(format!("circuit: bitstring {i} has a bit outside 0/1")));
-            }
-        }
-        match self.backend {
-            BackendChoice::Fixed(Backend::Statevector) if n > 26 => {
-                Err(invalid(format!("circuit: {n} qubits exceed the 26-qubit statevector limit")))
-            }
-            BackendChoice::Fixed(Backend::Mps { max_bond: 0 }) => {
-                Err(invalid("circuit: MPS max_bond must be >= 1"))
-            }
-            BackendChoice::Fixed(Backend::Peps { evolution_bond: 0, .. }) => {
-                Err(invalid("circuit: PEPS evolution_bond must be >= 1"))
-            }
-            _ => Ok(()),
-        }
+            Ok(())
+        })
     }
 
     /// The signature hashes the circuit *structure* (gate kinds, qubit
@@ -416,12 +382,7 @@ impl JobSpec {
     /// rejects invalid specs with [`ErrorKind::InvalidArgument`] before they
     /// reach the queue.
     pub fn validate(&self) -> Result<()> {
-        match self {
-            JobSpec::Ite(j) => j.validate(),
-            JobSpec::Vqe(j) => j.validate(),
-            JobSpec::Amplitudes(j) => j.validate(),
-            JobSpec::Circuit(j) => j.validate(),
-        }
+        Tagged.check(self).map_err(rejected)
     }
 
     /// Workload-signature key: jobs sharing a signature run the same einsum
@@ -449,104 +410,7 @@ impl JobSpec {
     /// Serialise to the wire form understood by [`JobSpec::from_json`] and
     /// the `serve_stdio` binary.
     pub fn to_json(&self) -> JsonValue {
-        match self {
-            JobSpec::Ite(j) => JsonValue::object([
-                ("type", JsonValue::str("ite")),
-                ("nrows", JsonValue::num(j.nrows as f64)),
-                ("ncols", JsonValue::num(j.ncols as f64)),
-                ("jz", JsonValue::num(j.jz)),
-                ("hx", JsonValue::num(j.hx)),
-                ("tau", JsonValue::num(j.tau)),
-                ("steps", JsonValue::num(j.steps as f64)),
-                ("evolution_bond", JsonValue::num(j.evolution_bond as f64)),
-                ("contraction_bond", JsonValue::num(j.contraction_bond as f64)),
-                ("measure_every", JsonValue::num(j.measure_every as f64)),
-                ("seed", JsonValue::num(j.seed as f64)),
-            ]),
-            JobSpec::Vqe(j) => {
-                let backend = match j.backend {
-                    VqeBackend::StateVector => {
-                        JsonValue::object([("type", JsonValue::str("statevector"))])
-                    }
-                    VqeBackend::Peps { bond, contraction_bond } => JsonValue::object([
-                        ("type", JsonValue::str("peps")),
-                        ("bond", JsonValue::num(bond as f64)),
-                        ("contraction_bond", JsonValue::num(contraction_bond as f64)),
-                    ]),
-                };
-                let optimizer = match j.optimizer {
-                    Optimizer::NelderMead { scale, max_iterations } => JsonValue::object([
-                        ("type", JsonValue::str("nelder_mead")),
-                        ("scale", JsonValue::num(scale)),
-                        ("max_iterations", JsonValue::num(max_iterations as f64)),
-                    ]),
-                    Optimizer::Spsa { a0, c0, iterations } => JsonValue::object([
-                        ("type", JsonValue::str("spsa")),
-                        ("a0", JsonValue::num(a0)),
-                        ("c0", JsonValue::num(c0)),
-                        ("iterations", JsonValue::num(iterations as f64)),
-                    ]),
-                };
-                JsonValue::object([
-                    ("type", JsonValue::str("vqe")),
-                    ("nrows", JsonValue::num(j.nrows as f64)),
-                    ("ncols", JsonValue::num(j.ncols as f64)),
-                    ("jz", JsonValue::num(j.jz)),
-                    ("hx", JsonValue::num(j.hx)),
-                    ("layers", JsonValue::num(j.layers as f64)),
-                    ("backend", backend),
-                    ("optimizer", optimizer),
-                    ("seed", JsonValue::num(j.seed as f64)),
-                ])
-            }
-            JobSpec::Amplitudes(j) => JsonValue::object([
-                ("type", JsonValue::str("amplitudes")),
-                ("nrows", JsonValue::num(j.nrows as f64)),
-                ("ncols", JsonValue::num(j.ncols as f64)),
-                ("layers", JsonValue::num(j.layers as f64)),
-                ("entangle_every", JsonValue::num(j.entangle_every as f64)),
-                ("circuit_seed", JsonValue::num(j.circuit_seed as f64)),
-                ("evolution_bond", JsonValue::num(j.evolution_bond as f64)),
-                ("method", method_to_json(j.method)),
-                ("bitstrings", bitstrings_to_json(&j.bitstrings)),
-                ("seed", JsonValue::num(j.seed as f64)),
-            ]),
-            JobSpec::Circuit(j) => {
-                let backend = match j.backend {
-                    BackendChoice::Auto => JsonValue::object([("type", JsonValue::str("auto"))]),
-                    BackendChoice::Fixed(Backend::Statevector) => {
-                        JsonValue::object([("type", JsonValue::str("statevector"))])
-                    }
-                    BackendChoice::Fixed(Backend::Mps { max_bond }) => JsonValue::object([
-                        ("type", JsonValue::str("mps")),
-                        ("max_bond", JsonValue::num(max_bond as f64)),
-                    ]),
-                    BackendChoice::Fixed(Backend::Peps { evolution_bond, method }) => {
-                        JsonValue::object([
-                            ("type", JsonValue::str("peps")),
-                            ("evolution_bond", JsonValue::num(evolution_bond as f64)),
-                            ("method", method_to_json(method)),
-                        ])
-                    }
-                };
-                let mut fields = vec![
-                    ("type".to_string(), JsonValue::str("circuit")),
-                    ("num_qubits".to_string(), JsonValue::num(j.circuit.num_qubits() as f64)),
-                ];
-                if let Some((r, c)) = j.circuit.lattice() {
-                    fields.push(("nrows".to_string(), JsonValue::num(r as f64)));
-                    fields.push(("ncols".to_string(), JsonValue::num(c as f64)));
-                }
-                fields.push((
-                    "gates".to_string(),
-                    JsonValue::Array(j.circuit.gates().iter().map(gate_to_json).collect()),
-                ));
-                fields.push(("bitstrings".to_string(), bitstrings_to_json(&j.bitstrings)));
-                fields.push(("backend".to_string(), backend));
-                fields.push(("seed".to_string(), JsonValue::num(j.seed as f64)));
-                JsonValue::Object(fields)
-            }
-        }
+        Tagged.to_wire(self)
     }
 
     /// Parse the wire form produced by [`JobSpec::to_json`]. The parsed spec
@@ -555,336 +419,482 @@ impl JobSpec {
     /// Integer fields travel as JSON numbers (`f64`); seeds and counters are
     /// exact up to 2^53, far beyond any spec this service accepts.
     pub fn from_json(v: &JsonValue) -> Result<JobSpec> {
-        let kind = req_str(v, "type")?;
-        let spec = match kind {
-            "ite" => JobSpec::Ite(IteJob {
-                nrows: req_usize(v, "nrows")?,
-                ncols: req_usize(v, "ncols")?,
-                jz: opt_f64(v, "jz", -1.0)?,
-                hx: opt_f64(v, "hx", -2.0)?,
-                tau: opt_f64(v, "tau", 0.05)?,
-                steps: req_usize(v, "steps")?,
-                evolution_bond: req_usize(v, "evolution_bond")?,
-                contraction_bond: req_usize(v, "contraction_bond")?,
-                measure_every: opt_usize(v, "measure_every", 1)?,
-                seed: opt_u64(v, "seed", 0)?,
-            }),
-            "vqe" => {
-                let backend_v =
-                    v.get("backend").ok_or_else(|| invalid("vqe: missing field 'backend'"))?;
-                let backend = match req_str(backend_v, "type")? {
-                    "statevector" => VqeBackend::StateVector,
-                    "peps" => VqeBackend::Peps {
-                        bond: req_usize(backend_v, "bond")?,
-                        contraction_bond: req_usize(backend_v, "contraction_bond")?,
-                    },
-                    other => return Err(invalid(format!("vqe: unknown backend '{other}'"))),
-                };
-                let opt_v =
-                    v.get("optimizer").ok_or_else(|| invalid("vqe: missing field 'optimizer'"))?;
-                let optimizer = match req_str(opt_v, "type")? {
-                    "nelder_mead" => Optimizer::NelderMead {
-                        scale: opt_f64(opt_v, "scale", 0.4)?,
-                        max_iterations: req_usize(opt_v, "max_iterations")?,
-                    },
-                    "spsa" => Optimizer::Spsa {
-                        a0: opt_f64(opt_v, "a0", 0.3)?,
-                        c0: opt_f64(opt_v, "c0", 0.2)?,
-                        iterations: req_usize(opt_v, "iterations")?,
-                    },
-                    other => return Err(invalid(format!("vqe: unknown optimizer '{other}'"))),
-                };
-                JobSpec::Vqe(VqeJob {
-                    nrows: req_usize(v, "nrows")?,
-                    ncols: req_usize(v, "ncols")?,
-                    jz: opt_f64(v, "jz", -1.0)?,
-                    hx: opt_f64(v, "hx", -3.5)?,
-                    layers: opt_usize(v, "layers", 1)?,
-                    backend,
-                    optimizer,
-                    seed: opt_u64(v, "seed", 0)?,
-                })
-            }
-            "amplitudes" => {
-                let method_v =
-                    v.get("method").ok_or_else(|| invalid("amplitudes: missing field 'method'"))?;
-                JobSpec::Amplitudes(AmplitudeJob {
-                    nrows: req_usize(v, "nrows")?,
-                    ncols: req_usize(v, "ncols")?,
-                    layers: opt_usize(v, "layers", 8)?,
-                    entangle_every: opt_usize(v, "entangle_every", 4)?,
-                    circuit_seed: opt_u64(v, "circuit_seed", 0)?,
-                    evolution_bond: opt_usize(v, "evolution_bond", 1 << 16)?,
-                    method: method_from_json(method_v)?,
-                    bitstrings: bitstrings_from_json(v)?,
-                    seed: opt_u64(v, "seed", 0)?,
-                })
-            }
-            "circuit" => {
-                let num_qubits = req_usize(v, "num_qubits")?;
-                let lattice = match (v.get("nrows"), v.get("ncols")) {
-                    (None, None) => None,
-                    _ => Some((req_usize(v, "nrows")?, req_usize(v, "ncols")?)),
-                };
-                let mut circuit = match lattice {
-                    Some((r, c)) => {
-                        if r.checked_mul(c) != Some(num_qubits) {
-                            return Err(invalid(format!(
-                                "circuit: lattice {r}x{c} does not hold {num_qubits} qubits"
-                            )));
-                        }
-                        Circuit::with_lattice(r, c)
-                    }
-                    None => Circuit::new(num_qubits),
-                };
-                let gates_v = v
-                    .get("gates")
-                    .and_then(JsonValue::as_array)
-                    .ok_or_else(|| invalid("circuit: missing array field 'gates'"))?;
-                for (i, g) in gates_v.iter().enumerate() {
-                    gate_from_json(&mut circuit, g)
-                        .with_context(|| format!("circuit: gate {i}"))?;
-                }
-                let backend = match v.get("backend") {
-                    None => BackendChoice::Auto,
-                    Some(b) => match req_str(b, "type")? {
-                        "auto" => BackendChoice::Auto,
-                        "statevector" => BackendChoice::Fixed(Backend::Statevector),
-                        "mps" => BackendChoice::Fixed(Backend::Mps {
-                            max_bond: req_usize(b, "max_bond")?,
-                        }),
-                        "peps" => {
-                            let method = match b.get("method") {
-                                None => ContractionMethod::bmps(64),
-                                Some(m) => method_from_json(m)?,
-                            };
-                            BackendChoice::Fixed(Backend::Peps {
-                                evolution_bond: req_usize(b, "evolution_bond")?,
-                                method,
-                            })
-                        }
-                        other => {
-                            return Err(invalid(format!("circuit: unknown backend '{other}'")))
-                        }
-                    },
-                };
-                JobSpec::Circuit(CircuitJob {
-                    circuit,
-                    bitstrings: bitstrings_from_json(v)?,
-                    backend,
-                    seed: opt_u64(v, "seed", 17)?,
-                })
-            }
-            other => return Err(invalid(format!("unknown job type '{other}'"))),
-        };
+        let spec: JobSpec = Tagged.from_wire(v).map_err(rejected)?;
         spec.validate()?;
         Ok(spec)
     }
 }
 
-fn req_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| invalid(format!("missing string field '{key}'")))
+/// One pass over a field list.
+enum Walk<'a> {
+    /// Append each field to the object under construction.
+    Emit(Vec<(String, JsonValue)>),
+    /// Overwrite each field from `object`; an absent optional key takes the
+    /// line's default. `matched` records whether the tag line matched.
+    Parse { object: &'a JsonValue, matched: bool },
+    /// Apply each field's range rule, then the cross-field checks.
+    Check,
 }
 
-fn req_usize(v: &JsonValue, key: &str) -> Result<usize> {
-    let x = v
-        .get(key)
-        .and_then(JsonValue::as_num)
-        .ok_or_else(|| invalid(format!("missing numeric field '{key}'")))?;
-    usize_from_num(x, format_args!("field '{key}'"))
-}
-
-/// A wire number as a count or index: fractions, negatives, NaN, infinities
-/// and anything past 2^53 (where `f64` stops being exact) are rejected rather
-/// than cast (`as usize` would map them all to some in-range value).
-fn usize_from_num(x: f64, what: impl std::fmt::Display) -> Result<usize> {
-    if !(0.0..=9_007_199_254_740_992.0).contains(&x) || x.fract() != 0.0 {
-        return Err(invalid(format!("{what} must be a non-negative integer, got {x}")));
-    }
-    Ok(x as usize)
-}
-
-fn opt_usize(v: &JsonValue, key: &str, default: usize) -> Result<usize> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(_) => req_usize(v, key),
-    }
-}
-
-fn opt_u64(v: &JsonValue, key: &str, default: u64) -> Result<u64> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(_) => Ok(req_usize(v, key)? as u64),
-    }
-}
-
-fn opt_f64(v: &JsonValue, key: &str, default: f64) -> Result<f64> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(x) => x.as_num().ok_or_else(|| invalid(format!("field '{key}' must be a number"))),
-    }
-}
-
-fn req_f64(v: &JsonValue, key: &str) -> Result<f64> {
-    v.get(key)
-        .and_then(JsonValue::as_num)
-        .ok_or_else(|| invalid(format!("missing numeric field '{key}'")))
-}
-
-fn method_to_json(method: ContractionMethod) -> JsonValue {
-    match method {
-        ContractionMethod::Exact => JsonValue::object([("type", JsonValue::str("exact"))]),
-        ContractionMethod::Bmps { max_bond } => JsonValue::object([
-            ("type", JsonValue::str("bmps")),
-            ("max_bond", JsonValue::num(max_bond as f64)),
-        ]),
-        ContractionMethod::Ibmps { max_bond, n_iter, oversample } => JsonValue::object([
-            ("type", JsonValue::str("ibmps")),
-            ("max_bond", JsonValue::num(max_bond as f64)),
-            ("n_iter", JsonValue::num(n_iter as f64)),
-            ("oversample", JsonValue::num(oversample as f64)),
-        ]),
-    }
-}
-
-fn method_from_json(v: &JsonValue) -> Result<ContractionMethod> {
-    match req_str(v, "type")? {
-        "exact" => Ok(ContractionMethod::Exact),
-        "bmps" => Ok(ContractionMethod::bmps(req_usize(v, "max_bond")?)),
-        "ibmps" => Ok(ContractionMethod::Ibmps {
-            max_bond: req_usize(v, "max_bond")?,
-            n_iter: opt_usize(v, "n_iter", 2)?,
-            oversample: opt_usize(v, "oversample", 10)?,
-        }),
-        other => Err(invalid(format!("unknown contraction method '{other}'"))),
-    }
-}
-
-fn bitstrings_to_json(bitstrings: &[Vec<usize>]) -> JsonValue {
-    JsonValue::Array(
-        bitstrings
-            .iter()
-            .map(|bits| JsonValue::Array(bits.iter().map(|&b| JsonValue::num(b as f64)).collect()))
-            .collect(),
-    )
-}
-
-fn bitstrings_from_json(v: &JsonValue) -> Result<Vec<Vec<usize>>> {
-    let bits_v = v
-        .get("bitstrings")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| invalid("missing array field 'bitstrings'"))?;
-    let mut bitstrings = Vec::with_capacity(bits_v.len());
-    for (i, bits) in bits_v.iter().enumerate() {
-        let arr = bits.as_array().ok_or_else(|| invalid(format!("bitstring {i} not an array")))?;
-        let mut parsed = Vec::with_capacity(arr.len());
-        for b in arr {
-            let x = b
-                .as_num()
-                .ok_or_else(|| invalid(format!("bitstring {i} has a non-numeric bit")))?;
-            parsed.push(usize_from_num(x, format_args!("bitstring {i}: every bit"))?);
+impl Walk<'_> {
+    fn field<T, W: Wire<T>>(
+        &mut self,
+        key: &str,
+        wire: W,
+        v: &mut T,
+        default: Option<T>,
+    ) -> Result<()> {
+        match self {
+            Walk::Emit(fields) => fields.push((key.to_string(), wire.to_wire(v))),
+            Walk::Parse { object, .. } => {
+                *v = match (object.get(key), default) {
+                    (Some(x), _) => wire.from_wire(x).with_context(|| format!("field '{key}'"))?,
+                    (None, Some(default)) => default,
+                    (None, None) => return Err(invalid(format!("missing field '{key}'"))),
+                }
+            }
+            Walk::Check => wire.check(v).with_context(|| format!("field '{key}'"))?,
         }
-        bitstrings.push(parsed);
+        Ok(())
     }
-    Ok(bitstrings)
+
+    /// A field the wire must carry.
+    fn req<T, W: Wire<T>>(&mut self, key: &str, wire: W, v: &mut T) -> Result<()> {
+        self.field(key, wire, v, None)
+    }
+
+    /// A field whose absent key means `default`.
+    fn opt<T, W: Wire<T>>(&mut self, key: &str, wire: W, v: &mut T, default: T) -> Result<()> {
+        self.field(key, wire, v, Some(default))
+    }
+
+    /// A field whose absent key means `None`.
+    fn maybe<T, W: Wire<T>>(&mut self, key: &str, wire: W, v: &mut Option<T>) -> Result<()> {
+        match (self, v) {
+            (Walk::Emit(fields), Some(x)) => fields.push((key.to_string(), wire.to_wire(x))),
+            (Walk::Parse { object, .. }, v) => {
+                let x = object.get(key).map(|x| wire.from_wire(x)).transpose();
+                *v = x.with_context(|| format!("field '{key}'"))?;
+            }
+            (Walk::Check, Some(x)) => wire.check(x).with_context(|| format!("field '{key}'"))?,
+            (_, None) => {}
+        }
+        Ok(())
+    }
+
+    /// The first line of a [`Record`] variant: its tag. A parse walk stops
+    /// here unless the object carries this tag.
+    fn tag(&mut self, key: &str, tag: &str) -> Result<()> {
+        match self {
+            Walk::Emit(fields) => fields.push((key.to_string(), JsonValue::str(tag))),
+            Walk::Parse { object, matched } => {
+                *matched = object.get(key).and_then(JsonValue::as_str) == Some(tag);
+                if !*matched {
+                    return Err(invalid(format!("not a '{tag}'")));
+                }
+            }
+            Walk::Check => {}
+        }
+        Ok(())
+    }
+
+    /// A job's circuit, flattened into the job object: `num_qubits`, an
+    /// optional `nrows` x `ncols` lattice that must hold exactly that many
+    /// sites, and `gates`, each pushed through the circuit's own checks.
+    fn circuit(&mut self, circuit: &mut Circuit) -> Result<()> {
+        let (mut n, (mut nrows, mut ncols)) = (circuit.num_qubits(), circuit.lattice().unzip());
+        if let Walk::Check = self {
+            let gates = circuit.len();
+            if n == 0 || n > MAX_SITES || gates > MAX_CIRCUIT_GATES {
+                return Err(invalid(format!(
+                    "circuit: {n} qubits and {gates} gates, the service takes 1 to {MAX_SITES} \
+                     qubits and up to {MAX_CIRCUIT_GATES} gates"
+                )));
+            }
+            return circuit.validate();
+        }
+        let mut gates = circuit.gates().to_vec();
+        self.req("num_qubits", Unsigned, &mut n)?;
+        self.maybe("nrows", Unsigned, &mut nrows)?;
+        self.maybe("ncols", Unsigned, &mut ncols)?;
+        self.req("gates", List(Tagged), &mut gates)?;
+        if let Walk::Parse { .. } = self {
+            *circuit = match (nrows, ncols) {
+                (None, None) => Circuit::new(n),
+                (Some(r), Some(c)) if r.checked_mul(c) == Some(n) => Circuit::with_lattice(r, c),
+                _ => return Err(invalid(format!("circuit: nrows x ncols must give {n} qubits"))),
+            };
+            for (i, gate) in gates.into_iter().enumerate() {
+                let pushed = match gate {
+                    Gate::One { qubit, gate } => circuit.push_one(qubit, gate),
+                    Gate::Two { a, b, gate } => circuit.push_two(a, b, gate),
+                };
+                pushed.with_context(|| format!("circuit: gate {i}"))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Cross-field checks, run after the list by the check walk only.
+    fn cross(&self, checks: impl FnOnce() -> Result<()>) -> Result<()> {
+        match self {
+            Walk::Check => checks(),
+            _ => Ok(()),
+        }
+    }
 }
 
-/// A gate matrix on the wire: row-major interleaved `[re, im, re, im, ...]`.
+/// A value type's JSON shape (`to_wire`, and `from_wire`, which refuses any
+/// other JSON) and its range rule (`check`, which the check walk applies to
+/// parsed and in-process specs alike). `self` is the wire type (`Count`,
+/// `Real::Finite`, ...); `from_wire` builds the `T` it carries.
+#[allow(clippy::wrong_self_convention)]
+trait Wire<T> {
+    fn to_wire(&self, v: &T) -> JsonValue;
+    fn from_wire(&self, v: &JsonValue) -> Result<T>;
+    fn check(&self, _v: &T) -> Result<()> {
+        Ok(())
+    }
+}
+
+fn number(v: &JsonValue) -> Result<f64> {
+    v.as_num().ok_or_else(|| invalid("must be a number"))
+}
+
+/// An unsigned integer (`n_iter`, qubit indices, bits). Fractions,
+/// negatives, NaN, infinities and anything past 2^53 (where `f64` stops
+/// being exact) are rejected rather than cast (`as usize` would map them all
+/// to some in-range value).
+struct Unsigned;
+
+impl Wire<usize> for Unsigned {
+    fn to_wire(&self, v: &usize) -> JsonValue {
+        JsonValue::num(*v as f64)
+    }
+
+    fn from_wire(&self, v: &JsonValue) -> Result<usize> {
+        let x = number(v)?;
+        if !(0.0..=9_007_199_254_740_992.0).contains(&x) || x.fract() != 0.0 {
+            return Err(invalid(format!("must be a non-negative integer, got {x}")));
+        }
+        Ok(x as usize)
+    }
+}
+
+/// A count (lattice dimensions, bonds, steps, layers, budgets): an
+/// [`Unsigned`] that must be >= 1.
+struct Count;
+
+impl Wire<usize> for Count {
+    fn to_wire(&self, v: &usize) -> JsonValue {
+        Unsigned.to_wire(v)
+    }
+
+    fn from_wire(&self, v: &JsonValue) -> Result<usize> {
+        Unsigned.from_wire(v)
+    }
+
+    fn check(&self, v: &usize) -> Result<()> {
+        if *v == 0 {
+            return Err(invalid("must be >= 1"));
+        }
+        Ok(())
+    }
+}
+
+/// An RNG seed: an [`Unsigned`] read as `u64`.
+struct Seed;
+
+impl Wire<u64> for Seed {
+    fn to_wire(&self, v: &u64) -> JsonValue {
+        JsonValue::num(*v as f64)
+    }
+
+    fn from_wire(&self, v: &JsonValue) -> Result<u64> {
+        Ok(Unsigned.from_wire(v)? as u64)
+    }
+}
+
+/// A real number, with the range rule its line asks for.
+enum Real {
+    Any,
+    Finite,
+    Positive,
+}
+
+impl Wire<f64> for Real {
+    fn to_wire(&self, v: &f64) -> JsonValue {
+        JsonValue::num(*v)
+    }
+
+    fn from_wire(&self, v: &JsonValue) -> Result<f64> {
+        number(v)
+    }
+
+    fn check(&self, v: &f64) -> Result<()> {
+        match self {
+            Real::Finite if !v.is_finite() => Err(invalid(format!("must be finite, got {v}"))),
+            Real::Positive if !(v.is_finite() && *v > 0.0) => {
+                Err(invalid(format!("must be finite and positive, got {v}")))
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
+/// An amplitude: `[re, im]`.
+struct Complex;
+
+impl Wire<C64> for Complex {
+    fn to_wire(&self, v: &C64) -> JsonValue {
+        JsonValue::Array(vec![JsonValue::num(v.re), JsonValue::num(v.im)])
+    }
+
+    fn from_wire(&self, v: &JsonValue) -> Result<C64> {
+        match v.as_array() {
+            Some([re, im]) => Ok(c64(number(re)?, number(im)?)),
+            _ => Err(invalid("must be an [re, im] pair")),
+        }
+    }
+}
+
+/// A `dim x dim` gate matrix: row-major interleaved `[re, im, re, im, ...]`.
 /// `f64` values roundtrip exactly through the JSON layer (shortest-roundtrip
 /// printing), so a parsed circuit is bit-identical to the submitted one.
-fn matrix_to_json(m: &Matrix) -> JsonValue {
-    JsonValue::Array(
-        m.data().iter().flat_map(|z| [JsonValue::num(z.re), JsonValue::num(z.im)]).collect(),
-    )
+struct Unitary(usize);
+
+impl Wire<Matrix> for Unitary {
+    fn to_wire(&self, m: &Matrix) -> JsonValue {
+        let parts = m.data().iter().flat_map(|z| [JsonValue::num(z.re), JsonValue::num(z.im)]);
+        JsonValue::Array(parts.collect())
+    }
+
+    fn from_wire(&self, v: &JsonValue) -> Result<Matrix> {
+        let (dim, parts) = (self.0, v.as_array().ok_or_else(|| invalid("must be an array"))?);
+        if parts.len() != 2 * dim * dim {
+            return Err(invalid(format!("{} floats for a {dim}x{dim} matrix", parts.len())));
+        }
+        let data = parts.chunks(2).map(|z| Ok(c64(number(&z[0])?, number(&z[1])?)));
+        let mut m = Matrix::from_vec(dim, dim, data.collect::<Result<_>>()?)?;
+        // Re-derive the structural realness hint lost on the wire, so real
+        // unitaries keep the real-kernel fast path after a JSON roundtrip.
+        m.mark_real_if_exact();
+        Ok(m)
+    }
 }
 
-fn matrix_from_json(v: &JsonValue, dim: usize) -> Result<Matrix> {
-    let arr = v
-        .get("m")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| invalid("unitary gate: missing array field 'm'"))?;
-    if arr.len() != 2 * dim * dim {
-        return Err(invalid(format!(
-            "unitary gate: expected {} floats for a {dim}x{dim} matrix, got {}",
-            2 * dim * dim,
-            arr.len()
-        )));
+/// A JSON array of one wire type.
+struct List<W>(W);
+
+impl<T, W: Wire<T>> Wire<Vec<T>> for List<W> {
+    fn to_wire(&self, v: &Vec<T>) -> JsonValue {
+        JsonValue::Array(v.iter().map(|x| self.0.to_wire(x)).collect())
     }
-    let mut data = Vec::with_capacity(dim * dim);
-    for pair in arr.chunks(2) {
-        let re = pair[0].as_num().ok_or_else(|| invalid("unitary gate: non-numeric entry"))?;
-        let im = pair[1].as_num().ok_or_else(|| invalid("unitary gate: non-numeric entry"))?;
-        data.push(c64(re, im));
+
+    fn from_wire(&self, v: &JsonValue) -> Result<Vec<T>> {
+        let items = v.as_array().ok_or_else(|| invalid("must be an array"))?;
+        let parsed = items.iter().enumerate();
+        parsed.map(|(i, x)| self.0.from_wire(x).with_context(|| format!("item {i}"))).collect()
     }
-    let mut m = Matrix::from_vec(dim, dim, data).map_err(rejected)?;
-    // Re-derive the structural realness hint lost on the wire, so real
-    // unitaries keep the real-kernel fast path after a JSON roundtrip.
-    m.mark_real_if_exact();
-    Ok(m)
+
+    fn check(&self, v: &Vec<T>) -> Result<()> {
+        v.iter().try_for_each(|x| self.0.check(x))
+    }
 }
 
-fn gate_to_json(gate: &Gate) -> JsonValue {
-    match gate {
-        Gate::One { qubit, gate } => {
-            let mut fields = vec![
-                ("g".to_string(), JsonValue::str(gate.tag())),
-                ("q".to_string(), JsonValue::num(*qubit as f64)),
-            ];
-            match gate {
-                Gate1::Rx(t) | Gate1::Ry(t) | Gate1::Rz(t) => {
-                    fields.push(("theta".to_string(), JsonValue::num(*t)));
+/// A tagged union on the wire: an object whose tag names the variant, then
+/// that variant's fields. Each variant's field list starts with its tag.
+trait Record: Clone {
+    /// One value per variant; a parse walk overwrites every field.
+    fn variants() -> Vec<Self>;
+    /// The field list of this value's variant, in wire order.
+    fn fields(&mut self, w: &mut Walk) -> Result<()>;
+}
+
+/// The wire type of every [`Record`].
+struct Tagged;
+
+impl<T: Record> Wire<T> for Tagged {
+    fn to_wire(&self, v: &T) -> JsonValue {
+        let mut w = Walk::Emit(Vec::new());
+        // An emit walk only reads the fields: it cannot fail.
+        let _ = v.clone().fields(&mut w);
+        let Walk::Emit(fields) = w else { return JsonValue::Null };
+        JsonValue::Object(fields)
+    }
+
+    fn from_wire(&self, v: &JsonValue) -> Result<T> {
+        for mut value in T::variants() {
+            let mut w = Walk::Parse { object: v, matched: false };
+            let parsed = value.fields(&mut w);
+            if let Walk::Parse { matched: true, .. } = w {
+                return parsed.map(|()| value);
+            }
+        }
+        Err(invalid("missing or unknown tag"))
+    }
+
+    fn check(&self, v: &T) -> Result<()> {
+        v.clone().fields(&mut Walk::Check)
+    }
+}
+
+/// The tag key of every record but [`Gate`].
+const TYPE: &str = "type";
+
+impl Record for JobSpec {
+    fn variants() -> Vec<JobSpec> {
+        vec![
+            JobSpec::Ite(IteJob::new(0, 0, 0)),
+            JobSpec::Vqe(VqeJob::new(0, 0, VqeBackend::StateVector)),
+            JobSpec::Amplitudes(AmplitudeJob::new(0, 0, ContractionMethod::Exact)),
+            JobSpec::Circuit(CircuitJob::new(Circuit::new(0), Vec::new())),
+        ]
+    }
+
+    fn fields(&mut self, w: &mut Walk) -> Result<()> {
+        w.tag(TYPE, self.kind())?;
+        match self {
+            JobSpec::Ite(j) => j.fields(w),
+            JobSpec::Vqe(j) => j.fields(w),
+            JobSpec::Amplitudes(j) => j.fields(w),
+            JobSpec::Circuit(j) => j.fields(w),
+        }
+    }
+}
+
+impl Record for VqeBackend {
+    fn variants() -> Vec<VqeBackend> {
+        vec![VqeBackend::StateVector, VqeBackend::Peps { bond: 0, contraction_bond: 0 }]
+    }
+
+    fn fields(&mut self, w: &mut Walk) -> Result<()> {
+        match self {
+            VqeBackend::StateVector => w.tag(TYPE, "statevector"),
+            VqeBackend::Peps { bond, contraction_bond } => {
+                w.tag(TYPE, "peps")?;
+                w.req("bond", Count, bond)?;
+                w.req("contraction_bond", Count, contraction_bond)
+            }
+        }
+    }
+}
+
+impl Record for Optimizer {
+    fn variants() -> Vec<Optimizer> {
+        vec![
+            Optimizer::NelderMead { scale: 0.0, max_iterations: 0 },
+            Optimizer::Spsa { a0: 0.0, c0: 0.0, iterations: 0 },
+        ]
+    }
+
+    fn fields(&mut self, w: &mut Walk) -> Result<()> {
+        match self {
+            Optimizer::NelderMead { scale, max_iterations } => {
+                w.tag(TYPE, "nelder_mead")?;
+                w.opt("scale", Real::Any, scale, 0.4)?;
+                w.req("max_iterations", Count, max_iterations)
+            }
+            Optimizer::Spsa { a0, c0, iterations } => {
+                w.tag(TYPE, "spsa")?;
+                w.opt("a0", Real::Any, a0, 0.3)?;
+                w.opt("c0", Real::Any, c0, 0.2)?;
+                w.req("iterations", Count, iterations)
+            }
+        }
+    }
+}
+
+/// `max_bond` is an [`Unsigned`]: a circuit job's PEPS backend takes 0,
+/// an amplitude job's cross-field check refuses it.
+impl Record for ContractionMethod {
+    fn variants() -> Vec<ContractionMethod> {
+        let ibmps = ContractionMethod::Ibmps { max_bond: 0, n_iter: 0, oversample: 0 };
+        vec![ContractionMethod::Exact, ContractionMethod::bmps(0), ibmps]
+    }
+
+    fn fields(&mut self, w: &mut Walk) -> Result<()> {
+        let (max_bond, sketch) = match self {
+            ContractionMethod::Exact => return w.tag(TYPE, "exact"),
+            ContractionMethod::Bmps { max_bond } => (max_bond, None),
+            ContractionMethod::Ibmps { max_bond, n_iter, oversample } => {
+                (max_bond, Some((n_iter, oversample)))
+            }
+        };
+        w.tag(TYPE, if sketch.is_some() { "ibmps" } else { "bmps" })?;
+        w.req("max_bond", Unsigned, max_bond)?;
+        if let Some((n_iter, oversample)) = sketch {
+            w.opt("n_iter", Unsigned, n_iter, 2)?;
+            w.opt("oversample", Unsigned, oversample, 10)?;
+        }
+        Ok(())
+    }
+}
+
+impl Record for BackendChoice {
+    fn variants() -> Vec<BackendChoice> {
+        let peps = Backend::Peps { evolution_bond: 0, method: ContractionMethod::Exact };
+        let fixed = [Backend::Statevector, Backend::Mps { max_bond: 0 }, peps];
+        std::iter::once(BackendChoice::Auto).chain(fixed.map(BackendChoice::Fixed)).collect()
+    }
+
+    fn fields(&mut self, w: &mut Walk) -> Result<()> {
+        match self {
+            BackendChoice::Auto => w.tag(TYPE, "auto"),
+            BackendChoice::Fixed(Backend::Statevector) => w.tag(TYPE, "statevector"),
+            BackendChoice::Fixed(Backend::Mps { max_bond }) => {
+                w.tag(TYPE, "mps")?;
+                w.req("max_bond", Count, max_bond)
+            }
+            BackendChoice::Fixed(Backend::Peps { evolution_bond, method }) => {
+                w.tag(TYPE, "peps")?;
+                w.req("evolution_bond", Count, evolution_bond)?;
+                w.opt("method", Tagged, method, ContractionMethod::bmps(64))
+            }
+        }
+    }
+}
+
+/// A gate: `{"g": tag, "q": qubit}` or `{"g": tag, "a": a, "b": b}`, plus
+/// `theta` for rotations and `m` for arbitrary unitaries.
+impl Record for Gate {
+    fn variants() -> Vec<Gate> {
+        use Gate1::{Rx, Ry, Rz, H, S, T, X, Y, Z};
+        let ones =
+            [H, X, Y, Z, S, T, Rx(0.0), Ry(0.0), Rz(0.0), Gate1::Unitary(Matrix::zeros(2, 2))];
+        let twos = [Gate2::Cnot, Gate2::Cz, Gate2::Swap, Gate2::Unitary(Matrix::zeros(4, 4))];
+        let ones = ones.into_iter().map(|gate| Gate::One { qubit: 0, gate });
+        ones.chain(twos.into_iter().map(|gate| Gate::Two { a: 0, b: 0, gate })).collect()
+    }
+
+    fn fields(&mut self, w: &mut Walk) -> Result<()> {
+        let tag = match self {
+            Gate::One { gate, .. } => gate.tag(),
+            Gate::Two { gate, .. } => gate.tag(),
+        };
+        w.tag("g", tag)?;
+        let unitary = match self {
+            Gate::One { qubit, gate } => {
+                w.req("q", Unsigned, qubit)?;
+                match gate {
+                    Gate1::Rx(t) | Gate1::Ry(t) | Gate1::Rz(t) => {
+                        return w.req("theta", Real::Any, t)
+                    }
+                    Gate1::Unitary(m) => Some((m, 2)),
+                    _ => None,
                 }
-                Gate1::Unitary(m) => fields.push(("m".to_string(), matrix_to_json(m))),
-                _ => {}
             }
-            JsonValue::Object(fields)
-        }
-        Gate::Two { a, b, gate } => {
-            let mut fields = vec![
-                ("g".to_string(), JsonValue::str(gate.tag())),
-                ("a".to_string(), JsonValue::num(*a as f64)),
-                ("b".to_string(), JsonValue::num(*b as f64)),
-            ];
-            if let Gate2::Unitary(m) = gate {
-                fields.push(("m".to_string(), matrix_to_json(m)));
+            Gate::Two { a, b, gate } => {
+                w.req("a", Unsigned, a)?;
+                w.req("b", Unsigned, b)?;
+                match gate {
+                    Gate2::Unitary(m) => Some((m, 4)),
+                    _ => None,
+                }
             }
-            JsonValue::Object(fields)
-        }
+        };
+        unitary.map_or(Ok(()), |(m, dim)| w.req("m", Unitary(dim), m))
     }
-}
-
-fn gate_from_json(circuit: &mut Circuit, v: &JsonValue) -> Result<()> {
-    let tag = req_str(v, "g")?;
-    match tag {
-        "h" | "x" | "y" | "z" | "s" | "t" | "rx" | "ry" | "rz" | "u1" => {
-            let gate = match tag {
-                "h" => Gate1::H,
-                "x" => Gate1::X,
-                "y" => Gate1::Y,
-                "z" => Gate1::Z,
-                "s" => Gate1::S,
-                "t" => Gate1::T,
-                "rx" => Gate1::Rx(req_f64(v, "theta")?),
-                "ry" => Gate1::Ry(req_f64(v, "theta")?),
-                "rz" => Gate1::Rz(req_f64(v, "theta")?),
-                _ => Gate1::Unitary(matrix_from_json(v, 2)?),
-            };
-            circuit.push_one(req_usize(v, "q")?, gate).map_err(rejected)?;
-        }
-        "cnot" | "cz" | "swap" | "u2" => {
-            let gate = match tag {
-                "cnot" => Gate2::Cnot,
-                "cz" => Gate2::Cz,
-                "swap" => Gate2::Swap,
-                _ => Gate2::Unitary(matrix_from_json(v, 4)?),
-            };
-            circuit.push_two(req_usize(v, "a")?, req_usize(v, "b")?, gate).map_err(rejected)?;
-        }
-        other => return Err(invalid(format!("unknown gate tag '{other}'"))),
-    }
-    Ok(())
 }
 
 /// Output of a completed [`IteJob`].
@@ -951,70 +961,46 @@ pub enum JobResult {
 impl JobResult {
     /// Serialise to the wire form emitted by the `serve_stdio` binary.
     pub fn to_json(&self) -> JsonValue {
-        match self {
-            JobResult::Ite(o) => JsonValue::object([
-                ("type", JsonValue::str("ite")),
-                (
-                    "energies",
-                    JsonValue::Array(
-                        o.energies
-                            .iter()
-                            .map(|&(s, e)| {
-                                JsonValue::Array(vec![JsonValue::num(s as f64), JsonValue::num(e)])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("final_energy", JsonValue::num(o.final_energy)),
-                ("max_bond", JsonValue::num(o.max_bond as f64)),
-            ]),
-            JobResult::Vqe(o) => JsonValue::object([
-                ("type", JsonValue::str("vqe")),
-                ("best_energy", JsonValue::num(o.best_energy)),
-                (
-                    "energy_history",
-                    JsonValue::Array(o.energy_history.iter().map(|&e| JsonValue::num(e)).collect()),
-                ),
-                (
-                    "best_params",
-                    JsonValue::Array(o.best_params.iter().map(|&p| JsonValue::num(p)).collect()),
-                ),
-                ("evaluations", JsonValue::num(o.evaluations as f64)),
-            ]),
-            JobResult::Amplitudes(o) => JsonValue::object([
-                ("type", JsonValue::str("amplitudes")),
-                (
-                    "amplitudes",
-                    JsonValue::Array(
-                        o.amplitudes
-                            .iter()
-                            .map(|a| {
-                                JsonValue::Array(vec![JsonValue::num(a.re), JsonValue::num(a.im)])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("max_bond", JsonValue::num(o.max_bond as f64)),
-            ]),
-            JobResult::Circuit(o) => JsonValue::object([
-                ("type", JsonValue::str("circuit")),
-                (
-                    "amplitudes",
-                    JsonValue::Array(
-                        o.amplitudes
-                            .iter()
-                            .map(|a| {
-                                JsonValue::Array(vec![JsonValue::num(a.re), JsonValue::num(a.im)])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("backend", JsonValue::str(&o.backend)),
-                ("max_bond", JsonValue::num(o.max_bond as f64)),
-                ("gates_submitted", JsonValue::num(o.gates_submitted as f64)),
-                ("gates_executed", JsonValue::num(o.gates_executed as f64)),
-            ]),
-        }
+        let num = |x: usize| Unsigned.to_wire(&x);
+        let (tag, fields) = match self {
+            JobResult::Ite(o) => {
+                let energies = o.energies.iter().map(|&(s, e)| [num(s), JsonValue::num(e)]);
+                let energies = energies.map(|pair| JsonValue::Array(pair.into())).collect();
+                let fields = vec![
+                    ("energies", JsonValue::Array(energies)),
+                    ("final_energy", JsonValue::num(o.final_energy)),
+                    ("max_bond", num(o.max_bond)),
+                ];
+                ("ite", fields)
+            }
+            JobResult::Vqe(o) => (
+                "vqe",
+                vec![
+                    ("best_energy", JsonValue::num(o.best_energy)),
+                    ("energy_history", List(Real::Any).to_wire(&o.energy_history)),
+                    ("best_params", List(Real::Any).to_wire(&o.best_params)),
+                    ("evaluations", num(o.evaluations)),
+                ],
+            ),
+            JobResult::Amplitudes(o) => (
+                "amplitudes",
+                vec![
+                    ("amplitudes", List(Complex).to_wire(&o.amplitudes)),
+                    ("max_bond", num(o.max_bond)),
+                ],
+            ),
+            JobResult::Circuit(o) => (
+                "circuit",
+                vec![
+                    ("amplitudes", List(Complex).to_wire(&o.amplitudes)),
+                    ("backend", JsonValue::str(&o.backend)),
+                    ("max_bond", num(o.max_bond)),
+                    ("gates_submitted", num(o.gates_submitted)),
+                    ("gates_executed", num(o.gates_executed)),
+                ],
+            ),
+        };
+        JsonValue::object(std::iter::once(("type", JsonValue::str(tag))).chain(fields))
     }
 }
 

@@ -6,6 +6,7 @@
 //! concurrently with each other (the global-delta billing story is pinned by
 //! the workspace-root `serve_acceptance` test).
 
+use koala_circuit::{Backend, BackendChoice, Circuit};
 use koala_error::ErrorKind;
 use koala_peps::{ContractionMethod, Peps};
 use koala_serve::{
@@ -133,33 +134,35 @@ fn zero_timeout_reports_timed_out_deterministically() {
 #[test]
 fn batched_amplitudes_match_the_direct_engine_path_bit_for_bit() {
     let job = small_amp();
-    // Reference: the same evolution + contractions hand-wired on the engine.
+    // Reference: the circuit the job denotes, hand-wired through the
+    // `koala-circuit` front end on the PEPS backend.
     let mut circuit_rng = StdRng::seed_from_u64(job.circuit_seed);
-    let circuit = koala_sim::random_circuit(
+    let rqc = koala_sim::random_circuit(
         job.nrows,
         job.ncols,
         job.layers,
         job.entangle_every,
         &mut circuit_rng,
     );
-    let mut peps = Peps::computational_zeros(job.nrows, job.ncols);
-    circuit.apply_to_peps(&mut peps, koala_peps::UpdateMethod::qr_svd(job.evolution_bond)).unwrap();
+    let circuit = Circuit::from_lattice_circuit(&rqc, job.nrows, job.ncols).unwrap();
+    let backend = BackendChoice::Fixed(Backend::Peps {
+        evolution_bond: job.evolution_bond,
+        method: job.method,
+    });
     let mut rng = StdRng::seed_from_u64(job.seed);
-    let reference: Vec<_> = job
-        .bitstrings
-        .iter()
-        .map(|bits| koala_peps::amplitude(&peps, bits, job.method, &mut rng).unwrap())
-        .collect();
+    let reference =
+        koala_circuit::amplitudes(&circuit, &job.bitstrings, backend, &mut rng).unwrap();
 
     let mut server = Server::new(ServerConfig::default());
     let outcome = server.run_one("tenant", JobSpec::Amplitudes(job)).unwrap();
     assert_eq!(outcome.receipt.status, JobStatus::Ok);
     let JobResult::Amplitudes(out) = outcome.result.unwrap() else { panic!("wrong result kind") };
-    assert_eq!(out.amplitudes.len(), reference.len());
-    for (served, wanted) in out.amplitudes.iter().zip(&reference) {
+    assert_eq!(out.amplitudes.len(), reference.amplitudes.len());
+    for (served, wanted) in out.amplitudes.iter().zip(&reference.amplitudes) {
         assert_eq!(served.re.to_bits(), wanted.re.to_bits());
         assert_eq!(served.im.to_bits(), wanted.im.to_bits());
     }
+    assert_eq!(out.max_bond, reference.max_bond);
     assert!(outcome.receipt.work.bytes > 0, "GEMM interface traffic must be billed");
 }
 

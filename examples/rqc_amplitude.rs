@@ -53,14 +53,16 @@ fn main() {
 
     // --- The Figure 10 bond sweep: each (method, bond) point is a typed
     // AmplitudeJob sharing the same circuit seed, so every job contracts
-    // the same exactly-evolved state. ---
+    // the same exactly-evolved state. Each job asks for two bitstrings: a
+    // batch shares one evolution of the whole circuit, while a single query
+    // would be light-cone pruned to a state too small to stress the bond. ---
     let bonds = [2usize, 8, 32];
     let mut server = Server::new(ServerConfig::default());
     for m in bonds {
         for method in [ContractionMethod::bmps(m), ContractionMethod::ibmps(m)] {
-            server
-                .submit("figure10", JobSpec::Amplitudes(AmplitudeJob::new(n, n, method)))
-                .expect("submit");
+            let bitstrings = vec![vec![0; n * n], vec![1; n * n]];
+            let job = AmplitudeJob { bitstrings, ..AmplitudeJob::new(n, n, method) };
+            server.submit("figure10", JobSpec::Amplitudes(job)).expect("submit");
         }
     }
     let outcomes = server.drain();

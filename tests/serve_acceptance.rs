@@ -6,10 +6,14 @@
 //! sum *exactly* to the process-global meter delta, and (c) record zero
 //! einsum plan-cache misses when same-signature jobs re-run warm.
 //!
-//! Everything lives in ONE `#[test]` function: the global work meter and the
-//! plan-cache statistics are process-wide, and Rust runs the tests of one
-//! binary on concurrent threads — a sibling test doing tensor work would
-//! perturb both deltas.
+//! A second test drains a batch of jobs that end `Failed`, `TimedOut` and
+//! `Cancelled`, then checks that the same server still runs a fresh job
+//! exactly as a fresh server does.
+//!
+//! The global work meter and the plan-cache statistics are process-wide,
+//! and Rust runs the tests of one binary on concurrent threads — a sibling
+//! test doing tensor work would perturb both deltas — so every test holds
+//! `SERIAL` for its whole run.
 
 use koala::circuit::{Backend, BackendChoice, Circuit, Gate1, Gate2};
 use koala::exec::WorkMeter;
@@ -20,6 +24,10 @@ use koala::serve::{
 use koala::sim::{Optimizer, VqeBackend};
 use koala::tensor::{plan_stats, reset_plan_stats};
 use koala_peps::ContractionMethod;
+use std::sync::{Mutex, PoisonError};
+use std::time::Duration;
+
+static SERIAL: Mutex<()> = Mutex::new(());
 
 fn ite_a(jz: f64) -> JobSpec {
     JobSpec::Ite(IteJob { jz, steps: 6, measure_every: 2, seed: 3, ..IteJob::new(2, 2, 2) })
@@ -142,6 +150,7 @@ fn assert_bits_equal(batched: &JobResult, solo: &JobResult, label: &str) {
 
 #[test]
 fn ten_concurrent_jobs_bill_exactly_and_match_solo_runs_bit_for_bit() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     // --- Solo reference runs: each job alone on a fresh server. ---
     let solo: Vec<JobResult> = batch()
         .into_iter()
@@ -222,4 +231,43 @@ fn ten_concurrent_jobs_bill_exactly_and_match_solo_runs_bit_for_bit() {
     let warm_billed =
         warm_outcomes.iter().fold(WorkLedger::default(), |acc, o| acc.plus(&o.receipt.work));
     assert_eq!(warm_billed, warm_delta, "warm receipts must sum exactly to the meter delta");
+}
+
+#[test]
+fn a_server_runs_fresh_jobs_exactly_after_failed_timed_out_and_cancelled_ones() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    // A valid spec whose coupling overflows the Trotter gates: the SVD's
+    // finite guard rejects them and the job fails.
+    let failing = JobSpec::Ite(IteJob {
+        jz: -1e200,
+        tau: 1.0,
+        steps: 2,
+        contraction_bond: 4,
+        measure_every: 1,
+        ..IteJob::new(2, 2, 2)
+    });
+    let mut server = Server::new(ServerConfig::default());
+    server.submit("alpha", failing).expect("submit");
+    server
+        .submit_with_timeout("beta", amp(ContractionMethod::bmps(8), 21), Some(Duration::ZERO))
+        .expect("submit");
+    let cancelled = server.submit("gamma", ite_b()).expect("submit");
+    cancelled.cancel_token().cancel();
+    let statuses: Vec<JobStatus> = server.drain().iter().map(|o| o.receipt.status).collect();
+    assert_eq!(statuses, [JobStatus::Failed, JobStatus::TimedOut, JobStatus::Cancelled]);
+
+    // The amplitude job runs its bitstrings as nested tasks of the drain.
+    let fresh = || amp(ContractionMethod::ibmps(8), 22);
+    server.submit("delta", fresh()).expect("submit");
+    let before = WorkMeter::global().ledger();
+    let outcome = server.drain().pop().expect("one outcome");
+    let delta = WorkMeter::global().ledger().minus(&before);
+    assert_eq!(outcome.receipt.status, JobStatus::Ok, "{:?}", outcome.error);
+    assert_eq!(outcome.receipt.work, delta, "the fresh job must bill the whole meter delta");
+
+    let solo = Server::new(ServerConfig::default()).run_one("delta", fresh()).expect("submit");
+    assert_eq!(solo.receipt.status, JobStatus::Ok);
+    assert_eq!(outcome.receipt.work, solo.receipt.work, "ledger differs from a fresh server's");
+    let (result, reference) = (outcome.result.expect("result"), solo.result.expect("result"));
+    assert_bits_equal(&result, &reference, "fresh job after failures");
 }
