@@ -71,7 +71,7 @@ fn load(path: &str) -> Result<Bench, String> {
     let text = std::fs::read_to_string(path).map_err(|e| {
         format!(
             "cannot read {path}: {e}\n  (regenerate it with `cargo run --release -p koala-bench \
-             --bin bench_gemm -- --quick --out {path}`)"
+             --bin bench_gemm -- --quick --json {path}`)"
         )
     })?;
     let doc = JsonValue::parse(&text).map_err(|e| {

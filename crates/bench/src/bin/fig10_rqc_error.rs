@@ -14,19 +14,19 @@
 //! thread and on the pool's default. `--quick` exits 1 on a host with two or
 //! more CPUs when the threaded batch is not the faster one.
 
-use koala_bench::{time_it, BenchArgs, Figure, Series};
+use koala_bench::{threads_must_pay, Figure, Series};
 use koala_peps::{amplitude, amplitude_batch, ContractionMethod, Peps, UpdateMethod};
 use koala_sim::{random_circuit, StateVector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = BenchArgs::parse();
-    let sides: Vec<usize> = if args.quick { vec![3] } else { vec![3, 4] };
+    let quick = koala_bench::quick();
+    let sides: Vec<usize> = if quick { vec![3] } else { vec![3, 4] };
     let layers = 8;
     let entangle_every = 4; // initial bond dimension 4^2 = 16 after 8 layers
     let contraction_bonds: Vec<usize> =
-        if args.quick { vec![2, 4, 8, 16, 32] } else { vec![2, 4, 8, 16, 32, 64, 128, 256] };
+        if quick { vec![2, 4, 8, 16, 32] } else { vec![2, 4, 8, 16, 32, 64, 128, 256] };
 
     let mut fig = Figure::new(
         "fig10",
@@ -67,25 +67,8 @@ fn main() {
     }
 
     fig.print();
-    fig.maybe_write_json(&args);
 
-    let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let pool_threads = koala_exec::default_threads();
-    let (secs_serial, secs) = time_batch(layers, entangle_every, pool_threads);
-    println!(
-        "host_cpus={host_cpus} amplitude batch (4x4, 4 bitstrings, bmps(16)): {secs:.4}s at \
-         {pool_threads} threads, {secs_serial:.4}s at 1 (speed-up {:.2}x)",
-        secs_serial / secs.max(1e-12)
-    );
-    if args.quick && host_cpus >= 2 && pool_threads >= 2 && secs >= secs_serial {
-        eprintln!("fig10: the threaded amplitude batch was not faster than one thread");
-        std::process::exit(1);
-    }
-}
-
-/// Best of ten warm `amplitude_batch` calls of 4 bitstrings on an exactly
-/// evolved 4x4 RQC state, on one executor thread and on `pool_threads`.
-fn time_batch(layers: usize, entangle_every: usize, pool_threads: usize) -> (f64, f64) {
+    // One batch of 4 bitstrings on the exactly evolved 4x4 state.
     let n = 4;
     let mut rng = StdRng::seed_from_u64(10_000 + n as u64);
     let circuit = random_circuit(n, n, layers, entangle_every, &mut rng);
@@ -94,19 +77,11 @@ fn time_batch(layers: usize, entangle_every: usize, pool_threads: usize) -> (f64
     let words = [0x1234u64, 0xbeef, 0x0f0f, 0x8001];
     let batch: Vec<Vec<usize>> =
         words.iter().map(|w| (0..n * n).map(|q| ((w >> q) & 1) as usize).collect()).collect();
-    let method = ContractionMethod::bmps(16);
-    // The two thread counts alternate batch by batch: on a shared host the
-    // second core comes and goes, and alternating gives both the same
-    // chances. Round 0 warms the plan cache and is not timed.
-    let mut best = [f64::INFINITY; 2];
-    for round in 0..11 {
-        for (side, threads) in [1, pool_threads].into_iter().enumerate() {
-            koala_exec::set_threads(threads);
-            let secs = time_it(|| amplitude_batch(&peps, &batch, method, &mut rng).unwrap()).1;
-            if round > 0 {
-                best[side] = best[side].min(secs);
-            }
-        }
+    let timing = threads_must_pay("amplitude batch (4x4, 4 bitstrings, bmps(16))", quick, || {
+        amplitude_batch(&peps, &batch, ContractionMethod::bmps(16), &mut rng).unwrap();
+    });
+    if !timing.pays {
+        eprintln!("fig10: the threaded amplitude batch was not faster than one thread");
+        std::process::exit(1);
     }
-    (best[0], best[1])
 }

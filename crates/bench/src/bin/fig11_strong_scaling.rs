@@ -12,15 +12,8 @@
 //! imbalance leave the ideal-speedup line — the comparison the paper's
 //! Figure 11 makes against its own linear-scaling guides.
 
-use koala_bench::{calibrated_cost_model, BenchArgs, Figure, Series};
-use koala_cluster::{Cluster, DistMatrix};
-use koala_linalg::{c64, expm_hermitian, Matrix};
-use koala_peps::operators::{kron, pauli_x, pauli_z};
-use koala_peps::{
-    dist_contract_no_phys, dist_tebd_layer, ContractionMethod, DistEvolutionVariant, Peps,
-};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use koala_bench::{calibrated_cost_model, dist_sweep_point, DistStats, Figure, Series};
+use koala_cluster::ProcGrid;
 
 /// Append the `t(1)/P` ideal-scaling curve derived from a predicted series.
 fn ideal_of(predicted: &Series, label: &str) -> Series {
@@ -35,18 +28,12 @@ fn ideal_of(predicted: &Series, label: &str) -> Series {
 }
 
 fn main() {
-    let args = BenchArgs::parse();
-    let (side, r_evo, r_con): (usize, usize, usize) =
-        if args.quick { (4, 4, 6) } else { (6, 6, 8) };
-    let n_gemm: usize = if args.quick { 96 } else { 192 };
+    let quick = koala_bench::quick();
+    let (side, r_evo, r_con): (usize, usize, usize) = if quick { (4, 4, 6) } else { (6, 6, 8) };
+    let n_gemm: usize = if quick { 96 } else { 192 };
     let rank_counts: Vec<usize> =
-        if args.quick { vec![1, 2, 4, 8, 16] } else { vec![1, 2, 4, 8, 16, 32, 64] };
+        if quick { vec![1, 2, 4, 8, 16] } else { vec![1, 2, 4, 8, 16, 32, 64] };
     let model = calibrated_cost_model();
-    let gate = expm_hermitian(
-        &(&kron(&pauli_x(), &pauli_x()) + &kron(&pauli_z(), &pauli_z())),
-        c64(-0.05, 0.0),
-    )
-    .unwrap();
 
     let mut fig = Figure::new(
         "fig11",
@@ -68,65 +55,36 @@ fn main() {
         Series::new(format!("SUMMA GEMM: n = {n_gemm} (predicted, comm/compute overlap)"));
     // The compute critical path (max per-rank complex MACs) isolates how well
     // the work itself strong-scales, independent of the latency floor that
-    // dominates laptop-sized problems (see EXPERIMENTS.md).
+    // dominates laptop-sized problems.
     let mut evo_compute = Series::new("Evolution: compute critical path (max rank flops)");
     let mut con_compute = Series::new("Contraction: compute critical path (max rank flops)");
 
     for &ranks in &rank_counts {
-        let mut rng = StdRng::seed_from_u64(11_000 + ranks as u64);
-        let base = Peps::random(side, side, 2, r_evo, &mut rng);
-        let cluster = Cluster::new(ranks);
-        let mut p = base.clone();
-        dist_tebd_layer(&cluster, &mut p, &gate, r_evo, DistEvolutionVariant::LocalGramQrSvd)
-            .unwrap();
-        let stats = cluster.stats();
-        let t_evo = model.modelled_time(&stats);
+        let DistStats { evolution, contraction, summa: gemm } =
+            dist_sweep_point(ranks, side, r_evo, r_con, n_gemm, 11_000 + ranks as u64);
+        let t_evo = model.modelled_time(&evolution);
         evo.push(ranks as f64, t_evo);
-
-        let peps_c = Peps::random_no_phys(side, side, r_con, &mut rng);
-        let cluster = Cluster::new(ranks);
-        let _ = dist_contract_no_phys(&cluster, &peps_c, ContractionMethod::ibmps(r_con), &mut rng)
-            .unwrap();
-        let stats_c = cluster.stats();
-        let t_con = model.modelled_time(&stats_c);
+        let t_con = model.modelled_time(&contraction);
         con.push(ranks as f64, t_con);
-        evo_compute.push(ranks as f64, stats.max_rank_flops() as f64);
-        con_compute.push(ranks as f64, stats_c.max_rank_flops() as f64);
-
-        // SUMMA distributed GEMM on the near-square grid for this rank count:
-        // the per-rank local products run the packed kernel, the panels move
-        // O(n^2 / sqrt(P)) words per rank. The block size shrinks with the
-        // grid so every grid row/column owns at least one block at every
-        // measured rank count — otherwise the largest grids would leave
-        // whole rank rows idle and the curve would measure a smaller
-        // effective grid, not strong scaling.
-        let a = Matrix::random(n_gemm, n_gemm, &mut rng);
-        let b = Matrix::random(n_gemm, n_gemm, &mut rng);
-        let cluster_g = Cluster::new(ranks);
-        let grid = cluster_g.grid();
-        let row_block = n_gemm.div_ceil(grid.rows()).clamp(1, 32);
-        let col_block = n_gemm.div_ceil(grid.cols()).clamp(1, 32);
-        let da = DistMatrix::scatter_block_cyclic(&cluster_g, &a, grid, row_block, col_block);
-        let db = DistMatrix::scatter_block_cyclic(&cluster_g, &b, grid, row_block, col_block);
-        cluster_g.reset_stats(); // the scatter is setup, not the timed GEMM
-        let _ = da.matmul_dist(&db).expect("fault-free SUMMA cannot fail");
-        let stats_g = cluster_g.stats();
-        let t_summa = model.modelled_time(&stats_g);
+        evo_compute.push(ranks as f64, evolution.max_rank_flops() as f64);
+        con_compute.push(ranks as f64, contraction.max_rank_flops() as f64);
+        let t_summa = model.modelled_time(&gemm);
         summa.push(ranks as f64, t_summa);
-        let t_summa_ov = model.modelled_time_overlap(&stats_g);
+        let t_summa_ov = model.modelled_time_overlap(&gemm);
         summa_overlap.push(ranks as f64, t_summa_ov);
 
+        let grid = ProcGrid::square_for(ranks);
         println!(
             "ranks={ranks:<3} evolution: t={t_evo:.4}s max_flops={:.3e} imbalance={:.2} | \
              contraction: t={t_con:.4}s max_flops={:.3e} comm={:.2} MB | \
              summa({}x{} grid): t={t_summa:.6}s overlap={t_summa_ov:.6}s comm={:.3} MB",
-            stats.max_rank_flops() as f64,
-            stats.load_imbalance(),
-            stats_c.max_rank_flops() as f64,
-            stats_c.bytes_communicated as f64 / 1e6,
+            evolution.max_rank_flops() as f64,
+            evolution.load_imbalance(),
+            contraction.max_rank_flops() as f64,
+            contraction.bytes_communicated as f64 / 1e6,
             grid.rows(),
             grid.cols(),
-            stats_g.bytes_communicated as f64 / 1e6,
+            gemm.bytes_communicated as f64 / 1e6,
         );
     }
 
@@ -143,5 +101,4 @@ fn main() {
     fig.add(evo_compute);
     fig.add(con_compute);
     fig.print();
-    fig.maybe_write_json(&args);
 }

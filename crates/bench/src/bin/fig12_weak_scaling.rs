@@ -12,27 +12,14 @@
 //! communication + latency + imbalance overhead, mirroring how the paper
 //! reads its Figure 12 against the machine peak.
 
-use koala_bench::{calibrated_cost_model, BenchArgs, Figure, Series};
-use koala_cluster::{Cluster, DistMatrix};
-use koala_linalg::{c64, expm_hermitian, Matrix};
-use koala_peps::operators::{kron, pauli_x, pauli_z};
-use koala_peps::{
-    dist_contract_no_phys, dist_tebd_layer, ContractionMethod, DistEvolutionVariant, Peps,
-};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use koala_bench::{calibrated_cost_model, dist_sweep_point, DistStats, Figure, Series};
 
 fn main() {
-    let args = BenchArgs::parse();
-    let side = if args.quick { 4 } else { 6 };
-    let rank_counts: Vec<usize> = if args.quick { vec![1, 4, 16] } else { vec![1, 4, 16, 64] };
+    let quick = koala_bench::quick();
+    let side = if quick { 4 } else { 6 };
+    let rank_counts: Vec<usize> = if quick { vec![1, 4, 16] } else { vec![1, 4, 16, 64] };
     let (r_base, m_base) = (3usize, 4usize);
     let model = calibrated_cost_model();
-    let gate = expm_hermitian(
-        &(&kron(&pauli_x(), &pauli_x()) + &kron(&pauli_z(), &pauli_z())),
-        c64(-0.05, 0.0),
-    )
-    .unwrap();
 
     let mut fig = Figure::new(
         "fig12",
@@ -54,7 +41,7 @@ fn main() {
     let mut summa_overlap = Series::new("SUMMA GEMM: scale n (predicted, comm/compute overlap)");
     let mut ideal = Series::new("Ideal: calibrated per-rank kernel peak");
     let peak_gflops = model.complex_peak_flops() / 1e9;
-    let n_gemm_base = if args.quick { 48 } else { 96 };
+    let n_gemm_base = if quick { 48 } else { 96 };
 
     for &ranks in &rank_counts {
         // Per-rank memory of the dominant site tensors scales like r^4 / ranks,
@@ -64,40 +51,18 @@ fn main() {
         let r = ((r_base as f64) * scale).round() as usize;
         let m = ((m_base as f64) * scale).round() as usize;
 
-        let mut rng = StdRng::seed_from_u64(12_000 + ranks as u64);
-        let base = Peps::random(side, side, 2, r, &mut rng);
-        let cluster = Cluster::new(ranks);
-        let mut p = base.clone();
-        dist_tebd_layer(&cluster, &mut p, &gate, r, DistEvolutionVariant::LocalGramQrSvd).unwrap();
-        let stats = cluster.stats();
+        let n_gemm = ((n_gemm_base as f64) * (ranks as f64).sqrt()).round() as usize;
+        let DistStats { evolution, contraction, summa: gemm } =
+            dist_sweep_point(ranks, side, r, m, n_gemm, 12_000 + ranks as u64);
         // flop_rate_per_rank already prices hardware flops (8 per complex
         // MAC, 2 per real MAC), directly comparable to bench_gemm's rates.
-        let gflops_evo = model.flop_rate_per_rank(&stats) / 1e9;
+        let gflops_evo = model.flop_rate_per_rank(&evolution) / 1e9;
         evo.push(ranks as f64, gflops_evo);
-
-        let peps_c = Peps::random_no_phys(side, side, m, &mut rng);
-        let cluster = Cluster::new(ranks);
-        let _ = dist_contract_no_phys(&cluster, &peps_c, ContractionMethod::ibmps(m), &mut rng)
-            .unwrap();
-        let stats_c = cluster.stats();
-        let gflops_con = model.flop_rate_per_rank(&stats_c) / 1e9;
+        let gflops_con = model.flop_rate_per_rank(&contraction) / 1e9;
         con.push(ranks as f64, gflops_con);
         ideal.push(ranks as f64, peak_gflops);
-
-        let n_gemm = ((n_gemm_base as f64) * (ranks as f64).sqrt()).round() as usize;
-        let a = Matrix::random(n_gemm, n_gemm, &mut rng);
-        let b = Matrix::random(n_gemm, n_gemm, &mut rng);
-        let cluster_g = Cluster::new(ranks);
-        let grid = cluster_g.grid();
-        let row_block = n_gemm.div_ceil(grid.rows()).clamp(1, 32);
-        let col_block = n_gemm.div_ceil(grid.cols()).clamp(1, 32);
-        let da = DistMatrix::scatter_block_cyclic(&cluster_g, &a, grid, row_block, col_block);
-        let db = DistMatrix::scatter_block_cyclic(&cluster_g, &b, grid, row_block, col_block);
-        cluster_g.reset_stats(); // the scatter is setup, not the timed GEMM
-        let _ = da.matmul_dist(&db).expect("fault-free SUMMA cannot fail");
-        let stats_g = cluster_g.stats();
-        let gflops_summa = model.flop_rate_per_rank(&stats_g) / 1e9;
-        let gflops_summa_ov = model.flop_rate_per_rank_overlap(&stats_g) / 1e9;
+        let gflops_summa = model.flop_rate_per_rank(&gemm) / 1e9;
+        let gflops_summa_ov = model.flop_rate_per_rank_overlap(&gemm) / 1e9;
         summa.push(ranks as f64, gflops_summa);
         summa_overlap.push(ranks as f64, gflops_summa_ov);
 
@@ -115,5 +80,4 @@ fn main() {
     fig.add(summa_overlap);
     fig.add(ideal);
     fig.print();
-    fig.maybe_write_json(&args);
 }

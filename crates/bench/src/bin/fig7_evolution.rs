@@ -13,25 +13,18 @@
 //! with two or more CPUs when the threaded layer at the largest bond is not
 //! the faster one.
 
-use koala_bench::{calibrated_cost_model, time_it, BenchArgs, Figure, Series};
+use koala_bench::{calibrated_cost_model, tebd_gate, threads_must_pay, time_it, Figure, Series};
 use koala_cluster::Cluster;
-use koala_linalg::{c64, expm_hermitian};
-use koala_peps::operators::{kron, pauli_x, pauli_z};
 use koala_peps::{
     apply_two_site_everywhere, dist_tebd_layer, DistEvolutionVariant, Peps, UpdateMethod,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn tebd_gate() -> koala_linalg::Matrix {
-    let h = &kron(&pauli_x(), &pauli_x()) + &kron(&pauli_z(), &pauli_z());
-    expm_hermitian(&h, c64(-0.05, 0.0)).unwrap()
-}
-
 fn main() {
-    let args = BenchArgs::parse();
+    let quick = koala_bench::quick();
     let (side, bonds): (usize, Vec<usize>) =
-        if args.quick { (4, vec![2, 3, 4]) } else { (6, vec![2, 3, 4, 6, 8]) };
+        if quick { (4, vec![2, 3, 4]) } else { (6, vec![2, 3, 4, 6, 8]) };
     let nranks = 16;
     let model = calibrated_cost_model();
     let gate = tebd_gate();
@@ -45,14 +38,12 @@ fn main() {
         "seconds (wall clock; ctf-* also reports modelled parallel time)",
     );
 
-    let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let pool_threads = koala_exec::default_threads();
-    println!("host_cpus={host_cpus} pool_threads={pool_threads}");
     let mut local_serial = Series::new("local-qr-svd (1 executor thread, wall clock)");
     let mut local =
         Series::new(format!("local-qr-svd ({pool_threads} executor threads, wall clock)"));
-    // Whether the pool won at the largest bond measured (the CI smoke gate).
-    let mut threads_pay = false;
+    // The threads-must-pay verdict at the largest bond measured (the CI gate).
+    let mut threads_pay = true;
     let mut variants: Vec<(DistEvolutionVariant, Series, Series)> = vec![
         DistEvolutionVariant::CtfQrSvd,
         DistEvolutionVariant::LocalGramQr,
@@ -72,29 +63,14 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(7_000 + r as u64);
         let base = Peps::random(side, side, 2, r, &mut rng);
 
-        // Best of five warm layers per thread count: the first layer pays the
-        // plan-cache misses of this bond dimension for both.
-        let layer_secs = |threads: usize| {
-            koala_exec::set_threads(threads);
-            (0..6)
-                .map(|_| {
-                    let mut p = base.clone();
-                    let method = UpdateMethod::qr_svd(r);
-                    time_it(|| apply_two_site_everywhere(&mut p, &gate, method).unwrap()).1
-                })
-                .skip(1)
-                .fold(f64::INFINITY, f64::min)
-        };
-        let secs_serial = layer_secs(1);
-        let secs = layer_secs(pool_threads);
-        local_serial.push(r as f64, secs_serial);
-        local.push(r as f64, secs);
-        threads_pay = secs < secs_serial;
-        println!(
-            "local  r={r:<3} wall={secs:.4}s at {pool_threads} threads, {secs_serial:.4}s at 1 \
-             (speed-up {:.2}x)",
-            secs_serial / secs.max(1e-12)
-        );
+        let method = UpdateMethod::qr_svd(r);
+        let timing = threads_must_pay(&format!("local layer r={r}"), quick, || {
+            let mut p = base.clone();
+            apply_two_site_everywhere(&mut p, &gate, method).unwrap();
+        });
+        local_serial.push(r as f64, timing.serial_s);
+        local.push(r as f64, timing.threaded_s);
+        threads_pay = timing.pays;
 
         for (variant, wall_series, model_series) in variants.iter_mut() {
             let cluster = Cluster::new(nranks);
@@ -119,8 +95,7 @@ fn main() {
         fig.add(modelled);
     }
     fig.print();
-    fig.maybe_write_json(&args);
-    if args.quick && host_cpus >= 2 && pool_threads >= 2 && !threads_pay {
+    if !threads_pay {
         eprintln!("fig7: the threaded layer at the largest bond was not faster than one thread");
         std::process::exit(1);
     }

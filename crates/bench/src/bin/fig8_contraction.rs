@@ -14,7 +14,7 @@
 //! thread and on the pool's default. `--quick` exits 1 on a host with two or
 //! more CPUs when the threaded contraction is not the faster one.
 
-use koala_bench::{calibrated_cost_model, time_it, BenchArgs, Figure, Series};
+use koala_bench::{calibrated_cost_model, threads_must_pay, time_it, Figure, Series};
 use koala_cluster::Cluster;
 use koala_mps::ZipUpMethod;
 use koala_peps::two_layer::norm_sqr_two_layer;
@@ -23,9 +23,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = BenchArgs::parse();
+    let quick = koala_bench::quick();
     let (side, bonds, exact_max): (usize, Vec<usize>, usize) =
-        if args.quick { (5, vec![2, 3, 4], 3) } else { (6, vec![2, 3, 4, 6, 8, 12], 4) };
+        if quick { (5, vec![2, 3, 4], 3) } else { (6, vec![2, 3, 4, 6, 8, 12], 4) };
 
     let mut fig = Figure::new(
         "fig8",
@@ -74,7 +74,7 @@ fn main() {
     // Two-layer comparison: norm of a PEPS with physical indices.
     let mut s_merged = Series::new("norm via merged BMPS (4x4 PEPS with physical indices)");
     let mut s_two_layer = Series::new("norm via two-layer IBMPS (4x4 PEPS with physical indices)");
-    let phys_bonds: Vec<usize> = if args.quick { vec![2, 3] } else { vec![2, 3, 4] };
+    let phys_bonds: Vec<usize> = if quick { vec![2, 3] } else { vec![2, 3, 4] };
     for &r in &phys_bonds {
         let mut rng = StdRng::seed_from_u64(8_100 + r as u64);
         let peps = Peps::random(4, 4, 2, r, &mut rng);
@@ -97,41 +97,16 @@ fn main() {
     fig.add(s_merged);
     fig.add(s_two_layer);
     fig.print();
-    fig.maybe_write_json(&args);
 
-    let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let pool_threads = koala_exec::default_threads();
-    let (secs_serial, secs) = time_wavefront(pool_threads);
-    println!(
-        "host_cpus={host_cpus} contraction (6x6, r=7, bmps(7)): {secs:.4}s at {pool_threads} \
-         threads, {secs_serial:.4}s at 1 (speed-up {:.2}x)",
-        secs_serial / secs.max(1e-12)
-    );
-    if args.quick && host_cpus >= 2 && pool_threads >= 2 && secs >= secs_serial {
+    // One BMPS contraction at the `contract_bmps` shape, whose zip-up steps
+    // run as one task graph.
+    let mut rng = StdRng::seed_from_u64(8_200);
+    let peps = Peps::random_no_phys(6, 6, 7, &mut rng);
+    let timing = threads_must_pay("contraction (6x6, r=7, bmps(7))", quick, || {
+        contract_no_phys(&peps, ContractionMethod::bmps(7), &mut rng).unwrap();
+    });
+    if !timing.pays {
         eprintln!("fig8: the threaded contraction was not faster than one thread");
         std::process::exit(1);
     }
-}
-
-/// Best of ten warm `contract_no_phys` BMPS contractions of a 6x6, r = 7
-/// network at m = 7 (the `contract_bmps` shape), whose zip-up steps run as
-/// one task graph, on one executor thread and on `pool_threads`.
-fn time_wavefront(pool_threads: usize) -> (f64, f64) {
-    let mut rng = StdRng::seed_from_u64(8_200);
-    let peps = Peps::random_no_phys(6, 6, 7, &mut rng);
-    let method = ContractionMethod::bmps(7);
-    // The two thread counts alternate contraction by contraction: on a
-    // shared host the second core comes and goes, and alternating gives both
-    // the same chances. Round 0 warms the plans and is not timed.
-    let mut best = [f64::INFINITY; 2];
-    for round in 0..11 {
-        for (side, threads) in [1, pool_threads].into_iter().enumerate() {
-            koala_exec::set_threads(threads);
-            let secs = time_it(|| contract_no_phys(&peps, method, &mut rng).unwrap()).1;
-            if round > 0 {
-                best[side] = best[side].min(secs);
-            }
-        }
-    }
-    (best[0], best[1])
 }

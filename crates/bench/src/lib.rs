@@ -1,84 +1,55 @@
 //! # koala-bench
 //!
-//! Benchmark and figure-reproduction harness for the koala-rs workspace.
-//! Every `bin/` target regenerates one table or figure of the source paper's
-//! evaluation section (*"Efficient 2D Tensor Network Simulation of Quantum
-//! Systems"*, SC 2020) or records a kernel-level perf series; this library
-//! crate holds the small amount of shared plumbing ([`BenchArgs`] CLI
-//! parsing, [`Figure`]/[`Series`]/[`Point`] result containers, timing and
-//! slope-fitting helpers, and the cost-model calibration loader
-//! ([`calibrated_cost_model`])).
+//! The CI gates and cost-model sweeps of the koala-rs workspace. The
+//! workload numbers of the source paper's evaluation section (*"Efficient 2D
+//! Tensor Network Simulation of Quantum Systems"*, SC 2020) live in
+//! `benchmark/`; a binary stays here only if it gates or persists something
+//! `benchmark/` does not. This library crate holds what the binaries share:
+//! the [`quick`] flag, the [`Figure`]/[`Series`]/[`Point`] result tables,
+//! the one threads-must-pay timer ([`threads_must_pay`]), the one
+//! distributed sweep point of Figs. 11 and 12 ([`dist_sweep_point`]) and the
+//! cost-model calibration loader ([`calibrated_cost_model`]).
 //!
-//! ## Binary targets and what each reproduces
+//! ## Binary targets and what each gates or persists
 //!
-//! | Binary | Reproduces |
-//! |---|---|
-//! | `table2_complexity` | Table II — empirical scaling exponents of update / contraction kernels |
-//! | `fig7_evolution` | Figure 7 — evolution step time vs bond dimension (update flavours) |
-//! | `fig8_contraction` | Figure 8 — contraction time/error vs boundary bond dimension |
-//! | `fig9_caching` | Figure 9 — row-environment caching speedup, plus a koala-rs-specific cached-vs-cleared einsum-planner overhead series |
-//! | `fig10_rqc_error` | Figure 10 — random-quantum-circuit amplitude error vs truncation |
-//! | `fig11_strong_scaling` | Figure 11 — strong scaling over the simulated cluster backend |
-//! | `fig12_weak_scaling` | Figure 12 — weak scaling: useful GFLOP/s per core under the cost model |
-//! | `fig13_ite` | Figure 13 — imaginary-time-evolution energy curves (J1-J2 / TFI) |
-//! | `fig14_vqe` | Figure 14 — VQE optimisation traces on the TFI model |
-//! | `bench_gemm` | (koala-rs addition) GEMM perf trajectory: `packed_vs_seed` and `real_vs_complex` series, committed as `BENCH_gemm.json` |
+//! | Binary | Reproduces | Gates / persists |
+//! |---|---|---|
+//! | `fig7_evolution` | Figure 7 — one TEBD layer vs bond dimension, local and on a virtual cluster | threads must pay |
+//! | `fig8_contraction` | Figure 8 — contraction time vs boundary bond dimension | threads must pay |
+//! | `fig9_caching` | Figure 9 — row-environment caching speedup | cache must pay, threads must pay |
+//! | `fig10_rqc_error` | Figure 10 — random-quantum-circuit amplitude error vs truncation | threads must pay |
+//! | `fig11_strong_scaling` | Figure 11 — strong scaling over the simulated cluster backend | the `CostModel`/SUMMA strong-scaling sweep |
+//! | `fig12_weak_scaling` | Figure 12 — weak scaling: useful GFLOP/s per core under the cost model | the `CostModel`/SUMMA weak-scaling sweep |
+//! | `bench_gemm` | (koala-rs addition) GEMM perf trajectory: `packed_vs_seed` and `real_vs_complex` series | persists `BENCH_gemm.json` |
+//! | `check_bench` | (koala-rs addition) compares a `bench_gemm` run with `BENCH_gemm.json` | the GEMM perf gate |
 //!
-//! Conventions shared by all binaries:
+//! Table II's per-kernel costs are the per-layer split of `benchmark/`; the
+//! ITE and VQE studies of Figures 13 and 14 are `examples/ite_ground_state.rs`
+//! and `examples/vqe_tfi.rs`.
 //!
-//! * `--quick` (or `KOALA_QUICK=1`) runs a reduced sweep — CI uses this for
-//!   its smoke runs; `--full` forces the full sweep.
-//! * `--json <path>` additionally dumps the series as JSON.
+//! Conventions shared by the figure binaries:
+//!
+//! * `--quick` runs a reduced sweep and arms the gates; CI passes it.
 //! * Flop-derived numbers come from the GEMM layer's own work accounting
 //!   ([`koala_exec::WorkMeter`]: 8 real flops per complex MAC, 2 per real
 //!   MAC) — never from a formula duplicated in a binary.
-//!
-//! ## Why a hand-rolled JSON emitter?
-//!
-//! The build environment cannot fetch `serde`/`serde_json`. The shared
-//! `koala-json` crate provides a minimal value model with a stable
-//! pretty-printer and parser ([`koala_json::JsonValue`]); its output shape
-//! matches the old serde output so
-//! downstream tooling keeps parsing it, and `koala-cluster` reads the same
-//! dialect back when calibrating its cost model from `BENCH_gemm.json`.
 
 #![warn(missing_docs)]
 
 use std::time::Instant;
 
-/// Command-line options shared by all figure binaries.
-#[derive(Debug, Clone)]
-pub struct BenchArgs {
-    /// Run a reduced parameter sweep (also enabled by the `KOALA_QUICK=1`
-    /// environment variable).
-    pub quick: bool,
-    /// Optional JSON output path.
-    pub json: Option<String>,
-}
+use koala_cluster::{Cluster, CommStats, DistMatrix};
+use koala_linalg::{c64, expm_hermitian, Matrix};
+use koala_peps::operators::{kron, pauli_x, pauli_z};
+use koala_peps::{
+    dist_contract_no_phys, dist_tebd_layer, ContractionMethod, DistEvolutionVariant, Peps,
+};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
-impl BenchArgs {
-    /// Parse `--quick` / `--full` / `--json <path>` from `std::env::args`.
-    pub fn parse() -> Self {
-        let mut quick = std::env::var("KOALA_QUICK").map(|v| v != "0").unwrap_or(false);
-        let mut json = None;
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--quick" => quick = true,
-                "--full" => quick = false,
-                "--json" => {
-                    if i + 1 < args.len() {
-                        json = Some(args[i + 1].clone());
-                        i += 1;
-                    }
-                }
-                other => eprintln!("ignoring unknown argument: {other}"),
-            }
-            i += 1;
-        }
-        BenchArgs { quick, json }
-    }
+/// Whether `--quick` was passed: run the reduced sweep and arm the gates.
+pub fn quick() -> bool {
+    std::env::args().any(|a| a == "--quick")
 }
 
 /// One measured point of a benchmark series.
@@ -154,48 +125,6 @@ impl Figure {
             }
         }
     }
-
-    /// Render the figure as pretty-printed JSON (same shape as the old
-    /// serde output, kept stable for downstream tooling).
-    pub fn to_json(&self) -> String {
-        use koala_json::JsonValue;
-        let series: Vec<JsonValue> = self
-            .series
-            .iter()
-            .map(|s| {
-                let points: Vec<JsonValue> = s
-                    .points
-                    .iter()
-                    .map(|p| {
-                        JsonValue::object([("x", JsonValue::num(p.x)), ("y", JsonValue::num(p.y))])
-                    })
-                    .collect();
-                JsonValue::object([
-                    ("label", JsonValue::str(&s.label)),
-                    ("points", JsonValue::Array(points)),
-                ])
-            })
-            .collect();
-        JsonValue::object([
-            ("id", JsonValue::str(&self.id)),
-            ("title", JsonValue::str(&self.title)),
-            ("x_label", JsonValue::str(&self.x_label)),
-            ("y_label", JsonValue::str(&self.y_label)),
-            ("series", JsonValue::Array(series)),
-        ])
-        .pretty()
-    }
-
-    /// Write the figure as JSON if a path was requested.
-    pub fn maybe_write_json(&self, args: &BenchArgs) {
-        if let Some(path) = &args.json {
-            if let Err(e) = std::fs::write(path, self.to_json()) {
-                eprintln!("failed to write {path}: {e}");
-            } else {
-                println!("wrote {path}");
-            }
-        }
-    }
 }
 
 /// Build the cluster cost model calibrated from the committed
@@ -238,35 +167,135 @@ pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, start.elapsed().as_secs_f64())
 }
 
-/// Least-squares slope of `log(y)` vs `log(x)` — used to report empirical
-/// scaling exponents for the Table II reproduction.
-pub fn log_log_slope(points: &[Point]) -> f64 {
-    let pts: Vec<(f64, f64)> =
-        points.iter().filter(|p| p.x > 0.0 && p.y > 0.0).map(|p| (p.x.ln(), p.y.ln())).collect();
-    let n = pts.len() as f64;
-    if pts.len() < 2 {
-        return f64::NAN;
+/// The threads-must-pay rule: a gate fails only on a `--quick` run on a
+/// host with two or more CPUs and a pool of two or more threads, when the
+/// threaded run is not faster than the serial one. Elsewhere it passes: on
+/// one CPU or one pool thread the threads cannot win, and a full run only
+/// reports.
+pub fn threads_gate_fails(
+    quick: bool,
+    host_cpus: usize,
+    pool_threads: usize,
+    serial_s: f64,
+    threaded_s: f64,
+) -> bool {
+    quick && host_cpus >= 2 && pool_threads >= 2 && threaded_s >= serial_s
+}
+
+/// Best-of wall times of one workload on one executor thread and on the
+/// pool's default, and the verdict of the threads-must-pay rule on them.
+#[derive(Debug, Clone, Copy)]
+pub struct ThreadsTiming {
+    /// Best time on one executor thread, in seconds.
+    pub serial_s: f64,
+    /// Best time on [`koala_exec::default_threads`] executor threads.
+    pub threaded_s: f64,
+    /// Whether the gate passes ([`threads_gate_fails`] is false).
+    pub pays: bool,
+}
+
+/// Time `run` on one executor thread and on [`koala_exec::default_threads`],
+/// print one line naming `label`, and judge the pair by
+/// [`threads_gate_fails`].
+///
+/// The two thread counts alternate round by round: on a shared host the
+/// second core comes and goes, and alternating gives both the same chances.
+/// Round 0 warms the plan caches and is not timed; each side keeps the best
+/// of the next ten. The pool is left at its default.
+pub fn threads_must_pay(label: &str, quick: bool, mut run: impl FnMut()) -> ThreadsTiming {
+    let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let pool_threads = koala_exec::default_threads();
+    let mut best = [f64::INFINITY; 2];
+    for round in 0..11 {
+        for (side, threads) in [1, pool_threads].into_iter().enumerate() {
+            koala_exec::set_threads(threads);
+            let secs = time_it(&mut run).1;
+            if round > 0 {
+                best[side] = best[side].min(secs);
+            }
+        }
     }
-    let sx: f64 = pts.iter().map(|p| p.0).sum();
-    let sy: f64 = pts.iter().map(|p| p.1).sum();
-    let sxx: f64 = pts.iter().map(|p| p.0 * p.0).sum();
-    let sxy: f64 = pts.iter().map(|p| p.0 * p.1).sum();
-    (n * sxy - sx * sy) / (n * sxx - sx * sx)
+    let [serial_s, threaded_s] = best;
+    println!(
+        "host_cpus={host_cpus} {label}: {threaded_s:.4}s at {pool_threads} threads, \
+         {serial_s:.4}s at 1 (speed-up {:.2}x)",
+        serial_s / threaded_s.max(1e-12)
+    );
+    let pays = !threads_gate_fails(quick, host_cpus, pool_threads, serial_s, threaded_s);
+    ThreadsTiming { serial_s, threaded_s, pays }
+}
+
+/// The two-site TEBD gate of Figs. 7, 11 and 12: `exp(-0.05 (XX + ZZ))`.
+pub fn tebd_gate() -> Matrix {
+    let h = &kron(&pauli_x(), &pauli_x()) + &kron(&pauli_z(), &pauli_z());
+    expm_hermitian(&h, c64(-0.05, 0.0)).expect("the TEBD generator is Hermitian")
+}
+
+/// The communication counters of the three distributed workloads of one
+/// Fig. 11/12 sweep point.
+#[derive(Debug, Clone)]
+pub struct DistStats {
+    /// One `LocalGramQrSvd` TEBD layer.
+    pub evolution: CommStats,
+    /// One IBMPS contraction without physical indices.
+    pub contraction: CommStats,
+    /// One block-cyclic SUMMA GEMM (the scatter is not counted).
+    pub summa: CommStats,
+}
+
+/// Run the distributed workloads of Figs. 11 and 12 at `ranks` virtual
+/// ranks, each on a fresh cluster, drawing every random input from one
+/// generator seeded with `seed`, in this order:
+///
+/// * a `side x side` PEPS of bond `r_evo`, then one `LocalGramQrSvd` TEBD
+///   layer of [`tebd_gate`] at bond `r_evo`;
+/// * a `side x side` PEPS of bond `m_con` without physical indices, then its
+///   IBMPS contraction at boundary bond `m_con`;
+/// * two `n_gemm x n_gemm` matrices, scattered block-cyclically on the
+///   cluster's near-square grid, then their SUMMA product. The block size
+///   shrinks with the grid so every grid row and column owns at least one
+///   block; otherwise the largest grids would leave whole rank rows idle
+///   and measure a smaller effective grid.
+pub fn dist_sweep_point(
+    ranks: usize,
+    side: usize,
+    r_evo: usize,
+    m_con: usize,
+    n_gemm: usize,
+    seed: u64,
+) -> DistStats {
+    let mut rng = StdRng::seed_from_u64(seed);
+
+    let mut peps = Peps::random(side, side, 2, r_evo, &mut rng);
+    let cluster = Cluster::new(ranks);
+    dist_tebd_layer(&cluster, &mut peps, &tebd_gate(), r_evo, DistEvolutionVariant::LocalGramQrSvd)
+        .expect("fault-free TEBD layer cannot fail");
+    let evolution = cluster.stats();
+
+    let peps = Peps::random_no_phys(side, side, m_con, &mut rng);
+    let cluster = Cluster::new(ranks);
+    dist_contract_no_phys(&cluster, &peps, ContractionMethod::ibmps(m_con), &mut rng)
+        .expect("fault-free contraction cannot fail");
+    let contraction = cluster.stats();
+
+    let a = Matrix::random(n_gemm, n_gemm, &mut rng);
+    let b = Matrix::random(n_gemm, n_gemm, &mut rng);
+    let cluster = Cluster::new(ranks);
+    let grid = cluster.grid();
+    let row_block = n_gemm.div_ceil(grid.rows()).clamp(1, 32);
+    let col_block = n_gemm.div_ceil(grid.cols()).clamp(1, 32);
+    let da = DistMatrix::scatter_block_cyclic(&cluster, &a, grid, row_block, col_block);
+    let db = DistMatrix::scatter_block_cyclic(&cluster, &b, grid, row_block, col_block);
+    cluster.reset_stats();
+    da.matmul_dist(&db).expect("fault-free SUMMA cannot fail");
+    let summa = cluster.stats();
+
+    DistStats { evolution, contraction, summa }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn log_log_slope_of_power_law() {
-        let mut s = Series::new("cubic");
-        for x in [1.0f64, 2.0, 4.0, 8.0] {
-            s.push(x, 5.0 * x.powi(3));
-        }
-        let slope = log_log_slope(&s.points);
-        assert!((slope - 3.0).abs() < 1e-9);
-    }
 
     #[test]
     fn figure_roundtrip_and_timer() {
@@ -278,5 +307,23 @@ mod tests {
         let (v, secs) = time_it(|| 41 + 1);
         assert_eq!(v, 42);
         assert!(secs >= 0.0);
+    }
+
+    #[test]
+    fn threads_gate_passes_where_threads_cannot_win() {
+        // A slower threaded run passes on one CPU, on a one-thread pool and
+        // without --quick.
+        assert!(!threads_gate_fails(true, 1, 2, 1.0, 2.0));
+        assert!(!threads_gate_fails(true, 2, 1, 1.0, 2.0));
+        assert!(!threads_gate_fails(false, 2, 2, 1.0, 2.0));
+    }
+
+    #[test]
+    fn threads_gate_fails_exactly_when_threads_do_not_win() {
+        for cpus in [2, 4] {
+            assert!(!threads_gate_fails(true, cpus, cpus, 1.0, 0.5));
+            assert!(threads_gate_fails(true, cpus, cpus, 1.0, 1.0));
+            assert!(threads_gate_fails(true, cpus, cpus, 1.0, 1.5));
+        }
     }
 }

@@ -9,9 +9,9 @@
 //! * [`ProcGrid`] — the `p x q` factorization of the rank count and the
 //!   `rank <-> (grid row, grid col)` numbering,
 //! * [`Dist1D`] — how one global index range is split across the parts of a
-//!   grid dimension, either as contiguous [`Layout1D::Blocks`] (the classic
-//!   block-row split) or as ScaLAPACK-style [`Layout1D::Cyclic`]
-//!   block-cyclic rounds (SUMMA operands, and the rows of the site
+//!   grid dimension, either as contiguous blocks ([`Dist1D::blocks`], the
+//!   classic block-row split) or as ScaLAPACK-style block-cyclic rounds
+//!   ([`Dist1D::cyclic`]: SUMMA operands, and the rows of the site
 //!   matricizations a distributed bond update scatters on a `P x 1` grid).
 //!
 //! ## Layout rules
@@ -102,7 +102,7 @@ impl ProcGrid {
 /// How one global index dimension is laid out across the parts of a grid
 /// dimension.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Layout1D {
+pub(crate) enum Layout1D {
     /// Contiguous blocks: part `i` owns the `i`-th range; the vector holds
     /// the per-part lengths (which must sum to the global extent). This is
     /// the layout of [`crate::DistMatrix::scatter`].
@@ -130,8 +130,8 @@ pub struct Seg {
     pub local_start: usize,
 }
 
-/// A 1-D distribution: a global extent split over `parts` grid slots by a
-/// [`Layout1D`].
+/// A 1-D distribution: a global extent split over `parts` grid slots, in
+/// contiguous blocks or in block-cyclic rounds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dist1D {
     n: usize,

@@ -119,7 +119,7 @@ pub mod stats;
 pub use cluster::{block_ranges, Cluster, RankBuffer};
 pub use dist_matrix::{gram_qr_dist, qr_gather_dist, DistMatrix, DistQr};
 pub use fault::{FaultEvent, FaultKind, FaultLog, FaultPlan, FaultSite};
-pub use grid::{refine, Dist1D, Layout1D, Panel, ProcGrid, Seg};
+pub use grid::{refine, Dist1D, Panel, ProcGrid, Seg};
 pub use stats::{
     CommStats, CostModel, RoundCost, ELEM_BYTES, FLOPS_PER_COMPLEX_MAC, FLOPS_PER_REAL_MAC,
 };

@@ -50,8 +50,8 @@
 //!   differ from the ones the plan was built for.
 //!
 //! Cache accounting (hits / misses / evictions / residency) is exposed
-//! through [`crate::plan::plan_stats`], which `koala-bench` uses to report
-//! planner overhead (the `fig9_caching` binary).
+//! through [`crate::plan::plan_stats`], which `benchmark/` reads for its
+//! `tensor.plan_hits` / `tensor.plan_misses` counters.
 
 use crate::plan::contraction_plan;
 use crate::tensor::Tensor;
