@@ -15,7 +15,7 @@ use koala_cluster::{Cluster, CommStats, DistMatrix, FaultLog, FaultPlan, ProcGri
 use koala_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// The executor pool is process-wide; serialize the tests in this binary.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -63,7 +63,7 @@ fn assert_bit_identical(serial: &Matrix, overlapped: &Matrix, what: &str) {
 /// the overhead confined to the checksum/retry counters.
 #[test]
 fn overlapped_summa_matches_serialized_ledger_and_bits() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let grids = [(2usize, 2usize), (2, 3), (1, 4)];
     for (i, &(p, q)) in grids.iter().enumerate() {
         let seed = 9_000 + 3 * i as u64;
@@ -103,7 +103,7 @@ fn overlapped_summa_matches_serialized_ledger_and_bits() {
 /// zero complex MACs are billed, and the ledgers agree.
 #[test]
 fn overlapped_real_summa_matches_serialized() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let grid = ProcGrid::new(2, 2);
     let mut rng = StdRng::seed_from_u64(77);
     let (m, k, n) = (19usize, 90, 23);
@@ -129,7 +129,7 @@ fn overlapped_real_summa_matches_serialized() {
 /// event index by event index.
 #[test]
 fn ledger_matches_the_pre_engine_round_loops() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let operands = |seed| {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = Matrix::random(13, 22, &mut rng);

@@ -107,14 +107,14 @@ fn jacobi_eigh<T: Scalar>(a: &Matrix) -> Result<EigH> {
         for p in 0..n {
             for q in (p + 1)..n {
                 let apq = h[p * n + q];
-                if apq.abs() <= 1e-300 {
+                let g = apq.abs();
+                if g <= 1e-300 {
                     continue;
                 }
                 let app = h[p * n + p].re();
                 let aqq = h[q * n + q].re();
                 // Phase that makes the off-diagonal entry real and positive.
-                let e_m = apq.unit_phase_conj();
-                let g = apq.abs();
+                let e_m = apq.unit_phase_conj(g);
                 let (c, s) = jacobi_rotation(app, aqq, g);
                 // Unitary 2x2: J = diag(1, e^{-i phi}) * [[c, s], [-s, c]]
                 // i.e. columns (p', q') = (c*e_p - s*e^{-i phi} e_q, s*e_p + c*e^{-i phi} e_q).

@@ -11,9 +11,13 @@
 //! * [`matrix::Matrix`] — dense row-major complex matrix,
 //! * [`mod@gemm`] — packed, blocked matrix multiplication (one serial call
 //!   per product, transposition fused into packing),
-//! * [`mod@qr`] — thin QR (modified Gram-Schmidt with reorthogonalization),
+//! * [`mod@qr`] — thin QR (modified Gram-Schmidt with reorthogonalization,
+//!   a null tolerance relative to the input's scale),
 //! * [`mod@svd`] — QR-preconditioned one-sided Jacobi SVD with a recovery
-//!   ladder, Gram-based SVD,
+//!   ladder, Gram-based SVD (QR and SVD hold their columns in one
+//!   split-plane buffer and run every projection, norm and pair rotation
+//!   on 8-lane vector kernels: AVX-512F intrinsics where the target has
+//!   them, bit-identical portable loops elsewhere),
 //! * [`mod@eig`] — Hermitian Jacobi eigendecomposition and matrix functions
 //!   (each of these three is one algorithm, generic over the scalar and
 //!   instantiated at `f64` for hinted-real inputs and at `C64` otherwise),
@@ -82,6 +86,7 @@ pub mod expm;
 pub mod gemm;
 pub mod gram;
 pub mod lanczos;
+mod lanes;
 pub mod matrix;
 pub mod microkernel;
 pub mod pack;

@@ -112,36 +112,6 @@ impl Matrix {
         Matrix { nrows, ncols, data, real: T::IS_REAL }
     }
 
-    /// The columns of `self` — or, with `adjoint`, of `self^H`, read straight
-    /// off the conjugated rows so no adjoint is materialised — as owned
-    /// vectors of either factorization scalar.
-    pub(crate) fn gather_cols<T: Scalar>(&self, adjoint: bool) -> Vec<Vec<T>> {
-        if adjoint {
-            (0..self.nrows)
-                .map(|j| self.row(j).iter().map(|&z| T::from_c64(z).conj()).collect())
-                .collect()
-        } else {
-            (0..self.ncols)
-                .map(|j| (0..self.nrows).map(|i| T::from_c64(self[(i, j)])).collect())
-                .collect()
-        }
-    }
-
-    /// The inverse of [`gather_cols`](Self::gather_cols): an `nrows`-row
-    /// matrix from its columns held as either factorization scalar, hinted
-    /// exactly when `T = f64`. An empty column stands for a zero column. Each
-    /// column is freed as soon as it is laid out.
-    pub(crate) fn from_scalar_cols<T: Scalar>(nrows: usize, cols: Vec<Vec<T>>) -> Self {
-        let ncols = cols.len();
-        let mut data = vec![C64::ZERO; nrows * ncols];
-        for (j, col) in cols.into_iter().enumerate() {
-            for (i, &x) in col.iter().enumerate() {
-                data[i * ncols + j] = x.to_c64();
-            }
-        }
-        Matrix { nrows, ncols, data, real: T::IS_REAL }
-    }
-
     /// Build from nested rows (primarily for tests and gate definitions).
     /// Small-matrix constructor, so the realness hint is set by scanning.
     pub fn from_rows(rows: &[Vec<C64>]) -> Result<Self> {
@@ -830,10 +800,12 @@ mod tests {
     /// tolerance must scale with `max_abs * n * EPSILON`.
     #[test]
     fn project_real_tolerance_scales_with_the_data() {
-        // Large, ill-conditioned real matrix run through the complex Jacobi
-        // eigendecomposition (hint laundered so the real path is bypassed):
-        // the result is mathematically real but carries imaginary noise far
-        // above any fixed 1e-14-style cutoff.
+        // Large, ill-conditioned real matrix `h` run through the complex
+        // Jacobi eigendecomposition as `D h D^H`, `D` a diagonal of phases,
+        // and rotated back: the result is mathematically real but carries
+        // imaginary noise far above any fixed 1e-14-style cutoff. (A real
+        // matrix merely stripped of its hint no longer does: the rotation
+        // phase of a real entry is exactly real.)
         let n = 24;
         let mut h = Matrix::zeros(n, n);
         for i in 0..n {
@@ -844,10 +816,23 @@ mod tests {
                 h[(i + 1, i)] = c64(3e7, 0.0);
             }
         }
-        assert!(!h.is_real(), "laundered: the complex eigh path must run");
-        let e = crate::eig::eigh(&h).unwrap();
+        let d: Vec<C64> = (0..n).map(|i| C64::cis(0.7 * i as f64)).collect();
+        let mut rotated = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                rotated[(i, j)] = d[i] * h[(i, j)] * d[j].conj();
+            }
+        }
+        assert!(!rotated.is_real(), "the complex eigh path must run");
+        let e = crate::eig::eigh(&rotated).unwrap();
         let vf = crate::gemm::matmul(&e.vectors, &Matrix::from_diag_real(&e.values));
-        let mut rec = crate::gemm::matmul_adj_b(&vf, &e.vectors);
+        let back = crate::gemm::matmul_adj_b(&vf, &e.vectors);
+        let mut rec = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                rec[(i, j)] = d[i].conj() * back[(i, j)] * d[j];
+            }
+        }
         let worst_im = rec.data().iter().map(|z| z.im.abs()).fold(0.0, f64::max);
         assert!(worst_im > 1e-14, "expected Jacobi noise above a hardcoded eps, got {worst_im:e}");
         assert!(rec.project_real_if_negligible(), "scaled tolerance must accept Jacobi noise");

@@ -140,16 +140,17 @@ pub fn microkernel_real(
 /// The kernels as plain `f64` lane loops: the build's kernels on targets
 /// without AVX-512F, and the oracle of the intrinsic kernels' tests.
 #[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "avx512f"))))]
-mod portable {
+pub(crate) mod portable {
     use super::{AccTile, RealAccTile, RealAccTileWide, MR, MR_REAL, NR, NR_REAL};
 
     pub(super) const NAME: &str = "portable";
 
     /// Fused multiply-add that only uses the hardware `fma` instruction when
     /// the target actually has it; the plain form otherwise (a libm `fma()`
-    /// call would be ~20x slower than mul+add).
+    /// call would be ~20x slower than mul+add). Shared with the portable
+    /// factorization kernels of [`crate::lanes`].
     #[inline(always)]
-    fn fmadd(a: f64, b: f64, c: f64) -> f64 {
+    pub(crate) fn fmadd(a: f64, b: f64, c: f64) -> f64 {
         if cfg!(target_feature = "fma") {
             a.mul_add(b, c)
         } else {
@@ -220,9 +221,11 @@ mod portable {
 }
 
 /// The kernels in AVX-512F intrinsics: one `zmm` register per 8-lane row of
-/// the tile, each lane running the portable kernel's FMA sequence.
+/// the tile, each lane running the portable kernel's FMA sequence. The
+/// load, store, splat and FMA wrappers are shared with the factorization
+/// kernels of [`crate::lanes`].
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
-mod avx512 {
+pub(crate) mod avx512 {
     use super::{AccTile, RealAccTile, RealAccTileWide, MR, MR_REAL, NR, NR_REAL};
     use core::arch::x86_64::{
         __m512d, _mm512_fmadd_pd, _mm512_fnmadd_pd, _mm512_loadu_pd, _mm512_set1_pd,
@@ -232,13 +235,13 @@ mod avx512 {
     pub(super) const NAME: &str = "avx512f";
 
     /// `f64` lanes per `zmm` register.
-    const LANES: usize = 8;
+    pub(crate) const LANES: usize = 8;
     const _: () = assert!(NR == LANES && NR_REAL == 2 * LANES);
 
     /// The first eight lanes of `x` as one register (panics if `x` is
     /// shorter, like the portable kernels' slice indexing).
     #[inline(always)]
-    fn load(x: &[f64]) -> __m512d {
+    pub(crate) fn load(x: &[f64]) -> __m512d {
         let x = &x[..LANES];
         // SAFETY: this module is compiled only with `avx512f` enabled, and
         // `x` is eight readable `f64`s (the unaligned load needs no more).
@@ -247,7 +250,7 @@ mod avx512 {
 
     /// Write `v` to the first eight lanes of `out` (panics if shorter).
     #[inline(always)]
-    fn store(v: __m512d, out: &mut [f64]) {
+    pub(crate) fn store(v: __m512d, out: &mut [f64]) {
         let out = &mut out[..LANES];
         // SAFETY: this module is compiled only with `avx512f` enabled, and
         // `out` is eight writable `f64`s (the unaligned store needs no more).
@@ -256,21 +259,21 @@ mod avx512 {
 
     /// `x` in every lane.
     #[inline(always)]
-    fn splat(x: f64) -> __m512d {
+    pub(crate) fn splat(x: f64) -> __m512d {
         // SAFETY: this module is compiled only with `avx512f` enabled.
         unsafe { _mm512_set1_pd(x) }
     }
 
     /// `a * b + c` per lane, rounded once.
     #[inline(always)]
-    fn fmadd(a: __m512d, b: __m512d, c: __m512d) -> __m512d {
+    pub(crate) fn fmadd(a: __m512d, b: __m512d, c: __m512d) -> __m512d {
         // SAFETY: this module is compiled only with `avx512f` enabled.
         unsafe { _mm512_fmadd_pd(a, b, c) }
     }
 
     /// `-(a * b) + c` per lane, rounded once: the bits of `fma(-a, b, c)`.
     #[inline(always)]
-    fn fnmadd(a: __m512d, b: __m512d, c: __m512d) -> __m512d {
+    pub(crate) fn fnmadd(a: __m512d, b: __m512d, c: __m512d) -> __m512d {
         // SAFETY: this module is compiled only with `avx512f` enabled.
         unsafe { _mm512_fnmadd_pd(a, b, c) }
     }

@@ -5,9 +5,14 @@
 //! the well-scaled matrices produced by tensor-network algorithms, and keeps
 //! the implementation simple and easy to distribute (the Gram-matrix variant
 //! in [`crate::gram`] / `koala-cluster` follows the paper's Algorithm 5).
+//! The columns live in one column-major buffer with split real and
+//! imaginary planes, and every projection, update and norm is one of the
+//! 8-lane kernels of `lanes.rs` (AVX-512F intrinsics where the target has
+//! them, bit-identical portable loops elsewhere).
 
+use crate::lanes::{Cols, Lanes};
 use crate::matrix::Matrix;
-use crate::scalar::{Scalar, C64};
+use crate::scalar::C64;
 
 /// Result of a thin QR factorization `A = Q R` with `Q` of shape `(m, k)` and
 /// `R` upper triangular of shape `(k, n)`, where `k = min(m, n)`.
@@ -21,9 +26,11 @@ pub struct QrFactors {
 
 /// Thin QR via modified Gram-Schmidt with reorthogonalization.
 ///
-/// Rank-deficient columns are replaced by deterministic unit vectors that are
-/// orthogonalized against the basis built so far, and the corresponding
-/// diagonal of `R` is set to zero, so `Q` always has exactly `min(m, n)`
+/// A column whose Gram-Schmidt residual is at most `1e-14 |A|_F` is
+/// numerically dependent (a tolerance relative to the input's scale, so a
+/// full-rank input is full rank at any scale). Such columns are replaced by
+/// deterministic unit vectors that are orthogonalized against the basis
+/// built so far, and the corresponding diagonal of `R` is set to zero, so `Q` always has exactly `min(m, n)`
 /// orthonormal columns and `A = Q R` still holds.
 ///
 /// This function cannot fail, so non-finite input is reported through the
@@ -48,46 +55,45 @@ pub fn qr(a: &Matrix) -> QrFactors {
     }
 }
 
-/// Twice-applied modified Gram-Schmidt over `cols`, the `n` columns (each of
-/// length `m`) of a matrix held as `T`: the projection loop shared by [`qr`]
-/// and the preconditioner of [`svd`](crate::svd::svd).
+/// Twice-applied modified Gram-Schmidt over the `n` columns of `cols`
+/// (each of length `m`), in place: the projection loop shared by [`qr`] and
+/// the preconditioner of [`svd`](crate::svd::svd).
 ///
-/// Returns the `k = min(m, n)` basis columns and the row-major `k x n` factor
-/// `R`. A column whose residual norm is at most `tol` (a NaN norm is not) is
-/// numerically null: its diagonal of `R` stays zero and `on_null(basis so
-/// far)` supplies the basis column that takes its place. [`qr`] completes
-/// the basis there
-/// ([`complete_basis`]); the SVD passes an empty column, which later
-/// projections skip for free, whose row of `R` stays exactly zero and which
-/// `Matrix::from_scalar_cols` lays out as a zero column of `Q`.
-pub(crate) fn mgs<T: Scalar>(
-    mut cols: Vec<Vec<T>>,
-    m: usize,
-    tol: f64,
-    on_null: impl Fn(&[Vec<T>]) -> Vec<T>,
-) -> (Vec<Vec<T>>, Vec<T>) {
-    let n = cols.len();
+/// On return the first `k = min(m, n)` columns of `cols` are the basis, and
+/// the result is the row-major `k x n` factor `R`. Columns past `k` keep the
+/// input they held. A column whose residual norm is at most `tol` (a NaN
+/// norm is not) is numerically null, and its diagonal of `R` stays zero.
+/// With `complete` the basis is completed there ([`complete_basis`], as
+/// [`qr`] does); without it the column is left zero, later projections skip
+/// it, and its row of `R` stays exactly zero (the SVD's convention).
+pub(crate) fn mgs<T: Lanes>(cols: &mut Cols<T>, tol: f64, complete: bool) -> Vec<T> {
+    let (m, n, stride) = (cols.col_len(), cols.ncols(), cols.stride());
     let k = m.min(n);
-    let mut q_cols: Vec<Vec<T>> = Vec::with_capacity(k);
     let mut r = vec![T::ZERO; k * n];
+    // The basis columns projections run against: all but the zeroed nulls.
+    let mut live: Vec<usize> = Vec::with_capacity(k);
 
     for j in 0..k {
-        let mut col = std::mem::take(&mut cols[j]);
+        let (basis, col) = cols.split_col_mut(j);
         // Two passes of projection against the established basis.
         for _ in 0..2 {
-            for (i, qi) in q_cols.iter().enumerate() {
-                let proj: T = qi.iter().zip(col.iter()).map(|(qe, ce)| qe.conj() * *ce).sum();
+            for &i in &live {
+                let qi = &basis[i * stride..(i + 1) * stride];
+                let proj = T::dotc(qi, col);
                 // Both passes accumulate into R; the second pass adds the
                 // small correction left over by the first.
                 r[i * n + j] += proj;
-                for (ce, qe) in col.iter_mut().zip(qi.iter()) {
-                    *ce -= *qe * proj;
-                }
+                T::axpy(-proj, qi, col);
             }
         }
-        let norm = col.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
+        let norm = T::col_norm_sqr(col).sqrt();
         if norm.is_finite() && norm <= tol {
-            q_cols.push(on_null(&q_cols));
+            if complete {
+                complete_basis::<T>(basis, &live, stride, col, m);
+                live.push(j);
+            } else {
+                col.fill(0.0);
+            }
         } else {
             // A NaN or infinite norm lands here whatever `tol` is (an
             // infinite entry makes `tol` infinite too): a poisoned column is
@@ -98,52 +104,60 @@ pub(crate) fn mgs<T: Scalar>(
             }
             r[j * n + j] = T::from_real(norm);
             let inv = 1.0 / norm;
-            col.iter_mut().for_each(|z| *z = z.scale(inv));
-            q_cols.push(col);
+            col.iter_mut().for_each(|x| *x *= inv);
+            live.push(j);
         }
     }
 
     // Remaining columns (n > m case): project onto the finished basis.
     for j in k..n {
-        for (i, qi) in q_cols.iter().enumerate() {
-            r[i * n + j] = qi.iter().zip(cols[j].iter()).map(|(qe, ce)| qe.conj() * *ce).sum();
+        for &i in &live {
+            r[i * n + j] = T::dotc(cols.col(i), cols.col(j));
         }
     }
-    (q_cols, r)
+    r
 }
 
-/// The completion step of [`qr`]: a canonical unit vector of length `m`,
-/// orthogonalized against `basis` and normalised, to stand in for a
-/// numerically null column.
-fn complete_basis<T: Scalar>(basis: &[Vec<T>], m: usize) -> Vec<T> {
-    let mut v = vec![T::ZERO; m];
+/// The completion step of [`qr`]: overwrite `col` (of length `m`) with a
+/// canonical unit vector orthogonalized against the `live` columns of
+/// `basis` and normalised, to stand in for a numerically null column.
+fn complete_basis<T: Lanes>(
+    basis: &[f64],
+    live: &[usize],
+    stride: usize,
+    col: &mut [f64],
+    m: usize,
+) {
     for seed in 0..m {
-        v.iter_mut().for_each(|z| *z = T::ZERO);
-        v[seed] = T::ONE;
+        col.fill(0.0);
+        T::write(col, seed, T::ONE);
         for _ in 0..2 {
-            for qi in basis.iter() {
-                let proj: T = qi.iter().zip(v.iter()).map(|(qe, ce)| qe.conj() * *ce).sum();
-                for (ce, qe) in v.iter_mut().zip(qi.iter()) {
-                    *ce -= *qe * proj;
-                }
+            for &i in live {
+                let qi = &basis[i * stride..(i + 1) * stride];
+                let proj = T::dotc(qi, col);
+                T::axpy(-proj, qi, col);
             }
         }
-        let nv = v.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
+        let nv = T::col_norm_sqr(col).sqrt();
         if nv > 0.5 {
             let inv = 1.0 / nv;
-            v.iter_mut().for_each(|z| *z = z.scale(inv));
+            col.iter_mut().for_each(|x| *x *= inv);
             break;
         }
     }
-    v
 }
 
-/// [`qr`] at one scalar type.
-fn qr_at<T: Scalar>(a: &Matrix) -> QrFactors {
+/// [`qr`] at one scalar type. The null tolerance is relative to the input's
+/// scale, like the SVD preconditioner's, so a well-conditioned input is
+/// factorized the same at any scale; an exactly zero column still has a
+/// zero residual and completes the basis.
+fn qr_at<T: Lanes>(a: &Matrix) -> QrFactors {
     let (m, n) = a.shape();
-    let tol = a.norm_max().max(1.0) * 1e-14;
-    let (q_cols, r) = mgs::<T>(a.gather_cols(false), m, tol, |basis| complete_basis(basis, m));
-    QrFactors { q: Matrix::from_scalar_cols(m, q_cols), r: Matrix::from_scalars(m.min(n), n, r) }
+    let tol = 1e-14 * a.norm_fro();
+    let mut cols = Cols::<T>::from_matrix(a, false);
+    let r = mgs(&mut cols, tol, true);
+    let k = m.min(n);
+    QrFactors { q: cols.to_matrix(k), r: Matrix::from_scalars(k, n, r) }
 }
 
 /// Orthonormalize the columns of `a`, returning only the `Q` factor.
@@ -158,18 +172,24 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Factor `a` scaled by each of 1e-20, 1e-15, 1 and 1e20: a
+    /// well-conditioned input is full rank at any scale, and `QR = A` holds
+    /// relative to that scale.
     fn check_qr(a: &Matrix, tol: f64) {
-        let QrFactors { q, r } = qr(a);
-        let (m, n) = a.shape();
-        let k = m.min(n);
-        assert_eq!(q.shape(), (m, k));
-        assert_eq!(r.shape(), (k, n));
-        assert!(q.has_orthonormal_cols(tol), "Q columns not orthonormal");
-        assert!(matmul(&q, &r).approx_eq(a, tol * a.norm_max().max(1.0)), "QR != A");
-        // R upper triangular
-        for i in 0..k {
-            for j in 0..i.min(n) {
-                assert!(r[(i, j)].abs() < tol);
+        for scale in [1e-20, 1e-15, 1.0, 1e20] {
+            let a = a.scale(C64::from_real(scale));
+            let QrFactors { q, r } = qr(&a);
+            let (m, n) = a.shape();
+            let k = m.min(n);
+            assert_eq!(q.shape(), (m, k));
+            assert_eq!(r.shape(), (k, n));
+            assert!(q.has_orthonormal_cols(tol), "Q columns not orthonormal at scale {scale:e}");
+            assert!(matmul(&q, &r).approx_eq(&a, tol * a.norm_max()), "QR != A at scale {scale:e}");
+            // R upper triangular
+            for i in 0..k {
+                for j in 0..i.min(n) {
+                    assert!(r[(i, j)].abs() < tol);
+                }
             }
         }
     }

@@ -341,8 +341,10 @@ pub(crate) trait Scalar:
     /// Scale by a real factor.
     fn scale(self, s: f64) -> Self;
     /// The unit phase `e^{-i arg z}` that rotates `z` onto the non-negative
-    /// real axis: `cis(-arg z)` at `C64`, the sign of `z` at `f64`.
-    fn unit_phase_conj(self) -> Self;
+    /// real axis, given the modulus `r = |z| > 0` the caller already has:
+    /// `conj(z) / r` at `C64` (no `atan2`, `sin` or `cos`), the sign of `z`
+    /// at `f64`.
+    fn unit_phase_conj(self, r: f64) -> Self;
 }
 
 impl Scalar for f64 {
@@ -382,7 +384,7 @@ impl Scalar for f64 {
         self * s
     }
     #[inline(always)]
-    fn unit_phase_conj(self) -> Self {
+    fn unit_phase_conj(self, _r: f64) -> Self {
         if self >= 0.0 {
             1.0
         } else {
@@ -428,8 +430,8 @@ impl Scalar for C64 {
         C64::scale(self, s)
     }
     #[inline(always)]
-    fn unit_phase_conj(self) -> Self {
-        C64::cis(-self.arg())
+    fn unit_phase_conj(self, r: f64) -> Self {
+        C64 { re: self.re / r, im: -self.im / r }
     }
 }
 

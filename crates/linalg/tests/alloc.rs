@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// The tests in this file read process-wide counters (bytes allocated,
 /// transpositions materialised); run them one at a time so concurrent test
@@ -61,7 +61,7 @@ fn bytes_allocated_by(f: impl FnOnce() -> Matrix) -> u64 {
 
 #[test]
 fn transposed_gemm_does_not_materialize_operands() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     const N: usize = 512;
     let operand_bytes = (N * N * std::mem::size_of::<koala_linalg::C64>()) as u64; // 4 MiB
     let mut rng = StdRng::seed_from_u64(7);
@@ -100,7 +100,7 @@ fn transposed_gemm_does_not_materialize_operands() {
 /// assembled element-wise in their destination layout.
 #[test]
 fn linalg_kernels_do_not_materialize_adjoints() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let mut rng = StdRng::seed_from_u64(8);
     let tall = Matrix::random(40, 7, &mut rng);
     let wide = Matrix::random(7, 40, &mut rng);
@@ -124,7 +124,7 @@ fn linalg_kernels_do_not_materialize_adjoints() {
 /// (it used to pay one full `a.adjoint()` plus two factor adjoints on top).
 #[test]
 fn wide_svd_allocates_no_more_than_tall() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let mut rng = StdRng::seed_from_u64(9);
     let tall = Matrix::random(160, 10, &mut rng);
     // Element-wise conjugate transpose, built without Matrix::adjoint so the
@@ -168,7 +168,7 @@ fn wide_svd_allocates_no_more_than_tall() {
 /// excess over either bound.
 #[test]
 fn real_gemm_dispatch_materializes_no_complex_copy() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     const N: usize = 512;
     let out_bytes = (N * N * std::mem::size_of::<koala_linalg::C64>()) as u64; // 4 MiB
     let mut rng = StdRng::seed_from_u64(10);

@@ -7,20 +7,25 @@
 //! any change to a tolerance, a rotation formula or a summation order shows
 //! up here as a changed digest, for review.
 //!
-//! The `qr` and `eigh` rows were recorded at the last commit that still had
-//! the hand-written real/complex twins (`1d56763`): the generic code
-//! reproduces both twins exactly, and `qr` still does after its Gram-Schmidt
-//! loop was split so the SVD could share it. The `svd` rows were re-recorded
-//! deliberately when the Jacobi SVD became QR-preconditioned (a different
-//! algorithm: the sweeps run on the triangular factor); the table they
-//! replaced is the one at `7f0683a`.
+//! The table was last re-recorded when Gram-Schmidt and the one-sided
+//! Jacobi moved onto the 8-lane vector kernels of `lanes.rs` (split real and
+//! imaginary planes, one accumulator per product term, a fixed reduction
+//! tree), which changed the summation order of every `qr` and `svd` row, and
+//! when the rotation phase of the `C64` instantiation became `conj(z) / |z|`
+//! instead of `cis(-arg z)`, which changed the `C64` rows of `eigh`. The
+//! `f64` rows of `eigh` (no kernel, sign phase) and the `one_by_one` rows
+//! (no sum longer than one term) did not move.
 //!
-//! The inputs are built with plain loops (no GEMM), so the `f64` rows of
-//! `qr` and `eigh` depend only on IEEE `+ - * / sqrt`, and their `C64` rows
-//! also on libm's `hypot`/`atan2`/`sin`/`cos` (the rotation phase). The `svd`
-//! rows end in one GEMM (`Q J`), whose microkernel fuses multiply-adds
-//! exactly when the build's target has `fma` (`.cargo/config.toml` builds
-//! for the host CPU); they were recorded on a host that has it.
+//! The inputs are built with plain loops (no GEMM), so every row depends
+//! only on IEEE `+ - * / sqrt` and fused multiply-adds, and the `C64` rows
+//! also on libm's `hypot` (the modulus of a rotation's off-diagonal entry),
+//! no longer on its `atan2`/`sin`/`cos`. The factorization kernels
+//! and the GEMM microkernel (the `svd` rows end in one GEMM, `Q J`) exist as
+//! AVX-512F intrinsics and as portable loops that give the same bits, so one
+//! table holds on both paths: CI checks it natively and at
+//! `target-cpu=x86-64-v3`. Both paths fuse multiply-adds only when the
+//! target has `fma` (`.cargo/config.toml` builds for the host CPU); the
+//! table was recorded on a host that has it.
 //!
 //! Regenerating: a mismatch prints the full computed table in source form.
 
@@ -111,46 +116,45 @@ fn cases(hinted: bool) -> Vec<(&'static str, Matrix)> {
     ]
 }
 
-/// Digests recorded on x86-64 Linux/glibc, debug and release builds
-/// agreeing: `qr`/`eigh` at `1d56763` (the parent of the generic rewrite),
-/// `svd` with the QR-preconditioned Jacobi.
+/// Digests recorded on x86-64 Linux/glibc, debug and release builds and the
+/// AVX-512F and portable kernel paths agreeing.
 const RECORDED: &[(&str, u64)] = &[
-    ("svd/f64/tall", 0x54236f50df046e11),
-    ("qr/f64/tall", 0x865154447457d9f1),
+    ("svd/f64/tall", 0xb171ea5c4c20861e),
+    ("qr/f64/tall", 0x8459351f71da33fb),
     ("eigh/f64/tall", 0x325b933ef309ce24),
-    ("svd/f64/wide", 0xde4ee77c4145cf94),
-    ("qr/f64/wide", 0xf76b08ce4c7c38e8),
+    ("svd/f64/wide", 0xf29266acdff2491b),
+    ("qr/f64/wide", 0x2930af87b202f94e),
     ("eigh/f64/wide", 0x2013d9b2ccac0fcf),
-    ("svd/f64/square", 0x1e169819cc718bc7),
-    ("qr/f64/square", 0xb4e62a625e569780),
+    ("svd/f64/square", 0x228c763edfea35da),
+    ("qr/f64/square", 0x2554a0471f4745aa),
     ("eigh/f64/square", 0x52f3d749ae5f9554),
-    ("svd/f64/rank_deficient", 0x7171a43d04381813),
-    ("qr/f64/rank_deficient", 0xfa16f6ab2bb4bd37),
+    ("svd/f64/rank_deficient", 0xee5abca01985b896),
+    ("qr/f64/rank_deficient", 0x82417c17483137f6),
     ("eigh/f64/rank_deficient", 0x2e435f85b49ee359),
     ("svd/f64/one_by_one", 0x785727ee980c9fed),
     ("qr/f64/one_by_one", 0xe0b41f308e3cc145),
     ("eigh/f64/one_by_one", 0xef19d90c164d42f0),
-    ("svd/f64/zero_column", 0xe4e8de31c5ca6b12),
-    ("qr/f64/zero_column", 0x20d567464cb50f81),
+    ("svd/f64/zero_column", 0xfc40daae06578c7d),
+    ("qr/f64/zero_column", 0x99194c670d557fd1),
     ("eigh/f64/zero_column", 0xf1c5287702fc5a6d),
-    ("svd/c64/tall", 0xe3d750f9d392754b),
-    ("qr/c64/tall", 0x32cb7b06d3533455),
-    ("eigh/c64/tall", 0x352cb8fe287aab76),
-    ("svd/c64/wide", 0x9b42f57163bf2efb),
-    ("qr/c64/wide", 0x7f453b50bae4aa7c),
-    ("eigh/c64/wide", 0x68a1af534da03865),
-    ("svd/c64/square", 0xfd435720731b63f6),
-    ("qr/c64/square", 0x1d2e7eeac0d315b9),
-    ("eigh/c64/square", 0x90cbe08f392c0149),
-    ("svd/c64/rank_deficient", 0x7898cd8f915f2dca),
-    ("qr/c64/rank_deficient", 0x3631f2c5cf2b2f45),
-    ("eigh/c64/rank_deficient", 0xe7c9f88f0d1e9d91),
+    ("svd/c64/tall", 0x94abef805de9bd13),
+    ("qr/c64/tall", 0x81f210b903609c19),
+    ("eigh/c64/tall", 0x1f542968ac1b23de),
+    ("svd/c64/wide", 0x906bc7e91324bc90),
+    ("qr/c64/wide", 0xfa47512709889d08),
+    ("eigh/c64/wide", 0x8df2cd278921fdfa),
+    ("svd/c64/square", 0x68b1ccdbcb62d3eb),
+    ("qr/c64/square", 0x45fa325b7c66f419),
+    ("eigh/c64/square", 0xc84a51e81628fcfa),
+    ("svd/c64/rank_deficient", 0x41d689613debd724),
+    ("qr/c64/rank_deficient", 0x2969b22fe2c2dd82),
+    ("eigh/c64/rank_deficient", 0x83ae5598ef51f5bb),
     ("svd/c64/one_by_one", 0x5c5c25ecb41642f4),
     ("qr/c64/one_by_one", 0x552e35c8953736bc),
     ("eigh/c64/one_by_one", 0xeabe2281e43f9807),
-    ("svd/c64/zero_column", 0xe65984e2dbced221),
-    ("qr/c64/zero_column", 0x805c8df70ba368fc),
-    ("eigh/c64/zero_column", 0xac47b6a0ef8d1953),
+    ("svd/c64/zero_column", 0x949f743632dfb297),
+    ("qr/c64/zero_column", 0x93b8d0866d9d7994),
+    ("eigh/c64/zero_column", 0xc55b565c6be3c2b3),
 ];
 
 #[test]

@@ -10,7 +10,7 @@ use koala_tensor::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// The plan cache and its counters are process-wide; serialize the tests in
 /// this binary so concurrent test threads cannot skew each other's counts.
@@ -26,7 +26,7 @@ fn tensors_for(shapes: &[Vec<usize>], seed: u64) -> Vec<Tensor> {
 /// planning pass, observable through `plan_stats()`.
 #[test]
 fn identical_spec_and_shapes_plan_exactly_once() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let spec = parse_spec("qab,qcd,bd->ac").unwrap();
     let ops = tensors_for(&[vec![5, 2, 3], vec![5, 4, 2], vec![3, 2]], 11);
     let refs: Vec<&Tensor> = ops.iter().collect();
@@ -47,7 +47,7 @@ fn identical_spec_and_shapes_plan_exactly_once() {
 /// whitespace-only differences in the spec map to the same plan entry.
 #[test]
 fn string_entry_point_hits_the_same_plan() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let ops = tensors_for(&[vec![3, 4], vec![4, 5]], 12);
     let refs: Vec<&Tensor> = ops.iter().collect();
 
@@ -65,7 +65,7 @@ fn string_entry_point_hits_the_same_plan() {
 /// get their own plan (a miss), and both entries stay resident.
 #[test]
 fn shape_change_invalidates_the_plan() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let spec = parse_spec("ij,jk->ik").unwrap();
     let small = tensors_for(&[vec![2, 3], vec![3, 4]], 13);
     let large = tensors_for(&[vec![6, 3], vec![3, 2]], 14);
@@ -95,7 +95,7 @@ fn shape_change_invalidates_the_plan() {
 /// counts the evictions.
 #[test]
 fn lru_eviction_is_counted() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     koala_tensor::set_plan_cache_capacity(4);
     clear_plan_cache();
     let before = plan_stats();
@@ -116,7 +116,7 @@ fn lru_eviction_is_counted() {
 /// thread, and all threads compute the same result.
 #[test]
 fn plans_are_shared_across_threads() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let spec = parse_spec("abc,cd,be->ade").unwrap();
     let shapes = [vec![2, 3, 4], vec![4, 5], vec![3, 2]];
     let ops = tensors_for(&shapes, 16);
@@ -261,7 +261,7 @@ fn random_network(rng: &mut StdRng) -> (String, Vec<Tensor>) {
 /// but the arithmetic must be identical.
 #[test]
 fn planned_einsum_matches_naive_on_random_specs() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let mut rng = StdRng::seed_from_u64(0xCAFE);
     let mut nontrivial = 0usize;
     for _case in 0..120 {
