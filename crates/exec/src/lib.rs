@@ -55,6 +55,40 @@
 //! travel with tasks: [`TaskGraph::add`] captures the submitting thread's
 //! stack and the executing worker installs it around the closure, so work a
 //! scope causes is billed to it no matter which thread runs it.
+//!
+//! # Heap policy
+//!
+//! The first [`Pool::new`] of a process (the global pool, [`set_threads`],
+//! any test or bench pool, one thread or many) sets glibc's heap policy
+//! once. Every hot step frees ~0.4-1 MB of transients: thetas, factor
+//! column buffers, GEMM pack panels, factors. By default glibc hands the
+//! freed top of an arena back to the kernel once it passes the trim
+//! threshold, and the next step faults the same pages in again one by one.
+//! Those minor faults cost kernel time, and every thread's faults and trims
+//! contend for the process's memory-map lock. So the policy sets two
+//! `mallopt` tunables:
+//!
+//! - `M_TOP_PAD` = 4 MiB: trimming leaves up to 4 MiB free at the top of
+//!   each arena, and the main heap grows 4 MiB beyond what a request needs.
+//!   4 MiB is the smallest power of two that took every benchmark workload
+//!   to its fault floor; 1-2 MiB still left many faults on
+//!   `rqc_amplitudes`, whose shapes change with every gate.
+//! - `M_MMAP_THRESHOLD` = glibc's 32 MiB ceiling (16 MiB on 32-bit).
+//!   Setting `M_TOP_PAD` switches off glibc's dynamic `mmap` threshold and
+//!   freezes it wherever it stands, 128 KiB in a fresh process. A thread
+//!   whose arena predates the policy would then `mmap` and unmap every
+//!   block of 128 KiB or more, a theta on every call. Pinning the threshold
+//!   at the ceiling keeps such blocks on the heap.
+//!
+//! The cost is memory. The pad is the most free memory kept at each
+//! arena's top; it does not cap what the process keeps, which still
+//! follows peak use and fragmentation: a block of up to 32 MiB freed below
+//! an arena's top stays resident.
+//! Nothing allocated changes, so values and allocation counts do not. Off
+//! glibc (`target_env = "gnu"` on Linux) the policy is a no-op. The
+//! measured faults, timings and peak RSS per benchmark workload are in the
+//! project's `CHANGES.md` and `ROADMAP.md`; `linalg/tests/heap_policy.rs`
+//! checks that warm SVDs stop faulting.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -552,8 +586,11 @@ pub struct Pool {
 
 impl Pool {
     /// Build a pool with `threads` compute threads (min 1). `threads == 1`
-    /// spawns no workers at all; graphs run inline on the caller.
+    /// spawns no workers at all; graphs run inline on the caller. The first
+    /// pool of a process also sets its heap policy (crate doc, "Heap
+    /// policy").
     pub fn new(threads: usize) -> Pool {
+        apply_heap_policy();
         let threads = threads.max(1);
         let n_workers = threads - 1;
         let shared = Arc::new(Shared {
@@ -595,6 +632,42 @@ impl Drop for Pool {
             let _ = handle.join();
         }
     }
+}
+
+/// Apply the process heap policy ("Heap policy" in the crate doc), once per
+/// process, from whichever pool is built first. A no-op off glibc.
+fn apply_heap_policy() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        #[cfg(all(target_os = "linux", target_env = "gnu"))]
+        {
+            use std::ffi::{c_int, c_long};
+            extern "C" {
+                fn mallopt(param: c_int, value: c_int) -> c_int;
+            }
+            // glibc's `malloc.h` parameter numbers.
+            const M_TOP_PAD: c_int = -2;
+            const M_MMAP_THRESHOLD: c_int = -3;
+            // Free heap each arena keeps at its top instead of handing it
+            // back to the kernel: the smallest pad that stopped the
+            // page-fault storm on every benchmark workload.
+            const TOP_PAD: usize = 4 << 20;
+            // Requests below this grow the heap instead of getting an
+            // `mmap` of their own: glibc's ceiling for its dynamic
+            // threshold (`DEFAULT_MMAP_THRESHOLD_MAX`), which setting
+            // `M_TOP_PAD` would otherwise freeze wherever it stands.
+            const MMAP_THRESHOLD: usize = (4 << 20) * std::mem::size_of::<c_long>();
+            // SAFETY: the declaration matches glibc's `int mallopt(int, int)`,
+            // and both values fit a `c_int`. `mallopt` sets allocator
+            // tunables under the allocator's own lock, so other threads may
+            // allocate meanwhile, and it touches no Rust memory. A refused
+            // value (return 0) leaves that tunable as it was.
+            unsafe {
+                mallopt(M_TOP_PAD, TOP_PAD as c_int);
+                mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD as c_int);
+            }
+        }
+    });
 }
 
 static GLOBAL: Mutex<Option<Arc<Pool>>> = Mutex::new(None);
