@@ -30,7 +30,7 @@
 //! The document also says where it was recorded: `host_cpus`, `host_cpu`
 //! (the `/proc/cpuinfo` model name, else `"unknown"`) and `microkernel`
 //! (`"avx512f"` or `"portable"`: which register kernels the build compiled,
-//! [`koala_linalg::microkernel::IMPLEMENTATION`]).
+//! [`koala_linalg::MICROKERNEL`]).
 //!
 //! GFLOP/s are derived from the GEMM layer's own work accounting (a scoped
 //! [`koala_exec::WorkMeter`]: complex MACs at 8 real flops each, real MACs
@@ -42,8 +42,7 @@
 
 use koala_exec::WorkMeter;
 use koala_json::JsonValue;
-use koala_linalg::gemm::{gemm, matmul, matmul_seed, Op};
-use koala_linalg::{microkernel, Matrix};
+use koala_linalg::{gemm, matmul, matmul_seed, Matrix, Op, MICROKERNEL};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -435,7 +434,7 @@ fn main() {
         ("flop_convention", JsonValue::str("complex MAC = 8 real flops; real MAC = 2 real flops")),
         ("host_cpus", JsonValue::num(host_cpus as f64)),
         ("host_cpu", JsonValue::str(host_cpu())),
-        ("microkernel", JsonValue::str(microkernel::IMPLEMENTATION)),
+        ("microkernel", JsonValue::str(MICROKERNEL)),
         ("results", JsonValue::Array(results)),
     ]);
     match std::fs::write(&json_path, doc.pretty()) {

@@ -10,8 +10,8 @@
 //! more CPUs when the threaded measurement is not the faster one.
 
 use koala_bench::{threads_must_pay, time_it, Figure, Series};
-use koala_peps::expectation::{expectation, ExpectationOptions};
 use koala_peps::operators::{kron, pauli_x, pauli_z, Observable};
+use koala_peps::{expectation, ExpectationOptions};
 use koala_peps::{ContractionMethod, Peps};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

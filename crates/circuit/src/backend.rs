@@ -33,15 +33,16 @@ use koala_peps::{ContractionMethod, Peps, Site, UpdateMethod};
 use koala_tensor::{tensordot, EinsumSvd, Tensor, Truncation};
 use rand::Rng;
 
-use crate::ir::{Circuit, Gate, Result};
+use crate::ir::{Circuit, Gate};
 use crate::lightcone::prune_for_bits;
 use crate::simplify::{simplify, SimplifyStats};
+use koala_error::Result;
 
 /// Largest qubit count the auto-dispatcher sends to the dense statevector.
-pub const STATEVECTOR_MAX_QUBITS: usize = 20;
+pub(crate) const STATEVECTOR_MAX_QUBITS: usize = 20;
 
 /// Largest entanglement-bound bond the auto-dispatcher accepts for MPS.
-pub const MPS_MAX_BOND: usize = 64;
+pub(crate) const MPS_MAX_BOND: usize = 64;
 
 /// Hard cap of the dense statevector representation itself.
 const STATEVECTOR_HARD_MAX: usize = 26;
@@ -83,7 +84,7 @@ impl Backend {
 /// How the dispatcher picks the backend.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum BackendChoice {
-    /// Qubit-count / entanglement-estimate heuristic ([`choose_backend`]).
+    /// Qubit-count / entanglement-estimate heuristic (`choose_backend`).
     #[default]
     Auto,
     /// Manual override.
@@ -114,7 +115,7 @@ pub struct AmplitudeBatch {
 /// past the Hilbert dimension `2^min(i+1, n-1-i)` of the smaller side. The
 /// returned value is the largest bond any cut can reach — an MPS evolved at
 /// this bond is exact.
-pub fn entanglement_bond_bound(circuit: &Circuit) -> usize {
+pub(crate) fn entanglement_bond_bound(circuit: &Circuit) -> usize {
     let n = circuit.num_qubits();
     if n < 2 {
         return 1;
@@ -146,7 +147,7 @@ pub fn entanglement_bond_bound(circuit: &Circuit) -> usize {
 
 /// The auto-dispatch heuristic: statevector while it fits, MPS while the
 /// entanglement bound keeps the chain exactly representable, PEPS beyond.
-pub fn choose_backend(circuit: &Circuit) -> Backend {
+pub(crate) fn choose_backend(circuit: &Circuit) -> Backend {
     let n = circuit.num_qubits();
     if n <= STATEVECTOR_MAX_QUBITS {
         return Backend::Statevector;

@@ -15,10 +15,10 @@
 use koala_error::KoalaError;
 use koala_linalg::{c64, Matrix, C64};
 
-pub use koala_error::Result;
+use koala_error::Result;
 
 /// Tolerance for the unitarity check on user-supplied gate matrices.
-pub const UNITARY_TOL: f64 = 1e-10;
+pub(crate) const UNITARY_TOL: f64 = 1e-10;
 
 /// A one-qubit gate.
 #[derive(Debug, Clone)]
@@ -88,7 +88,7 @@ impl Gate1 {
     /// True if the gate matrix is exactly diagonal (both off-diagonal
     /// entries identically zero). Parametrised rotations are classified by
     /// construction, arbitrary unitaries by an exact-zero scan.
-    pub fn is_diagonal(&self) -> bool {
+    pub(crate) fn is_diagonal(&self) -> bool {
         match self {
             Gate1::Z | Gate1::S | Gate1::T | Gate1::Rz(_) => true,
             Gate1::H | Gate1::X | Gate1::Y | Gate1::Rx(_) | Gate1::Ry(_) => false,
@@ -181,7 +181,7 @@ impl Gate2 {
     /// bond dimension cut between its qubits. `Cnot`/`Cz` are rank 2 by
     /// algebra; arbitrary unitaries are measured numerically (SVD of the
     /// subsystem-reshuffled matrix).
-    pub fn schmidt_rank(&self) -> usize {
+    pub(crate) fn schmidt_rank(&self) -> usize {
         match self {
             Gate2::Cnot | Gate2::Cz => 2,
             Gate2::Swap => 4,

@@ -28,15 +28,12 @@
 // as a typed error (invalid gate, bad bitstring, engine failure).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod backend;
-pub mod ir;
-pub mod lightcone;
-pub mod simplify;
+mod backend;
+mod ir;
+mod lightcone;
+mod simplify;
 
-pub use backend::{
-    amplitudes, choose_backend, entanglement_bond_bound, AmplitudeBatch, Backend, BackendChoice,
-    MPS_MAX_BOND, STATEVECTOR_MAX_QUBITS,
-};
-pub use ir::{Circuit, Gate, Gate1, Gate2, Result};
+pub use backend::{amplitudes, AmplitudeBatch, Backend, BackendChoice};
+pub use ir::{Circuit, Gate, Gate1, Gate2};
 pub use lightcone::{prune_for_bits, PrunedQuery};
 pub use simplify::{simplify, SimplifyStats};

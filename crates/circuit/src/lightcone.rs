@@ -38,13 +38,6 @@ pub struct PrunedQuery {
     pub phase: C64,
 }
 
-impl PrunedQuery {
-    /// Gates removed relative to the original circuit.
-    pub fn gates_pruned(&self, original: &Circuit) -> usize {
-        original.len() - self.circuit.len()
-    }
-}
-
 /// The single nonzero column of a matrix row, if the row is monomial.
 fn monomial_column(m: &Matrix, row: usize) -> Option<(usize, C64)> {
     let (_, ncols) = m.shape();
@@ -66,7 +59,7 @@ fn monomial_column(m: &Matrix, row: usize) -> Option<(usize, C64)> {
 ///
 /// # Errors
 /// Returns an error if `bits` is not a 0/1 string of length `num_qubits`.
-pub fn prune_for_bits(circuit: &Circuit, bits: &[usize]) -> crate::ir::Result<PrunedQuery> {
+pub fn prune_for_bits(circuit: &Circuit, bits: &[usize]) -> koala_error::Result<PrunedQuery> {
     let n = circuit.num_qubits();
     if bits.len() != n || bits.iter().any(|&b| b > 1) {
         return Err(KoalaError::invalid(format!(

@@ -13,7 +13,6 @@
 use crate::fault::{FaultEvent, FaultLog, FaultPlan, FaultSite, FaultState};
 use crate::grid::ProcGrid;
 use crate::stats::{CommStats, RoundCost, ELEM_BYTES};
-use koala_linalg::C64;
 use std::sync::Arc;
 use std::sync::Mutex;
 use std::sync::MutexGuard;
@@ -80,7 +79,7 @@ impl Cluster {
     }
 
     /// Whether a fault plan is currently armed.
-    pub fn faults_armed(&self) -> bool {
+    pub(crate) fn faults_armed(&self) -> bool {
         lock_ignore_poison(&self.faults).is_some()
     }
 
@@ -110,10 +109,10 @@ impl Cluster {
     /// Record a point-to-point transfer of `elems` complex numbers.
     ///
     /// Payload traffic is also billed to the scoped
-    /// [`WorkMeter`](koala_exec::meter::WorkMeter) byte counter, so per-job
+    /// [`WorkMeter`](koala_exec::WorkMeter) byte counter, so per-job
     /// receipts capture wire volume alongside arithmetic work.
-    pub fn record_p2p(&self, elems: usize) {
-        koala_exec::meter::add_bytes(elems as u64 * ELEM_BYTES);
+    pub(crate) fn record_p2p(&self, elems: usize) {
+        koala_exec::add_bytes(elems as u64 * ELEM_BYTES);
         let mut s = lock_ignore_poison(&self.stats);
         s.bytes_communicated += elems as u64 * ELEM_BYTES;
         s.messages += 1;
@@ -122,14 +121,14 @@ impl Cluster {
     /// Record `elems` complex elements of ABFT checksum metadata riding along
     /// with payload traffic. Billed to [`CommStats::checksum_bytes`] only, so
     /// the fault-free payload formulas stay exact.
-    pub fn record_checksum(&self, elems: usize) {
+    pub(crate) fn record_checksum(&self, elems: usize) {
         let mut s = lock_ignore_poison(&self.stats);
         s.checksum_bytes += elems as u64 * ELEM_BYTES;
     }
 
     /// Record one recovery retransmission of `elems` complex elements
     /// (payload plus checksum) after a detected fault.
-    pub fn record_retry(&self, elems: usize) {
+    pub(crate) fn record_retry(&self, elems: usize) {
         let mut s = lock_ignore_poison(&self.stats);
         s.retries += 1;
         s.retry_bytes += elems as u64 * ELEM_BYTES;
@@ -140,11 +139,11 @@ impl Cluster {
     /// receiver panel volume summed over all `receivers` — in one message to
     /// each receiver. A group of one rank broadcasts nothing and records
     /// nothing.
-    pub fn record_bcast(&self, elems: usize, receivers: usize) {
+    pub(crate) fn record_bcast(&self, elems: usize, receivers: usize) {
         if receivers == 0 {
             return;
         }
-        koala_exec::meter::add_bytes(elems as u64 * ELEM_BYTES);
+        koala_exec::add_bytes(elems as u64 * ELEM_BYTES);
         let mut s = lock_ignore_poison(&self.stats);
         s.bytes_communicated += elems as u64 * ELEM_BYTES;
         s.messages += receivers as u64;
@@ -154,7 +153,7 @@ impl Cluster {
     /// Record a collective that moves `elems` complex numbers in total across
     /// the interconnect in `rounds` communication rounds.
     pub fn record_collective(&self, elems: usize, rounds: usize) {
-        koala_exec::meter::add_bytes(elems as u64 * ELEM_BYTES);
+        koala_exec::add_bytes(elems as u64 * ELEM_BYTES);
         let mut s = lock_ignore_poison(&self.stats);
         s.bytes_communicated += elems as u64 * ELEM_BYTES;
         s.messages += (rounds * (self.nranks.saturating_sub(1))) as u64;
@@ -175,7 +174,7 @@ impl Cluster {
     /// distributed object on a rank (or on all ranks). Traffic is billed by
     /// the caller; this only bumps the [`CommStats::full_gathers`] counter
     /// that the no-gather-fallback tests pin to zero.
-    pub fn record_full_gather(&self) {
+    pub(crate) fn record_full_gather(&self) {
         let mut s = lock_ignore_poison(&self.stats);
         s.full_gathers += 1;
     }
@@ -185,7 +184,7 @@ impl Cluster {
     /// billed to the aggregate counters — a round refines the schedule, it
     /// does not add work. Per-rank MACs are scaled by any armed slow-rank
     /// fault factors so the round ledger matches the aggregate one.
-    pub fn record_round(&self, mut round: RoundCost) {
+    pub(crate) fn record_round(&self, mut round: RoundCost) {
         for (rank, m) in round.rank_cmacs.iter_mut().enumerate() {
             *m = self.scale_work(rank, *m);
         }
@@ -211,7 +210,7 @@ impl Cluster {
     }
 
     /// Record `flops` complex multiply-adds executed by `rank`.
-    pub fn record_flops(&self, rank: usize, flops: u64) {
+    pub(crate) fn record_flops(&self, rank: usize, flops: u64) {
         let flops = self.scale_work(rank, flops);
         let mut s = lock_ignore_poison(&self.stats);
         s.rank_flops[rank] += flops;
@@ -219,7 +218,7 @@ impl Cluster {
 
     /// Record `macs` real multiply-adds executed by `rank` (work the rank ran
     /// on the real-only kernel; 2 hardware flops each vs 8 for a complex MAC).
-    pub fn record_real_macs(&self, rank: usize, macs: u64) {
+    pub(crate) fn record_real_macs(&self, rank: usize, macs: u64) {
         let macs = self.scale_work(rank, macs);
         let mut s = lock_ignore_poison(&self.stats);
         s.rank_real_macs[rank] += macs;
@@ -250,7 +249,7 @@ impl Cluster {
 /// Split `n` items into `parts` nearly equal contiguous blocks; returns the
 /// (start, len) of each block. Matches the block distribution Cyclops uses
 /// for the slowest-varying index.
-pub fn block_ranges(n: usize, parts: usize) -> Vec<(usize, usize)> {
+pub(crate) fn block_ranges(n: usize, parts: usize) -> Vec<(usize, usize)> {
     let base = n / parts;
     let extra = n % parts;
     let mut ranges = Vec::with_capacity(parts);
@@ -262,9 +261,6 @@ pub fn block_ranges(n: usize, parts: usize) -> Vec<(usize, usize)> {
     }
     ranges
 }
-
-/// Per-rank buffer of complex numbers: the "local memory" of each rank.
-pub type RankBuffer = Vec<C64>;
 
 #[cfg(test)]
 mod tests {

@@ -83,14 +83,14 @@ use crate::grid::{refine, Dist1D, Panel, ProcGrid};
 use crate::stats::RoundCost;
 use koala_error::{ErrorKind, KoalaError};
 use koala_exec::{TaskGraph, TaskId, TaskKind};
-use koala_linalg::gemm::{gemm_into, gemm_into_real, Op};
 use koala_linalg::{c64, eigh, matmul, matmul_adj_a, Matrix, C64};
+use koala_linalg::{gemm_into, gemm_into_real, Op};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Maximum retransmissions of one checksummed transfer before the fault is
 /// declared unrecoverable. Transient faults (the default
 /// [`crate::FaultPlan`] mode) never need more than one.
-pub const MAX_TRANSFER_RETRIES: usize = 3;
+pub(crate) const MAX_TRANSFER_RETRIES: usize = 3;
 
 /// Relative tolerance for ABFT checksum verification, scaled per element by
 /// the magnitude of the sender's checksum. The simulated wire is exact, so
@@ -175,7 +175,7 @@ fn deliver_checksummed(
     checksum_of: fn(&Matrix) -> Vec<C64>,
     site: FaultSite,
     summa: bool,
-) -> crate::Result<()> {
+) -> koala_error::Result<()> {
     let mut attempt = 0usize;
     loop {
         if attempt > 0 {
@@ -296,7 +296,7 @@ impl Summa<'_> {
         panel: Panel,
         g: usize,
         cost: &mut RoundCost,
-    ) -> crate::Result<Shipped> {
+    ) -> koala_error::Result<Shipped> {
         let grid = self.a.grid;
         let (_, members) = side.extents(grid);
         let (owner, data) = match side {
@@ -339,12 +339,12 @@ impl Summa<'_> {
         t: usize,
         panel: Panel,
         cost: &mut RoundCost,
-    ) -> crate::Result<RoundPanels> {
+    ) -> koala_error::Result<RoundPanels> {
         let grid = self.a.grid;
         let ship_all = |side: Side, cost: &mut RoundCost| {
             (0..side.extents(grid).0)
                 .map(|g| self.ship(side, t, panel, g, cost))
-                .collect::<crate::Result<Vec<_>>>()
+                .collect::<koala_error::Result<Vec<_>>>()
         };
         let a = ship_all(Side::A, cost)?;
         let b = ship_all(Side::B, cost)?;
@@ -361,7 +361,7 @@ impl Summa<'_> {
         panels: &RoundPanels,
         cost: &Mutex<RoundCost>,
         out: &mut Matrix,
-    ) -> crate::Result<()> {
+    ) -> koala_error::Result<()> {
         let cluster = &self.a.cluster;
         let (r, c) = self.a.grid.coords_of(rank);
         let (lhs, rhs) = (&panels.a[r], &panels.b[c]);
@@ -410,7 +410,7 @@ impl Summa<'_> {
     /// one-thread pool, whose FIFO topological walk is deterministic:
     /// comm, then ranks in order, round by round. Per-round costs are
     /// appended to the ledger in round order afterwards either way.
-    fn run(&self) -> crate::Result<Vec<Matrix>> {
+    fn run(&self) -> koala_error::Result<Vec<Matrix>> {
         let grid = self.a.grid;
         let cluster = &self.a.cluster;
         let nranks = grid.nranks();
@@ -582,7 +582,7 @@ impl DistMatrix {
     /// allgather (`to_all = true`: every block travels to every other rank).
     /// One fault site per *source* block; detected damage is repaired by a
     /// bounded retransmission like any other ABFT transfer.
-    fn verify_block_transfers(&self, to_all: bool) -> crate::Result<()> {
+    fn verify_block_transfers(&self, to_all: bool) -> koala_error::Result<()> {
         if self.cluster.nranks() == 1 {
             return Ok(()); // nothing crosses a wire
         }
@@ -610,7 +610,8 @@ impl DistMatrix {
     /// per-block checksum verification. Panics only when a
     /// [`crate::FaultPlan::persistent`] injected fault outlasts the retry
     /// budget — an unrecoverable interconnect on an infallible collective.
-    pub fn allgather(&self) -> Matrix {
+    #[cfg(test)]
+    pub(crate) fn allgather(&self) -> Matrix {
         self.cluster.record_full_gather();
         let total: usize = self.blocks.iter().map(|b| b.nrows() * b.ncols()).sum();
         self.cluster.record_collective(total * (self.cluster.nranks() - 1), 1);
@@ -621,8 +622,9 @@ impl DistMatrix {
     }
 
     /// Assemble the full matrix on rank 0 only (an MPI `gather`), with
-    /// per-block checksum verification (panic semantics as
-    /// [`DistMatrix::allgather`]).
+    /// per-block checksum verification. Panics only when a
+    /// [`crate::FaultPlan::persistent`] injected fault outlasts the retry
+    /// budget.
     pub fn gather(&self) -> Matrix {
         self.cluster.record_full_gather();
         let foreign: usize = self
@@ -682,16 +684,6 @@ impl DistMatrix {
     /// The processor grid this matrix is distributed over.
     pub fn grid(&self) -> ProcGrid {
         self.grid
-    }
-
-    /// The row layout (rows onto grid rows).
-    pub fn row_dist(&self) -> &Dist1D {
-        &self.rows
-    }
-
-    /// The column layout (columns onto grid columns).
-    pub fn col_dist(&self) -> &Dist1D {
-        &self.cols
     }
 
     /// Structural realness of the distributed data: `true` iff every rank's
@@ -756,13 +748,13 @@ impl DistMatrix {
     /// the sums over what actually arrived, so a corrupted or dropped
     /// delivery is *detected in the round it happens* and *recovered* by
     /// retransmitting just that panel to just that rank (bounded by
-    /// [`MAX_TRANSFER_RETRIES`], billed to [`crate::CommStats::retry_bytes`]).
+    /// `MAX_TRANSFER_RETRIES`, billed to [`crate::CommStats::retry_bytes`]).
     /// A planned rank failure ([`crate::FaultPlan::fail_rank`]) costs the
     /// restarted rank a re-fetch of both of the round's panels. Errors are
     /// only possible under a [`crate::FaultPlan::persistent`] fault plan that
     /// outlasts the retry budget; the recovered result is bit-identical to
     /// the fault-free run because detection precedes accumulation.
-    pub fn matmul_dist(&self, other: &DistMatrix) -> crate::Result<DistMatrix> {
+    pub fn matmul_dist(&self, other: &DistMatrix) -> koala_error::Result<DistMatrix> {
         assert_eq!(
             self.cluster.nranks(),
             other.cluster.nranks(),
@@ -856,7 +848,7 @@ impl DistMatrix {
     /// let d2 = DistMatrix::scatter_block_cyclic(&cluster, &a, cluster.grid(), 3, 2); // 2 x 2
     /// assert_eq!(d2.gram().unwrap_err().kind(), ErrorKind::InvalidArgument);
     /// ```
-    pub fn gram(&self) -> crate::Result<Matrix> {
+    pub fn gram(&self) -> koala_error::Result<Matrix> {
         if self.grid.cols() != 1 {
             return Err(KoalaError::new(
                 ErrorKind::InvalidArgument,
@@ -891,12 +883,6 @@ impl DistMatrix {
             self.cluster.record_macs(rank, b.nrows() as u64 * b.ncols() as u64, real);
             b.scale_inplace(s);
         }
-    }
-
-    /// Maximum element-wise difference against a replicated reference
-    /// (testing utility; does not touch the counters).
-    pub fn max_diff_replicated(&self, reference: &Matrix) -> f64 {
-        self.gather_local().max_diff(reference)
     }
 }
 
@@ -935,7 +921,7 @@ const GRAM_PSD_FLOOR: f64 = 1e-10;
 /// scatter baseline, at its redistribution cost — and notes the degradation
 /// on the [`koala_error::recovery`] counters. Non-finite *input* blocks are
 /// rejected up front: no factorization can repair them.
-pub fn gram_qr_dist(a: &DistMatrix) -> crate::Result<DistQr> {
+pub fn gram_qr_dist(a: &DistMatrix) -> koala_error::Result<DistQr> {
     let n = a.ncols();
     let g = a.gram()?;
     // Every rank performs the identical small eigendecomposition (replicated,
@@ -970,7 +956,7 @@ pub fn gram_qr_dist(a: &DistMatrix) -> crate::Result<DistQr> {
     // R = sqrt(Lambda) X^H and R^{-1} = X sqrt(Lambda)^{-1}, assembled by the
     // same element-wise helper as the shared-memory `koala_linalg::gram_qr`
     // (no X / X^H intermediates).
-    let (r, r_inv) = koala_linalg::gram::gram_r_factors(&e, lam_max * 1e-24);
+    let (r, r_inv) = koala_linalg::gram_r_factors(&e, lam_max * 1e-24);
     // Q = A R^{-1}: a purely local multiply on each row block.
     let q = a.matmul_replicated(&r_inv);
     Ok(DistQr { q, r, r_inv: Some(r_inv) })
@@ -1034,10 +1020,7 @@ mod tests {
         // Local shapes follow the cyclic layout.
         for rank in 0..6 {
             let (r, c) = d.grid().coords_of(rank);
-            assert_eq!(
-                d.block(rank).shape(),
-                (d.row_dist().local_len(r), d.col_dist().local_len(c))
-            );
+            assert_eq!(d.block(rank).shape(), (d.rows.local_len(r), d.cols.local_len(c)));
         }
     }
 
@@ -1054,7 +1037,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(30);
         let b = Matrix::random(5, 4, &mut rng);
         let c_dist = d.matmul_replicated(&b);
-        assert!(c_dist.max_diff_replicated(&matmul(&a, &b)) < 1e-11);
+        assert!(c_dist.gather_local().max_diff(&matmul(&a, &b)) < 1e-11);
     }
 
     #[test]
@@ -1066,7 +1049,7 @@ mod tests {
         let da = DistMatrix::scatter(&cluster, &a);
         let db = DistMatrix::scatter(&cluster, &b);
         let c = da.matmul_dist(&db).unwrap();
-        assert!(c.max_diff_replicated(&matmul(&a, &b)) < 1e-11);
+        assert!(c.gather_local().max_diff(&matmul(&a, &b)) < 1e-11);
         // Communication was recorded for scatter + panel broadcasts.
         let stats = cluster.stats();
         assert!(stats.bytes_communicated > 0);

@@ -203,7 +203,7 @@ impl FaultPlan {
     }
 
     /// Slowdown factor of `rank` (1.0 when the rank is full speed).
-    pub fn slow_factor(&self, rank: usize) -> f64 {
+    pub(crate) fn slow_factor(&self, rank: usize) -> f64 {
         self.slow.iter().filter(|(r, _)| *r == rank).map(|(_, f)| *f).fold(1.0, f64::max)
     }
 

@@ -87,13 +87,13 @@ impl ProcGrid {
     }
 
     /// Rank of grid coordinate `(r, c)` (row-major).
-    pub fn rank_of(&self, r: usize, c: usize) -> usize {
+    pub(crate) fn rank_of(&self, r: usize, c: usize) -> usize {
         debug_assert!(r < self.p && c < self.q, "ProcGrid: coordinate out of range");
         r * self.q + c
     }
 
     /// Grid coordinate `(r, c)` of `rank`.
-    pub fn coords_of(&self, rank: usize) -> (usize, usize) {
+    pub(crate) fn coords_of(&self, rank: usize) -> (usize, usize) {
         debug_assert!(rank < self.nranks(), "ProcGrid: rank out of range");
         (rank / self.q, rank % self.q)
     }
@@ -119,7 +119,7 @@ pub(crate) enum Layout1D {
 /// `start..start + len` live on `owner` at local offsets
 /// `local_start..local_start + len`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Seg {
+pub(crate) struct Seg {
     /// Owning part (a grid row or grid column index).
     pub owner: usize,
     /// First global index of the run.
@@ -133,7 +133,7 @@ pub struct Seg {
 /// A 1-D distribution: a global extent split over `parts` grid slots, in
 /// contiguous blocks or in block-cyclic rounds.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Dist1D {
+pub(crate) struct Dist1D {
     n: usize,
     parts: usize,
     layout: Layout1D,
@@ -141,7 +141,7 @@ pub struct Dist1D {
 
 impl Dist1D {
     /// Contiguous layout from explicit per-part lengths.
-    pub fn blocks(lens: Vec<usize>) -> Self {
+    pub(crate) fn blocks(lens: Vec<usize>) -> Self {
         let n = lens.iter().sum();
         let parts = lens.len();
         assert!(parts > 0, "Dist1D: need at least one part");
@@ -150,35 +150,35 @@ impl Dist1D {
 
     /// Contiguous layout with nearly equal block lengths (the split
     /// [`crate::cluster::block_ranges`] produces).
-    pub fn balanced(n: usize, parts: usize) -> Self {
+    pub(crate) fn balanced(n: usize, parts: usize) -> Self {
         Dist1D::blocks(block_ranges(n, parts).into_iter().map(|(_, len)| len).collect())
     }
 
     /// A single part owning the whole extent (a replicated / undistributed
     /// dimension).
-    pub fn whole(n: usize) -> Self {
+    pub(crate) fn whole(n: usize) -> Self {
         Dist1D::blocks(vec![n])
     }
 
     /// Block-cyclic layout with the given block size.
-    pub fn cyclic(n: usize, parts: usize, block: usize) -> Self {
+    pub(crate) fn cyclic(n: usize, parts: usize, block: usize) -> Self {
         assert!(parts > 0, "Dist1D: need at least one part");
         assert!(block > 0, "Dist1D: cyclic block size must be nonzero");
         Dist1D { n, parts, layout: Layout1D::Cyclic { block } }
     }
 
     /// Global extent.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.n
     }
 
     /// Number of parts (the size of the grid dimension this layout maps to).
-    pub fn parts(&self) -> usize {
+    pub(crate) fn parts(&self) -> usize {
         self.parts
     }
 
     /// Number of global indices owned by `part`.
-    pub fn local_len(&self, part: usize) -> usize {
+    pub(crate) fn local_len(&self, part: usize) -> usize {
         assert!(part < self.parts, "Dist1D: part out of range");
         match &self.layout {
             Layout1D::Blocks(lens) => lens[part],
@@ -199,7 +199,8 @@ impl Dist1D {
     }
 
     /// Owning part of global index `i`.
-    pub fn owner(&self, i: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn owner(&self, i: usize) -> usize {
         assert!(i < self.n, "Dist1D: index out of range");
         match &self.layout {
             Layout1D::Blocks(lens) => {
@@ -216,30 +217,12 @@ impl Dist1D {
         }
     }
 
-    /// Offset of global index `i` within its owner's local storage.
-    pub fn local_of(&self, i: usize) -> usize {
-        assert!(i < self.n, "Dist1D: index out of range");
-        match &self.layout {
-            Layout1D::Blocks(lens) => {
-                let mut pos = 0;
-                for &len in lens.iter() {
-                    if i < pos + len {
-                        return i - pos;
-                    }
-                    pos += len;
-                }
-                unreachable!("Dist1D: index not covered by blocks")
-            }
-            Layout1D::Cyclic { block } => (i / (block * self.parts)) * block + i % block,
-        }
-    }
-
     /// A distribution of `n` indices over `parts` slots in the same layout
     /// *family* as `self`: cyclic layouts keep their block size, contiguous
     /// layouts become the balanced split. This is how
     /// [`crate::qr_gather_dist`] lays out the columns of the `Q` it scatters
     /// back, whose extent is `min(m, n)` rather than the operand's `n`.
-    pub fn like_parts(&self, n: usize, parts: usize) -> Dist1D {
+    pub(crate) fn like_parts(&self, n: usize, parts: usize) -> Dist1D {
         match &self.layout {
             Layout1D::Cyclic { block } => Dist1D::cyclic(n, parts, *block),
             Layout1D::Blocks(_) => Dist1D::balanced(n, parts),
@@ -249,7 +232,7 @@ impl Dist1D {
     /// Ordered ownership runs covering `0..n` exactly once. Within each run
     /// local storage is contiguous, which is what lets the SUMMA loop slice
     /// broadcast panels straight out of the owner's block.
-    pub fn segments(&self) -> Vec<Seg> {
+    pub(crate) fn segments(&self) -> Vec<Seg> {
         match &self.layout {
             Layout1D::Blocks(lens) => {
                 let mut segs = Vec::with_capacity(self.parts);
@@ -285,9 +268,7 @@ impl Dist1D {
 /// *both* of two distributions of the same extent (the common refinement of
 /// their segment lists).
 #[derive(Debug, Clone, Copy)]
-pub struct Panel {
-    /// First global index of the panel.
-    pub start: usize,
+pub(crate) struct Panel {
     /// Panel width.
     pub len: usize,
     /// Owner part and local offset in the first distribution.
@@ -303,7 +284,7 @@ pub struct Panel {
 /// Common refinement of two segmentations of the same global extent: the
 /// panels a SUMMA execution iterates over. Both inputs must cover the same
 /// range (checked).
-pub fn refine(a: &Dist1D, b: &Dist1D) -> Vec<Panel> {
+pub(crate) fn refine(a: &Dist1D, b: &Dist1D) -> Vec<Panel> {
     assert_eq!(a.n(), b.n(), "refine: extents differ");
     let sa = a.segments();
     let sb = b.segments();
@@ -317,7 +298,6 @@ pub fn refine(a: &Dist1D, b: &Dist1D) -> Vec<Panel> {
         debug_assert!(seg_b.start <= pos && pos < seg_b.start + seg_b.len);
         let end = (seg_a.start + seg_a.len).min(seg_b.start + seg_b.len);
         panels.push(Panel {
-            start: pos,
             len: end - pos,
             a_owner: seg_a.owner,
             a_local: seg_a.local_start + (pos - seg_a.start),
@@ -338,6 +318,13 @@ pub fn refine(a: &Dist1D, b: &Dist1D) -> Vec<Panel> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Offset of global index `i` within its owner's local storage, read off
+    /// the ownership runs.
+    fn local_of(d: &Dist1D, i: usize) -> usize {
+        let seg = d.segments().into_iter().find(|s| s.start <= i && i < s.start + s.len).unwrap();
+        seg.local_start + (i - seg.start)
+    }
 
     #[test]
     fn square_grids_factor_the_rank_count() {
@@ -372,7 +359,10 @@ mod tests {
                 local_pos[s.owner] += s.len;
                 for i in s.start..s.start + s.len {
                     assert_eq!(d.owner(i), s.owner);
-                    assert_eq!(d.local_of(i), s.local_start + (i - s.start));
+                    assert_eq!(
+                        (i / (block * parts)) * block + i % block,
+                        s.local_start + (i - s.start)
+                    );
                     covered[i] = true;
                 }
             }
@@ -391,9 +381,9 @@ mod tests {
         assert_eq!(d.local_len(2), 3);
         assert_eq!(d.owner(0), 0);
         assert_eq!(d.owner(4), 1);
-        assert_eq!(d.local_of(4), 0);
+        assert_eq!(local_of(&d, 4), 0);
         assert_eq!(d.owner(9), 2);
-        assert_eq!(d.local_of(9), 2);
+        assert_eq!(local_of(&d, 9), 2);
     }
 
     #[test]
@@ -423,14 +413,13 @@ mod tests {
         assert_eq!(total, 11);
         let mut pos = 0;
         for p in &panels {
-            assert_eq!(p.start, pos, "panels are contiguous");
             // Each panel lies inside one segment of each layout.
-            for i in p.start..p.start + p.len {
+            for i in pos..pos + p.len {
                 assert_eq!(a.owner(i), p.a_owner);
                 assert_eq!(b.owner(i), p.b_owner);
             }
-            assert_eq!(a.local_of(p.start), p.a_local);
-            assert_eq!(b.local_of(p.start), p.b_local);
+            assert_eq!(local_of(&a, pos), p.a_local);
+            assert_eq!(local_of(&b, pos), p.b_local);
             pos += p.len;
         }
     }

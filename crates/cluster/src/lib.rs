@@ -16,9 +16,8 @@
 //!
 //! Provided building blocks:
 //! * [`Cluster`] — the virtual machine and its statistics,
-//! * [`ProcGrid`] / [`Dist1D`] — 2-D processor grids and the block /
-//!   block-cyclic index layouts mapped onto them ([`crate::grid`] documents
-//!   the layout rules),
+//! * [`ProcGrid`] — 2-D processor grids and the block / block-cyclic index
+//!   layouts mapped onto them,
 //! * [`DistMatrix`] — grid-distributed matrices with a SUMMA
 //!   [`DistMatrix::matmul_dist`] (`C = A * B`, `C` stationary) whose
 //!   per-rank products run the same packed `gemm_into` macro-tiles (and
@@ -110,18 +109,14 @@
 // aborting (see ARCHITECTURE.md, "Failure model").
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod cluster;
-pub mod dist_matrix;
-pub mod fault;
-pub mod grid;
-pub mod stats;
+mod cluster;
+mod dist_matrix;
+mod fault;
+mod grid;
+mod stats;
 
-pub use cluster::{block_ranges, Cluster, RankBuffer};
+pub use cluster::Cluster;
 pub use dist_matrix::{gram_qr_dist, qr_gather_dist, DistMatrix, DistQr};
 pub use fault::{FaultEvent, FaultKind, FaultLog, FaultPlan, FaultSite};
-pub use grid::{refine, Dist1D, Panel, ProcGrid, Seg};
-pub use stats::{
-    CommStats, CostModel, RoundCost, ELEM_BYTES, FLOPS_PER_COMPLEX_MAC, FLOPS_PER_REAL_MAC,
-};
-
-pub use koala_error::Result;
+pub use grid::ProcGrid;
+pub use stats::{CommStats, CostModel, RoundCost, ELEM_BYTES};

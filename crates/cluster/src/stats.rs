@@ -21,7 +21,7 @@
 //!   `receivers` per broadcast / `rounds * (P - 1)` per cluster-wide
 //!   collective. The cost model charges [`CostModel::latency`] per message.
 //! * **Work** is split by kernel, mirroring the GEMM layer's own complex /
-//!   real MAC counters on the scoped [`koala_exec::meter::WorkMeter`]
+//!   real MAC counters on the scoped [`koala_exec::WorkMeter`]
 //!   (payload traffic recorded by
 //!   [`Cluster::record_p2p`](crate::Cluster::record_p2p) and the collective
 //!   recorders also bills the scoped meter's byte counter, so per-job
@@ -40,10 +40,10 @@ use std::fmt;
 pub const ELEM_BYTES: u64 = 16;
 
 /// Real hardware flops per complex multiply-add (4 mul + 4 add).
-pub const FLOPS_PER_COMPLEX_MAC: f64 = 8.0;
+pub(crate) const FLOPS_PER_COMPLEX_MAC: f64 = 8.0;
 
 /// Real hardware flops per real multiply-add (1 mul + 1 add).
-pub const FLOPS_PER_REAL_MAC: f64 = 2.0;
+pub(crate) const FLOPS_PER_REAL_MAC: f64 = 2.0;
 
 /// Per-round cost record of a pipelined collective loop (one SUMMA depth
 /// round): the payload this round's panel broadcasts moved and the local MACs
@@ -143,14 +143,14 @@ impl CommStats {
     /// Total *hardware* flops across all ranks: complex MACs at 8 real flops
     /// plus real MACs at 2. This is the "useful work" numerator of the
     /// weak-scaling figures, and matches `bench_gemm`'s convention.
-    pub fn total_hw_flops(&self) -> f64 {
+    pub(crate) fn total_hw_flops(&self) -> f64 {
         self.total_flops() as f64 * FLOPS_PER_COMPLEX_MAC
             + self.total_real_macs() as f64 * FLOPS_PER_REAL_MAC
     }
 
     /// Hardware flops executed by one rank (same convention as
     /// [`CommStats::total_hw_flops`]).
-    pub fn rank_hw_flops(&self, rank: usize) -> f64 {
+    pub(crate) fn rank_hw_flops(&self, rank: usize) -> f64 {
         self.rank_flops[rank] as f64 * FLOPS_PER_COMPLEX_MAC
             + self.rank_real_macs[rank] as f64 * FLOPS_PER_REAL_MAC
     }
@@ -165,31 +165,6 @@ impl CommStats {
         }
         let max = (0..self.rank_flops.len()).map(|r| self.rank_hw_flops(r)).fold(0.0f64, f64::max);
         max / (total / nranks as f64)
-    }
-
-    /// Merge counters from another accounting period.
-    pub fn merge(&mut self, other: &CommStats) {
-        self.bytes_communicated += other.bytes_communicated;
-        self.messages += other.messages;
-        self.collectives += other.collectives;
-        self.redistributions += other.redistributions;
-        self.checksum_bytes += other.checksum_bytes;
-        self.retries += other.retries;
-        self.retry_bytes += other.retry_bytes;
-        self.full_gathers += other.full_gathers;
-        self.rounds.extend(other.rounds.iter().cloned());
-        if self.rank_flops.len() < other.rank_flops.len() {
-            self.rank_flops.resize(other.rank_flops.len(), 0);
-        }
-        for (a, b) in self.rank_flops.iter_mut().zip(other.rank_flops.iter()) {
-            *a += *b;
-        }
-        if self.rank_real_macs.len() < other.rank_real_macs.len() {
-            self.rank_real_macs.resize(other.rank_real_macs.len(), 0);
-        }
-        for (a, b) in self.rank_real_macs.iter_mut().zip(other.rank_real_macs.iter()) {
-            *a += *b;
-        }
     }
 }
 
@@ -344,14 +319,14 @@ impl CostModel {
 
     /// Wire time of one pipelined round: its payload over the aggregate
     /// interconnect bandwidth plus per-message latency.
-    pub fn round_comm_time(&self, round: &RoundCost, nranks: usize) -> f64 {
+    pub(crate) fn round_comm_time(&self, round: &RoundCost, nranks: usize) -> f64 {
         (round.comm_elems * ELEM_BYTES) as f64 / (self.bytes_per_second * nranks.max(1) as f64)
             + round.messages as f64 * self.latency
     }
 
     /// Compute time of one pipelined round: the slowest rank's MACs at the
     /// calibrated kernel rates.
-    pub fn round_compute_time(&self, round: &RoundCost) -> f64 {
+    pub(crate) fn round_compute_time(&self, round: &RoundCost) -> f64 {
         (0..round.rank_cmacs.len().max(round.rank_rmacs.len()))
             .map(|r| {
                 round.rank_cmacs.get(r).copied().unwrap_or(0) as f64 / self.flops_per_second
@@ -457,38 +432,6 @@ fn median(mut xs: Vec<f64>) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_accumulates_counters() {
-        let mut a = CommStats::new(2);
-        a.bytes_communicated = 100;
-        a.messages = 3;
-        a.rank_flops = vec![10, 20];
-        a.rank_real_macs = vec![1, 2];
-        a.checksum_bytes = 8;
-        a.retries = 1;
-        let mut b = CommStats::new(2);
-        b.bytes_communicated = 50;
-        b.collectives = 1;
-        b.rank_flops = vec![5, 1];
-        b.rank_real_macs = vec![4, 0];
-        b.checksum_bytes = 4;
-        b.retries = 2;
-        b.retry_bytes = 32;
-        a.merge(&b);
-        assert_eq!(a.bytes_communicated, 150);
-        assert_eq!(a.messages, 3);
-        assert_eq!(a.collectives, 1);
-        assert_eq!(a.checksum_bytes, 12);
-        assert_eq!(a.retries, 3);
-        assert_eq!(a.retry_bytes, 32);
-        assert_eq!(a.rank_flops, vec![15, 21]);
-        assert_eq!(a.rank_real_macs, vec![5, 2]);
-        assert_eq!(a.max_rank_flops(), 21);
-        assert_eq!(a.total_flops(), 36);
-        assert_eq!(a.total_real_macs(), 7);
-        assert_eq!(a.total_hw_flops(), 36.0 * 8.0 + 7.0 * 2.0);
-    }
 
     #[test]
     fn load_imbalance_of_balanced_work_is_one() {
@@ -610,20 +553,6 @@ mod tests {
         s.retry_bytes = 500_000_000;
         let with_abft = model.modelled_time_overlap(&s);
         assert!((with_abft - base - 1.5).abs() < 1e-9, "abft serial term {with_abft} vs {base}");
-    }
-
-    #[test]
-    fn merge_appends_rounds_and_full_gathers() {
-        let mut a = CommStats::new(1);
-        a.full_gathers = 1;
-        a.rounds.push(RoundCost { comm_elems: 5, ..Default::default() });
-        let mut b = CommStats::new(1);
-        b.full_gathers = 2;
-        b.rounds.push(RoundCost { comm_elems: 7, ..Default::default() });
-        a.merge(&b);
-        assert_eq!(a.full_gathers, 3);
-        assert_eq!(a.rounds.len(), 2);
-        assert_eq!(a.rounds[1].comm_elems, 7);
     }
 
     #[test]

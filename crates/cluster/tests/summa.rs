@@ -33,7 +33,7 @@ fn check_case(
     cluster.reset_stats(); // the scatter is setup, not the product
     let c = da.matmul_dist(&db).expect("fault-free SUMMA cannot fail");
     let reference = matmul(&a, &b);
-    let diff = c.max_diff_replicated(&reference);
+    let diff = c.gather_unaccounted().max_diff(&reference);
     let (p, q) = (grid.rows(), grid.cols());
     let what = format!("{p}x{q} grid, {m}x{k}x{n} (blocks {mb}/{kb}/{nb})");
     assert!(diff < 1e-12 * (k.max(1) as f64), "SUMMA mismatch on {what}: {diff:e}");
@@ -49,8 +49,8 @@ fn check_case(
     );
     // C never moves: rank (r, c) does all k depth steps of its own block.
     for rank in 0..grid.nranks() {
-        let (r, gc) = grid.coords_of(rank);
-        let local = c.row_dist().local_len(r) * c.col_dist().local_len(gc) * k;
+        let (m_loc, n_loc) = c.block(rank).shape();
+        let local = m_loc * n_loc * k;
         assert_eq!(
             stats.rank_flops[rank] + stats.rank_real_macs[rank],
             local as u64,
@@ -107,7 +107,7 @@ fn summa_on_real_operands_runs_zero_complex_macs_per_rank() {
     let c = da.matmul_dist(&db).expect("fault-free SUMMA cannot fail");
     assert!(c.is_real(), "the SUMMA product of hinted-real operands is marked real");
     assert!(c.gather_unaccounted().is_real());
-    assert!(c.max_diff_replicated(&matmul(&a, &b)) < 1e-12 * k as f64);
+    assert!(c.gather_unaccounted().max_diff(&matmul(&a, &b)) < 1e-12 * k as f64);
     let stats = cluster.stats();
     for (rank, &flops) in stats.rank_flops.iter().enumerate() {
         assert_eq!(flops, 0, "rank {rank} executed complex MACs on a real workload");

@@ -11,7 +11,7 @@
 //! # The zip-up wavefront
 //!
 //! One BMPS/IBMPS contraction ([`contract_no_phys`], [`amplitude`],
-//! [`inner_merged`]/[`norm_sqr`]) runs as one `koala_exec` task graph of
+//! `inner_merged`/[`norm_sqr`]) runs as one `koala_exec` task graph of
 //! zip-up steps rather than row after row. Step `i` of row `r` (the
 //! [`koala_mps::zip_step`] that finishes site `i-1` of the new boundary)
 //! needs two things: row `r`'s step `i-1`, and site `i` of row `r-1`'s
@@ -29,9 +29,10 @@
 //! runs the same graph as its FIFO walk. `Exact` has no zip-up steps and
 //! applies its rows one after another.
 
-use crate::peps::{Peps, Result, AX_P, AX_U};
+use crate::peps::{Peps, AX_P, AX_U};
 use crate::update::lock;
 use koala_error::KoalaError;
+use koala_error::Result;
 use koala_exec::{TaskGraph, TaskId, TaskKind};
 use koala_linalg::C64;
 use koala_mps::{zip_finish, zip_seeds, zip_start, zip_step, zip_up, Mpo, Mps, ZipUpMethod};
@@ -343,7 +344,7 @@ pub(crate) fn contract_each<T: Send>(
 /// Inner product `<bra|ket>` through the merged (single-layer) network: bond
 /// dimensions multiply, then a one-layer contraction is performed. This is
 /// the "naive" two-layer handling of §III-B2.
-pub fn inner_merged<R: Rng + ?Sized>(
+pub(crate) fn inner_merged<R: Rng + ?Sized>(
     bra: &Peps,
     ket: &Peps,
     method: ContractionMethod,

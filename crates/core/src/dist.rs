@@ -28,9 +28,10 @@
 //! result with the verified local algorithms.
 
 use crate::contract::{contract_no_phys, ContractionMethod};
-use crate::peps::{Direction, Peps, Result, Site};
+use crate::peps::{Direction, Peps, Site};
 use crate::update::{canonical_perms, invert5, reorder_gate, small_einsumsvd};
 use koala_cluster::{gram_qr_dist, qr_gather_dist, Cluster, DistMatrix, ProcGrid};
+use koala_error::Result;
 use koala_error::{KoalaError, ResultExt};
 use koala_linalg::C64;
 use koala_tensor::{Tensor, Truncation};
@@ -61,7 +62,7 @@ impl DistEvolutionVariant {
 /// Apply a two-site gate on neighbouring sites with the QR-SVD update, running
 /// the heavy factorizations on the virtual cluster. Returns the truncation
 /// error of the refactorized bond.
-pub fn dist_two_site_update(
+pub(crate) fn dist_two_site_update(
     cluster: &Cluster,
     peps: &mut Peps,
     gate: &koala_linalg::Matrix,

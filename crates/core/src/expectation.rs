@@ -41,7 +41,8 @@ use crate::contract::{
     contract_each, row_as_mpo, row_as_mps, sites_as_mpo, sites_as_mps, ContractionMethod,
 };
 use crate::operators::{operator_schmidt, LocalTerm, Observable};
-use crate::peps::{merge_site_pair, Peps, Result, Site, AX_P, AX_R};
+use crate::peps::{merge_site_pair, Peps, Site, AX_P, AX_R};
+use koala_error::Result;
 use koala_linalg::C64;
 use koala_mps::{Mpo, Mps};
 use koala_tensor::{einsum, Tensor};

@@ -8,7 +8,8 @@
 //!
 //! * [`Peps`] — the 2D tensor network state,
 //! * [`operators::Observable`] — sums of local terms (Hamiltonians, measurements),
-//! * [`update`] — one-site and two-site operator application: the simple
+//! * [`apply_one_site`] / [`apply_two_site`] — one-site and two-site
+//!   operator application ([`UpdateMethod`]): the simple
 //!   update, the QR-SVD update of Algorithm 1, and its reshape-avoiding
 //!   Gram-matrix variant (Algorithm 5); gate lists run as a site-dependency
 //!   task graph ([`apply_gates`]), so independent bond updates use every core,
@@ -18,9 +19,10 @@
 //!   ([`amplitude_batch`]),
 //! * [`two_layer`] — the two-layer inner product that keeps bra and ket
 //!   unmerged (two-layer IBMPS, Table II),
-//! * [`mod@expectation`] — expectation values with the row-environment caching
-//!   strategy of §IV-B,
-//! * [`dist`] — the same evolution/contraction kernels driven through the
+//! * [`expectation_normalized`] — expectation values with the
+//!   row-environment caching strategy of §IV-B,
+//! * [`dist_tebd_layer`] / [`dist_contract_no_phys`] — the same
+//!   evolution/contraction kernels driven through the
 //!   simulated distributed-memory backend (`koala-cluster`), used by the
 //!   scaling and backend-comparison benchmarks (Figures 7, 8, 11, 12).
 //!
@@ -32,14 +34,14 @@
 //! (gate application, bra–ket site merging) run through
 //! `koala_tensor::einsum`; either way the contraction plans are memoised per
 //! `(spec, shapes)` key, so a sweep pays the planning cost once and replays
-//! the cached schedule for every site and step (see `koala_tensor::plan`).
+//! the cached schedule for every site and step (see `koala_tensor::contraction_plan`).
 //!
 //! ## Quick example
 //!
 //! ```
-//! use koala_peps::{Peps, operators::Observable, update::{apply_one_site, apply_two_site, UpdateMethod}};
-//! use koala_peps::expectation::{expectation_normalized, ExpectationOptions};
-//! use koala_peps::operators::{pauli_x, kron, pauli_z};
+//! use koala_peps::operators::{kron, pauli_x, pauli_z};
+//! use koala_peps::{apply_one_site, apply_two_site, Observable, Peps, UpdateMethod};
+//! use koala_peps::{expectation_normalized, ExpectationOptions};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
@@ -62,26 +64,21 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod contract;
-pub mod dist;
-pub mod expectation;
+mod dist;
+mod expectation;
 pub mod operators;
-pub mod peps;
+mod peps;
 pub mod two_layer;
-pub mod update;
+mod update;
 
-pub use contract::{
-    amplitude, amplitude_batch, contract_no_phys, inner_merged, norm_sqr, ContractionMethod,
-};
-pub use dist::{
-    dist_contract_no_phys, dist_tebd_layer, dist_two_site_update, DistEvolutionVariant,
-};
+pub use contract::{amplitude, amplitude_batch, contract_no_phys, norm_sqr, ContractionMethod};
+pub use dist::{dist_contract_no_phys, dist_tebd_layer, DistEvolutionVariant};
 pub use expectation::{
     expectation, expectation_and_norm, expectation_normalized, EnvCache, ExpectationOptions,
 };
 pub use operators::{LocalTerm, Observable};
 pub use peps::{Direction, Peps, Site};
-pub use two_layer::{inner_two_layer, norm_sqr_two_layer};
 pub use update::{
     apply_gates, apply_one_site, apply_two_site, apply_two_site_any, apply_two_site_everywhere,
-    route_two_site, routed_error, swap_gate, GateOp, UpdateMethod,
+    route_two_site, routed_error, GateOp, UpdateMethod,
 };

@@ -2,8 +2,9 @@
 //! two-site terms, the form every driver application of the paper uses
 //! (Hamiltonians for ITE/VQE, measurement operators for expectation values).
 
-use crate::peps::{Peps, Result, Site};
+use crate::peps::{Peps, Site};
 use koala_error::KoalaError;
+use koala_error::Result;
 use koala_linalg::{c64, Matrix, C64};
 use koala_tensor::{svd_split, Tensor, Truncation};
 use std::ops::{Add, Mul};
@@ -24,11 +25,6 @@ pub fn pauli_y() -> Matrix {
 pub fn pauli_z() -> Matrix {
     Matrix::from_rows(&[vec![C64::ONE, C64::ZERO], vec![C64::ZERO, c64(-1.0, 0.0)]])
         .unwrap_or_else(|_| unreachable!("literal 2x2 rows"))
-}
-
-/// 2x2 identity.
-pub fn pauli_i() -> Matrix {
-    Matrix::identity(2)
 }
 
 /// Kronecker product of two matrices (row-major, left factor major).
@@ -113,7 +109,7 @@ impl LocalTerm {
     }
 
     /// Scale the term's matrix by a constant.
-    pub fn scaled(&self, factor: C64) -> LocalTerm {
+    pub(crate) fn scaled(&self, factor: C64) -> LocalTerm {
         match self {
             LocalTerm::OneSite { site, matrix } => {
                 LocalTerm::OneSite { site: *site, matrix: matrix.scale(factor) }
@@ -138,11 +134,6 @@ impl Observable {
     /// The zero observable.
     pub fn zero() -> Self {
         Observable { terms: Vec::new() }
-    }
-
-    /// Build from explicit terms.
-    pub fn from_terms(terms: Vec<LocalTerm>) -> Self {
-        Observable { terms }
     }
 
     /// The local terms.
@@ -367,7 +358,7 @@ mod tests {
         let z = pauli_z();
         // X^2 = Y^2 = Z^2 = I
         for p in [&x, &y, &z] {
-            assert!(koala_linalg::matmul(p, p).approx_eq(&pauli_i(), 1e-14));
+            assert!(koala_linalg::matmul(p, p).approx_eq(&Matrix::identity(2), 1e-14));
         }
         // XY = iZ
         let xy = koala_linalg::matmul(&x, &y);
@@ -431,10 +422,9 @@ mod tests {
         assert!(Observable::z((0, 0)).validate(&peps).is_ok());
         assert!(Observable::z((5, 0)).validate(&peps).is_err());
         assert!(Observable::zz((0, 0), (0, 0)).validate(&peps).is_err());
-        let bad = Observable::from_terms(vec![LocalTerm::OneSite {
-            site: (0, 0),
-            matrix: Matrix::identity(3),
-        }]);
+        let bad = Observable {
+            terms: vec![LocalTerm::OneSite { site: (0, 0), matrix: Matrix::identity(3) }],
+        };
         assert!(bad.validate(&peps).is_err());
     }
 
@@ -443,7 +433,7 @@ mod tests {
         // Z on site (0,1) of a 1x2 lattice: I (x) Z.
         let obs = Observable::z((0, 1));
         let dense = obs.to_dense(1, 2, 2);
-        let expected = kron(&pauli_i(), &pauli_z());
+        let expected = kron(&Matrix::identity(2), &pauli_z());
         assert!(dense.approx_eq(&expected, 1e-13));
     }
 

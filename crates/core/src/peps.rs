@@ -12,17 +12,17 @@ use koala_tensor::{tensordot, Tensor};
 use rand::Rng;
 
 /// Axis index of the physical leg.
-pub const AX_P: usize = 0;
+pub(crate) const AX_P: usize = 0;
 /// Axis index of the bond to the site above.
-pub const AX_U: usize = 1;
+pub(crate) const AX_U: usize = 1;
 /// Axis index of the bond to the site on the left.
-pub const AX_L: usize = 2;
+pub(crate) const AX_L: usize = 2;
 /// Axis index of the bond to the site below.
-pub const AX_D: usize = 3;
+pub(crate) const AX_D: usize = 3;
 /// Axis index of the bond to the site on the right.
-pub const AX_R: usize = 4;
+pub(crate) const AX_R: usize = 4;
 
-pub use koala_error::Result;
+use koala_error::Result;
 
 /// A grid position `(row, col)`.
 pub type Site = (usize, usize);
@@ -52,7 +52,7 @@ impl Direction {
     }
 
     /// The opposite direction (axis on the neighbouring tensor).
-    pub fn opposite(self) -> Direction {
+    pub(crate) fn opposite(self) -> Direction {
         match self {
             Direction::Up => Direction::Down,
             Direction::Left => Direction::Right,
@@ -154,22 +154,6 @@ impl Peps {
             .unwrap_or_else(|_| unreachable!("computational_zeros: construction cannot fail"))
     }
 
-    /// A computational basis state given by one bit per site (row-major).
-    pub fn computational_basis(nrows: usize, ncols: usize, bits: &[usize]) -> Result<Self> {
-        if bits.len() != nrows * ncols {
-            return Err(KoalaError::shape("computational_basis: wrong number of bits"));
-        }
-        let tensors = bits
-            .iter()
-            .map(|&b| {
-                let mut v = [0.0f64; 2];
-                v[b] = 1.0;
-                Tensor::from_real(&[2, 1, 1, 1, 1], &v)
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Peps::new(nrows, ncols, tensors)
-    }
-
     /// Random PEPS with uniform physical and bond dimension.
     pub fn random<R: Rng + ?Sized>(
         nrows: usize,
@@ -220,14 +204,9 @@ impl Peps {
     }
 
     /// Linear (row-major) index of a site.
-    pub fn site_index(&self, (r, c): Site) -> usize {
+    pub(crate) fn site_index(&self, (r, c): Site) -> usize {
         debug_assert!(r < self.nrows && c < self.ncols);
         r * self.ncols + c
-    }
-
-    /// Site from a linear (row-major) index.
-    pub fn site_from_index(&self, idx: usize) -> Site {
-        (idx / self.ncols, idx % self.ncols)
     }
 
     /// Borrow one site tensor.
@@ -276,7 +255,7 @@ impl Peps {
     }
 
     /// Neighbour of a site in a direction, if it exists.
-    pub fn neighbor(&self, (r, c): Site, dir: Direction) -> Option<Site> {
+    pub(crate) fn neighbor(&self, (r, c): Site, dir: Direction) -> Option<Site> {
         match dir {
             Direction::Up if r > 0 => Some((r - 1, c)),
             Direction::Down if r + 1 < self.nrows => Some((r + 1, c)),
@@ -287,7 +266,7 @@ impl Peps {
     }
 
     /// Direction from `a` to `b` if they are nearest neighbours.
-    pub fn direction_between(&self, a: Site, b: Site) -> Option<Direction> {
+    pub(crate) fn direction_between(&self, a: Site, b: Site) -> Option<Direction> {
         [Direction::Up, Direction::Down, Direction::Left, Direction::Right]
             .into_iter()
             .find(|&dir| self.neighbor(a, dir) == Some(b))
@@ -466,7 +445,7 @@ pub(crate) fn merge_site_pair(bra_site: &Tensor, ket_site: &Tensor) -> Result<Te
 
 /// Build a Matrix view of a one-site gate acting on physical dimension `d`
 /// (helper shared by update and expectation code).
-pub fn check_one_site_gate(gate: &Matrix, d: usize) -> Result<()> {
+pub(crate) fn check_one_site_gate(gate: &Matrix, d: usize) -> Result<()> {
     if gate.shape() != (d, d) {
         return Err(KoalaError::shape(format!(
             "one-site gate must be {d}x{d}, got {:?}",
@@ -504,7 +483,7 @@ mod tests {
         let p = Peps::computational_zeros(3, 4);
         for r in 0..3 {
             for c in 0..4 {
-                assert_eq!(p.site_from_index(p.site_index((r, c))), (r, c));
+                assert_eq!(p.site_index((r, c)), r * 4 + c);
             }
         }
     }
@@ -531,16 +510,6 @@ mod tests {
         assert_eq!(dense.shape(), &[2, 2, 2, 2]);
         assert!(dense.get(&[0, 0, 0, 0]).approx_eq(C64::ONE, 1e-12));
         assert!((dense.norm() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn computational_basis_amplitude() {
-        let bits = [1, 0, 1, 1, 0, 0];
-        let p = Peps::computational_basis(2, 3, &bits).unwrap();
-        let dense = p.to_dense().unwrap();
-        assert!(dense.get(&bits).approx_eq(C64::ONE, 1e-12));
-        assert!((dense.norm() - 1.0).abs() < 1e-12);
-        assert!(Peps::computational_basis(2, 3, &[0, 1]).is_err());
     }
 
     #[test]

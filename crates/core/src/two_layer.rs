@@ -12,8 +12,9 @@
 //! product. This is what gives the two-layer IBMPS column of Table II its
 //! lower time and space complexity.
 
-use crate::peps::{Peps, Result, AX_L, AX_P, AX_U};
+use crate::peps::{Peps, AX_L, AX_P, AX_U};
 use koala_error::KoalaError;
+use koala_error::Result;
 use koala_linalg::C64;
 use koala_mps::{Mps, ZipUpMethod};
 use koala_tensor::{tensordot, EinsumSvd, Tensor, Truncation};
@@ -30,7 +31,7 @@ static TWO_LAYER_STEP: EinsumSvd = EinsumSvd::new("ldxab,xuvt,puaeg,pvbfh->ldk,k
 /// Inner product `<bra|ket>` using the two-layer contraction, truncating the
 /// boundary MPS to `max_bond` (in the *merged* bra-ket bond space) with the
 /// requested einsumsvd method.
-pub fn inner_two_layer<R: Rng + ?Sized>(
+pub(crate) fn inner_two_layer<R: Rng + ?Sized>(
     bra: &Peps,
     ket: &Peps,
     max_bond: usize,

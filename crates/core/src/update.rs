@@ -23,10 +23,8 @@
 //! [`route_two_site`]) and [`apply_two_site_everywhere`] are list builders
 //! over it.
 
-use crate::peps::{
-    check_one_site_gate, Direction, Peps, Result, Site, AX_D, AX_L, AX_P, AX_R, AX_U,
-};
-use koala_error::{KoalaError, ResultExt};
+use crate::peps::{check_one_site_gate, Direction, Peps, Site, AX_D, AX_L, AX_P, AX_R, AX_U};
+use koala_error::{KoalaError, Result, ResultExt};
 use koala_exec::{TaskGraph, TaskId, TaskKind};
 use koala_linalg::Matrix;
 use koala_tensor::{einsum, gram_qr_split, qr_split, tensordot, EinsumSvd, Tensor, Truncation};
@@ -94,6 +92,7 @@ impl UpdateMethod {
 /// gate shape to every site, so the contraction is planned once per
 /// `(gate, site-tensor)` shape pair.
 pub fn apply_one_site(peps: &mut Peps, gate: &Matrix, site: Site) -> Result<()> {
+    site_slot(peps, site)?;
     let new = update_site(peps.tensor(site), gate)?;
     peps.set_tensor(site, new);
     Ok(())
@@ -108,7 +107,7 @@ fn update_site(old: &Tensor, gate: &Matrix) -> Result<Tensor> {
 
 /// Swap the two subsystems of a two-site gate: returns `G'` with
 /// `G'[(b',a'),(b,a)] = G[(a',b'),(a,b)]`.
-pub fn reorder_gate(gate: &Matrix, d_a: usize, d_b: usize) -> Result<Matrix> {
+pub(crate) fn reorder_gate(gate: &Matrix, d_a: usize, d_b: usize) -> Result<Matrix> {
     if gate.shape() != (d_a * d_b, d_a * d_b) {
         return Err(KoalaError::shape(format!(
             "reorder_gate: gate is {:?}, expected {}x{}",
@@ -253,7 +252,7 @@ pub(crate) fn small_einsumsvd(
 }
 
 /// The SWAP gate on two qubits of dimension `d` each.
-pub fn swap_gate(d: usize) -> Matrix {
+pub(crate) fn swap_gate(d: usize) -> Matrix {
     let mut m = Matrix::zeros(d * d, d * d);
     for a in 0..d {
         for b in 0..d {
@@ -899,6 +898,16 @@ mod tests {
         assert_eq!(err.kind(), ErrorKind::InvalidArgument);
         let outside = [GateOp::one_site(&gate, (3, 0))];
         let err = apply_gates(&mut peps, &outside, method).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidArgument);
+        assert_eq!(peps.tensors(), base.tensors());
+    }
+
+    #[test]
+    fn one_site_gate_outside_the_lattice_is_rejected_untouched() {
+        let mut rng = StdRng::seed_from_u64(37);
+        let base = Peps::random(2, 2, 2, 2, &mut rng);
+        let mut peps = base.clone();
+        let err = apply_one_site(&mut peps, &pauli_x(), (0, 2)).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidArgument);
         assert_eq!(peps.tensors(), base.tensors());
     }

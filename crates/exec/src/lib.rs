@@ -34,8 +34,7 @@
 //! A task that returns `Err` or panics cancels the run: in-flight tasks
 //! finish, every not-yet-started closure is dropped without running, and
 //! `run` returns the first error (panics are converted to
-//! [`ErrorKind::TaskPanic`]). A [`CancelToken`] does the same on demand
-//! with [`ErrorKind::Cancelled`]. The pool itself never dies with a run:
+//! [`ErrorKind::TaskPanic`]). The pool itself never dies with a run:
 //! workers catch unwinds, so a poisoned run leaves no orphaned threads
 //! and the next `run` on the same pool starts clean.
 //!
@@ -51,7 +50,7 @@
 //!
 //! # Work accounting
 //!
-//! The [`meter`] module provides scoped [`WorkMeter`] billing. Scope stacks
+//! [`WorkMeter`] provides scoped billing. Scope stacks
 //! travel with tasks: [`TaskGraph::add`] captures the submitting thread's
 //! stack and the executing worker installs it around the closure, so work a
 //! scope causes is billed to it no matter which thread runs it.
@@ -92,9 +91,9 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod meter;
+mod meter;
 
-pub use meter::{WorkLedger, WorkMeter};
+pub use meter::{add_bytes, add_complex_macs, add_real_macs, WorkLedger, WorkMeter};
 
 use koala_error::{ErrorKind, KoalaError};
 use std::collections::VecDeque;
@@ -155,9 +154,9 @@ pub type TaskResult = Result<(), KoalaError>;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskId(usize);
 
-/// Cooperative cancellation handle for a run. Cloneable; `cancel()` makes
-/// the associated run drop every not-yet-started task and return
-/// [`ErrorKind::Cancelled`] once in-flight tasks finish.
+/// Cooperative cancellation flag. Cloneable; `cancel()` raises it and
+/// [`CancelToken::is_cancelled`] reads it, so a long-running job can poll
+/// it between steps and stop early with [`ErrorKind::Cancelled`].
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
 
@@ -167,7 +166,7 @@ impl CancelToken {
         Self::default()
     }
 
-    /// Request cancellation of any run holding this token.
+    /// Request cancellation of whatever polls this token.
     pub fn cancel(&self) {
         self.0.store(true, Ordering::Release);
     }
@@ -195,13 +194,12 @@ struct TaskNode<'env> {
 #[derive(Default)]
 pub struct TaskGraph<'env> {
     tasks: Vec<TaskNode<'env>>,
-    cancel: Option<CancelToken>,
 }
 
 impl<'env> TaskGraph<'env> {
     /// An empty graph.
     pub fn new() -> Self {
-        TaskGraph { tasks: Vec::new(), cancel: None }
+        TaskGraph { tasks: Vec::new() }
     }
 
     /// Number of tasks added so far.
@@ -218,7 +216,7 @@ impl<'env> TaskGraph<'env> {
     /// in `deps` are permitted (each occurrence is one edge; the task still
     /// runs exactly once, after the dependency).
     ///
-    /// The submitting thread's [`meter`] scope stack is captured here and
+    /// The submitting thread's [`WorkMeter`] scope stack is captured here and
     /// installed around the closure wherever it executes, so scoped work
     /// accounting follows the task onto pool workers.
     pub fn add<F>(&mut self, kind: TaskKind, deps: &[TaskId], f: F) -> TaskId
@@ -237,18 +235,13 @@ impl<'env> TaskGraph<'env> {
         TaskId(id)
     }
 
-    /// Attach a cancellation token checked before each task starts.
-    pub fn set_cancel_token(&mut self, token: &CancelToken) {
-        self.cancel = Some(token.clone());
-    }
-
     /// Run the graph on the process-global pool (see [`pool`]).
     pub fn run(self) -> TaskResult {
         self.run_on(&pool())
     }
 
     /// Run the graph on a specific pool. Blocks until the run completes,
-    /// fails, or is cancelled; the calling thread executes tasks too.
+    /// or fails; the calling thread executes tasks too.
     pub fn run_on(self, pool: &Pool) -> TaskResult {
         if self.tasks.is_empty() {
             return Ok(());
@@ -284,7 +277,6 @@ impl<'env> TaskGraph<'env> {
             total: n,
             failed: AtomicBool::new(false),
             error: Mutex::new(None),
-            cancel: self.cancel,
             monitor: Mutex::new(()),
             done_cv: Condvar::new(),
         });
@@ -296,20 +288,15 @@ impl<'env> TaskGraph<'env> {
         }
         debug_assert_eq!(state.done.load(Ordering::Acquire), n);
 
-        if let Some(e) = lock(&state.error).take() {
-            return Err(e);
-        }
-        if state.was_cancelled() {
-            return Err(KoalaError::new(ErrorKind::Cancelled, "task graph run cancelled"));
-        }
-        Ok(())
+        let error = lock(&state.error).take();
+        error.map_or(Ok(()), Err)
     }
 }
 
 /// Shared state of one `run`: closure slots, dependency counters, and the
 /// completion monitor. Queue entries reference tasks as `(Arc<RunState>,
 /// index)`; the `claimed` flags guarantee each task is executed (or, on a
-/// failed/cancelled run, dropped) exactly once no matter how many queue
+/// failed run, dropped) exactly once no matter how many queue
 /// entries or drain passes race for it.
 struct RunState {
     slots: Vec<Mutex<Option<BoxedTask<'static>>>>,
@@ -321,19 +308,14 @@ struct RunState {
     total: usize,
     failed: AtomicBool,
     error: Mutex<Option<KoalaError>>,
-    cancel: Option<CancelToken>,
     monitor: Mutex<()>,
     done_cv: Condvar,
 }
 
 impl RunState {
-    fn was_cancelled(&self) -> bool {
-        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
-    }
-
     /// True once the run should stop starting new tasks.
     fn aborting(&self) -> bool {
-        self.failed.load(Ordering::Acquire) || self.was_cancelled()
+        self.failed.load(Ordering::Acquire)
     }
 
     /// Claim the exclusive right to execute (or drop) task `idx`.
@@ -410,7 +392,7 @@ fn run_serial(state: &Arc<RunState>) {
         }
     }
     if state.done.load(Ordering::Acquire) < state.total {
-        // A failure/cancellation left tasks whose dependencies never
+        // A failure left tasks whose dependencies never
         // completed; drop their closures.
         drain_aborted(state);
     }

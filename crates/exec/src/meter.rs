@@ -135,17 +135,8 @@ impl WorkMeter {
         }
     }
 
-    /// Reset all counters to zero, returning the previous snapshot.
-    pub fn reset(&self) -> WorkLedger {
-        WorkLedger {
-            complex_macs: self.cells.complex_macs.swap(0, Ordering::Relaxed),
-            real_macs: self.cells.real_macs.swap(0, Ordering::Relaxed),
-            bytes: self.cells.bytes.swap(0, Ordering::Relaxed),
-        }
-    }
-
     /// Do two handles share the same counter cells?
-    pub fn same_meter(&self, other: &WorkMeter) -> bool {
+    pub(crate) fn same_meter(&self, other: &WorkMeter) -> bool {
         Arc::ptr_eq(&self.cells, &other.cells)
     }
 
@@ -313,18 +304,6 @@ mod tests {
         assert_eq!(a.plus(&b), WorkLedger { complex_macs: 13, real_macs: 13, bytes: 140 });
         assert!((a.hw_flops() - (80.0 + 8.0)).abs() < 1e-12);
         assert!(!a.is_zero() && WorkLedger::default().is_zero());
-    }
-
-    #[test]
-    fn reset_returns_previous_snapshot() {
-        let meter = WorkMeter::new();
-        meter.scope(|| {
-            add_complex_macs(2);
-            add_bytes(8);
-        });
-        let prev = meter.reset();
-        assert_eq!(prev, WorkLedger { complex_macs: 2, real_macs: 0, bytes: 8 });
-        assert!(meter.ledger().is_zero());
     }
 
     #[test]

@@ -6,15 +6,15 @@
 //!    never zero times, never twice — at any thread count, and never before
 //!    any of its dependencies has finished.
 //! 2. **Typed failure, no deadlock**: a panicking task surfaces as
-//!    [`ErrorKind::TaskPanic`], a cancelled run as [`ErrorKind::Cancelled`];
-//!    in both cases `run_on` returns (no hang), unreached task closures are
+//!    [`ErrorKind::TaskPanic`], a failing task as its own error; in both
+//!    cases `run_on` returns (no hang), unreached task closures are
 //!    dropped rather than executed, and the pool stays usable for
 //!    subsequent runs (no orphaned worker state).
 //! 3. **Nested runs**: a task may itself build and run a graph on the same
 //!    pool without deadlocking (the inner caller helps execute its own run).
 
-use koala_error::ErrorKind;
-use koala_exec::{CancelToken, Pool, TaskGraph, TaskId, TaskKind};
+use koala_error::{ErrorKind, KoalaError};
+use koala_exec::{Pool, TaskGraph, TaskId, TaskKind};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -118,7 +118,7 @@ fn task_error_propagates() {
     let pool = Pool::new(2);
     let mut graph = TaskGraph::new();
     let bad = graph.add(TaskKind::Other, &[], || {
-        Err(koala_error::KoalaError::new(ErrorKind::NoConvergence, "did not converge"))
+        Err(KoalaError::new(ErrorKind::NoConvergence, "did not converge"))
     });
     let ran = AtomicUsize::new(0);
     let ran_ref = &ran;
@@ -131,54 +131,45 @@ fn task_error_propagates() {
     assert_eq!(ran.load(Ordering::Relaxed), 0);
 }
 
-/// Cancellation before any task runs drains the whole graph: `run_on`
-/// returns `ErrorKind::Cancelled`, no task body executes, and every task
-/// closure is dropped (tracked by a drop guard) — nothing leaks into the
-/// pool's queues to haunt a later run.
+/// A failing task drains the rest of the graph: `run_on` returns its error,
+/// no task that waits on it executes, and every task closure is dropped
+/// (tracked by a drop guard), so nothing leaks into the pool's queues to
+/// haunt a later run.
 #[test]
-fn cancellation_drains_cleanly() {
+fn failure_drains_cleanly() {
     struct DropGuard(Arc<AtomicUsize>);
     impl Drop for DropGuard {
         fn drop(&mut self) {
             self.0.fetch_add(1, Ordering::Relaxed);
         }
     }
+    let fail = || Err(KoalaError::new(ErrorKind::NoConvergence, "injected"));
 
     for threads in [1usize, 4] {
         let pool = Pool::new(threads);
-        let token = CancelToken::new();
-        token.cancel(); // cancelled before the run even starts
+        // A chain whose head fails: no later link runs.
         let dropped = Arc::new(AtomicUsize::new(0));
         let executed = Arc::new(AtomicUsize::new(0));
         let mut graph = TaskGraph::new();
-        graph.set_cancel_token(&token);
-        let mut prev: Option<TaskId> = None;
+        let mut prev = graph.add(TaskKind::Other, &[], fail);
         for _ in 0..32 {
             let guard = DropGuard(Arc::clone(&dropped));
             let executed = Arc::clone(&executed);
-            let deps: Vec<TaskId> = prev.into_iter().collect();
-            prev = Some(graph.add(TaskKind::Other, &deps, move || {
+            prev = graph.add(TaskKind::Other, &[prev], move || {
                 let _hold = &guard;
                 executed.fetch_add(1, Ordering::Relaxed);
                 Ok(())
-            }));
+            });
         }
         let err = graph.run_on(&pool).unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::Cancelled);
-        assert_eq!(executed.load(Ordering::Relaxed), 0, "cancelled task still ran");
+        assert_eq!(err.kind(), ErrorKind::NoConvergence);
+        assert_eq!(executed.load(Ordering::Relaxed), 0, "a task after the failure still ran");
         assert_eq!(dropped.load(Ordering::Relaxed), 32, "task closures leaked");
 
-        // Mid-run cancellation: the first task trips the token; independent
-        // successors must not start afterwards, and all closures drop.
-        let token = CancelToken::new();
+        // Fan-out: every successor of the failed task drops.
         let dropped = Arc::new(AtomicUsize::new(0));
         let mut graph = TaskGraph::new();
-        graph.set_cancel_token(&token);
-        let trip = token.clone();
-        let first = graph.add(TaskKind::Other, &[], move || {
-            trip.cancel();
-            Ok(())
-        });
+        let first = graph.add(TaskKind::Other, &[], fail);
         for _ in 0..16 {
             let guard = DropGuard(Arc::clone(&dropped));
             graph.add(TaskKind::Other, &[first], move || {
@@ -187,7 +178,7 @@ fn cancellation_drains_cleanly() {
             });
         }
         let err = graph.run_on(&pool).unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::Cancelled);
+        assert_eq!(err.kind(), ErrorKind::NoConvergence);
         assert_eq!(dropped.load(Ordering::Relaxed), 16, "successor closures leaked");
     }
 }

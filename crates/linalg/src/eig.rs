@@ -173,7 +173,7 @@ pub fn eigvalsh(a: &Matrix) -> Result<Vec<f64>> {
 
 /// Apply a real function to a Hermitian matrix through its eigendecomposition:
 /// `f(A) = V diag(f(lambda)) V^H`.
-pub fn funm_hermitian(a: &Matrix, f: impl Fn(f64) -> C64) -> Result<Matrix> {
+pub(crate) fn funm_hermitian(a: &Matrix, f: impl Fn(f64) -> C64) -> Result<Matrix> {
     let EigH { values, vectors } = eigh(a)?;
     let n = values.len();
     let mut fd = Matrix::zeros(n, n);

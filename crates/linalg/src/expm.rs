@@ -1,14 +1,14 @@
 //! Matrix exponentials.
 //!
-//! Two flavours are needed by the simulation layer:
-//! * `exp(factor * H)` for Hermitian `H` (imaginary-time evolution uses a real
-//!   negative `factor`, real-time evolution / gate synthesis uses a purely
-//!   imaginary one) — computed through the eigendecomposition.
-//! * a general dense `expm` via scaling-and-squaring with a Taylor/Padé-style
-//!   series, used as an independent cross-check in tests.
+//! The simulation layer needs `exp(factor * H)` for Hermitian `H`
+//! (imaginary-time evolution uses a real negative `factor`, real-time
+//! evolution / gate synthesis uses a purely imaginary one), computed through
+//! the eigendecomposition.
+//!
+//! The unit tests cross-check it against a general dense `expm` (scaling and
+//! squaring with a truncated Taylor series).
 
 use crate::eig::funm_hermitian;
-use crate::gemm::matmul;
 use crate::matrix::Matrix;
 use crate::scalar::C64;
 use koala_error::Result;
@@ -29,7 +29,7 @@ use koala_error::Result;
 /// hinted-real `H` with a real factor is exactly real and arrives already
 /// hinted, so the projection below is normally dead. It is kept as a guarded
 /// backstop should a future `funm_hermitian` change stop propagating the
-/// hint: [`Matrix::project_real_if_negligible`] scales its tolerance with
+/// hint: `Matrix::project_real_if_negligible` scales its tolerance with
 /// `max_abs * n * EPSILON` instead of using a hardcoded eps, so it neither
 /// loses the hint on large matrices nor falsely projects genuinely complex
 /// results. (An *unhinted* real `H` is deliberately not projected — nothing
@@ -42,42 +42,43 @@ pub fn expm_hermitian(h: &Matrix, factor: C64) -> Result<Matrix> {
     Ok(out)
 }
 
-/// General matrix exponential by scaling and squaring with a truncated Taylor
-/// series. Intended for small matrices (gates are 2x2 or 4x4); accuracy is at
-/// machine-precision level for the norms encountered there.
-pub fn expm(a: &Matrix) -> Result<Matrix> {
-    let n = a.nrows();
-    assert_eq!(n, a.ncols(), "expm: matrix must be square");
-    let norm = a.norm_max();
-    // Scale so the series converges quickly.
-    let s = if norm > 0.5 { (norm / 0.5).log2().ceil() as u32 } else { 0 };
-    let scale = 1.0 / f64::powi(2.0, s as i32);
-    let a_scaled = a.scale(C64::from_real(scale));
-
-    // Taylor series sum_{k=0}^{K} A^k / k!
-    let mut term = Matrix::identity(n);
-    let mut sum = Matrix::identity(n);
-    for k in 1..=24 {
-        term = matmul(&term, &a_scaled).scale(C64::from_real(1.0 / k as f64));
-        sum += &term;
-        if term.norm_max() < 1e-18 {
-            break;
-        }
-    }
-    // Undo the scaling by repeated squaring.
-    let mut result = sum;
-    for _ in 0..s {
-        result = matmul(&result, &result);
-    }
-    Ok(result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::matmul;
     use crate::scalar::c64;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// General matrix exponential by scaling and squaring with a truncated Taylor
+    /// series. Intended for small matrices (gates are 2x2 or 4x4); accuracy is at
+    /// machine-precision level for the norms encountered there.
+    fn expm(a: &Matrix) -> Result<Matrix> {
+        let n = a.nrows();
+        assert_eq!(n, a.ncols(), "expm: matrix must be square");
+        let norm = a.norm_max();
+        // Scale so the series converges quickly.
+        let s = if norm > 0.5 { (norm / 0.5).log2().ceil() as u32 } else { 0 };
+        let scale = 1.0 / f64::powi(2.0, s as i32);
+        let a_scaled = a.scale(C64::from_real(scale));
+
+        // Taylor series sum_{k=0}^{K} A^k / k!
+        let mut term = Matrix::identity(n);
+        let mut sum = Matrix::identity(n);
+        for k in 1..=24 {
+            term = matmul(&term, &a_scaled).scale(C64::from_real(1.0 / k as f64));
+            sum += &term;
+            if term.norm_max() < 1e-18 {
+                break;
+            }
+        }
+        // Undo the scaling by repeated squaring.
+        let mut result = sum;
+        for _ in 0..s {
+            result = matmul(&result, &result);
+        }
+        Ok(result)
+    }
 
     #[test]
     fn exponential_of_zero() {

@@ -81,13 +81,13 @@
 //!
 //! # Flop accounting
 //!
-//! Work is billed to [`koala_exec::meter::WorkMeter`] handles:
+//! Work is billed to [`koala_exec::WorkMeter`] handles:
 //! `complex_macs` counts **complex multiply-adds** (one `C += A * B` update
 //! of complex scalars, 8 real flops: 4 mul + 4 add) executed by the
 //! split-complex kernel; `real_macs` counts **real multiply-adds** (2 real
 //! flops) executed by the real-only kernel. Total hardware flops are
 //! therefore `8 * complex_macs + 2 * real_macs`
-//! ([`WorkLedger::hw_flops`](koala_exec::meter::WorkLedger::hw_flops)), which
+//! ([`WorkLedger::hw_flops`](koala_exec::WorkLedger::hw_flops)), which
 //! is what `bench_gemm` uses as its GFLOP/s numerator — so the recorded
 //! numbers stay honest no matter which kernel dispatch picked. (The Figure 12
 //! weak-scaling binary derives its rates from the cluster *cost model*, not
@@ -95,8 +95,8 @@
 //! shared.)
 //!
 //! Every billing site adds to the process-global meter
-//! ([`WorkMeter::global`](koala_exec::meter::WorkMeter::global)) *and* to any
-//! [`WorkMeter::scope`](koala_exec::meter::WorkMeter::scope) active on the
+//! ([`WorkMeter::global`](koala_exec::WorkMeter::global)) *and* to any
+//! [`WorkMeter::scope`](koala_exec::WorkMeter::scope) active on the
 //! billing thread — scopes travel with executor tasks, which is what makes
 //! per-tenant billing in `koala-serve` exact. The meter additionally tracks
 //! **bytes** of GEMM interface traffic (operand reads + output writes, 16
@@ -109,7 +109,7 @@ use crate::microkernel::{
 };
 use crate::pack::{pack_a, pack_a_real, pack_b, pack_b_real};
 use crate::scalar::C64;
-use koala_exec::meter;
+use koala_exec::{add_bytes, add_complex_macs, add_real_macs};
 
 /// Cache-blocking tile along the shared (k) dimension.
 const KC: usize = 256;
@@ -141,7 +141,7 @@ pub enum Op {
 impl Op {
     /// Shape of the effective operand given the stored shape.
     #[inline]
-    pub fn effective_shape(self, stored: (usize, usize)) -> (usize, usize) {
+    pub(crate) fn effective_shape(self, stored: (usize, usize)) -> (usize, usize) {
         match self {
             Op::None => stored,
             Op::Adjoint | Op::Transpose => (stored.1, stored.0),
@@ -160,7 +160,7 @@ pub fn matmul_adj_a(a: &Matrix, b: &Matrix) -> Matrix {
 }
 
 /// C = A * B^H.
-pub fn matmul_adj_b(a: &Matrix, b: &Matrix) -> Matrix {
+pub(crate) fn matmul_adj_b(a: &Matrix, b: &Matrix) -> Matrix {
     gemm(Op::None, Op::Adjoint, a, b)
 }
 
@@ -266,7 +266,7 @@ fn gemm_into_dispatch(
     // Interface traffic of this product — operand reads plus output writes,
     // 16 bytes per complex element. Billed once per product (not per packed
     // panel).
-    meter::add_bytes(((m * k + k * n + m * n) as u64) * 16);
+    add_bytes(((m * k + k * n + m * n) as u64) * 16);
     // Row stride of the *stored* operand.
     let lda = if opa == Op::None { k } else { m };
     let ldb = if opb == Op::None { n } else { k };
@@ -355,9 +355,9 @@ unsafe fn tile_depth_block(
     let a_strip_len = kc * 2 * MR;
     let b_strip_len = kc * 2 * NR;
     if block_real {
-        meter::add_real_macs((mc * nc * kc) as u64);
+        add_real_macs((mc * nc * kc) as u64);
     } else {
-        meter::add_complex_macs((mc * nc * kc) as u64);
+        add_complex_macs((mc * nc * kc) as u64);
     }
     for (js, j0) in (jc..jc + nc).step_by(NR).enumerate() {
         let nr = NR.min(jc + nc - j0);
@@ -431,7 +431,7 @@ unsafe fn tile_depth_block_real(
 ) {
     let a_strip_len = kc * MR_REAL;
     let b_strip_len = kc * NR_REAL;
-    meter::add_real_macs((mc * nc * kc) as u64);
+    add_real_macs((mc * nc * kc) as u64);
     for (js, j0) in (jc..jc + nc).step_by(NR_REAL).enumerate() {
         let nr = NR_REAL.min(jc + nc - j0);
         let b_strip = &bp[js * b_strip_len..(js + 1) * b_strip_len];
@@ -580,14 +580,14 @@ pub fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
 mod tests {
     use super::*;
     use crate::scalar::c64;
-    use koala_exec::meter::WorkLedger;
+    use koala_exec::WorkLedger;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     /// Run `f` under a fresh meter scope; the ledger holds exactly its work
     /// even while other tests multiply matrices concurrently.
     fn metered<T>(f: impl FnOnce() -> T) -> (T, WorkLedger) {
-        let meter = meter::WorkMeter::new();
+        let meter = koala_exec::WorkMeter::new();
         let out = meter.scope(f);
         (out, meter.ledger())
     }

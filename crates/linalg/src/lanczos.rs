@@ -18,28 +18,6 @@ pub trait HermitianOp {
     fn apply(&self, x: &[C64]) -> Vec<C64>;
 }
 
-/// Hermitian matrix wrapper (mostly for tests).
-pub struct DenseHermitianOp<'a> {
-    matrix: &'a Matrix,
-}
-
-impl<'a> DenseHermitianOp<'a> {
-    /// Wrap a Hermitian matrix.
-    pub fn new(matrix: &'a Matrix) -> Self {
-        assert_eq!(matrix.nrows(), matrix.ncols());
-        DenseHermitianOp { matrix }
-    }
-}
-
-impl HermitianOp for DenseHermitianOp<'_> {
-    fn dim(&self) -> usize {
-        self.matrix.nrows()
-    }
-    fn apply(&self, x: &[C64]) -> Vec<C64> {
-        self.matrix.matvec(x)
-    }
-}
-
 /// Result of a Lanczos ground-state computation.
 #[derive(Debug, Clone)]
 pub struct LanczosResult {
@@ -168,6 +146,28 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Hermitian matrix wrapper, the dense oracle operator.
+    struct DenseHermitianOp<'a> {
+        matrix: &'a Matrix,
+    }
+
+    impl<'a> DenseHermitianOp<'a> {
+        /// Wrap a Hermitian matrix.
+        fn new(matrix: &'a Matrix) -> Self {
+            assert_eq!(matrix.nrows(), matrix.ncols());
+            DenseHermitianOp { matrix }
+        }
+    }
+
+    impl HermitianOp for DenseHermitianOp<'_> {
+        fn dim(&self) -> usize {
+            self.matrix.nrows()
+        }
+        fn apply(&self, x: &[C64]) -> Vec<C64> {
+            self.matrix.matvec(x)
+        }
+    }
 
     #[test]
     fn finds_smallest_eigenvalue_of_diagonal() {

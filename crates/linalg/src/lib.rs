@@ -7,44 +7,45 @@
 //! CuPy, or Cyclops+ScaLAPACK. This crate provides the equivalent from-scratch
 //! building blocks used by every layer above it:
 //!
-//! * [`scalar::C64`] — complex double-precision scalar,
-//! * [`matrix::Matrix`] — dense row-major complex matrix,
-//! * [`mod@gemm`] — packed, blocked matrix multiplication (one serial call
-//!   per product, transposition fused into packing),
-//! * [`mod@qr`] — thin QR (modified Gram-Schmidt with reorthogonalization,
+//! * [`C64`] — complex double-precision scalar,
+//! * [`Matrix`] — dense row-major complex matrix,
+//! * [`gemm()`] / [`gemm_into`] — packed, blocked matrix multiplication (one
+//!   serial call per product, transposition fused into packing),
+//! * [`qr`] — thin QR (modified Gram-Schmidt with reorthogonalization,
 //!   a null tolerance relative to the input's scale),
-//! * [`mod@svd`] — QR-preconditioned one-sided Jacobi SVD with a recovery
-//!   ladder, Gram-based SVD (QR and SVD hold their columns in one
-//!   split-plane buffer and run every projection, norm and pair rotation
-//!   on 8-lane vector kernels: AVX-512F intrinsics where the target has
-//!   them, bit-identical portable loops elsewhere),
-//! * [`mod@eig`] — Hermitian Jacobi eigendecomposition and matrix functions
-//!   (each of these three is one algorithm, generic over the scalar and
-//!   instantiated at `f64` for hinted-real inputs and at `C64` otherwise),
-//! * [`mod@rsvd`] — randomized SVD with implicitly applied operators
+//! * [`svd`] — QR-preconditioned one-sided Jacobi SVD with a recovery
+//!   ladder whose last rung is a Gram-based SVD (QR and SVD hold their
+//!   columns in one split-plane buffer and run every projection, norm and
+//!   pair rotation on 8-lane vector kernels: AVX-512F intrinsics where the
+//!   target has them, bit-identical portable loops elsewhere),
+//! * [`eigh`] — Hermitian Jacobi eigendecomposition (each of these three
+//!   is one algorithm, generic over the scalar and instantiated at `f64`
+//!   for hinted-real inputs and at `C64` otherwise),
+//! * [`rsvd`] — randomized SVD with implicitly applied operators
 //!   (paper Algorithm 4),
-//! * [`mod@gram`] — reshape-avoiding Gram-matrix orthogonalization
+//! * [`gram_qr`] — reshape-avoiding Gram-matrix orthogonalization
 //!   (paper Algorithm 5, local math),
-//! * [`mod@expm`] — matrix exponentials for time evolution and gate synthesis,
-//! * [`mod@lanczos`] — ground states of large implicit Hermitian operators.
+//! * [`expm_hermitian`] — Hermitian matrix exponentials for time evolution
+//!   and gate synthesis,
+//! * [`lanczos_ground_state`] — ground states of large implicit Hermitian
+//!   operators.
 //!
 //! A design rule runs through the whole crate: **transposition is never
 //! materialised on a multiply path.** The packed GEMM fuses
-//! [`Op::Adjoint`](gemm::Op) / [`Op::Transpose`](gemm::Op) into operand
+//! [`Op::Adjoint`] / [`Op::Transpose`] into operand
 //! packing, and the SVD / Gram / randomized-SVD kernels route their
 //! products through those fused paths instead of calling
-//! [`Matrix::adjoint`]. The [`matrix::transpose_counter`] diagnostic lets
+//! [`Matrix::adjoint`]. The [`transpose_counter`] diagnostic lets
 //! tests pin that property down.
 //!
 //! A second rule follows the same spirit: **purely real data never pays for
 //! complex arithmetic.** Every [`Matrix`] carries a structural
 //! [`is_real`](Matrix::is_real) hint (set by real constructors, propagated by
 //! realness-preserving operations, conservatively dropped by raw mutation);
-//! [`gemm::gemm`] routes products of hinted-real operands onto a real-only
+//! [`gemm()`] routes products of hinted-real operands onto a real-only
 //! microkernel that executes one quarter of the FMAs, and the split-complex
 //! packers detect all-real cache blocks so even unhinted real data drops to
-//! the cheap kernel per depth block. See [`mod@gemm`] for the dispatch rules
-//! and the flop-accounting convention. Work accounting is *scoped*: every
+//! the cheap kernel per depth block. Work accounting is *scoped*: every
 //! product bills its complex and real multiply-adds to the process-global
 //! [`WorkMeter`], and callers that need per-workload attribution (e.g.
 //! per-tenant billing in `koala-serve`) wrap their work in
@@ -52,14 +53,14 @@
 //! workload's ledger is exact even when its bond updates or SUMMA rounds
 //! run on shared pool workers.
 //!
-//! # Example: fused adjoint GEMM with [`gemm::gemm_into`]
+//! # Example: fused adjoint GEMM with [`gemm_into`]
 //!
 //! `gemm_into` accumulates `op(A) * op(B)` into a caller-owned buffer; the
 //! transposition only changes the packing gather order, so no copy of `A` is
 //! made:
 //!
 //! ```
-//! use koala_linalg::gemm::{gemm_into, Op};
+//! use koala_linalg::{gemm_into, Op};
 //! use koala_linalg::{c64, C64};
 //!
 //! // A is stored 2x3 row-major; we multiply A^H (3x2) by B (2x2).
@@ -79,31 +80,33 @@
 // ladder above can catch and degrade instead of aborting a long job.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod scalar;
+mod scalar;
 
-pub mod eig;
-pub mod expm;
-pub mod gemm;
-pub mod gram;
-pub mod lanczos;
+mod eig;
+mod expm;
+mod gemm;
+mod gram;
+mod lanczos;
 mod lanes;
-pub mod matrix;
-pub mod microkernel;
-pub mod pack;
-pub mod qr;
-pub mod rsvd;
-pub mod svd;
+mod matrix;
+mod microkernel;
+mod pack;
+mod qr;
+mod rsvd;
+mod svd;
 
-pub use koala_error::Result;
-pub use koala_exec::meter::{WorkLedger, WorkMeter};
-pub use matrix::{reset_transpose_counter, transpose_counter, Matrix};
+pub use koala_exec::{WorkLedger, WorkMeter};
+pub use matrix::{transpose_counter, Matrix};
+pub use microkernel::MICROKERNEL;
 pub use scalar::{c64, C64};
 
-pub use eig::{eigh, eigvalsh, funm_hermitian, EigH};
-pub use expm::{expm, expm_hermitian};
-pub use gemm::{gemm, gemm_into, gemm_into_real, matmul, matmul_adj_a, matmul_adj_b, Op};
+pub use eig::{eigh, eigvalsh, EigH};
+pub use expm::expm_hermitian;
+pub use gemm::{
+    gemm, gemm_into, gemm_into_real, matmul, matmul_adj_a, matmul_naive, matmul_seed, Op,
+};
 pub use gram::{gram_qr, gram_r_factors, GramQr};
-pub use lanczos::{lanczos_ground_state, DenseHermitianOp, HermitianOp, LanczosResult};
-pub use qr::{orthonormalize, qr, QrFactors};
+pub use lanczos::{lanczos_ground_state, HermitianOp, LanczosResult};
+pub use qr::{qr, QrFactors};
 pub use rsvd::{rsvd, LinearOp, MatOp, RsvdOptions};
-pub use svd::{scale_cols, scale_rows, svd, svd_gram, Svd};
+pub use svd::{svd, Svd};

@@ -19,9 +19,17 @@ pub fn transpose_counter() -> u64 {
     TRANSPOSE_COUNTER.load(Ordering::Relaxed)
 }
 
-/// Reset the materialisation counter, returning its previous value.
-pub fn reset_transpose_counter() -> u64 {
-    TRANSPOSE_COUNTER.swap(0, Ordering::Relaxed)
+#[cfg(test)]
+thread_local! {
+    /// This thread's share of [`TRANSPOSE_COUNTER`]: unit tests of serial
+    /// kernels read it while other tests materialise copies in parallel.
+    pub(crate) static THREAD_TRANSPOSES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+fn count_transpose() {
+    TRANSPOSE_COUNTER.fetch_add(1, Ordering::Relaxed);
+    #[cfg(test)]
+    THREAD_TRANSPOSES.with(|n| n.set(n.get() + 1));
 }
 
 /// Dense matrix of [`C64`] stored in row-major order.
@@ -248,7 +256,7 @@ impl Matrix {
     /// rounding noise from intermediate phases (e.g. `exp(-tau H)` of a real
     /// symmetric `H` computed through a complex eigendecomposition), this is a
     /// correction toward the exact value, not an approximation.
-    pub fn project_real(&mut self) {
+    pub(crate) fn project_real(&mut self) {
         for z in &mut self.data {
             z.im = 0.0;
         }
@@ -268,7 +276,7 @@ impl Matrix {
     /// loses it on well-behaved ones. A result whose imaginary parts exceed
     /// the scaled bound is genuinely complex (or a bug upstream) and is left
     /// untouched.
-    pub fn project_real_if_negligible(&mut self) -> bool {
+    pub(crate) fn project_real_if_negligible(&mut self) -> bool {
         let max_abs = self.norm_max();
         let n = self.nrows.max(self.ncols) as f64;
         let tol = max_abs * n * f64::EPSILON;
@@ -289,7 +297,7 @@ impl Matrix {
     /// Borrow one row mutably. Drops the realness hint (see
     /// [`Matrix::data_mut`]).
     #[inline(always)]
-    pub fn row_mut(&mut self, i: usize) -> &mut [C64] {
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [C64] {
         self.real = false;
         &mut self.data[i * self.ncols..(i + 1) * self.ncols]
     }
@@ -301,7 +309,7 @@ impl Matrix {
 
     /// Overwrite column `j`. The realness hint survives iff it was set and the
     /// new column is exactly real (an O(nrows) scan).
-    pub fn set_col(&mut self, j: usize, col: &[C64]) {
+    pub(crate) fn set_col(&mut self, j: usize, col: &[C64]) {
         assert_eq!(col.len(), self.nrows, "set_col: wrong column length");
         let keep_real = self.real && col.iter().all(|z| z.im == 0.0);
         for i in 0..self.nrows {
@@ -320,13 +328,13 @@ impl Matrix {
     /// [`crate::gemm::Op::Transpose`] — [`transpose_counter`] counts the
     /// materialisations that remain, so tests can pin that property down.
     pub fn transpose(&self) -> Matrix {
-        TRANSPOSE_COUNTER.fetch_add(1, Ordering::Relaxed);
+        count_transpose();
         self.transpose_with(|z| z)
     }
 
     /// Conjugate transpose `A^H` (cache-blocked like [`Matrix::transpose`]).
     pub fn adjoint(&self) -> Matrix {
-        TRANSPOSE_COUNTER.fetch_add(1, Ordering::Relaxed);
+        count_transpose();
         self.transpose_with(C64::conj)
     }
 
@@ -407,12 +415,6 @@ impl Matrix {
         (0..n).map(|i| self[(i, i)]).sum()
     }
 
-    /// Copy of the main diagonal.
-    pub fn diag(&self) -> Vec<C64> {
-        let n = self.nrows.min(self.ncols);
-        (0..n).map(|i| self[(i, i)]).collect()
-    }
-
     /// Extract the sub-matrix `rows x cols` starting at `(row0, col0)`.
     pub fn submatrix(&self, row0: usize, col0: usize, rows: usize, cols: usize) -> Matrix {
         assert!(row0 + rows <= self.nrows && col0 + cols <= self.ncols, "submatrix out of range");
@@ -422,21 +424,6 @@ impl Matrix {
         }
         out.real = self.real;
         out
-    }
-
-    /// Write `block` into this matrix with its top-left corner at `(row0, col0)`.
-    /// The realness hint survives iff both `self` and `block` carry it.
-    pub fn set_submatrix(&mut self, row0: usize, col0: usize, block: &Matrix) {
-        assert!(
-            row0 + block.nrows <= self.nrows && col0 + block.ncols <= self.ncols,
-            "set_submatrix out of range"
-        );
-        let keep_real = self.real && block.real;
-        for i in 0..block.nrows {
-            let dst = &mut self.row_mut(row0 + i)[col0..col0 + block.ncols];
-            dst.copy_from_slice(block.row(i));
-        }
-        self.real = keep_real;
     }
 
     /// Keep only the first `k` columns.
@@ -449,34 +436,6 @@ impl Matrix {
     pub fn truncate_rows(&self, k: usize) -> Matrix {
         let k = k.min(self.nrows);
         self.submatrix(0, 0, k, self.ncols)
-    }
-
-    /// Horizontal concatenation `[self | other]`.
-    pub fn hstack(&self, other: &Matrix) -> Result<Matrix> {
-        if self.nrows != other.nrows {
-            return Err(KoalaError::shape(format!(
-                "hstack: {} rows vs {} rows",
-                self.nrows, other.nrows
-            )));
-        }
-        let mut out = Matrix::zeros(self.nrows, self.ncols + other.ncols);
-        out.set_submatrix(0, 0, self);
-        out.set_submatrix(0, self.ncols, other);
-        Ok(out)
-    }
-
-    /// Vertical concatenation.
-    pub fn vstack(&self, other: &Matrix) -> Result<Matrix> {
-        if self.ncols != other.ncols {
-            return Err(KoalaError::shape(format!(
-                "vstack: {} cols vs {} cols",
-                self.ncols, other.ncols
-            )));
-        }
-        let mut out = Matrix::zeros(self.nrows + other.nrows, self.ncols);
-        out.set_submatrix(0, 0, self);
-        out.set_submatrix(self.nrows, 0, other);
-        Ok(out)
     }
 
     /// Maximum entry-wise deviation from another matrix.
@@ -524,20 +483,6 @@ impl Matrix {
             y[i] = acc;
         }
         y
-    }
-
-    /// Adjoint matrix-vector product `A^H y`.
-    pub fn matvec_adj(&self, y: &[C64]) -> Vec<C64> {
-        assert_eq!(y.len(), self.nrows, "matvec_adj: length mismatch");
-        let mut x = vec![C64::ZERO; self.ncols];
-        for i in 0..self.nrows {
-            let row = self.row(i);
-            let yi = y[i];
-            for j in 0..self.ncols {
-                x[j] = x[j].mul_add(row[j].conj(), yi);
-            }
-        }
-        x
     }
 }
 
@@ -692,17 +637,10 @@ mod tests {
     }
 
     #[test]
-    fn submatrix_and_stacking() {
-        let a = Matrix::from_real(2, 2, &[1.0, 2.0, 3.0, 4.0]).unwrap();
+    fn submatrix_extracts_a_block() {
         let b = Matrix::from_real(2, 2, &[5.0, 6.0, 7.0, 8.0]).unwrap();
-        let h = a.hstack(&b).unwrap();
-        assert_eq!(h.shape(), (2, 4));
-        assert_eq!(h[(1, 3)], c64(8.0, 0.0));
-        let v = a.vstack(&b).unwrap();
-        assert_eq!(v.shape(), (4, 2));
-        assert_eq!(v[(3, 0)], c64(7.0, 0.0));
+        let v = Matrix::from_real(4, 2, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]).unwrap();
         assert!(v.submatrix(2, 0, 2, 2).approx_eq(&b, 0.0));
-        assert!(a.hstack(&Matrix::zeros(3, 1)).is_err());
     }
 
     #[test]
@@ -722,12 +660,6 @@ mod tests {
         let y2 = crate::gemm::matmul(&a, &x);
         for i in 0..4 {
             assert!(y[i].approx_eq(y2[(i, 0)], 1e-12));
-        }
-        let z = Matrix::random(4, 1, &mut rng);
-        let w = a.matvec_adj(z.data());
-        let w2 = crate::gemm::matmul_adj_a(&a, &z);
-        for i in 0..3 {
-            assert!(w[i].approx_eq(w2[(i, 0)], 1e-12));
         }
     }
 
@@ -764,8 +696,6 @@ mod tests {
         assert!((&r + &r).is_real());
         assert!(!(&r + &z).is_real());
         assert!(r.submatrix(1, 1, 2, 2).is_real());
-        assert!(r.hstack(&r).unwrap().is_real());
-        assert!(!r.vstack(&z).unwrap().is_real());
     }
 
     #[test]

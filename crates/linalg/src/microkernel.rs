@@ -53,18 +53,18 @@ use portable as kernels;
 
 /// Which implementation this build compiled: `"avx512f"` or `"portable"`
 /// (recorded by `bench_gemm` next to its rates).
-pub const IMPLEMENTATION: &str = kernels::NAME;
+pub const MICROKERNEL: &str = kernels::NAME;
 
 /// Rows of C computed per microkernel invocation.
-pub const MR: usize = 6;
+pub(crate) const MR: usize = 6;
 /// Columns of C computed per microkernel invocation. One AVX-512 register
 /// holds exactly NR `f64` lanes, and AVX2 uses two. The `6 x 8` tile was the
 /// fastest of the `{2,4,6,8} x {8,16}` sweep on an AVX-512 Xeon.
-pub const NR: usize = 8;
+pub(crate) const NR: usize = 8;
 
 /// Split-complex accumulator tile: `re[i][j]` / `im[i][j]` for `C[i][j]`.
 #[derive(Clone, Copy)]
-pub struct AccTile {
+pub(crate) struct AccTile {
     /// Real parts of the `MR x NR` tile.
     pub re: [[f64; NR]; MR],
     /// Imaginary parts of the `MR x NR` tile.
@@ -77,7 +77,7 @@ pub struct AccTile {
 /// imaginary parts); `bp` holds `kc` groups of `2 * NR` floats. Returns the
 /// accumulated tile; the caller adds it into C (masked at edges).
 #[inline(always)]
-pub fn microkernel(kc: usize, ap: &[f64], bp: &[f64]) -> AccTile {
+pub(crate) fn microkernel(kc: usize, ap: &[f64], bp: &[f64]) -> AccTile {
     debug_assert!(ap.len() >= 2 * MR * kc);
     debug_assert!(bp.len() >= 2 * NR * kc);
     kernels::microkernel(kc, ap, bp)
@@ -88,17 +88,17 @@ pub fn microkernel(kc: usize, ap: &[f64], bp: &[f64]) -> AccTile {
 /// tile (split re/im); the real kernel holds one accumulator per lane, so it
 /// can afford a wider `8 x 16` tile (16 AVX-512 accumulator registers) that
 /// amortises the A-broadcasts over twice the output columns.
-pub const MR_REAL: usize = 8;
+pub(crate) const MR_REAL: usize = 8;
 /// Columns of C computed per wide real microkernel invocation (two AVX-512
 /// registers of `f64` lanes).
-pub const NR_REAL: usize = 16;
+pub(crate) const NR_REAL: usize = 16;
 
 /// Real-only accumulator tile: `re[i][j]` for `C[i][j]` (imaginary parts of
 /// the update are identically zero).
-pub type RealAccTile = [[f64; NR]; MR];
+pub(crate) type RealAccTile = [[f64; NR]; MR];
 
 /// Accumulator tile of the wide `8 x 16` real microkernel.
-pub type RealAccTileWide = [[f64; NR_REAL]; MR_REAL];
+pub(crate) type RealAccTileWide = [[f64; NR_REAL]; MR_REAL];
 
 /// Multiply a packed real-only `MR_REAL x kc` A-strip by a packed real-only
 /// `kc x NR_REAL` B-strip (the dense `f64` panels produced by
@@ -110,7 +110,7 @@ pub type RealAccTileWide = [[f64; NR_REAL]; MR_REAL];
 /// blocks whose realness is only *detected* after split-complex packing,
 /// where the panel geometry is fixed at `MR x NR`.
 #[inline(always)]
-pub fn microkernel_real_wide(kc: usize, ap: &[f64], bp: &[f64]) -> RealAccTileWide {
+pub(crate) fn microkernel_real_wide(kc: usize, ap: &[f64], bp: &[f64]) -> RealAccTileWide {
     debug_assert!(ap.len() >= MR_REAL * kc);
     debug_assert!(bp.len() >= NR_REAL * kc);
     kernels::microkernel_real_wide(kc, ap, bp)
@@ -124,7 +124,7 @@ pub fn microkernel_real_wide(kc: usize, ap: &[f64], bp: &[f64]) -> RealAccTileWi
 /// `2 * NR` to address only the real halves of split-complex panels. The
 /// first `MR` (resp. `NR`) floats of each group are the real lanes consumed.
 #[inline(always)]
-pub fn microkernel_real(
+pub(crate) fn microkernel_real(
     kc: usize,
     ap: &[f64],
     a_group: usize,
@@ -485,7 +485,7 @@ mod simd_tests {
         for (j, (g, w)) in got.iter().zip(want).enumerate() {
             assert!(
                 g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
-                "{what} lane {j}: {IMPLEMENTATION} {g:e} vs {} {w:e}",
+                "{what} lane {j}: {MICROKERNEL} {g:e} vs {} {w:e}",
                 portable::NAME
             );
         }

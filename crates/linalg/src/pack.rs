@@ -58,7 +58,7 @@ fn read_b(op: Op, b: &[C64], ldb: usize, p: usize, j: usize) -> C64 {
 
 /// Number of strips needed to cover `len` rows/columns of panel height `unit`.
 #[inline(always)]
-pub fn strips(len: usize, unit: usize) -> usize {
+pub(crate) fn strips(len: usize, unit: usize) -> usize {
     len.div_ceil(unit)
 }
 
@@ -69,7 +69,7 @@ pub fn strips(len: usize, unit: usize) -> usize {
 /// Returns `true` iff every imaginary part in the block is exactly zero
 /// (`-0.0` counts as zero), so the caller may run the real microkernel over
 /// the packed panel's real lanes.
-pub fn pack_a(
+pub(crate) fn pack_a(
     op: Op,
     a: &[C64],
     lda: usize,
@@ -104,7 +104,7 @@ pub fn pack_a(
 /// `out` as `ceil(nc / NR)` split-complex strips of `kc * 2 * NR` floats each,
 /// zero-padding the ragged final strip. Returns the same realness verdict as
 /// [`pack_a`].
-pub fn pack_b(
+pub(crate) fn pack_b(
     op: Op,
     b: &[C64],
     ldb: usize,
@@ -141,7 +141,7 @@ pub fn pack_b(
 /// The caller must guarantee the operand is real; the imaginary parts are not
 /// even read (for real data `Op::Adjoint` degenerates to `Op::Transpose`, so
 /// conjugation is a no-op by assumption).
-pub fn pack_a_real(
+pub(crate) fn pack_a_real(
     op: Op,
     a: &[C64],
     lda: usize,
@@ -169,7 +169,7 @@ pub fn pack_a_real(
 /// Pack the `kc x nc` block of the effective B into real-only panels:
 /// `ceil(nc / NR_REAL)` strips of `kc * NR_REAL` floats (real parts only).
 /// Same realness contract as [`pack_a_real`].
-pub fn pack_b_real(
+pub(crate) fn pack_b_real(
     op: Op,
     b: &[C64],
     ldb: usize,

@@ -161,7 +161,7 @@ fn qr_at<T: Lanes>(a: &Matrix) -> QrFactors {
 }
 
 /// Orthonormalize the columns of `a`, returning only the `Q` factor.
-pub fn orthonormalize(a: &Matrix) -> Matrix {
+pub(crate) fn orthonormalize(a: &Matrix) -> Matrix {
     qr(a).q
 }
 

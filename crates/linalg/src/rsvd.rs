@@ -85,14 +85,14 @@ impl RsvdOptions {
 }
 
 /// Number of fresh-sketch retries after a failed randomized SVD attempt.
-pub const MAX_SKETCH_RETRIES: usize = 2;
+pub(crate) const MAX_SKETCH_RETRIES: usize = 2;
 
 /// Randomized truncated SVD of an implicitly applied operator
 /// (paper Algorithm 4). Returns factors with at most `rank` columns.
 ///
 /// A failed attempt — the inner SVD of the sketch not converging, or the
 /// assembled factors containing NaN/Inf — is retried with a fresh random
-/// sketch up to [`MAX_SKETCH_RETRIES`] times (recorded on the
+/// sketch up to `MAX_SKETCH_RETRIES` times (recorded on the
 /// [`koala_error::recovery`] counters); an unlucky sketch is recoverable,
 /// a genuinely corrupted operator is not and the last error propagates.
 pub fn rsvd<O: LinearOp, R: Rng + ?Sized>(op: &O, opts: RsvdOptions, rng: &mut R) -> Result<Svd> {

@@ -111,12 +111,6 @@ impl C64 {
         C64 { re: self.re + a.re * b.re - a.im * b.im, im: self.im + a.re * b.im + a.im * b.re }
     }
 
-    /// True if either component is NaN.
-    #[inline(always)]
-    pub fn is_nan(self) -> bool {
-        self.re.is_nan() || self.im.is_nan()
-    }
-
     /// True if both components are finite.
     #[inline(always)]
     pub fn is_finite(self) -> bool {
@@ -127,17 +121,6 @@ impl C64 {
     #[inline]
     pub fn approx_eq(self, other: C64, tol: f64) -> bool {
         (self.re - other.re).abs() <= tol && (self.im - other.im).abs() <= tol
-    }
-
-    /// `z / |z|`, or 1 if `z == 0` (the "sign" used in numerical linear algebra).
-    #[inline]
-    pub fn signum(self) -> C64 {
-        let a = self.abs();
-        if a == 0.0 {
-            C64::ONE
-        } else {
-            self.scale(1.0 / a)
-        }
     }
 
     /// Raise to a real power through polar form.
@@ -481,13 +464,6 @@ mod tests {
         assert!(C64::cis(theta).approx_eq(c64(theta.cos(), theta.sin()), TOL));
         assert!((C64::I * std::f64::consts::PI).exp().approx_eq(c64(-1.0, 0.0), 1e-12));
         assert!(C64::ZERO.exp().approx_eq(C64::ONE, TOL));
-    }
-
-    #[test]
-    fn signum_is_unit_modulus() {
-        let z = c64(-3.0, 4.0);
-        assert!((z.signum().abs() - 1.0).abs() < TOL);
-        assert!(C64::ZERO.signum().approx_eq(C64::ONE, TOL));
     }
 
     #[test]

@@ -82,7 +82,7 @@ impl Svd {
 
 /// Multiply column `j` of `m` by `s[j]`. The realness hint survives for
 /// finite scale factors (scaling a real entry by a finite real stays real).
-pub fn scale_cols(m: &Matrix, s: &[f64]) -> Matrix {
+pub(crate) fn scale_cols(m: &Matrix, s: &[f64]) -> Matrix {
     let mut out = m.clone();
     let ncols = m.ncols();
     assert!(s.len() >= ncols, "scale_cols: not enough scale factors");
@@ -100,7 +100,7 @@ pub fn scale_cols(m: &Matrix, s: &[f64]) -> Matrix {
 }
 
 /// Multiply row `i` of `m` by `s[i]` (hint rule as in [`scale_cols`]).
-pub fn scale_rows(m: &Matrix, s: &[f64]) -> Matrix {
+pub(crate) fn scale_rows(m: &Matrix, s: &[f64]) -> Matrix {
     let mut out = m.clone();
     let nrows = m.nrows();
     assert!(s.len() >= nrows, "scale_rows: not enough scale factors");
@@ -118,10 +118,10 @@ pub fn scale_rows(m: &Matrix, s: &[f64]) -> Matrix {
 }
 
 /// Maximum number of one-sided Jacobi sweeps on the first attempt.
-pub const MAX_SWEEPS: usize = 60;
+pub(crate) const MAX_SWEEPS: usize = 60;
 
 /// Sweep budget after a `NoConvergence` escalation.
-pub const ESCALATED_SWEEPS: usize = 240;
+pub(crate) const ESCALATED_SWEEPS: usize = 240;
 
 /// Full (thin) SVD via QR-preconditioned one-sided Jacobi iteration, hardened
 /// by a numerical-recovery ladder.
@@ -178,7 +178,7 @@ pub const ESCALATED_SWEEPS: usize = 240;
 /// its callers and cuts those directions); `rsvd` forms `U = P Z` and reads
 /// `V^H` off the small factor, which inherits the same convention;
 /// `gram::qr_svd_degrade` zeroes `1/s` on those directions itself; and
-/// [`svd_gram`], the last rung below, already returns zero columns in its
+/// `svd_gram`, the last rung below, already returns zero columns in its
 /// recovered factor.
 /// None needs a full isometry over null directions.
 ///
@@ -186,9 +186,9 @@ pub const ESCALATED_SWEEPS: usize = 240;
 ///
 /// Non-finite inputs are rejected up front (kind `NonFinite`) so corruption
 /// is caught where it enters. If the Jacobi iteration fails to
-/// converge in [`MAX_SWEEPS`] sweeps, the sweep budget is escalated to
-/// [`ESCALATED_SWEEPS`], restarting from the `Q R` already in hand; if that
-/// still fails, the ladder falls back to the Gram-matrix SVD ([`svd_gram`])
+/// converge in `MAX_SWEEPS` sweeps, the sweep budget is escalated to
+/// `ESCALATED_SWEEPS`, restarting from the `Q R` already in hand; if that
+/// still fails, the ladder falls back to the Gram-matrix SVD (`svd_gram`)
 /// of the input rebuilt from that `Q R`, trading ~sqrt(eps) accuracy on the
 /// smallest singular values for a guaranteed factorization. Every rung is
 /// recorded on the [`koala_error::recovery`] counters and the final factors
@@ -396,7 +396,7 @@ impl<T: Lanes> Preconditioned<T> {
 /// Both Gram products and the factor recovery run through the fused
 /// [`Op::Adjoint`](crate::gemm::Op) GEMM paths — no transposed operand or
 /// factor copy is materialised on either the tall or the wide branch.
-pub fn svd_gram(a: &Matrix) -> Result<Svd> {
+pub(crate) fn svd_gram(a: &Matrix) -> Result<Svd> {
     let (m, n) = a.shape();
     if m < n {
         // Wide: G = A A^H = U diag(lambda) U^H, sigma = sqrt(lambda), and
@@ -640,6 +640,48 @@ mod tests {
             let after = koala_error::recovery::snapshot();
             assert!(after.svd_sweep_escalations > before.svd_sweep_escalations);
             assert!(after.gram_svd_fallbacks > before.gram_svd_fallbacks);
+        }
+    }
+
+    /// The Gram route materialises no transposed operand or factor copy in
+    /// either orientation: both Gram products and the factor recovery fuse
+    /// the adjoint into GEMM packing.
+    #[test]
+    fn svd_gram_materializes_no_adjoints() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let tall = Matrix::random(40, 7, &mut rng);
+        let wide = Matrix::random(7, 40, &mut rng);
+        let before = crate::matrix::THREAD_TRANSPOSES.with(|n| n.get());
+        let g = svd_gram(&tall).unwrap();
+        assert!(g.reconstruct().approx_eq(&tall, 1e-8));
+        let g = svd_gram(&wide).unwrap();
+        assert!(g.reconstruct().approx_eq(&wide, 1e-8));
+        let after = crate::matrix::THREAD_TRANSPOSES.with(|n| n.get());
+        assert_eq!(after, before, "svd_gram multiply paths materialised a transpose");
+    }
+
+    /// On real inputs of every full-rank shape class the Gram route runs
+    /// the real eigh path underneath, so its factors carry the hint.
+    #[test]
+    fn svd_gram_keeps_the_realness_hint() {
+        let mut rng = StdRng::seed_from_u64(0xFAC7);
+        // The rank-deficient 12x8 input of the real-path property test,
+        // drawn only to keep the stream of the cases below.
+        Matrix::random_real(12, 3, &mut rng);
+        Matrix::random_real(3, 8, &mut rng);
+        let cases = [
+            ("tall", Matrix::random_real(24, 6, &mut rng)),
+            ("wide", Matrix::random_real(5, 17, &mut rng)),
+            ("square", Matrix::random_real(9, 9, &mut rng)),
+        ];
+        for (label, a) in &cases {
+            let scale = a.norm_max().max(1.0);
+            let sg = svd_gram(a).unwrap();
+            assert!(
+                sg.u.is_real() && sg.vh.is_real(),
+                "{label}: svd_gram factors must carry the hint"
+            );
+            assert!(sg.reconstruct().approx_eq(a, 1e-7 * scale), "{label}: gram USV^H != A");
         }
     }
 

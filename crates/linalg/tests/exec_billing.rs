@@ -3,7 +3,7 @@
 //! on the kernel that ran, and the interface bytes are billed once per
 //! product — to a scoped [`WorkMeter`], and only to work inside the scope.
 
-use koala_linalg::gemm::matmul;
+use koala_linalg::matmul;
 use koala_linalg::{Matrix, WorkMeter};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

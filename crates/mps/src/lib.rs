@@ -8,7 +8,7 @@
 //! Algorithm 2) treats one row of a PEPS as an MPS and the remaining rows as
 //! MPOs that are applied approximately. This crate provides that machinery:
 //!
-//! * [`Mps`] / [`Mpo`] chain types with canonicalization and compression,
+//! * [`Mps`] / [`Mpo`] chain types with exact inner products and sandwiches,
 //! * exact MPO application (bond dimensions multiply),
 //! * the zip-up approximate application of Algorithm 3: one
 //!   [`koala_tensor::EinsumSvd`] network per step, evaluated either by an
@@ -46,9 +46,9 @@
 // "Failure model"); test modules are exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod mpo;
-pub mod mps;
-pub mod zipup;
+mod mpo;
+mod mps;
+mod zipup;
 
 pub use mpo::Mpo;
 pub use mps::{ghz_state, Mps};

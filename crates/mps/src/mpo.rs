@@ -5,8 +5,9 @@
 //! applied to, and `down` becomes the new physical index. A PEPS row acting on
 //! a boundary MPS (Algorithm 2) is exactly an MPO in this convention.
 
-use crate::mps::{Mps, Result};
+use crate::mps::Mps;
 use koala_error::KoalaError;
+use koala_error::Result;
 use koala_tensor::{tensordot, Tensor};
 use rand::Rng;
 
@@ -99,12 +100,12 @@ impl Mpo {
     }
 
     /// Input (up) physical dimensions.
-    pub fn up_dims(&self) -> Vec<usize> {
+    pub(crate) fn up_dims(&self) -> Vec<usize> {
         self.tensors.iter().map(|t| t.dim(1)).collect()
     }
 
     /// Output (down) physical dimensions.
-    pub fn down_dims(&self) -> Vec<usize> {
+    pub(crate) fn down_dims(&self) -> Vec<usize> {
         self.tensors.iter().map(|t| t.dim(2)).collect()
     }
 

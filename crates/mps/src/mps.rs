@@ -8,10 +8,10 @@
 use crate::mpo::Mpo;
 use koala_error::KoalaError;
 use koala_linalg::{c64, C64};
-use koala_tensor::{qr_split, svd_split, tensordot, Tensor, Truncation};
+use koala_tensor::{tensordot, Tensor};
 use rand::Rng;
 
-pub use koala_error::Result;
+use koala_error::Result;
 
 /// A matrix product state: a chain of rank-3 tensors `[l, p, r]`.
 #[derive(Debug, Clone)]
@@ -118,7 +118,7 @@ impl Mps {
     }
 
     /// Bond dimensions between consecutive sites (length `len() - 1`).
-    pub fn bond_dims(&self) -> Vec<usize> {
+    pub(crate) fn bond_dims(&self) -> Vec<usize> {
         self.tensors.iter().take(self.len() - 1).map(|t| t.dim(2)).collect()
     }
 
@@ -225,50 +225,6 @@ impl Mps {
         // Drop the trailing bond of dimension 1.
         let shape: Vec<usize> = acc.shape()[..acc.ndim() - 1].to_vec();
         acc.reshape(&shape)
-    }
-
-    /// Left-canonicalize in place (QR sweep from the left). After this call
-    /// every site except the last is an isometry over `(l, p)`.
-    pub fn canonicalize_left(&mut self) -> Result<()> {
-        let n = self.len();
-        for i in 0..n - 1 {
-            let (q, r) = qr_split(&self.tensors[i], &[0, 1])?;
-            self.tensors[i] = q; // [l, p, k]
-            self.tensors[i + 1] = tensordot(&r, &self.tensors[i + 1], &[1], &[0])?;
-        }
-        Ok(())
-    }
-
-    /// Right-canonicalize in place (QR sweep from the right).
-    pub fn canonicalize_right(&mut self) -> Result<()> {
-        let n = self.len();
-        for i in (1..n).rev() {
-            // Split [l | p, r]: Q over (p, r), R over l.
-            let (q, r) = qr_split(&self.tensors[i], &[1, 2])?;
-            // q: [p, r, k]  -> site becomes [k, p, r]
-            self.tensors[i] = q.permute(&[2, 0, 1])?;
-            // r: [k, l]; absorb into the left neighbour: [l', p', l] * [k, l]^T
-            self.tensors[i - 1] = tensordot(&self.tensors[i - 1], &r, &[2], &[1])?;
-        }
-        Ok(())
-    }
-
-    /// Compress the state to a maximum bond dimension by a left-canonical
-    /// sweep followed by an SVD truncation sweep from the right. Returns the
-    /// accumulated truncation error (root-sum-square of the discarded weights).
-    pub fn compress(&mut self, truncation: Truncation) -> Result<f64> {
-        self.canonicalize_left()?;
-        let n = self.len();
-        let mut err_sq = 0.0;
-        for i in (1..n).rev() {
-            let f = svd_split(&self.tensors[i], &[0], truncation)?;
-            err_sq += f.truncation_error * f.truncation_error;
-            // vh: [k, p, r] becomes the new site; u*s is absorbed leftwards.
-            let (u, vh) = f.absorb_left();
-            self.tensors[i] = vh;
-            self.tensors[i - 1] = tensordot(&self.tensors[i - 1], &u, &[2], &[0])?;
-        }
-        Ok(err_sq.sqrt())
     }
 
     /// Sample amplitude of a computational basis state (physical dimensions
@@ -393,60 +349,6 @@ mod tests {
         assert!(Mps::sandwich(None, &inner, Some(&bottom)).is_err());
         assert!(Mps::sandwich(Some(&top), &inner, None).is_err());
         assert!(Mps::sandwich(Some(&bottom), &inner, Some(&bottom)).is_err());
-    }
-
-    #[test]
-    fn canonicalization_preserves_state() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let original = Mps::random(5, 2, 4, &mut rng);
-        let dense = original.to_dense().unwrap();
-
-        let mut left = original.clone();
-        left.canonicalize_left().unwrap();
-        assert!(left.to_dense().unwrap().approx_eq(&dense, 1e-9));
-        // Left-canonical sites are isometries over (l, p).
-        for i in 0..left.len() - 1 {
-            let m = left.tensor(i).unfold(2);
-            assert!(m.has_orthonormal_cols(1e-9), "site {i} not left-canonical");
-        }
-
-        let mut right = original.clone();
-        right.canonicalize_right().unwrap();
-        assert!(right.to_dense().unwrap().approx_eq(&dense, 1e-9));
-    }
-
-    #[test]
-    fn compress_without_truncation_is_lossless() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let original = Mps::random(5, 2, 3, &mut rng);
-        let dense = original.to_dense().unwrap();
-        let mut c = original.clone();
-        let err = c.compress(Truncation::none()).unwrap();
-        assert!(err < 1e-10);
-        assert!(c.to_dense().unwrap().approx_eq(&dense, 1e-9));
-    }
-
-    #[test]
-    fn compress_truncates_bond_dimension() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let original = Mps::random(6, 2, 8, &mut rng);
-        let mut c = original.clone();
-        let err = c.compress(Truncation::max_rank(3)).unwrap();
-        assert!(c.max_bond() <= 3);
-        assert!(err >= 0.0);
-        // The reported error should match the actual distance reasonably well
-        // (zip-up style single sweep is not exactly optimal but close).
-        let dense_diff = c.to_dense().unwrap().sub(&original.to_dense().unwrap()).unwrap().norm();
-        assert!(dense_diff <= 2.0 * err + 1e-9, "diff {dense_diff} vs reported {err}");
-    }
-
-    #[test]
-    fn compress_ghz_to_bond_one_loses_half_the_weight() {
-        let mut g = ghz_state(4);
-        let err = g.compress(Truncation::max_rank(1)).unwrap();
-        assert_eq!(g.max_bond(), 1);
-        // GHZ has two equal Schmidt values 1/sqrt(2); dropping one loses weight 1/2.
-        assert!((err - (0.5f64).sqrt()).abs() < 1e-9);
     }
 
     #[test]

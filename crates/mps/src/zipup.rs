@@ -35,8 +35,9 @@
 //! the same thread. The explicit method draws nothing.
 
 use crate::mpo::Mpo;
-use crate::mps::{Mps, Result};
+use crate::mps::Mps;
 use koala_error::KoalaError;
+use koala_error::Result;
 use koala_tensor::{tensordot, EinsumSvd, Tensor, Truncation};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

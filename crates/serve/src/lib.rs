@@ -20,7 +20,7 @@
 //!   executor's determinism contract fixes every floating-point
 //!   accumulation order, so a job drained alongside seven others returns
 //!   exactly the bits it returns alone.
-//! * **Exact billing.** Each job runs inside its own [`WorkMeter`] scope;
+//! * **Exact billing.** Each job runs inside its own [`WorkMeter`](koala_exec::WorkMeter) scope;
 //!   the scope travels with executor tasks, so the [`JobReceipt`] counts
 //!   precisely the complex/real multiply-adds and bytes that job caused on
 //!   any pool worker — and sibling receipts sum exactly to the process
@@ -38,13 +38,11 @@
 // `KoalaError` (invalid spec, full queue) or a failed `JobReceipt`.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod server;
-pub mod spec;
+mod server;
+mod spec;
 
 pub use server::{JobOutcome, JobReceipt, JobStatus, Server, ServerConfig, Submission};
 pub use spec::{
     AmplitudeJob, AmplitudeOutput, CircuitJob, CircuitOutput, IteJob, IteOutput, JobResult,
-    JobSpec, Result, VqeJob, VqeOutput, MAX_CIRCUIT_GATES,
+    JobSpec, VqeJob, VqeOutput,
 };
-
-pub use koala_exec::{CancelToken, WorkLedger, WorkMeter};

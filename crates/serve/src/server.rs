@@ -6,10 +6,10 @@
 
 use crate::spec::{
     AmplitudeJob, AmplitudeOutput, CircuitJob, CircuitOutput, IteJob, IteOutput, JobResult,
-    JobSpec, Result, VqeJob, VqeOutput,
+    JobSpec, VqeJob, VqeOutput,
 };
 use koala_circuit::{AmplitudeBatch, Backend, BackendChoice, Circuit};
-use koala_error::{ErrorKind, KoalaError};
+use koala_error::{ErrorKind, KoalaError, Result};
 use koala_exec::{CancelToken, TaskGraph, TaskKind, WorkLedger, WorkMeter};
 use koala_peps::Peps;
 use koala_sim::{

@@ -38,7 +38,7 @@ use koala_linalg::{c64, Matrix, C64};
 use koala_peps::ContractionMethod;
 use koala_sim::{Optimizer, VqeBackend};
 
-pub use koala_error::Result;
+use koala_error::Result;
 
 fn invalid(msg: impl Into<String>) -> KoalaError {
     KoalaError::invalid(msg)
@@ -57,7 +57,7 @@ fn rejected(e: KoalaError) -> KoalaError {
 
 /// Largest lattice (in sites) a job may request; keeps a single mis-typed
 /// spec from pinning the whole service.
-pub const MAX_SITES: usize = 64;
+pub(crate) const MAX_SITES: usize = 64;
 
 /// The lattice cap; each dimension is a [`Count`] in its field list.
 fn check_lattice(nrows: usize, ncols: usize) -> Result<()> {
@@ -289,7 +289,7 @@ impl AmplitudeJob {
 }
 
 /// Largest gate list a [`CircuitJob`] may carry.
-pub const MAX_CIRCUIT_GATES: usize = 4096;
+pub(crate) const MAX_CIRCUIT_GATES: usize = 4096;
 
 /// Gate-list circuit job: run an arbitrary typed circuit through the
 /// `koala-circuit` front end (structural simplification, light-cone pruning

@@ -2,7 +2,8 @@
 //! (RQC) generator used by the accuracy benchmark of Figure 10.
 
 use crate::gates::{iswap, sqrt_w, sqrt_x, sqrt_y};
-use crate::statevector::{Result, StateVector};
+use crate::statevector::StateVector;
+use koala_error::Result;
 use koala_linalg::Matrix;
 use koala_peps::{apply_one_site, apply_two_site, Peps, Site, UpdateMethod};
 use rand::Rng;
@@ -62,13 +63,18 @@ impl Circuit {
     }
 
     /// Append a single-qubit gate.
-    pub fn push_one_site(&mut self, site: Site, matrix: Matrix) -> &mut Self {
+    pub(crate) fn push_one_site(&mut self, site: Site, matrix: Matrix) -> &mut Self {
         self.ops.push(CircuitOp::OneSite { site, matrix });
         self
     }
 
     /// Append a two-qubit gate on neighbouring sites.
-    pub fn push_two_site(&mut self, site_a: Site, site_b: Site, matrix: Matrix) -> &mut Self {
+    pub(crate) fn push_two_site(
+        &mut self,
+        site_a: Site,
+        site_b: Site,
+        matrix: Matrix,
+    ) -> &mut Self {
         self.ops.push(CircuitOp::TwoSite { site_a, site_b, matrix });
         self
     }

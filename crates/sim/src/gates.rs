@@ -1,22 +1,12 @@
 //! Standard quantum gate matrices.
 
 use koala_linalg::{c64, expm_hermitian, Matrix, C64};
-use koala_peps::operators::{kron, pauli_x, pauli_y, pauli_z};
+use koala_peps::operators::{pauli_x, pauli_y, pauli_z};
 
 /// Hadamard gate.
 pub fn hadamard() -> Matrix {
     let s = 1.0 / 2.0f64.sqrt();
     Matrix::from_real(2, 2, &[s, s, s, -s]).unwrap_or_else(|_| unreachable!("literal 2x2 data"))
-}
-
-/// Phase gate S = diag(1, i).
-pub fn s_gate() -> Matrix {
-    Matrix::from_diag(&[C64::ONE, C64::I])
-}
-
-/// T gate = diag(1, e^{i pi/4}).
-pub fn t_gate() -> Matrix {
-    Matrix::from_diag(&[C64::ONE, C64::cis(std::f64::consts::FRAC_PI_4)])
 }
 
 /// Rotation about X: `exp(-i theta X / 2)`.
@@ -38,7 +28,7 @@ pub fn rz(theta: f64) -> Matrix {
 }
 
 /// Square root of X (up to global phase), one of the RQC single-qubit gates.
-pub fn sqrt_x() -> Matrix {
+pub(crate) fn sqrt_x() -> Matrix {
     let h = pauli_x();
     expm_hermitian(&h, c64(0.0, -std::f64::consts::FRAC_PI_4))
         .unwrap_or_else(|e| unreachable!("exponential of a literal Hermitian gate: {e}"))
@@ -46,7 +36,7 @@ pub fn sqrt_x() -> Matrix {
 }
 
 /// Square root of Y (up to global phase).
-pub fn sqrt_y() -> Matrix {
+pub(crate) fn sqrt_y() -> Matrix {
     let h = pauli_y();
     expm_hermitian(&h, c64(0.0, -std::f64::consts::FRAC_PI_4))
         .unwrap_or_else(|e| unreachable!("exponential of a literal Hermitian gate: {e}"))
@@ -54,7 +44,7 @@ pub fn sqrt_y() -> Matrix {
 }
 
 /// Square root of W where `W = (X + Y)/sqrt(2)` (the third RQC single-qubit gate).
-pub fn sqrt_w() -> Matrix {
+pub(crate) fn sqrt_w() -> Matrix {
     let w = (&pauli_x() + &pauli_y()).scale(c64(1.0 / 2.0f64.sqrt(), 0.0));
     expm_hermitian(&w, c64(0.0, -std::f64::consts::FRAC_PI_4))
         .unwrap_or_else(|e| unreachable!("exponential of a literal Hermitian gate: {e}"))
@@ -91,17 +81,6 @@ pub fn iswap() -> Matrix {
     m
 }
 
-/// Two-qubit ZZ interaction gate `exp(-i theta Z Z)`.
-pub fn zz_rotation(theta: f64) -> Matrix {
-    expm_hermitian(&kron(&pauli_z(), &pauli_z()), c64(0.0, -theta))
-        .unwrap_or_else(|e| unreachable!("exponential of a literal Hermitian gate: {e}"))
-}
-
-/// Check unitarity of a gate (testing helper exported for downstream crates).
-pub fn is_unitary(gate: &Matrix, tol: f64) -> bool {
-    koala_linalg::matmul_adj_a(gate, gate).approx_eq(&Matrix::identity(gate.ncols()), tol)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,8 +91,6 @@ mod tests {
     fn all_gates_are_unitary() {
         for g in [
             hadamard(),
-            s_gate(),
-            t_gate(),
             rx(0.7),
             ry(1.3),
             rz(-0.4),
@@ -123,9 +100,8 @@ mod tests {
             cnot(),
             cz(),
             iswap(),
-            zz_rotation(0.3),
         ] {
-            assert!(is_unitary(&g, 1e-10));
+            assert!(g.has_orthonormal_cols(1e-10));
         }
     }
 
@@ -149,7 +125,7 @@ mod tests {
         let rz_gate = rz(0.4);
         assert!(!rz_gate.is_real());
         assert!(rz_gate.data().iter().any(|z| z.im != 0.0));
-        for g in [s_gate(), t_gate(), rx(0.7), iswap(), zz_rotation(0.3), sqrt_x()] {
+        for g in [rx(0.7), iswap(), sqrt_x()] {
             assert!(!g.is_real(), "complex gate falsely retained the realness hint");
         }
         // ...and applying one to a hinted-real state drops the hint on the

@@ -19,14 +19,6 @@ pub struct J1J2Params {
     pub h: [f64; 3],
 }
 
-impl J1J2Params {
-    /// The parameter set used in Figure 13:
-    /// `J1 = 1.0`, `J2 = 0.5`, `h = 0.2` on every axis.
-    pub fn paper_figure13() -> Self {
-        J1J2Params { j1: [1.0; 3], j2: [0.5; 3], h: [0.2; 3] }
-    }
-}
-
 /// Parameters of the transverse-field Ising model (Equation 8).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TfiParams {
@@ -44,7 +36,7 @@ impl TfiParams {
 }
 
 /// All nearest-neighbour pairs of an `nrows x ncols` lattice.
-pub fn nearest_neighbor_pairs(nrows: usize, ncols: usize) -> Vec<(Site, Site)> {
+pub(crate) fn nearest_neighbor_pairs(nrows: usize, ncols: usize) -> Vec<(Site, Site)> {
     let mut pairs = Vec::new();
     for r in 0..nrows {
         for c in 0..ncols {
@@ -61,7 +53,7 @@ pub fn nearest_neighbor_pairs(nrows: usize, ncols: usize) -> Vec<(Site, Site)> {
 
 /// All diagonally adjacent pairs of an `nrows x ncols` lattice (both
 /// diagonals of every plaquette).
-pub fn diagonal_pairs(nrows: usize, ncols: usize) -> Vec<(Site, Site)> {
+pub(crate) fn diagonal_pairs(nrows: usize, ncols: usize) -> Vec<(Site, Site)> {
     let mut pairs = Vec::new();
     for r in 0..nrows.saturating_sub(1) {
         for c in 0..ncols {
@@ -82,7 +74,7 @@ pub fn diagonal_pairs(nrows: usize, ncols: usize) -> Vec<(Site, Site)> {
 /// `Y` itself is not, so hint propagation alone would conservatively label
 /// the sum complex; a one-time O(d^2) scan recovers the realness hint for
 /// this 4x4 matrix, which then flows into the Trotter gates.
-pub fn heisenberg_coupling(j: [f64; 3]) -> Matrix {
+pub(crate) fn heisenberg_coupling(j: [f64; 3]) -> Matrix {
     let mut m = kron(&pauli_x(), &pauli_x()).scale(c64(j[0], 0.0));
     m += &kron(&pauli_y(), &pauli_y()).scale(c64(j[1], 0.0));
     m += &kron(&pauli_z(), &pauli_z()).scale(c64(j[2], 0.0));
@@ -92,7 +84,7 @@ pub fn heisenberg_coupling(j: [f64; 3]) -> Matrix {
 
 /// The single-site field matrix `hx X + hy Y + hz Z` (real iff `hy == 0`,
 /// recovered by a scan as in [`heisenberg_coupling`]).
-pub fn field_term(h: [f64; 3]) -> Matrix {
+pub(crate) fn field_term(h: [f64; 3]) -> Matrix {
     let mut m = pauli_x().scale(c64(h[0], 0.0));
     m += &pauli_y().scale(c64(h[1], 0.0));
     m += &pauli_z().scale(c64(h[2], 0.0));
@@ -158,10 +150,7 @@ pub struct TrotterGate {
 /// tensor network on `koala-linalg`'s real GEMM fast path. An imaginary
 /// factor (real-time evolution) produces genuinely complex gates and no
 /// hint — the contraction layer falls back to the split-complex kernel.
-pub fn trotter_gates(
-    obs: &Observable,
-    factor: C64,
-) -> crate::statevector::Result<Vec<TrotterGate>> {
+pub fn trotter_gates(obs: &Observable, factor: C64) -> koala_error::Result<Vec<TrotterGate>> {
     obs.terms()
         .iter()
         .map(|term| {
@@ -205,7 +194,7 @@ mod tests {
 
     #[test]
     fn j1j2_term_count() {
-        let h = j1j2_hamiltonian(4, 4, J1J2Params::paper_figure13());
+        let h = j1j2_hamiltonian(4, 4, J1J2Params { j1: [1.0; 3], j2: [0.5; 3], h: [0.2; 3] });
         // 24 nearest-neighbour + 18 diagonal + 16 field terms.
         assert_eq!(h.len(), 24 + 18 + 16);
         // Without a field the one-site terms are dropped.
@@ -243,7 +232,7 @@ mod tests {
         }
         let real = trotter_gates(&h, c64(0.0, -0.05)).unwrap();
         for g in &real {
-            assert!(crate::gates::is_unitary(&g.matrix, 1e-10), "real-time gates are unitary");
+            assert!(g.matrix.has_orthonormal_cols(1e-10), "real-time gates are unitary");
         }
     }
 

@@ -19,12 +19,13 @@
 //! depends on the hint, only the flop count does.
 
 use crate::hamiltonian::{trotter_gates, TrotterGate};
-use crate::statevector::{Result, StateVector};
+use crate::statevector::StateVector;
+use koala_error::Result;
 use koala_error::{recovery, ErrorKind, KoalaError};
 use koala_linalg::c64;
-use koala_peps::expectation::{expectation_and_norm, ExpectationOptions};
 use koala_peps::operators::Observable;
 use koala_peps::{apply_gates, route_two_site, routed_error, GateOp, Peps, UpdateMethod};
+use koala_peps::{expectation_and_norm, ExpectationOptions};
 use rand::Rng;
 
 /// Configuration of a PEPS imaginary-time-evolution run.
@@ -38,8 +39,6 @@ pub struct IteOptions {
     pub evolution_bond: usize,
     /// Contraction bond dimension `m` used when measuring the energy.
     pub contraction_bond: usize,
-    /// Two-site update flavour.
-    pub update: UpdateKind,
     /// Measure the energy every `measure_every` steps (1 = every step).
     pub measure_every: usize,
     /// Save an in-memory recovery checkpoint (PEPS + RNG + step index) every
@@ -68,17 +67,6 @@ pub struct IteFault {
     pub seed: u64,
 }
 
-/// Which two-site update algorithm drives the evolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UpdateKind {
-    /// Simple update (full contraction + SVD).
-    Direct,
-    /// QR-SVD update (Algorithm 1).
-    QrSvd,
-    /// QR-SVD update with Gram-matrix orthogonalization.
-    GramQrSvd,
-}
-
 impl IteOptions {
     /// Reasonable defaults mirroring the Figure 13 study.
     pub fn new(tau: f64, steps: usize, evolution_bond: usize, contraction_bond: usize) -> Self {
@@ -87,19 +75,10 @@ impl IteOptions {
             steps,
             evolution_bond,
             contraction_bond,
-            update: UpdateKind::QrSvd,
             measure_every: 1,
             checkpoint_every: 0,
             max_restarts: 3,
             fault: None,
-        }
-    }
-
-    fn update_method(&self) -> UpdateMethod {
-        match self.update {
-            UpdateKind::Direct => UpdateMethod::direct(self.evolution_bond),
-            UpdateKind::QrSvd => UpdateMethod::qr_svd(self.evolution_bond),
-            UpdateKind::GramQrSvd => UpdateMethod::gram_qr_svd(self.evolution_bond),
         }
     }
 }
@@ -254,7 +233,7 @@ fn ite_step<R: Rng + Clone>(
     options: &IteOptions,
     fault_fired: &mut bool,
 ) -> Result<()> {
-    apply_trotter_layer(&mut state.peps, gates, options.update_method())?;
+    apply_trotter_layer(&mut state.peps, gates, UpdateMethod::qr_svd(options.evolution_bond))?;
     if let Some(fault) = options.fault {
         if fault.step == step && !*fault_fired {
             *fault_fired = true;
@@ -496,7 +475,12 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(0);
                 let (parts, norm) = (WorkMeter::new(), WorkMeter::new());
                 parts.scope(|| {
-                    apply_trotter_layer(&mut evolved, &gates, options.update_method()).unwrap();
+                    apply_trotter_layer(
+                        &mut evolved,
+                        &gates,
+                        UpdateMethod::qr_svd(options.evolution_bond),
+                    )
+                    .unwrap();
                     expectation_and_norm(&evolved, &h, expect_opts, &mut rng).unwrap();
                 });
                 norm.scope(|| koala_peps::norm_sqr(&evolved, expect_opts.method, &mut rng))

@@ -5,14 +5,14 @@
 //! evaluation runs *on top of* the PEPS library.
 //!
 //! * [`gates`] — standard quantum gates,
-//! * [`statevector`] — exact state-vector simulator (reference curves),
-//! * [`hamiltonian`] — transverse-field Ising and J1-J2 Heisenberg models and
+//! * `statevector` — exact state-vector simulator (reference curves),
+//! * `hamiltonian` — transverse-field Ising and J1-J2 Heisenberg models and
 //!   their Trotter gates,
-//! * [`circuit`] — quantum circuits and the random-quantum-circuit generator
+//! * `circuit` — quantum circuits and the random-quantum-circuit generator
 //!   of the Figure 10 benchmark,
 //! * [`ite`] — imaginary time evolution / TEBD (Figure 13),
-//! * [`vqe`] — the variational quantum eigensolver driver (Figure 14),
-//! * [`opt`] — derivative-free optimizers (Nelder–Mead, SPSA).
+//! * `vqe` — the variational quantum eigensolver driver (Figure 14),
+//! * `opt` — derivative-free optimizers (Nelder–Mead, SPSA).
 //!
 //! # Example: a transverse-field Ising energy, state vector vs PEPS
 //!
@@ -22,7 +22,7 @@
 //!
 //! ```
 //! use koala_sim::{tfi_hamiltonian, StateVector, TfiParams};
-//! use koala_peps::expectation::{expectation_normalized, ExpectationOptions};
+//! use koala_peps::{expectation_normalized, ExpectationOptions};
 //! use koala_peps::Peps;
 //! use rand::SeedableRng;
 //!
@@ -44,13 +44,13 @@
 // aborting (see ARCHITECTURE.md, "Failure model").
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod circuit;
+mod circuit;
 pub mod gates;
-pub mod hamiltonian;
+mod hamiltonian;
 pub mod ite;
-pub mod opt;
-pub mod statevector;
-pub mod vqe;
+mod opt;
+mod statevector;
+mod vqe;
 
 pub use circuit::{random_circuit, Circuit, CircuitOp};
 pub use hamiltonian::{
@@ -58,7 +58,7 @@ pub use hamiltonian::{
 };
 pub use ite::{
     ite_checkpoint, ite_peps, ite_peps_from, ite_statevector, IteCheckpoint, IteFault, IteOptions,
-    IteResult, UpdateKind,
+    IteResult,
 };
 pub use opt::{nelder_mead, spsa, OptResult};
 pub use statevector::StateVector;

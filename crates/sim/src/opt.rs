@@ -7,15 +7,6 @@
 
 use rand::Rng;
 
-/// A record of one objective evaluation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Evaluation {
-    /// Index of the optimizer iteration this evaluation belongs to.
-    pub iteration: usize,
-    /// Objective value.
-    pub value: f64,
-}
-
 /// Result of an optimization run.
 #[derive(Debug, Clone)]
 pub struct OptResult {

@@ -11,7 +11,7 @@ use koala_peps::operators::{LocalTerm, Observable};
 use koala_peps::Site;
 use rand::Rng;
 
-pub use koala_error::Result;
+use koala_error::Result;
 
 /// Full state-vector representation of a lattice of qubits.
 #[derive(Debug, Clone)]
@@ -70,7 +70,7 @@ impl StateVector {
     }
 
     /// Linear qubit index of a lattice site.
-    pub fn qubit_index(&self, (r, c): Site) -> usize {
+    pub(crate) fn qubit_index(&self, (r, c): Site) -> usize {
         r * self.ncols + c
     }
 
@@ -80,7 +80,7 @@ impl StateVector {
     }
 
     /// Normalise in place.
-    pub fn normalize(&mut self) {
+    pub(crate) fn normalize(&mut self) {
         let n = self.norm();
         if n > 0.0 {
             let inv = 1.0 / n;
@@ -157,7 +157,7 @@ impl StateVector {
     }
 
     /// `H |psi>` for an observable given as a sum of local terms.
-    pub fn apply_observable(&self, obs: &Observable) -> StateVector {
+    pub(crate) fn apply_observable(&self, obs: &Observable) -> StateVector {
         let mut out = StateVector {
             nrows: self.nrows,
             ncols: self.ncols,

@@ -12,9 +12,10 @@ use crate::circuit::Circuit;
 use crate::gates::{cnot, ry};
 use crate::hamiltonian::nearest_neighbor_pairs;
 use crate::opt::{nelder_mead, spsa, OptResult};
-use crate::statevector::{Result, StateVector};
-use koala_peps::expectation::{expectation_normalized, ExpectationOptions};
+use crate::statevector::StateVector;
+use koala_error::Result;
 use koala_peps::operators::Observable;
+use koala_peps::{expectation_normalized, ExpectationOptions};
 use koala_peps::{Peps, UpdateMethod};
 use rand::Rng;
 
@@ -79,13 +80,13 @@ pub struct VqeResult {
 }
 
 /// Number of parameters of the ansatz.
-pub fn num_parameters(nrows: usize, ncols: usize, layers: usize) -> usize {
+pub(crate) fn num_parameters(nrows: usize, ncols: usize, layers: usize) -> usize {
     nrows * ncols * layers
 }
 
 /// Build the ansatz circuit for a parameter vector (length
 /// `nrows * ncols * layers`).
-pub fn ansatz_circuit(nrows: usize, ncols: usize, layers: usize, params: &[f64]) -> Circuit {
+pub(crate) fn ansatz_circuit(nrows: usize, ncols: usize, layers: usize, params: &[f64]) -> Circuit {
     assert_eq!(params.len(), num_parameters(nrows, ncols, layers), "wrong parameter count");
     let mut circuit = Circuit::new();
     let mut idx = 0;
@@ -104,7 +105,7 @@ pub fn ansatz_circuit(nrows: usize, ncols: usize, layers: usize, params: &[f64])
 }
 
 /// Evaluate the VQE objective `<psi(theta)|H|psi(theta)> / <psi|psi>` per site.
-pub fn energy_per_site<R: Rng + ?Sized>(
+pub(crate) fn energy_per_site<R: Rng + ?Sized>(
     nrows: usize,
     ncols: usize,
     hamiltonian: &Observable,

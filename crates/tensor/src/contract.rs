@@ -24,8 +24,8 @@
 use crate::shape::num_elements;
 use crate::tensor::Tensor;
 use koala_error::{KoalaError, Result};
-use koala_linalg::gemm::{gemm_into, gemm_into_real, Op};
 use koala_linalg::C64;
+use koala_linalg::{gemm_into, gemm_into_real, Op};
 
 /// Contract `a` and `b` over the axis pairs `(axes_a[i], axes_b[i])`.
 ///
@@ -34,7 +34,7 @@ use koala_linalg::C64;
 /// NumPy's `tensordot`, which the original Koala library builds on.
 ///
 /// Internally this builds a one-shot `PairPlan` and executes it; the einsum
-/// planner ([`crate::plan`]) builds the same `PairPlan`s once per
+/// planner (`crate::plan`) builds the same `PairPlan`s once per
 /// `(spec, shapes)` key and replays them, so repeated contractions skip the
 /// axis validation and matricization-layout analysis entirely.
 pub fn tensordot(a: &Tensor, b: &Tensor, axes_a: &[usize], axes_b: &[usize]) -> Result<Tensor> {
@@ -228,13 +228,6 @@ fn is_identity_order(first: &[usize], second: &[usize]) -> bool {
     first.iter().chain(second.iter()).copied().eq(0..first.len() + second.len())
 }
 
-/// Contract every axis of `a` against every axis of `b` (full inner product
-/// of identically shaped tensors, conjugating neither operand).
-pub fn contract_all(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let axes: Vec<usize> = (0..a.ndim()).collect();
-    tensordot(a, b, &axes, &axes)
-}
-
 /// Sum the tensor over one axis, removing it.
 ///
 /// Implemented as a direct strided reduction — one pass over the data with
@@ -327,7 +320,7 @@ pub fn tensordot_naive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use koala_linalg::gemm::matmul;
+    use koala_linalg::matmul;
     use koala_linalg::{c64, Matrix};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -361,17 +354,6 @@ mod tests {
         assert_eq!(c.shape(), &[2, 2]);
         assert_eq!(c.get(&[1, 0]), c64(6.0, 0.0));
         assert!(c.approx_eq(&a.outer(&b), 1e-14));
-    }
-
-    #[test]
-    fn full_contraction_gives_scalar() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let a = Tensor::random(&[2, 3], &mut rng);
-        let b = Tensor::random(&[2, 3], &mut rng);
-        let s = contract_all(&a, &b).unwrap();
-        assert_eq!(s.ndim(), 0);
-        let expected = a.conj().inner(&b).unwrap(); // plain bilinear sum
-        assert!(s.item().approx_eq(expected, 1e-10));
     }
 
     #[test]

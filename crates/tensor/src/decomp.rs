@@ -83,7 +83,7 @@ impl SplitSvd {
 /// for finite scale factors (singular values absorbed into SVD factors), so
 /// truncated splits of real tensors keep the whole pipeline on the real GEMM
 /// kernel.
-pub fn scale_last_axis(t: &Tensor, s: &[f64]) -> Tensor {
+pub(crate) fn scale_last_axis(t: &Tensor, s: &[f64]) -> Tensor {
     let Some(&last) = t.shape().last() else {
         return t.clone(); // rank-0: no axis to scale
     };
@@ -101,7 +101,7 @@ pub fn scale_last_axis(t: &Tensor, s: &[f64]) -> Tensor {
 
 /// Multiply slices along the first axis by `s[i]` (hint rule as in
 /// [`scale_last_axis`]).
-pub fn scale_first_axis(t: &Tensor, s: &[f64]) -> Tensor {
+pub(crate) fn scale_first_axis(t: &Tensor, s: &[f64]) -> Tensor {
     let Some(&first) = t.shape().first() else {
         return t.clone(); // rank-0: no axis to scale
     };

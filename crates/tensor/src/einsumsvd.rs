@@ -1,15 +1,7 @@
 //! `einsumsvd`: contract a tensor sub-network and refactorize it across one
 //! new bond — the primitive every MPS/PEPS algorithm of the paper is written
 //! against (Alg. 1 QR-SVD update, Alg. 3 zip-up, IBMPS, two-layer IBMPS).
-//!
-//! # Spec convention
-//!
-//! Koala's: `"ldxy,xpt,ypqr->ldk,ktqr"`. The inputs are an ordinary einsum
-//! network; the two output terms are the factors. The **new bond** is the one
-//! label absent from the inputs — last in the left factor, first in the right
-//! one. The remaining labels of the left factor are the *row* labels, those
-//! of the right factor the *column* labels, and the network is factorized as
-//! the matrix `theta[(rows), (cols)]` in exactly that axis order.
+//! The spec convention is on [`EinsumSvd`].
 //!
 //! # The two methods
 //!
@@ -273,8 +265,16 @@ impl LinearOp for NetworkOp<'_> {
     }
 }
 
-/// One `einsumsvd` call site: a fixed spec (see the [module docs](self)), its
-/// parsed network, and the `theta` plans of the shapes it has seen.
+/// One `einsumsvd` call site: a fixed spec, its parsed network, and the
+/// `theta` plans of the shapes it has seen.
+///
+/// The spec convention is Koala's: `"ldxy,xpt,ypqr->ldk,ktqr"`. The inputs
+/// are an ordinary einsum network; the two output terms are the factors. The
+/// **new bond** is the one label absent from the inputs — last in the left
+/// factor, first in the right one. The remaining labels of the left factor
+/// are the *row* labels, those of the right factor the *column* labels, and
+/// the network is factorized as the matrix `theta[(rows), (cols)]` in exactly
+/// that axis order. [`EinsumSvdMethod`] picks how `theta` is factorized.
 ///
 /// Declare one `static` per site. The spec is parsed once; the explicit
 /// method's contraction plans are held here, most-recently-used first, so a
@@ -304,7 +304,7 @@ pub struct EinsumSvd {
 
 impl EinsumSvd {
     /// Maximum number of `theta` shape variants held per call site.
-    pub const PLAN_CAPACITY: usize = 8;
+    pub(crate) const PLAN_CAPACITY: usize = 8;
 
     /// A call site with a fixed spec string.
     pub const fn new(spec: &'static str) -> Self {

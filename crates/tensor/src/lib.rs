@@ -10,10 +10,10 @@
 //! permutation / reshaping / matricization utilities, pairwise contraction
 //! ([`tensordot`]) lowered to the GEMM kernel of `koala-linalg`, a general
 //! [`einsum`](fn@einsum) for tensor-network contractions backed by a memoised
-//! contraction planner ([`plan`]), tensor-level factorizations
+//! contraction planner (`plan`), tensor-level factorizations
 //! ([`qr_split`], [`svd_split`], [`gram_qr_split`]), and the paper's
-//! contract-and-refactorize primitive [`EinsumSvd`] ([`mod@einsumsvd`]: one
-//! network spec, evaluated by an explicit truncated SVD or by the implicit
+//! contract-and-refactorize primitive [`EinsumSvd`] (one network spec,
+//! evaluated by an explicit truncated SVD or by the implicit
 //! randomized SVD of Alg. 4) that every MPS and PEPS algorithm above this
 //! crate is written against.
 //!
@@ -43,24 +43,21 @@
 // `KoalaError` so long-running drivers can recover instead of aborting.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod contract;
-pub mod decomp;
-pub mod einsum;
-pub mod einsumsvd;
-pub mod plan;
-pub mod shape;
-pub mod tensor;
+mod contract;
+mod decomp;
+mod einsum;
+mod einsumsvd;
+mod plan;
+mod shape;
+mod tensor;
 
-pub use contract::{contract_all, sum_axis, tensordot, tensordot_naive};
-pub use decomp::{
-    gram_qr_split, qr_split, scale_first_axis, scale_last_axis, svd_split, SplitSvd, Truncation,
-};
+pub use contract::{sum_axis, tensordot, tensordot_naive};
+pub use decomp::{gram_qr_split, qr_split, svd_split, SplitSvd, Truncation};
 pub use einsum::{einsum, einsum_spec, parse_spec, EinsumSpec};
 pub use einsumsvd::{EinsumSvd, EinsumSvdMethod};
-pub use koala_error::Result;
 pub use plan::{
     clear_plan_cache, contraction_plan, plan_stats, reset_plan_stats, set_plan_cache_capacity,
-    Plan, PlanStats,
+    Plan, PlanStats, DEFAULT_PLAN_CACHE_CAPACITY,
 };
 pub use tensor::Tensor;
 
@@ -70,6 +67,3 @@ pub use tensor::Tensor;
 pub(crate) fn lock_ignore_poison<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
-
-// Re-export the scalar/matrix types so downstream crates need only one import path.
-pub use koala_linalg::{c64, Matrix, C64};

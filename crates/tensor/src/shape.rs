@@ -1,7 +1,7 @@
 //! Shape and index arithmetic for dense row-major tensors.
 
 /// Row-major strides for a shape (last axis fastest).
-pub fn strides_for(shape: &[usize]) -> Vec<usize> {
+pub(crate) fn strides_for(shape: &[usize]) -> Vec<usize> {
     let mut strides = vec![0usize; shape.len()];
     let mut acc = 1usize;
     for (stride, &dim) in strides.iter_mut().zip(shape.iter()).rev() {
@@ -12,19 +12,20 @@ pub fn strides_for(shape: &[usize]) -> Vec<usize> {
 }
 
 /// Total number of elements of a shape.
-pub fn num_elements(shape: &[usize]) -> usize {
+pub(crate) fn num_elements(shape: &[usize]) -> usize {
     shape.iter().product()
 }
 
 /// Convert a multi-index to a flat row-major offset.
 #[inline]
-pub fn ravel(index: &[usize], strides: &[usize]) -> usize {
+pub(crate) fn ravel(index: &[usize], strides: &[usize]) -> usize {
     debug_assert_eq!(index.len(), strides.len());
     index.iter().zip(strides.iter()).map(|(i, s)| i * s).sum()
 }
 
 /// Convert a flat row-major offset back to a multi-index.
-pub fn unravel(mut offset: usize, shape: &[usize]) -> Vec<usize> {
+#[cfg(test)]
+pub(crate) fn unravel(mut offset: usize, shape: &[usize]) -> Vec<usize> {
     let mut index = vec![0usize; shape.len()];
     for i in (0..shape.len()).rev() {
         let dim = shape[i];
@@ -36,7 +37,7 @@ pub fn unravel(mut offset: usize, shape: &[usize]) -> Vec<usize> {
 
 /// In-place increment of a multi-index in row-major (odometer) order.
 /// Returns `false` when the index wraps past the end.
-pub fn increment_index(index: &mut [usize], shape: &[usize]) -> bool {
+pub(crate) fn increment_index(index: &mut [usize], shape: &[usize]) -> bool {
     for i in (0..shape.len()).rev() {
         index[i] += 1;
         if index[i] < shape[i] {
@@ -48,12 +49,12 @@ pub fn increment_index(index: &mut [usize], shape: &[usize]) -> bool {
 }
 
 /// True if `perm` maps every axis to itself.
-pub fn is_identity_perm(perm: &[usize]) -> bool {
+pub(crate) fn is_identity_perm(perm: &[usize]) -> bool {
     perm.iter().enumerate().all(|(i, &p)| i == p)
 }
 
 /// Check that a permutation is valid (each axis appears exactly once).
-pub fn is_permutation(perm: &[usize]) -> bool {
+pub(crate) fn is_permutation(perm: &[usize]) -> bool {
     let n = perm.len();
     let mut seen = vec![false; n];
     for &p in perm {
@@ -66,12 +67,13 @@ pub fn is_permutation(perm: &[usize]) -> bool {
 }
 
 /// Apply a permutation to a shape: `out[i] = shape[perm[i]]`.
-pub fn permute_shape(shape: &[usize], perm: &[usize]) -> Vec<usize> {
+pub(crate) fn permute_shape(shape: &[usize], perm: &[usize]) -> Vec<usize> {
     perm.iter().map(|&p| shape[p]).collect()
 }
 
 /// Inverse of a permutation.
-pub fn invert_permutation(perm: &[usize]) -> Vec<usize> {
+#[cfg(test)]
+pub(crate) fn invert_permutation(perm: &[usize]) -> Vec<usize> {
     let mut inv = vec![0usize; perm.len()];
     for (i, &p) in perm.iter().enumerate() {
         inv[p] = i;

@@ -1,8 +1,7 @@
 //! Dense row-major complex tensor.
 
 use crate::shape::{
-    invert_permutation, is_identity_perm, is_permutation, num_elements, permute_shape, ravel,
-    strides_for, unravel,
+    is_identity_perm, is_permutation, num_elements, permute_shape, ravel, strides_for,
 };
 use koala_error::{KoalaError, Result};
 use koala_linalg::{c64, Matrix, C64};
@@ -245,11 +244,6 @@ impl Tensor {
         Ok(Tensor { shape: new_shape, data: out, real: self.real })
     }
 
-    /// Inverse permutation convenience: undo `permute(perm)`.
-    pub fn unpermute(&self, perm: &[usize]) -> Result<Tensor> {
-        self.permute(&invert_permutation(perm))
-    }
-
     /// Element-wise complex conjugate.
     pub fn conj(&self) -> Tensor {
         Tensor {
@@ -431,12 +425,6 @@ impl Tensor {
     pub fn sum(&self) -> C64 {
         self.data.iter().copied().sum()
     }
-
-    /// Iterate over `(multi_index, value)` pairs in row-major order.
-    pub fn indexed_iter(&self) -> impl Iterator<Item = (Vec<usize>, C64)> + '_ {
-        let shape = self.shape.clone();
-        self.data.iter().enumerate().map(move |(off, &v)| (unravel(off, &shape), v))
-    }
 }
 
 /// Cache-blocked gather kernel behind [`Tensor::permute`].
@@ -549,6 +537,7 @@ impl fmt::Debug for Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shape::{invert_permutation, unravel};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -602,7 +591,7 @@ mod tests {
         let perm = [2, 0, 3, 1];
         let p = t.permute(&perm).unwrap();
         assert_eq!(p.shape(), &[4, 2, 2, 3]);
-        let back = p.unpermute(&perm).unwrap();
+        let back = p.permute(&invert_permutation(&perm)).unwrap();
         assert!(back.approx_eq(&t, 0.0));
         // Spot-check an element mapping.
         assert_eq!(p.get(&[3, 1, 0, 2]), t.get(&[1, 2, 3, 0]));
@@ -695,7 +684,8 @@ mod tests {
                     want_shape.remove(axis);
                     assert_eq!(s.shape(), &want_shape[..]);
                     assert_eq!(s.is_real(), t.is_real());
-                    for (mut at, value) in s.indexed_iter() {
+                    for (offset, &value) in s.data().iter().enumerate() {
+                        let mut at = unravel(offset, s.shape());
                         at.insert(axis, index);
                         assert_eq!(value, t.get(&at), "{shape:?} axis {axis} index {index}");
                     }

@@ -3,14 +3,26 @@
 //! property sweep checking `Plan::execute` against a plan-independent naive
 //! einsum evaluator on random tensor-network specifications.
 
-use koala_tensor::shape::increment_index;
-use koala_tensor::{c64, C64};
+use koala_linalg::{c64, C64};
 use koala_tensor::{
     clear_plan_cache, contraction_plan, einsum, einsum_spec, parse_spec, plan_stats, Plan, Tensor,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Mutex, PoisonError};
+
+/// In-place increment of a multi-index in row-major (odometer) order.
+/// Returns `false` when the index wraps past the end.
+fn increment_index(index: &mut [usize], shape: &[usize]) -> bool {
+    for i in (0..shape.len()).rev() {
+        index[i] += 1;
+        if index[i] < shape[i] {
+            return true;
+        }
+        index[i] = 0;
+    }
+    false
+}
 
 /// The plan cache and its counters are process-wide; serialize the tests in
 /// this binary so concurrent test threads cannot skew each other's counts.
@@ -109,7 +121,7 @@ fn lru_eviction_is_counted() {
     assert_eq!(after.entries, 4, "capacity bounds residency");
     assert_eq!(after.evictions - before.evictions, 4);
     // Restore the default capacity for the rest of the suite.
-    koala_tensor::set_plan_cache_capacity(koala_tensor::plan::DEFAULT_PLAN_CACHE_CAPACITY);
+    koala_tensor::set_plan_cache_capacity(koala_tensor::DEFAULT_PLAN_CACHE_CAPACITY);
 }
 
 /// A plan warmed on one thread is reused (not re-planned) by every other

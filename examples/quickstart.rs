@@ -6,9 +6,9 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use koala::peps::expectation::{expectation_normalized, ExpectationOptions};
 use koala::peps::operators::Observable;
 use koala::peps::{apply_one_site, apply_two_site, Peps, UpdateMethod};
+use koala::peps::{expectation_normalized, ExpectationOptions};
 use koala::sim::gates::{cnot, hadamard};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -3,12 +3,13 @@
 //! other, and the distributed kernels against the local reference.
 
 use koala::cluster::{Cluster, CostModel};
+use koala::linalg::{c64, expm_hermitian};
 use koala::mps::ZipUpMethod;
-use koala::peps::expectation::{expectation_normalized, ExpectationOptions};
+use koala::peps::operators::{kron, pauli_z};
 use koala::peps::two_layer::norm_sqr_two_layer;
 use koala::peps::{
-    amplitude, dist_tebd_layer, norm_sqr, ContractionMethod, DistEvolutionVariant, Peps,
-    UpdateMethod,
+    amplitude, dist_tebd_layer, expectation_normalized, norm_sqr, ContractionMethod,
+    DistEvolutionVariant, ExpectationOptions, Peps, UpdateMethod,
 };
 use koala::sim::gates::{cnot, hadamard, iswap};
 use koala::sim::{ite_peps, random_circuit, tfi_hamiltonian, IteOptions, StateVector, TfiParams};
@@ -116,7 +117,7 @@ fn ite_reaches_ground_state_on_small_lattice() {
 #[test]
 fn distributed_evolution_consistency_and_cost_ordering() {
     let mut rng = StdRng::seed_from_u64(4);
-    let gate = koala::sim::gates::zz_rotation(0.1);
+    let gate = expm_hermitian(&kron(&pauli_z(), &pauli_z()), c64(0.0, -0.1)).unwrap();
     let base = Peps::random(3, 3, 2, 3, &mut rng);
     let model = CostModel::default();
 

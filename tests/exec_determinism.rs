@@ -404,7 +404,7 @@ fn boundary_wavefront_is_the_row_by_row_sequence_at_any_thread_count() {
 /// billing the failed run's meter: its scope did not leak.
 #[test]
 fn a_failed_boundary_contraction_leaves_the_pool_and_meters_clean() {
-    use koala::exec::{meter, TaskGraph, TaskKind};
+    use koala::exec::{add_complex_macs, TaskGraph, TaskKind};
     use std::sync::atomic::{AtomicUsize, Ordering};
     let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let mut rng = StdRng::seed_from_u64(909);
@@ -436,7 +436,7 @@ fn a_failed_boundary_contraction_leaves_the_pool_and_meters_clean() {
                 });
             }
             graph.run().unwrap();
-            meter::add_complex_macs(1);
+            add_complex_macs(1);
             assert_eq!(ran.load(Ordering::Relaxed), 8, "{method:?} at {threads} threads");
             assert_eq!(failed.ledger(), billed, "{method:?}: a scope leaked at {threads} threads");
         }

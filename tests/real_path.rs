@@ -10,11 +10,26 @@
 //! holds exactly the sweep's own work.
 
 use koala::exec::WorkMeter;
-use koala::peps::{expectation_normalized, ExpectationOptions, Peps};
-use koala::sim::hamiltonian::{tfi_hamiltonian, TfiParams};
-use koala::sim::{ite_peps, IteOptions, UpdateKind};
+use koala::linalg::c64;
+use koala::peps::{expectation_normalized, ExpectationOptions, Peps, UpdateMethod};
+use koala::sim::ite::apply_trotter_layer;
+use koala::sim::{ite_peps, tfi_hamiltonian, trotter_gates, IteOptions, TfiParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Assert that `meter` billed only real work and that the evolution lowered
+/// the energy per site below the product-state energy of -1.
+fn assert_real_and_lowered(what: &str, meter: &WorkMeter, energy_per_site: f64) {
+    let complex = meter.complex_macs();
+    let real = meter.real_macs();
+    assert_eq!(
+        complex, 0,
+        "{what}: a TFI evolution executed {complex} complex MACs — \
+         some factorization or contraction dropped the realness hint"
+    );
+    assert!(real > 0, "{what}: expected the real kernel to have done the work");
+    assert!(energy_per_site < -1.0, "{what}: ITE did not lower the energy, got {energy_per_site}");
+}
 
 #[test]
 fn tfi_ite_sweep_performs_zero_complex_macs() {
@@ -22,26 +37,31 @@ fn tfi_ite_sweep_performs_zero_complex_macs() {
     let h = tfi_hamiltonian(2, 2, TfiParams::paper_figure14());
     let peps = Peps::computational_zeros(2, 2);
 
-    for update in [UpdateKind::QrSvd, UpdateKind::Direct, UpdateKind::GramQrSvd] {
-        let mut options = IteOptions::new(0.05, 4, 2, 4);
-        options.update = update;
+    // The full ITE driver (QR-SVD bond updates).
+    let options = IteOptions::new(0.05, 4, 2, 4);
+    let meter = WorkMeter::new();
+    let result = meter.scope(|| ite_peps(&peps, &h, options, &mut rng)).expect("ITE run failed");
+    assert_real_and_lowered("ite_peps", &meter, result.final_energy());
+
+    // The same four steps with every bond-update algorithm, then one
+    // measurement of the evolved state.
+    let gates = trotter_gates(&h, c64(-options.tau, 0.0)).expect("Trotter gates");
+    for method in [UpdateMethod::qr_svd(2), UpdateMethod::direct(2), UpdateMethod::gram_qr_svd(2)] {
         let meter = WorkMeter::new();
-        let result =
-            meter.scope(|| ite_peps(&peps, &h, options, &mut rng)).expect("ITE run failed");
-        let complex = meter.complex_macs();
-        let real = meter.real_macs();
-        assert_eq!(
-            complex, 0,
-            "{update:?}: a full TFI ITE sweep executed {complex} complex MACs — \
-             some factorization or contraction dropped the realness hint"
-        );
-        assert!(real > 0, "{update:?}: expected the real kernel to have done the work");
-        // Sanity: the evolution still does its job (energy drops below the
-        // product-state energy of -1 per site).
-        assert!(
-            result.final_energy() < -1.0,
-            "{update:?}: ITE did not lower the energy, got {}",
-            result.final_energy()
+        let energy = meter
+            .scope(|| {
+                let mut state = peps.clone();
+                for _ in 0..options.steps {
+                    apply_trotter_layer(&mut state, &gates, method)?;
+                }
+                let opts = ExpectationOptions::ibmps_cached(options.contraction_bond);
+                expectation_normalized(&state, &h, opts, &mut rng)
+            })
+            .expect("Trotter evolution failed");
+        assert_real_and_lowered(
+            &format!("{method:?}"),
+            &meter,
+            energy.re / peps.num_sites() as f64,
         );
     }
 }

@@ -16,10 +16,9 @@
 //! `SERIAL` for its whole run.
 
 use koala::circuit::{Backend, BackendChoice, Circuit, Gate1, Gate2};
-use koala::exec::WorkMeter;
+use koala::exec::{WorkLedger, WorkMeter};
 use koala::serve::{
     AmplitudeJob, CircuitJob, IteJob, JobResult, JobSpec, JobStatus, Server, ServerConfig, VqeJob,
-    WorkLedger,
 };
 use koala::sim::{Optimizer, VqeBackend};
 use koala::tensor::{plan_stats, reset_plan_stats};
