@@ -54,29 +54,22 @@
 //! The paper's headline workloads (TFI imaginary-time evolution, ground-state
 //! PEPS contraction) keep every tensor purely real, so burning the full
 //! 8-real-flop complex MAC on operands with identically-zero imaginary planes
-//! wastes three quarters of the arithmetic. Two mechanisms route such
-//! products onto a real-only microkernel
-//! ([`crate::microkernel::microkernel_real`], one FMA per lane per depth
-//! step):
+//! wastes three quarters of the arithmetic. The structural
+//! [`Matrix::is_real`] hint is the one way onto the real-only kernel: [`gemm`]
+//! inspects the hints, and when both operands carry them it calls
+//! [`gemm_into_real`], which packs `f64`-only panels (half the packing
+//! traffic) consumed by a *wider* `8 x 16` register tile
+//! ([`crate::microkernel::microkernel_real_wide`], one FMA per lane per depth
+//! step — the `6 x 8` complex tile is dictated by split re/im register
+//! pressure the real kernel does not have) under its own cache blocking
+//! (`MC_REAL = 256` vs `MC = 192`: the halved `f64`-only panels let the row
+//! block grow while the packed-A L2 footprint still *shrinks*, 512 KiB vs
+//! 768 KiB), and never touches an imaginary lane. The output is marked real.
+//! Real data whose hint was lost (e.g. a buffer built through `from_vec`)
+//! runs the complex kernel, whose real parts come out the same: every extra
+//! FMA adds an exact zero product.
 //!
-//! * **Caller-asserted realness.** [`gemm`] inspects the structural
-//!   [`Matrix::is_real`] hints; when both operands carry them it calls
-//!   [`gemm_into_real`], which packs `f64`-only panels (half the packing
-//!   traffic) consumed by a *wider* `8 x 16` register tile
-//!   ([`crate::microkernel::microkernel_real_wide`] — the `6 x 8` complex
-//!   tile is dictated by split re/im register pressure the real kernel does
-//!   not have) under its own cache blocking (`MC_REAL = 256` vs `MC = 192`:
-//!   the halved `f64`-only panels let the row block grow while the packed-A
-//!   L2 footprint still *shrinks*, 512 KiB vs 768 KiB), and never touches an
-//!   imaginary lane. The output is marked real.
-//! * **Per-block detection.** The split-complex packers report whether every
-//!   imaginary part in the gathered cache block was exactly zero; when both
-//!   blocks of a depth step are real, the real microkernel runs over the real
-//!   lanes of the already-packed split-complex panels. This catches real data
-//!   whose hint was lost (e.g. buffers built through `from_vec`) at zero
-//!   extra memory traffic.
-//!
-//! Neither path ever materialises a complex (or transposed) copy of a real
+//! The real path never materialises a complex (or transposed) copy of a real
 //! operand — `linalg/tests/alloc.rs` pins this with a counting allocator.
 //!
 //! # Flop accounting
@@ -104,8 +97,7 @@
 
 use crate::matrix::Matrix;
 use crate::microkernel::{
-    microkernel, microkernel_real, microkernel_real_wide, AccTile, RealAccTile, RealAccTileWide,
-    MR, MR_REAL, NR, NR_REAL,
+    microkernel, microkernel_real_wide, AccTile, RealAccTileWide, MR, MR_REAL, NR, NR_REAL,
 };
 use crate::pack::{pack_a, pack_a_real, pack_b, pack_b_real};
 use crate::scalar::C64;
@@ -194,10 +186,9 @@ pub fn gemm(opa: Op, opb: Op, a: &Matrix, b: &Matrix) -> Matrix {
 /// point is what `koala-tensor` uses to contract tensors without going
 /// through intermediate `Matrix` copies.
 ///
-/// Cache blocks whose imaginary parts are detected to be identically zero
-/// during packing are still executed by the real-only microkernel; callers
-/// that can *assert* realness structurally should use [`gemm_into_real`],
-/// which also halves the packing traffic.
+/// Every product runs the split-complex kernel; callers that can assert
+/// realness structurally use [`gemm_into_real`] instead, a quarter of the
+/// FMAs and half the packing traffic.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_into(
     opa: Op,
@@ -243,8 +234,7 @@ pub fn gemm_into_real(
 }
 
 /// Shared blocked driver behind [`gemm_into`] / [`gemm_into_real`].
-/// `assume_real` selects real-only packing; otherwise realness is detected
-/// per cache block.
+/// `assume_real` selects real-only packing and the wide real kernel.
 #[allow(clippy::too_many_arguments)]
 fn gemm_into_dispatch(
     opa: Op,
@@ -291,10 +281,8 @@ fn gemm_into_dispatch(
 
 /// Compute one `(MC, NC)` macro-tile of C at `(ic, jc)`.
 ///
-/// Work executed here is credited to the global counters at per-kernel
-/// granularity: depth blocks run by the real microkernel (asserted or
-/// detected) count as real MACs, the rest as complex MACs. The per-tile sums
-/// over all tiles and depth blocks reconstruct exactly `m * n * k`.
+/// Work executed here is credited as complex MACs, per depth block; the
+/// sums over all tiles and depth blocks reconstruct exactly `m * n * k`.
 ///
 /// # Safety
 ///
@@ -323,17 +311,14 @@ unsafe fn compute_tile(
     let mut bp: Vec<f64> = Vec::new();
     for pc in (0..k).step_by(KC) {
         let kc = KC.min(k - pc);
-        let b_real = pack_b(opb, b, ldb, pc, kc, jc, nc, &mut bp);
-        let a_real = pack_a(opa, a, lda, ic, mc, pc, kc, &mut ap);
-        // When both packed blocks turned out all-real, the strided real
-        // kernel consumes just the real lanes of the split-complex panels.
-        tile_depth_block(&ap, &bp, a_real && b_real, c, n, ic, jc, mc, nc, kc);
+        pack_b(opb, b, ldb, pc, kc, jc, nc, &mut bp);
+        pack_a(opa, a, lda, ic, mc, pc, kc, &mut ap);
+        tile_depth_block(&ap, &bp, c, n, ic, jc, mc, nc, kc);
     }
 }
 
 /// Run the strip loops of one `(macro-tile, depth-block)` pair over already
-/// packed split-complex panels, and credit its `mc * nc * kc` MACs to the
-/// matching counter.
+/// packed split-complex panels, and credit its `mc * nc * kc` complex MACs.
 ///
 /// # Safety
 ///
@@ -343,7 +328,6 @@ unsafe fn compute_tile(
 unsafe fn tile_depth_block(
     ap: &[f64],
     bp: &[f64],
-    block_real: bool,
     c: *mut C64,
     ldc: usize,
     ic: usize,
@@ -354,24 +338,15 @@ unsafe fn tile_depth_block(
 ) {
     let a_strip_len = kc * 2 * MR;
     let b_strip_len = kc * 2 * NR;
-    if block_real {
-        add_real_macs((mc * nc * kc) as u64);
-    } else {
-        add_complex_macs((mc * nc * kc) as u64);
-    }
+    add_complex_macs((mc * nc * kc) as u64);
     for (js, j0) in (jc..jc + nc).step_by(NR).enumerate() {
         let nr = NR.min(jc + nc - j0);
         let b_strip = &bp[js * b_strip_len..(js + 1) * b_strip_len];
         for (is, i0) in (ic..ic + mc).step_by(MR).enumerate() {
             let mr = MR.min(ic + mc - i0);
             let a_strip = &ap[is * a_strip_len..(is + 1) * a_strip_len];
-            if block_real {
-                let acc = microkernel_real(kc, a_strip, 2 * MR, b_strip, 2 * NR);
-                write_tile_real(&acc, c, ldc, i0, j0, mr, nr);
-            } else {
-                let acc = microkernel(kc, a_strip, b_strip);
-                write_tile(&acc, c, ldc, i0, j0, mr, nr);
-            }
+            let acc = microkernel(kc, a_strip, b_strip);
+            write_tile(&acc, c, ldc, i0, j0, mr, nr);
         }
     }
 }
@@ -439,7 +414,7 @@ unsafe fn tile_depth_block_real(
             let mr = MR_REAL.min(ic + mc - i0);
             let a_strip = &ap[is * a_strip_len..(is + 1) * a_strip_len];
             let acc = microkernel_real_wide(kc, a_strip, b_strip);
-            write_tile_real_wide(&acc, c, ldc, i0, j0, mr, nr);
+            write_tile_real(&acc, c, ldc, i0, j0, mr, nr);
         }
     }
 }
@@ -470,37 +445,15 @@ unsafe fn write_tile(
     }
 }
 
-/// Add a real accumulator tile into the real parts of C, masking the ragged
-/// edges. Imaginary parts are untouched (the update contributes none).
+/// Add a wide `8 x 16` real accumulator tile into the real parts of C,
+/// masking the ragged edges. Imaginary parts are untouched (the update
+/// contributes none).
 ///
 /// # Safety
 ///
 /// Same contract as [`write_tile`].
 #[inline(always)]
 unsafe fn write_tile_real(
-    acc: &RealAccTile,
-    c: *mut C64,
-    ldc: usize,
-    i0: usize,
-    j0: usize,
-    mr: usize,
-    nr: usize,
-) {
-    for i in 0..mr {
-        let row = c.add((i0 + i) * ldc + j0);
-        for j in 0..nr {
-            (*row.add(j)).re += acc[i][j];
-        }
-    }
-}
-
-/// [`write_tile_real`] for the wide `8 x 16` real accumulator tile.
-///
-/// # Safety
-///
-/// Same contract as [`write_tile`].
-#[inline(always)]
-unsafe fn write_tile_real_wide(
     acc: &RealAccTileWide,
     c: *mut C64,
     ldc: usize,
@@ -717,24 +670,6 @@ mod tests {
     }
 
     #[test]
-    fn per_block_detection_runs_real_kernel_on_unhinted_real_data() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let hinted = Matrix::random_real(20, 30, &mut rng);
-        // Launder the data through from_vec so the structural hint is lost.
-        let unhinted_a = Matrix::from_vec(20, 30, hinted.data().to_vec()).unwrap();
-        let unhinted_b = Matrix::random_real(30, 10, &mut rng);
-        let unhinted_b = Matrix::from_vec(30, 10, unhinted_b.data().to_vec()).unwrap();
-        assert!(!unhinted_a.is_real() && !unhinted_b.is_real());
-        let (c, work) = metered(|| matmul(&unhinted_a, &unhinted_b));
-        // The packers detect the zero imaginary lanes and the whole product
-        // runs on the real kernel, billed as real MACs.
-        assert_eq!((work.complex_macs, work.real_macs), (0, 20 * 30 * 10));
-        // The output hint stays conservative (detection is per block, not a
-        // structural guarantee about the operands).
-        assert!(!c.is_real());
-    }
-
-    #[test]
     fn mixed_real_complex_operands_use_the_complex_kernel() {
         let mut rng = StdRng::seed_from_u64(23);
         let a = Matrix::random_real(12, 9, &mut rng);
@@ -743,6 +678,21 @@ mod tests {
         assert_eq!((work.complex_macs, work.real_macs), (12 * 9 * 7, 0));
         assert!(!fast.is_real());
         assert!(fast.approx_eq(&matmul_naive(&a, &b), 1e-11));
+
+        // Real data laundered through `from_vec` has lost its hint, so it
+        // takes the complex kernel too: the hint is the only way onto the
+        // real one.
+        let launder = |x: Matrix| {
+            let (rows, cols) = x.shape();
+            Matrix::from_vec(rows, cols, x.data().to_vec()).unwrap()
+        };
+        let a = launder(Matrix::random_real(20, 30, &mut rng));
+        let b = launder(Matrix::random_real(30, 10, &mut rng));
+        assert!(!a.is_real() && !b.is_real());
+        let (fast, work) = metered(|| matmul(&a, &b));
+        assert_eq!((work.complex_macs, work.real_macs), (20 * 30 * 10, 0));
+        assert!(!fast.is_real());
+        assert!(fast.approx_eq(&matmul_naive(&a, &b), 1e-12));
     }
 
     #[test]

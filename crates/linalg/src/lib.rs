@@ -43,9 +43,9 @@
 //! [`is_real`](Matrix::is_real) hint (set by real constructors, propagated by
 //! realness-preserving operations, conservatively dropped by raw mutation);
 //! [`gemm()`] routes products of hinted-real operands onto a real-only
-//! microkernel that executes one quarter of the FMAs, and the split-complex
-//! packers detect all-real cache blocks so even unhinted real data drops to
-//! the cheap kernel per depth block. Work accounting is *scoped*: every
+//! microkernel that executes one quarter of the FMAs; the hint is the only
+//! way onto it, so real data whose hint was dropped runs the complex kernel
+//! (same real parts, full price). Work accounting is *scoped*: every
 //! product bills its complex and real multiply-adds to the process-global
 //! [`WorkMeter`], and callers that need per-workload attribution (e.g.
 //! per-tenant billing in `koala-serve`) wrap their work in

@@ -1,7 +1,7 @@
 //! Register-blocked GEMM microkernels over packed panels.
 //!
 //! Each microkernel multiplies one packed A strip with one packed B strip.
-//! Three variants exist:
+//! Two variants exist:
 //!
 //! * [`microkernel`] — the split-complex `MR x NR` kernel. Operands arrive
 //!   packed (see [`crate::pack`]) as split-complex groups — for each depth
@@ -12,11 +12,6 @@
 //!   one FMA per output lane per depth step on a register tile sized for the
 //!   real case (the `6 x 8` complex tile is dictated by split re/im register
 //!   pressure the real kernel does not have).
-//! * [`microkernel_real`] — the strided `MR x NR` real-only kernel used when
-//!   realness is only *detected* during split-complex packing: it reads just
-//!   the real lanes of the already-packed split-complex panels through a
-//!   caller-supplied group stride (`2 * MR`/`2 * NR`), so the detected case
-//!   costs no repacking.
 //!
 //! # Two implementations, one set of bits
 //!
@@ -28,7 +23,7 @@
 //!   LLVM does not reliably vectorize the portable loops for AVX-512
 //!   targets: under `znver4`/`znver5` tuning (the `target-cpu=native` of an
 //!   AVX-512 AMD EPYC) with the release profile's default thin-local LTO,
-//!   all three compiled to scalar `vfmadd*sd`, and the packed GEMM ran at
+//!   the portable kernels compiled to scalar `vfmadd*sd`, and the packed GEMM ran at
 //!   7 GFLOP/s, 0.15x the unpacked seed loop. Rewrites of the loops that
 //!   LLVM vectorized in isolation did not survive LTO either; intrinsics do.
 //! * **Portable** `f64` lane loops everywhere else. Every AVX2 tuning
@@ -93,11 +88,9 @@ pub(crate) const MR_REAL: usize = 8;
 /// registers of `f64` lanes).
 pub(crate) const NR_REAL: usize = 16;
 
-/// Real-only accumulator tile: `re[i][j]` for `C[i][j]` (imaginary parts of
-/// the update are identically zero).
-pub(crate) type RealAccTile = [[f64; NR]; MR];
-
-/// Accumulator tile of the wide `8 x 16` real microkernel.
+/// Accumulator tile of the wide `8 x 16` real microkernel: `[i][j]` is the
+/// real part of `C[i][j]` (imaginary parts of the update are identically
+/// zero).
 pub(crate) type RealAccTileWide = [[f64; NR_REAL]; MR_REAL];
 
 /// Multiply a packed real-only `MR_REAL x kc` A-strip by a packed real-only
@@ -106,9 +99,7 @@ pub(crate) type RealAccTileWide = [[f64; NR_REAL]; MR_REAL];
 ///
 /// This is the kernel behind the caller-asserted real path: one FMA per
 /// output lane per depth step on a register tile sized for the real case
-/// (see [`MR_REAL`]). The strided [`microkernel_real`] remains for depth
-/// blocks whose realness is only *detected* after split-complex packing,
-/// where the panel geometry is fixed at `MR x NR`.
+/// (see [`MR_REAL`]).
 #[inline(always)]
 pub(crate) fn microkernel_real_wide(kc: usize, ap: &[f64], bp: &[f64]) -> RealAccTileWide {
     debug_assert!(ap.len() >= MR_REAL * kc);
@@ -116,32 +107,11 @@ pub(crate) fn microkernel_real_wide(kc: usize, ap: &[f64], bp: &[f64]) -> RealAc
     kernels::microkernel_real_wide(kc, ap, bp)
 }
 
-/// Multiply the real lanes of a packed `MR x kc` A-strip by the real lanes of
-/// a packed `kc x NR` B-strip.
-///
-/// `a_group` / `b_group` are the distances (in floats) between consecutive
-/// depth groups of the panel: `MR` / `NR` for real-only panels, `2 * MR` /
-/// `2 * NR` to address only the real halves of split-complex panels. The
-/// first `MR` (resp. `NR`) floats of each group are the real lanes consumed.
-#[inline(always)]
-pub(crate) fn microkernel_real(
-    kc: usize,
-    ap: &[f64],
-    a_group: usize,
-    bp: &[f64],
-    b_group: usize,
-) -> RealAccTile {
-    debug_assert!(a_group >= MR && b_group >= NR);
-    debug_assert!(kc == 0 || ap.len() >= (kc - 1) * a_group + MR);
-    debug_assert!(kc == 0 || bp.len() >= (kc - 1) * b_group + NR);
-    kernels::microkernel_real(kc, ap, a_group, bp, b_group)
-}
-
 /// The kernels as plain `f64` lane loops: the build's kernels on targets
 /// without AVX-512F, and the oracle of the intrinsic kernels' tests.
 #[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "avx512f"))))]
 pub(crate) mod portable {
-    use super::{AccTile, RealAccTile, RealAccTileWide, MR, MR_REAL, NR, NR_REAL};
+    use super::{AccTile, RealAccTileWide, MR, MR_REAL, NR, NR_REAL};
 
     pub(super) const NAME: &str = "portable";
 
@@ -195,29 +165,6 @@ pub(crate) mod portable {
         }
         acc
     }
-
-    #[inline(always)]
-    pub(super) fn microkernel_real(
-        kc: usize,
-        ap: &[f64],
-        a_group: usize,
-        bp: &[f64],
-        b_group: usize,
-    ) -> RealAccTile {
-        let mut acc: RealAccTile = [[0.0; NR]; MR];
-        for p in 0..kc {
-            let ak = &ap[p * a_group..p * a_group + MR];
-            let bk = &bp[p * b_group..p * b_group + NR];
-            for i in 0..MR {
-                let ar = ak[i];
-                let row = &mut acc[i];
-                for j in 0..NR {
-                    row[j] = fmadd(ar, bk[j], row[j]);
-                }
-            }
-        }
-        acc
-    }
 }
 
 /// The kernels in AVX-512F intrinsics: one `zmm` register per 8-lane row of
@@ -226,7 +173,7 @@ pub(crate) mod portable {
 /// kernels of [`crate::lanes`].
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
 pub(crate) mod avx512 {
-    use super::{AccTile, RealAccTile, RealAccTileWide, MR, MR_REAL, NR, NR_REAL};
+    use super::{AccTile, RealAccTileWide, MR, MR_REAL, NR, NR_REAL};
     use core::arch::x86_64::{
         __m512d, _mm512_fmadd_pd, _mm512_fnmadd_pd, _mm512_loadu_pd, _mm512_set1_pd,
         _mm512_storeu_pd,
@@ -322,29 +269,6 @@ pub(crate) mod avx512 {
         }
         acc
     }
-
-    #[inline(always)]
-    pub(super) fn microkernel_real(
-        kc: usize,
-        ap: &[f64],
-        a_group: usize,
-        bp: &[f64],
-        b_group: usize,
-    ) -> RealAccTile {
-        let mut acc = [splat(0.0); MR];
-        for p in 0..kc {
-            let ak = &ap[p * a_group..p * a_group + MR];
-            let bk = load(&bp[p * b_group..]);
-            for i in 0..MR {
-                acc[i] = fmadd(splat(ak[i]), bk, acc[i]);
-            }
-        }
-        let mut out: RealAccTile = [[0.0; NR]; MR];
-        for i in 0..MR {
-            store(acc[i], &mut out[i]);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -407,40 +331,6 @@ mod tests {
                     want += ap[p * MR_REAL + i] * bp[p * NR_REAL + j];
                 }
                 assert!((acc[i][j] - want).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn real_kernel_matches_complex_kernel_on_zero_imaginary_panels() {
-        let kc = 6;
-        // Split-complex panels with zero imaginary lanes.
-        let mut ap = vec![0.0f64; 2 * MR * kc];
-        let mut bp = vec![0.0f64; 2 * NR * kc];
-        for p in 0..kc {
-            for i in 0..MR {
-                ap[p * 2 * MR + i] = (p + 2 * i) as f64 * 0.5 - 1.0;
-            }
-            for j in 0..NR {
-                bp[p * 2 * NR + j] = 1.5 - (p * NR + j) as f64 * 0.25;
-            }
-        }
-        let complex = microkernel(kc, &ap, &bp);
-        // Strided read over the split-complex panels...
-        let strided = microkernel_real(kc, &ap, 2 * MR, &bp, 2 * NR);
-        // ...and dense real-only panels with the same values.
-        let mut ap_real = vec![0.0f64; MR * kc];
-        let mut bp_real = vec![0.0f64; NR * kc];
-        for p in 0..kc {
-            ap_real[p * MR..(p + 1) * MR].copy_from_slice(&ap[p * 2 * MR..p * 2 * MR + MR]);
-            bp_real[p * NR..(p + 1) * NR].copy_from_slice(&bp[p * 2 * NR..p * 2 * NR + NR]);
-        }
-        let dense = microkernel_real(kc, &ap_real, MR, &bp_real, NR);
-        for i in 0..MR {
-            for j in 0..NR {
-                assert_eq!(strided[i][j], complex.re[i][j]);
-                assert_eq!(dense[i][j], complex.re[i][j]);
-                assert_eq!(complex.im[i][j], 0.0);
             }
         }
     }
@@ -514,26 +404,6 @@ mod simd_tests {
                 let want = portable::microkernel_real_wide(kc, &ap, &bp);
                 for i in 0..MR_REAL {
                     same_bits(&got[i], &want[i], &format!("wide row {i} {what}"));
-                }
-
-                // Dense, split-complex and odd group strides; the panels end
-                // exactly at the last lane read.
-                for (a_group, b_group) in [(MR, NR), (2 * MR, 2 * NR), (MR + 3, NR + 5)] {
-                    let len = |group: usize, width: usize| {
-                        if kc == 0 {
-                            0
-                        } else {
-                            (kc - 1) * group + width
-                        }
-                    };
-                    let ap = panel(len(a_group, MR), scale, special, &mut rng);
-                    let bp = panel(len(b_group, NR), scale, special, &mut rng);
-                    let got = microkernel_real(kc, &ap, a_group, &bp, b_group);
-                    let want = portable::microkernel_real(kc, &ap, a_group, &bp, b_group);
-                    for i in 0..MR {
-                        let what = format!("strided ({a_group}, {b_group}) row {i} {what}");
-                        same_bits(&got[i], &want[i], &what);
-                    }
                 }
             }
         }

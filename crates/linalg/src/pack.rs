@@ -7,11 +7,7 @@
 //! * **Split-complex** ([`pack_a`] / [`pack_b`]): A blocks become a sequence
 //!   of `MR`-row strips, B blocks a sequence of `NR`-column strips, each strip
 //!   storing, per depth index, the strip's real parts followed by its
-//!   imaginary parts. While gathering, the packers also *detect* whether every
-//!   imaginary part in the block is exactly zero and report it — the compare
-//!   is free next to the memory traffic, and it lets
-//!   [`mod@crate::gemm`] drop to the real microkernel per depth block even
-//!   when the caller could not assert realness structurally.
+//!   imaginary parts.
 //! * **Real-only** ([`pack_a_real`] / [`pack_b_real`]): the `f64`-panel
 //!   variant used when the caller asserts both operands are real (via the
 //!   [`Matrix::is_real`](crate::matrix::Matrix::is_real) hint). Only the real
@@ -65,10 +61,6 @@ pub(crate) fn strips(len: usize, unit: usize) -> usize {
 /// Pack the `mc x kc` block of the effective A starting at `(i0, p0)` into
 /// `out` as `ceil(mc / MR)` split-complex strips of `kc * 2 * MR` floats each,
 /// zero-padding the ragged final strip.
-///
-/// Returns `true` iff every imaginary part in the block is exactly zero
-/// (`-0.0` counts as zero), so the caller may run the real microkernel over
-/// the packed panel's real lanes.
 pub(crate) fn pack_a(
     op: Op,
     a: &[C64],
@@ -78,11 +70,10 @@ pub(crate) fn pack_a(
     p0: usize,
     kc: usize,
     out: &mut Vec<f64>,
-) -> bool {
+) {
     let n_strips = strips(mc, MR);
     out.clear();
     out.resize(n_strips * kc * 2 * MR, 0.0);
-    let mut all_real = true;
     for s in 0..n_strips {
         let rows = MR.min(mc - s * MR);
         let strip = &mut out[s * kc * 2 * MR..(s + 1) * kc * 2 * MR];
@@ -92,18 +83,15 @@ pub(crate) fn pack_a(
                 let z = read_a(op, a, lda, i0 + s * MR + r, p0 + p);
                 group[r] = z.re;
                 group[MR + r] = z.im;
-                all_real &= z.im == 0.0;
             }
             // Padding rows stay zero from the resize above.
         }
     }
-    all_real
 }
 
 /// Pack the `kc x nc` block of the effective B starting at `(p0, j0)` into
 /// `out` as `ceil(nc / NR)` split-complex strips of `kc * 2 * NR` floats each,
-/// zero-padding the ragged final strip. Returns the same realness verdict as
-/// [`pack_a`].
+/// zero-padding the ragged final strip.
 pub(crate) fn pack_b(
     op: Op,
     b: &[C64],
@@ -113,11 +101,10 @@ pub(crate) fn pack_b(
     j0: usize,
     nc: usize,
     out: &mut Vec<f64>,
-) -> bool {
+) {
     let n_strips = strips(nc, NR);
     out.clear();
     out.resize(n_strips * kc * 2 * NR, 0.0);
-    let mut all_real = true;
     for s in 0..n_strips {
         let cols = NR.min(nc - s * NR);
         let strip = &mut out[s * kc * 2 * NR..(s + 1) * kc * 2 * NR];
@@ -127,11 +114,9 @@ pub(crate) fn pack_b(
                 let z = read_b(op, b, ldb, p0 + p, j0 + s * NR + c);
                 group[c] = z.re;
                 group[NR + c] = z.im;
-                all_real &= z.im == 0.0;
             }
         }
     }
-    all_real
 }
 
 /// Pack the `mc x kc` block of the effective A into real-only panels:
@@ -224,10 +209,10 @@ mod tests {
         let mut packed_none = Vec::new();
         let mut packed_t = Vec::new();
         let mut packed_h = Vec::new();
-        assert!(!pack_a(Op::None, &plain, k, 0, m, 0, k, &mut packed_none));
-        assert!(!pack_a(Op::Transpose, &stored_t, m, 0, m, 0, k, &mut packed_t));
+        pack_a(Op::None, &plain, k, 0, m, 0, k, &mut packed_none);
+        pack_a(Op::Transpose, &stored_t, m, 0, m, 0, k, &mut packed_t);
         let conj_t: Vec<C64> = stored_t.iter().map(|z| z.conj()).collect();
-        assert!(!pack_a(Op::Adjoint, &conj_t, m, 0, m, 0, k, &mut packed_h));
+        pack_a(Op::Adjoint, &conj_t, m, 0, m, 0, k, &mut packed_h);
         assert_eq!(packed_none, packed_t);
         assert_eq!(packed_none, packed_h);
         // Padded rows of the ragged final strip are zero.
@@ -246,7 +231,7 @@ mod tests {
         let (k, n) = (4, 10); // one full strip + one ragged strip
         let b = sample(k, n);
         let mut packed = Vec::new();
-        assert!(!pack_b(Op::None, &b, n, 0, k, 0, n, &mut packed));
+        pack_b(Op::None, &b, n, 0, k, 0, n, &mut packed);
         assert_eq!(packed.len(), strips(n, NR) * k * 2 * NR);
         for p in 0..k {
             for j in 0..n {
@@ -257,24 +242,6 @@ mod tests {
                 assert_eq!(group[NR + c], b[p * n + j].im);
             }
         }
-    }
-
-    #[test]
-    fn complex_packers_detect_real_blocks() {
-        let (m, k) = (7, 4);
-        let real = sample_real(m, k);
-        let mut out = Vec::new();
-        assert!(pack_a(Op::None, &real, k, 0, m, 0, k, &mut out));
-        assert!(pack_b(Op::None, &real, k, 0, m, 0, k, &mut out));
-        // Negative zero still counts as real; a genuine imaginary part breaks
-        // the verdict.
-        let mut neg_zero = real.clone();
-        neg_zero[3].im = -0.0;
-        assert!(pack_a(Op::None, &neg_zero, k, 0, m, 0, k, &mut out));
-        let mut tainted = real.clone();
-        tainted[m * k - 1].im = 1e-300;
-        assert!(!pack_a(Op::None, &tainted, k, 0, m, 0, k, &mut out));
-        assert!(!pack_b(Op::None, &tainted, k, 0, m, 0, k, &mut out));
     }
 
     #[test]

@@ -172,7 +172,7 @@ struct QueuedJob {
 ///    on the shared `koala-exec` pool. Jobs sharing a workload
 ///    [`signature`](JobSpec::signature) are chained leader-first: the leader
 ///    pays the einsum plan-cache misses, every follower runs entirely on
-///    warm stripes.
+///    warm plans.
 /// 3. Each job executes inside its own [`WorkMeter`] scope, so its
 ///    [`JobReceipt`] bills exactly the multiply-adds and bytes it caused —
 ///    on whatever pool workers its tasks ran — and sibling receipts sum
@@ -259,7 +259,7 @@ impl Server {
         for (i, job) in jobs.iter().enumerate() {
             // Chain same-signature jobs leader-first: the leader's einsum
             // planning populates the shared plan cache, so every follower
-            // hits warm stripes (misses only on the first of a group).
+            // hits warm plans (misses only on the first of a group).
             let deps: Vec<koala_exec::TaskId> =
                 leaders.get(job.signature.as_str()).copied().into_iter().collect();
             let slot = &slots[i];

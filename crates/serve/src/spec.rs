@@ -17,8 +17,8 @@
 //! *shape-determining* fields (lattice, bonds, layers, step counts — but not
 //! value-level inputs like couplings or value seeds). Jobs sharing a
 //! signature execute the same einsum specs on the same tensor shapes, so the
-//! scheduler runs them leader-first and the followers hit warm plan-cache
-//! stripes (see [`crate::Server::drain`]). The amplitude signature *does*
+//! scheduler runs them leader-first and the followers hit warm cached plans
+//! (see [`crate::Server::drain`]). The amplitude signature *does*
 //! include the circuit seed, because the random circuit's gate placement
 //! determines the evolved bond dimensions and hence the contraction shapes.
 //!
@@ -387,7 +387,7 @@ impl JobSpec {
 
     /// Workload-signature key: jobs sharing a signature run the same einsum
     /// specs over the same tensor shapes, so the scheduler serialises them
-    /// leader-first to keep every follower on warm plan-cache stripes.
+    /// leader-first to keep every follower on warm cached plans.
     pub fn signature(&self) -> String {
         match self {
             JobSpec::Ite(j) => j.signature(),

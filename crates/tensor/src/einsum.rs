@@ -31,9 +31,9 @@
 //!   [`einsum`] additionally memoises the string → [`EinsumSpec`] parse in a
 //!   small side cache, so the steady-state string path performs no parsing
 //!   at all.
-//! * **Eviction policy.** A thread-safe LRU with a fixed capacity
-//!   ([`crate::plan::DEFAULT_PLAN_CACHE_CAPACITY`] entries, adjustable via
-//!   [`crate::plan::set_plan_cache_capacity`]). Each hit refreshes the
+//! * **Eviction policy.** An LRU behind one lock, whose capacity is a hard
+//!   bound ([`crate::plan::DEFAULT_PLAN_CACHE_CAPACITY`] entries, adjustable
+//!   via [`crate::plan::set_plan_cache_capacity`]). Each hit refreshes the
 //!   entry's recency stamp; inserting into a full cache evicts the
 //!   least-recently-used plan and bumps the eviction counter reported by
 //!   [`crate::plan::plan_stats`].

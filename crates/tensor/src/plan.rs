@@ -25,8 +25,7 @@ use crate::shape::is_identity_perm;
 use crate::tensor::Tensor;
 use koala_error::{KoalaError, Result};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, LazyLock, Mutex};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard};
 
 /// One pairwise contraction of the schedule: contract working-list slots
 /// `lhs` and `rhs` (with `lhs < rhs`) using the pre-analysed `pair` lowering
@@ -350,147 +349,102 @@ fn key_hash(spec: &EinsumSpec, shapes: &[&[usize]]) -> u64 {
 /// for several concurrent workloads before eviction starts.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 512;
 
-/// Number of lock stripes the cache is sharded over. Concurrent lookups of
-/// *different* keys proceed on different mutexes (concurrent bond updates
-/// and served jobs all plan through this cache);
-/// 16 stripes give a 16x expected contention reduction at negligible memory
-/// cost.
-const PLAN_CACHE_STRIPES: usize = 16;
-
-/// One lock stripe: a slice of the hash space with its own bucket map.
-/// LRU bookkeeping stays *global* — stamps come from the shared [`CLOCK`],
-/// the population from [`RESIDENT`], and eviction removes the globally
-/// oldest entry across all stripes — so sharding changes observable
-/// hit/miss/eviction behaviour not at all (pinned by `tests/plan_cache.rs`).
-#[derive(Default)]
-struct Stripe {
+/// The whole cache behind one lock: plans, LRU clock, capacity and the
+/// accounting counters change together, so residency never exceeds the
+/// capacity and [`plan_stats`] reads one consistent snapshot. A lookup holds
+/// the lock for a hash probe and a key compare; planning runs outside it.
+struct Cache {
     /// Buckets by precomputed key hash; collisions resolved by comparing
     /// against the spec/shapes stored in each resident plan.
     map: HashMap<u64, Vec<Entry>>,
+    /// LRU clock; every touch/insert takes the next tick.
+    clock: u64,
+    /// Plans resident across all buckets.
+    resident: usize,
+    /// Maximum resident plans.
+    capacity: usize,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
 }
 
-impl Stripe {
-    /// `(hash, stamp)` of this stripe's oldest entry.
-    fn oldest(&self) -> Option<(u64, u64)> {
-        self.map
-            .iter()
-            .flat_map(|(&h, bucket)| bucket.iter().map(move |e| (h, e.stamp)))
-            .min_by_key(|&(_, stamp)| stamp)
+impl Cache {
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
     }
 
-    /// Remove the entry with exactly this `(hash, stamp)`; false if a
-    /// concurrent touch re-stamped it in the meantime.
-    fn remove_stamp(&mut self, hash: u64, stamp: u64) -> bool {
-        let Some(bucket) = self.map.get_mut(&hash) else { return false };
-        let before = bucket.len();
-        bucket.retain(|e| e.stamp != stamp);
-        let removed = bucket.len() < before;
-        if bucket.is_empty() {
-            self.map.remove(&hash);
+    /// Look the key up, bumping the entry's stamp on a hit, and count the
+    /// hit or miss.
+    fn touch(&mut self, hash: u64, spec: &EinsumSpec, shapes: &[&[usize]]) -> Option<Arc<Plan>> {
+        let stamp = self.tick();
+        let found = self.map.get_mut(&hash).and_then(|bucket| {
+            let entry = bucket.iter_mut().find(|e| e.matches(spec, shapes))?;
+            entry.stamp = stamp;
+            Some(Arc::clone(&entry.plan))
+        });
+        if found.is_some() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
         }
-        removed
+        found
     }
-}
 
-static STRIPES: LazyLock<Vec<Mutex<Stripe>>> =
-    LazyLock::new(|| (0..PLAN_CACHE_STRIPES).map(|_| Mutex::new(Stripe::default())).collect());
-
-/// Global LRU clock; every touch/insert takes the next tick.
-static CLOCK: AtomicU64 = AtomicU64::new(0);
-/// Plans resident across all stripes.
-static RESIDENT: AtomicUsize = AtomicUsize::new(0);
-/// Maximum resident plans across all stripes (global, not per stripe).
-static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_PLAN_CACHE_CAPACITY);
-
-fn stripe_of(hash: u64) -> &'static Mutex<Stripe> {
-    &STRIPES[(hash as usize) % PLAN_CACHE_STRIPES]
-}
-
-/// Look `hash` up in its stripe, bumping the entry's stamp on a hit.
-fn cache_touch(hash: u64, spec: &EinsumSpec, shapes: &[&[usize]]) -> Option<Arc<Plan>> {
-    let stamp = CLOCK.fetch_add(1, Ordering::Relaxed) + 1;
-    let mut stripe = crate::lock_ignore_poison(stripe_of(hash));
-    stripe.map.get_mut(&hash)?.iter_mut().find(|e| e.matches(spec, shapes)).map(|e| {
-        e.stamp = stamp;
-        Arc::clone(&e.plan)
-    })
-}
-
-/// Insert a freshly built plan, evicting globally-oldest entries first if
-/// the cache is at capacity. Two threads racing to plan the same key both
-/// insert; the dedup check keeps one.
-fn cache_insert(hash: u64, plan: Arc<Plan>) {
-    let stamp = CLOCK.fetch_add(1, Ordering::Relaxed) + 1;
-    // Never hold a stripe lock while evicting (eviction scans every
-    // stripe); dedup-or-make-room first, then insert.
-    {
-        let mut stripe = crate::lock_ignore_poison(stripe_of(hash));
-        if let Some(bucket) = stripe.map.get_mut(&hash) {
-            if let Some(existing) =
-                bucket.iter_mut().find(|e| e.plan.spec == plan.spec && e.plan.shapes == plan.shapes)
-            {
-                existing.plan = plan;
-                existing.stamp = stamp;
-                return;
-            }
-        }
-    }
-    let mut failed_attempts = 0;
-    while RESIDENT.load(Ordering::Acquire) >= CAPACITY.load(Ordering::Acquire) {
-        if !evict_global_oldest() {
-            // Empty cache (capacity reached by concurrent inserts) or the
-            // chosen victim was re-stamped by a racing touch; give up after
-            // a few tries rather than spin — a transient overshoot of the
-            // capacity is corrected by the next insert.
-            failed_attempts += 1;
-            if failed_attempts >= 4 {
-                break;
-            }
-        }
-    }
-    let mut stripe = crate::lock_ignore_poison(stripe_of(hash));
-    if let Some(bucket) = stripe.map.get_mut(&hash) {
-        if let Some(existing) =
-            bucket.iter_mut().find(|e| e.plan.spec == plan.spec && e.plan.shapes == plan.shapes)
-        {
+    /// Insert a freshly built plan, evicting least-recently-used plans first
+    /// if the cache is full. Two threads racing to plan the same key both
+    /// insert; the second replaces the first, so the key stays resident once.
+    fn insert(&mut self, hash: u64, plan: Arc<Plan>) {
+        let stamp = self.tick();
+        let same_key = |e: &&mut Entry| e.plan.spec == plan.spec && e.plan.shapes == plan.shapes;
+        if let Some(existing) = self.map.get_mut(&hash).and_then(|b| b.iter_mut().find(same_key)) {
             existing.plan = plan;
             existing.stamp = stamp;
             return;
         }
+        self.shrink_to(self.capacity - 1);
+        self.map.entry(hash).or_default().push(Entry { plan, stamp });
+        self.resident += 1;
     }
-    stripe.map.entry(hash).or_default().push(Entry { plan, stamp });
-    RESIDENT.fetch_add(1, Ordering::AcqRel);
-}
 
-/// Remove the least-recently-used entry *across all stripes*: scan each
-/// stripe (one lock at a time — never two held together, so no lock-order
-/// deadlock) for its oldest stamp, then remove the global minimum. A
-/// concurrent touch can re-stamp the chosen entry between the scan and the
-/// removal; the caller simply retries. Linear scan: the capacity is small
-/// and eviction is rare in steady state. Returns whether an entry was
-/// evicted.
-fn evict_global_oldest() -> bool {
-    let mut oldest: Option<(usize, u64, u64)> = None; // (stripe, hash, stamp)
-    for (si, stripe) in STRIPES.iter().enumerate() {
-        if let Some((h, stamp)) = crate::lock_ignore_poison(stripe).oldest() {
-            if oldest.is_none_or(|(_, _, s)| stamp < s) {
-                oldest = Some((si, h, stamp));
+    /// Evict least-recently-used plans until at most `limit` are resident.
+    /// Linear scan: the capacity is small and eviction is rare in steady
+    /// state.
+    fn shrink_to(&mut self, limit: usize) {
+        while self.resident > limit {
+            let oldest = self
+                .map
+                .iter()
+                .flat_map(|(&hash, bucket)| bucket.iter().map(move |e| (hash, e.stamp)))
+                .min_by_key(|&(_, stamp)| stamp);
+            let Some((hash, stamp)) = oldest else { return };
+            if let Some(bucket) = self.map.get_mut(&hash) {
+                bucket.retain(|e| e.stamp != stamp);
+                if bucket.is_empty() {
+                    self.map.remove(&hash);
+                }
             }
+            self.resident -= 1;
+            self.evictions += 1;
         }
     }
-    let Some((si, hash, stamp)) = oldest else { return false };
-    if crate::lock_ignore_poison(&STRIPES[si]).remove_stamp(hash, stamp) {
-        RESIDENT.fetch_sub(1, Ordering::AcqRel);
-        EVICTIONS.fetch_add(1, Ordering::Relaxed);
-        true
-    } else {
-        false
-    }
 }
 
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static EVICTIONS: AtomicU64 = AtomicU64::new(0);
+static CACHE: LazyLock<Mutex<Cache>> = LazyLock::new(|| {
+    Mutex::new(Cache {
+        map: HashMap::new(),
+        clock: 0,
+        resident: 0,
+        capacity: DEFAULT_PLAN_CACHE_CAPACITY,
+        hits: 0,
+        misses: 0,
+        evictions: 0,
+    })
+});
+
+fn cache() -> MutexGuard<'static, Cache> {
+    crate::lock_ignore_poison(&CACHE)
+}
 
 /// Snapshot of the plan-cache accounting counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -516,59 +470,55 @@ pub struct PlanStats {
 /// call site.
 pub fn contraction_plan(spec: &EinsumSpec, shapes: &[&[usize]]) -> Result<Arc<Plan>> {
     let hash = key_hash(spec, shapes);
-    if let Some(plan) = cache_touch(hash, spec, shapes) {
-        HITS.fetch_add(1, Ordering::Relaxed);
+    let cached = cache().touch(hash, spec, shapes);
+    if let Some(plan) = cached {
         return Ok(plan);
     }
     // Plan outside the lock: planning is the expensive part, and two threads
     // racing to plan the same key merely insert the same value twice (insert
     // deduplicates, keeping the newer plan).
-    MISSES.fetch_add(1, Ordering::Relaxed);
     let plan = Arc::new(Plan::build(spec, shapes)?);
-    cache_insert(hash, Arc::clone(&plan));
+    cache().insert(hash, Arc::clone(&plan));
     Ok(plan)
 }
 
-/// Read the plan-cache hit/miss/eviction counters.
+/// Read the plan-cache hit/miss/eviction counters and residency.
 pub fn plan_stats() -> PlanStats {
+    let cache = cache();
     PlanStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        evictions: EVICTIONS.load(Ordering::Relaxed),
-        entries: RESIDENT.load(Ordering::Acquire),
-        capacity: CAPACITY.load(Ordering::Acquire),
+        hits: cache.hits,
+        misses: cache.misses,
+        evictions: cache.evictions,
+        entries: cache.resident,
+        capacity: cache.capacity,
     }
 }
 
 /// Zero the hit/miss/eviction counters (resident plans are kept).
 pub fn reset_plan_stats() {
-    HITS.store(0, Ordering::Relaxed);
-    MISSES.store(0, Ordering::Relaxed);
-    EVICTIONS.store(0, Ordering::Relaxed);
+    let mut cache = cache();
+    cache.hits = 0;
+    cache.misses = 0;
+    cache.evictions = 0;
 }
 
 /// Drop every cached plan and every memoised spec parse (counters are kept).
 /// Used by benchmarks that measure cold planning overhead — after this call
 /// the next `einsum` pays parsing, validation, and the greedy search again.
 pub fn clear_plan_cache() {
-    let mut dropped = 0usize;
-    for stripe in STRIPES.iter() {
-        let mut stripe = crate::lock_ignore_poison(stripe);
-        dropped += stripe.map.values().map(Vec::len).sum::<usize>();
-        stripe.map.clear();
+    {
+        let mut cache = cache();
+        cache.map.clear();
+        cache.resident = 0;
     }
-    RESIDENT.fetch_sub(dropped, Ordering::AcqRel);
     crate::einsum::clear_parse_cache();
 }
 
 /// Change the cache capacity, evicting least-recently-used plans if the new
 /// capacity is smaller than the current population.
 pub fn set_plan_cache_capacity(capacity: usize) {
-    let capacity = capacity.max(1);
-    CAPACITY.store(capacity, Ordering::Release);
-    while RESIDENT.load(Ordering::Acquire) > capacity {
-        if !evict_global_oldest() {
-            break;
-        }
-    }
+    let mut cache = cache();
+    cache.capacity = capacity.max(1);
+    let capacity = cache.capacity;
+    cache.shrink_to(capacity);
 }

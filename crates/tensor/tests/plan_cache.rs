@@ -162,6 +162,34 @@ fn plans_are_shared_across_threads() {
     assert_eq!(after.hits - warm.hits, 8 * 16);
 }
 
+/// The capacity is a hard bound even while threads insert concurrently: one
+/// consistent snapshot afterwards shows at most `capacity` resident plans,
+/// and every miss is either still resident or counted as evicted.
+#[test]
+fn capacity_is_a_hard_bound_under_concurrent_inserts() {
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    clear_plan_cache();
+    koala_tensor::reset_plan_stats();
+    koala_tensor::set_plan_cache_capacity(8);
+    let spec = parse_spec("ij,jk->ik").unwrap();
+    std::thread::scope(|scope| {
+        for t in 0..4usize {
+            let spec = &spec;
+            scope.spawn(move || {
+                for i in 0..32usize {
+                    // 128 distinct keys: the row count differs per (t, i).
+                    let rows = 1 + 32 * t + i;
+                    contraction_plan(spec, &[&[rows, 2][..], &[2, 3][..]]).unwrap();
+                }
+            });
+        }
+    });
+    let stats = plan_stats();
+    assert!(stats.entries <= 8, "{} plans resident at capacity 8", stats.entries);
+    assert_eq!(stats.misses, stats.entries as u64 + stats.evictions);
+    koala_tensor::set_plan_cache_capacity(koala_tensor::DEFAULT_PLAN_CACHE_CAPACITY);
+}
+
 // ---------------------------------------------------------------------------
 // Property sweep: planned execution vs a plan-independent naive evaluator.
 // ---------------------------------------------------------------------------

@@ -181,9 +181,9 @@ fn einsum_of_real_tensors_is_real_and_matches_complex_arithmetic() {
     let out = einsum("ijk,kjl,lm->mi", &[&a, &b, &c]).unwrap();
     assert!(out.is_real(), "einsum of real tensors must carry the realness hint");
     assert!(out.data().iter().all(|z| z.im == 0.0));
-    // Same contraction with the hints laundered away (per-block detection
-    // still guarantees identical real-kernel arithmetic, so results agree to
-    // rounding): semantics are those of complex arithmetic.
+    // Same contraction with the hints laundered away: the products run the
+    // complex kernel, whose extra FMAs add exact zero products, so results
+    // agree to rounding: semantics are those of complex arithmetic.
     let a_c = Tensor::from_vec(&[2, 3, 4], a.data().to_vec()).unwrap();
     let b_c = Tensor::from_vec(&[4, 3, 5], b.data().to_vec()).unwrap();
     let c_c = Tensor::from_vec(&[5, 2], c.data().to_vec()).unwrap();
