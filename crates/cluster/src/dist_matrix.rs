@@ -83,7 +83,7 @@ use crate::grid::{refine, Dist1D, Panel, ProcGrid};
 use crate::stats::RoundCost;
 use koala_error::{ErrorKind, KoalaError};
 use koala_exec::{TaskGraph, TaskId, TaskKind};
-use koala_linalg::{c64, eigh, matmul, matmul_adj_a, Matrix, C64};
+use koala_linalg::{c64, matmul, matmul_adj_a, Matrix, C64};
 use koala_linalg::{gemm_into, gemm_into_real, Op};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -898,11 +898,6 @@ pub struct DistQr {
     pub r_inv: Option<Matrix>,
 }
 
-/// Relative eigenvalue floor below which the distributed Gram matrix is
-/// considered to have lost positive semi-definiteness — same threshold and
-/// rationale as the shared-memory `koala_linalg::gram` ladder.
-const GRAM_PSD_FLOOR: f64 = 1e-10;
-
 /// Distributed QR through the Gram matrix (paper Algorithm 5) on the
 /// column-replicated (grid `p x 1`) layout: the only collective is the
 /// allreduce of the tiny `ncols x ncols` Gram matrix ([`DistMatrix::gram`],
@@ -913,37 +908,20 @@ const GRAM_PSD_FLOOR: f64 = 1e-10;
 /// eigendecomposition, the `R` factors, and the distributed `Q` all carry the
 /// hint, and every rank bills real MACs only.
 ///
-/// Ill-conditioning is detected, not suffered: if the Gram matrix is
-/// non-finite, its eigendecomposition fails, or an eigenvalue falls below
-/// `-GRAM_PSD_FLOOR * lambda_max` (the squared condition number destroyed
-/// the spectrum — the paper's own stability caveat for Algorithm 5), the
-/// routine degrades to [`qr_gather_dist`] — the stable gather/factorize/
-/// scatter baseline, at its redistribution cost — and notes the degradation
-/// on the [`koala_error::recovery`] counters. Non-finite *input* blocks are
+/// Ill-conditioning is detected, not suffered: if the Gram matrix fails the
+/// health rule of [`koala_linalg::gram_factors`] (the squared condition
+/// number destroyed the spectrum — the paper's own stability caveat for
+/// Algorithm 5), the routine degrades to [`qr_gather_dist`] — the stable
+/// gather/factorize/scatter baseline, at its redistribution cost — and notes
+/// the degradation on the [`koala_error::recovery`] counters. Non-finite *input* blocks are
 /// rejected up front: no factorization can repair them.
 pub fn gram_qr_dist(a: &DistMatrix) -> koala_error::Result<DistQr> {
     let n = a.ncols();
     let g = a.gram()?;
-    // Every rank performs the identical small eigendecomposition (replicated,
-    // as in the paper where the Gram matrix is sent to local memory).
-    let healthy = if g.validate_finite("distributed Gram matrix").is_err() {
-        None
-    } else {
-        match eigh(&g) {
-            Ok(e) => {
-                let lam_max = e.values.iter().cloned().fold(0.0, f64::max).max(0.0);
-                let lam_min = e.values.first().copied().unwrap_or(0.0); // ascending order
-                let finite = e.values.iter().all(|lam| lam.is_finite());
-                if finite && lam_min >= -GRAM_PSD_FLOOR * lam_max.max(f64::MIN_POSITIVE) {
-                    Some((e, lam_max))
-                } else {
-                    None
-                }
-            }
-            Err(_) => None,
-        }
-    };
-    let Some((e, lam_max)) = healthy else {
+    // Every rank performs the identical small eigendecomposition and factor
+    // assembly (replicated, as in the paper where the Gram matrix is sent to
+    // local memory), through the same helper as `koala_linalg::gram_qr`.
+    let Some((r, r_inv)) = koala_linalg::gram_factors(&g) else {
         for rank in 0..a.cluster().nranks() {
             a.block(rank)
                 .validate_finite("gram_qr_dist input block")
@@ -953,10 +931,6 @@ pub fn gram_qr_dist(a: &DistMatrix) -> koala_error::Result<DistQr> {
         return Ok(qr_gather_dist(a));
     };
     a.cluster().record_macs_all((n * n * n) as u64, g.is_real());
-    // R = sqrt(Lambda) X^H and R^{-1} = X sqrt(Lambda)^{-1}, assembled by the
-    // same element-wise helper as the shared-memory `koala_linalg::gram_qr`
-    // (no X / X^H intermediates).
-    let (r, r_inv) = koala_linalg::gram_r_factors(&e, lam_max * 1e-24);
     // Q = A R^{-1}: a purely local multiply on each row block.
     let q = a.matmul_replicated(&r_inv);
     Ok(DistQr { q, r, r_inv: Some(r_inv) })

@@ -293,8 +293,7 @@ pub fn amplitude<R: Rng + ?Sized>(
 }
 
 /// One [`amplitude`] per bitstring of `bitstrings`, in order, each contracted
-/// as an independent task on the `koala_exec` pool (inline in order on a
-/// one-thread pool or for a single bitstring).
+/// as an independent task on the `koala_exec` pool.
 ///
 /// The caller's stream yields one `u64` per bitstring, all drawn before
 /// anything runs, and each seeds the private [`StdRng`] of its contraction:
@@ -313,17 +312,13 @@ pub fn amplitude_batch<R: Rng + ?Sized>(
 }
 
 /// Run `n` independent contractions, `job(i)` filling slot `i`: one task each
-/// on the `koala_exec` pool, or inline in index order when the pool has one
-/// thread or there is one job. The jobs share read-only borrows and bring
-/// their own random streams, so no slot depends on the schedule. A failed job
+/// on the `koala_exec` pool. The jobs share read-only borrows and bring their
+/// own random streams, so no slot depends on the schedule. A failed job
 /// cancels the run and its error is returned.
 pub(crate) fn contract_each<T: Send>(
     n: usize,
     job: impl Fn(usize) -> Result<T> + Sync,
 ) -> Result<Vec<T>> {
-    if n <= 1 || koala_exec::threads() == 1 {
-        return (0..n).map(job).collect();
-    }
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let mut graph = TaskGraph::new();
     for (i, slot) in slots.iter().enumerate() {

@@ -27,15 +27,14 @@
 //!
 //! The two environment sweeps, and after them the terms, are independent
 //! contractions (paper Fig. 6): each runs as one task on the `koala_exec`
-//! pool, inline in order on a one-thread pool or when there is only one (the
-//! [`apply_gates`](crate::apply_gates) rule). The caller's random stream
-//! yields **one `u64` per independent contraction** — top sweep, bottom
-//! sweep, then every term in term order (and, without environments, the norm
-//! of [`expectation_and_norm`]) — all drawn serially before anything runs,
-//! and each seeds the private [`StdRng`] of its contraction. Every task
-//! writes its own slot and the term values are summed in term order, so the
-//! result is bit-identical at every thread count, and what a call takes from
-//! the caller's stream depends only on `use_cache` and the number of terms.
+//! pool. The caller's random stream yields **one `u64` per independent
+//! contraction** — top sweep, bottom sweep, then every term in term order
+//! (and, without environments, the norm of [`expectation_and_norm`]) — all
+//! drawn serially before anything runs, and each seeds the private
+//! [`StdRng`] of its contraction. Every task writes its own slot and the term
+//! values are summed in term order, so the result is bit-identical at every
+//! thread count, and what a call takes from the caller's stream depends only
+//! on `use_cache` and the number of terms.
 
 use crate::contract::{
     contract_each, row_as_mpo, row_as_mps, sites_as_mpo, sites_as_mps, ContractionMethod,

@@ -427,22 +427,6 @@ fn dependencies(num_sites: usize, targets: &[Target]) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// How many ops of a list can be in flight together: the largest number of
-/// ops that share a depth (longest dependency path below them). Width 1
-/// means the list is one chain.
-fn width(deps: &[Vec<usize>]) -> usize {
-    let mut depth = vec![0usize; deps.len()];
-    let mut per_depth: Vec<usize> = Vec::new();
-    for (i, d) in deps.iter().enumerate() {
-        depth[i] = d.iter().map(|&j| depth[j] + 1).max().unwrap_or(0);
-        if depth[i] == per_depth.len() {
-            per_depth.push(0);
-        }
-        per_depth[depth[i]] += 1;
-    }
-    per_depth.into_iter().max().unwrap_or(0)
-}
-
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -458,8 +442,6 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// not the schedule — fix the order in which each site is updated, the
 /// resulting tensors, the per-op errors and the `WorkMeter` billing are
 /// bit-identical to applying the ops one after another, at any thread count.
-/// A list that is one chain, or a one-thread pool, runs the same ops inline
-/// on the caller.
 ///
 /// # Errors
 ///
@@ -512,31 +494,26 @@ pub fn apply_gates(peps: &mut Peps, ops: &[GateOp<'_>], method: UpdateMethod) ->
         })
     };
 
-    if width(&deps) <= 1 || koala_exec::threads() == 1 {
-        (0..ops.len()).try_for_each(run_op)?;
-    } else {
-        // The error of the earliest failed op in list order; the executor
-        // reports whichever task failed first in time.
-        let failure: Mutex<Option<(usize, KoalaError)>> = Mutex::new(None);
-        let mut graph = TaskGraph::new();
-        let mut ids: Vec<TaskId> = Vec::with_capacity(ops.len());
-        for (i, op_deps) in deps.iter().enumerate() {
-            let (run_op, failure) = (&run_op, &failure);
-            let op_deps: Vec<TaskId> = op_deps.iter().map(|&j| ids[j]).collect();
-            ids.push(graph.add(TaskKind::Update, &op_deps, move || {
-                run_op(i).inspect_err(|e| {
-                    let mut first = lock(failure);
-                    if first.as_ref().is_none_or(|(j, _)| i < *j) {
-                        *first = Some((i, e.clone()));
-                    }
-                })
-            }));
-        }
-        if let Err(exec_err) = graph.run() {
-            // No op recorded an error: a task panicked (a bug the inline
-            // walk would also have panicked on).
-            return Err(lock(&failure).take().map_or(exec_err, |(_, e)| e));
-        }
+    // The error of the earliest failed op in list order; the executor
+    // reports whichever task failed first in time.
+    let failure: Mutex<Option<(usize, KoalaError)>> = Mutex::new(None);
+    let mut graph = TaskGraph::new();
+    let mut ids: Vec<TaskId> = Vec::with_capacity(ops.len());
+    for (i, op_deps) in deps.iter().enumerate() {
+        let (run_op, failure) = (&run_op, &failure);
+        let op_deps: Vec<TaskId> = op_deps.iter().map(|&j| ids[j]).collect();
+        ids.push(graph.add(TaskKind::Update, &op_deps, move || {
+            run_op(i).inspect_err(|e| {
+                let mut first = lock(failure);
+                if first.as_ref().is_none_or(|(j, _)| i < *j) {
+                    *first = Some((i, e.clone()));
+                }
+            })
+        }));
+    }
+    if let Err(exec_err) = graph.run() {
+        // No op recorded an error: a task panicked.
+        return Err(lock(&failure).take().map_or(exec_err, |(_, e)| e));
     }
     Ok(errs.into_inner().unwrap_or_else(PoisonError::into_inner))
 }
@@ -769,9 +746,9 @@ mod tests {
         );
     }
 
-    fn list_width(peps: &Peps, ops: &[GateOp<'_>]) -> usize {
+    fn list_deps(peps: &Peps, ops: &[GateOp<'_>]) -> Vec<Vec<usize>> {
         let targets: Vec<Target> = ops.iter().map(|op| target(peps, op).unwrap()).collect();
-        width(&dependencies(peps.num_sites(), &targets))
+        dependencies(peps.num_sites(), &targets)
     }
 
     #[test]
@@ -780,11 +757,19 @@ mod tests {
         let ops = |pairs: Vec<(Site, Site)>| -> Vec<GateOp<'_>> {
             pairs.into_iter().map(|(a, b)| GateOp::two_site(&gate, a, b)).collect()
         };
+        // A row's bonds form one chain: op `i` waits for op `i - 1` alone.
         let row = Peps::computational_zeros(1, 6);
-        assert_eq!(list_width(&row, &ops(row.horizontal_pairs())), 1);
+        for (i, d) in list_deps(&row, &ops(row.horizontal_pairs())).iter().enumerate() {
+            let expected: Vec<usize> = i.checked_sub(1).into_iter().collect();
+            assert_eq!(*d, expected, "op {i}");
+        }
+        // The horizontal pairs of several rows: no edge crosses rows.
         for n in [2, 3, 5] {
             let peps = Peps::computational_zeros(n, 4);
-            assert_eq!(list_width(&peps, &ops(peps.horizontal_pairs())), n);
+            let pairs = peps.horizontal_pairs();
+            for (i, d) in list_deps(&peps, &ops(pairs.clone())).iter().enumerate() {
+                assert!(d.iter().all(|&j| pairs[j].0 .0 == pairs[i].0 .0), "op {i}: {d:?}");
+            }
         }
         // One-site ops on distinct sites are all independent; a second op on
         // a site waits for the first.
@@ -792,8 +777,8 @@ mod tests {
         let x = pauli_x();
         let sites = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 0)];
         let one_site: Vec<GateOp<'_>> = sites.iter().map(|&s| GateOp::one_site(&x, s)).collect();
-        assert_eq!(list_width(&peps, &one_site), 4);
-        assert_eq!(list_width(&peps, &[]), 0);
+        assert_eq!(list_deps(&peps, &one_site), [vec![], vec![], vec![], vec![], vec![0]]);
+        assert!(list_deps(&peps, &[]).is_empty());
     }
 
     #[test]
@@ -815,7 +800,7 @@ mod tests {
             GateOp::two_site(&g_xx, (1, 0), (1, 1)),
             GateOp::two_site(&g_zz, (1, 1), (1, 2)),
         ];
-        assert_eq!(list_width(&base, &in_order), 2);
+        assert_eq!(list_deps(&base, &in_order), [vec![], vec![0], vec![], vec![2]]);
         let mut graph_run = base.clone();
         let errs = apply_gates(&mut graph_run, &in_order, method).unwrap();
 

@@ -1,4 +1,4 @@
-//! Work-stealing task-graph executor for the koala-rs hot paths.
+//! Task-graph executor for the koala-rs hot paths.
 //!
 //! The shared-memory layer expresses its parallel work — SUMMA rounds, the
 //! bond updates of a PEPS gate list, the environment sweeps and term strips
@@ -6,12 +6,13 @@
 //! steps of one boundary contraction, served jobs — as DAGs of typed tasks
 //! with declared dependencies, and this crate runs them:
 //!
-//! - A [`Pool`] of persistent workers with per-worker deques and a shared
-//!   injector queue. A pool of `n` threads spawns `n - 1` workers; the
-//!   thread that calls [`TaskGraph::run_on`] is the n-th compute thread, so
-//!   `n = 1` means *fully serial, inline, on the caller* — no workers, no
-//!   queues, a plain topological FIFO walk. That serial walk is the
-//!   reference order every parallel schedule must reproduce bit-for-bit.
+//! - A [`Pool`] of persistent workers that share one FIFO job queue. A pool
+//!   of `n` threads spawns `n - 1` workers; the thread that calls
+//!   [`TaskGraph::run_on`] is the n-th compute thread. Where a graph runs
+//!   is decided in one place, [`TaskGraph::run_on`]: a graph that cannot
+//!   use a second thread runs inline on the caller as a plain topological
+//!   FIFO walk, which is also the reference order every parallel schedule
+//!   must reproduce bit-for-bit.
 //! - [`TaskGraph`] collects tasks (`FnOnce() -> Result<(), KoalaError>`
 //!   closures that may borrow caller data) plus dependency edges, then
 //!   [`TaskGraph::run`]s them. `run` blocks until every closure has been
@@ -99,7 +100,7 @@ use koala_error::{ErrorKind, KoalaError};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -108,7 +109,7 @@ use std::time::Duration;
 /// come from a panic in the executor itself; the counters and queues remain
 /// structurally valid either way.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// What a task *is*, for diagnostics and error context. The executor does
@@ -240,12 +241,36 @@ impl<'env> TaskGraph<'env> {
         self.run_on(&pool())
     }
 
+    /// How many tasks can be in flight together: the largest number of tasks
+    /// that share a depth (longest dependency path below them). One task and
+    /// a chain both have width 1; the empty graph has width 0.
+    fn width(&self) -> usize {
+        let mut depth = Vec::with_capacity(self.tasks.len());
+        let mut per_depth: Vec<usize> = Vec::new();
+        for node in &self.tasks {
+            let d = node.deps.iter().map(|&j| depth[j] + 1).max().unwrap_or(0);
+            if d == per_depth.len() {
+                per_depth.push(0);
+            }
+            per_depth[d] += 1;
+            depth.push(d);
+        }
+        per_depth.into_iter().max().unwrap_or(0)
+    }
+
     /// Run the graph on a specific pool. Blocks until the run completes,
     /// or fails; the calling thread executes tasks too.
+    ///
+    /// This is the one place that decides where a graph runs. A one-thread
+    /// pool, one task or one chain (a graph whose width — the most tasks
+    /// that share a depth — is at most 1) runs inline on the caller, in the
+    /// serial reference order; anything wider goes through the pool's
+    /// queue, and the caller works on its own run alongside the workers.
     pub fn run_on(self, pool: &Pool) -> TaskResult {
         if self.tasks.is_empty() {
             return Ok(());
         }
+        let inline = pool.shared.threads == 1 || self.width() <= 1;
         let n = self.tasks.len();
         let mut pending = Vec::with_capacity(n);
         let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -281,7 +306,7 @@ impl<'env> TaskGraph<'env> {
             done_cv: Condvar::new(),
         });
 
-        if pool.shared.threads == 1 {
+        if inline {
             run_serial(&state);
         } else {
             run_parallel(&state, &pool.shared);
@@ -378,11 +403,10 @@ fn drain_aborted(state: &Arc<RunState>) {
     }
 }
 
-/// The `threads == 1` path: a plain topological FIFO walk on the calling
-/// thread. Seeds ready tasks in id order and releases dependents in id
-/// order, which is the reference schedule parallel runs must match
-/// bit-for-bit (they do, because accumulation order is fixed by edges, not
-/// by schedule).
+/// The inline path: a plain topological FIFO walk on the calling thread.
+/// Seeds ready tasks in id order and releases dependents in id order, which
+/// is the reference schedule parallel runs must match bit-for-bit (they do,
+/// because accumulation order is fixed by edges, not by schedule).
 fn run_serial(state: &Arc<RunState>) {
     let mut ready: VecDeque<usize> =
         (0..state.total).filter(|&i| state.pending[i].load(Ordering::Acquire) == 0).collect();
@@ -398,13 +422,13 @@ fn run_serial(state: &Arc<RunState>) {
     }
 }
 
-/// The parallel path: seed ready tasks into the pool's injector, then work
+/// The parallel path: seed ready tasks into the pool's queue, then work
 /// alongside the pool's workers until the run completes. The caller only
 /// executes tasks of *its own* run — that restriction is what makes nested
 /// runs (a task that itself builds and runs a graph) deadlock-free: every
 /// blocked `run_on` call makes progress on its own graph even if all pool
 /// workers are busy elsewhere.
-fn run_parallel(state: &Arc<RunState>, shared: &Arc<Shared>) {
+fn run_parallel(state: &Arc<RunState>, shared: &Shared) {
     let seeds: Vec<usize> =
         (0..state.total).filter(|&i| state.pending[i].load(Ordering::Acquire) == 0).collect();
     shared.push_many(state, &seeds);
@@ -428,7 +452,7 @@ fn run_parallel(state: &Arc<RunState>, shared: &Arc<Shared>) {
         let (_g, _timeout) = state
             .done_cv
             .wait_timeout(g, Duration::from_millis(10))
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+            .unwrap_or_else(PoisonError::into_inner);
     }
 }
 
@@ -444,117 +468,62 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 type Job = (Arc<RunState>, usize);
 
+/// A pool's one FIFO job queue and its shutdown flag, under one lock.
+struct Queue {
+    jobs: VecDeque<Job>,
+    shutdown: bool,
+}
+
 /// State shared between a pool's workers and every thread running a graph
 /// on it.
 struct Shared {
     /// Logical thread count (workers + the calling thread).
     threads: usize,
-    /// Global FIFO queue; callers seed here, workers take from the front.
-    injector: Mutex<VecDeque<Job>>,
-    /// Per-worker deques: the owner pushes/pops the back (LIFO keeps the
-    /// working set hot), thieves and callers steal from the front.
-    deques: Vec<Mutex<VecDeque<Job>>>,
-    /// Jobs currently sitting in any queue (wake-up hint, not a lock).
-    queued: AtomicUsize,
-    shutdown: AtomicBool,
-    idle: Mutex<()>,
-    idle_cv: Condvar,
+    /// Callers seed their runs at the back, released dependents go to the
+    /// back, workers take from the front.
+    queue: Mutex<Queue>,
+    /// Signalled on every push and on shutdown. Workers wait on it while
+    /// holding the queue lock, so no push can slip past a worker going idle.
+    ready: Condvar,
 }
 
 impl Shared {
-    fn push_many(self: &Arc<Self>, state: &Arc<RunState>, idxs: &[usize]) {
+    fn push_many(&self, state: &Arc<RunState>, idxs: &[usize]) {
         if idxs.is_empty() {
             return;
         }
-        self.queued.fetch_add(idxs.len(), Ordering::AcqRel);
-        {
-            let mut inj = lock(&self.injector);
-            for &i in idxs {
-                inj.push_back((Arc::clone(state), i));
-            }
-        }
-        let _g = lock(&self.idle);
+        lock(&self.queue).jobs.extend(idxs.iter().map(|&i| (Arc::clone(state), i)));
         if idxs.len() == 1 {
-            self.idle_cv.notify_one();
+            self.ready.notify_one();
         } else {
-            self.idle_cv.notify_all();
+            self.ready.notify_all();
         }
     }
 
-    /// Pop any job (worker side): own deque back, injector front, then
-    /// steal from the front of the other deques.
-    fn pop_any(&self, worker: usize) -> Option<Job> {
-        if let Some(job) = lock(&self.deques[worker]).pop_back() {
-            self.queued.fetch_sub(1, Ordering::AcqRel);
-            return Some(job);
-        }
-        if let Some(job) = lock(&self.injector).pop_front() {
-            self.queued.fetch_sub(1, Ordering::AcqRel);
-            return Some(job);
-        }
-        for (i, dq) in self.deques.iter().enumerate() {
-            if i == worker {
-                continue;
-            }
-            if let Some(job) = lock(dq).pop_front() {
-                self.queued.fetch_sub(1, Ordering::AcqRel);
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    /// Pop a job belonging to `state` (caller side): front of the injector
-    /// first, then the front of each worker deque. Callers never execute
-    /// other runs' tasks — see [`run_parallel`].
+    /// Pop the first job in the queue that belongs to `state` (caller side).
+    /// Callers never execute other runs' tasks — see [`run_parallel`].
     fn pop_for(&self, state: &Arc<RunState>) -> Option<usize> {
-        let take = |dq: &Mutex<VecDeque<Job>>| -> Option<usize> {
-            let mut q = lock(dq);
-            let pos = q.iter().position(|(s, _)| Arc::ptr_eq(s, state))?;
-            let (_, idx) = q.remove(pos)?;
-            Some(idx)
-        };
-        if let Some(idx) = take(&self.injector) {
-            self.queued.fetch_sub(1, Ordering::AcqRel);
-            return Some(idx);
-        }
-        for dq in &self.deques {
-            if let Some(idx) = take(dq) {
-                self.queued.fetch_sub(1, Ordering::AcqRel);
-                return Some(idx);
-            }
-        }
-        None
+        let mut q = lock(&self.queue);
+        let pos = q.jobs.iter().position(|(s, _)| Arc::ptr_eq(s, state))?;
+        q.jobs.remove(pos).map(|(_, idx)| idx)
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, me: usize) {
+fn worker_loop(shared: Arc<Shared>) {
+    let mut q = lock(&shared.queue);
     loop {
-        if shared.shutdown.load(Ordering::Acquire) {
+        if q.shutdown {
             return;
         }
-        if let Some((state, idx)) = shared.pop_any(me) {
-            if state.claim(idx) {
-                let enqueue = |dep| {
-                    // Keep dependents local: the data they touch is hot in
-                    // this worker's cache; thieves take them if it stalls.
-                    shared.queued.fetch_add(1, Ordering::AcqRel);
-                    lock(&shared.deques[me]).push_back((Arc::clone(&state), dep));
-                    let _g = lock(&shared.idle);
-                    shared.idle_cv.notify_one();
-                };
-                execute_claimed(&state, idx, enqueue);
-            }
+        let Some((state, idx)) = q.jobs.pop_front() else {
+            q = shared.ready.wait(q).unwrap_or_else(PoisonError::into_inner);
             continue;
+        };
+        drop(q);
+        if state.claim(idx) {
+            execute_claimed(&state, idx, |dep| shared.push_many(&state, &[dep]));
         }
-        let g = lock(&shared.idle);
-        if shared.shutdown.load(Ordering::Acquire) || shared.queued.load(Ordering::Acquire) > 0 {
-            continue;
-        }
-        let (_g, _t) = shared
-            .idle_cv
-            .wait_timeout(g, Duration::from_millis(50))
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        q = lock(&shared.queue);
     }
 }
 
@@ -577,18 +546,14 @@ impl Pool {
         let n_workers = threads - 1;
         let shared = Arc::new(Shared {
             threads,
-            injector: Mutex::new(VecDeque::new()),
-            deques: (0..n_workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            queued: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            idle: Mutex::new(()),
-            idle_cv: Condvar::new(),
+            queue: Mutex::new(Queue { jobs: VecDeque::new(), shutdown: false }),
+            ready: Condvar::new(),
         });
         let mut workers = Vec::with_capacity(n_workers);
         for i in 0..n_workers {
             let sh = Arc::clone(&shared);
             let builder = thread::Builder::new().name(format!("koala-exec-{i}"));
-            if let Ok(handle) = builder.spawn(move || worker_loop(sh, i)) {
+            if let Ok(handle) = builder.spawn(move || worker_loop(sh)) {
                 workers.push(handle);
             }
             // A failed spawn (resource exhaustion) degrades capacity but
@@ -605,11 +570,8 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        {
-            let _g = lock(&self.shared.idle);
-            self.shared.idle_cv.notify_all();
-        }
+        lock(&self.shared.queue).shutdown = true;
+        self.shared.ready.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -679,12 +641,6 @@ pub fn set_threads(n: usize) {
     *g = Some(Arc::new(Pool::new(n)));
 }
 
-/// Compute-thread count of the global pool. A gate list reads it to walk
-/// its ops inline when there is one thread; nothing below a gate list does.
-pub fn threads() -> usize {
-    pool().threads()
-}
-
 /// Thread count used for the global pool when nothing has called
 /// [`set_threads`]: `KOALA_EXEC_THREADS` if set, else the host's available
 /// parallelism, clamped to `1..=64`.
@@ -725,6 +681,24 @@ mod tests {
             g.run_on(&pool).unwrap();
             assert_eq!(*log.lock().unwrap(), (0..32).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn width_counts_the_widest_depth() {
+        let mut chain = TaskGraph::new();
+        let mut prev: Vec<TaskId> = Vec::new();
+        for _ in 0..5 {
+            prev = vec![chain.add(TaskKind::Other, &prev, || Ok(()))];
+        }
+        assert_eq!(chain.width(), 1);
+        for n in [1, 3, 7] {
+            let mut flat = TaskGraph::new();
+            for _ in 0..n {
+                flat.add(TaskKind::Other, &[], || Ok(()));
+            }
+            assert_eq!(flat.width(), n);
+        }
+        assert_eq!(TaskGraph::new().width(), 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Concurrency stress suite for the `koala-exec` task-graph executor.
 //!
-//! Three properties pin the runtime's contract:
+//! Four properties pin the runtime's contract:
 //!
 //! 1. **Exactly-once execution**: every task of a randomized DAG runs once —
 //!    never zero times, never twice — at any thread count, and never before
@@ -12,12 +12,14 @@
 //!    subsequent runs (no orphaned worker state).
 //! 3. **Nested runs**: a task may itself build and run a graph on the same
 //!    pool without deadlocking (the inner caller helps execute its own run).
+//! 4. **Inline rule**: a graph of one task or one chain runs on the caller,
+//!    whatever the pool size.
 
 use koala_error::{ErrorKind, KoalaError};
 use koala_exec::{Pool, TaskGraph, TaskId, TaskKind};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Random DAG description: for task `i`, `dep_picks[i]` selects up to two
 /// dependencies among tasks `0..i` (self-edges impossible by construction,
@@ -237,4 +239,32 @@ fn diamond_fan_in_sees_all_predecessors() {
     });
     graph.run_on(&pool).unwrap();
     assert!(ok.load(Ordering::Acquire));
+}
+
+/// A graph that cannot use a second thread runs inline: on a 4-thread pool,
+/// every task of a 16-task chain and of a 1-task graph runs on the caller.
+/// Each shape runs 20 times, so a schedule that hands even one task to a
+/// worker in any run shows.
+#[test]
+fn chains_and_single_tasks_run_on_the_caller() {
+    let pool = Pool::new(4);
+    let caller = std::thread::current().id();
+    for len in [16usize, 1] {
+        for _ in 0..20 {
+            let seen = Mutex::new(Vec::new());
+            let seen_ref = &seen;
+            let mut graph = TaskGraph::new();
+            let mut prev: Vec<TaskId> = Vec::new();
+            for _ in 0..len {
+                prev = vec![graph.add(TaskKind::Other, &prev, move || {
+                    seen_ref.lock().unwrap().push(std::thread::current().id());
+                    Ok(())
+                })];
+            }
+            graph.run_on(&pool).unwrap();
+            let seen = seen.into_inner().unwrap();
+            assert_eq!(seen.len(), len);
+            assert!(seen.iter().all(|&id| id == caller), "a {len}-task chain left the caller");
+        }
+    }
 }

@@ -54,29 +54,10 @@ const GRAM_PSD_FLOOR: f64 = 1e-10;
 /// rejected up front instead of degraded: no factorization can repair them.
 pub fn gram_qr(a: &Matrix) -> Result<GramQr> {
     a.validate_finite("gram_qr input")?;
-    let g = matmul_adj_a(a, a);
-    let healthy = if g.validate_finite("gram matrix").is_err() {
-        None
-    } else {
-        match eigh(&g) {
-            Ok(e) => {
-                let lam_max = e.values.iter().cloned().fold(0.0, f64::max).max(0.0);
-                let lam_min = e.values.first().copied().unwrap_or(0.0); // ascending order
-                let finite = e.values.iter().all(|lam| lam.is_finite());
-                if finite && lam_min >= -GRAM_PSD_FLOOR * lam_max.max(f64::MIN_POSITIVE) {
-                    Some((e, lam_max))
-                } else {
-                    None
-                }
-            }
-            Err(_) => None,
-        }
-    };
-    let Some((e, lam_max)) = healthy else {
+    let Some((r, r_inv)) = gram_factors(&matmul_adj_a(a, a)) else {
         koala_error::recovery::note_qr_degradation();
         return qr_svd_degrade(a);
     };
-    let (r, r_inv) = gram_r_factors(&e, lam_max * GRAM_RANK_TOL * GRAM_RANK_TOL);
     let q = matmul(a, &r_inv);
     q.validate_finite("gram_qr Q factor")?;
     Ok(GramQr { q, r, r_inv })
@@ -103,16 +84,34 @@ fn qr_svd_degrade(a: &Matrix) -> Result<GramQr> {
     Ok(GramQr { q, r: f.r, r_inv })
 }
 
+/// The `(R, R^{-1})` factors of a Gram matrix `G = A^H A`, or `None` when
+/// `G` is unhealthy: non-finite, its eigendecomposition fails or has a
+/// non-finite eigenvalue, or an eigenvalue falls below
+/// `-GRAM_PSD_FLOOR * lambda_max` (loss of positive semi-definiteness).
+/// Eigenvalues at or below `GRAM_RANK_TOL^2 * lambda_max` count as null.
+///
+/// The one health rule of [`gram_qr`] and the distributed `gram_qr_dist` of
+/// `koala-cluster`, which replicates the same small factorization on every
+/// rank; each caller keeps its own degrade path for `None`.
+pub fn gram_factors(g: &Matrix) -> Option<(Matrix, Matrix)> {
+    g.validate_finite("gram matrix").ok()?;
+    let e = eigh(g).ok()?;
+    let lam_max = e.values.iter().cloned().fold(0.0, f64::max).max(0.0);
+    let lam_min = e.values.first().copied().unwrap_or(0.0); // ascending order
+    let finite = e.values.iter().all(|lam| lam.is_finite());
+    if !finite || lam_min < -GRAM_PSD_FLOOR * lam_max.max(f64::MIN_POSITIVE) {
+        return None;
+    }
+    Some(r_factors(&e, lam_max * GRAM_RANK_TOL * GRAM_RANK_TOL))
+}
+
 /// Assemble `R = sqrt(Lambda) X^H` and `R^{-1} = X sqrt(Lambda)^{-1}` from an
 /// eigendecomposition of the Gram matrix `A^H A`, in descending eigenvalue
 /// order. The scaled adjoint is written element-wise into its destination —
 /// no `X` / `X^H` intermediate is materialised. Eigenvalues at or below
 /// `cutoff` (or non-positive) contribute zero columns to `R^{-1}`, exactly
 /// like a pseudo-inverse.
-///
-/// Shared by [`gram_qr`] and the distributed `gram_qr_dist` of
-/// `koala-cluster`, which replicate the same small assembly on every rank.
-pub fn gram_r_factors(e: &crate::eig::EigH, cutoff: f64) -> (Matrix, Matrix) {
+fn r_factors(e: &crate::eig::EigH, cutoff: f64) -> (Matrix, Matrix) {
     let n = e.values.len();
     let mut r = Matrix::zeros(n, n);
     let mut r_inv = Matrix::zeros(n, n);

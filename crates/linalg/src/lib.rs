@@ -105,7 +105,7 @@ pub use expm::expm_hermitian;
 pub use gemm::{
     gemm, gemm_into, gemm_into_real, matmul, matmul_adj_a, matmul_naive, matmul_seed, Op,
 };
-pub use gram::{gram_qr, gram_r_factors, GramQr};
+pub use gram::{gram_factors, gram_qr, GramQr};
 pub use lanczos::{lanczos_ground_state, HermitianOp, LanczosResult};
 pub use qr::{qr, QrFactors};
 pub use rsvd::{rsvd, LinearOp, MatOp, RsvdOptions};
