@@ -284,8 +284,9 @@ pub fn dist_sweep_point(
     let grid = cluster.grid();
     let row_block = n_gemm.div_ceil(grid.rows()).clamp(1, 32);
     let col_block = n_gemm.div_ceil(grid.cols()).clamp(1, 32);
-    let da = DistMatrix::scatter_block_cyclic(&cluster, &a, grid, row_block, col_block);
-    let db = DistMatrix::scatter_block_cyclic(&cluster, &b, grid, row_block, col_block);
+    let scatter = |m| DistMatrix::scatter_block_cyclic(&cluster, m, grid, row_block, col_block);
+    let da = scatter(&a).expect("fault-free scatter cannot fail");
+    let db = scatter(&b).expect("fault-free scatter cannot fail");
     cluster.reset_stats();
     da.matmul_dist(&db).expect("fault-free SUMMA cannot fail");
     let summa = cluster.stats();

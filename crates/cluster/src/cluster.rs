@@ -10,7 +10,7 @@
 //! only wall-clock parallelism is replaced by the cost model in
 //! [`crate::stats::CostModel`].
 
-use crate::fault::{FaultEvent, FaultLog, FaultPlan, FaultSite, FaultState};
+use crate::fault::{FaultLog, FaultPlan, FaultSite, FaultState, Strike};
 use crate::grid::ProcGrid;
 use crate::stats::{CommStats, RoundCost, ELEM_BYTES};
 use std::sync::Arc;
@@ -78,16 +78,17 @@ impl Cluster {
         lock_ignore_poison(&self.faults).take().map(FaultState::into_log).unwrap_or_default()
     }
 
-    /// Whether a fault plan is currently armed.
-    pub(crate) fn faults_armed(&self) -> bool {
-        lock_ignore_poison(&self.faults).is_some()
+    /// Number a collective (scatter, gather, SUMMA product) once, on its
+    /// calling thread; its fault decisions are keyed by it (0 if unarmed).
+    pub(crate) fn begin_op(&self) -> u64 {
+        lock_ignore_poison(&self.faults).as_mut().map_or(0, FaultState::begin_op)
     }
 
-    /// Consult the armed plan (if any) about `site` on delivery `attempt`.
-    /// Injections are tallied on the global
+    /// Consult the armed plan (if any) about `site` on delivery `attempt`
+    /// of operation `op`. Injections are tallied on the global
     /// [`koala_error::recovery`] counters as well as the local log.
-    pub(crate) fn fault_decision(&self, site: FaultSite, attempt: usize) -> Option<FaultEvent> {
-        let ev = lock_ignore_poison(&self.faults).as_mut().and_then(|s| s.decide(site, attempt));
+    pub(crate) fn fault_at(&self, op: u64, site: FaultSite, attempt: usize) -> Option<Strike> {
+        let ev = lock_ignore_poison(&self.faults).as_mut()?.decide(op, site, attempt);
         if ev.is_some() {
             koala_error::recovery::note_fault_injected();
         }
@@ -180,19 +181,17 @@ impl Cluster {
     }
 
     /// Record one pipelined round (a SUMMA depth step) for the overlap-aware
-    /// cost model. The payload and MACs in `round` must *also* have been
-    /// billed to the aggregate counters — a round refines the schedule, it
-    /// does not add work. Per-rank MACs are scaled by any armed slow-rank
-    /// fault factors so the round ledger matches the aggregate one.
+    /// cost model. The payload in `round` must *also* have been billed to
+    /// the aggregate counters — a round refines the schedule. Its per-rank
+    /// MACs are billed here, to both, scaled by any armed slow-rank factors.
     pub(crate) fn record_round(&self, mut round: RoundCost) {
-        for (rank, m) in round.rank_cmacs.iter_mut().enumerate() {
-            *m = self.scale_work(rank, *m);
+        for rank in 0..self.nranks {
+            self.record_flops(rank, round.rank_cmacs[rank]);
+            self.record_real_macs(rank, round.rank_rmacs[rank]);
+            round.rank_cmacs[rank] = self.scale_work(rank, round.rank_cmacs[rank]);
+            round.rank_rmacs[rank] = self.scale_work(rank, round.rank_rmacs[rank]);
         }
-        for (rank, m) in round.rank_rmacs.iter_mut().enumerate() {
-            *m = self.scale_work(rank, *m);
-        }
-        let mut s = lock_ignore_poison(&self.stats);
-        s.rounds.push(round);
+        lock_ignore_poison(&self.stats).rounds.push(round);
     }
 
     /// Scale billed work by the rank's slowdown factor under an armed fault
@@ -236,12 +235,11 @@ impl Cluster {
     }
 
     /// Record identical `macs` on every rank, billed real or complex
-    /// according to `real` (replicated computation).
+    /// according to `real` (replicated computation) and scaled per rank like
+    /// [`Cluster::record_macs`].
     pub fn record_macs_all(&self, macs: u64, real: bool) {
-        let mut s = lock_ignore_poison(&self.stats);
-        let counters = if real { &mut s.rank_real_macs } else { &mut s.rank_flops };
-        for f in counters.iter_mut() {
-            *f += macs;
+        for rank in 0..self.nranks {
+            self.record_macs(rank, macs, real);
         }
     }
 }
@@ -320,6 +318,14 @@ mod tests {
         assert_eq!(s.collectives, 1);
         assert_eq!(s.rank_real_macs, vec![5, 105, 5, 5, 5, 5]);
         assert_eq!(s.rank_flops[1], 50);
+    }
+
+    #[test]
+    fn replicated_work_is_scaled_on_a_slow_rank() {
+        let c = Cluster::new(2);
+        c.arm_faults(FaultPlan::seeded(0).slow_rank(1, 3.0));
+        c.record_macs_all(100, false);
+        assert_eq!(c.stats().rank_flops, [100, 300]);
     }
 
     #[test]

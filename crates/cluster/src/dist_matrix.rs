@@ -71,14 +71,14 @@
 //! broadcasts overlap round `t`'s local GEMMs on a multi-thread pool — which
 //! is what [`crate::CostModel::modelled_time_overlap`] assumes when it prices
 //! the one [`crate::RoundCost`] each round appends to
-//! [`crate::CommStats::rounds`]. "Serial" is not a second code path: an
-//! armed [`crate::FaultPlan`], whose seeded decisions depend on global query
-//! order, runs the same graph on a one-thread pool, whose FIFO topological
-//! walk is deterministic — so the fault suites exercise the graph
-//! production runs, not a loop kept beside it.
+//! [`crate::CommStats::rounds`]. An armed [`crate::FaultPlan`] changes
+//! nothing about the schedule: the product takes one operation number
+//! before the graph runs, and every fault decision is keyed by that number
+//! and its site, not by the order of the queries, so the fault suites
+//! exercise the graph production runs, on the same pool.
 
 use crate::cluster::{lock_ignore_poison, Cluster};
-use crate::fault::{corrupt_index, FaultEvent, FaultKind, FaultSite};
+use crate::fault::{corrupt_index, FaultKind, FaultSite, Strike};
 use crate::grid::{refine, Dist1D, Panel, ProcGrid};
 use crate::stats::RoundCost;
 use koala_error::{ErrorKind, KoalaError};
@@ -138,18 +138,18 @@ fn checksums_match(got: &[C64], sent: &[C64]) -> bool {
         })
 }
 
-/// Materialise what the receiver actually sees when `ev` strikes the
+/// Materialise what the receiver actually sees when a fault strikes the
 /// delivery of `pristine`: a dropped block arrives as zeros, a corrupted one
-/// has a deterministically-chosen element blown far past the checksum
+/// has the element its decision hash picks blown far past the checksum
 /// tolerance.
-fn apply_fault(pristine: &Matrix, ev: &FaultEvent) -> Matrix {
-    match ev.kind {
+fn apply_fault(pristine: &Matrix, (kind, hash): Strike) -> Matrix {
+    match kind {
         FaultKind::Drop => Matrix::zeros(pristine.nrows(), pristine.ncols()),
         _ => {
             let mut m = pristine.clone();
             let len = m.nrows() * m.ncols();
             if len > 0 {
-                let idx = corrupt_index(ev.index, len);
+                let idx = corrupt_index(hash, len);
                 let bump = 1e3 * (1.0 + pristine.norm_max());
                 let data = m.data_mut();
                 let v = data[idx];
@@ -170,26 +170,26 @@ fn apply_fault(pristine: &Matrix, ev: &FaultEvent) -> Matrix {
 /// billed to the work counters (they are metadata upkeep, not useful MACs).
 fn deliver_checksummed(
     cluster: &Cluster,
+    op: u64,
     pristine: &Matrix,
     sent_sum: &[C64],
     checksum_of: fn(&Matrix) -> Vec<C64>,
     site: FaultSite,
-    summa: bool,
 ) -> koala_error::Result<()> {
     let mut attempt = 0usize;
     loop {
         if attempt > 0 {
             cluster.record_retry(pristine.nrows() * pristine.ncols() + sent_sum.len());
-            if summa {
+            if matches!(site, FaultSite::SummaPanelA { .. } | FaultSite::SummaPanelB { .. }) {
                 koala_error::recovery::note_summa_round_retry();
             } else {
                 koala_error::recovery::note_collective_retry();
             }
         }
-        let ok = match cluster.fault_decision(site, attempt) {
+        let ok = match cluster.fault_at(op, site, attempt) {
             // The simulated wire delivered the sender's buffer verbatim.
             None => true,
-            Some(ev) => checksums_match(&checksum_of(&apply_fault(pristine, &ev)), sent_sum),
+            Some(strike) => checksums_match(&checksum_of(&apply_fault(pristine, strike)), sent_sum),
         };
         if ok {
             return Ok(());
@@ -263,14 +263,15 @@ struct RoundPanels {
     b: Vec<Shipped>,
 }
 
-/// One planned SUMMA product `C = A * B`: the operands and the depth panels
+/// One planned SUMMA product `C = A * B`: the operands, the depth panels
 /// (the common refinement of `A`'s column and `B`'s row layouts) that the
-/// round engine ([`Summa::run`]) iterates over. `C` takes `A`'s row and
-/// `B`'s column layout.
+/// round engine ([`Summa::run`]) iterates over, and the operation number
+/// keying its fault decisions. `C` takes `A`'s row and `B`'s column layout.
 struct Summa<'a> {
     a: &'a DistMatrix,
     b: &'a DistMatrix,
     panels: Vec<Panel>,
+    op: u64,
 }
 
 impl Summa<'_> {
@@ -318,11 +319,11 @@ impl Summa<'_> {
         for rank in verifiers {
             deliver_checksummed(
                 &self.a.cluster,
+                self.op,
                 &data,
                 &sum,
                 checksum_of,
                 side.site(t, rank),
-                true,
             )
             .map_err(|e| {
                 e.context(format!("matmul_dist: SUMMA round {t}, {side:?} panel to rank {rank}"))
@@ -331,9 +332,16 @@ impl Summa<'_> {
         Ok(Shipped { panel: data, sum_len: sum.len() })
     }
 
+    /// Whether `rank` holds a nonempty block of `C` (else it sits out).
+    fn computes(&self, rank: usize) -> bool {
+        let (r, c) = self.a.grid.coords_of(rank);
+        self.a.rows.local_len(r) > 0 && self.b.cols.local_len(c) > 0
+    }
+
     /// Communication phase of round `t`: ship the `A` panel to every grid
-    /// row, then the `B` panel to every grid column (the fault sequence is
-    /// defined by call order).
+    /// row and the `B` panel to every grid column. A rank that a planned
+    /// failure strikes this round has lost the panels and re-fetches them
+    /// (plus their checksum vectors), so all fault traffic is in comm tasks.
     fn round_comm(
         &self,
         t: usize,
@@ -348,41 +356,35 @@ impl Summa<'_> {
         };
         let a = ship_all(Side::A, cost)?;
         let b = ship_all(Side::B, cost)?;
+        for rank in (0..grid.nranks()).filter(|&rank| self.computes(rank)) {
+            let site = FaultSite::SummaCompute { round: t, rank };
+            if self.a.cluster.fault_at(self.op, site, 0).is_some() {
+                let (r, c) = grid.coords_of(rank);
+                let len = |s: &Shipped| s.panel.nrows() * s.panel.ncols() + s.sum_len;
+                self.a.cluster.record_retry(len(&a[r]) + len(&b[c]));
+                koala_error::recovery::note_summa_round_retry();
+            }
+        }
         Ok(RoundPanels { a, b })
     }
 
-    /// Rank `rank`'s local product for round `t` through the packed GEMM,
-    /// accumulated straight into its own block. Bills the rank's MACs and any
-    /// planned compute-fault refetch.
+    /// Rank `rank`'s local product for a round through the packed GEMM,
+    /// accumulated into its own block; its MACs go to the round's ledger.
     fn rank_update(
         &self,
-        t: usize,
         rank: usize,
         panels: &RoundPanels,
         cost: &Mutex<RoundCost>,
         out: &mut Matrix,
-    ) -> koala_error::Result<()> {
-        let cluster = &self.a.cluster;
+    ) {
         let (r, c) = self.a.grid.coords_of(rank);
-        let (lhs, rhs) = (&panels.a[r], &panels.b[c]);
-        // A planned rank failure strikes here: the restarted rank has lost
-        // the round's panels and re-fetches them (plus their checksum
-        // vectors) before redoing its product.
-        if cluster.fault_decision(FaultSite::SummaCompute { round: t, rank }, 0).is_some() {
-            let refetch: usize =
-                [lhs, rhs].iter().map(|s| s.panel.nrows() * s.panel.ncols() + s.sum_len).sum();
-            cluster.record_retry(refetch);
-            koala_error::recovery::note_summa_round_retry();
-        }
-        let (lhs, rhs) = (&lhs.panel, &rhs.panel);
+        let (lhs, rhs) = (&panels.a[r].panel, &panels.b[c].panel);
         let (m, k, n) = (lhs.nrows(), lhs.ncols(), rhs.ncols());
         let real = lhs.is_real() && rhs.is_real();
-        let macs = (m * n * k) as u64;
-        cluster.record_macs(rank, macs, real);
         {
             let mut cost = lock_ignore_poison(cost);
             let per_rank = if real { &mut cost.rank_rmacs } else { &mut cost.rank_cmacs };
-            per_rank[rank] += macs;
+            per_rank[rank] += (m * n * k) as u64;
         }
         let acc = out.data_mut();
         if real {
@@ -390,12 +392,10 @@ impl Summa<'_> {
         } else {
             gemm_into(Op::None, Op::None, m, n, k, lhs.data(), rhs.data(), acc);
         }
-        Ok(())
     }
 
     /// The round engine. Per round, one [`TaskKind::Comm`] task
-    /// ([`Summa::round_comm`]) chained `t -> t + 1`, so every fault query of
-    /// the communication phase runs in round order, and one
+    /// ([`Summa::round_comm`]) chained `t -> t + 1`, and one
     /// [`TaskKind::Gemm`] task per rank with a nonempty output block
     /// ([`Summa::rank_update`]) depending on its round's comm task and on
     /// the rank's previous Gemm task. That chain fixes the floating-point
@@ -405,14 +405,12 @@ impl Summa<'_> {
     /// still in flight — the overlap
     /// [`crate::CostModel::modelled_time_overlap`] prices.
     ///
-    /// Fault injection replays a seeded decision sequence that depends on
-    /// global query order, so an armed fault plan runs the same graph on a
-    /// one-thread pool, whose FIFO topological walk is deterministic:
-    /// comm, then ranks in order, round by round. Per-round costs are
-    /// appended to the ledger in round order afterwards either way.
+    /// An armed fault plan runs the same graph: its decisions do not depend
+    /// on query order. Per-round costs and MACs are billed in round order
+    /// once the graph succeeds, so a failed product bills only its comm
+    /// chain, the same at any thread count.
     fn run(&self) -> koala_error::Result<Vec<Matrix>> {
         let grid = self.a.grid;
-        let cluster = &self.a.cluster;
         let nranks = grid.nranks();
         let out_blocks: Vec<Mutex<Matrix>> = (0..nranks)
             .map(|rank| {
@@ -444,9 +442,8 @@ impl Summa<'_> {
             });
             prev_comm = Some(comm);
             for (rank, out) in out_blocks.iter().enumerate() {
-                let (r, c) = grid.coords_of(rank);
-                if self.a.rows.local_len(r) == 0 || self.b.cols.local_len(c) == 0 {
-                    continue; // an empty block sits every round out
+                if !self.computes(rank) {
+                    continue;
                 }
                 let deps: Vec<TaskId> =
                     [Some(comm), prev_gemm[rank]].into_iter().flatten().collect();
@@ -458,18 +455,15 @@ impl Summa<'_> {
                         )
                     })?;
                     // Uncontended: a rank's Gemm tasks are chained.
-                    self.rank_update(t, rank, panels, cost, &mut lock_ignore_poison(out))
+                    self.rank_update(rank, panels, cost, &mut lock_ignore_poison(out));
+                    Ok(())
                 });
                 prev_gemm[rank] = Some(id);
             }
         }
-        if cluster.faults_armed() {
-            graph.run_on(&koala_exec::Pool::new(1))?;
-        } else {
-            graph.run()?;
-        }
+        graph.run()?;
         for cost in costs {
-            cluster.record_round(cost.into_inner().unwrap_or_else(PoisonError::into_inner));
+            self.a.cluster.record_round(cost.into_inner().unwrap_or_else(PoisonError::into_inner));
         }
         Ok(out_blocks
             .into_iter()
@@ -520,7 +514,11 @@ impl DistMatrix {
     /// blocks (an MPI `scatter` from rank 0 on a `P x 1` grid: every block
     /// except rank 0's own travels over the wire). Columns stay replicated
     /// within each rank's block, which is what the Gram helpers require.
-    pub fn scatter(cluster: &Cluster, matrix: &Matrix) -> Self {
+    ///
+    /// Every block sent travels with its column checksum and is verified on
+    /// arrival; a [`crate::FaultPlan::persistent`] fault that outlasts the
+    /// retry budget is an [`ErrorKind::Fault`] error.
+    pub fn scatter(cluster: &Cluster, matrix: &Matrix) -> koala_error::Result<Self> {
         let rows = Dist1D::balanced(matrix.nrows(), cluster.nranks());
         let cols = Dist1D::whole(matrix.ncols());
         Self::scatter_with(cluster, matrix, ProcGrid::column(cluster.nranks()), rows, cols)
@@ -528,14 +526,14 @@ impl DistMatrix {
 
     /// Distribute a replicated matrix in the ScaLAPACK block-cyclic layout
     /// over an explicit grid with the given row/column block sizes (a
-    /// scatter from rank 0, charged like [`DistMatrix::scatter`]).
+    /// scatter from rank 0, charged and checked like [`DistMatrix::scatter`]).
     pub fn scatter_block_cyclic(
         cluster: &Cluster,
         matrix: &Matrix,
         grid: ProcGrid,
         row_block: usize,
         col_block: usize,
-    ) -> Self {
+    ) -> koala_error::Result<Self> {
         let rows = Dist1D::cyclic(matrix.nrows(), grid.rows(), row_block);
         let cols = Dist1D::cyclic(matrix.ncols(), grid.cols(), col_block);
         Self::scatter_with(cluster, matrix, grid, rows, cols)
@@ -547,10 +545,11 @@ impl DistMatrix {
         grid: ProcGrid,
         rows: Dist1D,
         cols: Dist1D,
-    ) -> Self {
+    ) -> koala_error::Result<Self> {
         assert_eq!(grid.nranks(), cluster.nranks(), "scatter: grid does not cover the cluster");
         assert_eq!(rows.parts(), grid.rows(), "scatter: row layout does not match the grid");
         assert_eq!(cols.parts(), grid.cols(), "scatter: column layout does not match the grid");
+        let op = cluster.begin_op();
         let mut blocks = Vec::with_capacity(cluster.nranks());
         for rank in 0..cluster.nranks() {
             let (r, c) = grid.coords_of(rank);
@@ -561,84 +560,34 @@ impl DistMatrix {
                 // is verified on arrival, exactly like a SUMMA panel.
                 let sum = column_checksum(&block);
                 cluster.record_checksum(sum.len());
-                if let Err(e) = deliver_checksummed(
-                    cluster,
-                    &block,
-                    &sum,
-                    column_checksum,
-                    FaultSite::ScatterBlock { rank },
-                    false,
-                ) {
-                    panic!("scatter: unrecoverable fault: {e}");
-                }
+                let site = FaultSite::ScatterBlock { rank };
+                deliver_checksummed(cluster, op, &block, &sum, column_checksum, site)
+                    .map_err(|e| e.context(format!("scatter: rank {rank}'s block")))?;
             }
             blocks.push(block);
         }
-        DistMatrix { cluster: cluster.clone(), grid, rows, cols, blocks }
+        Ok(DistMatrix { cluster: cluster.clone(), grid, rows, cols, blocks })
     }
 
-    /// Verify the checksummed transfer of every block that crosses a wire in
-    /// a gather (`to_all = false`: foreign blocks travel to rank 0) or an
-    /// allgather (`to_all = true`: every block travels to every other rank).
-    /// One fault site per *source* block; detected damage is repaired by a
-    /// bounded retransmission like any other ABFT transfer.
-    fn verify_block_transfers(&self, to_all: bool) -> koala_error::Result<()> {
-        if self.cluster.nranks() == 1 {
-            return Ok(()); // nothing crosses a wire
-        }
-        let receivers = if to_all { self.cluster.nranks() - 1 } else { 1 };
-        for (rank, block) in self.blocks.iter().enumerate() {
-            if !to_all && rank == 0 {
-                continue;
-            }
+    /// Assemble the full matrix on rank 0 only (an MPI `gather`). Every
+    /// foreign block travels with its column checksum and is verified on
+    /// arrival (one [`FaultSite::GatherBlock`] per source block); a
+    /// [`crate::FaultPlan::persistent`] fault that outlasts the retry budget
+    /// is an [`ErrorKind::Fault`] error.
+    pub fn gather(&self) -> koala_error::Result<Matrix> {
+        self.cluster.record_full_gather();
+        let foreign = self.blocks.iter().enumerate().skip(1);
+        let elems = foreign.clone().map(|(_, b)| b.nrows() * b.ncols()).sum();
+        self.cluster.record_collective(elems, 1);
+        let op = self.cluster.begin_op();
+        for (rank, block) in foreign {
             let sum = column_checksum(block);
-            self.cluster.record_checksum(sum.len() * receivers);
-            deliver_checksummed(
-                &self.cluster,
-                block,
-                &sum,
-                column_checksum,
-                FaultSite::GatherBlock { rank },
-                false,
-            )
-            .map_err(|e| e.context(format!("gathering rank {rank}'s block")))?;
+            self.cluster.record_checksum(sum.len());
+            let site = FaultSite::GatherBlock { rank };
+            deliver_checksummed(&self.cluster, op, block, &sum, column_checksum, site)
+                .map_err(|e| e.context(format!("gather: rank {rank}'s block")))?;
         }
-        Ok(())
-    }
-
-    /// Assemble the full matrix on every rank (an MPI `allgather`), with
-    /// per-block checksum verification. Panics only when a
-    /// [`crate::FaultPlan::persistent`] injected fault outlasts the retry
-    /// budget — an unrecoverable interconnect on an infallible collective.
-    #[cfg(test)]
-    pub(crate) fn allgather(&self) -> Matrix {
-        self.cluster.record_full_gather();
-        let total: usize = self.blocks.iter().map(|b| b.nrows() * b.ncols()).sum();
-        self.cluster.record_collective(total * (self.cluster.nranks() - 1), 1);
-        if let Err(e) = self.verify_block_transfers(true) {
-            panic!("allgather: unrecoverable fault: {e}");
-        }
-        self.gather_local()
-    }
-
-    /// Assemble the full matrix on rank 0 only (an MPI `gather`), with
-    /// per-block checksum verification. Panics only when a
-    /// [`crate::FaultPlan::persistent`] injected fault outlasts the retry
-    /// budget.
-    pub fn gather(&self) -> Matrix {
-        self.cluster.record_full_gather();
-        let foreign: usize = self
-            .blocks
-            .iter()
-            .enumerate()
-            .filter(|(rank, _)| *rank != 0)
-            .map(|(_, b)| b.nrows() * b.ncols())
-            .sum();
-        self.cluster.record_collective(foreign, 1);
-        if let Err(e) = self.verify_block_transfers(false) {
-            panic!("gather: unrecoverable fault: {e}");
-        }
-        self.gather_local()
+        Ok(self.gather_local())
     }
 
     /// Concatenate the blocks without touching the communication counters.
@@ -762,7 +711,8 @@ impl DistMatrix {
         );
         assert_eq!(self.grid, other.grid, "matmul_dist: operands must share the processor grid");
         assert_eq!(self.ncols(), other.nrows(), "matmul_dist: inner dimension mismatch");
-        let summa = Summa { a: self, b: other, panels: refine(&self.cols, &other.rows) };
+        let panels = refine(&self.cols, &other.rows);
+        let summa = Summa { a: self, b: other, panels, op: self.cluster.begin_op() };
         let mut blocks = summa.run()?;
         if self.is_real() && other.is_real() {
             // The real kernel only ever wrote real parts into zeroed blocks.
@@ -840,12 +790,12 @@ impl DistMatrix {
     /// let cluster = Cluster::new(4);
     /// let mut rng = StdRng::seed_from_u64(7);
     /// let a = Matrix::random(12, 5, &mut rng);
-    /// let d = DistMatrix::scatter(&cluster, &a); // 4 x 1 grid
+    /// let d = DistMatrix::scatter(&cluster, &a).unwrap(); // 4 x 1 grid
     /// let g = d.gram().unwrap();
     /// assert!(g.max_diff(&matmul_adj_a(&a, &a)) < 1e-12);
     /// assert_eq!(cluster.stats().full_gathers, 0); // no gather fallback
     ///
-    /// let d2 = DistMatrix::scatter_block_cyclic(&cluster, &a, cluster.grid(), 3, 2); // 2 x 2
+    /// let d2 = DistMatrix::scatter_block_cyclic(&cluster, &a, cluster.grid(), 3, 2).unwrap(); // 2 x 2
     /// assert_eq!(d2.gram().unwrap_err().kind(), ErrorKind::InvalidArgument);
     /// ```
     pub fn gram(&self) -> koala_error::Result<Matrix> {
@@ -928,7 +878,7 @@ pub fn gram_qr_dist(a: &DistMatrix) -> koala_error::Result<DistQr> {
                 .map_err(|err| err.context(format!("rank {rank}")))?;
         }
         koala_error::recovery::note_qr_degradation();
-        return Ok(qr_gather_dist(a));
+        return qr_gather_dist(a);
     };
     a.cluster().record_macs_all((n * n * n) as u64, g.is_real());
     // Q = A R^{-1}: a purely local multiply on each row block.
@@ -940,8 +890,10 @@ pub fn gram_qr_dist(a: &DistMatrix) -> koala_error::Result<DistQr> {
 /// framework does when asked to matricize and factorize: gather the full
 /// operand to one rank, factorize there, then scatter `Q` and broadcast `R`.
 /// This is the expensive "reshape + ScaLAPACK" path that Algorithm 5 avoids.
-pub fn qr_gather_dist(a: &DistMatrix) -> DistQr {
-    let full = a.gather();
+/// Its gather and scatter are checksummed; a fault that outlasts the retry
+/// budget is an [`ErrorKind::Fault`] error.
+pub fn qr_gather_dist(a: &DistMatrix) -> koala_error::Result<DistQr> {
+    let full = a.gather()?;
     let cluster = a.cluster();
     // Rank 0 performs the factorization.
     let f = koala_linalg::qr(&full);
@@ -949,10 +901,10 @@ pub fn qr_gather_dist(a: &DistMatrix) -> DistQr {
     // Scatter Q back to the original distribution (Q keeps A's rows; its
     // `min(m, n)` columns take a layout of A's column family), broadcast R.
     let q_cols = a.cols.like_parts(f.q.ncols(), a.grid().cols());
-    let q = DistMatrix::scatter_with(cluster, &f.q, a.grid(), a.rows.clone(), q_cols);
+    let q = DistMatrix::scatter_with(cluster, &f.q, a.grid(), a.rows.clone(), q_cols)?;
     cluster.record_collective(f.r.nrows() * f.r.ncols() * (cluster.nranks() - 1), 1);
     cluster.record_redistribution(full.nrows() * full.ncols());
-    DistQr { q, r: f.r, r_inv: None }
+    Ok(DistQr { q, r: f.r, r_inv: None })
 }
 
 #[cfg(test)]
@@ -970,15 +922,15 @@ mod tests {
         let cluster = Cluster::new(nranks);
         let mut rng = StdRng::seed_from_u64(seed);
         let a = Matrix::random(m, n, &mut rng);
-        let d = DistMatrix::scatter(&cluster, &a);
+        let d = DistMatrix::scatter(&cluster, &a).unwrap();
         (cluster, a, d)
     }
 
     #[test]
     fn scatter_gather_roundtrip() {
         let (_c, a, d) = cluster_and_matrix(4, 10, 3, 1);
-        assert!(d.allgather().approx_eq(&a, 0.0));
-        assert!(d.gather().approx_eq(&a, 0.0));
+        assert!(d.gather().unwrap().approx_eq(&a, 0.0));
+        assert!(d.gather_unaccounted().approx_eq(&a, 0.0));
         assert_eq!(d.shape(), (10, 3));
     }
 
@@ -987,10 +939,10 @@ mod tests {
         let cluster = Cluster::new(6);
         let mut rng = StdRng::seed_from_u64(60);
         let a = Matrix::random(13, 11, &mut rng);
-        let d = DistMatrix::scatter_block_cyclic(&cluster, &a, ProcGrid::new(2, 3), 2, 3);
+        let d = DistMatrix::scatter_block_cyclic(&cluster, &a, ProcGrid::new(2, 3), 2, 3).unwrap();
         assert_eq!(d.grid().rows(), 2);
         assert_eq!(d.grid().cols(), 3);
-        assert!(d.allgather().approx_eq(&a, 0.0));
+        assert!(d.gather().unwrap().approx_eq(&a, 0.0));
         // Local shapes follow the cyclic layout.
         for rank in 0..6 {
             let (r, c) = d.grid().coords_of(rank);
@@ -1001,7 +953,7 @@ mod tests {
     #[test]
     fn more_ranks_than_rows_is_fine() {
         let (_c, a, d) = cluster_and_matrix(8, 3, 2, 2);
-        assert!(d.allgather().approx_eq(&a, 0.0));
+        assert!(d.gather().unwrap().approx_eq(&a, 0.0));
         assert_eq!(d.block(7).nrows(), 0);
     }
 
@@ -1020,8 +972,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(31);
         let a = Matrix::random(9, 6, &mut rng);
         let b = Matrix::random(6, 7, &mut rng);
-        let da = DistMatrix::scatter(&cluster, &a);
-        let db = DistMatrix::scatter(&cluster, &b);
+        let da = DistMatrix::scatter(&cluster, &a).unwrap();
+        let db = DistMatrix::scatter(&cluster, &b).unwrap();
         let c = da.matmul_dist(&db).unwrap();
         assert!(c.gather_local().max_diff(&matmul(&a, &b)) < 1e-11);
         // Communication was recorded for scatter + panel broadcasts.
@@ -1035,7 +987,7 @@ mod tests {
         let cluster = Cluster::new(4);
         let mut rng = StdRng::seed_from_u64(32);
         let a = Matrix::random_real(10, 6, &mut rng);
-        let mut d = DistMatrix::scatter(&cluster, &a);
+        let mut d = DistMatrix::scatter(&cluster, &a).unwrap();
         assert!(d.is_real(), "scatter keeps the hint on every block");
         assert!(d.gather_unaccounted().is_real(), "gather keeps the hint");
         d.scale_inplace(C64::from_real(2.0));
@@ -1058,7 +1010,7 @@ mod tests {
     fn gram_qr_dist_factorizes() {
         let (_c, a, d) = cluster_and_matrix(4, 30, 5, 7);
         let f = gram_qr_dist(&d).unwrap();
-        let q_full = f.q.allgather();
+        let q_full = f.q.gather().unwrap();
         assert!(q_full.has_orthonormal_cols(1e-8));
         assert!(matmul(&q_full, &f.r).approx_eq(&a, 1e-8));
         assert!(matmul(&f.r, &f.r_inv.unwrap()).approx_eq(&Matrix::identity(5), 1e-8));
@@ -1069,7 +1021,7 @@ mod tests {
         let cluster = Cluster::new(4);
         let mut rng = StdRng::seed_from_u64(70);
         let a = Matrix::random_real(32, 5, &mut rng);
-        let d = DistMatrix::scatter(&cluster, &a);
+        let d = DistMatrix::scatter(&cluster, &a).unwrap();
         cluster.reset_stats();
         let f = gram_qr_dist(&d).unwrap();
         assert!(f.q.is_real(), "distributed Q keeps the hint");
@@ -1077,7 +1029,7 @@ mod tests {
         let stats = cluster.stats();
         assert_eq!(stats.total_flops(), 0, "no complex MACs on any rank");
         assert!(stats.total_real_macs() > 0);
-        let q_full = f.q.allgather();
+        let q_full = f.q.gather().unwrap();
         assert!(q_full.has_orthonormal_cols(1e-8));
         assert!(matmul(&q_full, &f.r).approx_eq(&a, 1e-8));
     }
@@ -1086,8 +1038,8 @@ mod tests {
     fn qr_gather_dist_factorizes_but_costs_a_redistribution() {
         let (cluster, a, d) = cluster_and_matrix(4, 30, 5, 8);
         cluster.reset_stats();
-        let f = qr_gather_dist(&d);
-        let q_full = f.q.allgather();
+        let f = qr_gather_dist(&d).unwrap();
+        let q_full = f.q.gather().unwrap();
         assert!(q_full.has_orthonormal_cols(1e-9));
         assert!(matmul(&q_full, &f.r).approx_eq(&a, 1e-9));
         let stats = cluster.stats();
@@ -1101,8 +1053,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(90);
         let a = Matrix::random(33, 21, &mut rng);
         let b = Matrix::random(21, 17, &mut rng);
-        let da = DistMatrix::scatter_block_cyclic(&cluster, &a, cluster.grid(), 4, 4);
-        let db = DistMatrix::scatter_block_cyclic(&cluster, &b, cluster.grid(), 4, 4);
+        let da = DistMatrix::scatter_block_cyclic(&cluster, &a, cluster.grid(), 4, 4).unwrap();
+        let db = DistMatrix::scatter_block_cyclic(&cluster, &b, cluster.grid(), 4, 4).unwrap();
         let reference = da.matmul_dist(&db).unwrap().gather_unaccounted();
         cluster.reset_stats();
         cluster.arm_faults(FaultPlan::seeded(11).corrupt_prob(0.08).drop_prob(0.04));
@@ -1117,8 +1069,8 @@ mod tests {
         // traffic lives in its own counters.
         let fault_free = {
             let c2 = Cluster::new(4);
-            let da2 = DistMatrix::scatter_block_cyclic(&c2, &a, c2.grid(), 4, 4);
-            let db2 = DistMatrix::scatter_block_cyclic(&c2, &b, c2.grid(), 4, 4);
+            let da2 = DistMatrix::scatter_block_cyclic(&c2, &a, c2.grid(), 4, 4).unwrap();
+            let db2 = DistMatrix::scatter_block_cyclic(&c2, &b, c2.grid(), 4, 4).unwrap();
             c2.reset_stats();
             let _ = da2.matmul_dist(&db2).unwrap();
             c2.stats()
@@ -1134,8 +1086,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(91);
         let a = Matrix::random(24, 24, &mut rng);
         let b = Matrix::random(24, 24, &mut rng);
-        let da = DistMatrix::scatter_block_cyclic(&cluster, &a, cluster.grid(), 8, 8);
-        let db = DistMatrix::scatter_block_cyclic(&cluster, &b, cluster.grid(), 8, 8);
+        let da = DistMatrix::scatter_block_cyclic(&cluster, &a, cluster.grid(), 8, 8).unwrap();
+        let db = DistMatrix::scatter_block_cyclic(&cluster, &b, cluster.grid(), 8, 8).unwrap();
         let reference = da.matmul_dist(&db).unwrap().gather_unaccounted();
         let before = koala_error::recovery::snapshot().summa_round_retries;
         cluster.arm_faults(FaultPlan::seeded(0).fail_rank(2, 1));
@@ -1155,8 +1107,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(92);
         let a = Matrix::random(16, 16, &mut rng);
         let b = Matrix::random(16, 16, &mut rng);
-        let da = DistMatrix::scatter_block_cyclic(&cluster, &a, cluster.grid(), 4, 4);
-        let db = DistMatrix::scatter_block_cyclic(&cluster, &b, cluster.grid(), 4, 4);
+        let da = DistMatrix::scatter_block_cyclic(&cluster, &a, cluster.grid(), 4, 4).unwrap();
+        let db = DistMatrix::scatter_block_cyclic(&cluster, &b, cluster.grid(), 4, 4).unwrap();
         cluster.arm_faults(FaultPlan::seeded(5).corrupt_prob(1.0).persistent());
         let err = da.matmul_dist(&db).unwrap_err();
         cluster.disarm_faults();
@@ -1179,11 +1131,24 @@ mod tests {
         let (cluster, a, d) = cluster_and_matrix(4, 12, 5, 93);
         cluster.arm_faults(FaultPlan::seeded(1).corrupt_prob(1.0));
         cluster.reset_stats();
-        let gathered = d.gather();
+        let gathered = d.gather().unwrap();
         let log = cluster.disarm_faults();
         assert!(gathered.approx_eq(&a, 0.0));
         assert!(!log.is_empty());
         assert_eq!(cluster.stats().retries as usize, log.len());
+    }
+
+    #[test]
+    fn persistent_faults_on_a_scatter_or_gather_are_an_error() {
+        use crate::fault::FaultPlan;
+        let (cluster, a, d) = cluster_and_matrix(4, 12, 5, 95);
+        cluster.arm_faults(FaultPlan::seeded(2).corrupt_prob(1.0).persistent());
+        let err = DistMatrix::scatter(&cluster, &a).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Fault);
+        assert!(err.to_string().contains("ScatterBlock { rank: 1 }"), "{err}");
+        assert_eq!(d.gather().unwrap_err().kind(), ErrorKind::Fault);
+        assert_eq!(qr_gather_dist(&d).unwrap_err().kind(), ErrorKind::Fault);
+        cluster.disarm_faults();
     }
 
     #[test]
@@ -1219,10 +1184,10 @@ mod tests {
         for i in 0..40 {
             a[(i, 5)] = a[(i, 0)].scale(1e-12);
         }
-        let d = DistMatrix::scatter(&cluster, &a);
+        let d = DistMatrix::scatter(&cluster, &a).unwrap();
         let before = koala_error::recovery::snapshot().qr_degradations;
         let f = gram_qr_dist(&d).unwrap();
-        let q_full = f.q.allgather();
+        let q_full = f.q.gather().unwrap();
         assert!(matmul(&q_full, &f.r).approx_eq(&a, 1e-8), "degraded path still factorizes");
         // Whether this input trips the floor depends on the eigensolver; the
         // structural guarantee is: no panic, valid factorization, and any
@@ -1235,11 +1200,11 @@ mod tests {
         let cluster = Cluster::new(8);
         let mut rng = StdRng::seed_from_u64(9);
         let a = Matrix::random(512, 8, &mut rng);
-        let d = DistMatrix::scatter(&cluster, &a);
+        let d = DistMatrix::scatter(&cluster, &a).unwrap();
         cluster.reset_stats();
         let _ = gram_qr_dist(&d).unwrap();
         let gram_bytes = cluster.reset_stats().bytes_communicated;
-        let _ = qr_gather_dist(&d);
+        let _ = qr_gather_dist(&d).unwrap();
         let gather_bytes = cluster.reset_stats().bytes_communicated;
         assert!(
             gram_bytes * 4 < gather_bytes,

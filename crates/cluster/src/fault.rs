@@ -9,13 +9,13 @@
 //! per-rank round computation) and records what actually struck in a
 //! [`FaultLog`].
 //!
-//! Determinism is the point: the decision at the `i`-th queried site is a
-//! pure function of `(seed, i)` (a splitmix64 hash, no global RNG), so two
-//! runs of the same workload with the same plan see byte-identical fault
-//! sequences — which is what makes recovery testable. Probabilistic faults
-//! are *transient* by default: a retry of the same transfer succeeds, unless
-//! the plan is marked [`FaultPlan::persistent`] (used to test bounded-retry
-//! exhaustion).
+//! Determinism is the point: each collective takes an operation number once,
+//! and the decision at a site is a pure function of `(seed, operation, site,
+//! attempt)` (a splitmix64 hash), not of query order — so an armed plan runs
+//! on the production pool and logs the same faults at any thread count.
+//! Probabilistic faults are *transient* by default: a retry of the same
+//! transfer succeeds, unless the plan is marked [`FaultPlan::persistent`]
+//! (used to test bounded-retry exhaustion).
 //!
 //! The recovery side lives in `dist_matrix`: Huang–Abraham checksum vectors
 //! carried with every SUMMA panel and gather/scatter block detect damaged
@@ -25,7 +25,7 @@
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// splitmix64 finalizer: a cheap, well-mixed hash used to derive every fault
-/// decision from `(seed, event index)` without any shared RNG state.
+/// decision from its key without any shared RNG state.
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(GOLDEN);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -38,19 +38,29 @@ fn unit_f64(x: u64) -> f64 {
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// Deterministic element index used when a [`FaultKind::Corrupt`] fault
-/// materialises: which element of the delivered buffer gets damaged.
-pub(crate) fn corrupt_index(event_index: u64, len: usize) -> usize {
-    if len == 0 {
-        return 0;
-    }
-    (splitmix64(event_index ^ 0x5EED_C0DE) % len as u64) as usize
+/// The decision hash: the key's parts folded into `seed` one at a time.
+fn decision_hash(seed: u64, op: u64, site: FaultSite, attempt: usize) -> u64 {
+    let (variant, round, rank) = match site {
+        FaultSite::SummaPanelA { round, rank } => (0, round, rank),
+        FaultSite::SummaPanelB { round, rank } => (1, round, rank),
+        FaultSite::SummaCompute { round, rank } => (2, round, rank),
+        FaultSite::GatherBlock { rank } => (3, 0, rank),
+        FaultSite::ScatterBlock { rank } => (4, 0, rank),
+    };
+    let key = [op, variant, round as u64, rank as u64, attempt as u64];
+    key.into_iter().fold(seed, |h, x| splitmix64(h ^ x.wrapping_mul(GOLDEN)))
+}
+
+/// Element of a nonempty `len`-element buffer that a [`FaultKind::Corrupt`]
+/// fault with decision hash `hash` damages.
+pub(crate) fn corrupt_index(hash: u64, len: usize) -> usize {
+    (splitmix64(hash) % len as u64) as usize
 }
 
 /// Where in the communication fabric a fault can strike. Each variant names
 /// one *delivery* or one *per-rank computation* — the granularity at which
 /// the ABFT layer detects and retries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[non_exhaustive]
 pub enum FaultSite {
     /// Delivery of a SUMMA `A` panel to one receiving rank in a grid row.
@@ -105,8 +115,8 @@ pub enum FaultKind {
 /// One injected fault, as recorded in the [`FaultLog`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
-    /// Global injection-order index (also the hash input that decided it).
-    pub index: u64,
+    /// Collective the fault struck, numbered from 1 (0: logged at arming).
+    pub op: u64,
     /// Where the fault struck.
     pub site: FaultSite,
     /// What struck.
@@ -116,9 +126,9 @@ pub struct FaultEvent {
     pub attempt: usize,
 }
 
-/// Chronological record of every fault a plan injected — the observable,
-/// comparable "what happened" of a faulty run. Two runs of the same workload
-/// under the same seed produce equal logs.
+/// Every fault a plan injected, sorted by (operation, site, attempt) — the
+/// observable, comparable "what happened" of a faulty run. Two runs of the
+/// same workload under the same seed produce equal logs.
 pub type FaultLog = Vec<FaultEvent>;
 
 /// A deterministic, seeded description of the faults to inject into a
@@ -206,86 +216,78 @@ impl FaultPlan {
     pub(crate) fn slow_factor(&self, rank: usize) -> f64 {
         self.slow.iter().filter(|(r, _)| *r == rank).map(|(_, f)| *f).fold(1.0, f64::max)
     }
-
-    pub(crate) fn slow_ranks(&self) -> &[(usize, f64)] {
-        &self.slow
-    }
 }
 
-/// Live injection state of an armed plan: the event counter that drives the
-/// deterministic decisions, the once-only rank-failure latch, and the log.
+/// A decision that struck: its kind and its decision hash.
+pub(crate) type Strike = (FaultKind, u64);
+
+/// Live injection state of an armed plan: the operations numbered so far,
+/// the once-only rank-failure latch, and the log.
 #[derive(Debug)]
 pub(crate) struct FaultState {
     plan: FaultPlan,
-    counter: u64,
+    ops: u64,
     rank_failure_armed: bool,
     log: FaultLog,
 }
 
 impl FaultState {
     pub(crate) fn new(plan: FaultPlan) -> Self {
-        let mut state = FaultState {
-            rank_failure_armed: plan.rank_failure.is_some(),
-            plan,
-            counter: 0,
-            log: Vec::new(),
-        };
         // Slow ranks are a standing condition, not a discrete strike: log
         // them once, up front, so the log names every degradation in play.
-        let slow: Vec<(usize, f64)> = state.plan.slow_ranks().to_vec();
-        for (rank, _) in slow {
-            let index = state.counter;
-            state.counter += 1;
-            state.log.push(FaultEvent {
-                index,
+        let log = (plan.slow.iter())
+            .map(|&(rank, _)| FaultEvent {
+                op: 0,
                 site: FaultSite::SummaCompute { round: 0, rank },
                 kind: FaultKind::Slow,
                 attempt: 0,
-            });
-        }
-        state
+            })
+            .collect();
+        FaultState { rank_failure_armed: plan.rank_failure.is_some(), plan, ops: 0, log }
     }
 
     pub(crate) fn plan(&self) -> &FaultPlan {
         &self.plan
     }
 
-    pub(crate) fn into_log(self) -> FaultLog {
+    pub(crate) fn begin_op(&mut self) -> u64 {
+        self.ops += 1;
+        self.ops
+    }
+
+    pub(crate) fn into_log(mut self) -> FaultLog {
+        self.log.sort_by_key(|ev| (ev.op, ev.site, ev.attempt));
         self.log
     }
 
-    /// Decide whether a fault strikes `site` on delivery `attempt`. Every
-    /// query consumes one event index, so the whole decision sequence is a
-    /// pure function of `(seed, query order)` — rerunning the same workload
-    /// under the same plan replays the same faults.
-    pub(crate) fn decide(&mut self, site: FaultSite, attempt: usize) -> Option<FaultEvent> {
-        let index = self.counter;
-        self.counter += 1;
-        if let FaultSite::SummaCompute { round, rank } = site {
-            if self.rank_failure_armed && self.plan.rank_failure == Some((rank, round)) {
-                self.rank_failure_armed = false;
-                let ev = FaultEvent { index, site, kind: FaultKind::RankFailure, attempt };
-                self.log.push(ev);
-                return Some(ev);
+    /// Decide whether a fault strikes `site` on delivery `attempt` of
+    /// operation `op`: a pure function of `(seed, op, site, attempt)`, so
+    /// the order of one operation's queries does not matter. The
+    /// rank-failure latch is the only state, and only its site trips it.
+    pub(crate) fn decide(&mut self, op: u64, site: FaultSite, attempt: usize) -> Option<Strike> {
+        let hash = decision_hash(self.plan.seed, op, site, attempt);
+        let kind = if let FaultSite::SummaCompute { round, rank } = site {
+            if !(self.rank_failure_armed && self.plan.rank_failure == Some((rank, round))) {
+                return None;
             }
-            return None;
-        }
-        if attempt > 0 && !self.plan.persistent {
+            self.rank_failure_armed = false;
+            FaultKind::RankFailure
+        } else if attempt > 0 && !self.plan.persistent {
             // Transient faults strike a given transfer once; the retry is
             // clean by construction.
             return None;
-        }
-        let u = unit_f64(splitmix64(self.plan.seed ^ index.wrapping_mul(GOLDEN)));
-        let kind = if u < self.plan.drop_prob {
-            FaultKind::Drop
-        } else if u < self.plan.drop_prob + self.plan.corrupt_prob {
-            FaultKind::Corrupt
         } else {
-            return None;
+            let u = unit_f64(hash);
+            if u < self.plan.drop_prob {
+                FaultKind::Drop
+            } else if u < self.plan.drop_prob + self.plan.corrupt_prob {
+                FaultKind::Corrupt
+            } else {
+                return None;
+            }
         };
-        let ev = FaultEvent { index, site, kind, attempt };
-        self.log.push(ev);
-        Some(ev)
+        self.log.push(FaultEvent { op, site, kind, attempt });
+        Some((kind, hash))
     }
 }
 
@@ -293,27 +295,30 @@ impl FaultState {
 mod tests {
     use super::*;
 
-    fn drain(plan: FaultPlan, queries: usize) -> FaultLog {
+    /// One operation querying `queries` sites, in the order given.
+    fn drain(plan: FaultPlan, queries: impl Iterator<Item = usize>) -> FaultLog {
         let mut s = FaultState::new(plan);
-        for i in 0..queries {
-            let _ = s.decide(FaultSite::SummaPanelA { round: i, rank: 0 }, 0);
+        let op = s.begin_op();
+        for i in queries {
+            let _ = s.decide(op, FaultSite::SummaPanelA { round: i, rank: 0 }, 0);
         }
         s.into_log()
     }
 
     #[test]
-    fn same_seed_same_sequence() {
+    fn same_seed_same_sequence_in_any_query_order() {
         let plan = FaultPlan::seeded(7).corrupt_prob(0.2).drop_prob(0.1);
-        let a = drain(plan.clone(), 200);
-        let b = drain(plan, 200);
+        let a = drain(plan.clone(), 0..200);
+        let b = drain(plan, (0..200).rev());
         assert_eq!(a, b);
         assert!(!a.is_empty(), "prob 0.3 over 200 queries should strike");
+        assert!(a.windows(2).all(|w| w[0].site < w[1].site), "sorted by site");
     }
 
     #[test]
     fn different_seeds_diverge() {
-        let a = drain(FaultPlan::seeded(1).corrupt_prob(0.3), 300);
-        let b = drain(FaultPlan::seeded(2).corrupt_prob(0.3), 300);
+        let a = drain(FaultPlan::seeded(1).corrupt_prob(0.3), 0..300);
+        let b = drain(FaultPlan::seeded(2).corrupt_prob(0.3), 0..300);
         assert_ne!(
             a, b,
             "two seeds striking identically at every one of 300 sites is (astronomically) unlikely"
@@ -321,24 +326,39 @@ mod tests {
     }
 
     #[test]
+    fn operations_are_numbered_from_one_and_key_the_decision() {
+        let mut s = FaultState::new(FaultPlan::seeded(5).corrupt_prob(0.5));
+        let site = FaultSite::ScatterBlock { rank: 1 };
+        let ops: Vec<u64> = (0..64).map(|_| s.begin_op()).collect();
+        assert_eq!(ops[..3], [1, 2, 3]);
+        let struck: Vec<bool> = ops.iter().map(|&op| s.decide(op, site, 0).is_some()).collect();
+        assert!(struck.contains(&true) && struck.contains(&false), "the op number is a hash input");
+        let log = s.into_log();
+        assert!(log.iter().all(|ev| ev.site == site && ev.op >= 1));
+    }
+
+    #[test]
     fn transient_faults_spare_retries_persistent_ones_do_not() {
         let mut s = FaultState::new(FaultPlan::seeded(3).corrupt_prob(1.0));
         let site = FaultSite::GatherBlock { rank: 1 };
-        assert!(s.decide(site, 0).is_some());
-        assert!(s.decide(site, 1).is_none(), "transient: retry is clean");
+        assert!(s.decide(1, site, 0).is_some());
+        assert!(s.decide(1, site, 1).is_none(), "transient: retry is clean");
         let mut p = FaultState::new(FaultPlan::seeded(3).corrupt_prob(1.0).persistent());
-        assert!(p.decide(site, 0).is_some());
-        assert!(p.decide(site, 1).is_some(), "persistent: retry struck too");
+        assert!(p.decide(1, site, 0).is_some());
+        assert!(p.decide(1, site, 1).is_some(), "persistent: retry struck too");
     }
 
     #[test]
     fn rank_failure_fires_exactly_once_at_its_round() {
         let mut s = FaultState::new(FaultPlan::seeded(0).fail_rank(2, 5));
-        assert!(s.decide(FaultSite::SummaCompute { round: 4, rank: 2 }, 0).is_none());
-        assert!(s.decide(FaultSite::SummaCompute { round: 5, rank: 1 }, 0).is_none());
-        let ev = s.decide(FaultSite::SummaCompute { round: 5, rank: 2 }, 0);
-        assert_eq!(ev.map(|e| e.kind), Some(FaultKind::RankFailure));
-        assert!(s.decide(FaultSite::SummaCompute { round: 5, rank: 2 }, 0).is_none(), "fires once");
+        assert!(s.decide(1, FaultSite::SummaCompute { round: 4, rank: 2 }, 0).is_none());
+        assert!(s.decide(1, FaultSite::SummaCompute { round: 5, rank: 1 }, 0).is_none());
+        let ev = s.decide(1, FaultSite::SummaCompute { round: 5, rank: 2 }, 0);
+        assert_eq!(ev.map(|(kind, _)| kind), Some(FaultKind::RankFailure));
+        assert!(
+            s.decide(2, FaultSite::SummaCompute { round: 5, rank: 2 }, 0).is_none(),
+            "fires once"
+        );
     }
 
     #[test]
@@ -348,6 +368,6 @@ mod tests {
         assert_eq!(plan.slow_factor(0), 1.0);
         let log = FaultState::new(plan).into_log();
         assert_eq!(log.len(), 1);
-        assert_eq!(log[0].kind, FaultKind::Slow);
+        assert_eq!((log[0].op, log[0].kind), (0, FaultKind::Slow));
     }
 }

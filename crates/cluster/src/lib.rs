@@ -54,7 +54,7 @@
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 //! let cluster = Cluster::new(4);
 //! let a = Matrix::random_real(16, 3, &mut rng);
-//! let dist = DistMatrix::scatter(&cluster, &a);
+//! let dist = DistMatrix::scatter(&cluster, &a).unwrap();
 //! let g = dist.gram().unwrap(); // per-rank local A_i^H A_i, then one allreduce
 //! assert!(g.approx_eq(&matmul_adj_a(&a, &a), 1e-10));
 //! let stats = cluster.stats();
@@ -84,15 +84,15 @@
 //! let b = Matrix::random(48, 48, &mut rng);
 //!
 //! let cluster = Cluster::new(4); // default grid: 2 x 2
-//! let da = DistMatrix::scatter_block_cyclic(&cluster, &a, cluster.grid(), 8, 8);
-//! let db = DistMatrix::scatter_block_cyclic(&cluster, &b, cluster.grid(), 8, 8);
+//! let da = DistMatrix::scatter_block_cyclic(&cluster, &a, cluster.grid(), 8, 8).unwrap();
+//! let db = DistMatrix::scatter_block_cyclic(&cluster, &b, cluster.grid(), 8, 8).unwrap();
 //! cluster.reset_stats();
 //! let c = da.matmul_dist(&db).unwrap(); // SUMMA rounds over the depth panels
 //! assert!(c.gather_unaccounted().approx_eq(&matmul(&a, &b), 1e-10));
 //! let summa_bytes = cluster.reset_stats().bytes_communicated;
 //!
-//! let ra = DistMatrix::scatter(&cluster, &a); // block-row baseline
-//! let rb = DistMatrix::scatter(&cluster, &b);
+//! let ra = DistMatrix::scatter(&cluster, &a).unwrap(); // block-row baseline
+//! let rb = DistMatrix::scatter(&cluster, &b).unwrap();
 //! cluster.reset_stats();
 //! let _ = ra.matmul_dist(&rb).unwrap(); // degenerates to allgather-B
 //! let gather_bytes = cluster.reset_stats().bytes_communicated;

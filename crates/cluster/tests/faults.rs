@@ -24,10 +24,10 @@ fn faulty_summa(
     let mut rng = StdRng::seed_from_u64(mat_seed);
     let a = Matrix::random(m, k, &mut rng);
     let b = Matrix::random(k, n, &mut rng);
-    let da = DistMatrix::scatter_block_cyclic(&cluster, &a, grid, mb, kb);
+    let da = DistMatrix::scatter_block_cyclic(&cluster, &a, grid, mb, kb).unwrap();
     // Deliberately mismatched depth blocks: the SUMMA rounds run over the
     // common (ragged) refinement of the two layouts.
-    let db = DistMatrix::scatter_block_cyclic(&cluster, &b, grid, kb + 1, mb);
+    let db = DistMatrix::scatter_block_cyclic(&cluster, &b, grid, kb + 1, mb).unwrap();
     cluster.reset_stats();
     cluster.arm_faults(plan);
     let c = da.matmul_dist(&db).expect("transient faults must be recovered");

@@ -26,10 +26,10 @@ fn check_case(
     let mut rng = StdRng::seed_from_u64(seed);
     let a = Matrix::random(m, k, &mut rng);
     let b = Matrix::random(k, n, &mut rng);
-    let da = DistMatrix::scatter_block_cyclic(&cluster, &a, grid, mb, kb);
+    let da = DistMatrix::scatter_block_cyclic(&cluster, &a, grid, mb, kb).unwrap();
     // B uses kb + 1 for its row blocks: the depth panels of the SUMMA loop
     // are the common refinement of the two layouts.
-    let db = DistMatrix::scatter_block_cyclic(&cluster, &b, grid, kb + 1, nb);
+    let db = DistMatrix::scatter_block_cyclic(&cluster, &b, grid, kb + 1, nb).unwrap();
     cluster.reset_stats(); // the scatter is setup, not the product
     let c = da.matmul_dist(&db).expect("fault-free SUMMA cannot fail");
     let reference = matmul(&a, &b);
@@ -100,8 +100,8 @@ fn summa_on_real_operands_runs_zero_complex_macs_per_rank() {
     let (m, k, n) = (17, 23, 11);
     let a = Matrix::random_real(m, k, &mut rng);
     let b = Matrix::random_real(k, n, &mut rng);
-    let da = DistMatrix::scatter_block_cyclic(&cluster, &a, grid, 4, 5);
-    let db = DistMatrix::scatter_block_cyclic(&cluster, &b, grid, 5, 4);
+    let da = DistMatrix::scatter_block_cyclic(&cluster, &a, grid, 4, 5).unwrap();
+    let db = DistMatrix::scatter_block_cyclic(&cluster, &b, grid, 5, 4).unwrap();
     assert!(da.is_real() && db.is_real());
     cluster.reset_stats();
     let c = da.matmul_dist(&db).expect("fault-free SUMMA cannot fail");
@@ -130,8 +130,8 @@ fn summa_communicates_o_n2_over_sqrt_p_words_per_rank() {
     let b = Matrix::random(n, n, &mut rng);
 
     let grid = ProcGrid::new(p, q);
-    let da = DistMatrix::scatter_block_cyclic(&cluster, &a, grid, 8, 8);
-    let db = DistMatrix::scatter_block_cyclic(&cluster, &b, grid, 8, 8);
+    let da = DistMatrix::scatter_block_cyclic(&cluster, &a, grid, 8, 8).unwrap();
+    let db = DistMatrix::scatter_block_cyclic(&cluster, &b, grid, 8, 8).unwrap();
     cluster.reset_stats();
     let _ = da.matmul_dist(&db).unwrap();
     let summa_bytes = cluster.reset_stats().bytes_communicated;
@@ -147,8 +147,8 @@ fn summa_communicates_o_n2_over_sqrt_p_words_per_rank() {
     );
 
     // The block-row layout degenerates to allgather-B: k*n*(P-1) words.
-    let ra = DistMatrix::scatter(&cluster, &a);
-    let rb = DistMatrix::scatter(&cluster, &b);
+    let ra = DistMatrix::scatter(&cluster, &a).unwrap();
+    let rb = DistMatrix::scatter(&cluster, &b).unwrap();
     cluster.reset_stats();
     let _ = ra.matmul_dist(&rb).unwrap();
     let gather_bytes = cluster.reset_stats().bytes_communicated;
@@ -164,12 +164,13 @@ fn summa_communicates_o_n2_over_sqrt_p_words_per_rank() {
 fn summa_rejects_mismatched_grids_and_shapes() {
     let cluster = Cluster::new(4);
     let a = Matrix::zeros(4, 4);
-    let da = DistMatrix::scatter_block_cyclic(&cluster, &a, ProcGrid::new(2, 2), 2, 2);
-    let db_wrong_grid = DistMatrix::scatter(&cluster, &a);
+    let da = DistMatrix::scatter_block_cyclic(&cluster, &a, ProcGrid::new(2, 2), 2, 2).unwrap();
+    let db_wrong_grid = DistMatrix::scatter(&cluster, &a).unwrap();
     let r = std::panic::catch_unwind(|| da.matmul_dist(&db_wrong_grid));
     assert!(r.is_err(), "mismatched grids must be rejected");
     let b = Matrix::zeros(5, 4);
-    let db_wrong_shape = DistMatrix::scatter_block_cyclic(&cluster, &b, ProcGrid::new(2, 2), 2, 2);
+    let db_wrong_shape =
+        DistMatrix::scatter_block_cyclic(&cluster, &b, ProcGrid::new(2, 2), 2, 2).unwrap();
     let r = std::panic::catch_unwind(|| da.matmul_dist(&db_wrong_shape));
     assert!(r.is_err(), "inner dimension mismatch must be rejected");
 }

@@ -104,21 +104,20 @@ pub(crate) fn dist_two_site_update(
     // a: rows = outer bonds (o1,o2,o3), cols = (pa, bond)
     let a_mat_t = a.permute(&[1, 2, 3, 0, 4])?; // [o1,o2,o3, pa, bond]
     let a_rows: Vec<usize> = a_mat_t.shape()[..3].to_vec();
-    let a_dist = scatter_site(cluster, &a_mat_t);
+    let a_dist = scatter_site(cluster, &a_mat_t).context("dist_two_site_update")?;
     // b: rows = outer bonds (o1,o2,o3) = axes 2,3,4, cols = (pb, bond)
     let b_mat_t = b.permute(&[2, 3, 4, 0, 1])?; // [o1,o2,o3, pb, bond]
     let b_rows: Vec<usize> = b_mat_t.shape()[..3].to_vec();
-    let b_dist = scatter_site(cluster, &b_mat_t);
+    let b_dist = scatter_site(cluster, &b_mat_t).context("dist_two_site_update")?;
 
     // The Gram path can degrade (ill-conditioned spectrum) or reject
-    // non-finite inputs.
-    let (qa, qb) = match variant {
-        DistEvolutionVariant::CtfQrSvd => (qr_gather_dist(&a_dist), qr_gather_dist(&b_dist)),
-        _ => (
-            gram_qr_dist(&a_dist).context("dist_two_site_update")?,
-            gram_qr_dist(&b_dist).context("dist_two_site_update")?,
-        ),
+    // non-finite inputs; every path can meet an unrecoverable fault.
+    let qr = match variant {
+        DistEvolutionVariant::CtfQrSvd => qr_gather_dist,
+        _ => gram_qr_dist,
     };
+    let qa = qr(&a_dist).context("dist_two_site_update")?;
+    let qb = qr(&b_dist).context("dist_two_site_update")?;
     let ka = qa.r.nrows();
     let kb = qb.r.nrows();
     // R factors are small and replicated: [ka, pa, bond], [kb, pb, bond].
@@ -189,7 +188,7 @@ pub(crate) fn dist_two_site_update(
 /// dimension over a second grid factor would reintroduce `O(m n)` column
 /// reductions and lose the algorithm's asymptotic advantage; genuinely 2-D
 /// layouts are for the square SUMMA products at the `koala_cluster` layer.
-fn scatter_site(cluster: &Cluster, t: &Tensor) -> DistMatrix {
+fn scatter_site(cluster: &Cluster, t: &Tensor) -> Result<DistMatrix> {
     let p = cluster.nranks();
     let m = t.unfold(3);
     let (row_block, col_block) = (cyclic_block(m.nrows(), p), cyclic_block(m.ncols(), 1));
@@ -394,7 +393,7 @@ mod tests {
 
         let cluster = Cluster::new(4);
         let site = base.tensor((0, 0)).permute(&[1, 2, 3, 0, 4]).unwrap();
-        let d = scatter_site(&cluster, &site);
+        let d = scatter_site(&cluster, &site).unwrap();
         assert_eq!(d.grid(), ProcGrid::column(4));
         assert_eq!(d.shape(), site.unfold(3).shape());
         cluster.reset_stats();

@@ -138,17 +138,11 @@ pub struct ServerConfig {
     /// Maximum number of queued (not yet drained) jobs; a full queue rejects
     /// submissions with [`ErrorKind::Exhausted`].
     pub queue_capacity: usize,
-    /// Deadline applied to every job that does not override it. `None`
-    /// disables timeouts.
-    pub default_timeout: Option<Duration>,
-    /// If set, resize the shared `koala-exec` pool at server construction
-    /// (safe to race with other front doors — `set_threads` is idempotent).
-    pub threads: Option<usize>,
 }
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
-        ServerConfig { queue_capacity: 64, default_timeout: None, threads: None }
+        ServerConfig { queue_capacity: 64 }
     }
 }
 
@@ -188,12 +182,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Build a server. If [`ServerConfig::threads`] is set, the shared
-    /// executor pool is resized (idempotently) before any job runs.
+    /// Build a server. Jobs run on the shared `koala-exec` pool, sized by
+    /// [`koala_exec::set_threads`].
     pub fn new(config: ServerConfig) -> Server {
-        if let Some(n) = config.threads {
-            koala_exec::set_threads(n);
-        }
         Server { config, queue: Vec::new(), next_id: 1 }
     }
 
@@ -202,13 +193,13 @@ impl Server {
         self.queue.len()
     }
 
-    /// Validate and enqueue a job under the server's default timeout.
+    /// Validate and enqueue a job with no deadline.
     pub fn submit(&mut self, tenant: &str, spec: JobSpec) -> Result<Submission> {
-        self.submit_with_timeout(tenant, spec, self.config.default_timeout)
+        self.submit_with_timeout(tenant, spec, None)
     }
 
     /// Validate and enqueue a job with an explicit per-job deadline
-    /// (`None` = no deadline, overriding the server default).
+    /// (`None` = no deadline).
     pub fn submit_with_timeout(
         &mut self,
         tenant: &str,

@@ -48,7 +48,7 @@ fn invalid_specs_are_rejected_at_submission() {
 
 #[test]
 fn full_queue_rejects_with_exhausted() {
-    let mut server = Server::new(ServerConfig { queue_capacity: 2, ..ServerConfig::default() });
+    let mut server = Server::new(ServerConfig { queue_capacity: 2 });
     server.submit("a", JobSpec::Ite(small_ite())).unwrap();
     server.submit("b", JobSpec::Ite(small_ite())).unwrap();
     let err = server.submit("c", JobSpec::Ite(small_ite())).unwrap_err();

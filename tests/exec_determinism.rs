@@ -238,8 +238,8 @@ fn summa_matmul_is_bit_identical_across_threads() {
     for &threads in &THREAD_SWEEP {
         koala::exec::set_threads(threads);
         let cluster = Cluster::new(grid.nranks());
-        let da = DistMatrix::scatter_block_cyclic(&cluster, &a, grid, 3, 4);
-        let db = DistMatrix::scatter_block_cyclic(&cluster, &b, grid, 5, 3);
+        let da = DistMatrix::scatter_block_cyclic(&cluster, &a, grid, 3, 4).unwrap();
+        let db = DistMatrix::scatter_block_cyclic(&cluster, &b, grid, 5, 3).unwrap();
         cluster.reset_stats();
         let c = da.matmul_dist(&db).unwrap().gather_unaccounted();
         let stats = cluster.stats();

@@ -28,8 +28,8 @@ fn rank_failure_mid_summa_recovers_and_matches_the_fault_free_product() {
     let run = |plan: Option<FaultPlan>| {
         let cluster = Cluster::new(6);
         let grid = cluster.grid();
-        let da = DistMatrix::scatter_block_cyclic(&cluster, &a, grid, 4, 5);
-        let db = DistMatrix::scatter_block_cyclic(&cluster, &b, grid, 3, 4);
+        let da = DistMatrix::scatter_block_cyclic(&cluster, &a, grid, 4, 5).unwrap();
+        let db = DistMatrix::scatter_block_cyclic(&cluster, &b, grid, 3, 4).unwrap();
         if let Some(p) = plan {
             cluster.arm_faults(p);
         }
@@ -191,6 +191,16 @@ fn the_kind_raised_at_the_bottom_is_the_kind_seen_at_the_top() {
     let err = expectation_normalized(&poisoned, &h, ExpectationOptions::bmps_cached(4), &mut rng)
         .unwrap_err();
     assert_eq!(err.kind(), ErrorKind::NonFinite, "{err}");
+
+    // An interconnect fault that outlasts the retry budget: cluster scatter
+    // -> core::dist, a typed error where it used to be a panic.
+    let cluster = Cluster::new(4);
+    cluster.arm_faults(FaultPlan::seeded(3).corrupt_prob(1.0).persistent());
+    let mut peps = Peps::random(2, 2, 2, 2, &mut rng);
+    let err = dist_tebd_layer(&cluster, &mut peps, &gate, 2, DistEvolutionVariant::LocalGramQr)
+        .unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::Fault, "{err}");
+    assert_eq!(err.contexts()[0], "scatter: rank 1's block", "{err}");
 
     // linalg::eigh inside Lanczos -> sim::StateVector, with the frame the
     // layer above pushed. (Lanczos itself never reports `NoConvergence`: a
