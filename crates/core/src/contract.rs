@@ -10,11 +10,14 @@
 //!
 //! # The zip-up wavefront
 //!
-//! One BMPS/IBMPS contraction ([`contract_no_phys`], [`amplitude`],
-//! `inner_merged`/[`norm_sqr`]) runs as one `koala_exec` task graph of
-//! zip-up steps rather than row after row. Step `i` of row `r` (the
-//! [`koala_mps::zip_step`] that finishes site `i-1` of the new boundary)
-//! needs two things: row `r`'s step `i-1`, and site `i` of row `r-1`'s
+//! Every boundary MPS is built by one function, `contract_rows`: the
+//! contractions to a scalar ([`contract_no_phys`], [`amplitude`],
+//! [`norm_sqr`]), both sweeps of a measurement's row environments
+//! ([`EnvCache::build`](crate::EnvCache::build)) and the inner rows of its
+//! strips. It runs as one `koala_exec` task graph of zip-up steps rather
+//! than row after row, and returns the boundary after every absorbed row.
+//! Step `i` of row `r` (the [`koala_mps::zip_step`] that finishes site `i-1`
+//! of the new boundary) needs two things: row `r`'s step `i-1`, and site `i` of row `r-1`'s
 //! output, which row `r-1` finishes at its step `i+1` (its last step, for
 //! the last site). Those are the graph's two edges per step, so row `r` runs
 //! two steps behind row `r-1` and steps of several rows overlap. Per row
@@ -22,9 +25,9 @@
 //! first site, after row `r-1` has finished its site 0.
 //!
 //! Dependency edges fix every step's inputs, and every step of an implicit
-//! zip-up brings its own seed, drawn before the run row by row exactly as
-//! `nrows - 1` serial [`zip_up`] calls would draw them
-//! ([`koala_mps::zip_seeds`]). So the value is bit-identical at every
+//! zip-up brings its own seed, drawn from the caller's stream before the run
+//! row by row exactly as one serial [`koala_mps::zip_up`] per row would draw
+//! them ([`koala_mps::zip_seeds`]). So the value is bit-identical at every
 //! thread count and to the serial row-by-row sequence. A one-thread pool
 //! runs the same graph as its FIFO walk. `Exact` has no zip-up steps and
 //! applies its rows one after another.
@@ -35,11 +38,11 @@ use koala_error::KoalaError;
 use koala_error::Result;
 use koala_exec::{TaskGraph, TaskId, TaskKind};
 use koala_linalg::C64;
-use koala_mps::{zip_finish, zip_seeds, zip_start, zip_step, zip_up, Mpo, Mps, ZipUpMethod};
+use koala_mps::{zip_finish, zip_seeds, zip_start, zip_step, Mpo, Mps, ZipUpMethod};
 use koala_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Which contraction algorithm to use.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,20 +87,6 @@ impl ContractionMethod {
             ContractionMethod::Ibmps { max_bond, n_iter, oversample } => {
                 Some((max_bond, ZipUpMethod::ImplicitRandSvd { n_iter, oversample }))
             }
-        }
-    }
-
-    /// Absorb one row MPO into the boundary MPS the way this method
-    /// prescribes.
-    pub(crate) fn apply_row<R: Rng + ?Sized>(
-        self,
-        boundary: &Mps,
-        mpo: &Mpo,
-        rng: &mut R,
-    ) -> Result<Mps> {
-        match self.zip() {
-            None => mpo.apply_exact(boundary),
-            Some((max_bond, zip)) => zip_up(boundary, mpo, max_bond, zip, rng),
         }
     }
 }
@@ -152,7 +141,10 @@ pub fn contract_no_phys<R: Rng + ?Sized>(
     method: ContractionMethod,
     rng: &mut R,
 ) -> Result<C64> {
-    contract_rows(peps.nrows(), row_as_mps(peps, 0)?, |row| row_as_mpo(peps, row), method, rng)
+    let top = row_as_mps(peps, 0)?;
+    let boundaries =
+        contract_rows(&top, peps.nrows() - 1, |k| row_as_mpo(peps, k + 1), method, rng)?;
+    boundaries.last().unwrap_or(&top).contract_to_scalar()
 }
 
 /// One tensor handed from the task that produces it to the task that
@@ -163,65 +155,77 @@ fn put(slot: &Slot, t: Tensor) {
     *lock(slot) = Some(t);
 }
 
-/// Move a tensor out of its slot. The graph's edges guarantee it was
-/// produced; an empty slot is a broken edge, reported rather than panicked.
-fn take(slot: &Slot) -> Result<Tensor> {
-    lock(slot)
-        .take()
-        .ok_or_else(|| KoalaError::invalid("boundary contraction: a zip-up input was not produced"))
+/// The graph's edges order every slot's one write before its read; anything
+/// else is a broken edge, reported rather than panicked.
+fn broken_edge() -> KoalaError {
+    KoalaError::invalid("boundary contraction: a zip-up slot was not written exactly once")
 }
 
-/// The boundary-MPS row loop of Algorithm 2: starting from `top` (row 0 as
-/// an MPS), absorb the MPO `row_mpo(r)` of every later row top-down.
+/// Move a tensor out of its slot.
+fn take(slot: &Slot) -> Result<Tensor> {
+    lock(slot).take().ok_or_else(broken_edge)
+}
+
+/// Write a finished boundary site, which the row below reads in place.
+fn finish(site: &OnceLock<Tensor>, t: Tensor) -> Result<()> {
+    site.set(t).map_err(|_| broken_edge())
+}
+
+/// The boundary-MPS row loop of Algorithm 2: starting from `top`, absorb
+/// the MPOs `row_mpo(0..rows)` in turn and return the boundary after each.
 ///
-/// The zip-up methods run it as the wavefront of the [module docs](self):
-/// sites live in per-(row, column) slots and move from step to step, and
-/// row `r`'s MPO is built by its start task, once row `r-1` is under way.
-fn contract_rows<R: Rng + ?Sized>(
-    nrows: usize,
-    top: Mps,
+/// The zip-up methods run it as the wavefront of the [module docs](self): a
+/// finished boundary site is written once and read in place by the row
+/// below, the zip-up tensor and the MPO sites move from step to step through
+/// slots, and row `k`'s MPO is built by its start task.
+pub(crate) fn contract_rows<R: Rng + ?Sized>(
+    top: &Mps,
+    rows: usize,
     row_mpo: impl Fn(usize) -> Result<Mpo> + Sync,
     method: ContractionMethod,
     rng: &mut R,
-) -> Result<C64> {
+) -> Result<Vec<Mps>> {
     let Some((max_bond, zip)) = method.zip() else {
-        let mut boundary = top;
-        for row in 1..nrows {
-            boundary = row_mpo(row)?.apply_exact(&boundary)?;
+        let mut boundaries: Vec<Mps> = Vec::with_capacity(rows);
+        for k in 0..rows {
+            boundaries.push(row_mpo(k)?.apply_exact(boundaries.last().unwrap_or(top))?);
         }
-        return boundary.contract_to_scalar();
+        return Ok(boundaries);
     };
     let ncols = top.len();
-    let seeds: Vec<Vec<u64>> = (1..nrows).map(|_| zip_seeds(ncols, zip, rng)).collect();
-    let slots = || -> Vec<Slot> { (0..ncols).map(|_| Mutex::new(None)).collect() };
-    // sites[r][c]: site c of the boundary MPS after row r (row 0 is `top`);
-    // mpos[r][c]: site c of row r's MPO; running[r]: row r's zip-up boundary.
-    let mut sites: Vec<Vec<Slot>> =
-        vec![top.into_tensors().into_iter().map(|t| Mutex::new(Some(t))).collect()];
-    sites.extend((1..nrows).map(|_| slots()));
-    let mpos: Vec<Vec<Slot>> = (0..nrows).map(|_| slots()).collect();
-    let running: Vec<Slot> = (0..nrows).map(|_| Mutex::new(None)).collect();
+    let seeds: Vec<Vec<u64>> = (0..rows).map(|_| zip_seeds(ncols, zip, rng)).collect();
+    // sites[k][c]: site c of the boundary after row k; mpos[k][c]: site c of
+    // row k's MPO; running[k]: row k's zip-up tensor.
+    let sites: Vec<Vec<OnceLock<Tensor>>> =
+        (0..rows).map(|_| (0..ncols).map(|_| OnceLock::new()).collect()).collect();
+    let mpos: Vec<Vec<Slot>> =
+        (0..rows).map(|_| (0..ncols).map(|_| Mutex::new(None)).collect()).collect();
+    let running: Vec<Slot> = (0..rows).map(|_| Mutex::new(None)).collect();
+    // Site c of the boundary that row k absorbs into.
+    let above = |k: usize, c: usize| match k.checked_sub(1) {
+        None => Ok(top.tensor(c)),
+        Some(j) => sites[j][c].get().ok_or_else(broken_edge),
+    };
 
     let mut graph = TaskGraph::new();
     // producer[c]: the task that finishes site c of the row above (none for
     // `top`, whose sites are all there from the start).
     let mut producer: Vec<Option<TaskId>> = vec![None; ncols];
-    for row in 1..nrows {
-        let (above, here, mpo, boundary) =
-            (&sites[row - 1], &sites[row], &mpos[row], &running[row]);
-        let (row_mpo, seeds) = (&row_mpo, &seeds[row - 1]);
+    for k in 0..rows {
+        let (above, here, mpo, boundary) = (&above, &sites[k], &mpos[k], &running[k]);
+        let (row_mpo, seeds) = (&row_mpo, &seeds[k]);
         let deps: Vec<TaskId> = producer[0].into_iter().collect();
         let start = graph.add(TaskKind::Contract, &deps, move || {
-            let mut o = row_mpo(row)?.into_tensors();
+            let mut o = row_mpo(k)?.into_tensors();
             if o.len() != ncols {
                 return Err(KoalaError::shape(format!(
-                    "boundary contraction: row {row} has {} sites, the boundary {ncols}",
+                    "boundary contraction: row {k} has {} sites, the boundary {ncols}",
                     o.len()
                 )));
             }
-            let first = zip_start(&take(&above[0])?, &o[0])?;
+            let first = zip_start(above(k, 0)?, &o[0])?;
             if ncols == 1 {
-                put(&here[0], zip_finish(first)?);
+                finish(&here[0], zip_finish(first)?)?;
             } else {
                 put(boundary, first);
                 o.drain(1..).zip(&mpo[1..]).for_each(|(t, slot)| put(slot, t));
@@ -234,11 +238,11 @@ fn contract_rows<R: Rng + ?Sized>(
             let deps: Vec<TaskId> = [Some(prev), producer[i]].into_iter().flatten().collect();
             let seed = seeds[i - 1];
             prev = graph.add(TaskKind::Contract, &deps, move || {
-                let (v, s, o) = (take(boundary)?, take(&above[i])?, take(&mpo[i])?);
-                let (site, next) = zip_step(&v, &s, &o, max_bond, zip, seed)?;
-                put(&here[i - 1], site);
+                let (v, o) = (take(boundary)?, take(&mpo[i])?);
+                let (site, next) = zip_step(&v, above(k, i)?, &o, max_bond, zip, seed)?;
+                finish(&here[i - 1], site)?;
                 if i + 1 == ncols {
-                    put(&here[i], zip_finish(next)?);
+                    finish(&here[i], zip_finish(next)?)?;
                 } else {
                     put(boundary, next);
                 }
@@ -251,8 +255,11 @@ fn contract_rows<R: Rng + ?Sized>(
         producer = finished_by.into_iter().map(Some).collect();
     }
     graph.run()?;
-    let bottom = sites.pop().unwrap_or_default();
-    Mps::new(bottom.iter().map(take).collect::<Result<_>>()?)?.contract_to_scalar()
+    let into_mps = |row: Vec<OnceLock<Tensor>>| {
+        let row: Option<Vec<Tensor>> = row.into_iter().map(OnceLock::into_inner).collect();
+        Mps::new(row.ok_or_else(broken_edge)?)
+    };
+    sites.into_iter().map(into_mps).collect()
 }
 
 /// Amplitude `<bits|psi>`: project the physical indices onto a basis state and
@@ -289,7 +296,9 @@ pub fn amplitude<R: Rng + ?Sized>(
             (0..ncols).map(|c| project(row, c)?.permute(&[1, 0, 2, 3])).collect::<Result<_>>()?,
         )
     };
-    contract_rows(peps.nrows(), Mps::new(top)?, row_mpo, method, rng)
+    let top = Mps::new(top)?;
+    let boundaries = contract_rows(&top, peps.nrows() - 1, |k| row_mpo(k + 1), method, rng)?;
+    boundaries.last().unwrap_or(&top).contract_to_scalar()
 }
 
 /// One [`amplitude`] per bitstring of `bitstrings`, in order, each contracted
@@ -336,26 +345,15 @@ pub(crate) fn contract_each<T: Send>(
         .collect())
 }
 
-/// Inner product `<bra|ket>` through the merged (single-layer) network: bond
-/// dimensions multiply, then a one-layer contraction is performed. This is
-/// the "naive" two-layer handling of §III-B2.
-pub(crate) fn inner_merged<R: Rng + ?Sized>(
-    bra: &Peps,
-    ket: &Peps,
-    method: ContractionMethod,
-    rng: &mut R,
-) -> Result<C64> {
-    let merged = ket.merge_with_bra(bra)?;
-    contract_no_phys(&merged, method, rng)
-}
-
-/// Norm squared `<psi|psi>` through the merged network.
+/// Norm squared `<psi|psi>` through the merged network: bond dimensions
+/// multiply, then a one-layer contraction is performed. This is the "naive"
+/// two-layer handling of §III-B2.
 pub fn norm_sqr<R: Rng + ?Sized>(
     peps: &Peps,
     method: ContractionMethod,
     rng: &mut R,
 ) -> Result<f64> {
-    Ok(inner_merged(peps, peps, method, rng)?.re.max(0.0))
+    Ok(contract_no_phys(&peps.merge_with_bra(peps)?, method, rng)?.re.max(0.0))
 }
 
 #[cfg(test)]
@@ -363,6 +361,7 @@ mod tests {
     use super::*;
     use koala_error::ErrorKind;
     use koala_linalg::c64;
+    use koala_mps::zip_up;
 
     fn scaled_random_no_phys(n: usize, bond: usize, seed: u64) -> Peps {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -577,7 +576,8 @@ mod tests {
         let a = Peps::random(2, 2, 2, 2, &mut rng);
         let b = Peps::random(2, 2, 2, 2, &mut rng);
         let dense_inner = a.to_dense().unwrap().inner(&b.to_dense().unwrap()).unwrap();
-        let got = inner_merged(&a, &b, ContractionMethod::bmps(32), &mut rng).unwrap();
+        let merged = b.merge_with_bra(&a).unwrap();
+        let got = contract_no_phys(&merged, ContractionMethod::bmps(32), &mut rng).unwrap();
         assert!(got.approx_eq(dense_inner, 1e-7), "{got} vs {dense_inner}");
         let n = norm_sqr(&a, ContractionMethod::Exact, &mut rng).unwrap();
         let dense_n = a.norm_sqr_dense().unwrap();

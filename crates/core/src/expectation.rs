@@ -14,8 +14,11 @@
 //!   sites each. No state tensor is ever factorized or truncated.
 //! * Every untouched site of a strip is borrowed from the merged network.
 //! * The last row of a strip is contracted as `<top| row MPO |bottom>`
-//!   ([`Mps::sandwich`]), so a one-row term makes no `zip_up` at all and a
+//!   ([`Mps::sandwich`]), so a one-row term makes no zip-up at all and a
 //!   term spanning `k` rows makes `k - 1` (`k - 2` from the first row).
+//!
+//! Each environment sweep, and each strip from the environment above it,
+//! is one call to the boundary builder of [`crate::contract`].
 //!
 //! With caching, the row environments (partial contractions from the top and
 //! from the bottom) are computed once — two full contractions — and every term
@@ -31,13 +34,15 @@
 //! contraction** — top sweep, bottom sweep, then every term in term order
 //! (and, without environments, the norm of [`expectation_and_norm`]) — all
 //! drawn serially before anything runs, and each seeds the private
-//! [`StdRng`] of its contraction. Every task writes its own slot and the term
-//! values are summed in term order, so the result is bit-identical at every
-//! thread count, and what a call takes from the caller's stream depends only
-//! on `use_cache` and the number of terms.
+//! [`StdRng`] of its contraction (and, from it, the seeds of its zip-up
+//! steps). Every task writes its own slot and the term values are summed in
+//! term order, so the result is bit-identical at every thread count, and
+//! what a call takes from the caller's stream depends only on `use_cache`
+//! and the number of terms.
 
 use crate::contract::{
-    contract_each, row_as_mpo, row_as_mps, sites_as_mpo, sites_as_mps, ContractionMethod,
+    contract_each, contract_rows, row_as_mpo, row_as_mps, sites_as_mpo, sites_as_mps,
+    ContractionMethod,
 };
 use crate::operators::{operator_schmidt, LocalTerm, Observable};
 use crate::peps::{merge_site_pair, Peps, Site, AX_P, AX_R};
@@ -47,6 +52,7 @@ use koala_mps::{Mpo, Mps};
 use koala_tensor::{einsum, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 
 /// Options controlling the expectation-value computation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,25 +103,17 @@ impl EnvCache {
         // this side. Seen from below a row is flipped upside down (up and
         // down axes swapped).
         let sweep = |from_below: bool| -> Result<Vec<Option<Mps>>> {
-            let mut rng = StdRng::seed_from_u64(seeds[usize::from(from_below)]);
-            let (as_mps, as_mpo): (
-                fn(&Peps, usize) -> Result<Mps>,
-                fn(&Peps, usize) -> Result<Mpo>,
-            ) = if from_below {
-                (flipped_row_as_mps, flipped_row_as_mpo)
-            } else {
-                (row_as_mps, row_as_mpo)
-            };
-            let mut envs: Vec<Option<Mps>> = vec![None];
-            for k in 0..nrows - 1 {
-                let r = if from_below { nrows - 1 - k } else { k };
-                let next = match &envs[k] {
-                    None => as_mps(merged, r)?,
-                    Some(env) => method.apply_row(env, &as_mpo(merged, r)?, &mut rng)?,
-                };
-                envs.push(Some(next));
+            if nrows == 1 {
+                return Ok(vec![None]);
             }
-            Ok(envs)
+            let row = |k: usize| if from_below { nrows - 1 - k } else { k };
+            let as_mps = if from_below { flipped_row_as_mps } else { row_as_mps };
+            let as_mpo = if from_below { flipped_row_as_mpo } else { row_as_mpo };
+            let first = as_mps(merged, row(0))?;
+            let row_mpo = |k: usize| as_mpo(merged, row(k + 1));
+            let mut rng = StdRng::seed_from_u64(seeds[usize::from(from_below)]);
+            let rest = contract_rows(&first, nrows - 2, row_mpo, method, &mut rng)?;
+            Ok([None, Some(first)].into_iter().chain(rest.into_iter().map(Some)).collect())
         };
         let mut sweeps = contract_each(2, |i| sweep(i == 1))?;
         let (mut bottom, top) =
@@ -125,12 +123,12 @@ impl EnvCache {
     }
 
     /// Environment above row `r` (None when `r == 0`).
-    pub fn top(&self, r: usize) -> Option<&Mps> {
+    pub(crate) fn top(&self, r: usize) -> Option<&Mps> {
         self.top[r].as_ref()
     }
 
     /// Environment below row `r` (None when `r` is the last row).
-    pub fn bottom(&self, r: usize) -> Option<&Mps> {
+    pub(crate) fn bottom(&self, r: usize) -> Option<&Mps> {
         self.bottom[r].as_ref()
     }
 }
@@ -305,14 +303,15 @@ impl<'a> Network<'a> {
                 swapped.map_or_else(|| self.merged.tensor((r, c)), |(_, t)| t)
             })
         };
-        let mut boundary: Option<Mps> = None;
-        for r in r0..r1 {
-            boundary = Some(match boundary.as_ref().or(top) {
-                None => sites_as_mps(row(r))?,
-                Some(above) => self.method.apply_row(above, &sites_as_mpo(row(r))?, rng)?,
-            });
-        }
-        Mps::sandwich(boundary.as_ref().or(top), &sites_as_mpo(row(r1))?, bottom)
+        // With no environment above, the strip's first row opens the boundary.
+        let (above, first) = match top {
+            Some(env) => (Cow::Borrowed(env), r0),
+            None if r0 == r1 => return Mps::sandwich(None, &sites_as_mpo(row(r1))?, bottom),
+            None => (Cow::Owned(sites_as_mps(row(r0))?), r0 + 1),
+        };
+        let row_mpo = |k: usize| sites_as_mpo(row(first + k));
+        let boundaries = contract_rows(&above, r1 - first, row_mpo, self.method, rng)?;
+        Mps::sandwich(Some(boundaries.last().unwrap_or(&above)), &sites_as_mpo(row(r1))?, bottom)
     }
 }
 
@@ -530,6 +529,99 @@ mod tests {
         assert!(expectation(&peps, &obs, opts, &mut rng).is_err());
     }
 
+    /// The serial reference for one side of the cache: one stream seeded
+    /// from that side's draw, one [`koala_mps::zip_up`] per absorbed row.
+    /// `envs[r]` is indexed like `top(r)` for the top sweep and like
+    /// `bottom(r)` for the bottom one.
+    fn serial_sweep(
+        merged: &Peps,
+        from_below: bool,
+        seed: u64,
+        (max_bond, zip): (usize, koala_mps::ZipUpMethod),
+    ) -> Vec<Option<Mps>> {
+        let nrows = merged.nrows();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let row = |k: usize| if from_below { nrows - 1 - k } else { k };
+        let mut envs: Vec<Option<Mps>> = vec![None];
+        for k in 0..nrows - 1 {
+            let next = match &envs[k] {
+                None if from_below => flipped_row_as_mps(merged, row(k)).unwrap(),
+                None => row_as_mps(merged, row(k)).unwrap(),
+                Some(env) => {
+                    let mpo = if from_below {
+                        flipped_row_as_mpo(merged, row(k)).unwrap()
+                    } else {
+                        row_as_mpo(merged, row(k)).unwrap()
+                    };
+                    koala_mps::zip_up(env, &mpo, max_bond, zip, &mut rng).unwrap()
+                }
+            };
+            envs.push(Some(next));
+        }
+        if from_below {
+            envs.reverse();
+        }
+        envs
+    }
+
+    fn env_bits(env: Option<&Mps>) -> Option<Vec<(Vec<usize>, Vec<u64>)>> {
+        env.map(|mps| {
+            mps.tensors()
+                .iter()
+                .map(|t| {
+                    let bits = t.data().iter().flat_map(|z| [z.re.to_bits(), z.im.to_bits()]);
+                    (t.shape().to_vec(), bits.collect())
+                })
+                .collect()
+        })
+    }
+
+    /// The cache is the two serial sweeps of [`serial_sweep`] at every thread
+    /// count: merged 1x3, 2x3 and 4x3 states at r = 3 under m = 6 (so the
+    /// implicit zip-ups truncate and draw sketches), and one real-hinted 4x3
+    /// state.
+    #[test]
+    fn env_cache_is_the_serial_zip_up_sweep_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut states: Vec<Peps> =
+            [1, 2, 4].into_iter().map(|n| Peps::random(n, 3, 2, 3, &mut rng)).collect();
+        let mut real = Peps::random(4, 3, 2, 3, &mut rng);
+        for site in 0..real.num_sites() {
+            let (r, c) = (site / 3, site % 3);
+            let mut t = real.tensor((r, c)).clone();
+            t.data_mut().iter_mut().for_each(|z| *z = c64(z.re, 0.0));
+            assert!(t.mark_real_if_exact());
+            real.set_tensor((r, c), t);
+        }
+        states.push(real);
+        let zip_ups = [
+            (ContractionMethod::bmps(6), koala_mps::ZipUpMethod::ExactSvd),
+            (ContractionMethod::ibmps(6), koala_mps::ZipUpMethod::implicit_default()),
+        ];
+        for peps in &states {
+            let merged = peps.merge_with_bra(peps).unwrap();
+            let nrows = merged.nrows();
+            for (method, zip) in zip_ups {
+                let mut seeds = StdRng::seed_from_u64(31);
+                let (top_seed, bottom_seed) = (seeds.next_u64(), seeds.next_u64());
+                let top = serial_sweep(&merged, false, top_seed, (6, zip));
+                let bottom = serial_sweep(&merged, true, bottom_seed, (6, zip));
+                for threads in [1, 2, 4] {
+                    koala_exec::set_threads(threads);
+                    let cache =
+                        EnvCache::build(&merged, method, &mut StdRng::seed_from_u64(31)).unwrap();
+                    for r in 0..nrows {
+                        let at = format!("{nrows}x3 {method:?} at {threads} threads, row {r}");
+                        assert_eq!(env_bits(cache.top(r)), env_bits(top[r].as_ref()), "top, {at}");
+                        let want = env_bits(bottom[r].as_ref());
+                        assert_eq!(env_bits(cache.bottom(r)), want, "bottom, {at}");
+                    }
+                }
+            }
+        }
+        koala_exec::set_threads(1);
+    }
+
     #[test]
     fn env_cache_shapes_are_consistent() {
         let mut rng = StdRng::seed_from_u64(7);
@@ -545,7 +637,8 @@ mod tests {
         // the norm: top(1) . row1 . bottom(1).
         let top = cache.top(1).unwrap().clone();
         let mpo = row_as_mpo(&merged, 1).unwrap();
-        let mid = ContractionMethod::bmps(16).apply_row(&top, &mpo, &mut rng).unwrap();
+        let mid =
+            koala_mps::zip_up(&top, &mpo, 16, koala_mps::ZipUpMethod::ExactSvd, &mut rng).unwrap();
         let closed = mid.dot(cache.bottom(1).unwrap()).unwrap();
         let direct =
             crate::contract::norm_sqr(&peps, ContractionMethod::bmps(16), &mut rng).unwrap();

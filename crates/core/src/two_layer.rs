@@ -140,7 +140,7 @@ fn apply_two_layer_row<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contract::{inner_merged, ContractionMethod};
+    use crate::contract::{contract_no_phys, ContractionMethod};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -159,7 +159,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let a = Peps::random(3, 3, 2, 2, &mut rng);
         let b = Peps::random(3, 3, 2, 2, &mut rng);
-        let merged = inner_merged(&a, &b, ContractionMethod::bmps(32), &mut rng).unwrap();
+        let merged =
+            contract_no_phys(&b.merge_with_bra(&a).unwrap(), ContractionMethod::bmps(32), &mut rng)
+                .unwrap();
         let two_layer =
             inner_two_layer(&a, &b, 32, ZipUpMethod::implicit_default(), &mut rng).unwrap();
         let scale = merged.abs().max(1e-12);

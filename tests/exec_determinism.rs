@@ -83,6 +83,14 @@ fn warm_tfi_ite_sweep_is_bit_identical_across_threads() {
     koala::exec::set_threads(1);
 }
 
+/// `[value, quotient]` bits of the measurement below at one thread, cached
+/// then uncached. Without environments every strip is the whole lattice, so
+/// the second entry pins strips absorbed through the boundary builder.
+const MEASUREMENT_BITS: [[u64; 4]; 2] = [
+    [13953947231370669073, 4498110010473614744, 13814707326238104381, 4355873488560821672],
+    [13956200365402875798, 4514264730360265633, 13816834337777362136, 4374204794064120223],
+];
+
 /// The environment sweeps and the terms of a measurement run as independent
 /// tasks, each on a private stream seeded from the caller's before anything
 /// runs: the value must not depend on the thread count, and two calls fed
@@ -110,6 +118,7 @@ fn measurement_is_bit_identical_across_threads_and_rng_clones() {
         };
         koala::exec::set_threads(1);
         let reference = measure();
+        assert_eq!(reference, MEASUREMENT_BITS[usize::from(!use_cache)], "cache={use_cache}");
         for threads in [2, 4] {
             koala::exec::set_threads(threads);
             assert_eq!(measure(), reference, "cache={use_cache}: differs at {threads} threads");
