@@ -30,7 +30,9 @@ static TWO_LAYER_STEP: EinsumSvd = EinsumSvd::new("ldxab,xuvt,puaeg,pvbfh->ldk,k
 
 /// Inner product `<bra|ket>` using the two-layer contraction, truncating the
 /// boundary MPS to `max_bond` (in the *merged* bra-ket bond space) with the
-/// requested einsumsvd method.
+/// requested einsumsvd method. Each implicit step draws its sketch from
+/// `rng` directly, so a step whose sketch would span theta (and which goes
+/// exact) takes nothing from it.
 pub(crate) fn inner_two_layer<R: Rng + ?Sized>(
     bra: &Peps,
     ket: &Peps,

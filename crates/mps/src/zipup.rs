@@ -32,7 +32,11 @@
 //! all [`zip_seeds`] before the first step: `n - 1` draws per zip-up. Step
 //! `i` seeds its own `StdRng` from draw `i-1`, so a step's result depends
 //! only on its inputs and its seed, never on which steps ran before it on
-//! the same thread. The explicit method draws nothing.
+//! the same thread. The seeds are drawn even for the steps whose sketch
+//! would span theta and which therefore factorize exactly (see
+//! [`EinsumSvd::split`]): such a step leaves its `StdRng` unused, and the
+//! caller's stream advances by `n - 1` whatever the shapes. The explicit
+//! method draws nothing.
 
 use crate::mpo::Mpo;
 use crate::mps::Mps;

@@ -18,9 +18,21 @@
 //!   chain of the network (boundary, then the tensors hanging off it) keeps
 //!   every intermediate at sketch width: the merged bra-ket tensor of the
 //!   two-layer network is never built, which is where the IBMPS and
-//!   two-layer IBMPS columns of the paper's Table II come from. Only
-//!   `truncation.max_rank` applies (it is the sketch's target rank); a sketch
-//!   resolves no trailing spectrum for `rel_tol` to cut.
+//!   two-layer IBMPS columns of the paper's Table II come from. On this
+//!   route only `truncation.max_rank` applies (it is the sketch's target
+//!   rank); a sketch resolves no trailing spectrum for `rel_tol` to cut.
+//!
+//!   The sketch saves work only while it is narrower than `theta`. When
+//!   `rank + oversample >= min(rows, cols)` — where `rsvd` would clamp the
+//!   sketch to theta's narrow side and return the exact truncated SVD after
+//!   `2 n_iter + 2` operator applications — [`EinsumSvd::split`] takes the
+//!   explicit route instead, as [`EinsumSvd::exact`] with the caller's whole
+//!   [`Truncation`] (`max_rank` and `rel_tol`, as BMPS). The choice is made
+//!   from the shapes before any draw, and an exact step draws nothing from
+//!   `rng`. The first and last step of a zip-up have a theta whose narrow
+//!   side is one site's vertical bond (`r^2` in a merged bra-ket row), so at
+//!   the default 10 oversamples they take this route whenever `r^2 <= m +
+//!   10`; on a three-column lattice those are all the steps.
 
 use crate::contract::tensordot;
 use crate::decomp::{build_split_svd, SplitSvd, Truncation};
@@ -40,6 +52,9 @@ pub enum EinsumSvdMethod {
     ExactSvd,
     /// Randomized SVD with the network applied implicitly (IBMPS building
     /// block); `n_iter` subspace iterations, `oversample` extra sketch columns.
+    /// A call whose `rank + oversample` columns would span theta's narrow
+    /// side runs [`ExactSvd`](Self::ExactSvd) instead and draws nothing (see
+    /// the module doc).
     ImplicitRandSvd {
         /// Number of subspace (power) iterations.
         n_iter: usize,
@@ -185,11 +200,11 @@ struct NetworkOp<'a> {
     col_dims: Vec<usize>,
 }
 
-impl<'a> NetworkOp<'a> {
-    /// Validates the operand shapes against the spec, which is what lets the
-    /// infallible [`LinearOp`] methods contract without re-checking.
-    fn new(network: &'a Network, operands: &'a [&'a Tensor]) -> Result<Self> {
-        let inputs = &network.theta.inputs;
+impl Network {
+    /// The row and column dimensions of `theta` over `operands`, after
+    /// validating the operand shapes against the spec.
+    fn dims(&self, operands: &[&Tensor]) -> Result<(Vec<usize>, Vec<usize>)> {
+        let inputs = &self.theta.inputs;
         if operands.len() != inputs.len()
             || operands.iter().zip(inputs).any(|(t, labels)| t.ndim() != labels.len())
         {
@@ -200,7 +215,7 @@ impl<'a> NetworkOp<'a> {
             )));
         }
         let dim = |(operand, axis): (usize, usize)| operands[operand].dim(axis);
-        if let Some(&[a, b]) = network.bonds.iter().find(|&&[a, b]| dim(a) != dim(b)) {
+        if let Some(&[a, b]) = self.bonds.iter().find(|&&[a, b]| dim(a) != dim(b)) {
             return Err(KoalaError::shape(format!(
                 "einsumsvd: contracted label '{}' has dimensions {} and {}",
                 inputs[a.0][a.1],
@@ -208,14 +223,28 @@ impl<'a> NetworkOp<'a> {
                 dim(b)
             )));
         }
-        let (rows, cols) = network.open.split_at(network.n_rows);
-        Ok(NetworkOp {
+        let (rows, cols) = self.open.split_at(self.n_rows);
+        Ok((rows.iter().map(|&o| dim(o)).collect(), cols.iter().map(|&o| dim(o)).collect()))
+    }
+}
+
+impl<'a> NetworkOp<'a> {
+    /// The dimensions come from [`Network::dims`], which validated the
+    /// operand shapes against the spec: that is what lets the infallible
+    /// [`LinearOp`] methods contract without re-checking.
+    fn new(
+        network: &'a Network,
+        operands: &'a [&'a Tensor],
+        row_dims: Vec<usize>,
+        col_dims: Vec<usize>,
+    ) -> Self {
+        NetworkOp {
             network,
             operands,
             conjugated: operands.iter().map(|t| (!t.is_real()).then(|| t.conj())).collect(),
-            row_dims: rows.iter().map(|&o| dim(o)).collect(),
-            col_dims: cols.iter().map(|&o| dim(o)).collect(),
-        })
+            row_dims,
+            col_dims,
+        }
     }
 }
 
@@ -356,6 +385,10 @@ impl EinsumSvd {
 
     /// Contract the network over `operands` and refactorize it with `method`.
     /// `u` is `[rows.., k]`, `vh` is `[k, cols..]`, as the spec's factors.
+    ///
+    /// The implicit method goes to [`exact`](Self::exact), drawing nothing
+    /// from `rng`, when its sketch of `min(max_rank, rows, cols) + oversample`
+    /// columns would be at least `min(rows, cols)` wide.
     pub fn split<R: Rng + ?Sized>(
         &self,
         operands: &[&Tensor],
@@ -367,9 +400,17 @@ impl EinsumSvd {
             EinsumSvdMethod::ExactSvd => return self.exact(operands, truncation),
             EinsumSvdMethod::ImplicitRandSvd { n_iter, oversample } => (n_iter, oversample),
         };
-        let op = NetworkOp::new(self.network()?, operands)?;
-        let rank = truncation.max_rank.unwrap_or(usize::MAX).min(op.nrows()).min(op.ncols());
-        let f = rsvd(&op, RsvdOptions { rank: rank.max(1), oversample, n_iter }, rng)?;
+        let network = self.network()?;
+        let (row_dims, col_dims) = network.dims(operands)?;
+        let narrow = row_dims.iter().product::<usize>().min(col_dims.iter().product());
+        let rank = truncation.max_rank.unwrap_or(usize::MAX).min(narrow).max(1);
+        // Such a sketch spans theta's range: `rsvd` would clamp it and reach
+        // the exact truncated SVD through 2 n_iter + 2 operator applications.
+        if rank.saturating_add(oversample) >= narrow {
+            return self.exact(operands, truncation);
+        }
+        let op = NetworkOp::new(network, operands, row_dims, col_dims);
+        let f = rsvd(&op, RsvdOptions { rank, oversample, n_iter }, rng)?;
         build_split_svd(f, &op.row_dims, &op.col_dims, Truncation::none())
     }
 }
@@ -391,6 +432,30 @@ mod tests {
     const TWO_LAYER: &str = "ldxab,xuvt,puaeg,pvbfh->ldk,keftgh";
     const TWO_LAYER_SHAPES: [&[usize]; 4] =
         [&[3, 4, 5, 2, 3], &[5, 2, 3, 4], &[2, 2, 2, 3, 2], &[2, 3, 3, 2, 3]];
+
+    /// The same two networks with theta of rank at most 4 (the bonds between
+    /// the row and column operands multiply to 4) and 12 rows, so a rank-4
+    /// sketch with 4 oversamples is narrower than theta and still exact.
+    const ZIP_RANK_4: [&[usize]; 3] = [&[4, 3, 2, 2], &[2, 2, 5], &[2, 2, 2, 4]];
+    const TWO_LAYER_RANK_4: [&[usize]; 4] =
+        [&[3, 4, 2, 1, 2], &[2, 2, 3, 4], &[2, 2, 1, 3, 2], &[2, 3, 2, 2, 3]];
+
+    /// Counts what a call takes from the caller's stream.
+    struct Counting {
+        inner: StdRng,
+        draws: usize,
+    }
+
+    impl Rng for Counting {
+        fn next_u64(&mut self) -> u64 {
+            self.draws += 1;
+            self.inner.next_u64()
+        }
+    }
+
+    fn counting(seed: u64) -> Counting {
+        Counting { inner: StdRng::seed_from_u64(seed), draws: 0 }
+    }
 
     fn operands(shapes: &[&[usize]], real: bool, rng: &mut StdRng) -> Vec<Tensor> {
         let draw: fn(&[usize], &mut StdRng) -> Tensor =
@@ -419,7 +484,8 @@ mod tests {
                     tensors[0] = Tensor::random_real(shapes[0], &mut rng);
                 }
                 let refs: Vec<&Tensor> = tensors.iter().collect();
-                let op = NetworkOp::new(&network, &refs).unwrap();
+                let (row_dims, col_dims) = network.dims(&refs).unwrap();
+                let op = NetworkOp::new(&network, &refs, row_dims, col_dims);
                 assert_eq!(op.is_real(), real);
                 let borrowed: Vec<bool> = op.conjugated.iter().map(Option::is_none).collect();
                 assert_eq!(borrowed, refs.iter().map(|t| t.is_real()).collect::<Vec<_>>());
@@ -464,19 +530,21 @@ mod tests {
         static ZIP_SITE: EinsumSvd = EinsumSvd::new(ZIP);
         static TWO_LAYER_SITE: EinsumSvd = EinsumSvd::new(TWO_LAYER);
         let mut rng = StdRng::seed_from_u64(3);
+        let method = EinsumSvdMethod::ImplicitRandSvd { n_iter: 2, oversample: 4 };
         for (site, shapes) in
-            [(&ZIP_SITE, ZIP_SHAPES.to_vec()), (&TWO_LAYER_SITE, TWO_LAYER_SHAPES.to_vec())]
+            [(&ZIP_SITE, ZIP_RANK_4.to_vec()), (&TWO_LAYER_SITE, TWO_LAYER_RANK_4.to_vec())]
         {
             let tensors = operands(&shapes, false, &mut rng);
             let refs: Vec<&Tensor> = tensors.iter().collect();
-            let full = Truncation::max_rank(64);
+            let rank_4 = Truncation::max_rank(4);
             let product = |f: &SplitSvd| {
                 let (l, r) = f.absorb_left();
                 tensordot(&l, &r, &[l.ndim() - 1], &[0]).unwrap()
             };
-            let exact = site.exact(&refs, full).unwrap();
-            let implicit =
-                site.split(&refs, full, EinsumSvdMethod::implicit_default(), &mut rng).unwrap();
+            let exact = site.exact(&refs, Truncation::none()).unwrap();
+            let mut sketch = counting(3);
+            let implicit = site.split(&refs, rank_4, method, &mut sketch).unwrap();
+            assert!(sketch.draws > 0, "the 8-column sketch of a 12-row theta was not drawn");
             let (want, got) = (product(&exact), product(&implicit));
             assert!(got.approx_eq(&want, 1e-8 * want.norm_max()), "{:e}", got.max_diff(&want));
         }
@@ -489,16 +557,51 @@ mod tests {
         let tensors = operands(&TWO_LAYER_SHAPES, true, &mut rng);
         let refs: Vec<&Tensor> = tensors.iter().collect();
         let meter = WorkMeter::new();
+        let mut sketch = counting(4);
         let f = meter
             .scope(|| {
-                let method = EinsumSvdMethod::implicit_default();
-                SITE.split(&refs, Truncation::max_rank(4), method, &mut rng)
+                // A 6-column sketch of a 12 x 144 theta.
+                let method = EinsumSvdMethod::ImplicitRandSvd { n_iter: 2, oversample: 2 };
+                SITE.split(&refs, Truncation::max_rank(4), method, &mut sketch)
             })
             .unwrap();
+        assert!(sketch.draws > 0);
         assert_eq!(meter.complex_macs(), 0);
         assert!(meter.real_macs() > 0);
         assert!(f.u.is_real() && f.vh.is_real());
         assert_eq!(f.s.len(), 4);
+    }
+
+    /// The implicit method takes the exact route exactly where `rsvd` would
+    /// clamp its sketch to theta's narrow side: at `rank + oversample ==
+    /// min(rows, cols)` it returns `exact()`'s factors bit for bit and draws
+    /// nothing; one sketch column short of it, the sketch runs.
+    #[test]
+    fn a_sketch_as_wide_as_theta_takes_the_exact_route() {
+        static SITE: EinsumSvd = EinsumSvd::new(ZIP);
+        let mut rng = StdRng::seed_from_u64(6);
+        for real in [false, true] {
+            let tensors = operands(&ZIP_SHAPES, real, &mut rng);
+            let refs: Vec<&Tensor> = tensors.iter().collect();
+            // theta is 6 x 40; the exact route keeps the tolerance as well.
+            let truncation = Truncation::rank_and_tol(4, 1e-14);
+            let want = SITE.exact(&refs, truncation).unwrap();
+            let spans = EinsumSvdMethod::ImplicitRandSvd { n_iter: 2, oversample: 2 };
+            let mut none = counting(7);
+            let got = SITE.split(&refs, truncation, spans, &mut none).unwrap();
+            assert_eq!(none.draws, 0, "real={real}");
+            assert_eq!(got.u.data(), want.u.data());
+            assert_eq!(got.vh.data(), want.vh.data());
+            assert_eq!(got.s, want.s);
+            assert_eq!(got.truncation_error, want.truncation_error);
+            assert_eq!(got.u.is_real(), real);
+
+            let narrower = EinsumSvdMethod::ImplicitRandSvd { n_iter: 2, oversample: 1 };
+            let mut some = counting(7);
+            let sketched = SITE.split(&refs, truncation, narrower, &mut some).unwrap();
+            assert!(some.draws > 0, "real={real}: the 5-column sketch was not drawn");
+            assert_eq!(sketched.s.len(), 4);
+        }
     }
 
     #[test]

@@ -4,10 +4,14 @@
 //! in list order. That it contracts in the same sequence — same intermediate
 //! shapes, hence the same multiply-add totals — as the two hand-written
 //! operators it replaced (`ZipStepOp`, `TwoLayerStepOp`) is what keeps
-//! Table II's complexity, and it is pinned here: the operator totals below
-//! were recorded with those operators, on these shapes, before they were
-//! deleted; the inner dense SVDs add their one GEMM each, written as a sum.
-//! The all-real cases bill the same totals on the real kernel and not one
+//! Table II's complexity; their recorded totals anchor the numbers below.
+//! The inner dense SVDs add their one GEMM each, written as a sum.
+//!
+//! A step whose sketch would span theta's narrow side takes the exact route
+//! and bills its `theta` einsum and the GEMM of theta's SVD instead. Every
+//! step of the first zip-up and of the two-layer norms does; the sketched
+//! zip-up keeps every sketch narrower than theta and pins the operator. The
+//! all-real cases bill the same totals on the real kernel and not one
 //! complex MAC.
 
 use koala::exec::WorkMeter;
@@ -20,28 +24,57 @@ use rand::SeedableRng;
 
 /// MACs of the one GEMM a dense `m x n` SVD performs: the QR-preconditioned
 /// Jacobi recovers its long factor as `Q J`, `max(m, n) x k` times `k x k`
-/// with `k = min(m, n)`. The bare numbers below are the operator totals
-/// recorded with the hand-written operators, when the SVD made no GEMM call.
+/// with `k = min(m, n)`. In a sketched step the SVD is of the `cols x l`
+/// sketch `theta^H P`; on the exact route it is of theta itself.
 const fn svd_gemm(m: u64, n: u64) -> u64 {
     let (k, long) = if m < n { (m, n) } else { (n, m) };
     k * k * long
 }
 
-/// 6-site chain, MPS bond 4, MPO bond 3, zipped to bond 5: the operator
-/// total, plus the projected SVDs of the four implicit steps and the dense
-/// SVD of the last site.
-const ZIP_MACS: u64 = 50_660
-    + svd_gemm(24, 2)
-    + svd_gemm(24, 4)
-    + svd_gemm(24, 8)
-    + svd_gemm(24, 10)
-    + svd_gemm(2, 2);
-/// 3x3 PEPS of bond 3, boundary bond 4 (truncating) and 81 (not): the
-/// operator totals plus the inner SVDs of the two zip-up sweeps.
-const TWO_LAYER_MACS_M4: u64 =
-    2_079_113 + svd_gemm(729, 9) + svd_gemm(9, 9) + svd_gemm(36, 1) + svd_gemm(1, 1);
-const TWO_LAYER_MACS_M81: u64 =
-    2_336_153 + svd_gemm(729, 9) + svd_gemm(9, 9) + svd_gemm(81, 1) + svd_gemm(1, 1);
+/// 6-site chain, MPS bond 4, MPO bond 3, zipped to bond 5. Every step's
+/// theta has at most 10 rows, which rank + 10 oversamples span, so all five
+/// go exact: `zip_start`'s 48 MACs, then per step the theta einsum (the
+/// boundary of bond `l` absorbs S, then O: 480 `l`; at the last site S and O
+/// meet first: 288) and the SVD of the `2l x 24` theta (`10 x 2` at the
+/// last site).
+const ZIP_MACS: u64 = 48
+    + 480 * (1 + 2 + 4 + 5)
+    + 288
+    + svd_gemm(2, 24)
+    + svd_gemm(4, 24)
+    + svd_gemm(8, 24)
+    + svd_gemm(10, 24)
+    + svd_gemm(10, 2);
+/// 5-site chain of physical dimension 16, MPS bond 4, MPO bond 2, zipped to
+/// bond 4: every theta is at least 16 wide, so every step draws a 14-column
+/// sketch. `zip_start`, the operator of each step, and the inner SVDs of
+/// the sketches (the last step's theta has 16 columns).
+const SKETCHED_ZIP_MACS: u64 =
+    2_048 + 398_720 + 2 * 433_664 + 100_352 + 3 * svd_gemm(128, 14) + svd_gemm(16, 14);
+/// 3x3 PEPS of bond 3, boundary bond 4 (truncating) and 81 (not). Every
+/// theta of the two zip-up sweeps is at most 9 wide, so all four steps go
+/// exact and bill a theta einsum plus theta's SVD. The first term is what
+/// the contraction bills outside the steps (row 0, the first column of
+/// each row, the closing contraction), recorded as the sketched totals
+/// less their steps' billing.
+const TWO_LAYER_MACS_M4: u64 = 8_049
+    + 603_612
+    + 32_076
+    + 3_888
+    + 450
+    + svd_gemm(9, 729)
+    + svd_gemm(36, 9)
+    + svd_gemm(1, 36)
+    + svd_gemm(1, 1);
+const TWO_LAYER_MACS_M81: u64 = 8_589
+    + 603_612
+    + 64_881
+    + 16_038
+    + 909
+    + svd_gemm(9, 729)
+    + svd_gemm(81, 9)
+    + svd_gemm(1, 81)
+    + svd_gemm(1, 1);
 
 /// `(complex, real)` MACs billed by `f`.
 fn macs<T>(f: impl FnOnce() -> T) -> (u64, u64) {
@@ -85,6 +118,21 @@ fn implicit_zip_up_bills_the_hand_written_operators_macs() {
     let mps = Mps::new(chain(6, &[2], 4, &mut rng)).unwrap();
     let mpo = Mpo::new(chain(6, &[2, 2], 3, &mut rng)).unwrap();
     assert_eq!(macs(|| zip_up(&mps, &mpo, 5, method, &mut rng).unwrap()), (0, ZIP_MACS));
+}
+
+#[test]
+fn sketched_zip_up_bills_the_network_operators_macs() {
+    let mut rng = StdRng::seed_from_u64(202);
+    let method = ZipUpMethod::implicit_default();
+    let mps = Mps::random(5, 16, 4, &mut rng);
+    let mpo = Mpo::random(5, 16, 2, &mut rng);
+    let got = macs(|| zip_up(&mps, &mpo, 4, method, &mut rng).unwrap());
+    assert_eq!(got, (SKETCHED_ZIP_MACS, 0));
+
+    let mps = Mps::new(chain(5, &[16], 4, &mut rng)).unwrap();
+    let mpo = Mpo::new(chain(5, &[16, 16], 2, &mut rng)).unwrap();
+    let got = macs(|| zip_up(&mps, &mpo, 4, method, &mut rng).unwrap());
+    assert_eq!(got, (0, SKETCHED_ZIP_MACS));
 }
 
 #[test]

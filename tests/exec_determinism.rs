@@ -83,24 +83,32 @@ fn warm_tfi_ite_sweep_is_bit_identical_across_threads() {
     koala::exec::set_threads(1);
 }
 
-/// `[value, quotient]` bits of the measurement below at one thread, cached
-/// then uncached. Without environments every strip is the whole lattice, so
-/// the second entry pins strips absorbed through the boundary builder.
-const MEASUREMENT_BITS: [[u64; 4]; 2] = [
-    [13953947231370669073, 4498110010473614744, 13814707326238104381, 4355873488560821672],
-    [13956200365402875798, 4514264730360265633, 13816834337777362136, 4374204794064120223],
+/// `[value, quotient]` bits of the measurements below at one thread, per
+/// state, cached then uncached. Without environments every strip is the
+/// whole lattice, so the second entry pins strips absorbed through the
+/// boundary builder.
+const MEASUREMENT_BITS: [[[u64; 4]; 2]; 2] = [
+    [
+        [13953947231370669054, 13715607191967069028, 13814707326238104343, 13583411743589371208],
+        [13956200365402875907, 4507357660212279948, 13816834337777362224, 4337626402811047616],
+    ],
+    [
+        [14011213043390776827, 4748732191717633010, 13815333461776948387, 4553315786802895157],
+        [14001185779216702710, 13975008373738759294, 13805462088599595851, 13779330239587722092],
+    ],
 ];
 
 /// The environment sweeps and the terms of a measurement run as independent
 /// tasks, each on a private stream seeded from the caller's before anything
 /// runs: the value must not depend on the thread count, and two calls fed
-/// clones of one rng must agree. A 4x3, r = 3 state under IBMPS at m = 6,
-/// where every zip-up truncates and draws sketches.
+/// clones of one rng must agree. Two r = 3 states under IBMPS at m = 6,
+/// where every zip-up truncates. On the 4x3 one every step's theta is at
+/// most 9 wide, so every step goes exact (its seed is still drawn); on the
+/// 4x4 one the interior steps (54 rows and more) draw sketches.
 #[test]
 fn measurement_is_bit_identical_across_threads_and_rng_clones() {
     let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let mut rng = StdRng::seed_from_u64(555);
-    let peps = Peps::random(4, 3, 2, 3, &mut rng);
     let mut obs = 0.7 * Observable::x((2, 1))
         + Observable::zz((1, 0), (1, 1))
         + Observable::zz((2, 2), (3, 2));
@@ -108,20 +116,24 @@ fn measurement_is_bit_identical_across_threads_and_rng_clones() {
     let xx_zz = &kron(&pauli_x(), &pauli_x()) + &kron(&pauli_z(), &pauli_z());
     obs.add_two_site((0, 2), (2, 0), xx_zz);
 
-    for use_cache in [true, false] {
-        let options = ExpectationOptions { method: ContractionMethod::ibmps(6), use_cache };
-        let measure = || {
-            let (mut a, mut b) = (rng.clone(), rng.clone());
-            let value = expectation(&peps, &obs, options, &mut a).unwrap();
-            let quotient = expectation_normalized(&peps, &obs, options, &mut b).unwrap();
-            [value.re, value.im, quotient.re, quotient.im].map(f64::to_bits)
-        };
-        koala::exec::set_threads(1);
-        let reference = measure();
-        assert_eq!(reference, MEASUREMENT_BITS[usize::from(!use_cache)], "cache={use_cache}");
-        for threads in [2, 4] {
-            koala::exec::set_threads(threads);
-            assert_eq!(measure(), reference, "cache={use_cache}: differs at {threads} threads");
+    for (state, ncols) in [3, 4].into_iter().enumerate() {
+        let peps = Peps::random(4, ncols, 2, 3, &mut rng);
+        for use_cache in [true, false] {
+            let options = ExpectationOptions { method: ContractionMethod::ibmps(6), use_cache };
+            let measure = || {
+                let (mut a, mut b) = (rng.clone(), rng.clone());
+                let value = expectation(&peps, &obs, options, &mut a).unwrap();
+                let quotient = expectation_normalized(&peps, &obs, options, &mut b).unwrap();
+                [value.re, value.im, quotient.re, quotient.im].map(f64::to_bits)
+            };
+            let at = format!("4x{ncols} cache={use_cache}");
+            koala::exec::set_threads(1);
+            let reference = measure();
+            assert_eq!(reference, MEASUREMENT_BITS[state][usize::from(!use_cache)], "{at}");
+            for threads in [2, 4] {
+                koala::exec::set_threads(threads);
+                assert_eq!(measure(), reference, "{at}: differs at {threads} threads");
+            }
         }
     }
     koala::exec::set_threads(1);
