@@ -216,6 +216,10 @@ fn main() {
     );
     let fact_grid: &[(&str, usize, usize)] = &[
         ("qr_tall", 384, 96),
+        // A power-of-two column length, as tensor-network dimensions are:
+        // its 8 KiB columns are the case the factorization buffer pads off
+        // the 4 KiB alias (`koala_linalg`'s `lanes.rs`, "Storage").
+        ("qr_tall_pow2", 1024, 32),
         ("svd_square", 96, 96),
         ("svd_wide", 64, 192),
         // The zip-up theta of `contract_bmps` and the rank-8 theta of
@@ -256,7 +260,7 @@ fn main() {
             (real, cplx)
         };
         let run = |input: &Matrix| match label {
-            "qr_tall" => {
+            "qr_tall" | "qr_tall_pow2" => {
                 let f = koala_linalg::qr(input);
                 std::hint::black_box((f.q.nrows(), f.r.ncols()));
             }

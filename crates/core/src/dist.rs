@@ -29,7 +29,7 @@
 
 use crate::contract::{contract_no_phys, ContractionMethod};
 use crate::peps::{Direction, Peps, Site};
-use crate::update::{canonical_perms, invert5, reorder_gate, small_einsumsvd};
+use crate::update::{canonical_perms, compose5, invert5, reorder_gate, small_einsumsvd};
 use koala_cluster::{gram_qr_dist, qr_gather_dist, Cluster, DistMatrix, ProcGrid};
 use koala_error::Result;
 use koala_error::{KoalaError, ResultExt};
@@ -121,8 +121,8 @@ pub(crate) fn dist_two_site_update(
     let ka = qa.r.nrows();
     let kb = qb.r.nrows();
     // R factors are small and replicated: [ka, pa, bond], [kb, pb, bond].
-    let r_a = Tensor::fold(&qa.r, &[ka], &[d_a, a.dim(4)])?;
-    let r_b = Tensor::fold(&qb.r, &[kb], &[d_b, b.dim(1)])?;
+    let r_a = Tensor::fold(qa.r, &[ka], &[d_a, a.dim(4)])?;
+    let r_b = Tensor::fold(qb.r, &[kb], &[d_b, b.dim(1)])?;
 
     // ---- Step 2: einsumsvd on the small factors. ----
     // The modelled work is billed to the kernel the operands' realness hints
@@ -161,14 +161,13 @@ pub(crate) fn dist_two_site_update(
     let new_b_dist = qb.q.matmul_replicated(&rt_b_mat);
 
     // Bring the results back to the host PEPS (unaccounted: a real run keeps
-    // the site tensors distributed between gate applications).
-    let new_a = Tensor::fold(&new_a_dist.gather_unaccounted(), &a_rows, &[d_a, k])?;
-    let new_a = new_a.permute(&[3, 0, 1, 2, 4])?; // [pa, o1, o2, o3, k]
-    let new_b = Tensor::fold(&new_b_dist.gather_unaccounted(), &b_rows, &[d_b, k])?;
-    let new_b = new_b.permute(&[3, 4, 0, 1, 2])?; // [pb, k, o1, o2, o3]
-
-    peps.set_tensor(site_a, new_a.permute(&invert5(perm_a))?);
-    peps.set_tensor(site_b, new_b.permute(&invert5(perm_b))?);
+    // the site tensors distributed between gate applications), each with one
+    // permute: canonically [pa, o1, o2, o3, k] and [pb, k, o1, o2, o3], then
+    // the PEPS layout.
+    let new_a = Tensor::fold(new_a_dist.gather_unaccounted(), &a_rows, &[d_a, k])?;
+    let new_b = Tensor::fold(new_b_dist.gather_unaccounted(), &b_rows, &[d_b, k])?;
+    peps.set_tensor(site_a, new_a.permute(&compose5([3, 0, 1, 2, 4], invert5(perm_a)))?);
+    peps.set_tensor(site_b, new_b.permute(&compose5([3, 4, 0, 1, 2], invert5(perm_b)))?);
     Ok(err)
 }
 

@@ -577,9 +577,11 @@ mod tests {
     }
 
     /// The cache is the two serial sweeps of [`serial_sweep`] at every thread
-    /// count: merged 1x3, 2x3 and 4x3 states at r = 3 under m = 6 (so the
-    /// implicit zip-ups truncate and draw sketches), and one real-hinted 4x3
-    /// state.
+    /// count: merged 1x3, 2x3 and 4x3 states at r = 3 under m = 6, one
+    /// real-hinted 4x3 state, and a 4x4 state at r = 3. Every IBMPS step of a
+    /// 3-column sweep would sketch all of its theta, so it goes exact; the
+    /// middle step of a 4-column sweep (a theta of up to 54 x 486) draws a
+    /// sketch, so the 4x4 state's IBMPS environments differ from its BMPS ones.
     #[test]
     fn env_cache_is_the_serial_zip_up_sweep_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(21);
@@ -594,13 +596,15 @@ mod tests {
             real.set_tensor((r, c), t);
         }
         states.push(real);
+        states.push(Peps::random(4, 4, 2, 3, &mut rng));
         let zip_ups = [
             (ContractionMethod::bmps(6), koala_mps::ZipUpMethod::ExactSvd),
             (ContractionMethod::ibmps(6), koala_mps::ZipUpMethod::implicit_default()),
         ];
         for peps in &states {
             let merged = peps.merge_with_bra(peps).unwrap();
-            let nrows = merged.nrows();
+            let (nrows, ncols) = (merged.nrows(), merged.ncols());
+            let mut tops = Vec::new();
             for (method, zip) in zip_ups {
                 let mut seeds = StdRng::seed_from_u64(31);
                 let (top_seed, bottom_seed) = (seeds.next_u64(), seeds.next_u64());
@@ -611,12 +615,17 @@ mod tests {
                     let cache =
                         EnvCache::build(&merged, method, &mut StdRng::seed_from_u64(31)).unwrap();
                     for r in 0..nrows {
-                        let at = format!("{nrows}x3 {method:?} at {threads} threads, row {r}");
+                        let at =
+                            format!("{nrows}x{ncols} {method:?} at {threads} threads, row {r}");
                         assert_eq!(env_bits(cache.top(r)), env_bits(top[r].as_ref()), "top, {at}");
                         let want = env_bits(bottom[r].as_ref());
                         assert_eq!(env_bits(cache.bottom(r)), want, "bottom, {at}");
                     }
                 }
+                tops.push(top.iter().map(|env| env_bits(env.as_ref())).collect::<Vec<_>>());
+            }
+            if ncols == 4 {
+                assert_ne!(tops[0], tops[1], "{nrows}x{ncols}: no IBMPS step drew a sketch");
             }
         }
         koala_exec::set_threads(1);

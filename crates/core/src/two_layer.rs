@@ -16,9 +16,10 @@ use crate::peps::{Peps, AX_L, AX_P, AX_U};
 use koala_error::KoalaError;
 use koala_error::Result;
 use koala_linalg::C64;
-use koala_mps::{Mps, ZipUpMethod};
+use koala_mps::{zip_seeds, Mps, ZipUpMethod};
 use koala_tensor::{tensordot, EinsumSvd, Tensor, Truncation};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// One two-layer zip-up step: boundary `[l, d_pair, r_s, rA, rB]` x boundary
 /// MPS site `[r_s, uA, uB, r_s']` x conj(bra) `[p, uA, lA, dA, rA']` x ket
@@ -30,9 +31,11 @@ static TWO_LAYER_STEP: EinsumSvd = EinsumSvd::new("ldxab,xuvt,puaeg,pvbfh->ldk,k
 
 /// Inner product `<bra|ket>` using the two-layer contraction, truncating the
 /// boundary MPS to `max_bond` (in the *merged* bra-ket bond space) with the
-/// requested einsumsvd method. Each implicit step draws its sketch from
-/// `rng` directly, so a step whose sketch would span theta (and which goes
-/// exact) takes nothing from it.
+/// requested einsumsvd method. Each absorbed row takes its [`zip_seeds`]
+/// from `rng` up front, as `zip_up` does (one draw per step when implicit,
+/// none when explicit), and each step seeds its own sketch stream from its
+/// seed. So what a step draws does not depend on whether earlier steps
+/// sketched or went exact (a step whose sketch would span theta).
 pub(crate) fn inner_two_layer<R: Rng + ?Sized>(
     bra: &Peps,
     ket: &Peps,
@@ -47,7 +50,8 @@ pub(crate) fn inner_two_layer<R: Rng + ?Sized>(
     // r_bra * r_ket wide, the same as the boundary MPS would be anyway.
     let mut boundary = merged_row_mps(bra, ket, 0)?;
     for row in 1..bra.nrows() {
-        boundary = apply_two_layer_row(&boundary, bra, ket, row, max_bond, method, rng)?;
+        let seeds = zip_seeds(bra.ncols(), method, rng);
+        boundary = apply_two_layer_row(&boundary, bra, ket, row, max_bond, method, &seeds)?;
     }
     boundary.contract_to_scalar()
 }
@@ -90,15 +94,16 @@ fn merged_row_mps(bra: &Peps, ket: &Peps, row: usize) -> Result<Mps> {
 }
 
 /// Apply row `row` of the two-layer network to the boundary MPS with one
-/// zip-up sweep whose einsumsvd keeps the bra and ket tensors separate.
-fn apply_two_layer_row<R: Rng + ?Sized>(
+/// zip-up sweep whose einsumsvd keeps the bra and ket tensors separate;
+/// step `c` (columns `1..ncols`) seeds its sketches from `seeds[c - 1]`.
+fn apply_two_layer_row(
     boundary_mps: &Mps,
     bra: &Peps,
     ket: &Peps,
     row: usize,
     max_bond: usize,
     method: ZipUpMethod,
-    rng: &mut R,
+    seeds: &[u64],
 ) -> Result<Mps> {
     let ncols = bra.ncols();
     let truncation = Truncation::rank_and_tol(max_bond, 1e-14);
@@ -124,8 +129,9 @@ fn apply_two_layer_row<R: Rng + ?Sized>(
         let s = boundary_mps.tensor(c);
         let s = s.reshape(&[s.dim(0), a.dim(AX_U), b.dim(AX_U), s.dim(2)])?;
         let network = [&boundary, &s, &a.conj(), b];
+        let mut rng = StdRng::seed_from_u64(seeds[c - 1]);
         let (finished, rest) =
-            TWO_LAYER_STEP.split(&network, truncation, method, rng)?.absorb_right();
+            TWO_LAYER_STEP.split(&network, truncation, method, &mut rng)?.absorb_right();
         out_tensors.push(finished);
         // rest [k, dA, dB, r_s', rA', rB'] -> boundary layout with d_pair merged.
         let r = rest.shape().to_vec();

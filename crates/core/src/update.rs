@@ -174,15 +174,15 @@ fn update_pair(
     let b = site_b.permute(&perm_b)?; // [p, bond, o1, o2, o3]
     let gate_t = Tensor::from_matrix_2d(gate).into_reshape(&[d_a, d_b, d_a, d_b])?;
 
+    // The new tensors go straight back to the PEPS layout: each method folds
+    // the undoing of the canonical permutations into its own last permute.
+    let out = (invert5(perm_a), invert5(perm_b));
     let truncation = method.truncation();
-    let (new_a, new_b, err) = match method {
-        UpdateMethod::Direct { .. } => direct_update(&a, &b, &gate_t, truncation)?,
-        UpdateMethod::QrSvd { .. } => qr_svd_update(&a, &b, &gate_t, truncation, false)?,
-        UpdateMethod::GramQrSvd { .. } => qr_svd_update(&a, &b, &gate_t, truncation, true)?,
-    };
-
-    // Undo the canonical permutations.
-    Ok((new_a.permute(&invert5(perm_a))?, new_b.permute(&invert5(perm_b))?, err))
+    match method {
+        UpdateMethod::Direct { .. } => direct_update(&a, &b, &gate_t, truncation, out),
+        UpdateMethod::QrSvd { .. } => qr_svd_update(&a, &b, &gate_t, truncation, false, out),
+        UpdateMethod::GramQrSvd { .. } => qr_svd_update(&a, &b, &gate_t, truncation, true, out),
+    }
 }
 
 pub(crate) fn invert5(perm: [usize; 5]) -> [usize; 5] {
@@ -193,28 +193,38 @@ pub(crate) fn invert5(perm: [usize; 5]) -> [usize; 5] {
     inv
 }
 
+/// `permute(first)` followed by `permute(then)`, as one permutation.
+pub(crate) fn compose5(first: [usize; 5], then: [usize; 5]) -> [usize; 5] {
+    then.map(|axis| first[axis])
+}
+
 /// Simple update: contract everything, apply the gate, split with one SVD.
+/// `out` permutes the canonical a- and b-layouts into the returned ones.
 fn direct_update(
     a: &Tensor,    // [pa, o1, o2, o3, bond]
     b: &Tensor,    // [pb, bond, o1, o2, o3]
     gate: &Tensor, // [pa', pb', pa, pb]
     truncation: Truncation,
+    out: ([usize; 5], [usize; 5]),
 ) -> Result<(Tensor, Tensor, f64)> {
     let f = DIRECT_UPDATE.exact(&[a, b, gate], truncation)?;
     // u: [pa', ao1, ao2, ao3, k] already the canonical a-layout.
     // v: [k, pb', bo1, bo2, bo3] -> [pb', k, bo1, bo2, bo3]
     let (u, v) = f.absorb_split();
-    Ok((u, v.permute(&[1, 0, 2, 3, 4])?, f.truncation_error))
+    let new_b = v.permute(&compose5([1, 0, 2, 3, 4], out.1))?;
+    Ok((u.permute(&out.0)?, new_b, f.truncation_error))
 }
 
 /// QR-SVD update (Algorithm 1): QR both sites, apply the gate to the small
-/// `R` factors, SVD, and recombine with the `Q` factors.
+/// `R` factors, SVD, and recombine with the `Q` factors. `out` permutes the
+/// canonical a- and b-layouts into the returned ones.
 fn qr_svd_update(
     a: &Tensor,    // [pa, o1, o2, o3, bond]
     b: &Tensor,    // [pb, bond, o1, o2, o3]
     gate: &Tensor, // [pa', pb', pa, pb]
     truncation: Truncation,
     use_gram: bool,
+    out: ([usize; 5], [usize; 5]),
 ) -> Result<(Tensor, Tensor, f64)> {
     // Step (1)->(2): split off the outer bonds.
     // a: rows = outer bonds (1,2,3) -> Q_a [o1,o2,o3,ka], R_a [ka, pa, bond]
@@ -228,12 +238,14 @@ fn qr_svd_update(
     let (rt_a, rt_b, err) = small_einsumsvd(gate, &r_a, &r_b, truncation)?;
 
     // Step (4)->(5): recombine with the Q factors.
-    // new_a [o1,o2,o3, pa', k] <- Q_a [o1,o2,o3,ka] x rt_a [ka, pa', k]
+    // new_a [o1,o2,o3, pa', k] <- Q_a [o1,o2,o3,ka] x rt_a [ka, pa', k],
+    // canonically [pa', o1, o2, o3, k].
     let new_a = tensordot(&q_a, &rt_a, &[3], &[0])?;
-    let new_a = new_a.permute(&[3, 0, 1, 2, 4])?; // [pa', o1, o2, o3, k]
-                                                  // new_b [k, pb', o1,o2,o3] <- rt_b [k, kb, pb'] x Q_b [o1,o2,o3,kb]
-    let new_b = tensordot(&rt_b, &q_b, &[1], &[3])?; // [k, pb', o1, o2, o3]
-    let new_b = new_b.permute(&[1, 0, 2, 3, 4])?; // [pb', k, o1, o2, o3]
+    let new_a = new_a.permute(&compose5([3, 0, 1, 2, 4], out.0))?;
+    // new_b [k, pb', o1,o2,o3] <- rt_b [k, kb, pb'] x Q_b [o1,o2,o3,kb],
+    // canonically [pb', k, o1, o2, o3].
+    let new_b = tensordot(&rt_b, &q_b, &[1], &[3])?;
+    let new_b = new_b.permute(&compose5([1, 0, 2, 3, 4], out.1))?;
     Ok((new_a, new_b, err))
 }
 

@@ -17,6 +17,24 @@
 //! remainder loop, and the padding lanes contribute exact zeros to every
 //! sum.
 //!
+//! One more rule keeps the columns off the 4 KiB alias. Tensor-network
+//! dimensions are powers of two, and so are many column lengths: an
+//! interior site of a bond-8 PEPS matricizes to 512 x 16 for its QR, and a
+//! 512-entry complex column is 8 KiB long, its planes 4 KiB apart. Then
+//! entry `i` of every column and plane maps to the same L1 sets, and the
+//! loads of one column alias the stores to another on the 4 KiB
+//! store-forwarding check (which compares only the low 12 address bits),
+//! so every Gram-Schmidt projection and every Jacobi rotation waits on a
+//! false dependence. Complex `qr` of 512 x 16 took 2.4x as long as that of
+//! 640 x 16 (AMD EPYC, AVX-512F). So wherever the column stride, all
+//! planes included, would be a nonzero multiple of 4 KiB, each plane gets
+//! one more zero chunk of [`LANES`]. The rule is keyed on the stride, not
+//! on the plane: a 256-entry complex column has 2 KiB planes but a 4 KiB
+//! stride, and aliases column to column all the same. It pads nothing
+//! else, since every extra lane is work for the kernels. The extra lanes
+//! are zeros like the others, so results are bit for bit those of the
+//! unpadded layout.
+//!
 //! # Kernels
 //!
 //! Per scalar: `dotc` (`x^H y`), `axpy` (`y += a x`), `norm_sqr` (`|x|^2`),
@@ -55,6 +73,22 @@ use portable as kernels;
 /// `f64` lanes per vector; every plane of a [`Cols`] column is padded to a
 /// multiple of it.
 pub(crate) const LANES: usize = 8;
+
+/// `f64`s in 4 KiB: no [`Cols`] stride is a multiple of it (see the module
+/// doc, "Storage").
+const ALIAS_F64S: usize = 4096 / std::mem::size_of::<f64>();
+
+/// `f64`s per plane of a column of `len` entries held in `planes` planes:
+/// `len` rounded up to [`LANES`], plus one chunk of [`LANES`] where the
+/// column stride would otherwise be a nonzero multiple of 4 KiB.
+fn plane_len(len: usize, planes: usize) -> usize {
+    let plane = len.div_ceil(LANES) * LANES;
+    if plane > 0 && (planes * plane).is_multiple_of(ALIAS_F64S) {
+        plane + LANES
+    } else {
+        plane
+    }
+}
 
 /// A factorization scalar whose columns live in a [`Cols`] buffer, with the
 /// five vector kernels over such columns.
@@ -168,7 +202,7 @@ impl Lanes for C64 {
 pub(crate) struct Cols<T> {
     len: usize,
     ncols: usize,
-    /// `f64`s per column: `PLANES` times `len` rounded up to [`LANES`].
+    /// `f64`s per column: `PLANES` times [`plane_len`].
     stride: usize,
     /// Where column 0 starts in `data`: the first 64-byte boundary, so that
     /// every 8-lane vector of every plane sits in one cache line (an
@@ -181,7 +215,7 @@ pub(crate) struct Cols<T> {
 impl<T: Lanes> Cols<T> {
     /// `ncols` zero columns of length `len`.
     pub(crate) fn zeros(len: usize, ncols: usize) -> Self {
-        let stride = T::PLANES * len.div_ceil(LANES) * LANES;
+        let stride = T::PLANES * plane_len(len, T::PLANES);
         let data = vec![0.0; stride * ncols + LANES - 1];
         let start = data.as_ptr().align_offset(LANES * std::mem::size_of::<f64>()).min(LANES - 1);
         Cols { len, ncols, stride, start, data, scalar: PhantomData }
@@ -211,14 +245,20 @@ impl<T: Lanes> Cols<T> {
         }
     }
 
-    /// The first `ncols` columns as a `len x ncols` matrix, carrying the
-    /// realness hint exactly when `T = f64`.
-    pub(crate) fn to_matrix(&self, ncols: usize) -> Matrix {
-        let mut data = Vec::with_capacity(self.len * ncols);
+    /// The first `ncols` columns as a `len x ncols` matrix gathered into
+    /// `out` (cleared first), carrying the realness hint exactly when
+    /// `T = f64`. The caller picks where the entries are gathered: [`qr`]
+    /// passes a buffer allocated before this one, which a complex matrix
+    /// then keeps.
+    ///
+    /// [`qr`]: crate::qr::qr
+    pub(crate) fn to_matrix(&self, ncols: usize, mut out: Vec<T>) -> Matrix {
+        out.clear();
+        out.reserve(self.len * ncols);
         for i in 0..self.len {
-            data.extend((0..ncols).map(|j| T::read(self.col(j), i)));
+            out.extend((0..ncols).map(|j| T::read(self.col(j), i)));
         }
-        Matrix::from_scalars(self.len, ncols, data)
+        Matrix::from_scalars(self.len, ncols, out)
     }
 
     /// Entries per column.
@@ -634,7 +674,7 @@ mod tests {
             let cols = Cols::<C64>::from_matrix(&a, adjoint);
             assert_eq!((cols.col_len(), cols.ncols()), want.shape());
             assert_eq!(cols.stride(), 2 * want.nrows().div_ceil(LANES) * LANES);
-            assert_eq!(cols.to_matrix(want.ncols()), want);
+            assert_eq!(cols.to_matrix(want.ncols(), Vec::new()), want);
             for j in 0..cols.ncols() {
                 let [re, im] = planes(cols.col(j));
                 assert!(re[want.nrows()..].iter().chain(&im[want.nrows()..]).all(|&x| x == 0.0));
@@ -643,9 +683,56 @@ mod tests {
         let a = Matrix::random_real(9, 3, &mut rng);
         let cols = Cols::<f64>::from_matrix(&a, false);
         assert_eq!(cols.stride(), 16);
-        let back = cols.to_matrix(3);
+        let back = cols.to_matrix(3, Vec::new());
         assert!(back.is_real());
         assert_eq!(back, a);
+        // 256 complex entries would make a 4 KiB stride: each plane takes
+        // one more chunk, and it holds zeros too.
+        let a = Matrix::random(256, 3, &mut rng);
+        let cols = Cols::<C64>::from_matrix(&a, false);
+        assert_eq!(cols.stride(), 2 * (256 + LANES));
+        assert_eq!(cols.to_matrix(3, Vec::new()), a);
+        for j in 0..3 {
+            let [re, im] = planes(cols.col(j));
+            assert!(re[256..].iter().chain(&im[256..]).all(|&x| x == 0.0));
+        }
+    }
+
+    /// For every column length up to 4096: no stride is a multiple of
+    /// 4 KiB, a stride that is not one without the extra chunk gets none,
+    /// and the padding lanes of every plane stay zero through the writing
+    /// kernels.
+    fn check_layout<T: Lanes>(one: T) {
+        for len in 1..=4096usize {
+            let rounded = T::PLANES * len.div_ceil(LANES) * LANES;
+            let mut cols = Cols::<T>::zeros(len, 2);
+            let stride = cols.stride();
+            assert!(!stride.is_multiple_of(ALIAS_F64S), "len {len}");
+            if rounded.is_multiple_of(ALIAS_F64S) {
+                assert_eq!(stride, rounded + T::PLANES * LANES, "len {len}");
+            } else {
+                assert_eq!(stride, rounded, "len {len}");
+            }
+            for i in 0..len {
+                T::write(cols.col_mut(0), i, one);
+                T::write(cols.col_mut(1), i, one + one);
+            }
+            let (x, y) = cols.blocks_mut(0, 1, 1);
+            T::axpy(one, x, y);
+            T::rotate(x, y, 0.6, 0.8, one, one);
+            for j in 0..2 {
+                let col = cols.col(j);
+                for plane in col.chunks_exact(stride / T::PLANES) {
+                    assert!(plane[len..].iter().all(|&x| x == 0.0), "len {len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn no_column_stride_is_a_multiple_of_4_kib() {
+        check_layout::<f64>(1.0);
+        check_layout::<C64>(c64(1.0, -1.0));
     }
 
     /// A column of `T` holding `vals`.

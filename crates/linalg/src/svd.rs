@@ -264,7 +264,7 @@ impl<T: Lanes> Preconditioned<T> {
         let mut cols = Cols::<T>::from_matrix(&a, wide);
         drop(a);
         let r = mgs(&mut cols, 1e-14 * fro, false);
-        Preconditioned { wide, fro, q: cols.to_matrix(cols.ncols()), r }
+        Preconditioned { wide, fro, q: cols.to_matrix(cols.ncols(), Vec::new()), r }
     }
 
     /// The input `A` rebuilt from the factors: `Q R` for a tall input,

@@ -160,9 +160,7 @@ pub fn qr_split(t: &Tensor, row_axes: &[usize]) -> Result<(Tensor, Tensor)> {
     let f = qr(&mat);
     f.r.validate_finite("qr_split R factor")?;
     let k = f.q.ncols();
-    let q = Tensor::fold(&f.q, &row_dims, &[k])?;
-    let r = Tensor::fold(&f.r, &[k], &col_dims)?;
-    Ok((q, r))
+    Ok((Tensor::fold(f.q, &row_dims, &[k])?, Tensor::fold(f.r, &[k], &col_dims)?))
 }
 
 /// Gram-matrix based QR (paper Algorithm 5) of a tensor across a bipartition.
@@ -174,9 +172,7 @@ pub fn gram_qr_split(t: &Tensor, row_axes: &[usize]) -> Result<(Tensor, Tensor)>
     let (mat, row_dims, col_dims) = matricize(t, row_axes)?;
     let f = gram_qr(&mat)?;
     let k = f.r.nrows();
-    let q = Tensor::fold(&f.q, &row_dims, &[k])?;
-    let r = Tensor::fold(&f.r, &[k], &col_dims)?;
-    Ok((q, r))
+    Ok((Tensor::fold(f.q, &row_dims, &[k])?, Tensor::fold(f.r, &[k], &col_dims)?))
 }
 
 /// Truncated SVD of the tensor viewed as a matrix with `row_axes` as rows.
@@ -194,10 +190,11 @@ pub(crate) fn build_split_svd(
 ) -> Result<SplitSvd> {
     let keep = truncation.keep(&f.s);
     let err = f.truncation_error(keep);
-    let t = f.truncated(keep);
+    // Keeping every singular value keeps the factors' buffers as they are.
+    let t = if keep == f.s.len() { f } else { f.truncated(keep) };
     let k = t.s.len();
-    let u = Tensor::fold(&t.u, row_dims, &[k])?;
-    let vh = Tensor::fold(&t.vh, &[k], col_dims)?;
+    let u = Tensor::fold(t.u, row_dims, &[k])?;
+    let vh = Tensor::fold(t.vh, &[k], col_dims)?;
     Ok(SplitSvd { u, s: t.s, vh, truncation_error: err })
 }
 

@@ -341,9 +341,11 @@ impl Tensor {
         m
     }
 
-    /// Inverse of [`Tensor::unfold`]: reinterpret a matrix as a tensor with the
-    /// given row-axis and column-axis dimensions.
-    pub fn fold(m: &Matrix, row_dims: &[usize], col_dims: &[usize]) -> Result<Tensor> {
+    /// Inverse of [`Tensor::into_unfold`]: reinterpret a matrix as a tensor
+    /// with the given row-axis and column-axis dimensions. The tensor takes
+    /// over the matrix's buffer (no data copy); the realness hint carries
+    /// over.
+    pub fn fold(m: Matrix, row_dims: &[usize], col_dims: &[usize]) -> Result<Tensor> {
         let rows: usize = row_dims.iter().product();
         let cols: usize = col_dims.iter().product();
         if m.nrows() != rows || m.ncols() != cols {
@@ -357,8 +359,9 @@ impl Tensor {
         }
         let mut shape = row_dims.to_vec();
         shape.extend_from_slice(col_dims);
-        let mut t = Tensor::from_vec(&shape, m.data().to_vec())?;
-        t.real = m.is_real();
+        let real = m.is_real();
+        let mut t = Tensor::from_vec(&shape, m.into_data())?;
+        t.real = real;
         Ok(t)
     }
 
@@ -603,11 +606,13 @@ mod tests {
         let t = Tensor::random(&[2, 3, 4], &mut rng);
         let m = t.unfold(1);
         assert_eq!(m.shape(), (2, 12));
-        let back = Tensor::fold(&m, &[2], &[3, 4]).unwrap();
+        let buffer = m.data().as_ptr();
+        let back = Tensor::fold(m, &[2], &[3, 4]).unwrap();
         assert!(back.approx_eq(&t, 0.0));
+        assert_eq!(back.data().as_ptr(), buffer, "fold keeps the matrix's buffer");
         let m2 = t.unfold(2);
         assert_eq!(m2.shape(), (6, 4));
-        assert!(Tensor::fold(&m2, &[5], &[4]).is_err());
+        assert!(Tensor::fold(m2, &[5], &[4]).is_err());
         // The consuming form hands its buffer over, with the same bits and hint.
         let r = Tensor::random_real(&[2, 3, 4], &mut rng);
         let (want, buffer) = (r.unfold(2), r.data().as_ptr());

@@ -44,7 +44,7 @@ proptest! {
         let t = seeded_tensor(&shape, seed);
         let split = split_frac % (shape.len() + 1);
         let m = t.unfold(split);
-        let back = Tensor::fold(&m, &shape[..split], &shape[split..]).unwrap();
+        let back = Tensor::fold(m, &shape[..split], &shape[split..]).unwrap();
         prop_assert!(back.approx_eq(&t, 0.0));
     }
 
@@ -205,7 +205,7 @@ fn einsum_of_real_tensors_is_real_and_matches_complex_arithmetic() {
     assert!(p.is_real());
     assert!(p.reshape(&[4, 6]).unwrap().is_real());
     assert!(p.unfold(1).is_real());
-    assert!(Tensor::fold(&p.unfold(1), &[4], &[2, 3]).unwrap().is_real());
+    assert!(Tensor::fold(p.unfold(1), &[4], &[2, 3]).unwrap().is_real());
     assert!(sum_axis(&a, 1).unwrap().is_real());
     assert!(a.conj().is_real());
     assert!(!a.scale(c64(0.5, -0.5)).is_real());

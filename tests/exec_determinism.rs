@@ -1,7 +1,8 @@
 //! Workspace acceptance test for the task-graph execution runtime: the full
 //! physics stack must be schedule-independent. A warm TFI imaginary-time-
 //! evolution sweep, a measurement whose environment sweeps and terms are
-//! independent tasks, two gate-list layers on a 6x6 PEPS, a distributed
+//! independent tasks, two gate-list layers on a 6x6 PEPS, a bond-8 TEBD
+//! layer on a 4x4 PEPS pinned to recorded bits, a distributed
 //! SUMMA product and boundary contractions whose zip-up steps run as a
 //! wavefront are run at 1/2/4/8 executor threads; energies, site tensors,
 //! contraction values and gathered matrices must be bit-identical and the
@@ -238,6 +239,37 @@ fn gate_list_layers_match_the_pairwise_fold_at_any_thread_count() {
         let layer =
             layer_record(|peps| apply_trotter_layer(peps, &trotter, method).unwrap(), &start);
         assert_eq!(layer, trotter_fold, "Trotter layer differs from the fold at {threads} threads");
+    }
+    koala::exec::set_threads(1);
+}
+
+/// FNV-1a of a gate-list run's site-tensor hashes and truncation error.
+fn record_digest((hashes, err, _, _): &LayerRecord) -> u64 {
+    hashes
+        .iter()
+        .chain([err])
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &bits| (h ^ bits).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// [`record_digest`] of one `apply_two_site_everywhere` layer on a 4x4,
+/// r = 8 complex PEPS: each interior bond update QRs a 512x16 site, the
+/// power-of-two column length the factorization buffer pads.
+const TEBD_R8_BITS: u64 = 0xca7e_a2b5_1ad7_21d5;
+
+/// The 4x4, r = 8 TEBD layer gives the recorded bits at every thread count.
+#[test]
+fn bond_dimension_8_tebd_layer_reproduces_the_recorded_bits() {
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut rng = StdRng::seed_from_u64(988);
+    let start = Peps::random(4, 4, 2, 8, &mut rng);
+    let xx_zz = &kron(&pauli_x(), &pauli_x()) + &kron(&pauli_z(), &pauli_z());
+    let gate = expm_hermitian(&xx_zz, c64(-0.05, 0.0)).unwrap();
+    let method = UpdateMethod::qr_svd(8);
+    for &threads in &THREAD_SWEEP {
+        koala::exec::set_threads(threads);
+        let layer =
+            layer_record(|peps| apply_two_site_everywhere(peps, &gate, method).unwrap(), &start);
+        assert_eq!(record_digest(&layer), TEBD_R8_BITS, "at {threads} threads");
     }
     koala::exec::set_threads(1);
 }
