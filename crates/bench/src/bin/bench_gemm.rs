@@ -20,12 +20,13 @@
 //!   actually executed (2 per real MAC), which shows the real kernel trading
 //!   arithmetic for memory-boundedness.
 //! * `real_factorization` — the realness-preserving factorization paths
-//!   (QR / QR-preconditioned Jacobi SVD / eigh / Gram QR) on hint-carrying
-//!   real matrices against the complex paths on the *same* (hint-laundered)
-//!   data.
-//!   `effective_gflops` credits each run the same nominal
-//!   `8 * m * n * min(m, n)` flops for solving the same problem, so the
-//!   ratio equals the wall-time speedup and the CI gate can compare runs.
+//!   (QR / QR-preconditioned Jacobi SVD / the leading-triplets SVD / eigh /
+//!   Gram QR) on hint-carrying real matrices against the complex paths on
+//!   the *same* (hint-laundered) data.
+//!   `effective_gflops` (real) and `complex_effective_gflops` credit each
+//!   run the same nominal `8 * m * n * min(m, n)` flops for solving the
+//!   same problem, so their ratio equals the wall-time speedup and the CI
+//!   gate can compare runs of either path.
 //!
 //! The document also says where it was recorded: `host_cpus`, `host_cpu`
 //! (the `/proc/cpuinfo` model name, else `"unknown"`) and `microkernel`
@@ -227,6 +228,11 @@ fn main() {
         // Jacobi was measured on.
         ("svd_wide_bmps", 49, 343),
         ("svd_rankdef", 32, 512),
+        // The truncated splits those workloads make, on the leading route:
+        // the `R`-factor theta of an `evolve_tebd` bond update kept to 8,
+        // and the `contract_bmps` zip-up theta kept to 7.
+        ("svd_leading_tebd", 32, 32),
+        ("svd_leading_bmps", 49, 343),
         ("eigh", 96, 96),
         ("gram_qr_tall", 512, 64),
     ];
@@ -268,6 +274,12 @@ fn main() {
                 let f = koala_linalg::svd(input).expect("bench svd");
                 std::hint::black_box(f.s.len());
             }
+            "svd_leading_tebd" | "svd_leading_bmps" => {
+                let keep = if m == 32 { 8 } else { 7 };
+                let (f, _) =
+                    koala_linalg::svd_leading(input, |_: &[f64]| keep).expect("bench svd_leading");
+                std::hint::black_box(f.s.len());
+            }
             "eigh" => {
                 let e = koala_linalg::eigh(input).expect("bench eigh");
                 std::hint::black_box(e.values.len());
@@ -282,6 +294,7 @@ fn main() {
         let (cplx_s, _, _) = time_best(fact_reps, || run(&cplx_in));
         let nominal = 8.0 * (m * n * m.min(n)) as f64;
         let eff_gf = nominal / real_s / 1e9;
+        let cplx_gf = nominal / cplx_s / 1e9;
         let speedup = cplx_s / real_s;
         println!(
             "{:<18} {:>14} {:>9.4} {:>9.2} {:>9.4} {:>7.2}x",
@@ -301,6 +314,7 @@ fn main() {
             ("real_seconds", JsonValue::num(real_s)),
             ("complex_seconds", JsonValue::num(cplx_s)),
             ("effective_gflops", JsonValue::num(eff_gf)),
+            ("complex_effective_gflops", JsonValue::num(cplx_gf)),
             ("speedup_real_vs_complex", JsonValue::num(speedup)),
         ]));
     }

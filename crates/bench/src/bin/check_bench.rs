@@ -27,10 +27,12 @@
 //! them is expected, so the baseline comparison is skipped with a note and
 //! only the same-run seed check gates.
 //!
-//! The compared rate is the per-series effective GFLOP/s — the
-//! counter-derived rate for the GEMM series and the nominal-flops rate for
-//! the factorization series — so the gate covers the packed kernel, the real
-//! dispatch, *and* the realness-preserving factorization paths.
+//! The compared rates are the per-series effective GFLOP/s — the
+//! counter-derived rate for the GEMM series, and for the factorization
+//! series the nominal-flops rates of both paths, `effective_gflops` (real)
+//! and `complex_effective_gflops` — so the gate covers the packed kernel,
+//! the real dispatch, and both the real and the complex factorizations.
+//! Each gated rate is its own case, keyed by its field.
 //!
 //! Usage:
 //! `check_bench --baseline BENCH_gemm.json --current bench_gemm_ci.json
@@ -40,13 +42,13 @@
 
 use koala_json::JsonValue;
 
-/// The JSON field holding the gated rate for each known series.
-fn rate_field(series: &str) -> Option<&'static str> {
+/// The JSON fields holding the gated rates of each known series.
+fn rate_fields(series: &str) -> &'static [&'static str] {
     match series {
-        "packed_vs_seed" => Some("packed_gflops"),
-        "real_vs_complex" => Some("real_effective_gflops"),
-        "real_factorization" => Some("effective_gflops"),
-        _ => None,
+        "packed_vs_seed" => &["packed_gflops"],
+        "real_vs_complex" => &["real_effective_gflops"],
+        "real_factorization" => &["effective_gflops", "complex_effective_gflops"],
+        _ => &[],
     }
 }
 
@@ -83,31 +85,32 @@ fn load(path: &str) -> Result<Bench, String> {
     let recorded = |field: &str| doc.get(field).and_then(|v| v.as_str()).map(str::to_string);
     let mut entries = Vec::new();
     for item in results {
+        // Unknown series have no fields: ignored rather than failing on new
+        // data.
         let series = item.get("series").and_then(|v| v.as_str()).unwrap_or("");
-        let Some(field) = rate_field(series) else {
-            continue; // unknown series: ignore rather than fail on new data
-        };
         let label = item.get("label").and_then(|v| v.as_str()).unwrap_or("");
         let opa = item.get("opa").and_then(|v| v.as_str()).unwrap_or("-");
         let opb = item.get("opb").and_then(|v| v.as_str()).unwrap_or("-");
         let threads = item.get("threads").and_then(|v| v.as_num()).unwrap_or(0.0);
-        let Some(rate) = item.get(field).and_then(|v| v.as_num()) else {
-            // A known series losing its gated field is an emitter regression
-            // (it would silently un-gate the series if merely skipped); only
-            // *whole series* absent from the baseline are tolerated, via the
-            // key-intersection logic in main().
-            return Err(format!("{path}: entry {series}/{label} lacks numeric '{field}'"));
-        };
-        let seed_speedup = if series == "packed_vs_seed" {
-            let speedup = item.get("speedup_vs_seed").and_then(|v| v.as_num());
-            Some(speedup.ok_or_else(|| {
-                format!("{path}: entry {series}/{label} lacks numeric 'speedup_vs_seed'")
-            })?)
-        } else {
-            None
-        };
-        let key = format!("{series}/{label}/{opa}{opb}/t{threads}");
-        entries.push(Entry { key, rate, seed_speedup });
+        for &field in rate_fields(series) {
+            let Some(rate) = item.get(field).and_then(|v| v.as_num()) else {
+                // A known series losing a gated field is an emitter
+                // regression (it would silently un-gate the rate if merely
+                // skipped); only *whole series* absent from the baseline are
+                // tolerated, via the key-intersection logic in main().
+                return Err(format!("{path}: entry {series}/{label} lacks numeric '{field}'"));
+            };
+            let seed_speedup = if series == "packed_vs_seed" {
+                let speedup = item.get("speedup_vs_seed").and_then(|v| v.as_num());
+                Some(speedup.ok_or_else(|| {
+                    format!("{path}: entry {series}/{label} lacks numeric 'speedup_vs_seed'")
+                })?)
+            } else {
+                None
+            };
+            let key = format!("{series}/{label}/{opa}{opb}/t{threads}/{field}");
+            entries.push(Entry { key, rate, seed_speedup });
+        }
     }
     Ok(Bench { host_cpu: recorded("host_cpu"), microkernel: recorded("microkernel"), entries })
 }
@@ -192,7 +195,7 @@ fn main() {
 
     let mut matched = 0usize;
     let mut regressions = Vec::new();
-    println!("{:<48} {:>10} {:>10} {:>8}  verdict", "case", "base GF/s", "now GF/s", "ratio");
+    println!("{:<64} {:>10} {:>10} {:>8}  verdict", "case", "base GF/s", "now GF/s", "ratio");
     for base in baseline {
         let Some(cur) = current.iter().find(|c| c.key == base.key) else {
             continue; // not run in this configuration (e.g. thread count)
@@ -201,7 +204,7 @@ fn main() {
         let ratio = if base.rate > 0.0 { cur.rate / base.rate } else { f64::INFINITY };
         let ok = ratio >= 1.0 - max_drop;
         println!(
-            "{:<48} {:>10.2} {:>10.2} {:>7.2}x  {}",
+            "{:<64} {:>10.2} {:>10.2} {:>7.2}x  {}",
             base.key,
             base.rate,
             cur.rate,

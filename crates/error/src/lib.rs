@@ -205,6 +205,9 @@ pub mod recovery {
         SVD_SWEEP_ESCALATIONS => note_svd_sweep_escalation / svd_sweep_escalations,
         /// Jacobi SVD fell back to the Gram-matrix SVD.
         GRAM_SVD_FALLBACKS => note_gram_svd_fallback / gram_svd_fallbacks,
+        /// A leading-triplets SVD failed its self-check and ran the Jacobi
+        /// ladder instead.
+        LEADING_SVD_FALLBACKS => note_leading_svd_fallback / leading_svd_fallbacks,
         /// Gram QR detected loss of positive-definiteness and degraded to QR+SVD.
         QR_DEGRADATIONS => note_qr_degradation / qr_degradations,
         /// Randomized SVD retried with a fresh random sketch.
@@ -228,6 +231,7 @@ pub mod recovery {
             writeln!(f, "recovery stats:")?;
             writeln!(f, "  svd sweep escalations    {}", self.svd_sweep_escalations)?;
             writeln!(f, "  gram-svd fallbacks       {}", self.gram_svd_fallbacks)?;
+            writeln!(f, "  leading-svd fallbacks    {}", self.leading_svd_fallbacks)?;
             writeln!(f, "  qr degradations          {}", self.qr_degradations)?;
             writeln!(f, "  rsvd re-sketches         {}", self.rsvd_resketches)?;
             writeln!(f, "  non-finite detections    {}", self.nonfinite_detections)?;

@@ -82,6 +82,7 @@
 
 mod scalar;
 
+mod bidiag;
 mod eig;
 mod expm;
 mod gemm;
@@ -109,4 +110,4 @@ pub use gram::{gram_factors, gram_qr, GramQr};
 pub use lanczos::{lanczos_ground_state, HermitianOp, LanczosResult};
 pub use qr::{qr, QrFactors};
 pub use rsvd::{rsvd, LinearOp, MatOp, RsvdOptions};
-pub use svd::{svd, Svd};
+pub use svd::{svd, svd_leading, Svd};

@@ -438,6 +438,28 @@ impl Matrix {
         self.submatrix(0, 0, k, self.ncols)
     }
 
+    /// Drop all but the first `k` columns in place: the kept rows move to the
+    /// front of the buffer, which is then shrunk.
+    pub(crate) fn shrink_cols(&mut self, k: usize) {
+        let k = k.min(self.ncols);
+        if k == self.ncols {
+            return;
+        }
+        for i in 1..self.nrows {
+            self.data.copy_within(i * self.ncols..i * self.ncols + k, i * k);
+        }
+        self.data.truncate(self.nrows * k);
+        self.data.shrink_to_fit();
+        self.ncols = k;
+    }
+
+    /// Drop all but the first `k` rows in place, shrinking the buffer.
+    pub(crate) fn shrink_rows(&mut self, k: usize) {
+        self.nrows = k.min(self.nrows);
+        self.data.truncate(self.nrows * self.ncols);
+        self.data.shrink_to_fit();
+    }
+
     /// Maximum entry-wise deviation from another matrix.
     pub fn max_diff(&self, other: &Matrix) -> f64 {
         assert_eq!(self.shape(), other.shape(), "max_diff: shape mismatch");

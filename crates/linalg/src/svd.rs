@@ -1,5 +1,36 @@
 //! Singular value decomposition of complex matrices.
 //!
+//! # Two routes
+//!
+//! Both start from one preconditioner, the Gram-Schmidt factorization
+//! `B = Q R` of the input's long side (`R` is `k x k`, `k = min(m, n)`),
+//! and finish with one GEMM of `Q` for the long factor.
+//!
+//! * [`svd`] computes every triplet by one-sided Jacobi on `R^H`, and is
+//!   the accurate route: the full factorization, always.
+//! * [`svd_leading`] computes the leading ones that its caller keeps: a
+//!   Householder bidiagonalization of `R`, every singular value of the
+//!   bidiagonal (the caller's cut sees the whole spectrum), and vectors for
+//!   the kept values only, by inverse iteration on the Golub-Kahan
+//!   tridiagonal (`bidiag.rs`; LAPACK's `zgesvdx` design). Its GEMM is
+//!   `max(m, n) x k x keep` instead of `x k`.
+//!
+//! The rule between them belongs to the caller: `koala_tensor`'s truncated
+//! split, the one caller of [`svd_leading`], takes it when its rank cap is
+//! below `k` and `k` is at least 10 (the rule and the measurement behind
+//! its size bound are on that split).
+//!
+//! # The ladder
+//!
+//! [`svd_leading`] checks its kept triplets against `R` before returning
+//! them (orthonormal columns, both residuals at round-off relative to
+//! `s_1`). When the check fails, it runs the Jacobi ladder of [`svd`] on
+//! the same `Q R` and truncates that: Jacobi, then Jacobi with an
+//! escalated sweep budget, then the Gram-matrix SVD. Each rung is counted
+//! on [`koala_error::recovery`].
+//!
+//! # The Jacobi route
+//!
 //! The workhorse is a QR-preconditioned one-sided Jacobi SVD (Drmac and
 //! Veselic): Gram-Schmidt reduces the `m x n` input to a `k x k` triangular
 //! factor, `k = min(m, n)`, the Jacobi sweeps run on that factor, and one
@@ -16,6 +47,7 @@
 //! singular values for speed and is the building block the paper's
 //! Algorithm 5 uses in the distributed setting.
 
+use crate::bidiag::{singular_values, singular_vectors, Bidiagonal};
 use crate::eig::{eigh, jacobi_rotation};
 use crate::gemm::{gemm, matmul, matmul_adj_a, matmul_adj_b, Op};
 use crate::lanes::{Cols, Lanes};
@@ -48,10 +80,14 @@ impl Svd {
         matmul(&us, &self.vh)
     }
 
-    /// Keep only the leading `k` singular triplets.
-    pub fn truncated(&self, k: usize) -> Svd {
+    /// Keep only the leading `k` singular triplets, in the factors' own
+    /// buffers (shrunk in place).
+    pub fn truncated(mut self, k: usize) -> Svd {
         let k = k.min(self.s.len());
-        Svd { u: self.u.truncate_cols(k), s: self.s[..k].to_vec(), vh: self.vh.truncate_rows(k) }
+        self.s.truncate(k);
+        self.u.shrink_cols(k);
+        self.vh.shrink_rows(k);
+        self
     }
 
     /// Frobenius norm of the discarded part if truncated to rank `k`
@@ -116,6 +152,10 @@ pub(crate) fn scale_rows(m: &Matrix, s: &[f64]) -> Matrix {
     }
     out
 }
+
+/// A direction is numerically null at `NULL_TOL |A|_F`: a Gram-Schmidt
+/// residual of the preconditioner, or a singular value of the leading route.
+const NULL_TOL: f64 = 1e-14;
 
 /// Maximum number of one-sided Jacobi sweeps on the first attempt.
 pub(crate) const MAX_SWEEPS: usize = 60;
@@ -219,19 +259,80 @@ fn svd_with_budgets(a: Matrix, first_sweeps: usize, escalated_sweeps: usize) -> 
     Ok(f)
 }
 
-/// The rungs of the ladder at one scalar type. Both Jacobi rungs start from
-/// the same `Q R`, factorized once; the last rung rebuilds the input from it.
+/// The ladder at one scalar type.
 fn svd_ladder<T: Lanes>(a: Matrix, first_sweeps: usize, escalated_sweeps: usize) -> Result<Svd> {
+    Preconditioned::<T>::new(a).ladder(first_sweeps, escalated_sweeps)
+}
+
+/// The self-check of the leading route: kept columns orthonormal, and both
+/// residuals of every kept triplet, `|R v - s u|` and `|R^H u - s v|`, at
+/// most this times `s_1`.
+const LEADING_TOL: f64 = 1e-12;
+
+/// The leading singular triplets of `a`: the `keep(s)` largest, where `s` is
+/// the whole spectrum in descending order, together with the Frobenius norm
+/// of the values it leaves out (the truncation error).
+///
+/// # Two routes
+///
+/// This is [`svd`] truncated, at a cost that follows what is kept. Both
+/// start from the preconditioner of [`svd`], `B = Q R` with `R` `k x k`.
+///
+/// * **Leading route.** `R` is reduced to a real bidiagonal by Householder
+///   reflectors from both sides, every singular value of the bidiagonal is
+///   computed (so `keep` and the error see the whole spectrum), and vectors
+///   are found for the kept values only, by inverse iteration on the
+///   Golub-Kahan tridiagonal. They are carried back through the
+///   reflectors, and the long factor is one GEMM of `Q` with the kept
+///   columns: `max(m, n) x k x keep` instead of [`svd`]'s
+///   `max(m, n) x k x k`. `O(k^3)` work on `R` remains, but no Jacobi
+///   sweeps.
+/// * **Self-check.** Before it returns, the leading route checks its kept
+///   triplets against `R` (`O(k^2 keep)` lane-kernel work): the columns are
+///   orthonormal and both residuals are at round-off relative to `s_1`.
+///   If the check fails, or the values or vectors did not converge, the
+///   Jacobi ladder of [`svd`] runs on the same `Q R`, its result is
+///   truncated by `keep`, and the fallback is counted on
+///   [`koala_error::recovery`] (`leading_svd_fallbacks`). That result is
+///   bit for bit `svd(a)` truncated.
+///
+/// # Conventions
+///
+/// As [`svd`]: non-finite input is rejected up front, the realness hint
+/// runs the whole route at `f64` and returns hinted factors (the GEMMs take
+/// the real kernel), and `a` is dropped once its columns are gathered. A
+/// direction is numerically null when its singular value is at most
+/// `1e-14 |A|_F`, the preconditioner's null tolerance: it comes back with
+/// `s` exactly `0.0` and zero columns. `keep` is clamped to `k`.
+pub fn svd_leading(a: impl Into<Matrix>, keep: impl Fn(&[f64]) -> usize) -> Result<(Svd, f64)> {
+    svd_leading_checked(a.into(), &keep, LEADING_TOL)
+}
+
+/// [`svd_leading`] with an explicit self-check tolerance (separated out so
+/// tests can force the fallback).
+fn svd_leading_checked(a: Matrix, keep: &dyn Fn(&[f64]) -> usize, tol: f64) -> Result<(Svd, f64)> {
+    let (m, n) = a.shape();
+    if m == 0 || n == 0 {
+        return Ok((Svd { u: Matrix::zeros(m, 0), s: vec![], vh: Matrix::zeros(0, n) }, 0.0));
+    }
+    a.validate_finite("svd input")?;
+    let leading = if a.is_real() { leading_at::<f64> } else { leading_at::<C64> };
+    let (f, err) = leading(a, keep, tol)?;
+    validate_svd_finite(&f, "svd output")?;
+    Ok((f, err))
+}
+
+/// [`svd_leading`] at one scalar type.
+fn leading_at<T: Lanes>(a: Matrix, keep: &dyn Fn(&[f64]) -> usize, tol: f64) -> Result<(Svd, f64)> {
     let pre = Preconditioned::<T>::new(a);
-    if let Ok((f, _)) = pre.jacobi(first_sweeps) {
-        return Ok(f);
+    if let Some(found) = pre.leading(keep, tol) {
+        return Ok(found);
     }
-    koala_error::recovery::note_svd_sweep_escalation();
-    if let Ok((f, _)) = pre.jacobi(escalated_sweeps) {
-        return Ok(f);
-    }
-    koala_error::recovery::note_gram_svd_fallback();
-    svd_gram(&pre.input())
+    koala_error::recovery::note_leading_svd_fallback();
+    let f = pre.ladder(MAX_SWEEPS, ESCALATED_SWEEPS)?;
+    let kept = keep(&f.s).min(f.s.len());
+    let err = f.truncation_error(kept);
+    Ok((f.truncated(kept), err))
 }
 
 /// NaN/Inf guard over all three factors of an SVD.
@@ -263,7 +364,7 @@ impl<T: Lanes> Preconditioned<T> {
         let fro = a.norm_fro();
         let mut cols = Cols::<T>::from_matrix(&a, wide);
         drop(a);
-        let r = mgs(&mut cols, 1e-14 * fro, false);
+        let r = mgs(&mut cols, NULL_TOL * fro, false);
         Preconditioned { wide, fro, q: cols.to_matrix(cols.ncols(), Vec::new()), r }
     }
 
@@ -277,6 +378,70 @@ impl<T: Lanes> Preconditioned<T> {
         } else {
             gemm(Op::None, Op::None, &self.q, &r)
         }
+    }
+
+    /// The recovery ladder of [`svd`] from this `Q R`: both Jacobi rungs
+    /// start from it, and the last rung rebuilds the input from it.
+    fn ladder(&self, first_sweeps: usize, escalated_sweeps: usize) -> Result<Svd> {
+        if let Ok((f, _)) = self.jacobi(first_sweeps) {
+            return Ok(f);
+        }
+        koala_error::recovery::note_svd_sweep_escalation();
+        if let Ok((f, _)) = self.jacobi(escalated_sweeps) {
+            return Ok(f);
+        }
+        koala_error::recovery::note_gram_svd_fallback();
+        svd_gram(&self.input())
+    }
+
+    /// The leading route of [`svd_leading`] from this `Q R`, or `None` when
+    /// an iteration does not converge or the result fails the self-check.
+    fn leading(&self, keep: &dyn Fn(&[f64]) -> usize, tol: f64) -> Option<(Svd, f64)> {
+        let k = self.q.ncols();
+        // `R / |A|_F`: the bidiagonal stage runs at unit scale.
+        let unit = if self.fro > 0.0 { 1.0 / self.fro } else { 1.0 };
+        let b = Bidiagonal::new(&self.r, k, unit);
+        let mut sigma = singular_values(&b.d, &b.e)?;
+        for x in &mut sigma {
+            if *x <= NULL_TOL {
+                *x = 0.0;
+            }
+        }
+        let s: Vec<f64> = sigma.iter().map(|x| x * self.fro).collect();
+        let kept = keep(&s).min(k);
+        let err = s[kept..].iter().map(|x| x * x).sum::<f64>().sqrt();
+        let live = s[..kept].iter().take_while(|&&x| x > 0.0).count();
+        let (xs, ys) = singular_vectors(&b.d, &b.e, &sigma[..live])?;
+        let (x, y) = (b.left(&xs, kept), b.right(&ys, kept));
+
+        if !triplets_hold(&self.r, &s[..live], &x, &y, tol) {
+            return None;
+        }
+        // `small` is the k x kept factor Y (wide: U itself) or its adjoint
+        // (tall: V^H), built in its destination layout; `xm` is X.
+        let mut small = vec![T::ZERO; k * kept];
+        for j in 0..kept {
+            let col = y.col(j);
+            for i in 0..k {
+                if self.wide {
+                    small[i * kept + j] = T::read(col, i);
+                } else {
+                    small[j * k + i] = T::read(col, i).conj();
+                }
+            }
+        }
+        let small = if self.wide {
+            Matrix::from_scalars(k, kept, small)
+        } else {
+            Matrix::from_scalars(kept, k, small)
+        };
+        let xm = x.to_matrix(kept, Vec::new());
+        let (u, vh) = if self.wide {
+            (small, gemm(Op::Adjoint, Op::Adjoint, &xm, &self.q))
+        } else {
+            (gemm(Op::None, Op::None, &self.q, &xm), small)
+        };
+        Some((Svd { u, s: s[..kept].to_vec(), vh }, err))
     }
 
     /// One Jacobi attempt with an explicit sweep budget on the columns of
@@ -386,6 +551,55 @@ impl<T: Lanes> Preconditioned<T> {
         };
         Ok((Svd { u, s: s_sorted, vh }, sweeps))
     }
+}
+
+/// The self-check of the leading route: whether the triplets `(x_j, s_j,
+/// y_j)`, one per entry of `s` (descending, positive), hold for the
+/// row-major `k x k` factor `r` to `tol`: orthonormal columns of `x` and of
+/// `y`, and `|R y_j - s_j x_j|` and `|R^H x_j - s_j y_j|` at most `tol s_1`.
+/// `O(k^2)` lane-kernel work per triplet: `R y` as `axpy`s over the columns
+/// of `R`, `R^H x` as their `dotc`s with `x`.
+fn triplets_hold<T: Lanes>(r: &[T], s: &[f64], x: &Cols<T>, y: &Cols<T>, tol: f64) -> bool {
+    let live = s.len();
+    for p in 0..live {
+        for q in p..live {
+            let want = T::from_real(if p == q { -1.0 } else { 0.0 });
+            let (xx, yy) = (T::dotc(x.col(p), x.col(q)) + want, T::dotc(y.col(p), y.col(q)) + want);
+            if !(xx.abs() <= tol && yy.abs() <= tol) {
+                return false;
+            }
+        }
+    }
+    let k = x.col_len();
+    // The columns of R, then one work column.
+    let mut cols = Cols::<T>::zeros(k, k + 1);
+    for (i, row) in r.chunks_exact(k).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            T::write(cols.col_mut(c), i, v);
+        }
+    }
+    let stride = cols.stride();
+    let (r_cols, work) = cols.split_col_mut(k);
+    let bound = tol * s.first().copied().unwrap_or(0.0);
+    for (j, &sj) in s.iter().enumerate() {
+        let (xj, yj) = (x.col(j), y.col(j));
+        work.fill(0.0);
+        for (c, rc) in r_cols.chunks_exact(stride).enumerate() {
+            T::axpy(T::read(yj, c), rc, work);
+        }
+        T::axpy(T::from_real(-sj), xj, work);
+        let forward = T::col_norm_sqr(work).sqrt();
+        work.fill(0.0);
+        for (c, rc) in r_cols.chunks_exact(stride).enumerate() {
+            T::write(work, c, T::dotc(rc, xj));
+        }
+        T::axpy(T::from_real(-sj), yj, work);
+        let adjoint = T::col_norm_sqr(work).sqrt();
+        if !(forward <= bound && adjoint <= bound) {
+            return false;
+        }
+    }
+    true
 }
 
 /// SVD through the Gram matrix `A^H A` (or `A A^H`, whichever is smaller):
@@ -522,9 +736,9 @@ mod tests {
         let a = Matrix::random(10, 10, &mut rng);
         let f = svd(&a).unwrap();
         let k = 4;
-        let trunc = f.truncated(k);
-        let err = (&a - &trunc.reconstruct()).norm_fro();
-        assert!((err - f.truncation_error(k)).abs() < 1e-9, "Eckart-Young mismatch");
+        let tail = f.truncation_error(k);
+        let err = (&a - &f.truncated(k).reconstruct()).norm_fro();
+        assert!((err - tail).abs() < 1e-9, "Eckart-Young mismatch");
     }
 
     #[test]
@@ -640,6 +854,37 @@ mod tests {
             let after = koala_error::recovery::snapshot();
             assert!(after.svd_sweep_escalations > before.svd_sweep_escalations);
             assert!(after.gram_svd_fallbacks > before.gram_svd_fallbacks);
+        }
+    }
+
+    /// A failed self-check lands on the Jacobi ladder from the same `Q R`:
+    /// the fallback is counted, and the result is `svd` truncated, bit for
+    /// bit, with the same discarded weight.
+    #[test]
+    fn leading_fallback_is_the_truncated_jacobi_svd_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(49);
+        for (m, n, real) in [(30, 12, false), (9, 25, false), (16, 16, true), (7, 20, true)] {
+            let a = if real {
+                Matrix::random_real(m, n, &mut rng)
+            } else {
+                Matrix::random(m, n, &mut rng)
+            };
+            let keep = |s: &[f64]| s.len() / 2;
+            let before = koala_error::recovery::snapshot().leading_svd_fallbacks;
+            // A negative tolerance fails every check.
+            let (f, err) = svd_leading_checked(a.clone(), &keep, -1.0).unwrap();
+            assert!(koala_error::recovery::snapshot().leading_svd_fallbacks > before);
+            let full = svd(&a).unwrap();
+            let kept = keep(&full.s);
+            assert_eq!(err.to_bits(), full.truncation_error(kept).to_bits());
+            let want = full.truncated(kept);
+            let bits = |f: &Svd| {
+                let entries = f.u.data().iter().chain(f.vh.data()).flat_map(|z| [z.re, z.im]);
+                entries.chain(f.s.iter().copied()).map(f64::to_bits).collect::<Vec<_>>()
+            };
+            assert_eq!((f.u.shape(), f.vh.shape()), (want.u.shape(), want.vh.shape()));
+            assert_eq!(bits(&f), bits(&want), "{m}x{n}");
+            assert_eq!((f.u.is_real(), f.vh.is_real()), (real, real));
         }
     }
 

@@ -67,9 +67,9 @@ proptest! {
         let a = seeded_matrix(m, n, seed);
         let full = svd(&a).unwrap();
         let k = k.min(full.s.len());
-        let trunc = full.truncated(k);
-        let err = (&a - &trunc.reconstruct()).norm_fro();
-        prop_assert!(err <= full.truncation_error(k) + 1e-8);
+        let bound = full.truncation_error(k);
+        let err = (&a - &full.truncated(k).reconstruct()).norm_fro();
+        prop_assert!(err <= bound + 1e-8);
     }
 
     #[test]
@@ -488,5 +488,148 @@ proptest! {
         prop_assert!(exactly_real(&g.q), "gram Q falsely carries the hint");
         prop_assert!(exactly_real(&g.r), "gram R falsely carries the hint");
         prop_assert!(exactly_real(&g.r_inv), "gram R^-1 falsely carries the hint");
+    }
+}
+
+/// `U diag(s) V^H` with Haar-like `U` (`m x k`) and `V` (`n x k`) from the
+/// QR of random matrices, `k = s.len()`, real or complex.
+fn with_spectrum(m: usize, n: usize, s: &[f64], real: bool, rng: &mut StdRng) -> Matrix {
+    let k = s.len();
+    let mut draw = |r: usize, c: usize| {
+        if real {
+            Matrix::random_real(r, c, &mut *rng)
+        } else {
+            Matrix::random(r, c, &mut *rng)
+        }
+    };
+    let (u, v) = (qr(&draw(m, k)).q, qr(&draw(n, k)).q);
+    gemm(Op::None, Op::Adjoint, &matmul(&u, &Matrix::from_diag_real(s)), &v)
+}
+
+/// `svd_leading` of `a` kept to `keep`, asserting that it took the leading
+/// route (no fallback to the Jacobi ladder was counted).
+fn leading(a: &Matrix, keep: usize) -> koala_error::Result<(Svd, f64)> {
+    let before = koala_error::recovery::snapshot().leading_svd_fallbacks;
+    let out = svd_leading(a, |_: &[f64]| keep);
+    assert_eq!(koala_error::recovery::snapshot().leading_svd_fallbacks, before, "fell back");
+    out
+}
+
+/// The kept triplets of `svd_leading` against `svd` truncated at the same
+/// cut: equal spectra and discarded weight, equal rank-`keep` products
+/// (the cut lies at a gap), orthonormal kept columns, and the input's
+/// realness.
+fn check_leading(a: &Matrix, keep: usize, label: &str) -> Svd {
+    let (f, err) = leading(a, keep).unwrap();
+    let full = svd(a).unwrap();
+    let (tail, s1) = (full.truncation_error(keep), full.s[0]);
+    let jacobi = full.truncated(keep);
+    let (m, n) = a.shape();
+    assert_eq!((f.u.shape(), f.s.len(), f.vh.shape()), ((m, keep), keep, (keep, n)), "{label}");
+    for (x, y) in f.s.iter().zip(&jacobi.s) {
+        assert!((x - y).abs() <= 1e-13 * s1, "{label}: value {x:e} vs {y:e}");
+    }
+    assert!((err - tail).abs() <= 1e-13 * s1, "{label}: error {err:e} vs {tail:e}");
+    let gap = f.reconstruct().max_diff(&jacobi.reconstruct());
+    assert!(gap <= 1e-12 * a.norm_fro(), "{label}: products differ by {gap:e}");
+    assert!(f.u.has_orthonormal_cols(1e-12), "{label}: U");
+    assert!(f.vh.adjoint().has_orthonormal_cols(1e-12), "{label}: V");
+    assert_eq!((f.u.is_real(), f.vh.is_real()), (a.is_real(), a.is_real()), "{label}: hint");
+    f
+}
+
+// The leading route of the truncated SVD over tall, wide and square shapes,
+// both scalars and input scales 1e-20, 1 and 1e20, with a cut at a gap of
+// the spectrum (kept values in [1, 2], the rest in [0, 0.1]).
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn leading_svd_matches_the_truncated_jacobi_svd(
+        (m, n) in (2usize..40, 2usize..40),
+        keep_frac in 0.0f64..1.0,
+        real in 0u32..2,
+        seed in 0u64..1000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let k = m.min(n);
+        let keep = ((keep_frac * k as f64) as usize).clamp(1, k - 1);
+        let spectrum: Vec<f64> = (0..k)
+            .map(|i| if i < keep { 2.0 - i as f64 / k as f64 } else { 0.1 * (k - i) as f64 / k as f64 })
+            .collect();
+        let a = with_spectrum(m, n, &spectrum, real == 1, &mut rng);
+        for scale in [1e-20, 1.0, 1e20] {
+            let a = a.scale(c64(scale, 0.0));
+            check_leading(&a, keep, &format!("{m}x{n} keep {keep} real {real} scale {scale:e}"));
+        }
+    }
+}
+
+/// Exactly degenerate clusters (4-fold and 8-fold): a cut at a cluster
+/// boundary keeps Jacobi's product.
+#[test]
+fn leading_svd_keeps_degenerate_clusters_whole() {
+    let mut rng = StdRng::seed_from_u64(0xC1u64);
+    let mut spectrum = vec![3.0; 4];
+    spectrum.extend([2.0; 8]);
+    spectrum.extend((0..20).map(|i| 1.0 / (i + 2) as f64));
+    for real in [false, true] {
+        for (m, n) in [(40, 32), (32, 60), (32, 32)] {
+            let a = with_spectrum(m, n, &spectrum, real, &mut rng);
+            for keep in [4, 12] {
+                check_leading(&a, keep, &format!("clusters {m}x{n} real {real} keep {keep}"));
+            }
+        }
+    }
+}
+
+/// A rank-`r` input with more than `r` directions kept: the null ones come
+/// back as `s = 0.0` with zero columns, and the product is still `A`. The
+/// zero matrix is all null; non-finite input is rejected.
+#[test]
+fn leading_svd_null_directions_zero_matrix_and_non_finite_input() {
+    let mut rng = StdRng::seed_from_u64(0x9011);
+    for real in [false, true] {
+        let draw = |r: usize, c: usize, rng: &mut StdRng| {
+            if real {
+                Matrix::random_real(r, c, rng)
+            } else {
+                Matrix::random(r, c, rng)
+            }
+        };
+        for (m, n) in [(20, 12), (12, 30)] {
+            let a = matmul(&draw(m, 3, &mut rng), &draw(3, n, &mut rng));
+            let (f, err) = leading(&a, 6).unwrap();
+            assert_eq!(f.s.len(), 6);
+            assert!(f.s[2] > 1e-8 * f.s[0] && err <= 1e-13 * f.s[0], "{m}x{n}: {:?}", f.s);
+            assert!(f.reconstruct().approx_eq(&a, 1e-12 * a.norm_fro()), "{m}x{n}: product");
+            assert!(f.u.truncate_cols(3).has_orthonormal_cols(1e-12));
+            assert!(f.vh.truncate_rows(3).adjoint().has_orthonormal_cols(1e-12));
+            assert_null_directions_are_exact_zeros(&f, 3, &format!("rank 3 of {m}x{n}"));
+        }
+        let zero =
+            if real { Matrix::from_real(5, 7, &[0.0; 35]).unwrap() } else { Matrix::zeros(5, 7) };
+        let (f, err) = leading(&zero, 2).unwrap();
+        assert_eq!((f.s.as_slice(), err), (&[0.0, 0.0][..], 0.0));
+        assert_null_directions_are_exact_zeros(&f, 0, "zero matrix");
+        let mut bad = draw(6, 5, &mut rng);
+        bad[(2, 3)] = c64(f64::NAN, 0.0);
+        let e = svd_leading(&bad, |_: &[f64]| 2).unwrap_err();
+        assert_eq!(e.kind(), koala_error::ErrorKind::NonFinite);
+    }
+}
+
+/// A real-hinted input runs the leading route at `f64`: hinted factors, and
+/// not one complex multiply-add billed.
+#[test]
+fn leading_svd_of_real_input_stays_real() {
+    let mut rng = StdRng::seed_from_u64(0x4EA1);
+    for (m, n, keep) in [(32, 32, 8), (49, 343, 7), (343, 49, 7)] {
+        let a = Matrix::random_real(m, n, &mut rng);
+        let meter = WorkMeter::new();
+        let (f, _) = meter.scope(|| leading(&a, keep)).unwrap();
+        assert!(f.u.is_real() && f.vh.is_real(), "{m}x{n}: factors must carry the hint");
+        assert_eq!(meter.complex_macs(), 0, "{m}x{n}: complex MACs billed");
+        assert!(meter.real_macs() > 0);
     }
 }

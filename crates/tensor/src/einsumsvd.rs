@@ -6,8 +6,12 @@
 //! # The two methods
 //!
 //! * [`EinsumSvdMethod::ExactSvd`] — contract the network to `theta` through
-//!   a planned [`einsum`](fn@crate::einsum), unfold it in place and truncate
-//!   its [`svd()`]. The plan is held per call site (see [`EinsumSvd`]).
+//!   a planned [`einsum`](fn@crate::einsum), unfold it in place and hand it
+//!   to the truncated SVD of [`svd_split`](crate::svd_split): when
+//!   `max_rank` is below theta's narrow side and that side is at least 10,
+//!   [`svd_leading`](koala_linalg::svd_leading) computes the kept triplets
+//!   only, otherwise [`svd()`](koala_linalg::svd) runs in full. The plan is held
+//!   per call site (see [`EinsumSvd`]).
 //! * [`EinsumSvdMethod::ImplicitRandSvd`] — the randomized SVD of paper
 //!   Alg. 4 over an operator that never forms `theta`: each application
 //!   absorbs the sketch block into the operands **one at a time, in list
@@ -35,13 +39,13 @@
 //!   10`; on a three-column lattice those are all the steps.
 
 use crate::contract::tensordot;
-use crate::decomp::{build_split_svd, SplitSvd, Truncation};
+use crate::decomp::{build_split_svd, fold_split, SplitSvd, Truncation};
 use crate::einsum::{parse_spec, EinsumSpec};
 use crate::plan::{contraction_plan, Plan};
 use crate::shape::is_identity_perm;
 use crate::tensor::Tensor;
 use koala_error::{KoalaError, Result};
-use koala_linalg::{rsvd, svd, LinearOp, Matrix, RsvdOptions};
+use koala_linalg::{rsvd, LinearOp, Matrix, RsvdOptions};
 use rand::Rng;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -370,8 +374,9 @@ impl EinsumSvd {
     /// random source: contract to `theta`, truncate its SVD.
     ///
     /// `theta`'s axes are already rows then columns, so it is unfolded in
-    /// place and handed to [`svd()`], which drops it once its columns are
-    /// gathered: the SVD holds one copy of theta's entries where a
+    /// place and handed to the truncated SVD (as
+    /// [`svd_split`](crate::svd_split) routes it), which drops it once its
+    /// columns are gathered: the SVD holds one copy of theta's entries where a
     /// [`svd_split`](crate::svd_split) of it would hold three (theta, its
     /// matricized copy, the gathered columns). `tests/alloc.rs` pins the
     /// peak.
@@ -380,7 +385,7 @@ impl EinsumSvd {
         let theta = self.theta_plan(network, operands)?.execute(operands)?;
         let (row_dims, col_dims) = theta.shape().split_at(network.n_rows);
         let (row_dims, col_dims) = (row_dims.to_vec(), col_dims.to_vec());
-        build_split_svd(svd(theta.into_unfold(network.n_rows))?, &row_dims, &col_dims, truncation)
+        build_split_svd(theta.into_unfold(network.n_rows), &row_dims, &col_dims, truncation)
     }
 
     /// Contract the network over `operands` and refactorize it with `method`.
@@ -411,7 +416,7 @@ impl EinsumSvd {
         }
         let op = NetworkOp::new(network, operands, row_dims, col_dims);
         let f = rsvd(&op, RsvdOptions { rank, oversample, n_iter }, rng)?;
-        build_split_svd(f, &op.row_dims, &op.col_dims, Truncation::none())
+        fold_split(f, &op.row_dims, &op.col_dims, 0.0)
     }
 }
 
