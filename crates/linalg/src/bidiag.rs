@@ -15,7 +15,8 @@
 //!    by inverse iteration on the `2k x 2k` Golub-Kahan tridiagonal, whose
 //!    eigenvalues are `+-s` and whose eigenvectors interleave `y` and `x`
 //!    (`dstein` on the matrix `dbdsvdx` forms). Each iterate is
-//!    re-orthogonalized against the vectors already found.
+//!    re-orthogonalized against the vectors already found, and the `x` and
+//!    `y` halves are orthonormalized as two sets at the end.
 //! 4. [`Bidiagonal::left`] and [`Bidiagonal::right`] carry those vectors
 //!    back through the reflectors: `R (W y) = s (P x)`.
 //!
@@ -399,10 +400,31 @@ pub(crate) fn singular_vectors(
     }
     let mut xs: Vec<f64> = zs.iter().skip(1).step_by(2).copied().collect();
     let mut ys: Vec<f64> = zs.iter().step_by(2).copied().collect();
-    for v in xs.chunks_exact_mut(k).chain(ys.chunks_exact_mut(k)) {
+    orthonormalize(&mut xs, k)?;
+    orthonormalize(&mut ys, k)?;
+    Some((xs, ys))
+}
+
+/// Twice-applied Gram-Schmidt over the concatenated vectors of length `k`
+/// in `vs`, each normalized. The halves of the `z` are orthogonal only
+/// together: a kept value `s` that is tiny against `|T|` has eigenvectors
+/// `eps |T| / 2s` away from those of the values `-s_i` next to its mirror,
+/// so each half mixes in its neighbours' by that much. Orthonormalizing
+/// the `x` and the `y` separately moves each pair off `B y = s x` by only
+/// `s` times that mixing, far below round-off relative to `|B|`.
+fn orthonormalize(vs: &mut [f64], k: usize) -> Option<()> {
+    for j in 0..vs.len() / k.max(1) {
+        let (done, rest) = vs.split_at_mut(j * k);
+        let v = &mut rest[..k];
+        for _ in 0..2 {
+            for prev in done.chunks_exact(k) {
+                let p = dot(prev, v);
+                v.iter_mut().zip(prev).for_each(|(a, b)| *a -= p * b);
+            }
+        }
         normalize(v)?;
     }
-    Some((xs, ys))
+    Some(())
 }
 
 fn dot(a: &[f64], b: &[f64]) -> f64 {
