@@ -8,10 +8,12 @@
 //!
 //! * `H_i|psi>` is local and exact. A one-site operator acts on its site; a
 //!   two-site matrix is operator-Schmidt decomposed into `sum_k A_k (x) B_k`
-//!   ([`operator_schmidt`]). A neighbouring pair stacks the `chi` products on
-//!   its shared bond (`r -> r * chi`; `chi = 1` for `ZZ`, `XX`, `YY`), a
-//!   distant pair becomes `chi` product strips with two one-site-modified
-//!   sites each. No state tensor is ever factorized or truncated.
+//!   ([`operator_schmidt`](crate::operators::operator_schmidt)), once per
+//!   observable: later measurements reuse the factors. A neighbouring pair
+//!   stacks the `chi` products on its shared bond (`r -> r * chi`; `chi = 1`
+//!   for `ZZ`, `XX`, `YY`), a distant pair becomes `chi` product strips with
+//!   two one-site-modified sites each. No state tensor is ever factorized or
+//!   truncated.
 //! * Every untouched site of a strip is borrowed from the merged network.
 //! * The last row of a strip is contracted as `<top| row MPO |bottom>`
 //!   ([`Mps::sandwich`]), so a one-row term makes no zip-up at all and a
@@ -44,7 +46,7 @@ use crate::contract::{
     contract_each, contract_rows, row_as_mpo, row_as_mps, sites_as_mpo, sites_as_mps,
     ContractionMethod,
 };
-use crate::operators::{operator_schmidt, LocalTerm, Observable};
+use crate::operators::{LocalTerm, Observable};
 use crate::peps::{merge_site_pair, Peps, Site, AX_P, AX_R};
 use koala_error::Result;
 use koala_linalg::C64;
@@ -196,11 +198,6 @@ pub fn expectation_normalized<R: Rng + ?Sized>(
     Ok(value / norm)
 }
 
-/// Operator Schmidt values at or below this fraction of the largest are
-/// dropped: the null directions of a product operator come back from the SVD
-/// as exact zeros, and keeping them would multiply the shared bond for nothing.
-const SCHMIDT_TOL: f64 = 1e-14;
-
 /// A merged site that replaces the one of `<psi|psi>` at the same position.
 type Swap = (Site, Tensor);
 
@@ -232,7 +229,7 @@ impl<'a> Network<'a> {
         let values = contract_each(terms.len(), |i| {
             let mut rng = StdRng::seed_from_u64(seeds[i]);
             let mut value = C64::ZERO;
-            for swaps in self.term_strips(&terms[i])? {
+            for swaps in self.term_strips(observable, i)? {
                 value += self.strip(&swaps, terms[i].row_span(), &mut rng)?;
             }
             Ok(value)
@@ -248,26 +245,28 @@ impl<'a> Network<'a> {
         self.strip(&[], (0, 0), &mut StdRng::seed_from_u64(seed))
     }
 
-    /// `H_i|psi>` as product strips: each entry lists the merged sites to swap
-    /// in, and the term's value is the sum over entries.
-    fn term_strips(&self, term: &LocalTerm) -> Result<Vec<Vec<Swap>>> {
+    /// `H_i|psi>` for term `i` of `observable` as product strips: each entry
+    /// lists the merged sites to swap in, and the term's value is the sum
+    /// over entries.
+    fn term_strips(&self, observable: &Observable, i: usize) -> Result<Vec<Vec<Swap>>> {
         let swap = |site: Site, ops: &Tensor, axis: usize| -> Result<Swap> {
             let bra = self.peps.tensor(site);
             Ok((site, merge_site_pair(bra, &apply_stacked(bra, ops, axis)?)?))
         };
-        match term {
+        match &observable.terms()[i] {
             LocalTerm::OneSite { site, matrix } => {
                 // One operator "stacked" on any bond leaves the bond as it is.
                 let op = Tensor::from_matrix_2d(matrix).expand_dims(0);
                 Ok(vec![vec![swap(*site, &op, AX_R)?]])
             }
-            LocalTerm::TwoSite { site_a, site_b, matrix } => {
+            LocalTerm::TwoSite { site_a, site_b, .. } => {
                 let (d_a, d_b) = (self.peps.phys_dim(*site_a), self.peps.phys_dim(*site_b));
-                let (a, b) = operator_schmidt(matrix, d_a, d_b, SCHMIDT_TOL)?;
+                let factors = observable.two_site_factors(i, d_a, d_b)?;
+                let (a, b) = (&factors.0, &factors.1);
                 match self.peps.direction_between(*site_a, *site_b) {
                     Some(dir) => Ok(vec![vec![
-                        swap(*site_a, &a, dir.axis())?,
-                        swap(*site_b, &b, dir.opposite().axis())?,
+                        swap(*site_a, a, dir.axis())?,
+                        swap(*site_b, b, dir.opposite().axis())?,
                     ]]),
                     None => (0..a.dim(0))
                         .map(|k| {
@@ -509,8 +508,8 @@ mod tests {
         rank3.add_two_site((1, 0), (1, 1), xxz());
         rank3.add_two_site((2, 1), (1, 1), xxz());
         for (obs, chi) in [(product, 1), (rank3, 3)] {
-            for term in obs.terms() {
-                let strips = network.term_strips(term).unwrap();
+            for i in 0..obs.len() {
+                let strips = network.term_strips(&obs, i).unwrap();
                 assert_eq!(strips.len(), 1, "neighbours and product operators are one strip");
                 for (site, swapped) in strips.iter().flatten() {
                     let bond = swapped.shape().iter().copied().max().unwrap();

@@ -7,7 +7,9 @@ use koala_error::KoalaError;
 use koala_error::Result;
 use koala_linalg::{c64, Matrix, C64};
 use koala_tensor::{svd_split, Tensor, Truncation};
+use std::borrow::Cow;
 use std::ops::{Add, Mul};
+use std::sync::OnceLock;
 
 /// Pauli X matrix.
 pub fn pauli_x() -> Matrix {
@@ -123,17 +125,65 @@ impl LocalTerm {
     }
 }
 
+/// Operator Schmidt values at or below this fraction of the largest are
+/// dropped: the null directions of a product operator come back from the SVD
+/// as exact zeros, and keeping them would multiply the shared bond for nothing.
+const SCHMIDT_TOL: f64 = 1e-14;
+
+/// The operator Schmidt factors of a two-site term and the site dimensions
+/// `(d_a, d_b)` they were computed for.
+type Schmidt = ((usize, usize), (Tensor, Tensor));
+
 /// A Hermitian observable expressed as a sum of local terms,
 /// `H = sum_i H_i` (paper Equation 5).
 #[derive(Debug, Clone, Default)]
 pub struct Observable {
     terms: Vec<LocalTerm>,
+    /// One slot per term: a two-site term's operator Schmidt factors, filled
+    /// by the first measurement that needs them (see
+    /// [`Observable::two_site_factors`]).
+    schmidt: Vec<OnceLock<Schmidt>>,
 }
 
 impl Observable {
     /// The zero observable.
     pub fn zero() -> Self {
-        Observable { terms: Vec::new() }
+        Observable::default()
+    }
+
+    /// An observable of `terms`, none decomposed yet.
+    fn from_terms(terms: Vec<LocalTerm>) -> Self {
+        let schmidt = terms.iter().map(|_| OnceLock::new()).collect();
+        Observable { terms, schmidt }
+    }
+
+    /// The operator Schmidt factors `(A, B)` of term `i`, a two-site term on
+    /// sites of dimensions `d_a` and `d_b`: [`operator_schmidt`] dropping
+    /// values at or below `1e-14` of the largest. The terms of an observable
+    /// do not change between measurements, so the first call decomposes the
+    /// term and later ones borrow the same factors; only a call for other
+    /// site dimensions than the stored ones decomposes again. Errors when
+    /// term `i` is not a two-site term or does not decompose.
+    pub(crate) fn two_site_factors(
+        &self,
+        i: usize,
+        d_a: usize,
+        d_b: usize,
+    ) -> Result<Cow<'_, (Tensor, Tensor)>> {
+        let LocalTerm::TwoSite { matrix, .. } = &self.terms[i] else {
+            return Err(KoalaError::invalid(format!("term {i} is not a two-site term")));
+        };
+        let slot = &self.schmidt[i];
+        if slot.get().is_none() {
+            let factors = operator_schmidt(matrix, d_a, d_b, SCHMIDT_TOL)?;
+            // A racing first call stores the same factors: the SVD is
+            // deterministic.
+            let _ = slot.set(((d_a, d_b), factors));
+        }
+        match slot.get() {
+            Some((dims, factors)) if *dims == (d_a, d_b) => Ok(Cow::Borrowed(factors)),
+            _ => operator_schmidt(matrix, d_a, d_b, SCHMIDT_TOL).map(Cow::Owned),
+        }
     }
 
     /// The local terms.
@@ -154,61 +204,57 @@ impl Observable {
     /// Add a single-site term.
     pub fn add_one_site(&mut self, site: Site, matrix: Matrix) -> &mut Self {
         self.terms.push(LocalTerm::OneSite { site, matrix });
+        self.schmidt.push(OnceLock::new());
         self
     }
 
     /// Add a two-site term.
     pub fn add_two_site(&mut self, site_a: Site, site_b: Site, matrix: Matrix) -> &mut Self {
         self.terms.push(LocalTerm::TwoSite { site_a, site_b, matrix });
+        self.schmidt.push(OnceLock::new());
         self
     }
 
     /// Single-site Pauli X on `site`.
     pub fn x(site: Site) -> Self {
-        Observable { terms: vec![LocalTerm::OneSite { site, matrix: pauli_x() }] }
+        Observable::from_terms(vec![LocalTerm::OneSite { site, matrix: pauli_x() }])
     }
 
     /// Single-site Pauli Y on `site`.
     pub fn y(site: Site) -> Self {
-        Observable { terms: vec![LocalTerm::OneSite { site, matrix: pauli_y() }] }
+        Observable::from_terms(vec![LocalTerm::OneSite { site, matrix: pauli_y() }])
     }
 
     /// Single-site Pauli Z on `site`.
     pub fn z(site: Site) -> Self {
-        Observable { terms: vec![LocalTerm::OneSite { site, matrix: pauli_z() }] }
+        Observable::from_terms(vec![LocalTerm::OneSite { site, matrix: pauli_z() }])
     }
 
     /// Two-site `Z Z` coupling.
     pub fn zz(site_a: Site, site_b: Site) -> Self {
-        Observable {
-            terms: vec![LocalTerm::TwoSite {
-                site_a,
-                site_b,
-                matrix: kron(&pauli_z(), &pauli_z()),
-            }],
-        }
+        Observable::from_terms(vec![LocalTerm::TwoSite {
+            site_a,
+            site_b,
+            matrix: kron(&pauli_z(), &pauli_z()),
+        }])
     }
 
     /// Two-site `X X` coupling.
     pub fn xx(site_a: Site, site_b: Site) -> Self {
-        Observable {
-            terms: vec![LocalTerm::TwoSite {
-                site_a,
-                site_b,
-                matrix: kron(&pauli_x(), &pauli_x()),
-            }],
-        }
+        Observable::from_terms(vec![LocalTerm::TwoSite {
+            site_a,
+            site_b,
+            matrix: kron(&pauli_x(), &pauli_x()),
+        }])
     }
 
     /// Two-site `Y Y` coupling.
     pub fn yy(site_a: Site, site_b: Site) -> Self {
-        Observable {
-            terms: vec![LocalTerm::TwoSite {
-                site_a,
-                site_b,
-                matrix: kron(&pauli_y(), &pauli_y()),
-            }],
-        }
+        Observable::from_terms(vec![LocalTerm::TwoSite {
+            site_a,
+            site_b,
+            matrix: kron(&pauli_y(), &pauli_y()),
+        }])
     }
 
     /// Validate the observable against a PEPS lattice (site ranges and matrix
@@ -329,6 +375,7 @@ impl Add for Observable {
     type Output = Observable;
     fn add(mut self, mut rhs: Observable) -> Observable {
         self.terms.append(&mut rhs.terms);
+        self.schmidt.append(&mut rhs.schmidt);
         self
     }
 }
@@ -336,7 +383,7 @@ impl Add for Observable {
 impl Mul<Observable> for f64 {
     type Output = Observable;
     fn mul(self, rhs: Observable) -> Observable {
-        Observable { terms: rhs.terms.iter().map(|t| t.scaled(c64(self, 0.0))).collect() }
+        Observable::from_terms(rhs.terms.iter().map(|t| t.scaled(c64(self, 0.0))).collect())
     }
 }
 
@@ -402,6 +449,39 @@ mod tests {
         assert!(operator_schmidt(&Matrix::identity(3), 2, 2, 1e-14).is_err());
     }
 
+    /// A two-site term is decomposed once per observable: later calls (and
+    /// clones and sums of the observable) borrow the same factors, which
+    /// are `operator_schmidt`'s bit for bit; other site dimensions get a
+    /// fresh decomposition, and a one-site term none.
+    #[test]
+    fn two_site_factors_are_operator_schmidt_computed_once() {
+        let bits = |t: &Tensor| {
+            let entries = t.data().iter().flat_map(|z| [z.re.to_bits(), z.im.to_bits()]);
+            (t.shape().to_vec(), entries.collect::<Vec<_>>())
+        };
+        let heisenberg = &(&kron(&pauli_x(), &pauli_x()) + &kron(&pauli_y(), &pauli_y()))
+            + &kron(&pauli_z(), &pauli_z());
+        let mut obs = Observable::zz((0, 0), (0, 1)) + 0.5 * Observable::x((0, 0));
+        obs.add_two_site((1, 0), (1, 1), heisenberg.clone());
+        for (i, matrix) in [(0, kron(&pauli_z(), &pauli_z())), (2, heisenberg)] {
+            let (a, b) = operator_schmidt(&matrix, 2, 2, SCHMIDT_TOL).unwrap();
+            let first = obs.two_site_factors(i, 2, 2).unwrap();
+            assert!(matches!(first, Cow::Borrowed(_)), "term {i}: not stored");
+            assert_eq!((bits(&first.0), bits(&first.1)), (bits(&a), bits(&b)), "term {i}");
+            let summed = obs.clone() + Observable::z((0, 1));
+            let again = obs.two_site_factors(i, 2, 2).unwrap();
+            assert!(std::ptr::eq(&*again, &*first), "term {i}: decomposed again");
+            let kept = summed.two_site_factors(i, 2, 2).unwrap();
+            assert!(matches!(kept, Cow::Borrowed(_)), "term {i}: the sum lost the factors");
+            assert_eq!((bits(&kept.0), bits(&kept.1)), (bits(&a), bits(&b)), "term {i}");
+            let (a, b) = operator_schmidt(&matrix, 1, 4, SCHMIDT_TOL).unwrap();
+            let other = obs.two_site_factors(i, 1, 4).unwrap();
+            assert!(matches!(other, Cow::Owned(_)), "term {i}: other dimensions");
+            assert_eq!((bits(&other.0), bits(&other.1)), (bits(&a), bits(&b)), "term {i}");
+        }
+        assert!(obs.two_site_factors(1, 2, 2).is_err());
+    }
+
     #[test]
     fn observable_composition() {
         let obs = Observable::zz((0, 0), (0, 1)) + 0.2 * Observable::x((0, 1));
@@ -422,9 +502,10 @@ mod tests {
         assert!(Observable::z((0, 0)).validate(&peps).is_ok());
         assert!(Observable::z((5, 0)).validate(&peps).is_err());
         assert!(Observable::zz((0, 0), (0, 0)).validate(&peps).is_err());
-        let bad = Observable {
-            terms: vec![LocalTerm::OneSite { site: (0, 0), matrix: Matrix::identity(3) }],
-        };
+        let bad = Observable::from_terms(vec![LocalTerm::OneSite {
+            site: (0, 0),
+            matrix: Matrix::identity(3),
+        }]);
         assert!(bad.validate(&peps).is_err());
     }
 

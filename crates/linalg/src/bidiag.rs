@@ -1,13 +1,16 @@
 //! The leading route of [`svd_leading`](crate::svd::svd_leading): a
-//! Golub-Kahan bidiagonalization of the preconditioner's small square
-//! factor, all of its singular values, and singular vectors for the leading
-//! ones only (the design of LAPACK's `zgesvdx`).
+//! Householder QR of the input's long side, a Golub-Kahan bidiagonalization
+//! of its small square factor, all of its singular values, and singular
+//! vectors for the leading ones only (the design of LAPACK's `zgesvdx`).
 //!
+//! 0. [`householder_qr`] factors the `max(m, n) x k` long side `B = Q R`
+//!    in place (`zgeqrf`, QR before bidiagonalization as in Chan's
+//!    algorithm) and keeps `Q` as its [`Reflectors`]: the route only ever
+//!    applies `Q`, to the kept vectors, so it never forms it.
 //! 1. [`Bidiagonal::new`] reduces the `k x k` factor `R` to `R = P B W^H`
 //!    with Householder reflectors from both sides (`zgebrd`). Each reflector
 //!    is generated as in `zlarfg`, so `B` is real and upper bidiagonal at
-//!    either scalar type. The reflectors are applied column by column with
-//!    the 8-lane kernels of `lanes.rs`.
+//!    either scalar type.
 //! 2. [`singular_values`] finds every singular value of `B` by the
 //!    implicit-shift QR iteration of Golub, Kahan, Demmel and Kahan
 //!    (`dbdsqr` without vectors): `O(k^2)` rotations.
@@ -18,7 +21,12 @@
 //!    re-orthogonalized against the vectors already found, and the `x` and
 //!    `y` halves are orthonormalized as two sets at the end.
 //! 4. [`Bidiagonal::left`] and [`Bidiagonal::right`] carry those vectors
-//!    back through the reflectors: `R (W y) = s (P x)`.
+//!    back through the reflectors: `R (W y) = s (P x)`; the caller applies
+//!    `Q` to `P x` for the long factor.
+//!
+//! Every reflector is applied column by column with the 8-lane kernels of
+//! `lanes.rs`, from its first nonzero row (rounded down to the lane
+//! boundary) on: `H_j` costs the rows it acts on.
 //!
 //! Nothing here decides whether a result is good enough: the caller checks
 //! the back-transformed triplets against `R` and falls back to the Jacobi
@@ -26,20 +34,101 @@
 
 use crate::lanes::{Cols, Lanes};
 
+/// Householder reflectors `H_j = I - tau_j v_j v_j^H`, `j = 0..taus.len()`:
+/// column `j` of `vs` holds `v_j`, zero above its active row `j + shift`
+/// and one at it. A reflector with `tau = 0` is the identity.
+pub(crate) struct Reflectors<T> {
+    vs: Cols<T>,
+    taus: Vec<T>,
+    shift: usize,
+}
+
+impl<T: Lanes> Reflectors<T> {
+    /// `H_0 ... H_{r-1} x` (the last reflector first) for each of the first
+    /// `count` columns `x` of `out`, whose length is that of the vectors.
+    pub(crate) fn apply(&self, out: &mut Cols<T>, count: usize) {
+        for (i, &tau) in self.taus.iter().enumerate().rev() {
+            if tau.abs() == 0.0 {
+                continue;
+            }
+            let v = self.vs.col(i);
+            for j in 0..count {
+                reflect(v, tau, i + self.shift, out.col_mut(j));
+            }
+        }
+    }
+
+    /// Length of the vectors.
+    pub(crate) fn len(&self) -> usize {
+        self.vs.col_len()
+    }
+
+    /// Number of reflectors.
+    pub(crate) fn count(&self) -> usize {
+        self.taus.len()
+    }
+}
+
+/// `col <- (I - tau v v^H) col` for a `v` that is zero above row `at`: both
+/// kernels start at `at` (rounded down to the lane boundary), so a reflector
+/// costs the rows it acts on. `tau` for `H`, `conj(tau)` for `H^H`.
+fn reflect<T: Lanes>(v: &[f64], tau: T, at: usize, col: &mut [f64]) {
+    let p = T::dotc_from(v, col, at);
+    T::axpy_from(-(tau * p), v, col, at);
+}
+
+/// `B = Q R` for the `k` columns of `b` (length at least `k`), in place by
+/// Householder reflectors (LAPACK's `zgeqrf`, left-looking: column `j`
+/// takes `H_0^H`, ..., `H_{j-1}^H` in turn, then yields `H_j`). Returns `Q`
+/// as its reflectors, which take over the buffer of `b`, and the row-major
+/// `k x k` factor `R`.
+///
+/// A column whose residual below the diagonal has norm at most `tol` gets
+/// no reflector (`tau = 0`): its diagonal of `R` is the entry as it stands
+/// and the residual is dropped, an error of at most `tol` per column. So a
+/// rank-`r` input makes `r` reflectors, and every later column pays for
+/// those `r` only.
+pub(crate) fn householder_qr<T: Lanes>(mut b: Cols<T>, tol: f64) -> (Reflectors<T>, Vec<T>) {
+    let (k, stride) = (b.ncols(), b.stride());
+    let mut r = vec![T::ZERO; k * k];
+    let mut taus: Vec<T> = Vec::with_capacity(k);
+    for j in 0..k {
+        let (vs, col) = b.split_col_mut(j);
+        for (i, (v, &tau)) in vs.chunks_exact(stride).zip(&taus).enumerate() {
+            if tau.abs() != 0.0 {
+                reflect(v, tau.conj(), i, col);
+            }
+        }
+        // Rows above j are column j of R; the vector of H_j is zero there.
+        for i in 0..j {
+            r[i * k + j] = T::read(col, i);
+            T::write(col, i, T::ZERO);
+        }
+        let (alpha, below) = pivot::<T>(col, j);
+        let (diagonal, tau) = if below.sqrt() <= tol {
+            (alpha, T::ZERO)
+        } else {
+            let (beta, tau) = householder(col, j, alpha, below);
+            (T::from_real(beta), tau)
+        };
+        r[j * k + j] = diagonal;
+        taus.push(tau);
+    }
+    (Reflectors { vs: b, taus, shift: 0 }, r)
+}
+
 /// `R = P B W^H` for a square `k x k` factor `R`: `B` real upper bidiagonal,
 /// `P = H_0 ... H_{k-1}` and `W = G_0 ... G_{k-2}` products of Householder
-/// reflectors `I - tau v v^H`.
+/// reflectors.
 pub(crate) struct Bidiagonal<T> {
     /// Diagonal of `B`, length `k`.
     pub(crate) d: Vec<f64>,
     /// Superdiagonal of `B`, length `k - 1`.
     pub(crate) e: Vec<f64>,
-    /// Column `j` holds the vector of `H_j`: zero above row `j`, one at it.
-    left: Cols<T>,
-    left_tau: Vec<T>,
-    /// Column `j` holds the vector of `G_j`: zero above row `j + 1`.
-    right: Cols<T>,
-    right_tau: Vec<T>,
+    /// The `H_j`, active from row `j`.
+    left: Reflectors<T>,
+    /// The `G_j`, active from row `j + 1`.
+    right: Reflectors<T>,
 }
 
 impl<T: Lanes> Bidiagonal<T> {
@@ -69,9 +158,7 @@ impl<T: Lanes> Bidiagonal<T> {
             if tau.abs() != 0.0 {
                 let v = left.col(j);
                 for c in j + 1..k {
-                    let col = a.col_mut(c);
-                    let p = T::dotc(v, col);
-                    T::axpy(-(tau.conj() * p), v, col);
+                    reflect(v, tau.conj(), j, a.col_mut(c));
                 }
             }
             if j + 1 == k {
@@ -100,25 +187,30 @@ impl<T: Lanes> Bidiagonal<T> {
                 }
             }
         }
-        Bidiagonal { d, e, left, left_tau, right, right_tau }
+        Bidiagonal {
+            d,
+            e,
+            left: Reflectors { vs: left, taus: left_tau, shift: 0 },
+            right: Reflectors { vs: right, taus: right_tau, shift: 1 },
+        }
     }
 
     /// `P x` for each real `x` of length `k` in the concatenation `xs`, as
     /// the columns of a buffer with `ncols` columns (those past `xs` stay
     /// zero).
     pub(crate) fn left(&self, xs: &[f64], ncols: usize) -> Cols<T> {
-        back_transform(&self.left, &self.left_tau, xs, ncols)
+        back_transform(&self.left, xs, ncols)
     }
 
     /// `W y` for each real `y` of length `k` in `ys` (as [`Bidiagonal::left`]).
     pub(crate) fn right(&self, ys: &[f64], ncols: usize) -> Cols<T> {
-        back_transform(&self.right, &self.right_tau, ys, ncols)
+        back_transform(&self.right, ys, ncols)
     }
 }
 
-/// Apply `H_0 ... H_{r-1}` (the last one first) to each vector of `xs`.
-fn back_transform<T: Lanes>(vs: &Cols<T>, taus: &[T], xs: &[f64], ncols: usize) -> Cols<T> {
-    let k = vs.col_len();
+/// The reflectors applied to each real vector of `xs`.
+fn back_transform<T: Lanes>(reflectors: &Reflectors<T>, xs: &[f64], ncols: usize) -> Cols<T> {
+    let k = reflectors.len();
     let mut out = Cols::<T>::zeros(k, ncols);
     let count = xs.len() / k.max(1);
     for (j, x) in xs.chunks_exact(k.max(1)).enumerate() {
@@ -127,18 +219,19 @@ fn back_transform<T: Lanes>(vs: &Cols<T>, taus: &[T], xs: &[f64], ncols: usize) 
             T::write(col, i, T::from_real(xi));
         }
     }
-    for (i, &tau) in taus.iter().enumerate().rev() {
-        if tau.abs() == 0.0 {
-            continue;
-        }
-        let v = vs.col(i);
-        for j in 0..count {
-            let col = out.col_mut(j);
-            let p = T::dotc(v, col);
-            T::axpy(-(tau * p), v, col);
-        }
-    }
+    reflectors.apply(&mut out, count);
     out
+}
+
+/// Split entry `at` off a column `v` that is zero above it: returns it as
+/// `alpha` together with `|v|^2` over the entries below, and leaves a one
+/// in its place.
+fn pivot<T: Lanes>(v: &mut [f64], at: usize) -> (T, f64) {
+    let alpha = T::read(v, at);
+    T::write(v, at, T::ZERO);
+    let below = T::col_norm_sqr(v);
+    T::write(v, at, T::ONE);
+    (alpha, below)
 }
 
 /// Overwrite entries `at..` of `v` (zero above `at`), which hold `x`, with
@@ -146,13 +239,16 @@ fn back_transform<T: Lanes>(vs: &Cols<T>, taus: &[T], xs: &[f64], ncols: usize) 
 /// `H^H x = beta e_at` with `beta` real; return `(beta, tau)` (LAPACK's
 /// `zlarfg`). A real `x` with nothing below `at` gets `tau = 0`.
 fn reflector<T: Lanes>(v: &mut [f64], at: usize) -> (f64, T) {
-    let alpha = T::read(v, at);
-    T::write(v, at, T::ZERO);
-    let below = T::col_norm_sqr(v);
-    T::write(v, at, T::ONE);
+    let (alpha, below) = pivot::<T>(v, at);
     if below == 0.0 && (alpha + -alpha.conj()).abs() == 0.0 {
         return (alpha.re(), T::ZERO);
     }
+    householder(v, at, alpha, below)
+}
+
+/// The rest of [`reflector`] once [`pivot`] has split off `alpha` and
+/// `below`.
+fn householder<T: Lanes>(v: &mut [f64], at: usize, alpha: T, below: f64) -> (f64, T) {
     let beta = -(alpha.norm_sqr() + below).sqrt().copysign(alpha.re());
     let tau = (T::from_real(beta) + -alpha).scale(1.0 / beta);
     let pivot = alpha + T::from_real(-beta);

@@ -44,6 +44,13 @@
 //! adds the terms lane by lane, and ends in one fixed horizontal-reduction
 //! tree over the 8 lanes.
 //!
+//! `dotc` and `axpy` also have row-offset entry points, `dotc_from` and
+//! `axpy_from`, for the Householder reflectors of the leading SVD route: a
+//! reflector's vector is zero above its first row, so the kernels start at
+//! that row rounded down to a multiple of [`LANES`], on whole vectors of
+//! each plane. They are the same kernels on a tail of the planes, on either
+//! path below.
+//!
 //! # Two implementations, one set of bits
 //!
 //! As for the GEMM microkernels ([`crate::microkernel`]), each kernel exists
@@ -104,9 +111,23 @@ pub(crate) trait Lanes: Scalar {
     /// Overwrite entry `i` of a column.
     fn write(col: &mut [f64], i: usize, v: Self);
     /// `x^H y`.
-    fn dotc(x: &[f64], y: &[f64]) -> Self;
+    #[inline(always)]
+    fn dotc(x: &[f64], y: &[f64]) -> Self {
+        Self::dotc_from(x, y, 0)
+    }
     /// `y += a x`.
-    fn axpy(a: Self, x: &[f64], y: &mut [f64]);
+    #[inline(always)]
+    fn axpy(a: Self, x: &[f64], y: &mut [f64]) {
+        Self::axpy_from(a, x, y, 0)
+    }
+    /// [`Lanes::dotc`] over the rows from `row` down, for an `x` that is
+    /// zero above `row`: the kernel starts at `row` rounded down to a
+    /// multiple of [`LANES`], so the sum is the whole column's.
+    fn dotc_from(x: &[f64], y: &[f64], row: usize) -> Self;
+    /// [`Lanes::axpy`] over the rows from `row` down, rounded as in
+    /// [`Lanes::dotc_from`]: for an `x` that is zero above `row`, the whole
+    /// column's update.
+    fn axpy_from(a: Self, x: &[f64], y: &mut [f64], row: usize);
     /// `|x|^2` (the `norm_sqr` kernel; named apart from
     /// [`Scalar::norm_sqr`], the modulus of one entry).
     fn col_norm_sqr(x: &[f64]) -> f64;
@@ -127,12 +148,14 @@ impl Lanes for f64 {
         col[i] = v;
     }
     #[inline(always)]
-    fn dotc(x: &[f64], y: &[f64]) -> Self {
-        kernels::real::dot(x, y)
+    fn dotc_from(x: &[f64], y: &[f64], row: usize) -> Self {
+        let at = lane_floor(row);
+        kernels::real::dot(&x[at..], &y[at..])
     }
     #[inline(always)]
-    fn axpy(a: Self, x: &[f64], y: &mut [f64]) {
-        kernels::real::axpy(a, x, y)
+    fn axpy_from(a: Self, x: &[f64], y: &mut [f64], row: usize) {
+        let at = lane_floor(row);
+        kernels::real::axpy(a, &x[at..], &mut y[at..])
     }
     #[inline(always)]
     fn col_norm_sqr(x: &[f64]) -> f64 {
@@ -146,6 +169,13 @@ impl Lanes for f64 {
     fn rotate(x: &mut [f64], y: &mut [f64], c: f64, s: f64, jqp: Self, jqq: Self) {
         kernels::real::rotate(x, y, c, s, jqp, jqq)
     }
+}
+
+/// `row` rounded down to a multiple of [`LANES`]: where a row-offset kernel
+/// starts, on a vector boundary of every plane.
+#[inline(always)]
+fn lane_floor(row: usize) -> usize {
+    row / LANES * LANES
 }
 
 /// The real and imaginary planes of a complex column.
@@ -162,6 +192,20 @@ fn planes_mut(x: &mut [f64]) -> [&mut [f64]; 2] {
     [re, im]
 }
 
+/// [`planes`] from row `row` down, rounded as in [`Lanes::dotc_from`].
+#[inline(always)]
+fn planes_from(x: &[f64], row: usize) -> [&[f64]; 2] {
+    let (at, [re, im]) = (lane_floor(row), planes(x));
+    [&re[at..], &im[at..]]
+}
+
+/// [`planes_from`], writable.
+#[inline(always)]
+fn planes_from_mut(x: &mut [f64], row: usize) -> [&mut [f64]; 2] {
+    let (at, [re, im]) = (lane_floor(row), planes_mut(x));
+    [&mut re[at..], &mut im[at..]]
+}
+
 impl Lanes for C64 {
     const PLANES: usize = 2;
     #[inline(always)]
@@ -176,12 +220,12 @@ impl Lanes for C64 {
         im[i] = v.im;
     }
     #[inline(always)]
-    fn dotc(x: &[f64], y: &[f64]) -> Self {
-        kernels::complex::dotc(planes(x), planes(y))
+    fn dotc_from(x: &[f64], y: &[f64], row: usize) -> Self {
+        kernels::complex::dotc(planes_from(x, row), planes_from(y, row))
     }
     #[inline(always)]
-    fn axpy(a: Self, x: &[f64], y: &mut [f64]) {
-        kernels::complex::axpy(a, planes(x), planes_mut(y))
+    fn axpy_from(a: Self, x: &[f64], y: &mut [f64], row: usize) {
+        kernels::complex::axpy(a, planes_from(x, row), planes_from_mut(y, row))
     }
     #[inline(always)]
     fn col_norm_sqr(x: &[f64]) -> f64 {
@@ -259,6 +303,18 @@ impl<T: Lanes> Cols<T> {
             out.extend((0..ncols).map(|j| T::read(self.col(j), i)));
         }
         Matrix::from_scalars(self.len, ncols, out)
+    }
+
+    /// The adjoint of the first `ncols` columns: the `ncols x len` matrix
+    /// whose row `j` is column `j` conjugated, with the hint as in
+    /// [`Cols::to_matrix`].
+    pub(crate) fn to_adjoint(&self, ncols: usize) -> Matrix {
+        let mut out = Vec::with_capacity(ncols * self.len);
+        for j in 0..ncols {
+            let col = self.col(j);
+            out.extend((0..self.len).map(|i| T::read(col, i).conj()));
+        }
+        Matrix::from_scalars(ncols, self.len, out)
     }
 
     /// Entries per column.
@@ -780,6 +836,34 @@ mod tests {
                 assert!(close(ry[i], x[i].scale(s) + y[i] * jqq), "rotate y at {len}");
             }
         }
+    }
+
+    /// For an `x` that is zero above `row`, the row-offset kernels give the
+    /// whole column's bits: the rows they skip add exact zeros.
+    fn check_row_offsets<T: Lanes>(draw: impl Fn(&mut StdRng) -> T) {
+        let mut rng = StdRng::seed_from_u64(37);
+        for len in [9, 33, 64] {
+            for row in [0, 3, 8, 13, len - 1] {
+                let x: Vec<T> =
+                    (0..len).map(|i| if i < row { T::ZERO } else { draw(&mut rng) }).collect();
+                let y: Vec<T> = (0..len).map(|_| draw(&mut rng)).collect();
+                let (cx, cy) = (column(&x), column(&y));
+                let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let (whole, from) = (T::dotc(&cx, &cy), T::dotc_from(&cx, &cy, row));
+                assert_eq!(bits(&column(&[whole])), bits(&column(&[from])), "dotc at {len}, {row}");
+                let a = draw(&mut rng);
+                let (mut whole, mut from) = (cy.clone(), cy.clone());
+                T::axpy(a, &cx, &mut whole);
+                T::axpy_from(a, &cx, &mut from, row);
+                assert_eq!(bits(&whole), bits(&from), "axpy at {len}, {row}");
+            }
+        }
+    }
+
+    #[test]
+    fn row_offset_kernels_skip_only_zero_rows() {
+        check_row_offsets::<f64>(|rng| rng.gen_range(-1.0..1.0));
+        check_row_offsets::<C64>(|rng| c64(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)));
     }
 
     #[test]

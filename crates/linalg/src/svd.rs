@@ -2,18 +2,19 @@
 //!
 //! # Two routes
 //!
-//! Both start from one preconditioner, the Gram-Schmidt factorization
-//! `B = Q R` of the input's long side (`R` is `k x k`, `k = min(m, n)`),
-//! and finish with one GEMM of `Q` for the long factor.
+//! Both start from a QR preconditioner `B = Q R` of the input's long side
+//! (`R` is `k x k`, `k = min(m, n)`).
 //!
 //! * [`svd`] computes every triplet by one-sided Jacobi on `R^H`, and is
-//!   the accurate route: the full factorization, always.
+//!   the accurate route: the full factorization, always. Its `Q` comes
+//!   from Gram-Schmidt, and one GEMM of `Q` gives the long factor.
 //! * [`svd_leading`] computes the leading ones that its caller keeps: a
-//!   Householder bidiagonalization of `R`, every singular value of the
-//!   bidiagonal (the caller's cut sees the whole spectrum), and vectors for
-//!   the kept values only, by inverse iteration on the Golub-Kahan
-//!   tridiagonal (`bidiag.rs`; LAPACK's `zgesvdx` design). Its GEMM is
-//!   `max(m, n) x k x keep` instead of `x k`.
+//!   Householder QR that keeps `Q` as reflectors, a Householder
+//!   bidiagonalization of `R`, every singular value of the bidiagonal (the
+//!   caller's cut sees the whole spectrum), and vectors for the kept values
+//!   only, by inverse iteration on the Golub-Kahan tridiagonal (`bidiag.rs`;
+//!   LAPACK's `zgesvdx` design). The long factor is the QR's reflectors
+//!   applied to the `keep` kept vectors: `Q` is never formed.
 //!
 //! The rule between them belongs to the caller: `koala_tensor`'s truncated
 //! split, the one caller of [`svd_leading`], takes it when its rank cap is
@@ -24,10 +25,10 @@
 //!
 //! [`svd_leading`] checks its kept triplets against `R` before returning
 //! them (orthonormal columns, both residuals at round-off relative to
-//! `s_1`). When the check fails, it runs the Jacobi ladder of [`svd`] on
-//! the same `Q R` and truncates that: Jacobi, then Jacobi with an
-//! escalated sweep budget, then the Gram-matrix SVD. Each rung is counted
-//! on [`koala_error::recovery`].
+//! `s_1`). When the check fails, it rebuilds the input from its `Q R` and
+//! runs the Jacobi ladder of [`svd`] on that matrix and truncates the
+//! result: Jacobi, then Jacobi with an escalated sweep budget, then the
+//! Gram-matrix SVD. Each rung is counted on [`koala_error::recovery`].
 //!
 //! # The Jacobi route
 //!
@@ -47,7 +48,7 @@
 //! singular values for speed and is the building block the paper's
 //! Algorithm 5 uses in the distributed setting.
 
-use crate::bidiag::{singular_values, singular_vectors, Bidiagonal};
+use crate::bidiag::{householder_qr, singular_values, singular_vectors, Bidiagonal, Reflectors};
 use crate::eig::{eigh, jacobi_rotation};
 use crate::gemm::{gemm, matmul, matmul_adj_a, matmul_adj_b, Op};
 use crate::lanes::{Cols, Lanes};
@@ -154,7 +155,8 @@ pub(crate) fn scale_rows(m: &Matrix, s: &[f64]) -> Matrix {
 }
 
 /// A direction is numerically null at `NULL_TOL |A|_F`: a Gram-Schmidt
-/// residual of the preconditioner, or a singular value of the leading route.
+/// residual of [`svd`]'s preconditioner, a residual below the diagonal of
+/// the leading route's Householder QR, or a singular value of that route.
 const NULL_TOL: f64 = 1e-14;
 
 /// Maximum number of one-sided Jacobi sweeps on the first attempt.
@@ -275,35 +277,50 @@ const LEADING_TOL: f64 = 1e-12;
 ///
 /// # Two routes
 ///
-/// This is [`svd`] truncated, at a cost that follows what is kept. Both
-/// start from the preconditioner of [`svd`], `B = Q R` with `R` `k x k`.
+/// This is [`svd`] truncated, at a cost that follows what is kept.
 ///
-/// * **Leading route.** `R` is reduced to a real bidiagonal by Householder
-///   reflectors from both sides, every singular value of the bidiagonal is
-///   computed (so `keep` and the error see the whole spectrum), and vectors
-///   are found for the kept values only, by inverse iteration on the
-///   Golub-Kahan tridiagonal. They are carried back through the
-///   reflectors, and the long factor is one GEMM of `Q` with the kept
-///   columns: `max(m, n) x k x keep` instead of [`svd`]'s
-///   `max(m, n) x k x k`. `O(k^3)` work on `R` remains, but no Jacobi
-///   sweeps.
+/// * **Leading route.** `B` (as in [`svd`]) is factored `B = Q R` by
+///   Householder reflectors, in the buffer its columns are gathered into,
+///   and `Q` stays as those `k` reflectors. A column whose residual below
+///   the diagonal is at most `1e-14 |A|_F` gets no reflector, so a rank-`r`
+///   input costs `max(m, n) k r` there, not `max(m, n) k^2`. `R` is reduced
+///   to a real bidiagonal by Householder reflectors from both sides, every
+///   singular value of the bidiagonal is computed (so `keep` and the error
+///   see the whole spectrum), and vectors are found for the kept values
+///   only, by inverse iteration on the Golub-Kahan tridiagonal. They are
+///   carried back through the reflectors, and the long factor is the QR's
+///   reflectors applied to the kept columns: no GEMM and no explicit `Q`.
+///   `O(k^3)` work on `R` remains, but no Jacobi sweeps.
 /// * **Self-check.** Before it returns, the leading route checks its kept
 ///   triplets against `R` (`O(k^2 keep)` lane-kernel work): the columns are
 ///   orthonormal and both residuals are at round-off relative to `s_1`.
 ///   If the check fails, or the values or vectors did not converge, the
-///   Jacobi ladder of [`svd`] runs on the same `Q R`, its result is
+///   input is rebuilt from the factors (`Q R`, or its adjoint for a wide
+///   input), the Jacobi ladder of [`svd`] runs on it, its result is
 ///   truncated by `keep`, and the fallback is counted on
 ///   [`koala_error::recovery`] (`leading_svd_fallbacks`). That result is
-///   bit for bit `svd(a)` truncated.
+///   bit for bit `svd` of the rebuilt input, truncated.
+///
+/// [`svd`] keeps Gram-Schmidt, and so do [`qr`](crate::qr::qr) and
+/// `orthonormalize`: they need `Q` itself, and a Householder `R` plus
+/// forming `Q` costs the same `~2 max(m, n) k^2` as twice-applied
+/// Gram-Schmidt.
 ///
 /// # Conventions
 ///
-/// As [`svd`]: non-finite input is rejected up front, the realness hint
-/// runs the whole route at `f64` and returns hinted factors (the GEMMs take
-/// the real kernel), and `a` is dropped once its columns are gathered. A
+/// As [`svd`]: non-finite input is rejected up front, and the realness
+/// hint runs the whole route at `f64` and returns hinted factors. A
 /// direction is numerically null when its singular value is at most
-/// `1e-14 |A|_F`, the preconditioner's null tolerance: it comes back with
-/// `s` exactly `0.0` and zero columns. `keep` is clamped to `k`.
+/// `1e-14 |A|_F`: it comes back with `s` exactly `0.0` and zero columns.
+/// `keep` is clamped to `k`.
+///
+/// # Memory
+///
+/// `a` is taken by value and dropped once its columns are gathered; the
+/// reflectors of `Q` take over that buffer, so the route holds `B` once,
+/// beside `O(k^2)` work arrays and the `max(m, n) x keep` long factor. Only
+/// the fallback holds more: the input rebuilt as a matrix, beside the
+/// reflectors it is rebuilt from.
 pub fn svd_leading(a: impl Into<Matrix>, keep: impl Fn(&[f64]) -> usize) -> Result<(Svd, f64)> {
     svd_leading_checked(a.into(), &keep, LEADING_TOL)
 }
@@ -324,12 +341,12 @@ fn svd_leading_checked(a: Matrix, keep: &dyn Fn(&[f64]) -> usize, tol: f64) -> R
 
 /// [`svd_leading`] at one scalar type.
 fn leading_at<T: Lanes>(a: Matrix, keep: &dyn Fn(&[f64]) -> usize, tol: f64) -> Result<(Svd, f64)> {
-    let pre = Preconditioned::<T>::new(a);
-    if let Some(found) = pre.leading(keep, tol) {
+    let pre = Leading::<T>::new(a);
+    if let Some(found) = pre.triplets(keep, tol) {
         return Ok(found);
     }
     koala_error::recovery::note_leading_svd_fallback();
-    let f = pre.ladder(MAX_SWEEPS, ESCALATED_SWEEPS)?;
+    let f = Preconditioned::<T>::new(pre.into_input()).ladder(MAX_SWEEPS, ESCALATED_SWEEPS)?;
     let kept = keep(&f.s).min(f.s.len());
     let err = f.truncation_error(kept);
     Ok((f.truncated(kept), err))
@@ -345,7 +362,7 @@ fn validate_svd_finite(f: &Svd, context: &str) -> Result<()> {
     f.vh.validate_finite(context)
 }
 
-/// The preconditioner: `B = Q R` by Gram-Schmidt, where `B = A` (tall) or
+/// The preconditioner of [`svd`]: `B = Q R` by Gram-Schmidt, where `B = A` (tall) or
 /// `B = A^H` (wide, gathered as conjugated rows of `A`), `Q` is
 /// `max(m, n) x k` and `R` is `k x k` row-major, `k = min(m, n)`. A
 /// numerically null column of `B` leaves a zero column in `Q` and a zero row
@@ -392,56 +409,6 @@ impl<T: Lanes> Preconditioned<T> {
         }
         koala_error::recovery::note_gram_svd_fallback();
         svd_gram(&self.input())
-    }
-
-    /// The leading route of [`svd_leading`] from this `Q R`, or `None` when
-    /// an iteration does not converge or the result fails the self-check.
-    fn leading(&self, keep: &dyn Fn(&[f64]) -> usize, tol: f64) -> Option<(Svd, f64)> {
-        let k = self.q.ncols();
-        // `R / |A|_F`: the bidiagonal stage runs at unit scale.
-        let unit = if self.fro > 0.0 { 1.0 / self.fro } else { 1.0 };
-        let b = Bidiagonal::new(&self.r, k, unit);
-        let mut sigma = singular_values(&b.d, &b.e)?;
-        for x in &mut sigma {
-            if *x <= NULL_TOL {
-                *x = 0.0;
-            }
-        }
-        let s: Vec<f64> = sigma.iter().map(|x| x * self.fro).collect();
-        let kept = keep(&s).min(k);
-        let err = s[kept..].iter().map(|x| x * x).sum::<f64>().sqrt();
-        let live = s[..kept].iter().take_while(|&&x| x > 0.0).count();
-        let (xs, ys) = singular_vectors(&b.d, &b.e, &sigma[..live])?;
-        let (x, y) = (b.left(&xs, kept), b.right(&ys, kept));
-
-        if !triplets_hold(&self.r, &s[..live], &x, &y, tol) {
-            return None;
-        }
-        // `small` is the k x kept factor Y (wide: U itself) or its adjoint
-        // (tall: V^H), built in its destination layout; `xm` is X.
-        let mut small = vec![T::ZERO; k * kept];
-        for j in 0..kept {
-            let col = y.col(j);
-            for i in 0..k {
-                if self.wide {
-                    small[i * kept + j] = T::read(col, i);
-                } else {
-                    small[j * k + i] = T::read(col, i).conj();
-                }
-            }
-        }
-        let small = if self.wide {
-            Matrix::from_scalars(k, kept, small)
-        } else {
-            Matrix::from_scalars(kept, k, small)
-        };
-        let xm = x.to_matrix(kept, Vec::new());
-        let (u, vh) = if self.wide {
-            (small, gemm(Op::Adjoint, Op::Adjoint, &xm, &self.q))
-        } else {
-            (gemm(Op::None, Op::None, &self.q, &xm), small)
-        };
-        Some((Svd { u, s: s[..kept].to_vec(), vh }, err))
     }
 
     /// One Jacobi attempt with an explicit sweep budget on the columns of
@@ -550,6 +517,111 @@ impl<T: Lanes> Preconditioned<T> {
             (gemm(Op::None, Op::None, &self.q, &rot), small)
         };
         Ok((Svd { u, s: s_sorted, vh }, sweeps))
+    }
+}
+
+/// The preconditioner of the leading route: `B = Q R` with `B` as in
+/// [`Preconditioned`], by Householder reflectors instead of Gram-Schmidt,
+/// and `Q` kept as those reflectors (never formed). A column of `B` whose
+/// residual below the diagonal is at most `NULL_TOL |A|_F` gets no
+/// reflector, so a rank-deficient `B` costs its rank in reflectors.
+struct Leading<T> {
+    wide: bool,
+    fro: f64,
+    q: Reflectors<T>,
+    /// Row-major `k x k`.
+    r: Vec<T>,
+}
+
+impl<T: Lanes> Leading<T> {
+    /// Factorize `B` in the buffer its columns are gathered into, dropping
+    /// `a` once they are.
+    fn new(a: Matrix) -> Self {
+        let wide = a.nrows() < a.ncols();
+        let fro = a.norm_fro();
+        let cols = Cols::<T>::from_matrix(&a, wide);
+        drop(a);
+        let (q, r) = householder_qr(cols, NULL_TOL * fro);
+        Leading { wide, fro, q, r }
+    }
+
+    /// `Q [x; 0]` for the first `count` of the `k`-long columns `x` of `xs`,
+    /// as the columns of a buffer as wide as `xs` (the rest stay zero).
+    fn q_times(&self, xs: &Cols<T>, count: usize) -> Cols<T> {
+        let mut out = Cols::<T>::zeros(self.q.len(), xs.ncols());
+        for j in 0..count {
+            let (x, col) = (xs.col(j), out.col_mut(j));
+            for i in 0..xs.col_len() {
+                T::write(col, i, T::read(x, i));
+            }
+        }
+        self.q.apply(&mut out, count);
+        out
+    }
+
+    /// The input rebuilt from the factors, `Q R` for a tall input and
+    /// `(Q R)^H` for a wide one (exact up to round-off and the dropped
+    /// residuals of null columns).
+    fn into_input(self) -> Matrix {
+        let k = self.q.count();
+        let mut r = Cols::<T>::zeros(k, k);
+        for (i, row) in self.r.chunks_exact(k).enumerate() {
+            for (c, &x) in row.iter().enumerate() {
+                T::write(r.col_mut(c), i, x);
+            }
+        }
+        let b = self.q_times(&r, k);
+        if self.wide {
+            b.to_adjoint(k)
+        } else {
+            b.to_matrix(k, Vec::new())
+        }
+    }
+
+    /// The leading route of [`svd_leading`] from this `Q R`, or `None` when
+    /// an iteration does not converge or the result fails the self-check.
+    fn triplets(&self, keep: &dyn Fn(&[f64]) -> usize, tol: f64) -> Option<(Svd, f64)> {
+        let k = self.q.count();
+        // `R / |A|_F`: the bidiagonal stage runs at unit scale.
+        let unit = if self.fro > 0.0 { 1.0 / self.fro } else { 1.0 };
+        let b = Bidiagonal::new(&self.r, k, unit);
+        let mut sigma = singular_values(&b.d, &b.e)?;
+        for x in &mut sigma {
+            if *x <= NULL_TOL {
+                *x = 0.0;
+            }
+        }
+        let s: Vec<f64> = sigma.iter().map(|x| x * self.fro).collect();
+        let kept = keep(&s).min(k);
+        let err = s[kept..].iter().map(|x| x * x).sum::<f64>().sqrt();
+        let live = s[..kept].iter().take_while(|&&x| x > 0.0).count();
+        let (xs, ys) = singular_vectors(&b.d, &b.e, &sigma[..live])?;
+        let (x, y) = (b.left(&xs, kept), b.right(&ys, kept));
+
+        if !triplets_hold(&self.r, &s[..live], &x, &y, tol) {
+            return None;
+        }
+        // `small` is the k x kept factor Y (wide: U itself) or its adjoint
+        // (tall: V^H), built in its destination layout; `long` is Q X, the
+        // null directions' columns left zero.
+        let mut small = vec![T::ZERO; k * kept];
+        for j in 0..kept {
+            let col = y.col(j);
+            for i in 0..k {
+                if self.wide {
+                    small[i * kept + j] = T::read(col, i);
+                } else {
+                    small[j * k + i] = T::read(col, i).conj();
+                }
+            }
+        }
+        let long = self.q_times(&x, live);
+        let (u, vh) = if self.wide {
+            (Matrix::from_scalars(k, kept, small), long.to_adjoint(kept))
+        } else {
+            (long.to_matrix(kept, Vec::new()), Matrix::from_scalars(kept, k, small))
+        };
+        Some((Svd { u, s: s[..kept].to_vec(), vh }, err))
     }
 }
 
@@ -857,9 +929,10 @@ mod tests {
         }
     }
 
-    /// A failed self-check lands on the Jacobi ladder from the same `Q R`:
-    /// the fallback is counted, and the result is `svd` truncated, bit for
-    /// bit, with the same discarded weight.
+    /// A failed self-check lands on the Jacobi ladder of the input rebuilt
+    /// from the Householder `Q R`: the fallback is counted, and the result is
+    /// `svd` of that matrix truncated, bit for bit, with the same discarded
+    /// weight.
     #[test]
     fn leading_fallback_is_the_truncated_jacobi_svd_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(49);
@@ -874,7 +947,13 @@ mod tests {
             // A negative tolerance fails every check.
             let (f, err) = svd_leading_checked(a.clone(), &keep, -1.0).unwrap();
             assert!(koala_error::recovery::snapshot().leading_svd_fallbacks > before);
-            let full = svd(&a).unwrap();
+            let rebuilt = if real {
+                Leading::<f64>::new(a.clone()).into_input()
+            } else {
+                Leading::<C64>::new(a.clone()).into_input()
+            };
+            assert!(rebuilt.approx_eq(&a, 1e-13 * a.norm_fro()), "{m}x{n}: Q R != A");
+            let full = svd(&rebuilt).unwrap();
             let kept = keep(&full.s);
             assert_eq!(err.to_bits(), full.truncation_error(kept).to_bits());
             let want = full.truncated(kept);

@@ -31,9 +31,17 @@
 //! target has `fma` (`.cargo/config.toml` builds for the host CPU); the
 //! table was recorded on a host that has it.
 //!
+//! A second table pins the leading-triplets route, `svd_leading`, at the
+//! workload shapes it serves (the `contract_bmps` zip-up theta both ways
+//! round, the `evolve_tebd` bond theta, and a rank-6 long side), in both
+//! instantiations. It runs the Householder QR, the bidiagonalization and
+//! the long factor on the row-offset lane kernels, so the CI run at
+//! `x86-64-v3` checks those kernels' portable path against the AVX-512F
+//! one that recorded it.
+//!
 //! Regenerating: a mismatch prints the full computed table in source form.
 
-use koala_linalg::{eigh, qr, svd, Matrix, C64};
+use koala_linalg::{eigh, qr, svd, svd_leading, Matrix, C64};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -217,5 +225,64 @@ fn factorizations_reproduce_the_recorded_bits_in_both_instantiations() {
         let table: String =
             computed.iter().map(|(k, v)| format!("    (\"{k}\", {v:#018x}),\n")).collect();
         panic!("factorization digests differ from the recorded table; computed:\n{table}");
+    }
+}
+
+/// The leading-route shapes, `(label, input, keep)`, drawn real (`hinted`)
+/// or complex from one seed.
+fn leading_cases(hinted: bool) -> Vec<(&'static str, Matrix, usize)> {
+    let mut rng = StdRng::seed_from_u64(if hinted { 0x1EAD_0001 } else { 0x1EAD_0002 });
+    let mut draw = |m: usize, n: usize| {
+        if hinted {
+            Matrix::random_real(m, n, &mut rng)
+        } else {
+            Matrix::random(m, n, &mut rng)
+        }
+    };
+    let wide = draw(49, 343);
+    let tall = draw(343, 49);
+    let square = draw(32, 32);
+    let rank6 = naive_product(&draw(32, 6), &draw(6, 512));
+    vec![("wide_bmps", wide, 7), ("tall_bmps", tall, 7), ("tebd", square, 8), ("rank6", rank6, 8)]
+}
+
+/// Leading-route digests recorded on x86-64 Linux/glibc, the AVX-512F and
+/// portable kernel paths agreeing.
+const RECORDED_LEADING: &[(&str, u64)] = &[
+    ("svd_leading/f64/wide_bmps", 0x85d1c78d48821784),
+    ("svd_leading/f64/tall_bmps", 0x84a2c070796cdaeb),
+    ("svd_leading/f64/tebd", 0x6843602121393690),
+    ("svd_leading/f64/rank6", 0x9c20f9edad7a7ceb),
+    ("svd_leading/c64/wide_bmps", 0xb7f1d6eae5244b9a),
+    ("svd_leading/c64/tall_bmps", 0x4953ff04a18afb48),
+    ("svd_leading/c64/tebd", 0x6cc352412c7d0a8c),
+    ("svd_leading/c64/rank6", 0x0d9a52530139e598),
+];
+
+#[test]
+fn leading_route_reproduces_the_recorded_bits_in_both_instantiations() {
+    let mut computed: Vec<(String, u64)> = Vec::new();
+    for hinted in [true, false] {
+        let inst = if hinted { "f64" } else { "c64" };
+        for (label, mut a, keep) in leading_cases(hinted) {
+            if hinted {
+                assert!(a.mark_real_if_exact(), "{label}: not real");
+            }
+            assert_eq!(a.is_real(), hinted, "{label}: wrong hint");
+            let (f, err) = svd_leading(a, |_: &[f64]| keep).unwrap();
+            let mut d = Fnv::new();
+            d.matrix(&f.u);
+            d.reals(&f.s);
+            d.matrix(&f.vh);
+            d.real(err);
+            computed.push((format!("svd_leading/{inst}/{label}"), d.0));
+        }
+    }
+    let matches = computed.len() == RECORDED_LEADING.len()
+        && computed.iter().zip(RECORDED_LEADING).all(|((k, v), (rk, rv))| k == rk && v == rv);
+    if !matches {
+        let table: String =
+            computed.iter().map(|(k, v)| format!("    (\"{k}\", {v:#018x}),\n")).collect();
+        panic!("leading-route digests differ from the recorded table; computed:\n{table}");
     }
 }

@@ -458,6 +458,10 @@ mod tests {
         let mut options = IteOptions::new(0.05, 12, 2, 4);
         options.measure_every = 3;
         let gates = trotter_gates(&h, c64(-options.tau, 0.0)).unwrap();
+        // The replay measures with its own copy of the observable, so it
+        // decomposes the two-site terms at the same step `ite_step` does:
+        // the first one it measures at (an observable does that once).
+        let h_replay = h.clone();
         let expect_opts = ExpectationOptions::ibmps_cached(options.contraction_bond);
         let mut state =
             ite_checkpoint(&Peps::computational_zeros(3, 2), &StdRng::seed_from_u64(11));
@@ -481,7 +485,7 @@ mod tests {
                         UpdateMethod::qr_svd(options.evolution_bond),
                     )
                     .unwrap();
-                    expectation_and_norm(&evolved, &h, expect_opts, &mut rng).unwrap();
+                    expectation_and_norm(&evolved, &h_replay, expect_opts, &mut rng).unwrap();
                 });
                 norm.scope(|| koala_peps::norm_sqr(&evolved, expect_opts.method, &mut rng))
                     .unwrap();

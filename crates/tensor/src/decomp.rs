@@ -191,8 +191,8 @@ const LEADING_MIN_K: usize = 10;
 /// One rule picks the route, from the call and theta's size. When the
 /// truncation caps the rank below `k = min(rows, cols)`, the caller wants
 /// fewer triplets than `a` has, and [`svd_leading`] computes only those:
-/// every singular value, but vectors and the long-factor GEMM for the kept
-/// ones. Otherwise (no cap, or a cap of at least `k`, where at most a
+/// every singular value, but vectors and the long factor for the kept ones
+/// only. Otherwise (no cap, or a cap of at least `k`, where at most a
 /// `rel_tol` cut drops anything) the full [`svd()`] runs and is truncated
 /// in its own buffers. Both take `a` by value and drop it once its columns
 /// are gathered.
@@ -200,7 +200,8 @@ const LEADING_MIN_K: usize = 10;
 /// The size rule, [`LEADING_MIN_K`]: below `k = 10` the full SVD stays. The
 /// leading route's bidiagonal stages have a fixed cost that the Jacobi
 /// sweeps on a `k x k` factor undercut at such `k`. Best of 3000 on one
-/// 2-vCPU AMD EPYC core, leading against full-and-truncate, for
+/// 2-vCPU AMD EPYC core, leading (with the Gram-Schmidt preconditioner the
+/// route had before its Householder QR) against full-and-truncate, for
 /// `k x 8k` and `6k x k` inputs kept to about `2k/3` and `k/2`: real,
 /// `k = 9` 12.2 against 10.2 us and 9.7 against 9.5 us, `k = 10` 13.6
 /// against 13.8 and 12.3 against 12.9, `k = 12` 20.0 against 25.1 and

@@ -6,8 +6,9 @@
 //! operators it replaced (`ZipStepOp`, `TwoLayerStepOp`) is what keeps
 //! Table II's complexity; their recorded totals anchor the numbers below.
 //! The inner dense SVDs add their one GEMM each, written as a sum: `k x k`
-//! wide for a full SVD, `k x keep` for a split that keeps fewer triplets
-//! than theta has.
+//! wide for a full SVD. A split that keeps fewer triplets than theta has
+//! bills none: its long factor is the Householder reflectors of its QR
+//! applied to the kept vectors, lane-kernel work and not a GEMM.
 //!
 //! A step whose sketch would span theta's narrow side takes the exact route
 //! and bills its `theta` einsum and the GEMM of theta's SVD instead. Every
@@ -33,28 +34,20 @@ const fn svd_gemm(m: u64, n: u64) -> u64 {
     k * k * long
 }
 
-/// MACs of a truncated split whose `max_rank` is below `k = min(m, n)`,
-/// with `k >= 10`, which computes only the `keep` triplets it keeps: its
-/// one GEMM is the long factor, `max(m, n) x k` times `k x keep`.
-const fn leading_gemm(m: u64, n: u64, keep: u64) -> u64 {
-    let (k, long) = if m < n { (m, n) } else { (n, m) };
-    long * k * keep
-}
-
 /// 6-site chain, MPS bond 4, MPO bond 3, zipped to bond 5. Every step's
 /// theta has at most 10 rows, which rank + 10 oversamples span, so all five
 /// go exact: `zip_start`'s 48 MACs, then per step the theta einsum (the
 /// boundary of bond `l` absorbs S, then O: 480 `l`; at the last site S and O
 /// meet first: 288) and the SVD of the `2l x 24` theta (`10 x 2` at the
 /// last site). Only the `10 x 24` theta has `k >= 10` and more than 5
-/// triplets, so it alone is kept to 5 on the leading route.
+/// triplets, so it alone is kept to 5 on the leading route, which bills no
+/// GEMM.
 const ZIP_MACS: u64 = 48
     + 480 * (1 + 2 + 4 + 5)
     + 288
     + svd_gemm(2, 24)
     + svd_gemm(4, 24)
     + svd_gemm(8, 24)
-    + leading_gemm(10, 24, 5)
     + svd_gemm(10, 2);
 /// 5-site chain of physical dimension 16, MPS bond 4, MPO bond 2, zipped to
 /// bond 4: every theta is at least 16 wide, so every step draws a 14-column

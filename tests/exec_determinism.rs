@@ -255,8 +255,9 @@ fn record_digest((hashes, err, _, _): &LayerRecord) -> u64 {
 /// r = 8 complex PEPS: each interior bond update QRs a 512x16 site, the
 /// power-of-two column length the factorization buffer pads. Re-recorded
 /// when the `R`-factor theta splits kept to 8 (32x32 at interior bonds)
-/// moved to the leading-triplets SVD.
-const TEBD_R8_BITS: u64 = 0x1570_7b48_6d7b_e888;
+/// moved to the leading-triplets SVD, and when that route's preconditioner
+/// became a Householder QR.
+const TEBD_R8_BITS: u64 = 0x8596_4941_e6d6_a4ea;
 
 /// The 4x4, r = 8 TEBD layer gives the recorded bits at every thread count.
 #[test]
@@ -323,13 +324,15 @@ fn summa_matmul_is_bit_identical_across_threads() {
 /// `(re, im)` bits of the `bmps(16)` amplitudes of [`rqc_batch`], as the
 /// serial per-bitstring loop computes them. Re-recorded when QR and SVD
 /// moved to 8-lane vector kernels (a new summation order): every component
-/// moved by fewer than 100 ulp; and when the zip-up steps kept to 16 below
-/// theta's rank moved to the leading-triplets SVD: by fewer than 350 ulp.
+/// moved by fewer than 100 ulp; when the zip-up steps kept to 16 below
+/// theta's rank moved to the leading-triplets SVD: by fewer than 350 ulp;
+/// and when that route's preconditioner became a Householder QR: by fewer
+/// than 450 ulp.
 const RQC_BMPS_BITS: [(u64, u64); 4] = [
-    (4559406258035377907, 4562686172623720578),
-    (13777060212463881991, 4554734268465652026),
-    (13799169485181276039, 13799209127732629649),
-    (4562562635111070557, 4556833907258581685),
+    (4559406258035377821, 4562686172623720513),
+    (13777060212463882189, 4554734268465652013),
+    (13799169485181276032, 13799209127732629606),
+    (4562562635111070529, 4556833907258582131),
 ];
 
 /// A frozen 4x4 random circuit (8 layers, iSWAP every 4) and 4 bitstrings.
