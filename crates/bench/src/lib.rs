@@ -41,9 +41,7 @@ use std::time::Instant;
 use koala_cluster::{Cluster, CommStats, DistMatrix};
 use koala_linalg::{c64, expm_hermitian, Matrix};
 use koala_peps::operators::{kron, pauli_x, pauli_z};
-use koala_peps::{
-    dist_contract_no_phys, dist_tebd_layer, ContractionMethod, DistEvolutionVariant, Peps,
-};
+use koala_peps::{dist_tebd_layer, DistEvolutionVariant, Peps};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -231,14 +229,12 @@ pub fn tebd_gate() -> Matrix {
     expm_hermitian(&h, c64(-0.05, 0.0)).expect("the TEBD generator is Hermitian")
 }
 
-/// The communication counters of the three distributed workloads of one
+/// The communication counters of the two distributed workloads of one
 /// Fig. 11/12 sweep point.
 #[derive(Debug, Clone)]
 pub struct DistStats {
     /// One `LocalGramQrSvd` TEBD layer.
     pub evolution: CommStats,
-    /// One IBMPS contraction without physical indices.
-    pub contraction: CommStats,
     /// One block-cyclic SUMMA GEMM (the scatter is not counted).
     pub summa: CommStats,
 }
@@ -249,8 +245,6 @@ pub struct DistStats {
 ///
 /// * a `side x side` PEPS of bond `r_evo`, then one `LocalGramQrSvd` TEBD
 ///   layer of [`tebd_gate`] at bond `r_evo`;
-/// * a `side x side` PEPS of bond `m_con` without physical indices, then its
-///   IBMPS contraction at boundary bond `m_con`;
 /// * two `n_gemm x n_gemm` matrices, scattered block-cyclically on the
 ///   cluster's near-square grid, then their SUMMA product. The block size
 ///   shrinks with the grid so every grid row and column owns at least one
@@ -260,7 +254,6 @@ pub fn dist_sweep_point(
     ranks: usize,
     side: usize,
     r_evo: usize,
-    m_con: usize,
     n_gemm: usize,
     seed: u64,
 ) -> DistStats {
@@ -271,12 +264,6 @@ pub fn dist_sweep_point(
     dist_tebd_layer(&cluster, &mut peps, &tebd_gate(), r_evo, DistEvolutionVariant::LocalGramQrSvd)
         .expect("fault-free TEBD layer cannot fail");
     let evolution = cluster.stats();
-
-    let peps = Peps::random_no_phys(side, side, m_con, &mut rng);
-    let cluster = Cluster::new(ranks);
-    dist_contract_no_phys(&cluster, &peps, ContractionMethod::ibmps(m_con), &mut rng)
-        .expect("fault-free contraction cannot fail");
-    let contraction = cluster.stats();
 
     let a = Matrix::random(n_gemm, n_gemm, &mut rng);
     let b = Matrix::random(n_gemm, n_gemm, &mut rng);
@@ -291,7 +278,7 @@ pub fn dist_sweep_point(
     da.matmul_dist(&db).expect("fault-free SUMMA cannot fail");
     let summa = cluster.stats();
 
-    DistStats { evolution, contraction, summa }
+    DistStats { evolution, summa }
 }
 
 #[cfg(test)]

@@ -359,6 +359,8 @@ pub fn norm_sqr<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expectation::{expectation_normalized, ExpectationOptions};
+    use crate::operators::Observable;
     use koala_error::ErrorKind;
     use koala_linalg::c64;
     use koala_mps::zip_up;
@@ -442,6 +444,47 @@ mod tests {
         let v = contract_no_phys(&p, ContractionMethod::bmps(8), &mut rng).unwrap();
         let dense = p.to_dense().unwrap().item();
         assert!(v.approx_eq(dense, 1e-9));
+    }
+
+    /// On an `n x 1` lattice every row is one site, so each row's zip-up
+    /// starts and finishes on its first column. Contraction, norm, amplitude
+    /// and both cached measurements must match the dense oracle there.
+    #[test]
+    fn single_column_lattices_match_dense() {
+        let mut rng = StdRng::seed_from_u64(16);
+        let methods =
+            [ContractionMethod::Exact, ContractionMethod::bmps(16), ContractionMethod::ibmps(16)];
+        let close = |got: C64, want: C64| (got - want).abs() <= 1e-9 * want.abs().max(1.0);
+        for nrows in 1..=4 {
+            let no_phys = Peps::random_no_phys(nrows, 1, 3, &mut rng);
+            let want = no_phys.to_dense().unwrap().item();
+            let peps = Peps::random(nrows, 1, 2, 2, &mut rng);
+            let dense = peps.to_dense().unwrap();
+            let norm = peps.norm_sqr_dense().unwrap();
+            let bits: Vec<usize> = (0..nrows).map(|r| r % 2).collect();
+            for method in methods {
+                let got = contract_no_phys(&no_phys, method, &mut rng).unwrap();
+                assert!(close(got, want), "{nrows}x1 {method:?}: {got} vs {want}");
+                let n = norm_sqr(&peps, method, &mut rng).unwrap();
+                assert!((n - norm).abs() <= 1e-9 * norm.max(1.0), "{nrows}x1 {method:?}: {n}");
+                let amp = amplitude(&peps, &bits, method, &mut rng).unwrap();
+                assert!(close(amp, dense.get(&bits)), "{nrows}x1 {method:?}: {amp}");
+            }
+
+            let mut obs = Observable::z((0, 0)) + 0.5 * Observable::x((nrows - 1, 0));
+            for r in 1..nrows {
+                obs = obs + Observable::zz((r - 1, 0), (r, 0)) + 0.3 * Observable::x((r, 0));
+            }
+            let vec = dense.reshape(&[1 << nrows]).unwrap();
+            let hv = obs.to_dense(nrows, 1, 2).matvec(vec.data());
+            let h: C64 = vec.data().iter().zip(&hv).map(|(a, b)| a.conj() * *b).sum();
+            let want = h / norm;
+            for opts in [ExpectationOptions::bmps_cached(16), ExpectationOptions::ibmps_cached(16)]
+            {
+                let got = expectation_normalized(&peps, &obs, opts, &mut rng).unwrap();
+                assert!(close(got, want), "{nrows}x1 {opts:?}: {got} vs {want}");
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! PEPS kernels driven through the simulated distributed-memory backend.
 //!
-//! These are the code paths behind the "ctf" curves of the paper's
-//! evaluation. The heavy tensors live as block-distributed matrices on a
-//! [`Cluster`]; every factorization and contraction routes its data movement
-//! through the cluster so the communication counters reflect what a Cyclops /
-//! ScaLAPACK execution would transfer. Three evolution variants mirror
-//! Figure 7:
+//! These are the code paths behind the "ctf" evolution curves of the paper's
+//! evaluation. The site tensors live as block-distributed matrices on a
+//! [`Cluster`]; their scatters, QR factorizations and recombination GEMMs
+//! move real blocks through the cluster. Two costs are still billed from
+//! shapes rather than moved: the distributed einsumsvd of step 2 under
+//! `CtfQrSvd` and `LocalGramQr`, and `qr_gather_dist`'s `R` broadcast and
+//! redistribution. There is no distributed boundary contraction. Three
+//! evolution variants mirror Figure 7:
 //!
 //! * [`DistEvolutionVariant::CtfQrSvd`] — the baseline: site tensors are
 //!   matricized and factorized with a gather/ScaLAPACK-style QR, which
@@ -21,21 +23,13 @@
 //! one checksummed [`DistMatrix::scatter_block_cyclic`], so site transfers
 //! carry the same ABFT column checksums — and are covered by the same
 //! [`koala_cluster::FaultPlan`]s — as every other scatter.
-//!
-//! The distributed contraction wrapper charges the cluster with the per-step
-//! cost profile of BMPS vs IBMPS (merged-tensor redistribution + gathered SVD
-//! vs Gram-orthogonalized implicit sketching) while computing the numerical
-//! result with the verified local algorithms.
 
-use crate::contract::{contract_no_phys, ContractionMethod};
 use crate::peps::{Direction, Peps, Site};
 use crate::update::{canonical_perms, compose5, invert5, reorder_gate, small_einsumsvd};
 use koala_cluster::{gram_qr_dist, qr_gather_dist, Cluster, DistMatrix, ProcGrid};
 use koala_error::Result;
 use koala_error::{KoalaError, ResultExt};
-use koala_linalg::C64;
 use koala_tensor::{Tensor, Truncation};
-use rand::Rng;
 
 /// Which distributed evolution variant to run (the legend entries of Figure 7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,62 +213,6 @@ pub fn dist_tebd_layer(
         err_sq += e * e;
     }
     Ok(err_sq.sqrt())
-}
-
-/// Contract a PEPS without physical indices on the cluster. The numerical
-/// value is computed with the verified local algorithms; the per-step cost of
-/// the distributed execution (work split across ranks, plus the
-/// redistributions / collectives each method needs) is charged to the
-/// cluster's counters so the modelled time can be compared across methods and
-/// rank counts (Figures 8b, 11, 12).
-pub fn dist_contract_no_phys<R: Rng + ?Sized>(
-    cluster: &Cluster,
-    peps: &Peps,
-    method: ContractionMethod,
-    rng: &mut R,
-) -> Result<C64> {
-    charge_contraction_costs(cluster, peps, method);
-    contract_no_phys(peps, method, rng)
-}
-
-/// Charge the cluster with the modelled per-row costs of a boundary
-/// contraction. The cost formulas follow Table II of the paper with the
-/// lattice dimensions of `peps`.
-fn charge_contraction_costs(cluster: &Cluster, peps: &Peps, method: ContractionMethod) {
-    let r: usize = peps.max_bond();
-    let nranks = cluster.nranks() as u64;
-    // A PEPS whose site tensors all carry the realness hint contracts on the
-    // real-only kernel; bill the modelled work accordingly.
-    let real = peps.tensors().iter().all(|t| t.is_real());
-    let (m, implicit) = match method {
-        ContractionMethod::Exact => (r.pow(peps.nrows() as u32 / 2).max(r), false),
-        ContractionMethod::Bmps { max_bond } => (max_bond, false),
-        ContractionMethod::Ibmps { max_bond, .. } => (max_bond, true),
-    };
-    for _row in 1..peps.nrows() {
-        for _col in 0..peps.ncols() {
-            if implicit {
-                // IBMPS step: O(m^2 r^2 + m^3 r) work (Table II per-site terms),
-                // Gram allreduces of m x m objects, no big redistribution.
-                let work = (m * m * r * r + m * m * m * r) as u64;
-                for rank in 0..cluster.nranks() {
-                    cluster.record_macs(rank, work / nranks + 1, real);
-                }
-                cluster.record_collective(m * m, 2);
-            } else {
-                // BMPS step: O(m^3 r^2) work, one redistribution of the merged
-                // step tensor (size m^2 r^2) for its matricization, and a
-                // gather-style SVD of that matrix.
-                let work = (m * m * m * r * r) as u64;
-                for rank in 0..cluster.nranks() {
-                    cluster.record_macs(rank, work / nranks + 1, real);
-                }
-                let merged = m * m * r * r;
-                cluster.record_redistribution(merged);
-                cluster.record_collective(merged, 1);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -518,26 +456,5 @@ mod tests {
             assert!(s.rounds.is_empty(), "{label}: no SUMMA on the P x 1 path");
             assert_eq!(s.checksum_bytes, checksum + site_sums, "{label}");
         }
-    }
-
-    #[test]
-    fn dist_contraction_matches_local_value_and_charges_costs() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let peps = Peps::random_no_phys(3, 3, 2, &mut rng);
-        let cluster = Cluster::new(4);
-        let dist =
-            dist_contract_no_phys(&cluster, &peps, ContractionMethod::bmps(8), &mut rng).unwrap();
-        let local = contract_no_phys(&peps, ContractionMethod::bmps(8), &mut rng).unwrap();
-        assert!(dist.approx_eq(local, 1e-6 * local.abs().max(1e-12)));
-        let stats = cluster.stats();
-        assert!(stats.total_flops() > 0);
-        assert!(stats.redistributions > 0);
-
-        // IBMPS charges no redistributions.
-        let cluster2 = Cluster::new(4);
-        let _ =
-            dist_contract_no_phys(&cluster2, &peps, ContractionMethod::ibmps(8), &mut rng).unwrap();
-        assert_eq!(cluster2.stats().redistributions, 0);
-        assert!(cluster2.stats().bytes_communicated < stats.bytes_communicated);
     }
 }

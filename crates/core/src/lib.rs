@@ -9,9 +9,8 @@
 //! * [`Peps`] — the 2D tensor network state,
 //! * [`operators::Observable`] — sums of local terms (Hamiltonians, measurements),
 //! * [`apply_one_site`] / [`apply_two_site`] — one-site and two-site
-//!   operator application ([`UpdateMethod`]): the simple
-//!   update, the QR-SVD update of Algorithm 1, and its reshape-avoiding
-//!   Gram-matrix variant (Algorithm 5); gate lists run as a site-dependency
+//!   operator application ([`UpdateMethod`]): the simple update and the
+//!   QR-SVD update of Algorithm 1; gate lists run as a site-dependency
 //!   task graph ([`apply_gates`]), so independent bond updates use every core,
 //! * [`contract`] — Exact, BMPS (Algorithm 2 + 3) and IBMPS (implicit
 //!   randomized SVD, Algorithm 4) contraction of one-layer networks; the
@@ -21,10 +20,10 @@
 //!   unmerged (two-layer IBMPS, Table II),
 //! * [`expectation_normalized`] — expectation values with the
 //!   row-environment caching strategy of §IV-B,
-//! * [`dist_tebd_layer`] / [`dist_contract_no_phys`] — the same
-//!   evolution/contraction kernels driven through the
-//!   simulated distributed-memory backend (`koala-cluster`), used by the
-//!   scaling and backend-comparison benchmarks (Figures 7, 8, 11, 12).
+//! * [`dist_tebd_layer`] — the evolution kernel driven through the
+//!   simulated distributed-memory backend (`koala-cluster`), with the
+//!   reshape-avoiding Gram-matrix QR of Algorithm 5, used by the scaling
+//!   and backend-comparison benchmarks (Figures 7, 11, 12).
 //!
 //! Every contract-and-refactorize step of these algorithms — the simple and
 //! QR-SVD updates, each zip-up step under BMPS/IBMPS, the two-layer step — is
@@ -72,7 +71,7 @@ pub mod two_layer;
 mod update;
 
 pub use contract::{amplitude, amplitude_batch, contract_no_phys, norm_sqr, ContractionMethod};
-pub use dist::{dist_contract_no_phys, dist_tebd_layer, DistEvolutionVariant};
+pub use dist::{dist_tebd_layer, DistEvolutionVariant};
 pub use expectation::{
     expectation, expectation_and_norm, expectation_normalized, EnvCache, ExpectationOptions,
 };

@@ -2,16 +2,13 @@
 //!
 //! One-site operators contract directly with the site tensor (Equation 3).
 //! Two-site operators on neighbouring sites need a contraction followed by a
-//! refactorization — the `einsumsvd` of Equation 4 — for which three methods
+//! refactorization — the `einsumsvd` of Equation 4 — for which two methods
 //! are provided:
 //!
 //! * [`UpdateMethod::Direct`] — the simple update: contract both site tensors
 //!   with the gate and truncate the SVD of the full two-site tensor,
 //! * [`UpdateMethod::QrSvd`] — paper Algorithm 1: QR both sites first so the
-//!   SVD acts on a much smaller object,
-//! * [`UpdateMethod::GramQrSvd`] — Algorithm 1 with the orthogonalization done
-//!   through a Gram matrix (the local math of Algorithm 5), the variant that
-//!   avoids matricizing the big site tensors on the distributed backend.
+//!   SVD acts on a much smaller object.
 //!
 //! Everything that applies gates goes through one gate-list engine,
 //! [`apply_gates`]: a list of one-site and neighbour-pair ops becomes a task
@@ -27,7 +24,7 @@ use crate::peps::{check_one_site_gate, Direction, Peps, Site, AX_D, AX_L, AX_P, 
 use koala_error::{KoalaError, Result, ResultExt};
 use koala_exec::{TaskGraph, TaskId, TaskKind};
 use koala_linalg::Matrix;
-use koala_tensor::{einsum, gram_qr_split, qr_split, tensordot, EinsumSvd, Tensor, Truncation};
+use koala_tensor::{einsum, qr_split, tensordot, EinsumSvd, Tensor, Truncation};
 use std::borrow::Cow;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -53,20 +50,13 @@ pub enum UpdateMethod {
         /// Bond truncation applied to the new shared bond.
         truncation: Truncation,
     },
-    /// QR-SVD update with the reshape-avoiding Gram-matrix orthogonalization.
-    GramQrSvd {
-        /// Bond truncation applied to the new shared bond.
-        truncation: Truncation,
-    },
 }
 
 impl UpdateMethod {
     /// The truncation policy carried by this method.
     pub fn truncation(&self) -> Truncation {
         match self {
-            UpdateMethod::Direct { truncation }
-            | UpdateMethod::QrSvd { truncation }
-            | UpdateMethod::GramQrSvd { truncation } => *truncation,
+            UpdateMethod::Direct { truncation } | UpdateMethod::QrSvd { truncation } => *truncation,
         }
     }
 
@@ -78,11 +68,6 @@ impl UpdateMethod {
     /// Convenience: simple update with a maximum bond dimension.
     pub fn direct(max_bond: usize) -> Self {
         UpdateMethod::Direct { truncation: Truncation::rank_and_tol(max_bond, 1e-14) }
-    }
-
-    /// Convenience: Gram QR-SVD with a maximum bond dimension.
-    pub fn gram_qr_svd(max_bond: usize) -> Self {
-        UpdateMethod::GramQrSvd { truncation: Truncation::rank_and_tol(max_bond, 1e-14) }
     }
 }
 
@@ -180,8 +165,7 @@ fn update_pair(
     let truncation = method.truncation();
     match method {
         UpdateMethod::Direct { .. } => direct_update(&a, &b, &gate_t, truncation, out),
-        UpdateMethod::QrSvd { .. } => qr_svd_update(&a, &b, &gate_t, truncation, false, out),
-        UpdateMethod::GramQrSvd { .. } => qr_svd_update(&a, &b, &gate_t, truncation, true, out),
+        UpdateMethod::QrSvd { .. } => qr_svd_update(&a, &b, &gate_t, truncation, out),
     }
 }
 
@@ -223,16 +207,13 @@ fn qr_svd_update(
     b: &Tensor,    // [pb, bond, o1, o2, o3]
     gate: &Tensor, // [pa', pb', pa, pb]
     truncation: Truncation,
-    use_gram: bool,
     out: ([usize; 5], [usize; 5]),
 ) -> Result<(Tensor, Tensor, f64)> {
     // Step (1)->(2): split off the outer bonds.
     // a: rows = outer bonds (1,2,3) -> Q_a [o1,o2,o3,ka], R_a [ka, pa, bond]
-    let (q_a, r_a) =
-        if use_gram { gram_qr_split(a, &[1, 2, 3])? } else { qr_split(a, &[1, 2, 3])? };
+    let (q_a, r_a) = qr_split(a, &[1, 2, 3])?;
     // b: rows = outer bonds (2,3,4) -> Q_b [o1,o2,o3,kb], R_b [kb, pb, bond]
-    let (q_b, r_b) =
-        if use_gram { gram_qr_split(b, &[2, 3, 4])? } else { qr_split(b, &[2, 3, 4])? };
+    let (q_b, r_b) = qr_split(b, &[2, 3, 4])?;
 
     // Step (2)->(4): einsumsvd on {gate, R_a, R_b}.
     let (rt_a, rt_b, err) = small_einsumsvd(gate, &r_a, &r_b, truncation)?;
@@ -630,13 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn gram_qr_svd_update_matches_dense() {
-        let m = UpdateMethod::gram_qr_svd(16);
-        check_two_site_update(((0, 0), (0, 1)), m, 30, 1e-7);
-        check_two_site_update(((0, 0), (1, 0)), m, 31, 1e-7);
-    }
-
-    #[test]
     fn methods_agree_with_each_other_under_truncation() {
         let mut rng = StdRng::seed_from_u64(40);
         let base = Peps::random(2, 3, 2, 3, &mut rng);
@@ -644,17 +618,14 @@ mod tests {
         let gate = expm_hermitian(&h, c64(0.0, -0.7)).unwrap();
 
         let mut results = Vec::new();
-        for method in
-            [UpdateMethod::direct(3), UpdateMethod::qr_svd(3), UpdateMethod::gram_qr_svd(3)]
-        {
+        for method in [UpdateMethod::direct(3), UpdateMethod::qr_svd(3)] {
             let mut p = base.clone();
             apply_two_site(&mut p, &gate, (0, 1), (0, 2), method).unwrap();
             results.push(p.to_dense().unwrap());
         }
-        // All three methods should produce (numerically) the same truncated state
+        // Both methods should produce (numerically) the same truncated state
         // up to round-off, because they implement the same optimal truncation.
         assert!(results[0].approx_eq(&results[1], 1e-6));
-        assert!(results[0].approx_eq(&results[2], 1e-5));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use crate::tensor::Tensor;
 use koala_error::{KoalaError, Result};
-use koala_linalg::{gram_qr, qr, svd, svd_leading, Matrix, Svd};
+use koala_linalg::{qr, svd, svd_leading, Matrix, Svd};
 
 /// Truncation policy for factorizations that produce a new bond.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -163,18 +163,6 @@ pub fn qr_split(t: &Tensor, row_axes: &[usize]) -> Result<(Tensor, Tensor)> {
     Ok((Tensor::fold(f.q, &row_dims, &[k])?, Tensor::fold(f.r, &[k], &col_dims)?))
 }
 
-/// Gram-matrix based QR (paper Algorithm 5) of a tensor across a bipartition.
-/// Unlike [`qr_split`], the "R" factor is square with dimension
-/// `prod(col_dims)`; this is exactly the shape needed by the reshape-avoiding
-/// evolution algorithm where the small Gram matrix is formed over the bond
-/// being updated.
-pub fn gram_qr_split(t: &Tensor, row_axes: &[usize]) -> Result<(Tensor, Tensor)> {
-    let (mat, row_dims, col_dims) = matricize(t, row_axes)?;
-    let f = gram_qr(&mat)?;
-    let k = f.r.nrows();
-    Ok((Tensor::fold(f.q, &row_dims, &[k])?, Tensor::fold(f.r, &[k], &col_dims)?))
-}
-
 /// Truncated SVD of the tensor viewed as a matrix with `row_axes` as rows.
 pub fn svd_split(t: &Tensor, row_axes: &[usize], truncation: Truncation) -> Result<SplitSvd> {
     let (mat, row_dims, col_dims) = matricize(t, row_axes)?;
@@ -323,15 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn gram_qr_split_matches_qr_split_column_space() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let t = Tensor::random(&[4, 3, 2], &mut rng);
-        let (q, r) = gram_qr_split(&t, &[0, 1]).unwrap();
-        let rebuilt = tensordot(&q, &r, &[2], &[0]).unwrap();
-        assert!(rebuilt.approx_eq(&t, 1e-8));
-    }
-
-    #[test]
     fn svd_split_reconstructs_without_truncation() {
         let mut rng = StdRng::seed_from_u64(32);
         let t = Tensor::random(&[2, 3, 4], &mut rng);
@@ -395,8 +374,6 @@ mod tests {
         assert!(t.is_real());
         let (q, r) = qr_split(&t, &[0, 2]).unwrap();
         assert!(q.is_real() && r.is_real(), "QR split factors must carry the hint");
-        let (gq, gr) = gram_qr_split(&t, &[0, 2]).unwrap();
-        assert!(gq.is_real() && gr.is_real(), "Gram-QR split factors must carry the hint");
         let f = svd_split(&t, &[0, 1], Truncation::max_rank(3)).unwrap();
         assert!(f.u.is_real() && f.vh.is_real(), "SVD split factors must carry the hint");
         // The absorb variants scale by (finite) singular values: hint survives.

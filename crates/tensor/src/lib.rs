@@ -11,7 +11,7 @@
 //! ([`tensordot`]) lowered to the GEMM kernel of `koala-linalg`, a general
 //! [`einsum`](fn@einsum) for tensor-network contractions backed by a memoised
 //! contraction planner (`plan`), tensor-level factorizations
-//! ([`qr_split`], [`svd_split`], [`gram_qr_split`]), and the paper's
+//! ([`qr_split`], [`svd_split`]), and the paper's
 //! contract-and-refactorize primitive [`EinsumSvd`] (one network spec,
 //! evaluated by an explicit truncated SVD or by the implicit
 //! randomized SVD of Alg. 4) that every MPS and PEPS algorithm above this
@@ -52,7 +52,7 @@ mod shape;
 mod tensor;
 
 pub use contract::{sum_axis, tensordot, tensordot_naive};
-pub use decomp::{gram_qr_split, qr_split, svd_split, SplitSvd, Truncation};
+pub use decomp::{qr_split, svd_split, SplitSvd, Truncation};
 pub use einsum::{einsum, einsum_spec, parse_spec, EinsumSpec};
 pub use einsumsvd::{EinsumSvd, EinsumSvdMethod};
 pub use plan::{
