@@ -16,6 +16,14 @@
 //! leave the ideal-speedup line — the comparison the paper's Figure 11 makes
 //! against its own linear-scaling guides. The paper's contraction curve is
 //! not reproduced: the library has no distributed boundary contraction.
+//!
+//! At these sizes the evolution curve is latency-bound: it measures the
+//! per-update message latency, not the work, so the paper's evolution
+//! strong scaling is not reproduced. The predicted layer time *grows* with
+//! the rank count: 0.094 ms at 1 rank to 4.4 ms at 16 under `--quick`
+//! (4x4, r = 4), and 2.0 ms at 1 rank to 45.9 ms at 64 at full size (6x6,
+//! r = 6), while the max-rank flops fall 10.6x (7.29e6 to 6.88e5). The
+//! compute-critical-path series is the one that scales.
 
 use koala_bench::{calibrated_cost_model, dist_sweep_point, DistStats, Figure, Series};
 use koala_cluster::ProcGrid;
@@ -49,7 +57,8 @@ fn main() {
         "virtual ranks (cores)",
         "predicted parallel time (seconds)",
     );
-    let mut evo = Series::new(format!("Evolution: {side}x{side}, r = {r_evo} (predicted)"));
+    let mut evo =
+        Series::new(format!("Evolution: {side}x{side}, r = {r_evo} (predicted, latency-bound)"));
     let mut summa = Series::new(format!("SUMMA GEMM: n = {n_gemm} (predicted, serialized)"));
     // The overlap-aware model prices round k+1's panel broadcasts as hidden
     // behind round k's local GEMM (max(comm, compute) per round plus the

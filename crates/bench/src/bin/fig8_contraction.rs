@@ -15,13 +15,19 @@
 //! `contract_bmps` shape (6x6, r = m = 7) is also timed on one executor
 //! thread and on the pool's default. `--quick` exits 1 on a host with two or
 //! more CPUs when the threaded contraction is not the faster one.
+//!
+//! Every series point is the best of [`POINT_RUNS`] timed calls after one
+//! untimed warm-up ([`best_of`]), so one slow call cannot flip a comparison.
 
-use koala_bench::{threads_must_pay, time_it, Figure, Series};
+use koala_bench::{best_of, threads_must_pay, Figure, Series};
 use koala_mps::ZipUpMethod;
 use koala_peps::two_layer::norm_sqr_two_layer;
 use koala_peps::{contract_no_phys, norm_sqr, ContractionMethod, Peps};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Timed calls per series point.
+const POINT_RUNS: usize = 3;
 
 fn main() {
     let quick = koala_bench::quick();
@@ -42,20 +48,18 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(8_000 + r as u64);
         let peps = Peps::random_no_phys(side, side, r, &mut rng);
 
-        if r <= exact_max {
-            let (_, secs) =
-                time_it(|| contract_no_phys(&peps, ContractionMethod::Exact, &mut rng).unwrap());
-            s_exact.push(r as f64, secs);
-            println!("exact  r={r:<3} wall={secs:.3}s");
+        for (method, series, name) in [
+            (ContractionMethod::Exact, &mut s_exact, "exact"),
+            (ContractionMethod::bmps(r), &mut s_bmps, "bmps"),
+            (ContractionMethod::ibmps(r), &mut s_ibmps, "ibmps"),
+        ] {
+            if method == ContractionMethod::Exact && r > exact_max {
+                continue;
+            }
+            let secs = best_of(POINT_RUNS, || contract_no_phys(&peps, method, &mut rng).unwrap());
+            series.push(r as f64, secs);
+            println!("{name:<6} r={r:<3} wall={secs:.3}s");
         }
-        let (_, secs) =
-            time_it(|| contract_no_phys(&peps, ContractionMethod::bmps(r), &mut rng).unwrap());
-        s_bmps.push(r as f64, secs);
-        println!("bmps   r={r:<3} wall={secs:.3}s");
-        let (_, secs) =
-            time_it(|| contract_no_phys(&peps, ContractionMethod::ibmps(r), &mut rng).unwrap());
-        s_ibmps.push(r as f64, secs);
-        println!("ibmps  r={r:<3} wall={secs:.3}s");
     }
 
     // Two-layer comparison: norm of a PEPS with physical indices, each
@@ -88,9 +92,10 @@ fn main() {
                 "ibmps/implicit",
             ),
         ] {
-            let (_, merged_s) = time_it(|| norm_sqr(&peps, merged, &mut rng).unwrap());
+            let merged_s = best_of(POINT_RUNS, || norm_sqr(&peps, merged, &mut rng).unwrap());
             s_merged.push(r as f64, merged_s);
-            let (_, two_layer_s) = time_it(|| norm_sqr_two_layer(&peps, m, zip, &mut rng).unwrap());
+            let two_layer_s =
+                best_of(POINT_RUNS, || norm_sqr_two_layer(&peps, m, zip, &mut rng).unwrap());
             s_two_layer.push(r as f64, two_layer_s);
             println!(
                 "norm {label:<14} r={r:<3} (m={m:<2}) merged={merged_s:.4}s \

@@ -165,6 +165,14 @@ pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, start.elapsed().as_secs_f64())
 }
 
+/// The best wall time in seconds of `n` timed calls of `f`, after one
+/// untimed warm-up call: one figure point that a single slow call cannot
+/// move.
+pub fn best_of<T>(n: usize, mut f: impl FnMut() -> T) -> f64 {
+    f();
+    (0..n).map(|_| time_it(&mut f).1).fold(f64::INFINITY, f64::min)
+}
+
 /// The threads-must-pay rule: a gate fails only on a `--quick` run on a
 /// host with two or more CPUs and a pool of two or more threads, when the
 /// threaded run is not faster than the serial one. Elsewhere it passes: on
@@ -295,6 +303,14 @@ mod tests {
         let (v, secs) = time_it(|| 41 + 1);
         assert_eq!(v, 42);
         assert!(secs >= 0.0);
+    }
+
+    #[test]
+    fn best_of_warms_up_once_then_keeps_the_fastest_call() {
+        let mut calls = 0;
+        let secs = best_of(3, || calls += 1);
+        assert_eq!(calls, 4);
+        assert!(secs.is_finite() && secs >= 0.0);
     }
 
     #[test]

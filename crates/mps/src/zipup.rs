@@ -53,8 +53,8 @@ pub use koala_tensor::EinsumSvdMethod as ZipUpMethod;
 /// One zip-up step: boundary `[l, d, r_s, r_o]` x S `[r_s, p, r_s']` x
 /// O `[r_o, p, d', r_o']` -> finished site `[l, d, k]` and the rest
 /// `[k, r_s', d', r_o']`. The sweep runs this once per site per zip-up,
-/// thousands of times over a handful of recurring shapes, all served from
-/// the plans this site holds (pinned by `tests/zip_plan_pin.rs`).
+/// thousands of times over a handful of recurring shapes; each explicit step
+/// makes one plan-cache lookup (pinned by `tests/zip_plan_pin.rs`).
 static ZIP_STEP: EinsumSvd = EinsumSvd::new("ldxy,xpt,ypqr->ldk,ktqr");
 
 /// Apply `mpo` to `mps`, truncating every new bond to at most `max_bond`,

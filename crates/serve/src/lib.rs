@@ -25,9 +25,10 @@
 //!   precisely the complex/real multiply-adds and bytes that job caused on
 //!   any pool worker — and sibling receipts sum exactly to the process
 //!   global meter delta.
-//! * **Warm-cache batching.** Jobs sharing a workload
-//!   [`signature`](JobSpec::signature) are chained leader-first so only the
-//!   first of a group pays einsum plan-cache misses.
+//! * **Independent jobs, one plan cache.** A drain runs every job as its
+//!   own task, with no ordering between jobs. All of them look their einsum
+//!   plans up in the one process-wide plan cache, so a shape any job has
+//!   planned is warm for every later one.
 //! * **Bounded admission, cooperative eviction.** The queue rejects
 //!   overflow ([`koala_error::ErrorKind::Exhausted`]); every job carries a
 //!   [`koala_exec::CancelToken`] and an optional deadline enforced by a

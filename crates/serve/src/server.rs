@@ -1,4 +1,4 @@
-//! The in-process job server: bounded queue, signature batching, per-job
+//! The in-process job server: bounded queue, concurrent drain, per-job
 //! cancellation/timeout, and exact per-tenant work receipts.
 //!
 //! Circuits have one lowering: an [`AmplitudeJob`] runs as the
@@ -18,7 +18,6 @@ use koala_sim::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -64,7 +63,8 @@ pub struct JobReceipt {
     pub job_id: u64,
     /// Job kind tag (`"ite"` / `"vqe"` / `"amplitudes"` / `"circuit"`).
     pub kind: &'static str,
-    /// Workload signature the scheduler batched the job under.
+    /// The job's workload signature ([`JobSpec::signature`]): its shape
+    /// class, reported for grouping receipts; it does not affect scheduling.
     pub signature: String,
     /// Work billed to the job's meter scope.
     pub work: WorkLedger,
@@ -150,7 +150,6 @@ struct QueuedJob {
     id: u64,
     tenant: String,
     spec: JobSpec,
-    signature: String,
     cancel: CancelToken,
     timeout: Option<Duration>,
     timed_out: Arc<AtomicBool>,
@@ -162,11 +161,9 @@ struct QueuedJob {
 ///
 /// 1. [`submit`](Server::submit) validates the [`JobSpec`] and enqueues it
 ///    (bounded queue; overflow is [`ErrorKind::Exhausted`]).
-/// 2. [`drain`](Server::drain) schedules every queued job as one task graph
-///    on the shared `koala-exec` pool. Jobs sharing a workload
-///    [`signature`](JobSpec::signature) are chained leader-first: the leader
-///    pays the einsum plan-cache misses, every follower runs entirely on
-///    warm plans.
+/// 2. [`drain`](Server::drain) schedules every queued job as one
+///    independent task of a task graph on the shared `koala-exec` pool. All
+///    jobs share the process-wide einsum plan cache.
 /// 3. Each job executes inside its own [`WorkMeter`] scope, so its
 ///    [`JobReceipt`] bills exactly the multiply-adds and bytes it caused —
 ///    on whatever pool workers its tasks ran — and sibling receipts sum
@@ -216,12 +213,10 @@ impl Server {
         let id = self.next_id;
         self.next_id += 1;
         let cancel = CancelToken::new();
-        let signature = spec.signature();
         self.queue.push(QueuedJob {
             id,
             tenant: tenant.to_string(),
             spec,
-            signature,
             cancel: cancel.clone(),
             timeout,
             timed_out: Arc::new(AtomicBool::new(false)),
@@ -246,19 +241,11 @@ impl Server {
 
         let slots: Vec<Mutex<Option<JobOutcome>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
         let mut graph = TaskGraph::new();
-        let mut leaders: HashMap<&str, koala_exec::TaskId> = HashMap::new();
-        for (i, job) in jobs.iter().enumerate() {
-            // Chain same-signature jobs leader-first: the leader's einsum
-            // planning populates the shared plan cache, so every follower
-            // hits warm plans (misses only on the first of a group).
-            let deps: Vec<koala_exec::TaskId> =
-                leaders.get(job.signature.as_str()).copied().into_iter().collect();
-            let slot = &slots[i];
-            let id = graph.add(TaskKind::Other, &deps, move || {
+        for (job, slot) in jobs.iter().zip(&slots) {
+            graph.add(TaskKind::Other, &[], move || {
                 *lock(slot) = Some(execute_job(job));
                 Ok(()) // job errors live in the outcome; never abort the batch
             });
-            leaders.insert(job.signature.as_str(), id);
         }
         let run = graph.run();
 
@@ -347,7 +334,7 @@ fn receipt_for(job: &QueuedJob, work: WorkLedger, wall: Duration, status: JobSta
         tenant: job.tenant.clone(),
         job_id: job.id,
         kind: job.spec.kind(),
-        signature: job.signature.clone(),
+        signature: job.spec.signature(),
         work,
         wall,
         status,

@@ -15,12 +15,12 @@
 //!
 //! Every spec has a [`signature`](JobSpec::signature): a string key over the
 //! *shape-determining* fields (lattice, bonds, layers, step counts — but not
-//! value-level inputs like couplings or value seeds). Jobs sharing a
-//! signature execute the same einsum specs on the same tensor shapes, so the
-//! scheduler runs them leader-first and the followers hit warm cached plans
-//! (see [`crate::Server::drain`]). The amplitude signature *does*
-//! include the circuit seed, because the random circuit's gate placement
-//! determines the evolved bond dimensions and hence the contraction shapes.
+//! value-level inputs like couplings or value seeds). It names the job's
+//! shape class: jobs sharing a signature execute the same einsum specs on
+//! the same tensor shapes. Receipts report it; the scheduler ignores it. The
+//! amplitude signature *does* include the circuit seed, because the random
+//! circuit's gate placement determines the evolved bond dimensions and
+//! hence the contraction shapes.
 //!
 //! # Wire format
 //!
@@ -342,8 +342,8 @@ impl CircuitJob {
     /// values: same-structure circuits evolve through the same tensor
     /// shapes. The one caveat is angle-dependent simplification — a
     /// rotation that lands exactly on the identity is dropped and shifts
-    /// the shapes — which costs a follower some plan-cache misses, never
-    /// correctness.
+    /// the shapes — so two jobs of one signature may contract a few
+    /// different shapes; results are unaffected.
     fn signature(&self) -> String {
         let backend = match self.backend {
             BackendChoice::Auto => "auto".to_string(),
@@ -385,9 +385,9 @@ impl JobSpec {
         Tagged.check(self).map_err(rejected)
     }
 
-    /// Workload-signature key: jobs sharing a signature run the same einsum
-    /// specs over the same tensor shapes, so the scheduler serialises them
-    /// leader-first to keep every follower on warm cached plans.
+    /// Workload-signature key: the job's shape class. Jobs sharing a
+    /// signature run the same einsum specs over the same tensor shapes. It
+    /// is reported on the receipt and does not affect scheduling.
     pub fn signature(&self) -> String {
         match self {
             JobSpec::Ite(j) => j.signature(),

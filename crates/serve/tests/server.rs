@@ -1,5 +1,5 @@
 //! Integration tests of the serve front door: admission control,
-//! cancellation, timeouts, signature batching, and bit-identity of the
+//! cancellation, timeouts, signatures, and bit-identity of the
 //! chunked execution paths against the engine's single-shot runs.
 //!
 //! These tests read no process-global counters, so they are safe to run
@@ -170,7 +170,7 @@ fn batched_amplitudes_match_the_direct_engine_path_bit_for_bit() {
 fn same_signature_jobs_batch_and_differ_only_by_value_inputs() {
     // Three same-signature ITE jobs — the signature covers shapes only, so
     // jobs may differ in value-level inputs (here the coupling jz) and still
-    // share one batching group. All complete; the values (not the batching)
+    // share one signature. All complete; the values (not the signature)
     // determine the results.
     let mut server = Server::new(ServerConfig::default());
     for jz in [-1.0, -0.9, -1.0] {

@@ -31,12 +31,14 @@
 //!   [`einsum`] additionally memoises the string → [`EinsumSpec`] parse in a
 //!   small side cache, so the steady-state string path performs no parsing
 //!   at all.
-//! * **Eviction policy.** An LRU behind one lock, whose capacity is a hard
-//!   bound ([`crate::plan::DEFAULT_PLAN_CACHE_CAPACITY`] entries, adjustable
-//!   via [`crate::plan::set_plan_cache_capacity`]). Each hit refreshes the
-//!   entry's recency stamp; inserting into a full cache evicts the
-//!   least-recently-used plan and bumps the eviction counter reported by
-//!   [`crate::plan::plan_stats`].
+//! * **Eviction policy.** An LRU behind one lock, whose capacity of 512
+//!   plans is a hard bound. Each hit refreshes the entry's recency stamp;
+//!   inserting into a full cache evicts the least-recently-used plan and
+//!   bumps the eviction counter reported by [`crate::plan::plan_stats`].
+//! * **One cache, every lookup counted.** No caller holds plans of its own:
+//!   [`einsum_spec`] and the explicit method of
+//!   [`EinsumSvd`](crate::EinsumSvd) look every contraction up here, so the
+//!   hit and miss counters see every plan use, whatever the schedule.
 //! * **Why plan reuse is safe across values but not shapes.** Every planning
 //!   decision — the greedy pair selection (driven by intermediate *sizes*),
 //!   the contracted-axis lists, the per-step matricization layouts, the
@@ -176,9 +178,7 @@ pub fn einsum(spec: &str, operands: &[&Tensor]) -> Result<Tensor> {
 ///
 /// A thin wrapper over the memoised contraction planner: the plan for
 /// `(spec, operand shapes)` is fetched from (or inserted into) the LRU cache
-/// and executed. Hold the [`crate::plan::Plan`] from
-/// [`crate::plan::contraction_plan`] directly to skip even the cache lookup
-/// in a hot loop.
+/// and executed. Every call makes exactly one cache lookup.
 pub fn einsum_spec(spec: &EinsumSpec, operands: &[&Tensor]) -> Result<Tensor> {
     let shapes: Vec<&[usize]> = operands.iter().map(|t| t.shape()).collect();
     let plan = contraction_plan(spec, &shapes)?;

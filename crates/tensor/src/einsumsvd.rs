@@ -10,8 +10,8 @@
 //!   to the truncated SVD of [`svd_split`](crate::svd_split): when
 //!   `max_rank` is below theta's narrow side and that side is at least 10,
 //!   [`svd_leading`](koala_linalg::svd_leading) computes the kept triplets
-//!   only, otherwise [`svd()`](koala_linalg::svd) runs in full. The plan is held
-//!   per call site (see [`EinsumSvd`]).
+//!   only, otherwise [`svd()`](koala_linalg::svd) runs in full. The plan comes
+//!   from the process-wide plan cache on every call (see [`EinsumSvd`]).
 //! * [`EinsumSvdMethod::ImplicitRandSvd`] — the randomized SVD of paper
 //!   Alg. 4 over an operator that never forms `theta`: each application
 //!   absorbs the sketch block into the operands **one at a time, in list
@@ -40,14 +40,13 @@
 
 use crate::contract::tensordot;
 use crate::decomp::{build_split_svd, fold_split, SplitSvd, Truncation};
-use crate::einsum::{parse_spec, EinsumSpec};
-use crate::plan::{contraction_plan, Plan};
+use crate::einsum::{einsum_spec, parse_spec, EinsumSpec};
 use crate::shape::is_identity_perm;
 use crate::tensor::Tensor;
 use koala_error::{KoalaError, Result};
 use koala_linalg::{rsvd, LinearOp, Matrix, RsvdOptions};
 use rand::Rng;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// How an [`EinsumSvd`] evaluates its refactorization.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -298,8 +297,7 @@ impl LinearOp for NetworkOp<'_> {
     }
 }
 
-/// One `einsumsvd` call site: a fixed spec, its parsed network, and the
-/// `theta` plans of the shapes it has seen.
+/// One `einsumsvd` call site: a fixed spec and its parsed network.
 ///
 /// The spec convention is Koala's: `"ldxy,xpt,ypqr->ldk,ktqr"`. The inputs
 /// are an ordinary einsum network; the two output terms are the factors. The
@@ -309,12 +307,11 @@ impl LinearOp for NetworkOp<'_> {
 /// the network is factorized as the matrix `theta[(rows), (cols)]` in exactly
 /// that axis order. [`EinsumSvdMethod`] picks how `theta` is factorized.
 ///
-/// Declare one `static` per site. The spec is parsed once; the explicit
-/// method's contraction plans are held here, most-recently-used first, so a
-/// sweep that cycles through a handful of shapes (boundary bonds growing
-/// along a zip-up) replays them without touching the global plan cache or
-/// its [`plan_stats`](crate::plan::plan_stats) counters. A shape not held is
-/// planned through [`contraction_plan`] and memoised.
+/// Declare one `static` per site. The spec is parsed once. The explicit
+/// method looks its `theta` plan up in the process-wide plan cache
+/// ([`contraction_plan`](crate::plan::contraction_plan)) on every call, so
+/// each call counts one hit or miss in
+/// [`plan_stats`](crate::plan::plan_stats).
 ///
 /// ```
 /// use koala_tensor::{EinsumSvd, Tensor, Truncation};
@@ -332,16 +329,12 @@ impl LinearOp for NetworkOp<'_> {
 pub struct EinsumSvd {
     spec: &'static str,
     network: OnceLock<Network>,
-    held: Mutex<Vec<Arc<Plan>>>,
 }
 
 impl EinsumSvd {
-    /// Maximum number of `theta` shape variants held per call site.
-    pub(crate) const PLAN_CAPACITY: usize = 8;
-
     /// A call site with a fixed spec string.
     pub const fn new(spec: &'static str) -> Self {
-        EinsumSvd { spec, network: OnceLock::new(), held: Mutex::new(Vec::new()) }
+        EinsumSvd { spec, network: OnceLock::new() }
     }
 
     fn network(&self) -> Result<&Network> {
@@ -350,24 +343,6 @@ impl EinsumSvd {
         }
         let parsed = Network::parse(self.spec)?;
         Ok(self.network.get_or_init(|| parsed))
-    }
-
-    /// The `theta` plan for these operand shapes, from the held list when
-    /// present (no global-cache traffic).
-    fn theta_plan(&self, network: &Network, operands: &[&Tensor]) -> Result<Arc<Plan>> {
-        let mut held = crate::lock_ignore_poison(&self.held);
-        if let Some(pos) = held.iter().position(|plan| {
-            plan.shapes().len() == operands.len()
-                && plan.shapes().iter().zip(operands).all(|(s, t)| s.as_slice() == t.shape())
-        }) {
-            held[..=pos].rotate_right(1);
-            return Ok(Arc::clone(&held[0]));
-        }
-        let shapes: Vec<&[usize]> = operands.iter().map(|t| t.shape()).collect();
-        let plan = contraction_plan(&network.theta, &shapes)?;
-        held.insert(0, Arc::clone(&plan));
-        held.truncate(Self::PLAN_CAPACITY);
-        Ok(plan)
     }
 
     /// The [`EinsumSvdMethod::ExactSvd`] evaluation, callable without a
@@ -382,7 +357,7 @@ impl EinsumSvd {
     /// peak.
     pub fn exact(&self, operands: &[&Tensor], truncation: Truncation) -> Result<SplitSvd> {
         let network = self.network()?;
-        let theta = self.theta_plan(network, operands)?.execute(operands)?;
+        let theta = einsum_spec(&network.theta, operands)?;
         let (row_dims, col_dims) = theta.shape().split_at(network.n_rows);
         let (row_dims, col_dims) = (row_dims.to_vec(), col_dims.to_vec());
         build_split_svd(theta.into_unfold(network.n_rows), &row_dims, &col_dims, truncation)
@@ -495,7 +470,7 @@ mod tests {
                 let borrowed: Vec<bool> = op.conjugated.iter().map(Option::is_none).collect();
                 assert_eq!(borrowed, refs.iter().map(|t| t.is_real()).collect::<Vec<_>>());
 
-                let theta = crate::einsum::einsum_spec(&network.theta, &refs).unwrap();
+                let theta = einsum_spec(&network.theta, &refs).unwrap();
                 let theta = theta.unfold(network.n_rows);
                 assert_eq!((op.nrows(), op.ncols()), theta.shape());
 
@@ -607,22 +582,6 @@ mod tests {
             assert!(some.draws > 0, "real={real}: the 5-column sketch was not drawn");
             assert_eq!(sketched.s.len(), 4);
         }
-    }
-
-    #[test]
-    fn repeat_shapes_replay_the_held_plan() {
-        static SITE: EinsumSvd = EinsumSvd::new("lax,xbr->lak,kbr");
-        let a = Tensor::ones(&[2, 2, 3]);
-        let b = Tensor::ones(&[3, 2, 2]);
-        let network = SITE.network().unwrap();
-        let first = SITE.theta_plan(network, &[&a, &b]).unwrap();
-        let again = SITE.theta_plan(network, &[&a, &b]).unwrap();
-        assert!(Arc::ptr_eq(&first, &again));
-        // A different shape is planned separately and moves to the front.
-        let wide = Tensor::ones(&[3, 2, 5]);
-        let other = SITE.theta_plan(network, &[&a, &wide]).unwrap();
-        assert!(!Arc::ptr_eq(&first, &other));
-        assert!(Arc::ptr_eq(&first, &SITE.theta_plan(network, &[&a, &b]).unwrap()));
     }
 
     #[test]

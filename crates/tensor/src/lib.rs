@@ -55,10 +55,7 @@ pub use contract::{sum_axis, tensordot, tensordot_naive};
 pub use decomp::{qr_split, svd_split, SplitSvd, Truncation};
 pub use einsum::{einsum, einsum_spec, parse_spec, EinsumSpec};
 pub use einsumsvd::{EinsumSvd, EinsumSvdMethod};
-pub use plan::{
-    clear_plan_cache, contraction_plan, plan_stats, reset_plan_stats, set_plan_cache_capacity,
-    Plan, PlanStats, DEFAULT_PLAN_CACHE_CAPACITY,
-};
+pub use plan::{clear_plan_cache, contraction_plan, plan_stats, reset_plan_stats, Plan, PlanStats};
 pub use tensor::Tensor;
 
 /// Poison-tolerant mutex lock for the process-wide caches: a panicked holder

@@ -344,15 +344,16 @@ fn key_hash(spec: &EinsumSpec, shapes: &[&[usize]]) -> u64 {
     h.finish()
 }
 
-/// Default number of cached plans. A PEPS evolution + expectation workload
-/// uses a few dozen distinct `(spec, shapes)` keys; 512 leaves generous room
-/// for several concurrent workloads before eviction starts.
-pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 512;
+/// Number of cached plans. A PEPS evolution + expectation workload uses a
+/// few dozen distinct `(spec, shapes)` keys; 512 leaves generous room for
+/// several concurrent workloads before eviction starts.
+const PLAN_CACHE_CAPACITY: usize = 512;
 
-/// The whole cache behind one lock: plans, LRU clock, capacity and the
-/// accounting counters change together, so residency never exceeds the
-/// capacity and [`plan_stats`] reads one consistent snapshot. A lookup holds
-/// the lock for a hash probe and a key compare; planning runs outside it.
+/// The whole cache behind one lock: plans, LRU clock and the accounting
+/// counters change together, so residency never exceeds
+/// [`PLAN_CACHE_CAPACITY`] and [`plan_stats`] reads one consistent snapshot.
+/// A lookup holds the lock for a hash probe and a key compare; planning runs
+/// outside it.
 struct Cache {
     /// Buckets by precomputed key hash; collisions resolved by comparing
     /// against the spec/shapes stored in each resident plan.
@@ -361,8 +362,6 @@ struct Cache {
     clock: u64,
     /// Plans resident across all buckets.
     resident: usize,
-    /// Maximum resident plans.
-    capacity: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -391,8 +390,8 @@ impl Cache {
         found
     }
 
-    /// Insert a freshly built plan, evicting least-recently-used plans first
-    /// if the cache is full. Two threads racing to plan the same key both
+    /// Insert a freshly built plan, evicting the least-recently-used plan
+    /// first if the cache is full. Two threads racing to plan the same key both
     /// insert; the second replaces the first, so the key stays resident once.
     fn insert(&mut self, hash: u64, plan: Arc<Plan>) {
         let stamp = self.tick();
@@ -402,31 +401,30 @@ impl Cache {
             existing.stamp = stamp;
             return;
         }
-        self.shrink_to(self.capacity - 1);
+        if self.resident >= PLAN_CACHE_CAPACITY {
+            self.evict_oldest();
+        }
         self.map.entry(hash).or_default().push(Entry { plan, stamp });
         self.resident += 1;
     }
 
-    /// Evict least-recently-used plans until at most `limit` are resident.
-    /// Linear scan: the capacity is small and eviction is rare in steady
-    /// state.
-    fn shrink_to(&mut self, limit: usize) {
-        while self.resident > limit {
-            let oldest = self
-                .map
-                .iter()
-                .flat_map(|(&hash, bucket)| bucket.iter().map(move |e| (hash, e.stamp)))
-                .min_by_key(|&(_, stamp)| stamp);
-            let Some((hash, stamp)) = oldest else { return };
-            if let Some(bucket) = self.map.get_mut(&hash) {
-                bucket.retain(|e| e.stamp != stamp);
-                if bucket.is_empty() {
-                    self.map.remove(&hash);
-                }
+    /// Evict the least-recently-used plan. Linear scan: the capacity is
+    /// small and eviction is rare in steady state.
+    fn evict_oldest(&mut self) {
+        let oldest = self
+            .map
+            .iter()
+            .flat_map(|(&hash, bucket)| bucket.iter().map(move |e| (hash, e.stamp)))
+            .min_by_key(|&(_, stamp)| stamp);
+        let Some((hash, stamp)) = oldest else { return };
+        if let Some(bucket) = self.map.get_mut(&hash) {
+            bucket.retain(|e| e.stamp != stamp);
+            if bucket.is_empty() {
+                self.map.remove(&hash);
             }
-            self.resident -= 1;
-            self.evictions += 1;
         }
+        self.resident -= 1;
+        self.evictions += 1;
     }
 }
 
@@ -435,7 +433,6 @@ static CACHE: LazyLock<Mutex<Cache>> = LazyLock::new(|| {
         map: HashMap::new(),
         clock: 0,
         resident: 0,
-        capacity: DEFAULT_PLAN_CACHE_CAPACITY,
         hits: 0,
         misses: 0,
         evictions: 0,
@@ -464,10 +461,9 @@ pub struct PlanStats {
 /// Return the memoised contraction plan for `spec` applied to operands of the
 /// given shapes, planning (and caching) it on first use.
 ///
-/// This is the entry point behind [`crate::einsum::einsum_spec`]; it is public
-/// so callers with a long-lived hot loop can hold the `Arc<Plan>` directly and
-/// skip even the cache lookup, as [`crate::einsumsvd::EinsumSvd`] does per
-/// call site.
+/// This is the one plan cache: [`crate::einsum::einsum_spec`] and the
+/// explicit [`crate::einsumsvd::EinsumSvd`] method look every contraction up
+/// here, so each lookup counts exactly one hit or miss in [`plan_stats`].
 pub fn contraction_plan(spec: &EinsumSpec, shapes: &[&[usize]]) -> Result<Arc<Plan>> {
     let hash = key_hash(spec, shapes);
     let cached = cache().touch(hash, spec, shapes);
@@ -490,7 +486,7 @@ pub fn plan_stats() -> PlanStats {
         misses: cache.misses,
         evictions: cache.evictions,
         entries: cache.resident,
-        capacity: cache.capacity,
+        capacity: PLAN_CACHE_CAPACITY,
     }
 }
 
@@ -512,13 +508,4 @@ pub fn clear_plan_cache() {
         cache.resident = 0;
     }
     crate::einsum::clear_parse_cache();
-}
-
-/// Change the cache capacity, evicting least-recently-used plans if the new
-/// capacity is smaller than the current population.
-pub fn set_plan_cache_capacity(capacity: usize) {
-    let mut cache = cache();
-    cache.capacity = capacity.max(1);
-    let capacity = cache.capacity;
-    cache.shrink_to(capacity);
 }

@@ -108,20 +108,23 @@ fn shape_change_invalidates_the_plan() {
 #[test]
 fn lru_eviction_is_counted() {
     let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
-    koala_tensor::set_plan_cache_capacity(4);
     clear_plan_cache();
     let before = plan_stats();
+    let capacity = before.capacity;
     let spec = parse_spec("ij,jk->ik").unwrap();
-    for d in 1..=8usize {
-        let ops = tensors_for(&[vec![d, 2], vec![2, d]], 15 + d as u64);
-        einsum_spec(&spec, &[&ops[0], &ops[1]]).unwrap();
+    let plan = |rows: usize| contraction_plan(&spec, &[&[rows, 2][..], &[2, 3][..]]).unwrap();
+    for rows in 1..=capacity + 4 {
+        plan(rows);
     }
     let after = plan_stats();
-    assert_eq!(after.misses - before.misses, 8);
-    assert_eq!(after.entries, 4, "capacity bounds residency");
+    assert_eq!(after.misses - before.misses, capacity as u64 + 4);
+    assert_eq!(after.entries, capacity, "capacity bounds residency");
     assert_eq!(after.evictions - before.evictions, 4);
-    // Restore the default capacity for the rest of the suite.
-    koala_tensor::set_plan_cache_capacity(koala_tensor::DEFAULT_PLAN_CACHE_CAPACITY);
+    // The four oldest plans went first: the fifth is still resident.
+    plan(5);
+    assert_eq!(plan_stats().hits - after.hits, 1);
+    plan(4);
+    assert_eq!(plan_stats().misses - after.misses, 1);
 }
 
 /// A plan warmed on one thread is reused (not re-planned) by every other
@@ -170,24 +173,26 @@ fn capacity_is_a_hard_bound_under_concurrent_inserts() {
     let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     clear_plan_cache();
     koala_tensor::reset_plan_stats();
-    koala_tensor::set_plan_cache_capacity(8);
+    let capacity = plan_stats().capacity;
+    let per_thread = capacity / 2;
     let spec = parse_spec("ij,jk->ik").unwrap();
     std::thread::scope(|scope| {
         for t in 0..4usize {
             let spec = &spec;
             scope.spawn(move || {
-                for i in 0..32usize {
-                    // 128 distinct keys: the row count differs per (t, i).
-                    let rows = 1 + 32 * t + i;
+                for i in 0..per_thread {
+                    // Twice the capacity in distinct keys: the row count
+                    // differs per (t, i).
+                    let rows = 1 + per_thread * t + i;
                     contraction_plan(spec, &[&[rows, 2][..], &[2, 3][..]]).unwrap();
                 }
             });
         }
     });
     let stats = plan_stats();
-    assert!(stats.entries <= 8, "{} plans resident at capacity 8", stats.entries);
+    assert!(stats.entries <= capacity, "{} plans resident at capacity {capacity}", stats.entries);
     assert_eq!(stats.misses, stats.entries as u64 + stats.evictions);
-    koala_tensor::set_plan_cache_capacity(koala_tensor::DEFAULT_PLAN_CACHE_CAPACITY);
+    assert!(stats.evictions > 0, "{} distinct keys must overfill the cache", 4 * per_thread);
 }
 
 // ---------------------------------------------------------------------------
