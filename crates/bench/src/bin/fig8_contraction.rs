@@ -18,8 +18,11 @@
 //!
 //! Every series point is the best of [`POINT_RUNS`] timed calls after one
 //! untimed warm-up ([`best_of`]), so one slow call cannot flip a comparison.
+//! The Exact points are one timed call each: at r = 4 a call takes seconds,
+//! far above any call's noise, and four calls of it were most of a full
+//! run.
 
-use koala_bench::{best_of, threads_must_pay, Figure, Series};
+use koala_bench::{best_of, threads_must_pay, time_it, Figure, Series};
 use koala_mps::ZipUpMethod;
 use koala_peps::two_layer::norm_sqr_two_layer;
 use koala_peps::{contract_no_phys, norm_sqr, ContractionMethod, Peps};
@@ -56,7 +59,12 @@ fn main() {
             if method == ContractionMethod::Exact && r > exact_max {
                 continue;
             }
-            let secs = best_of(POINT_RUNS, || contract_no_phys(&peps, method, &mut rng).unwrap());
+            let run = || contract_no_phys(&peps, method, &mut rng).unwrap();
+            let secs = if method == ContractionMethod::Exact {
+                time_it(run).1
+            } else {
+                best_of(POINT_RUNS, run)
+            };
             series.push(r as f64, secs);
             println!("{name:<6} r={r:<3} wall={secs:.3}s");
         }

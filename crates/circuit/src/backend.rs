@@ -29,7 +29,7 @@
 use koala_error::KoalaError;
 use koala_linalg::{matmul, Matrix, C64};
 use koala_mps::Mps;
-use koala_peps::{ContractionMethod, Peps, Site, UpdateMethod};
+use koala_peps::{ContractionMethod, GateOp, Peps, Site, UpdateMethod};
 use koala_tensor::{tensordot, EinsumSvd, Tensor, Truncation};
 use rand::Rng;
 
@@ -338,23 +338,37 @@ fn run_peps<R: Rng + ?Sized>(
         truncation: Truncation::rank_and_tol(evolution_bond.max(1), EVOLUTION_TOL),
     };
     let mut peps = Peps::computational_zeros(nrows, ncols);
-    for gate in circuit.gates() {
+    // The whole circuit is one gate list, so the updates of a layer that
+    // touch disjoint sites overlap (`apply_gates`); the list borrows each
+    // gate's matrix from here.
+    let matrices: Vec<Matrix> = circuit
+        .gates()
+        .iter()
+        .map(|gate| match gate {
+            Gate::One { gate, .. } => gate.matrix(),
+            Gate::Two { gate, .. } => gate.matrix(),
+        })
+        .collect();
+    let mut ops = Vec::with_capacity(matrices.len());
+    for (gate, matrix) in circuit.gates().iter().zip(&matrices) {
         match gate {
-            Gate::One { qubit, gate } => {
-                koala_peps::apply_one_site(&mut peps, &gate.matrix(), site(*qubit))?;
-            }
-            Gate::Two { a, b, gate } => {
-                // Manhattan-path SWAP routing for non-neighbour pairs lives
-                // in the engine (`apply_two_site_any`, paper §II-C1).
-                koala_peps::apply_two_site_any(
-                    &mut peps,
-                    &gate.matrix(),
-                    site(*a),
-                    site(*b),
-                    update,
-                )?;
+            Gate::One { qubit, .. } => ops.push(GateOp::one_site(matrix, site(*qubit))),
+            // Manhattan-path SWAP routing for non-neighbour pairs lives in
+            // the engine (`route_two_site`, paper §II-C1).
+            Gate::Two { a, b, .. } => {
+                koala_peps::route_two_site(&peps, matrix, site(*a), site(*b), &mut ops)?
             }
         }
+    }
+    koala_peps::apply_gates(&mut peps, &ops, update)?;
+    // Each new site tensor comes from the heap arena of the pool thread
+    // that ran its last update (glibc keeps one arena per thread). The
+    // state lives through the threaded amplitude batch below, whose
+    // transients would have to be placed around it there, and an arena
+    // keeps the pages it grows into (koala-exec crate doc, "Heap policy").
+    // So copy it into this thread's heap, one site at a time.
+    for q in 0..nrows * ncols {
+        peps.set_tensor(site(q), peps.tensor(site(q)).clone());
     }
     let evolved_bond = peps.max_bond();
     let amps = koala_peps::amplitude_batch(&peps, queries, method, rng)?;

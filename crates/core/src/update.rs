@@ -23,8 +23,8 @@
 use crate::peps::{check_one_site_gate, Direction, Peps, Site, AX_D, AX_L, AX_P, AX_R, AX_U};
 use koala_error::{KoalaError, Result, ResultExt};
 use koala_exec::{TaskGraph, TaskId, TaskKind};
-use koala_linalg::Matrix;
-use koala_tensor::{einsum, qr_split, tensordot, EinsumSvd, Tensor, Truncation};
+use koala_linalg::{gemm_into, gemm_into_real, Matrix, Op, C64};
+use koala_tensor::{einsum, qr_split, EinsumSvd, Tensor, Truncation};
 use std::borrow::Cow;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -154,18 +154,20 @@ fn update_pair(
             d_a * d_b
         )));
     }
-    let (perm_a, perm_b) = canonical_perms(dir);
-    let a = site_a.permute(&perm_a)?; // [p, o1, o2, o3, bond]
-    let b = site_b.permute(&perm_b)?; // [p, bond, o1, o2, o3]
     let gate_t = Tensor::from_matrix_2d(gate).into_reshape(&[d_a, d_b, d_a, d_b])?;
-
-    // The new tensors go straight back to the PEPS layout: each method folds
-    // the undoing of the canonical permutations into its own last permute.
-    let out = (invert5(perm_a), invert5(perm_b));
     let truncation = method.truncation();
     match method {
-        UpdateMethod::Direct { .. } => direct_update(&a, &b, &gate_t, truncation, out),
-        UpdateMethod::QrSvd { .. } => qr_svd_update(&a, &b, &gate_t, truncation, out),
+        UpdateMethod::Direct { .. } => {
+            let (perm_a, perm_b) = canonical_perms(dir);
+            let a = site_a.permute(&perm_a)?; // [p, o1, o2, o3, bond]
+            let b = site_b.permute(&perm_b)?; // [p, bond, o1, o2, o3]
+                                              // The new tensors go straight back to the PEPS layout: the
+                                              // undoing of the canonical permutations is folded into the
+                                              // last permute.
+            let out = (invert5(perm_a), invert5(perm_b));
+            direct_update(&a, &b, &gate_t, truncation, out)
+        }
+        UpdateMethod::QrSvd { .. } => qr_svd_update(site_a, site_b, &gate_t, truncation, dir),
     }
 }
 
@@ -200,34 +202,132 @@ fn direct_update(
 }
 
 /// QR-SVD update (Algorithm 1): QR both sites, apply the gate to the small
-/// `R` factors, SVD, and recombine with the `Q` factors. `out` permutes the
-/// canonical a- and b-layouts into the returned ones.
+/// `R` factors, SVD, and recombine with the `Q` factors. The sites and the
+/// returned tensors are in PEPS layout; `dir` (`Right` or `Down`) points
+/// from `site_a` to `site_b`.
 fn qr_svd_update(
-    a: &Tensor,    // [pa, o1, o2, o3, bond]
-    b: &Tensor,    // [pb, bond, o1, o2, o3]
+    site_a: &Tensor,
+    site_b: &Tensor,
     gate: &Tensor, // [pa', pb', pa, pb]
     truncation: Truncation,
-    out: ([usize; 5], [usize; 5]),
+    dir: Direction,
 ) -> Result<(Tensor, Tensor, f64)> {
-    // Step (1)->(2): split off the outer bonds.
-    // a: rows = outer bonds (1,2,3) -> Q_a [o1,o2,o3,ka], R_a [ka, pa, bond]
-    let (q_a, r_a) = qr_split(a, &[1, 2, 3])?;
-    // b: rows = outer bonds (2,3,4) -> Q_b [o1,o2,o3,kb], R_b [kb, pb, bond]
-    let (q_b, r_b) = qr_split(b, &[2, 3, 4])?;
+    let (perm_a, perm_b) = canonical_perms(dir);
+    // Step (1)->(2): split off the outer bonds, reading the sites in PEPS
+    // layout: the canonical row axes map back through the permutations, and
+    // the column axes left over come out as [p, bond] (AX_P = 0 sorts
+    // first), the canonical order of `R`, so the matrices are the same.
+    // a: rows = outer bonds -> Q_a [o1,o2,o3,ka], R_a [ka, pa, bond]
+    let (q_a, r_a) = qr_split(site_a, &perm_a[1..4])?;
+    // b: rows = outer bonds -> Q_b [o1,o2,o3,kb], R_b [kb, pb, bond]
+    let (q_b, r_b) = qr_split(site_b, &perm_b[2..5])?;
 
     // Step (2)->(4): einsumsvd on {gate, R_a, R_b}.
     let (rt_a, rt_b, err) = small_einsumsvd(gate, &r_a, &r_b, truncation)?;
 
-    // Step (4)->(5): recombine with the Q factors.
-    // new_a [o1,o2,o3, pa', k] <- Q_a [o1,o2,o3,ka] x rt_a [ka, pa', k],
-    // canonically [pa', o1, o2, o3, k].
-    let new_a = tensordot(&q_a, &rt_a, &[3], &[0])?;
-    let new_a = new_a.permute(&compose5([3, 0, 1, 2, 4], out.0))?;
-    // new_b [k, pb', o1,o2,o3] <- rt_b [k, kb, pb'] x Q_b [o1,o2,o3,kb],
-    // canonically [pb', k, o1, o2, o3].
-    let new_b = tensordot(&rt_b, &q_b, &[1], &[3])?;
-    let new_b = new_b.permute(&compose5([1, 0, 2, 3, 4], out.1))?;
+    // Step (4)->(5): recombine with the Q factors, straight into PEPS
+    // layout. `Q_a` is dropped before the b-side product is allocated.
+    let new_a = recombine_a(&q_a, &rt_a, dir)?;
+    drop(q_a);
+    let new_b = recombine_b(&rt_b, &q_b, dir)?;
     Ok((new_a, new_b, err))
+}
+
+/// `Q_a [o1,o2,o3,ka] x rt_a [ka,pa',k]`, written straight into PEPS
+/// layout. One product per physical index fills that index's slab as
+/// `[o1,o2,o3,k]`: the PEPS layout for `Right` (`o = u,l,d`, `k = r`); for
+/// `Down` (`o = u,l,r`, `k = d`) the last two axes are then swapped in
+/// place. Every element is the sum `tensordot` forms for it (the same row
+/// of `Q_a` against the same column of `rt_a`, in the same order), so the
+/// bits match the contract-then-permute route.
+fn recombine_a(q: &Tensor, rt: &Tensor, dir: Direction) -> Result<Tensor> {
+    let (ka, d, k) = (rt.dim(0), rt.dim(1), rt.dim(2));
+    let (o1, o2, o3) = (q.dim(0), q.dim(1), q.dim(2));
+    let rows = o1 * o2 * o3;
+    let rt = rt.permute(&[1, 0, 2])?; // [pa', ka, k]: one block per slab
+    let real = q.is_real() && rt.is_real();
+    let mut out = vec![C64::ZERO; d * rows * k];
+    for (slab, b) in out.chunks_mut((rows * k).max(1)).zip(rt.data().chunks((ka * k).max(1))) {
+        product(real, Op::None, rows, k, ka, q.data(), b, slab);
+    }
+    let shape = if dir == Direction::Down {
+        transpose_blocks(&mut out, o3, k, 1);
+        [d, o1, o2, k, o3]
+    } else {
+        [d, o1, o2, o3, k]
+    };
+    site_tensor(shape, out, real)
+}
+
+/// `rt_b [k,kb,pb'] x Q_b [o1,o2,o3,kb]`, written straight into PEPS
+/// layout: one product of `rt_b`'s rows, taken in `(pb', k)` order, against
+/// `Q_b` transposed fills `[pb', k, o1, o2, o3]` — the PEPS layout for
+/// `Down` (`k = u`, `o = l,d,r`). For `Right` (`k = l`, `o = u,d,r`) each
+/// physical slab is a `k x u` matrix of `[d, r]` blocks, transposed in
+/// place. Reordering a product's rows changes no element, so the bits match
+/// `tensordot` too.
+fn recombine_b(rt: &Tensor, q: &Tensor, dir: Direction) -> Result<Tensor> {
+    let (k, kb, d) = (rt.dim(0), rt.dim(1), rt.dim(2));
+    let (o1, o2, o3) = (q.dim(0), q.dim(1), q.dim(2));
+    let rt = rt.permute(&[2, 0, 1])?; // [pb', k, kb]
+    let real = q.is_real() && rt.is_real();
+    let mut out = vec![C64::ZERO; d * k * o1 * o2 * o3];
+    product(real, Op::Transpose, d * k, o1 * o2 * o3, kb, rt.data(), q.data(), &mut out);
+    let shape = if dir == Direction::Right {
+        transpose_blocks(&mut out, k, o1, o2 * o3);
+        [d, o1, k, o2, o3]
+    } else {
+        [d, k, o1, o2, o3]
+    };
+    site_tensor(shape, out, real)
+}
+
+/// `c = a op(b)` with `a` an `m x depth` matrix, on the real kernel when
+/// both factors are real (the dispatch `tensordot` makes).
+#[allow(clippy::too_many_arguments)]
+fn product(
+    real: bool,
+    opb: Op,
+    m: usize,
+    n: usize,
+    depth: usize,
+    a: &[C64],
+    b: &[C64],
+    c: &mut [C64],
+) {
+    if real {
+        gemm_into_real(Op::None, opb, m, n, depth, a, b, c);
+    } else {
+        gemm_into(Op::None, opb, m, n, depth, a, b, c);
+    }
+}
+
+fn site_tensor(shape: [usize; 5], data: Vec<C64>, real: bool) -> Result<Tensor> {
+    let mut t = Tensor::from_vec(&shape, data)?;
+    if real {
+        // The real kernel writes only real parts into the zeroed buffer.
+        t.assume_real();
+    }
+    Ok(t)
+}
+
+/// Transpose, in place, every `rows x cols` row-major matrix of
+/// `block`-element blocks that `data` holds back to back: block `(i, j)`
+/// moves to `(j, i)` of the `cols x rows` result.
+fn transpose_blocks(data: &mut [C64], rows: usize, cols: usize, block: usize) {
+    let n = rows * cols * block;
+    if rows < 2 || cols < 2 || n == 0 {
+        return;
+    }
+    let mut held = vec![C64::ZERO; n];
+    for matrix in data.chunks_exact_mut(n) {
+        held.copy_from_slice(matrix);
+        for (i, row) in held.chunks_exact(cols * block).enumerate() {
+            for (j, b) in row.chunks_exact(block).enumerate() {
+                matrix[(j * rows + i) * block..][..block].copy_from_slice(b);
+            }
+        }
+    }
 }
 
 /// The einsumsvd of Algorithm 1, step (2)->(4): contract the small `R`
@@ -516,8 +616,8 @@ mod tests {
     use super::*;
     use crate::operators::{kron, pauli_x, pauli_z};
     use koala_error::ErrorKind;
-    use koala_linalg::{c64, expm_hermitian, C64};
-    use koala_tensor::Tensor as T;
+    use koala_linalg::{c64, expm_hermitian};
+    use koala_tensor::{tensordot, Tensor as T};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -608,6 +708,60 @@ mod tests {
         check_two_site_update(((1, 0), (1, 1)), m, 21, 1e-8);
         check_two_site_update(((0, 1), (1, 1)), m, 22, 1e-8);
         check_two_site_update(((1, 0), (0, 0)), m, 23, 1e-8);
+    }
+
+    #[test]
+    fn recombination_is_contract_then_permute_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(70);
+        let same_bits = |x: &T, y: &T| {
+            x.shape() == y.shape()
+                && x.data().iter().zip(y.data()).all(|(a, b)| {
+                    (a.re.to_bits(), a.im.to_bits()) == (b.re.to_bits(), b.im.to_bits())
+                })
+        };
+        for dir in [Direction::Right, Direction::Down] {
+            let (perm_a, perm_b) = canonical_perms(dir);
+            for real in [false, true] {
+                let mut draw = |shape: &[usize]| {
+                    if real {
+                        T::random_real(shape, &mut rng)
+                    } else {
+                        T::random(shape, &mut rng)
+                    }
+                };
+                // Q [o1,o2,o3,k], rt_a [ka,p,k], rt_b [k,kb,p]: odd sizes so
+                // no product is a whole number of register tiles.
+                let (q_a, rt_a) = (draw(&[3, 4, 5, 7]), draw(&[7, 2, 9]));
+                let (q_b, rt_b) = (draw(&[5, 3, 4, 6]), draw(&[9, 6, 2]));
+                let want_a = tensordot(&q_a, &rt_a, &[3], &[0])
+                    .unwrap()
+                    .permute(&compose5([3, 0, 1, 2, 4], invert5(perm_a)))
+                    .unwrap();
+                let want_b = tensordot(&rt_b, &q_b, &[1], &[3])
+                    .unwrap()
+                    .permute(&compose5([1, 0, 2, 3, 4], invert5(perm_b)))
+                    .unwrap();
+                let got_a = recombine_a(&q_a, &rt_a, dir).unwrap();
+                let got_b = recombine_b(&rt_b, &q_b, dir).unwrap();
+                for (got, want) in [(got_a, want_a), (got_b, want_b)] {
+                    assert!(same_bits(&got, &want), "{dir:?}, real {real}");
+                    assert_eq!(got.is_real(), want.is_real(), "{dir:?}, real {real}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_blocks_swaps_the_middle_axes() {
+        let mut rng = StdRng::seed_from_u64(71);
+        for (batch, rows, cols, block) in
+            [(3, 4, 5, 1), (2, 5, 3, 6), (1, 7, 7, 2), (2, 1, 4, 3), (2, 16, 8, 32), (1, 2, 9, 1)]
+        {
+            let t = T::random(&[batch, rows, cols, block], &mut rng);
+            let mut data = t.data().to_vec();
+            transpose_blocks(&mut data, rows, cols, block);
+            assert_eq!(data, t.permute(&[0, 2, 1, 3]).unwrap().data(), "{rows}x{cols} of {block}");
+        }
     }
 
     #[test]

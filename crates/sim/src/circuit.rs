@@ -5,7 +5,7 @@ use crate::gates::{iswap, sqrt_w, sqrt_x, sqrt_y};
 use crate::statevector::StateVector;
 use koala_error::Result;
 use koala_linalg::Matrix;
-use koala_peps::{apply_one_site, apply_two_site, Peps, Site, UpdateMethod};
+use koala_peps::{apply_gates, GateOp, Peps, Site, UpdateMethod};
 use rand::Rng;
 
 /// One gate of a circuit.
@@ -81,19 +81,35 @@ impl Circuit {
 
     /// Apply the circuit to a PEPS with the given two-site update method
     /// (pass a large bond for exact evolution). Returns the accumulated
-    /// truncation error.
+    /// truncation error: the root sum square of the per-gate errors.
+    ///
+    /// The circuit runs as one gate list ([`koala_peps::apply_gates`]), so
+    /// the updates of a layer that touch disjoint sites run concurrently,
+    /// bit-identical to applying the gates one after another at any thread
+    /// count.
+    ///
+    /// # Errors
+    ///
+    /// A gate outside the lattice or a two-site gate on sites that are not
+    /// neighbours is rejected before any gate is applied. A gate that fails
+    /// while running (a wrong-shaped matrix, a factorization that meets
+    /// non-finite data) leaves the PEPS structurally valid but which of the
+    /// other gates were applied unspecified, as [`koala_peps::apply_gates`]
+    /// says: discard the state.
     pub fn apply_to_peps(&self, peps: &mut Peps, method: UpdateMethod) -> Result<f64> {
-        let mut err_sq = 0.0;
-        for op in &self.ops {
-            match op {
-                CircuitOp::OneSite { site, matrix } => apply_one_site(peps, matrix, *site)?,
+        let ops: Vec<GateOp<'_>> = self
+            .ops
+            .iter()
+            .map(|op| match op {
+                CircuitOp::OneSite { site, matrix } => GateOp::one_site(matrix, *site),
                 CircuitOp::TwoSite { site_a, site_b, matrix } => {
-                    let e = apply_two_site(peps, matrix, *site_a, *site_b, method)?;
-                    err_sq += e * e;
+                    GateOp::two_site(matrix, *site_a, *site_b)
                 }
-            }
-        }
-        Ok(err_sq.sqrt())
+            })
+            .collect();
+        // One-site ops report 0, so this is the sum over the two-site gates.
+        let errs = apply_gates(peps, &ops, method)?;
+        Ok(errs.iter().fold(0.0, |sum, e| sum + e * e).sqrt())
     }
 
     /// Apply the circuit to a state vector (always exact).
