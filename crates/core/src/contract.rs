@@ -10,12 +10,18 @@
 //!
 //! # The zip-up wavefront
 //!
-//! Every boundary MPS is built by one function, `contract_rows`: the
-//! contractions to a scalar ([`contract_no_phys`], [`amplitude`],
-//! [`norm_sqr`]), both sweeps of a measurement's row environments
+//! Every boundary MPS of the one-layer (merged) network is built by one
+//! function, `contract_rows`: the contractions to a scalar
+//! ([`contract_no_phys`], [`amplitude`], [`norm_sqr`]), both sweeps of a
+//! measurement's row environments
 //! ([`EnvCache::build`](crate::EnvCache::build)) and the inner rows of its
-//! strips. It runs as one `koala_exec` task graph of zip-up steps rather
-//! than row after row, and returns the boundary after every absorbed row.
+//! strips. The two-layer contraction
+//! ([`norm_sqr_two_layer`](crate::two_layer::norm_sqr_two_layer)) is the
+//! exception: `two_layer::inner_two_layer` still absorbs its rows in its own
+//! serial loop, one zip-up per row (ROADMAP, "Two-layer contraction: give it
+//! a caller or delete it"). `contract_rows` runs as one `koala_exec` task
+//! graph of zip-up steps rather than row after row, and returns the
+//! boundary after every absorbed row.
 //! Step `i` of row `r` (the [`koala_mps::zip_step`] that finishes site `i-1`
 //! of the new boundary) needs two things: row `r`'s step `i-1`, and site `i` of row `r-1`'s
 //! output, which row `r-1` finishes at its step `i+1` (its last step, for

@@ -51,7 +51,7 @@ use crate::peps::{merge_site_pair, Peps, Site, AX_P, AX_R};
 use koala_error::Result;
 use koala_linalg::C64;
 use koala_mps::{Mpo, Mps};
-use koala_tensor::{einsum, Tensor};
+use koala_tensor::{tensordot, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
@@ -318,10 +318,10 @@ impl<'a> Network<'a> {
 /// index and stacked on bond `axis` (`r -> r * chi`, the operator index minor).
 fn apply_stacked(site: &Tensor, ops: &Tensor, axis: usize) -> Result<Tensor> {
     // new[i, u, l, d, r, k] = sum_j ops[k, i, j] site[j, u, l, d, r], with `k`
-    // put right behind the stacked bond by the einsum itself.
-    const SPECS: [&str; 4] =
-        ["kij,juldr->iukldr", "kij,juldr->iulkdr", "kij,juldr->iuldkr", "kij,juldr->iuldrk"];
-    let stacked = einsum(SPECS[axis - 1], &[ops, site])?;
+    // moved from the front to right behind the stacked bond.
+    let mut perm = [1, 2, 3, 4, 5, 0];
+    perm[axis + 1..].rotate_right(1);
+    let stacked = tensordot(ops, site, &[2], &[0])?.permute(&perm)?;
     let mut shape = site.shape().to_vec();
     shape[AX_P] = ops.dim(1);
     shape[axis] *= ops.dim(0);
@@ -332,7 +332,10 @@ fn apply_stacked(site: &Tensor, ops: &Tensor, axis: usize) -> Result<Tensor> {
 mod tests {
     use super::*;
     use crate::operators::{kron, pauli_x, pauli_y, pauli_z, Observable};
+    use crate::peps::tests::{assert_same_bits, random_tensor};
+    use crate::peps::{AX_D, AX_L, AX_U};
     use koala_linalg::{c64, Matrix};
+    use koala_tensor::einsum;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -370,6 +373,27 @@ mod tests {
     fn xxz() -> Matrix {
         let xy = &kron(&pauli_x(), &pauli_x()) + &kron(&pauli_y(), &pauli_y());
         &xy + &kron(&pauli_z(), &pauli_z()).scale(c64(0.5, 0.0))
+    }
+
+    #[test]
+    fn apply_stacked_is_the_einsum_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(30);
+        let specs = [
+            (AX_U, "kij,juldr->iukldr"),
+            (AX_L, "kij,juldr->iulkdr"),
+            (AX_D, "kij,juldr->iuldkr"),
+            (AX_R, "kij,juldr->iuldrk"),
+        ];
+        for real in [false, true] {
+            let site = random_tensor(&[2, 3, 1, 4, 2], real, &mut rng);
+            let ops = random_tensor(&[3, 2, 2], real, &mut rng);
+            for (axis, spec) in specs {
+                let mut shape = site.shape().to_vec();
+                shape[axis] *= 3;
+                let want = einsum(spec, &[&ops, &site]).unwrap().into_reshape(&shape).unwrap();
+                assert_same_bits(&apply_stacked(&site, &ops, axis).unwrap(), &want);
+            }
+        }
     }
 
     #[test]

@@ -29,11 +29,13 @@
 //! QR-SVD updates, each zip-up step under BMPS/IBMPS, the two-layer step — is
 //! one `koala_tensor::EinsumSvd` call site: a network spec plus the explicit
 //! or implicit method. [`ContractionMethod`] is the user-facing bundle of a
-//! boundary bond and that method. The remaining site-local contractions
-//! (gate application, bra–ket site merging) run through
-//! `koala_tensor::einsum`; either way the contraction plans are memoised per
-//! `(spec, shapes)` key, so a sweep pays the planning cost once and replays
-//! the cached schedule for every site and step (see `koala_tensor::contraction_plan`).
+//! boundary bond and that method. `EinsumSvd`'s contraction plans are
+//! memoised per `(spec, shapes)` key, so a sweep pays the planning cost once
+//! and replays the cached schedule for every site and step (see
+//! `koala_tensor::contraction_plan`).
+//! The remaining site-local contractions (gate application, bra–ket site
+//! merging, stacked measurement operators) are single pairs of tensors and
+//! call `koala_tensor::tensordot` directly.
 //!
 //! ## Quick example
 //!

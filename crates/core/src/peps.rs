@@ -435,10 +435,10 @@ pub(crate) fn merge_site_pair(bra_site: &Tensor, ket_site: &Tensor) -> Result<Te
     if bra_site.dim(AX_P) != ket_site.dim(AX_P) {
         return Err(KoalaError::shape("merge_site_pair: physical dimensions differ"));
     }
-    // conj(bra)[p, ub, lb, db, rb] x ket[p, uk, lk, dk, rk], with the bond-pair
-    // interleaving folded into the (cached) einsum plan:
-    // [ub, uk, lb, lk, db, dk, rb, rk].
-    let pair = koala_tensor::einsum("pabcd,pefgh->aebfcgdh", &[&bra_site.conj(), ket_site])?;
+    // conj(bra)[p, ub, lb, db, rb] x ket[p, uk, lk, dk, rk] over p, then the
+    // bond pairs interleaved: [ub, uk, lb, lk, db, dk, rb, rk].
+    let pair =
+        tensordot(&bra_site.conj(), ket_site, &[0], &[0])?.permute(&[0, 4, 1, 5, 2, 6, 3, 7])?;
     let s = pair.shape().to_vec();
     pair.into_reshape(&[1, s[0] * s[1], s[2] * s[3], s[4] * s[5], s[6] * s[7]])
 }
@@ -456,11 +456,44 @@ pub(crate) fn check_one_site_gate(gate: &Matrix, d: usize) -> Result<()> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use koala_linalg::c64;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// A random tensor, real-hinted when `real`.
+    pub(crate) fn random_tensor(shape: &[usize], real: bool, rng: &mut StdRng) -> Tensor {
+        if real {
+            Tensor::random_real(shape, rng)
+        } else {
+            Tensor::random(shape, rng)
+        }
+    }
+
+    /// `got` equals `want` in shape, realness hint and every bit.
+    pub(crate) fn assert_same_bits(got: &Tensor, want: &Tensor) {
+        let bits = |t: &Tensor| {
+            t.data().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect::<Vec<_>>()
+        };
+        assert_eq!((got.shape(), got.is_real()), (want.shape(), want.is_real()));
+        assert_eq!(bits(got), bits(want));
+    }
+
+    #[test]
+    fn merge_site_pair_is_the_einsum_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(40);
+        for (bra_real, ket_real) in [(false, false), (true, true), (true, false)] {
+            let bra = random_tensor(&[2, 3, 1, 4, 2], bra_real, &mut rng);
+            let ket = random_tensor(&[2, 2, 3, 1, 5], ket_real, &mut rng);
+            let pair = koala_tensor::einsum("pabcd,pefgh->aebfcgdh", &[&bra.conj(), &ket]).unwrap();
+            let s = pair.shape().to_vec();
+            let want = pair
+                .into_reshape(&[1, s[0] * s[1], s[2] * s[3], s[4] * s[5], s[6] * s[7]])
+                .unwrap();
+            assert_same_bits(&merge_site_pair(&bra, &ket).unwrap(), &want);
+        }
+    }
 
     #[test]
     fn construction_and_validation() {

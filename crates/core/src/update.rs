@@ -24,7 +24,7 @@ use crate::peps::{check_one_site_gate, Direction, Peps, Site, AX_D, AX_L, AX_P, 
 use koala_error::{KoalaError, Result, ResultExt};
 use koala_exec::{TaskGraph, TaskId, TaskKind};
 use koala_linalg::{gemm_into, gemm_into_real, Matrix, Op, C64};
-use koala_tensor::{einsum, qr_split, EinsumSvd, Tensor, Truncation};
+use koala_tensor::{qr_split, tensordot, EinsumSvd, Tensor, Truncation};
 use std::borrow::Cow;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -72,10 +72,6 @@ impl UpdateMethod {
 }
 
 /// Apply a one-site gate to a site of the PEPS (Equation 3).
-///
-/// Runs through the cached einsum planner: evolution sweeps apply the same
-/// gate shape to every site, so the contraction is planned once per
-/// `(gate, site-tensor)` shape pair.
 pub fn apply_one_site(peps: &mut Peps, gate: &Matrix, site: Site) -> Result<()> {
     site_slot(peps, site)?;
     let new = update_site(peps.tensor(site), gate)?;
@@ -87,7 +83,7 @@ pub fn apply_one_site(peps: &mut Peps, gate: &Matrix, site: Site) -> Result<()> 
 /// old[j, u, l, d, r]`.
 fn update_site(old: &Tensor, gate: &Matrix) -> Result<Tensor> {
     check_one_site_gate(gate, old.dim(AX_P))?;
-    einsum("ij,juldr->iuldr", &[&Tensor::from_matrix_2d(gate), old])
+    tensordot(&Tensor::from_matrix_2d(gate), old, &[1], &[0])
 }
 
 /// Swap the two subsystems of a two-site gate: returns `G'` with
@@ -615,6 +611,7 @@ pub fn apply_gates(peps: &mut Peps, ops: &[GateOp<'_>], method: UpdateMethod) ->
 mod tests {
     use super::*;
     use crate::operators::{kron, pauli_x, pauli_z};
+    use crate::peps::tests::{assert_same_bits, random_tensor};
     use koala_error::ErrorKind;
     use koala_linalg::{c64, expm_hermitian};
     use koala_tensor::{tensordot, Tensor as T};
@@ -708,6 +705,17 @@ mod tests {
         check_two_site_update(((1, 0), (1, 1)), m, 21, 1e-8);
         check_two_site_update(((0, 1), (1, 1)), m, 22, 1e-8);
         check_two_site_update(((1, 0), (0, 0)), m, 23, 1e-8);
+    }
+
+    #[test]
+    fn update_site_is_the_einsum_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(71);
+        for real in [false, true] {
+            let old = random_tensor(&[2, 3, 1, 4, 2], real, &mut rng);
+            let gate = random_tensor(&[2, 2], real, &mut rng).to_matrix_2d();
+            let want = koala_tensor::einsum("ij,juldr->iuldr", &[&T::from_matrix_2d(&gate), &old]);
+            assert_same_bits(&update_site(&old, &gate).unwrap(), &want.unwrap());
+        }
     }
 
     #[test]

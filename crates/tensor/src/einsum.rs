@@ -28,9 +28,11 @@
 //!   labels) together with the exact operand shapes. Textually different
 //!   specs that parse to the same labels (e.g. differing whitespace) share an
 //!   entry; the same spec applied to different shapes gets distinct entries.
-//!   [`einsum`] additionally memoises the string → [`EinsumSpec`] parse in a
-//!   small side cache, so the steady-state string path performs no parsing
-//!   at all.
+//!   The string → [`EinsumSpec`] parse is not memoised: [`einsum`] parses on
+//!   every call, and hot paths either hold a parsed spec (an
+//!   [`EinsumSvd`](crate::EinsumSvd) static) or, for a single pair of
+//!   operands, call [`crate::tensordot`], which builds its one GEMM step
+//!   directly and never consults the cache.
 //! * **Eviction policy.** An LRU behind one lock, whose capacity of 512
 //!   plans is a hard bound. Each hit refreshes the entry's recency stamp;
 //!   inserting into a full cache evicts the least-recently-used plan and
@@ -59,7 +61,6 @@ use crate::plan::contraction_plan;
 use crate::tensor::Tensor;
 use koala_error::{KoalaError, Result};
 use std::collections::HashMap;
-use std::sync::{Arc, LazyLock, Mutex};
 
 /// Parsed einsum specification.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -134,44 +135,14 @@ pub fn parse_spec(spec: &str) -> Result<EinsumSpec> {
     Ok(EinsumSpec { inputs, output })
 }
 
-/// Capacity of the spec-string parse memo behind [`einsum`].
-const PARSE_CACHE_CAPACITY: usize = 256;
-
-/// Memo of spec string → parsed spec, so the steady-state [`einsum`] string
-/// path performs no parsing. Unbounded growth is prevented by clearing the
-/// memo when it reaches capacity (workloads use a handful of distinct specs;
-/// a full LRU would be overkill for ~100-byte entries).
-static PARSE_CACHE: LazyLock<Mutex<HashMap<String, Arc<EinsumSpec>>>> =
-    LazyLock::new(|| Mutex::new(HashMap::new()));
-
-/// Drop the memoised spec parses (used by [`crate::plan::clear_plan_cache`]
-/// so "cold cache" benchmarks genuinely re-parse).
-pub(crate) fn clear_parse_cache() {
-    crate::lock_ignore_poison(&PARSE_CACHE).clear();
-}
-
-/// Parse `spec`, consulting the process-wide parse memo first.
-fn parse_spec_cached(spec: &str) -> Result<Arc<EinsumSpec>> {
-    if let Some(parsed) = crate::lock_ignore_poison(&PARSE_CACHE).get(spec) {
-        return Ok(Arc::clone(parsed));
-    }
-    let parsed = Arc::new(parse_spec(spec)?);
-    let mut cache = crate::lock_ignore_poison(&PARSE_CACHE);
-    if cache.len() >= PARSE_CACHE_CAPACITY {
-        cache.clear();
-    }
-    cache.insert(spec.to_string(), Arc::clone(&parsed));
-    Ok(parsed)
-}
-
 /// Evaluate an einsum expression over the given operands.
 ///
-/// Both the parse of `spec` and the contraction plan for the operand shapes
-/// are memoised process-wide, so repeated calls with the same spec and shapes
-/// pay only for the GEMMs (see the module docs).
+/// Parses `spec` on every call and hands it to [`einsum_spec`], whose
+/// contraction plan for the operand shapes is memoised process-wide (see the
+/// module docs). A single pairwise contraction is cheaper as a
+/// [`crate::tensordot`] call, which needs neither.
 pub fn einsum(spec: &str, operands: &[&Tensor]) -> Result<Tensor> {
-    let parsed = parse_spec_cached(spec)?;
-    einsum_spec(&parsed, operands)
+    einsum_spec(&parse_spec(spec)?, operands)
 }
 
 /// Evaluate a pre-parsed einsum specification.

@@ -58,9 +58,9 @@ pub use einsumsvd::{EinsumSvd, EinsumSvdMethod};
 pub use plan::{clear_plan_cache, contraction_plan, plan_stats, reset_plan_stats, Plan, PlanStats};
 pub use tensor::Tensor;
 
-/// Poison-tolerant mutex lock for the process-wide caches: a panicked holder
-/// cannot leave a cache permanently unusable (the data is a memo, so the
-/// worst case after a poisoned write is a stale-but-valid entry).
+/// Poison-tolerant mutex lock for the process-wide plan cache: a panicked
+/// holder cannot leave the cache permanently unusable (the data is a memo, so
+/// the worst case after a poisoned write is a stale-but-valid entry).
 pub(crate) fn lock_ignore_poison<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }

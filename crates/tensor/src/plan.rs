@@ -498,14 +498,11 @@ pub fn reset_plan_stats() {
     cache.evictions = 0;
 }
 
-/// Drop every cached plan and every memoised spec parse (counters are kept).
-/// Used by benchmarks that measure cold planning overhead — after this call
-/// the next `einsum` pays parsing, validation, and the greedy search again.
+/// Drop every cached plan (counters are kept). Used by benchmarks that
+/// measure cold planning overhead — after this call the next `einsum` pays
+/// validation and the greedy search again.
 pub fn clear_plan_cache() {
-    {
-        let mut cache = cache();
-        cache.map.clear();
-        cache.resident = 0;
-    }
-    crate::einsum::clear_parse_cache();
+    let mut cache = cache();
+    cache.map.clear();
+    cache.resident = 0;
 }

@@ -55,8 +55,8 @@ fn identical_spec_and_shapes_plan_exactly_once() {
     assert_eq!(after.hits - before.hits, 24, "every repeat must be a cache hit");
 }
 
-/// The string entry point shares the same plan (and memoises the parse), and
-/// whitespace-only differences in the spec map to the same plan entry.
+/// The string entry point shares the same plan, and whitespace-only
+/// differences in the spec map to the same plan entry.
 #[test]
 fn string_entry_point_hits_the_same_plan() {
     let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
