@@ -18,8 +18,8 @@
 //! strips. The two-layer contraction
 //! ([`norm_sqr_two_layer`](crate::two_layer::norm_sqr_two_layer)) is the
 //! exception: `two_layer::inner_two_layer` still absorbs its rows in its own
-//! serial loop, one zip-up per row (ROADMAP, "Two-layer contraction: give it
-//! a caller or delete it"). `contract_rows` runs as one `koala_exec` task
+//! serial loop, one zip-up per row (ROADMAP, "Choose contraction methods on
+//! the error-cost frontier", which settles the two-layer question). `contract_rows` runs as one `koala_exec` task
 //! graph of zip-up steps rather than row after row, and returns the
 //! boundary after every absorbed row.
 //! Step `i` of row `r` (the [`koala_mps::zip_step`] that finishes site `i-1`

@@ -25,11 +25,11 @@
 //! [`koala_cluster::FaultPlan`]s — as every other scatter.
 
 use crate::peps::{Direction, Peps, Site};
-use crate::update::{canonical_perms, compose5, invert5, reorder_gate, small_einsumsvd};
+use crate::update::{canonical_perms, compose5, invert5, small_einsumsvd, UpdateMethod};
 use koala_cluster::{gram_qr_dist, qr_gather_dist, Cluster, DistMatrix, ProcGrid};
 use koala_error::Result;
 use koala_error::{KoalaError, ResultExt};
-use koala_tensor::{Tensor, Truncation};
+use koala_tensor::Tensor;
 
 /// Which distributed evolution variant to run (the legend entries of Figure 7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,9 +53,11 @@ impl DistEvolutionVariant {
     }
 }
 
-/// Apply a two-site gate on neighbouring sites with the QR-SVD update, running
-/// the heavy factorizations on the virtual cluster. Returns the truncation
-/// error of the refactorized bond.
+/// Apply a two-site gate on a canonically oriented pair (`site_b` right of or
+/// below `site_a`, as [`dist_tebd_layer`] lists them) with the QR-SVD update,
+/// running the heavy factorizations on the virtual cluster. Returns the
+/// truncation error of the refactorized bond. A reversed or non-neighbouring
+/// pair is rejected before the PEPS or the cluster is touched.
 pub(crate) fn dist_two_site_update(
     cluster: &Cluster,
     peps: &mut Peps,
@@ -65,42 +67,33 @@ pub(crate) fn dist_two_site_update(
     max_bond: usize,
     variant: DistEvolutionVariant,
 ) -> Result<f64> {
-    let dir = peps.direction_between(site_a, site_b).ok_or_else(|| {
-        KoalaError::invalid(format!(
-            "dist_two_site_update: {site_a:?} and {site_b:?} are not neighbours"
-        ))
-    })?;
-    // Normalise reversed pairs (Left/Up) to the canonical orientations,
-    // exactly like the local implementation does.
-    let (site_a, site_b, dir, gate_owned) = match dir {
-        Direction::Right | Direction::Down => (site_a, site_b, dir, gate.clone()),
-        other => {
-            let d_a = peps.phys_dim(site_a);
-            let d_b = peps.phys_dim(site_b);
-            (site_b, site_a, other.opposite(), reorder_gate(gate, d_a, d_b)?)
+    let dir = match peps.direction_between(site_a, site_b) {
+        Some(dir @ (Direction::Right | Direction::Down)) => dir,
+        _ => {
+            return Err(KoalaError::invalid(format!(
+                "dist_two_site_update: {site_b:?} is not the right or lower neighbour of {site_a:?}"
+            )))
         }
     };
-    let gate = &gate_owned;
-
     let d_a = peps.phys_dim(site_a);
     let d_b = peps.phys_dim(site_b);
-    let truncation = Truncation::rank_and_tol(max_bond, 1e-14);
+    let truncation = UpdateMethod::qr_svd(max_bond).truncation();
     let (perm_a, perm_b) = canonical_perms(dir);
-    let a = peps.tensor(site_a).permute(&perm_a)?; // [pa, o1, o2, o3, bond]
-    let b = peps.tensor(site_b).permute(&perm_b)?; // [pb, bond, o1, o2, o3]
     let gate_t = Tensor::from_matrix_2d(gate).into_reshape(&[d_a, d_b, d_a, d_b])?;
 
     // ---- Step 1: QR of both site tensors on the cluster. ----
-    // Each permuted site tensor is scattered as its matricization with the
-    // outer bonds (o1,o2,o3) as rows, block-cyclic over a P x 1 grid, so the
-    // Gram path — Gram allreduce, recombination GEMMs — runs without any
-    // full-tensor gather or redistribution round-trip.
+    // Each site tensor is permuted once, through its canonical layout
+    // (a [pa, o1, o2, o3, bond], b [pb, bond, o1, o2, o3]), to
+    // [o1, o2, o3, p, bond] and scattered as its matricization with the
+    // outer bonds as rows, block-cyclic over a P x 1 grid, so the Gram path
+    // — Gram allreduce, recombination GEMMs — runs without any full-tensor
+    // gather or redistribution round-trip.
     // a: rows = outer bonds (o1,o2,o3), cols = (pa, bond)
-    let a_mat_t = a.permute(&[1, 2, 3, 0, 4])?; // [o1,o2,o3, pa, bond]
+    let a_mat_t = peps.tensor(site_a).permute(&compose5(perm_a, [1, 2, 3, 0, 4]))?;
     let a_rows: Vec<usize> = a_mat_t.shape()[..3].to_vec();
     let a_dist = scatter_site(cluster, &a_mat_t).context("dist_two_site_update")?;
-    // b: rows = outer bonds (o1,o2,o3) = axes 2,3,4, cols = (pb, bond)
-    let b_mat_t = b.permute(&[2, 3, 4, 0, 1])?; // [o1,o2,o3, pb, bond]
+    // b: rows = outer bonds (o1,o2,o3), cols = (pb, bond)
+    let b_mat_t = peps.tensor(site_b).permute(&compose5(perm_b, [2, 3, 4, 0, 1]))?;
     let b_rows: Vec<usize> = b_mat_t.shape()[..3].to_vec();
     let b_dist = scatter_site(cluster, &b_mat_t).context("dist_two_site_update")?;
 
@@ -115,8 +108,8 @@ pub(crate) fn dist_two_site_update(
     let ka = qa.r.nrows();
     let kb = qb.r.nrows();
     // R factors are small and replicated: [ka, pa, bond], [kb, pb, bond].
-    let r_a = Tensor::fold(qa.r, &[ka], &[d_a, a.dim(4)])?;
-    let r_b = Tensor::fold(qb.r, &[kb], &[d_b, b.dim(1)])?;
+    let r_a = Tensor::fold(qa.r, &[ka], &[d_a, a_mat_t.dim(4)])?;
+    let r_b = Tensor::fold(qb.r, &[kb], &[d_b, b_mat_t.dim(4)])?;
 
     // ---- Step 2: einsumsvd on the small factors. ----
     // The modelled work is billed to the kernel the operands' realness hints
@@ -219,7 +212,8 @@ pub fn dist_tebd_layer(
 mod tests {
     use super::*;
     use crate::operators::{kron, pauli_x, pauli_z};
-    use crate::update::{apply_two_site, UpdateMethod};
+    use crate::update::apply_two_site;
+    use koala_error::ErrorKind;
     use koala_linalg::{c64, expm_hermitian};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -265,22 +259,27 @@ mod tests {
         let base = Peps::random(2, 2, 2, 2, &mut rng);
         let gate = entangling_gate();
         let cluster = Cluster::new(3);
-        for (a, b) in [((0, 0), (1, 0)), ((1, 1), (1, 0)), ((1, 0), (0, 0))] {
-            let mut dist_peps = base.clone();
-            dist_two_site_update(
-                &cluster,
-                &mut dist_peps,
-                &gate,
-                a,
-                b,
-                8,
-                DistEvolutionVariant::LocalGramQrSvd,
-            )
-            .unwrap();
-            let mut local_peps = base.clone();
-            apply_two_site(&mut local_peps, &gate, a, b, UpdateMethod::qr_svd(8)).unwrap();
-            assert!(dist_peps.to_dense().unwrap().approx_eq(&local_peps.to_dense().unwrap(), 1e-6));
+        let update = |peps: &mut Peps, a: Site, b: Site| {
+            let variant = DistEvolutionVariant::LocalGramQrSvd;
+            dist_two_site_update(&cluster, peps, &gate, a, b, 8, variant)
+        };
+        // Down, as `dist_tebd_layer` lists the vertical pairs.
+        let (a, b) = ((0, 0), (1, 0));
+        let mut dist_peps = base.clone();
+        update(&mut dist_peps, a, b).unwrap();
+        let mut local_peps = base.clone();
+        apply_two_site(&mut local_peps, &gate, a, b, UpdateMethod::qr_svd(8)).unwrap();
+        assert!(dist_peps.to_dense().unwrap().approx_eq(&local_peps.to_dense().unwrap(), 1e-6));
+
+        // Left, Up and a diagonal pair are rejected untouched.
+        cluster.reset_stats();
+        for (a, b) in [((1, 1), (1, 0)), ((1, 0), (0, 0)), ((0, 0), (1, 1))] {
+            let mut peps = base.clone();
+            let err = update(&mut peps, a, b).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::InvalidArgument, "{a:?}-{b:?}: {err}");
+            assert_eq!(peps.tensors(), base.tensors(), "{a:?}-{b:?}");
         }
+        assert_eq!(cluster.stats(), koala_cluster::CommStats::new(3), "the cluster was touched");
     }
 
     #[test]

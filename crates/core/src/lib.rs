@@ -9,9 +9,9 @@
 //! * [`Peps`] — the 2D tensor network state,
 //! * [`operators::Observable`] — sums of local terms (Hamiltonians, measurements),
 //! * [`apply_one_site`] / [`apply_two_site`] — one-site and two-site
-//!   operator application ([`UpdateMethod`]): the simple update and the
-//!   QR-SVD update of Algorithm 1; gate lists run as a site-dependency
-//!   task graph ([`apply_gates`]), so independent bond updates use every core,
+//!   operator application ([`UpdateMethod`]): the QR-SVD update of
+//!   Algorithm 1; gate lists run as a site-dependency task graph
+//!   ([`apply_gates`]), so independent bond updates use every core,
 //! * [`contract`] — Exact, BMPS (Algorithm 2 + 3) and IBMPS (implicit
 //!   randomized SVD, Algorithm 4) contraction of one-layer networks; the
 //!   bitstrings of an amplitude batch run as independent tasks
@@ -25,8 +25,8 @@
 //!   reshape-avoiding Gram-matrix QR of Algorithm 5, used by the scaling
 //!   and backend-comparison benchmarks (Figures 7, 11, 12).
 //!
-//! Every contract-and-refactorize step of these algorithms — the simple and
-//! QR-SVD updates, each zip-up step under BMPS/IBMPS, the two-layer step — is
+//! Every contract-and-refactorize step of these algorithms — the QR-SVD
+//! update, each zip-up step under BMPS/IBMPS, the two-layer step — is
 //! one `koala_tensor::EinsumSvd` call site: a network spec plus the explicit
 //! or implicit method. [`ContractionMethod`] is the user-facing bundle of a
 //! boundary bond and that method. `EinsumSvd`'s contraction plans are

@@ -2,13 +2,9 @@
 //!
 //! One-site operators contract directly with the site tensor (Equation 3).
 //! Two-site operators on neighbouring sites need a contraction followed by a
-//! refactorization — the `einsumsvd` of Equation 4 — for which two methods
-//! are provided:
-//!
-//! * [`UpdateMethod::Direct`] — the simple update: contract both site tensors
-//!   with the gate and truncate the SVD of the full two-site tensor,
-//! * [`UpdateMethod::QrSvd`] — paper Algorithm 1: QR both sites first so the
-//!   SVD acts on a much smaller object.
+//! refactorization — the `einsumsvd` of Equation 4. One update does it, the
+//! QR-SVD update of paper Algorithm 1 ([`UpdateMethod::QrSvd`]): QR both
+//! sites first so the SVD acts on a much smaller object.
 //!
 //! Everything that applies gates goes through one gate-list engine,
 //! [`apply_gates`]: a list of one-site and neighbour-pair ops becomes a task
@@ -28,11 +24,6 @@ use koala_tensor::{qr_split, tensordot, EinsumSvd, Tensor, Truncation};
 use std::borrow::Cow;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// The simple update: sites a `[pa, o1, o2, o3, bond]`, b `[pb, bond, o1, o2,
-/// o3]` and gate `[pa', pb', pa, pb]` split into `[pa', ao1..3, k]` and
-/// `[k, pb', bo1..3]`.
-static DIRECT_UPDATE: EinsumSvd = EinsumSvd::new("abcdx,exfgh,ABae->Abcdk,kBfgh");
-
 /// Algorithm 1, step (2)->(4): R_a `[ka, pa, bond]`, R_b `[kb, pb, bond]` and
 /// gate `[pa', pb', pa, pb]` split into `[ka, pa', k]` and `[k, kb, pb']`.
 static GATE_ON_R_FACTORS: EinsumSvd = EinsumSvd::new("apx,bqx,PQpq->aPk,kbQ");
@@ -40,11 +31,6 @@ static GATE_ON_R_FACTORS: EinsumSvd = EinsumSvd::new("apx,bqx,PQpq->aPk,kbQ");
 /// Strategy for two-site operator application.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum UpdateMethod {
-    /// Simple update: contract the full two-site tensor and truncate its SVD.
-    Direct {
-        /// Bond truncation applied to the new shared bond.
-        truncation: Truncation,
-    },
     /// QR-SVD update (Algorithm 1) with modified Gram-Schmidt QR.
     QrSvd {
         /// Bond truncation applied to the new shared bond.
@@ -55,19 +41,13 @@ pub enum UpdateMethod {
 impl UpdateMethod {
     /// The truncation policy carried by this method.
     pub fn truncation(&self) -> Truncation {
-        match self {
-            UpdateMethod::Direct { truncation } | UpdateMethod::QrSvd { truncation } => *truncation,
-        }
+        let UpdateMethod::QrSvd { truncation } = self;
+        *truncation
     }
 
     /// Convenience: QR-SVD with a maximum bond dimension.
     pub fn qr_svd(max_bond: usize) -> Self {
         UpdateMethod::QrSvd { truncation: Truncation::rank_and_tol(max_bond, 1e-14) }
-    }
-
-    /// Convenience: simple update with a maximum bond dimension.
-    pub fn direct(max_bond: usize) -> Self {
-        UpdateMethod::Direct { truncation: Truncation::rank_and_tol(max_bond, 1e-14) }
     }
 }
 
@@ -88,7 +68,7 @@ fn update_site(old: &Tensor, gate: &Matrix) -> Result<Tensor> {
 
 /// Swap the two subsystems of a two-site gate: returns `G'` with
 /// `G'[(b',a'),(b,a)] = G[(a',b'),(a,b)]`.
-pub(crate) fn reorder_gate(gate: &Matrix, d_a: usize, d_b: usize) -> Result<Matrix> {
+fn reorder_gate(gate: &Matrix, d_a: usize, d_b: usize) -> Result<Matrix> {
     if gate.shape() != (d_a * d_b, d_a * d_b) {
         return Err(KoalaError::shape(format!(
             "reorder_gate: gate is {:?}, expected {}x{}",
@@ -151,20 +131,7 @@ fn update_pair(
         )));
     }
     let gate_t = Tensor::from_matrix_2d(gate).into_reshape(&[d_a, d_b, d_a, d_b])?;
-    let truncation = method.truncation();
-    match method {
-        UpdateMethod::Direct { .. } => {
-            let (perm_a, perm_b) = canonical_perms(dir);
-            let a = site_a.permute(&perm_a)?; // [p, o1, o2, o3, bond]
-            let b = site_b.permute(&perm_b)?; // [p, bond, o1, o2, o3]
-                                              // The new tensors go straight back to the PEPS layout: the
-                                              // undoing of the canonical permutations is folded into the
-                                              // last permute.
-            let out = (invert5(perm_a), invert5(perm_b));
-            direct_update(&a, &b, &gate_t, truncation, out)
-        }
-        UpdateMethod::QrSvd { .. } => qr_svd_update(site_a, site_b, &gate_t, truncation, dir),
-    }
+    qr_svd_update(site_a, site_b, &gate_t, method.truncation(), dir)
 }
 
 pub(crate) fn invert5(perm: [usize; 5]) -> [usize; 5] {
@@ -178,23 +145,6 @@ pub(crate) fn invert5(perm: [usize; 5]) -> [usize; 5] {
 /// `permute(first)` followed by `permute(then)`, as one permutation.
 pub(crate) fn compose5(first: [usize; 5], then: [usize; 5]) -> [usize; 5] {
     then.map(|axis| first[axis])
-}
-
-/// Simple update: contract everything, apply the gate, split with one SVD.
-/// `out` permutes the canonical a- and b-layouts into the returned ones.
-fn direct_update(
-    a: &Tensor,    // [pa, o1, o2, o3, bond]
-    b: &Tensor,    // [pb, bond, o1, o2, o3]
-    gate: &Tensor, // [pa', pb', pa, pb]
-    truncation: Truncation,
-    out: ([usize; 5], [usize; 5]),
-) -> Result<(Tensor, Tensor, f64)> {
-    let f = DIRECT_UPDATE.exact(&[a, b, gate], truncation)?;
-    // u: [pa', ao1, ao2, ao3, k] already the canonical a-layout.
-    // v: [k, pb', bo1, bo2, bo3] -> [pb', k, bo1, bo2, bo3]
-    let (u, v) = f.absorb_split();
-    let new_b = v.permute(&compose5([1, 0, 2, 3, 4], out.1))?;
-    Ok((u.permute(&out.0)?, new_b, f.truncation_error))
 }
 
 /// QR-SVD update (Algorithm 1): QR both sites, apply the gate to the small
@@ -614,7 +564,7 @@ mod tests {
     use crate::peps::tests::{assert_same_bits, random_tensor};
     use koala_error::ErrorKind;
     use koala_linalg::{c64, expm_hermitian};
-    use koala_tensor::{tensordot, Tensor as T};
+    use koala_tensor::{einsum, svd_split, tensordot, Tensor as T};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -690,21 +640,13 @@ mod tests {
     }
 
     #[test]
-    fn direct_update_matches_dense_in_all_directions() {
-        let m = UpdateMethod::direct(16);
-        check_two_site_update(((0, 0), (0, 1)), m, 10, 1e-9); // right
-        check_two_site_update(((0, 1), (0, 0)), m, 11, 1e-9); // left
-        check_two_site_update(((0, 0), (1, 0)), m, 12, 1e-9); // down
-        check_two_site_update(((1, 1), (0, 1)), m, 13, 1e-9); // up
-    }
-
-    #[test]
     fn qr_svd_update_matches_dense_in_all_directions() {
         let m = UpdateMethod::qr_svd(16);
-        check_two_site_update(((0, 0), (0, 1)), m, 20, 1e-8);
-        check_two_site_update(((1, 0), (1, 1)), m, 21, 1e-8);
-        check_two_site_update(((0, 1), (1, 1)), m, 22, 1e-8);
-        check_two_site_update(((1, 0), (0, 0)), m, 23, 1e-8);
+        check_two_site_update(((0, 0), (0, 1)), m, 20, 1e-8); // right
+        check_two_site_update(((1, 0), (1, 1)), m, 21, 1e-8); // right
+        check_two_site_update(((0, 1), (1, 1)), m, 22, 1e-8); // down
+        check_two_site_update(((1, 0), (0, 0)), m, 23, 1e-8); // up
+        check_two_site_update(((0, 1), (0, 0)), m, 11, 1e-8); // left
     }
 
     #[test]
@@ -713,7 +655,7 @@ mod tests {
         for real in [false, true] {
             let old = random_tensor(&[2, 3, 1, 4, 2], real, &mut rng);
             let gate = random_tensor(&[2, 2], real, &mut rng).to_matrix_2d();
-            let want = koala_tensor::einsum("ij,juldr->iuldr", &[&T::from_matrix_2d(&gate), &old]);
+            let want = einsum("ij,juldr->iuldr", &[&T::from_matrix_2d(&gate), &old]);
             assert_same_bits(&update_site(&old, &gate).unwrap(), &want.unwrap());
         }
     }
@@ -772,22 +714,36 @@ mod tests {
         }
     }
 
+    /// The update without its QR step, as a reference: the full two-site
+    /// tensor of a `Right` pair (one einsum over both sites and the gate),
+    /// split by one truncated SVD with `sqrt(S)` absorbed on both sides.
+    fn full_theta_update(peps: &mut Peps, gate: &Matrix, a: Site, b: Site, trunc: Truncation) {
+        assert_eq!(peps.direction_between(a, b), Some(Direction::Right));
+        let (d_a, d_b) = (peps.phys_dim(a), peps.phys_dim(b));
+        let g = T::from_matrix_2d(gate).into_reshape(&[d_a, d_b, d_a, d_b]).unwrap();
+        let operands = [peps.tensor(a), peps.tensor(b), &g];
+        // a [p,u,l,d,x], b [q,v,x,e,r], gate [P,Q,p,q] -> [P,u,l,d, Q,v,e,r]
+        let theta = einsum("puldx,qvxer,PQpq->PuldQver", &operands).unwrap();
+        let (new_a, new_b) = svd_split(&theta, &[0, 1, 2, 3], trunc).unwrap().absorb_split();
+        peps.set_tensor(a, new_a);
+        peps.set_tensor(b, new_b.permute(&[1, 2, 0, 3, 4]).unwrap());
+    }
+
     #[test]
     fn methods_agree_with_each_other_under_truncation() {
         let mut rng = StdRng::seed_from_u64(40);
         let base = Peps::random(2, 3, 2, 3, &mut rng);
         let h = &kron(&pauli_x(), &pauli_x()) + &kron(&pauli_z(), &pauli_z());
         let gate = expm_hermitian(&h, c64(0.0, -0.7)).unwrap();
+        let method = UpdateMethod::qr_svd(3);
 
-        let mut results = Vec::new();
-        for method in [UpdateMethod::direct(3), UpdateMethod::qr_svd(3)] {
-            let mut p = base.clone();
-            apply_two_site(&mut p, &gate, (0, 1), (0, 2), method).unwrap();
-            results.push(p.to_dense().unwrap());
-        }
-        // Both methods should produce (numerically) the same truncated state
-        // up to round-off, because they implement the same optimal truncation.
-        assert!(results[0].approx_eq(&results[1], 1e-6));
+        let mut reference = base.clone();
+        full_theta_update(&mut reference, &gate, (0, 1), (0, 2), method.truncation());
+        let mut p = base.clone();
+        apply_two_site(&mut p, &gate, (0, 1), (0, 2), method).unwrap();
+        // The QR-SVD update and the full-theta split implement the same
+        // optimal truncation, so they agree up to round-off.
+        assert!(p.to_dense().unwrap().approx_eq(&reference.to_dense().unwrap(), 1e-6));
     }
 
     #[test]
@@ -798,7 +754,7 @@ mod tests {
         // a bond of dimension 1.
         let gate = Matrix::random(4, 4, &mut rng);
         let err =
-            apply_two_site(&mut peps, &gate, (0, 0), (0, 1), UpdateMethod::direct(1)).unwrap();
+            apply_two_site(&mut peps, &gate, (0, 0), (0, 1), UpdateMethod::qr_svd(1)).unwrap();
         assert!(err > 1e-8, "expected a nonzero truncation error");
         assert_eq!(peps.tensor((0, 0)).dim(AX_R), 1);
     }
@@ -808,13 +764,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         let mut peps = Peps::random(2, 2, 2, 2, &mut rng);
         let gate = Matrix::identity(4);
-        assert!(apply_two_site(&mut peps, &gate, (0, 0), (1, 1), UpdateMethod::direct(4)).is_err());
+        assert!(apply_two_site(&mut peps, &gate, (0, 0), (1, 1), UpdateMethod::qr_svd(4)).is_err());
         assert!(apply_two_site(
             &mut peps,
             &Matrix::identity(3),
             (0, 0),
             (0, 1),
-            UpdateMethod::direct(4)
+            UpdateMethod::qr_svd(4)
         )
         .is_err());
     }
@@ -884,10 +840,10 @@ mod tests {
         let mut peps = Peps::random(2, 2, 2, 2, &mut rng);
         let gate = Matrix::identity(4);
         assert!(
-            apply_two_site_any(&mut peps, &gate, (0, 0), (0, 1), UpdateMethod::direct(8)).is_ok()
+            apply_two_site_any(&mut peps, &gate, (0, 0), (0, 1), UpdateMethod::qr_svd(8)).is_ok()
         );
         assert!(
-            apply_two_site_any(&mut peps, &gate, (0, 0), (0, 0), UpdateMethod::direct(8)).is_err()
+            apply_two_site_any(&mut peps, &gate, (0, 0), (0, 0), UpdateMethod::qr_svd(8)).is_err()
         );
     }
 
