@@ -491,7 +491,7 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// several ops failed). The PEPS is then structurally valid — every op is
 /// applied whole or not at all, and bonds only change in pairs — but *which*
 /// of the ops that do not depend on the failed one were applied is
-/// unspecified: discard the state or restore it from a checkpoint.
+/// unspecified: discard the state, or keep a copy taken before the call.
 pub fn apply_gates(peps: &mut Peps, ops: &[GateOp<'_>], method: UpdateMethod) -> Result<Vec<f64>> {
     let targets = ops.iter().map(|op| target(peps, op)).collect::<Result<Vec<Target>>>()?;
     let deps = dependencies(peps.num_sites(), &targets);

@@ -6,8 +6,8 @@
 //! a `.context(..)` frame, so the kind a kernel raised is the kind the
 //! service reports. Library code never panics on a fallible path — it
 //! returns one of these, and the caller either recovers (the
-//! numerical-recovery ladder, an ABFT round retry, a checkpoint restore) or
-//! surfaces the full chain to the user.
+//! numerical-recovery ladder, an ABFT round retry) or surfaces the full
+//! chain to the user.
 //!
 //! Recoveries themselves are observable through the [`recovery`] module: a
 //! process-wide set of monotonic counters that the fault-injection tests and
@@ -32,7 +32,7 @@ pub enum ErrorKind {
     Exhausted,
     /// The caller supplied an invalid parameter.
     InvalidArgument,
-    /// An I/O or serialization problem (bench baselines, checkpoints, ...).
+    /// An I/O or serialization problem.
     Io,
     /// A task running on the executor panicked (caught and converted).
     TaskPanic,
@@ -218,10 +218,6 @@ pub mod recovery {
         SUMMA_ROUND_RETRIES => note_summa_round_retry / summa_round_retries,
         /// A checksum mismatch triggered a gather/scatter block retry.
         COLLECTIVE_RETRIES => note_collective_retry / collective_retries,
-        /// The ITE driver saved a checkpoint.
-        CHECKPOINTS_SAVED => note_checkpoint_saved / checkpoints_saved,
-        /// The ITE driver restored from a checkpoint after a failure.
-        CHECKPOINTS_RESTORED => note_checkpoint_restored / checkpoints_restored,
         /// A fault-injection hook fired.
         FAULTS_INJECTED => note_fault_injected / faults_injected,
     }
@@ -237,8 +233,6 @@ pub mod recovery {
             writeln!(f, "  non-finite detections    {}", self.nonfinite_detections)?;
             writeln!(f, "  summa round retries      {}", self.summa_round_retries)?;
             writeln!(f, "  collective retries       {}", self.collective_retries)?;
-            writeln!(f, "  checkpoints saved        {}", self.checkpoints_saved)?;
-            writeln!(f, "  checkpoints restored     {}", self.checkpoints_restored)?;
             write!(f, "  faults injected          {}", self.faults_injected)
         }
     }
@@ -280,13 +274,13 @@ mod tests {
     fn recovery_counters_are_monotonic() {
         let before = recovery::snapshot();
         recovery::note_summa_round_retry();
-        recovery::note_checkpoint_restored();
+        recovery::note_fault_injected();
         let after = recovery::snapshot();
         assert!(after.summa_round_retries > before.summa_round_retries);
-        assert!(after.checkpoints_restored > before.checkpoints_restored);
+        assert!(after.faults_injected > before.faults_injected);
         // Display covers every field.
         let shown = format!("{after}");
         assert!(shown.contains("summa round retries"));
-        assert!(shown.contains("checkpoints restored"));
+        assert!(shown.contains("faults injected"));
     }
 }

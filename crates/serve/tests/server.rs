@@ -209,7 +209,7 @@ fn receipts_carry_tenant_kind_and_ids_in_submission_order() {
 #[test]
 fn a_failed_job_reports_the_kind_set_where_the_failure_was_detected() {
     // A valid spec whose coupling overflows the Trotter gates: the SVD's
-    // finite guard rejects them, every replay fails the same way.
+    // finite guard rejects them in the first step, which fails the run.
     let job = IteJob {
         jz: -1e200,
         tau: 1.0,
@@ -224,6 +224,25 @@ fn a_failed_job_reports_the_kind_set_where_the_failure_was_detected() {
     assert_eq!(outcome.receipt.status, JobStatus::Failed);
     let error = outcome.error.unwrap();
     assert!(error.starts_with("non-finite:"), "{error}");
-    assert!(error.contains("restore attempts"), "{error}");
+    // One frame names the failed step, and nothing ran it again.
+    assert!(error.ends_with("while: ite_peps: step 1)"), "{error}");
+    assert_eq!(error.matches("ite_peps").count(), 1, "{error}");
     assert!(!error.contains("linear algebra error"), "{error}");
+}
+
+#[test]
+fn a_vqe_whose_energy_overflows_fails_instead_of_returning_the_penalty() {
+    let job = VqeJob {
+        jz: -1e200,
+        hx: -1e200,
+        ..VqeJob::new(2, 2, VqeBackend::Peps { bond: 2, contraction_bond: 4 })
+    };
+    let mut server = Server::new(ServerConfig::default());
+    server.submit("tenant", JobSpec::Vqe(job)).unwrap();
+    let outcome = server.drain().pop().unwrap();
+    assert_eq!(outcome.receipt.status, JobStatus::Failed);
+    assert!(outcome.result.is_none());
+    let error = outcome.error.unwrap();
+    assert!(error.starts_with("non-finite:"), "{error}");
+    assert!(error.ends_with("while: run_vqe: objective evaluation)"), "{error}");
 }

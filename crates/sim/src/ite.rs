@@ -20,8 +20,7 @@
 
 use crate::hamiltonian::{trotter_gates, TrotterGate};
 use crate::statevector::StateVector;
-use koala_error::Result;
-use koala_error::{recovery, ErrorKind, KoalaError};
+use koala_error::{recovery, KoalaError, Result, ResultExt};
 use koala_linalg::c64;
 use koala_peps::operators::Observable;
 use koala_peps::{apply_gates, route_two_site, routed_error, GateOp, Peps, UpdateMethod};
@@ -41,45 +40,12 @@ pub struct IteOptions {
     pub contraction_bond: usize,
     /// Measure the energy every `measure_every` steps (1 = every step).
     pub measure_every: usize,
-    /// Save an in-memory recovery checkpoint (PEPS + RNG + step index) every
-    /// this many completed steps. `0` disables checkpointing; a failed step
-    /// then restarts from the initial state.
-    pub checkpoint_every: usize,
-    /// How many times a failed step may be retried from the last checkpoint
-    /// before the run gives up and reports the error.
-    pub max_restarts: usize,
-    /// Deterministic fault injection: corrupt the evolving PEPS once, right
-    /// after the Trotter layer of the given step (testing/chaos hook). The
-    /// per-step finite guard detects the corruption and the driver restores
-    /// from the last checkpoint; because the fault is transient (it fires
-    /// exactly once), the deterministic RNG replay reproduces the fault-free
-    /// trajectory bit for bit.
-    pub fault: Option<IteFault>,
-}
-
-/// A seeded, once-firing corruption of the evolving PEPS (see
-/// [`IteOptions::fault`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IteFault {
-    /// Step (1-based) after whose Trotter layer the corruption lands.
-    pub step: usize,
-    /// Seed selecting which site/element is corrupted.
-    pub seed: u64,
 }
 
 impl IteOptions {
     /// Reasonable defaults mirroring the Figure 13 study.
     pub fn new(tau: f64, steps: usize, evolution_bond: usize, contraction_bond: usize) -> Self {
-        IteOptions {
-            tau,
-            steps,
-            evolution_bond,
-            contraction_bond,
-            measure_every: 1,
-            checkpoint_every: 0,
-            max_restarts: 3,
-            fault: None,
-        }
+        IteOptions { tau, steps, evolution_bond, contraction_bond, measure_every: 1 }
     }
 }
 
@@ -99,8 +65,8 @@ impl IteResult {
     }
 }
 
-/// A restartable snapshot of an in-flight ITE run: the evolved PEPS, the
-/// measurement history, and — crucially — the RNG state, so replaying the
+/// A resumable snapshot of an in-flight ITE run: the evolved PEPS, the
+/// measurement history, and — crucially — the RNG state, so running the
 /// steps after the snapshot consumes the same random numbers as an
 /// uninterrupted run and reproduces it exactly.
 #[derive(Debug, Clone)]
@@ -133,13 +99,12 @@ pub fn ite_checkpoint<R: Rng + Clone>(initial: &Peps, rng: &R) -> IteCheckpoint<
 /// Run imaginary time evolution of `hamiltonian` on a PEPS starting from
 /// `initial`, measuring the energy per site with IBMPS contraction.
 ///
-/// The run is fault tolerant: with `options.checkpoint_every > 0` the driver
-/// snapshots (PEPS, RNG, history) periodically, guards every step with a
-/// finiteness check, and on a failure a replay can cure (`NonFinite`,
-/// `NoConvergence`) rolls back to the last checkpoint and
-/// replays — up to `options.max_restarts` times — before returning the last
-/// step's error. Any other kind (a caller mistake) is returned at once.
-/// Recovery actions are counted in [`koala_error::recovery`].
+/// Each step is a Trotter layer, a finite guard on the evolved tensors, the
+/// scheduled energy measurement and a renormalisation. A step is a
+/// deterministic function of the PEPS and the RNG state, so a failed step is
+/// returned at once, with the kind set where the failure was detected and one
+/// `ite_peps: step N` context frame. Guard rejections are counted in
+/// [`koala_error::recovery`].
 pub fn ite_peps<R: Rng + Clone>(
     initial: &Peps,
     hamiltonian: &Observable,
@@ -155,7 +120,7 @@ pub fn ite_peps<R: Rng + Clone>(
 /// steps `checkpoint.step() + 1 ..= options.steps`. Returns the result over
 /// the *whole* history (including steps measured before the checkpoint) and
 /// the final checkpoint, which a later call can resume from with a larger
-/// `options.steps`.
+/// `options.steps`. Failures are reported as by [`ite_peps`].
 pub fn ite_peps_from<R: Rng + Clone>(
     checkpoint: IteCheckpoint<R>,
     hamiltonian: &Observable,
@@ -166,63 +131,20 @@ pub fn ite_peps_from<R: Rng + Clone>(
     let expect_opts = ExpectationOptions::ibmps_cached(options.contraction_bond);
 
     let mut state = checkpoint;
-    let mut last_good = state.clone();
-    let mut restarts = 0usize;
-    // A fired fault stays fired across rollbacks: the injected corruption is
-    // transient, so the replayed steps run clean and the recovered trajectory
-    // matches the fault-free one exactly.
-    let mut fault_fired = false;
-
-    let mut step = state.step + 1;
-    while step <= options.steps {
-        match ite_step(
-            &mut state,
-            step,
-            &gates,
-            hamiltonian,
-            expect_opts,
-            n_sites,
-            &options,
-            &mut fault_fired,
-        ) {
-            Ok(()) => {
-                state.step = step;
-                if options.checkpoint_every > 0 && step.is_multiple_of(options.checkpoint_every) {
-                    last_good = state.clone();
-                    recovery::note_checkpoint_saved();
-                }
-                step += 1;
-            }
-            Err(e) => {
-                // A caller mistake fails the same way on every replay: only
-                // what a clean replay can cure is worth a restore.
-                let curable = matches!(e.kind(), ErrorKind::NonFinite | ErrorKind::NoConvergence);
-                if !curable {
-                    return Err(e.context(format!("ite_peps: step {step}")));
-                }
-                restarts += 1;
-                if restarts > options.max_restarts {
-                    return Err(e.context(format!(
-                        "ite_peps: step {step} still failing after {} restore attempts",
-                        options.max_restarts
-                    )));
-                }
-                recovery::note_checkpoint_restored();
-                state = last_good.clone();
-                step = state.step + 1;
-            }
-        }
+    for step in state.step + 1..=options.steps {
+        ite_step(&mut state, step, &gates, hamiltonian, expect_opts, n_sites, &options)
+            .with_context(|| format!("ite_peps: step {step}"))?;
+        state.step = step;
     }
     let result = IteResult { energies: state.energies.clone(), final_state: state.peps.clone() };
     Ok((result, state))
 }
 
-/// One guarded ITE step: Trotter layer, (optional) fault injection, finite
-/// guard, the scheduled energy measurement, and renormalization. A measured
-/// step reads `<psi|psi>` off the network it measures on (the Rayleigh
-/// quotient does not care about the scale, so it is taken first); only a step
-/// that does not measure contracts the norm on its own.
-#[allow(clippy::too_many_arguments)]
+/// One guarded ITE step: Trotter layer, finite guard, the scheduled energy
+/// measurement, and renormalization. A measured step reads `<psi|psi>` off
+/// the network it measures on (the Rayleigh quotient does not care about the
+/// scale, so it is taken first); only a step that does not measure contracts
+/// the norm on its own.
 fn ite_step<R: Rng + Clone>(
     state: &mut IteCheckpoint<R>,
     step: usize,
@@ -231,16 +153,8 @@ fn ite_step<R: Rng + Clone>(
     expect_opts: ExpectationOptions,
     n_sites: f64,
     options: &IteOptions,
-    fault_fired: &mut bool,
 ) -> Result<()> {
     apply_trotter_layer(&mut state.peps, gates, UpdateMethod::qr_svd(options.evolution_bond))?;
-    if let Some(fault) = options.fault {
-        if fault.step == step && !*fault_fired {
-            *fault_fired = true;
-            corrupt_peps(&mut state.peps, fault.seed);
-            recovery::note_fault_injected();
-        }
-    }
     validate_peps_finite(&state.peps, step)?;
     let norm_sqr = if step.is_multiple_of(options.measure_every) || step == options.steps {
         let (value, norm) =
@@ -274,23 +188,6 @@ fn validate_peps_finite(peps: &Peps, step: usize) -> Result<()> {
         }
     }
     Ok(())
-}
-
-/// Deterministically poison one element of one site tensor (NaN), selected by
-/// a splitmix64 hash of `seed` — the fault-injection payload.
-fn corrupt_peps(peps: &mut Peps, seed: u64) {
-    fn splitmix64(mut z: u64) -> u64 {
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    let site = splitmix64(seed) as usize % peps.num_sites();
-    let (r, c) = (site / peps.ncols(), site % peps.ncols());
-    let mut t = peps.tensor((r, c)).clone();
-    let len = t.data().len();
-    t.data_mut()[splitmix64(seed ^ 0xDEAD_BEEF) as usize % len] = c64(f64::NAN, 0.0);
-    peps.set_tensor((r, c), t);
 }
 
 /// Apply one full Trotter layer (every local term once) to the PEPS: the
@@ -339,13 +236,17 @@ fn renormalize(peps: &mut Peps, norm_sqr: f64) {
 }
 
 /// Exact imaginary time evolution on the full state vector (the reference
-/// curve of Figure 13). Returns the energy per site after each step.
+/// curve of Figure 13). Returns the energy per site after each step, or
+/// `InvalidArgument` before any work if a term of `hamiltonian` lies outside
+/// the state's lattice.
 pub fn ite_statevector(
     initial: &StateVector,
     hamiltonian: &Observable,
     tau: f64,
     steps: usize,
 ) -> Result<Vec<(usize, f64)>> {
+    let (nrows, ncols) = initial.shape();
+    hamiltonian.validate(&Peps::computational_zeros(nrows, ncols))?;
     let gates = trotter_gates(hamiltonian, c64(-tau, 0.0))?;
     let n_sites = initial.num_qubits() as f64;
     let mut sv = initial.clone();
@@ -368,6 +269,7 @@ pub fn ite_statevector(
 mod tests {
     use super::*;
     use crate::hamiltonian::{tfi_hamiltonian, TfiParams};
+    use koala_error::ErrorKind;
     use koala_exec::WorkMeter;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -469,9 +371,7 @@ mod tests {
             let mut evolved = state.peps.clone();
             let whole = WorkMeter::new();
             whole
-                .scope(|| {
-                    ite_step(&mut state, step, &gates, &h, expect_opts, 6.0, &options, &mut false)
-                })
+                .scope(|| ite_step(&mut state, step, &gates, &h, expect_opts, 6.0, &options))
                 .unwrap();
             let n = state.peps.norm_sqr_dense().unwrap();
             assert!((1e-2..=1e2).contains(&n), "step {step}: <psi|psi> = {n}");
@@ -499,65 +399,72 @@ mod tests {
     }
 
     #[test]
-    fn injected_corruption_is_rolled_back_to_the_fault_free_trajectory() {
+    fn a_failing_step_is_returned_at_once() {
         let h = tfi_hamiltonian(2, 2, TfiParams::paper_figure14());
-        let peps = Peps::computational_zeros(2, 2);
-
-        let mut clean_rng = StdRng::seed_from_u64(9);
-        let clean_opts = {
-            let mut o = IteOptions::new(0.05, 10, 2, 4);
-            o.checkpoint_every = 2;
-            o
-        };
-        let clean = ite_peps(&peps, &h, clean_opts, &mut clean_rng).unwrap();
-
-        let before = koala_error::recovery::snapshot();
-        let mut faulty_rng = StdRng::seed_from_u64(9);
-        let mut faulty_opts = clean_opts;
-        faulty_opts.fault = Some(IteFault { step: 7, seed: 42 });
-        let recovered = ite_peps(&peps, &h, faulty_opts, &mut faulty_rng).unwrap();
-        let after = koala_error::recovery::snapshot();
-
-        assert!(after.faults_injected > before.faults_injected);
-        assert!(after.nonfinite_detections > before.nonfinite_detections);
-        assert!(after.checkpoints_restored > before.checkpoints_restored);
-        assert!(after.checkpoints_saved > before.checkpoints_saved);
-
-        assert_eq!(clean.energies.len(), recovered.energies.len());
-        for (&(sa, ea), &(sb, eb)) in clean.energies.iter().zip(recovered.energies.iter()) {
-            assert_eq!(sa, sb);
-            assert!((ea - eb).abs() < 1e-10, "step {sa}: clean {ea} vs recovered {eb}");
-        }
+        let mut bad = Peps::computational_zeros(2, 2);
+        let mut t = bad.tensor((1, 0)).clone();
+        t.data_mut()[0] = c64(f64::NAN, 0.0);
+        bad.set_tensor((1, 0), t);
+        let mut rng = StdRng::seed_from_u64(5);
+        let err = ite_peps(&bad, &h, IteOptions::new(0.05, 4, 2, 4), &mut rng).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::NonFinite, "{err}");
+        assert_eq!(err.contexts().last().map(String::as_str), Some("ite_peps: step 1"), "{err}");
+        assert_eq!(err.contexts().iter().filter(|f| f.starts_with("ite_peps")).count(), 1);
     }
 
+    /// At `tau` 12 the energy of a 2x2 TFI run overflows in the measurement
+    /// of step 3, after every contraction task of that measurement has run,
+    /// so the run's bill does not depend on the schedule: it is the bill of
+    /// its Trotter gates and of steps 1 to 3, each run once.
     #[test]
-    fn persistent_corruption_exhausts_the_restart_budget() {
+    fn a_failing_run_bills_each_step_once() {
         let h = tfi_hamiltonian(2, 2, TfiParams::paper_figure14());
+        // The replay measures with its own copy of the observable, so it
+        // decomposes the two-site terms too, as the run does.
+        let h_replay = h.clone();
+        let options = IteOptions::new(12.0, 8, 2, 4);
         let peps = Peps::computational_zeros(2, 2);
-        // Poison the *initial* state: every replay re-detects it.
-        let mut bad = peps.clone();
-        corrupt_peps(&mut bad, 3);
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut opts = IteOptions::new(0.05, 4, 2, 4);
-        opts.checkpoint_every = 1;
-        let err = ite_peps(&bad, &h, opts, &mut rng).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("restore attempts"), "unexpected error: {msg}");
-        assert_eq!(err.kind(), ErrorKind::NonFinite);
+        let run = WorkMeter::new();
+        let err =
+            run.scope(|| ite_peps(&peps, &h, options, &mut StdRng::seed_from_u64(6))).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::NonFinite, "{err}");
+        assert!(err.message().contains("energy"), "{err}");
+        assert_eq!(err.contexts(), ["ite_peps: step 3"], "{err}");
+
+        let replay = WorkMeter::new();
+        replay.scope(|| {
+            let gates = trotter_gates(&h_replay, c64(-options.tau, 0.0)).unwrap();
+            let expect_opts = ExpectationOptions::ibmps_cached(options.contraction_bond);
+            let mut state = ite_checkpoint(&peps, &StdRng::seed_from_u64(6));
+            for step in 1..=3 {
+                let done =
+                    ite_step(&mut state, step, &gates, &h_replay, expect_opts, 4.0, &options);
+                assert_eq!(done.is_err(), step == 3, "step {step}");
+            }
+        });
+        assert!(run.real_macs() > 0);
+        assert_eq!(run.real_macs(), replay.real_macs());
+        assert_eq!(run.complex_macs(), replay.complex_macs());
     }
 
     #[test]
     fn a_caller_mistake_is_returned_at_once_not_replayed() {
         // A 3x3 Hamiltonian has terms outside a 2x2 lattice: no replay can
-        // cure that, so no checkpoint is restored.
+        // cure that.
         let h = tfi_hamiltonian(3, 3, TfiParams::paper_figure14());
         let peps = Peps::computational_zeros(2, 2);
         let mut rng = StdRng::seed_from_u64(5);
-        let mut opts = IteOptions::new(0.05, 4, 2, 4);
-        opts.checkpoint_every = 1;
-        let err = ite_peps(&peps, &h, opts, &mut rng).unwrap_err();
+        let err = ite_peps(&peps, &h, IteOptions::new(0.05, 4, 2, 4), &mut rng).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidArgument, "{err}");
-        assert!(!err.to_string().contains("restore attempts"), "{err}");
+        assert_eq!(err.contexts().last().map(String::as_str), Some("ite_peps: step 1"), "{err}");
+    }
+
+    #[test]
+    fn statevector_ite_rejects_terms_outside_the_lattice() {
+        let h = tfi_hamiltonian(3, 3, TfiParams::paper_figure14());
+        let sv = StateVector::computational_zeros(2, 2);
+        let err = ite_statevector(&sv, &h, 0.05, 4).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidArgument, "{err}");
     }
 
     #[test]

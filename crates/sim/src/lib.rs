@@ -40,8 +40,8 @@
 
 #![warn(missing_docs)]
 // Library code must not panic on fallible paths: failures become
-// `KoalaError` results so long-running drivers can recover instead of
-// aborting (see ARCHITECTURE.md, "Failure model").
+// `KoalaError` results that reach the caller instead of an abort (see
+// ARCHITECTURE.md, "Failure model").
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod circuit;
@@ -57,8 +57,7 @@ pub use hamiltonian::{
     j1j2_hamiltonian, tfi_hamiltonian, trotter_gates, J1J2Params, TfiParams, TrotterGate,
 };
 pub use ite::{
-    ite_checkpoint, ite_peps, ite_peps_from, ite_statevector, IteCheckpoint, IteFault, IteOptions,
-    IteResult,
+    ite_checkpoint, ite_peps, ite_peps_from, ite_statevector, IteCheckpoint, IteOptions, IteResult,
 };
 pub use opt::{nelder_mead, spsa, OptResult};
 pub use statevector::StateVector;

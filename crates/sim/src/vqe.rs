@@ -13,7 +13,7 @@ use crate::gates::{cnot, ry};
 use crate::hamiltonian::nearest_neighbor_pairs;
 use crate::opt::{nelder_mead, spsa, OptResult};
 use crate::statevector::StateVector;
-use koala_error::Result;
+use koala_error::{recovery, KoalaError, Result};
 use koala_peps::operators::Observable;
 use koala_peps::{expectation_normalized, ExpectationOptions};
 use koala_peps::{Peps, UpdateMethod};
@@ -159,6 +159,12 @@ pub fn run_vqe<R: Rng + ?Sized>(
 /// inspect `cancel.is_cancelled()` after the call. With `cancel = None` the
 /// arithmetic (and hence the RNG stream and result) is bit-identical to
 /// [`run_vqe`].
+///
+/// A failed objective evaluation (an engine error, or a non-finite energy)
+/// ends the run the same way: later evaluations short-circuit to the
+/// penalty, and once the optimizer has unwound the first failure is
+/// returned. Initial parameters of the wrong length and Hamiltonian terms
+/// outside the lattice are `InvalidArgument`, checked before any work.
 pub fn run_vqe_cancellable<R: Rng + ?Sized>(
     nrows: usize,
     ncols: usize,
@@ -168,25 +174,28 @@ pub fn run_vqe_cancellable<R: Rng + ?Sized>(
     rng: &mut R,
     cancel: Option<&koala_exec::CancelToken>,
 ) -> Result<VqeResult> {
+    hamiltonian.validate(&Peps::computational_zeros(nrows, ncols))?;
     let n_params = num_parameters(nrows, ncols, options.layers);
-    let default_init: Vec<f64> = (0..n_params).map(|i| 0.1 + 0.05 * (i % 7) as f64).collect();
     let initial: Vec<f64> = match initial_params {
-        Some(p) => {
-            assert_eq!(p.len(), n_params, "wrong number of initial parameters");
-            p.to_vec()
+        Some(p) if p.len() != n_params => {
+            return Err(KoalaError::invalid(format!(
+                "vqe: {} initial parameters, the ansatz has {n_params}",
+                p.len()
+            )));
         }
-        None => default_init,
+        Some(p) => p.to_vec(),
+        None => (0..n_params).map(|i| 0.1 + 0.05 * (i % 7) as f64).collect(),
     };
 
     // The objective closure needs its own RNG stream so the outer rng can be
     // reused for the optimizer (SPSA) without borrow conflicts.
     let mut eval_rng = rand::rngs::StdRng::seed_from_u64(rng.gen());
-    let mut failures = 0usize;
+    let mut failure: Option<KoalaError> = None;
     let mut objective = |params: &[f64]| -> f64 {
-        if cancel.is_some_and(koala_exec::CancelToken::is_cancelled) {
+        if failure.is_some() || cancel.is_some_and(koala_exec::CancelToken::is_cancelled) {
             return f64::MAX / 1e6;
         }
-        match energy_per_site(
+        let error = match energy_per_site(
             nrows,
             ncols,
             hamiltonian,
@@ -195,12 +204,15 @@ pub fn run_vqe_cancellable<R: Rng + ?Sized>(
             options.backend,
             &mut eval_rng,
         ) {
-            Ok(e) if e.is_finite() => e,
-            _ => {
-                failures += 1;
-                f64::MAX / 1e6
+            Ok(e) if e.is_finite() => return e,
+            Ok(e) => {
+                recovery::note_nonfinite_detection();
+                KoalaError::non_finite(format!("vqe energy {e}"))
             }
-        }
+            Err(e) => e,
+        };
+        failure = Some(error.context("run_vqe: objective evaluation"));
+        f64::MAX / 1e6
     };
 
     let opt_result: OptResult = match options.optimizer {
@@ -211,6 +223,9 @@ pub fn run_vqe_cancellable<R: Rng + ?Sized>(
             spsa(&mut objective, &initial, iterations, a0, c0, rng)
         }
     };
+    if let Some(e) = failure {
+        return Err(e);
+    }
 
     Ok(VqeResult {
         energy_history: opt_result.history,
@@ -226,6 +241,7 @@ use rand::SeedableRng;
 mod tests {
     use super::*;
     use crate::hamiltonian::{tfi_hamiltonian, TfiParams};
+    use koala_error::ErrorKind;
     use rand::rngs::StdRng;
 
     #[test]
@@ -313,5 +329,43 @@ mod tests {
             energy_per_site(2, 2, &h, 1, &initial, VqeBackend::StateVector, &mut rng).unwrap();
         let result = run_vqe(2, 2, &h, options, Some(&initial), &mut rng).unwrap();
         assert!(result.best_energy <= initial_energy);
+    }
+
+    fn peps_nelder_mead() -> VqeOptions {
+        VqeOptions {
+            layers: 1,
+            backend: VqeBackend::Peps { bond: 2, contraction_bond: 4 },
+            optimizer: Optimizer::NelderMead { scale: 0.4, max_iterations: 10 },
+        }
+    }
+
+    #[test]
+    fn a_failed_evaluation_fails_the_run_with_its_kind() {
+        // Couplings this large overflow the energy measurement: the run must
+        // report that, not return the penalty as its best energy.
+        let h = tfi_hamiltonian(2, 2, TfiParams { jz: -1e200, hx: -1e200 });
+        let mut rng = StdRng::seed_from_u64(5);
+        let err = run_vqe(2, 2, &h, peps_nelder_mead(), None, &mut rng).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::NonFinite, "{err}");
+        assert_eq!(
+            err.contexts().last().map(String::as_str),
+            Some("run_vqe: objective evaluation")
+        );
+    }
+
+    #[test]
+    fn caller_mistakes_are_invalid_arguments_not_panics() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let h = tfi_hamiltonian(2, 2, TfiParams::paper_figure14());
+        let err = run_vqe(2, 2, &h, peps_nelder_mead(), Some(&[0.1; 3]), &mut rng).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidArgument, "{err}");
+
+        // A 3x3 Hamiltonian has terms outside a 2x2 lattice, on either backend.
+        let h = tfi_hamiltonian(3, 3, TfiParams::paper_figure14());
+        let err = run_vqe(2, 2, &h, peps_nelder_mead(), None, &mut rng).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidArgument, "{err}");
+        let options = VqeOptions { backend: VqeBackend::StateVector, ..peps_nelder_mead() };
+        let err = run_vqe(2, 2, &h, options, None, &mut rng).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidArgument, "{err}");
     }
 }
