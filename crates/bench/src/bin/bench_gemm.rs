@@ -234,7 +234,6 @@ fn main() {
         ("svd_leading_tebd", 32, 32),
         ("svd_leading_bmps", 49, 343),
         ("eigh", 96, 96),
-        ("gram_qr_tall", 512, 64),
     ];
     let fact_reps = 5;
     for &(label, m, n) in fact_grid {
@@ -283,10 +282,6 @@ fn main() {
             "eigh" => {
                 let e = koala_linalg::eigh(input).expect("bench eigh");
                 std::hint::black_box(e.values.len());
-            }
-            "gram_qr_tall" => {
-                let f = koala_linalg::gram_qr(input).expect("bench gram_qr");
-                std::hint::black_box(f.r.nrows());
             }
             _ => unreachable!("unknown factorization case"),
         };

@@ -21,11 +21,13 @@
 //! came from a different machine (an AVX-512 build once ran at 0.15x).
 //! Both documents' `host_cpu` and `microkernel` fields are printed first.
 //!
-//! When both documents record `microkernel` and the values differ (an
-//! `avx512f` baseline, a runner that compiled the `portable` kernels), the
-//! absolute rates measure different code and a several-fold gap between
-//! them is expected, so the baseline comparison is skipped with a note and
-//! only the same-run seed check gates.
+//! The baseline comparison runs only when both documents record the same
+//! `host_cpu` and the same `microkernel`. Other kernels (an `avx512f`
+//! baseline, a runner that compiled the `portable` ones) measure different
+//! code, and another CPU model runs the same code at another rate (a Xeon
+//! run against an AMD EPYC baseline read 0.49-0.59x on every row), so a
+//! mismatch, or a field one side did not record, skips the comparison with
+//! a note and only the same-run seed check gates.
 //!
 //! The compared rates are the per-series effective GFLOP/s — the
 //! counter-derived rate for the GEMM series, and for the factorization
@@ -115,6 +117,27 @@ fn load(path: &str) -> Result<Bench, String> {
     Ok(Bench { host_cpu: recorded("host_cpu"), microkernel: recorded("microkernel"), entries })
 }
 
+/// Why `current` cannot be compared with `baseline`, or `None` when it can:
+/// the baseline has entries, and both documents record the same `host_cpu`
+/// and the same `microkernel` (absolute GFLOP/s of other kernels or another
+/// CPU model measure something else).
+fn incomparable(baseline: &Bench, current: &Bench) -> Option<String> {
+    if baseline.entries.is_empty() {
+        return Some("it contains no entries of any gated series".to_string());
+    }
+    let fields = [
+        ("host_cpu", &baseline.host_cpu, &current.host_cpu),
+        ("microkernel", &baseline.microkernel, &current.microkernel),
+    ];
+    let (field, base, cur) =
+        fields.into_iter().find(|(_, base, cur)| base.is_none() || base != cur)?;
+    Some(format!("its {field} is {} and this run's is {}", shown(base), shown(cur)))
+}
+
+fn shown(field: &Option<String>) -> &str {
+    field.as_deref().unwrap_or("(not recorded)")
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let get_flag = |name: &str| -> Option<String> {
@@ -139,7 +162,6 @@ fn main() {
         }
     };
     for (side, doc) in [("baseline", &baseline_doc), ("current", &current_doc)] {
-        let shown = |field: &Option<String>| field.clone().unwrap_or("(not recorded)".into());
         println!(
             "check_bench: {side:<8} host_cpu = {}, microkernel = {}",
             shown(&doc.host_cpu),
@@ -162,18 +184,9 @@ fn main() {
         );
     }
 
-    // Nothing comparable in the baseline: an empty one (e.g. a freshly
-    // bootstrapped repo) or one built with the other register kernels. That
-    // is not a regression; the same-run seed check above still applies.
-    let incomparable = match (&baseline_doc.microkernel, &current_doc.microkernel) {
-        _ if baseline.is_empty() => Some("it contains no entries of any gated series".to_string()),
-        (Some(base), Some(cur)) if base != cur => Some(format!(
-            "it was built with the {base} microkernels and this run with the {cur} ones, \
-             so absolute GFLOP/s measure different code"
-        )),
-        _ => None,
-    };
-    if let Some(why) = incomparable {
+    // Nothing comparable in the baseline. That is not a regression; the
+    // same-run seed check above still applies.
+    if let Some(why) = incomparable(&baseline_doc, &current_doc) {
         println!("check_bench: NOTE — not comparing against {baseline_path}: {why}");
         let packed = current.iter().filter(|c| c.seed_speedup.is_some()).count();
         if packed == 0 {
@@ -258,5 +271,35 @@ fn main() {
             eprintln!("  {key}: {:.1}% of baseline", ratio * 100.0);
         }
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_the_same_host_and_kernels_compare() {
+        let bench = |host_cpu: Option<&str>, microkernel: Option<&str>, n| Bench {
+            host_cpu: host_cpu.map(Into::into),
+            microkernel: microkernel.map(Into::into),
+            entries: (0..n)
+                .map(|_| Entry { key: "k".into(), rate: 1.0, seed_speedup: None })
+                .collect(),
+        };
+        let xeon = bench(Some("Xeon"), Some("avx512f"), 1);
+        assert!(incomparable(&xeon, &bench(Some("Xeon"), Some("avx512f"), 1)).is_none());
+        for (host, kernel) in [
+            (Some("EPYC"), Some("avx512f")),
+            (Some("Xeon"), Some("portable")),
+            (None, Some("avx512f")),
+            (Some("Xeon"), None),
+        ] {
+            let other = bench(host, kernel, 1);
+            assert!(incomparable(&xeon, &other).is_some() && incomparable(&other, &xeon).is_some());
+        }
+        assert!(incomparable(&bench(Some("Xeon"), Some("avx512f"), 0), &xeon)
+            .unwrap()
+            .contains("no entries"));
     }
 }

@@ -153,7 +153,7 @@ impl Cluster {
 
     /// Record a collective that moves `elems` complex numbers in total across
     /// the interconnect in `rounds` communication rounds.
-    pub fn record_collective(&self, elems: usize, rounds: usize) {
+    pub(crate) fn record_collective(&self, elems: usize, rounds: usize) {
         koala_exec::add_bytes(elems as u64 * ELEM_BYTES);
         let mut s = lock_ignore_poison(&self.stats);
         s.bytes_communicated += elems as u64 * ELEM_BYTES;
@@ -161,14 +161,13 @@ impl Cluster {
         s.collectives += 1;
     }
 
-    /// Record a full redistribution (Cyclops-style reshape) of `elems`
-    /// complex numbers.
-    pub fn record_redistribution(&self, elems: usize) {
-        {
-            let mut s = lock_ignore_poison(&self.stats);
-            s.redistributions += 1;
-        }
-        self.record_collective(elems, 1);
+    /// Note one full redistribution (a Cyclops-style reshape of a whole
+    /// distributed object). Traffic is billed by the caller, through the
+    /// transfers that actually move the data; this only bumps the
+    /// [`CommStats::redistributions`] counter.
+    pub(crate) fn record_redistribution(&self) {
+        let mut s = lock_ignore_poison(&self.stats);
+        s.redistributions += 1;
     }
 
     /// Note one full gather: an operation that materialises an entire
@@ -226,7 +225,7 @@ impl Cluster {
     /// Record `macs` multiply-adds executed by `rank`, billed to the real or
     /// complex counter according to `real` — the kernel the operands'
     /// realness hints select.
-    pub fn record_macs(&self, rank: usize, macs: u64, real: bool) {
+    pub(crate) fn record_macs(&self, rank: usize, macs: u64, real: bool) {
         if real {
             self.record_real_macs(rank, macs);
         } else {
@@ -234,9 +233,9 @@ impl Cluster {
         }
     }
 
-    /// Record identical `macs` on every rank, billed real or complex
-    /// according to `real` (replicated computation) and scaled per rank like
-    /// [`Cluster::record_macs`].
+    /// Record identical `macs` on every rank (a replicated computation),
+    /// billed real or complex according to `real` — the kernel the operands'
+    /// realness hints select — and scaled by any armed slow-rank factor.
     pub fn record_macs_all(&self, macs: u64, real: bool) {
         for rank in 0..self.nranks {
             self.record_macs(rank, macs, real);
@@ -289,14 +288,14 @@ mod tests {
         let c = Cluster::new(4);
         c.record_p2p(10);
         c.record_collective(100, 1);
-        c.record_redistribution(50);
+        c.record_redistribution();
         c.record_flops(2, 1000);
         c.record_macs_all(10, false);
         let s = c.stats();
-        assert_eq!(s.bytes_communicated, (10 + 100 + 50) as u64 * ELEM_BYTES);
-        assert_eq!(s.collectives, 2);
+        assert_eq!(s.bytes_communicated, (10 + 100) as u64 * ELEM_BYTES);
+        assert_eq!(s.collectives, 1);
         assert_eq!(s.redistributions, 1);
-        assert_eq!(s.messages, 1 + 3 + 3);
+        assert_eq!(s.messages, 1 + 3);
         assert_eq!(s.rank_flops, vec![10, 10, 1010, 10]);
         let old = c.reset_stats();
         assert_eq!(old, s);

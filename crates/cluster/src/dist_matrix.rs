@@ -837,15 +837,13 @@ impl DistMatrix {
 }
 
 /// Result of a distributed QR factorization: `Q` keeps the row distribution of
-/// the input, `R` (and `R^{-1}` when available) are small replicated matrices.
+/// the input, `R` is a small replicated matrix.
 #[derive(Debug, Clone)]
 pub struct DistQr {
     /// Distributed isometric factor.
     pub q: DistMatrix,
     /// Replicated triangular / square factor with `A = Q R`.
     pub r: Matrix,
-    /// Replicated inverse of `R` (only produced by the Gram path).
-    pub r_inv: Option<Matrix>,
 }
 
 /// Distributed QR through the Gram matrix (paper Algorithm 5) on the
@@ -870,7 +868,8 @@ pub fn gram_qr_dist(a: &DistMatrix) -> koala_error::Result<DistQr> {
     let g = a.gram()?;
     // Every rank performs the identical small eigendecomposition and factor
     // assembly (replicated, as in the paper where the Gram matrix is sent to
-    // local memory), through the same helper as `koala_linalg::gram_qr`.
+    // local memory) through `koala_linalg::gram_factors`, the one
+    // implementation of Algorithm 5's local math.
     let Some((r, r_inv)) = koala_linalg::gram_factors(&g) else {
         for rank in 0..a.cluster().nranks() {
             a.block(rank)
@@ -883,15 +882,18 @@ pub fn gram_qr_dist(a: &DistMatrix) -> koala_error::Result<DistQr> {
     a.cluster().record_macs_all((n * n * n) as u64, g.is_real());
     // Q = A R^{-1}: a purely local multiply on each row block.
     let q = a.matmul_replicated(&r_inv);
-    Ok(DistQr { q, r, r_inv: Some(r_inv) })
+    Ok(DistQr { q, r })
 }
 
 /// Baseline distributed QR that mirrors what a generic distributed tensor
 /// framework does when asked to matricize and factorize: gather the full
 /// operand to one rank, factorize there, then scatter `Q` and broadcast `R`.
 /// This is the expensive "reshape + ScaLAPACK" path that Algorithm 5 avoids.
-/// Its gather and scatter are checksummed; a fault that outlasts the retry
-/// budget is an [`ErrorKind::Fault`] error.
+/// It bills the transfers it makes: the gather, the `Q` scatter and the `R`
+/// broadcast (a collective of replicated data, like the Gram allreduce),
+/// and counts the round trip as one redistribution. Its gather and scatter
+/// are checksummed; a fault that outlasts the retry budget is an
+/// [`ErrorKind::Fault`] error.
 pub fn qr_gather_dist(a: &DistMatrix) -> koala_error::Result<DistQr> {
     let full = a.gather()?;
     let cluster = a.cluster();
@@ -903,13 +905,14 @@ pub fn qr_gather_dist(a: &DistMatrix) -> koala_error::Result<DistQr> {
     let q_cols = a.cols.like_parts(f.q.ncols(), a.grid().cols());
     let q = DistMatrix::scatter_with(cluster, &f.q, a.grid(), a.rows.clone(), q_cols)?;
     cluster.record_collective(f.r.nrows() * f.r.ncols() * (cluster.nranks() - 1), 1);
-    cluster.record_redistribution(full.nrows() * full.ncols());
-    Ok(DistQr { q, r: f.r, r_inv: None })
+    cluster.record_redistribution();
+    Ok(DistQr { q, r: f.r })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ELEM_BYTES;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1013,7 +1016,15 @@ mod tests {
         let q_full = f.q.gather().unwrap();
         assert!(q_full.has_orthonormal_cols(1e-8));
         assert!(matmul(&q_full, &f.r).approx_eq(&a, 1e-8));
-        assert!(matmul(&f.r, &f.r_inv.unwrap()).approx_eq(&Matrix::identity(5), 1e-8));
+    }
+
+    #[test]
+    fn gram_qr_dist_rejects_non_finite_input() {
+        let cluster = Cluster::new(1);
+        let mut a = Matrix::zeros(4, 2);
+        a[(3, 1)] = c64(f64::INFINITY, 0.0);
+        let d = DistMatrix::scatter(&cluster, &a).unwrap();
+        assert_eq!(gram_qr_dist(&d).unwrap_err().kind(), ErrorKind::NonFinite);
     }
 
     #[test]
@@ -1035,15 +1046,25 @@ mod tests {
     }
 
     #[test]
-    fn qr_gather_dist_factorizes_but_costs_a_redistribution() {
+    fn qr_gather_dist_bills_its_gather_scatter_and_broadcast() {
         let (cluster, a, d) = cluster_and_matrix(4, 30, 5, 8);
         cluster.reset_stats();
         let f = qr_gather_dist(&d).unwrap();
+        let s = cluster.stats();
+        // The gather and the `Q` scatter each move the 3 foreign row blocks
+        // (one message and one 5-element column checksum each); the `R`
+        // broadcast sends 5 x 5 elements to 3 ranks. The round trip counts
+        // as one redistribution and bills no bytes of its own.
+        let foreign = (30 - d.block(0).nrows()) * 5;
+        assert_eq!(s.bytes_communicated, (2 * foreign + 3 * 25) as u64 * ELEM_BYTES);
+        assert_eq!(s.messages, 3 + 3 + 3);
+        assert_eq!(s.collectives, 2, "the gather and the R broadcast");
+        assert_eq!((s.redistributions, s.full_gathers), (1, 1));
+        assert_eq!(s.checksum_bytes, 2 * 3 * 5 * ELEM_BYTES);
+        assert_eq!(s.rank_flops, [30 * 5 * 5 * 2, 0, 0, 0], "rank 0 factorizes");
         let q_full = f.q.gather().unwrap();
         assert!(q_full.has_orthonormal_cols(1e-9));
         assert!(matmul(&q_full, &f.r).approx_eq(&a, 1e-9));
-        let stats = cluster.stats();
-        assert_eq!(stats.redistributions, 1);
     }
 
     #[test]

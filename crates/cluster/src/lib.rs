@@ -31,6 +31,10 @@
 //! bond update), so every scatter is the one checksummed
 //! [`DistMatrix`] scatter.
 //!
+//! The operations of this crate bill what they move and compute; callers
+//! bill only replicated local work, through [`Cluster::record_macs_all`]
+//! (ARCHITECTURE.md, "What runs distributed, and what is modelled").
+//!
 //! Realness is first-class end to end: scatter, SUMMA, Gram, gather, and
 //! every mutator propagate the structural [`koala_linalg::Matrix::is_real`]
 //! hint ([`DistMatrix::is_real`]), per-rank products of hinted operands run

@@ -23,8 +23,9 @@
 //!   for hinted-real inputs and at `C64` otherwise),
 //! * [`rsvd`] — randomized SVD with implicitly applied operators
 //!   (paper Algorithm 4),
-//! * [`gram_qr`] — reshape-avoiding Gram-matrix orthogonalization
-//!   (paper Algorithm 5, local math),
+//! * [`gram_factors`] — the `R`, `R^{-1}` factors of a Gram matrix, the
+//!   local math of the reshape-avoiding orthogonalization of paper
+//!   Algorithm 5 (`koala-cluster`'s `gram_qr_dist` runs it distributed),
 //! * [`expm_hermitian`] — Hermitian matrix exponentials for time evolution
 //!   and gate synthesis,
 //! * [`lanczos_ground_state`] — ground states of large implicit Hermitian
@@ -106,7 +107,7 @@ pub use expm::expm_hermitian;
 pub use gemm::{
     gemm, gemm_into, gemm_into_real, matmul, matmul_adj_a, matmul_naive, matmul_seed, Op,
 };
-pub use gram::{gram_factors, gram_qr, GramQr};
+pub use gram::gram_factors;
 pub use lanczos::{lanczos_ground_state, HermitianOp, LanczosResult};
 pub use qr::{qr, QrFactors};
 pub use rsvd::{rsvd, LinearOp, MatOp, RsvdOptions};

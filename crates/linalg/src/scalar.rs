@@ -68,11 +68,24 @@ impl C64 {
         self.im.atan2(self.re)
     }
 
-    /// Multiplicative inverse `1/z`.
+    /// Multiplicative inverse `1/z`. A finite, non-zero `z` whose `|z|^2`
+    /// is not a normal `f64` is inverted as `s / (s z)`, with a power of two
+    /// `s` that brings `s z` near 1; any other `z` keeps `conj(z) / |z|^2`.
     #[inline(always)]
     pub fn inv(self) -> Self {
         let d = self.norm_sqr();
+        if !d.is_normal() && self.re.is_finite() && self.im.is_finite() && self != C64::ZERO {
+            return self.inv_rescaled();
+        }
         C64 { re: self.re / d, im: -self.im / d }
+    }
+
+    #[cold]
+    fn inv_rescaled(self) -> Self {
+        let e = -(self.re.abs().max(self.im.abs()).log2().floor() as i32);
+        // Two exact halves, so that neither factor leaves f64's range.
+        let s = |z: C64| z.scale(2f64.powi(e / 2)).scale(2f64.powi(e - e / 2));
+        s(s(self).inv())
     }
 
     /// Principal square root.
@@ -448,6 +461,23 @@ mod tests {
         let a = c64(2.0, -1.0);
         assert!((a * a.inv()).approx_eq(C64::ONE, TOL));
         assert!((C64::ONE / a).approx_eq(a.inv(), TOL));
+    }
+
+    #[test]
+    fn inverse_out_of_the_modulus_range() {
+        // |w|^2 out of the normal range, 1/w inside it.
+        for w in [c64(1.8e183, 0.0), c64(-6.3e245, 2e240), c64(0.0, -1e-170), c64(3e-300, 0.0)] {
+            assert!((w * w.inv()).approx_eq(C64::ONE, TOL), "{w}");
+        }
+        // Inside the range the bits are those of `(re / d, -im / d)`.
+        for i in -300..=300 {
+            let w = c64(1.37 * 10f64.powi(i / 2), -0.61 * 10f64.powi(i - i / 2));
+            let d = w.re * w.re + w.im * w.im;
+            if d.is_normal() {
+                let bits = |z: C64| (z.re.to_bits(), z.im.to_bits());
+                assert_eq!(bits(w.inv()), bits(c64(w.re / d, -w.im / d)), "{w}");
+            }
+        }
     }
 
     #[test]

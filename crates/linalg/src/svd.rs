@@ -213,13 +213,12 @@ pub(crate) const ESCALATED_SWEEPS: usize = 240;
 /// `s` exactly `0.0` and an exactly zero column in `U` *and* zero row in
 /// `V^H`. So `U` and `V^H` are isometries over the directions with `s > 0`,
 /// not over all `k`: rank deficiency is the cheapest case instead of the
-/// slowest, and `U diag(s) V^H` is unaffected. The four consumers were
+/// slowest, and `U diag(s) V^H` is unaffected. The three consumers were
 /// audited for this: `tensor::decomp::build_split_svd` truncates by `s` and
 /// multiplies the factors back together (the operator Schmidt decomposition
 /// of `koala-peps`, and through it the circuit IR's rank bound, is one of
 /// its callers and cuts those directions); `rsvd` forms `U = P Z` and reads
-/// `V^H` off the small factor, which inherits the same convention;
-/// `gram::qr_svd_degrade` zeroes `1/s` on those directions itself; and
+/// `V^H` off the small factor, which inherits the same convention; and
 /// `svd_gram`, the last rung below, already returns zero columns in its
 /// recovered factor.
 /// None needs a full isometry over null directions.

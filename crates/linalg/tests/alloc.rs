@@ -7,13 +7,14 @@
 //! copy, the difference would show up as at least one full operand size.
 //!
 //! The same property is asserted for the higher-level kernels: the SVD wide
-//! fallbacks, Gram QR and randomized SVD must not call `Matrix::adjoint` /
-//! `Matrix::transpose` at all (tracked by the transpose-materialisation
-//! counter), and the wide-input SVD must stay within the tall-input
-//! allocation footprint.
+//! fallbacks, the Gram factors of Algorithm 5 and randomized SVD must not
+//! call `Matrix::adjoint` / `Matrix::transpose` at all (tracked by the
+//! transpose-materialisation counter), and the wide-input SVD must stay
+//! within the tall-input allocation footprint.
 
 use koala_linalg::{
-    gemm, gram_qr, matmul, rsvd, svd, transpose_counter, MatOp, Matrix, Op, RsvdOptions,
+    gemm, gram_factors, matmul, matmul_adj_a, rsvd, svd, transpose_counter, MatOp, Matrix, Op,
+    RsvdOptions,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -91,7 +92,8 @@ fn transposed_gemm_does_not_materialize_operands() {
     }
 }
 
-/// The multiply paths of `svd` (wide fallback), `gram_qr` and `rsvd`
+/// The multiply paths of `svd` (wide fallback), `gram_factors` (with its
+/// Gram product and `Q = A R^{-1}`) and `rsvd`
 /// must never materialise a
 /// transposed operand: every product routes the transposition through
 /// `Op::Adjoint` / `Op::Transpose` GEMM packing, and the factors are
@@ -106,8 +108,8 @@ fn linalg_kernels_do_not_materialize_adjoints() {
     let before = transpose_counter();
     let f = svd(&wide).unwrap();
     assert!(f.reconstruct().approx_eq(&wide, 1e-9), "wide Jacobi SVD must stay correct");
-    let q = gram_qr(&tall).unwrap();
-    assert!(matmul(&q.q, &q.r).approx_eq(&tall, 1e-8));
+    let (r, r_inv) = gram_factors(&matmul_adj_a(&tall, &tall)).unwrap();
+    assert!(matmul(&matmul(&tall, &r_inv), &r).approx_eq(&tall, 1e-8));
     let r = rsvd(&MatOp::new(&tall), RsvdOptions::with_rank(5), &mut rng).unwrap();
     assert_eq!(r.rank(), 5);
     assert_eq!(

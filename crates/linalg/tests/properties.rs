@@ -84,12 +84,12 @@ proptest! {
     }
 
     #[test]
-    fn gram_qr_matches_input(m in 2usize..20, n in 1usize..6, seed in 0u64..1000) {
-        // Tall inputs, as in Algorithm 5's intended use.
+    fn gram_factors_reconstruct_input(m in 2usize..20, n in 1usize..6, seed in 0u64..1000) {
+        // Tall inputs, as in Algorithm 5's intended use: A = (A R^{-1}) R.
         let m = m.max(n);
         let a = seeded_matrix(m, n, seed);
-        let f = gram_qr(&a).unwrap();
-        prop_assert!(matmul(&f.q, &f.r).approx_eq(&a, 1e-7));
+        let (r, r_inv) = gram_factors(&matmul_adj_a(&a, &a)).unwrap();
+        prop_assert!(matmul(&matmul(&a, &r_inv), &r).approx_eq(&a, 1e-7));
     }
 
     #[test]
@@ -362,14 +362,13 @@ fn real_path_factorizations_match_complex_path_across_shape_classes() {
     let vd = matmul(&er.vectors, &Matrix::from_diag_real(&er.values));
     assert!(av.approx_eq(&vd, 1e-10 * h.norm_max().max(1.0)));
 
-    // gram_qr: reconstruction + hints (real eigh + element-wise assembly).
+    // gram_factors: reconstruction + hints (real eigh + element-wise
+    // assembly), and Q = A R^{-1} stays on the real kernel.
     let t = Matrix::random_real(30, 5, &mut rng);
-    let g = gram_qr(&t).unwrap();
-    assert!(
-        g.q.is_real() && g.r.is_real() && g.r_inv.is_real(),
-        "gram_qr factors must carry the hint"
-    );
-    assert!(matmul(&g.q, &g.r).approx_eq(&t, 1e-9));
+    let (r, r_inv) = gram_factors(&matmul_adj_a(&t, &t)).unwrap();
+    let q = matmul(&t, &r_inv);
+    assert!(q.is_real() && r.is_real() && r_inv.is_real(), "gram factors must carry the hint");
+    assert!(matmul(&q, &r).approx_eq(&t, 1e-9));
 
     // rsvd: a structurally real operator draws a real sketch, so the whole
     // iteration stays real and the factors carry the hint.
@@ -484,10 +483,10 @@ proptest! {
         let e = eigh(&h).unwrap();
         prop_assert!(exactly_real(&e.vectors), "eigenvectors falsely carry the hint");
 
-        let g = gram_qr(&a).unwrap();
-        prop_assert!(exactly_real(&g.q), "gram Q falsely carries the hint");
-        prop_assert!(exactly_real(&g.r), "gram R falsely carries the hint");
-        prop_assert!(exactly_real(&g.r_inv), "gram R^-1 falsely carries the hint");
+        let (r, r_inv) = gram_factors(&matmul_adj_a(&a, &a)).unwrap();
+        prop_assert!(exactly_real(&matmul(&a, &r_inv)), "gram Q falsely carries the hint");
+        prop_assert!(exactly_real(&r), "gram R falsely carries the hint");
+        prop_assert!(exactly_real(&r_inv), "gram R^-1 falsely carries the hint");
     }
 }
 

@@ -312,6 +312,18 @@ mod tests {
     }
 
     #[test]
+    fn large_tau_energy_survives_a_norm_beyond_the_square_range() {
+        // By step 30 `<psi|psi>` reaches 1.8e183 (tau 6) and 6.3e245 (tau 8):
+        // its squared modulus overflows, but `value / norm` does not.
+        let h = tfi_hamiltonian(2, 2, TfiParams::paper_figure14());
+        for tau in [6.0, 8.0] {
+            let (peps, mut rng) = (Peps::computational_zeros(2, 2), StdRng::seed_from_u64(6));
+            let e = ite_peps(&peps, &h, IteOptions::new(tau, 30, 2, 4), &mut rng).unwrap();
+            assert!((e.final_energy() + 3.5).abs() < 1e-9, "tau {tau}: {}", e.final_energy());
+        }
+    }
+
+    #[test]
     fn peps_ite_with_larger_bond_is_at_least_as_good() {
         let mut rng = StdRng::seed_from_u64(3);
         let h = tfi_hamiltonian(2, 2, TfiParams::paper_figure14());
